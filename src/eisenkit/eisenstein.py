@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from eisenkit.characters import (
     DirichletCharacter,
     conductor,
@@ -44,9 +46,8 @@ from eisenkit.characters import (
 )
 from eisenkit.lfunctions import LValueRequest, dirichlet_l, lambda_ratio, parity_exponent
 from eisenkit.special_functions import (
-    BesselRequest,
     PoleError,
-    bessel_k,
+    bessel_k_row,
     gamma_factor,
     whittaker_tail_cutoff,
 )
@@ -92,6 +93,8 @@ class EisensteinParams:
     l_modulus: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_shift) and math.isfinite(self.sigma)):
+            raise ValueError(f"s must be finite, got sigma = {self.sigma}, t = {self.t_shift}")
         for chi in (self.chi1, self.chi2):
             if conductor(chi) != chi.modulus:
                 raise ValueError(f"characters must be primitive; {chi} has conductor {conductor(chi)}")
@@ -364,41 +367,29 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     return 2.0 / gamma_factor("real-place", 2 * params.s + 1 + a)
 
 
-def _k_value(order: complex, arg: float, kcache: dict | None) -> complex:
-    """bessel_k with an optional cache that exploits K's evenness in the order.
-
-    The cache key folds the order into the first quadrant, so the two sides
-    of the functional equation (orders s and -s) hit the same entries.
-    """
-    if kcache is None:
-        return bessel_k(BesselRequest(order, arg, 1e-12))
-    folded = complex(abs(order.real), abs(order.imag))
-    key = (folded, arg)
-    val = kcache.get(key)
-    if val is None:
-        val = bessel_k(BesselRequest(folded, arg, 1e-12))
-        kcache[key] = val
-    return val.conjugate() if (order.imag < 0) != (order.real < 0) else val
-
-
-def _fourier_part(params: EisensteinParams, x: float, y: float, eps: float,
-                  table: CoefficientTable | None, kcache: dict | None) -> complex:
-    s = params.s
-    prefactor = table.prefactor if table is not None else coefficient_prefactor(params)
-    scale = prefactor * _archimedean_constant(params) * math.sqrt(y)
+def _truncation(params: EisensteinParams, y: float, eps: float) -> tuple[complex, int]:
+    """The outer scale of the Fourier part at height y, and the number of
+    modes that keeps the dropped tail below eps."""
+    scale = coefficient_prefactor(params) * _archimedean_constant(params) * math.sqrt(y)
     # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
     # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
     # outer scale and the cosine's factor 2
     eps_tail = eps / (4.6 * max(abs(scale), 1e-300))
-    m = whittaker_tail_cutoff(params.t_shift, y, eps_tail)
-    if table is None or len(table.coefficients) < m:
-        coeffs = {n: fourier_coefficient(params, n) for n in range(1, m + 1)}
-        table = CoefficientTable(params, prefactor, coeffs)
+    return scale, whittaker_tail_cutoff(params.t_shift, y, eps_tail)
+
+
+def _bessel_row(order: complex, y: float, m: int) -> list[complex]:
+    """K_order(2 pi n y) for n = 1..m, from one row evaluation."""
+    xs = 2.0 * math.pi * np.arange(1, m + 1) * y
+    return bessel_k_row(order, xs).tolist()
+
+
+def _fourier_part(params: EisensteinParams, x: float, scale: complex, krow: list[complex]) -> complex:
+    """scale * sum_n lambda(n) K(2 pi n y) 2 cos(2 pi n x) over the modes of krow."""
     re_terms: list[float] = []
     im_terms: list[float] = []
-    for n in range(1, m + 1):
-        kval = _k_value(s, 2.0 * math.pi * n * y, kcache)
-        term = table.coefficients[n] * kval * (2.0 * math.cos(2.0 * math.pi * n * x))
+    for n, kval in enumerate(krow, start=1):
+        term = fourier_coefficient(params, n) * kval * (2.0 * math.cos(2.0 * math.pi * n * x))
         re_terms.append(term.real)
         im_terms.append(term.imag)
     return scale * complex(math.fsum(re_terms), math.fsum(im_terms))
@@ -409,15 +400,14 @@ def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
     """F(s; x, y): the series with both constant terms removed."""
     if y < y_min:
         raise ValueError(f"y = {y} below the expansion floor y_min = {y_min}")
-    return _fourier_part(params, x, y, eps, None, None)
+    scale, m = _truncation(params, y, eps)
+    return _fourier_part(params, x, scale, _bessel_row(params.s, y, m))
 
 
 def evaluate(params: EisensteinParams, x: float, y: float, eps: float,
              y_min: float = 0.3) -> complex:
     """E(s; x, y) on the cusp-infinity chart, truncation error below eps."""
-    if y < y_min:
-        raise ValueError(f"y = {y} below the expansion floor y_min = {y_min}")
-    return _constant_terms(params, y) + _fourier_part(params, x, y, eps, None, None)
+    return evaluate_truncated(params, x, y, eps, y_min) + _constant_terms(params, y)
 
 
 def _constant_terms(params: EisensteinParams, y: float) -> complex:
@@ -440,8 +430,10 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     quadrature noise.
     """
     dual = params.dual()
-    kcache: dict = {}
-    e_here = _constant_terms(params, y) + _fourier_part(params, x, y, eps, None, kcache)
-    e_dual = _constant_terms(dual, y) + _fourier_part(dual, x, y, eps, None, kcache)
+    scale, m = _truncation(params, y, eps)
+    dual_scale, dual_m = _truncation(dual, y, eps)
+    krow = _bessel_row(params.s, y, max(m, dual_m))
+    e_here = _constant_terms(params, y) + _fourier_part(params, x, scale, krow[:m])
+    e_dual = _constant_terms(dual, y) + _fourier_part(dual, x, dual_scale, krow[:dual_m])
     c = scattering_constant(params).scattering
     return abs(e_here - c * e_dual) / (1.0 + abs(e_here) + abs(e_dual))

@@ -46,6 +46,8 @@ class LValueRequest:
     completed: bool = False
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.s)):
+            raise ValueError(f"s must be finite, got {self.s}")
         if abs(complex(self.s).imag) > _IM_WINDOW:
             raise NumericEnvelopeError(f"|Im s| = {abs(complex(self.s).imag)} outside the supported window {_IM_WINDOW}")
         if self.character.modulus > _Q_WINDOW:

@@ -7,10 +7,11 @@ region is {x + iy : 0 <= x <= 1/2, y >= y_min}: the expansion is even and
 y-grid is geometric because the Bessel factors switch from oscillation to
 decay near y = T/(2pi) and the interesting structure concentrates there.
 
-Scans are deterministic by construction: the Bessel rows are produced by a
-single serial pass (the arbitrary-precision backend keeps global state), and
-each grid point is then assembled by a fixed-order compensated sum, so the
-reported values do not depend on how the assembly work is partitioned.
+Scans are deterministic by construction: each y-row takes its Bessel values
+from one row evaluation, whose elements do not depend on how the row is
+batched, and each grid point is then assembled by a fixed-order compensated
+sum, so the reported values do not depend on how the assembly work is
+partitioned.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from eisenkit.characters import build_character, character_index
 from eisenkit.eisenstein import (
     EisensteinParams,
     _archimedean_constant,
-    _k_value,
+    _bessel_row,
     build_coefficient_table,
     coefficient_prefactor,
 )
@@ -65,7 +66,7 @@ def geometric_grid(y_min: float, y_max: float, ratio: float = 1.05) -> list[floa
 # reports
 # ---------------------------------------------------------------------------
 
-class ScanAbortedError(RuntimeError):
+class ScanAbortedError(NumericsError):
     """A grid evaluation failed; the message carries partial-progress data."""
 
 
@@ -175,22 +176,16 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
 
     # One serial pass produces every Bessel row; everything after is plain
     # float arithmetic and safe to farm out.
-    kcache: dict = {}
-    order = here.s
     row_weights = []
     for y, m in zip(ys, budgets):
         try:
-            weights = []
-            for n in range(1, m + 1):
-                lam = table.coefficients[n]
-                kval = _k_value(order, 2.0 * math.pi * n * y, kcache)
-                prod = lam * kval
-                weights.append((prod.real, prod.imag))
+            krow = _bessel_row(here.s, y, m)
         except NumericsError as exc:
             raise ScanAbortedError(
                 f"scan aborted at y = {y:.6g} after {len(row_weights)} of "
                 f"{len(ys)} rows: {exc}") from exc
-        row_weights.append(weights)
+        prods = [table.coefficients[n] * kval for n, kval in enumerate(krow, start=1)]
+        row_weights.append([(prod.real, prod.imag) for prod in prods])
 
     if threads is None:
         threads = int(os.environ.get("EISENKIT_THREADS", "1") or "1")

@@ -1,9 +1,9 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here recomputes a quantity the package produces, by a different
-route: integral representations instead of backend special functions, brute
-divisor loops instead of sieves, series acceleration instead of Hurwitz
-values.  Keeping them quarantined in the test tree means the library can
+route: integral representations and mpmath's besselk (which the package
+does not call) instead of its contour quadrature, brute divisor loops
+instead of sieves, series acceleration instead of Hurwitz values.  Keeping them quarantined in the test tree means the library can
 never quietly start testing itself against itself.
 """
 
@@ -35,11 +35,11 @@ def bessel_quadrature(t: float, x: float, dps: int | None = None) -> float:
     """
     t = abs(float(t))
     x = float(x)
-    lost = max(0.0, _decay(t, x) - x) / math.log(10)   # cancellation against e^{-x}
+    lost = max(0.0, decay(t, x) - x) / math.log(10)   # cancellation against e^{-x}
     if dps is None:
         dps = 30 + int(math.ceil(lost))
     # cutoff where exp(-x cosh u) is negligible next to the answer e^{-decay}
-    goal = _decay(t, x) + (dps + 8) * math.log(10)
+    goal = decay(t, x) + (dps + 8) * math.log(10)
     u_max = math.acosh(max(2.0, goal / x))
     points = [0.0]
     if t > 0:
@@ -59,7 +59,19 @@ def bessel_quadrature(t: float, x: float, dps: int | None = None) -> float:
         return float(mpmath.exp(-xm) * val)
 
 
-def _decay(t: float, x: float) -> float:
+def bessel_k_mp(order: complex, x: float, dps: int = 40) -> complex:
+    """K_nu(x) by mpmath.besselk, with the working precision raised by the
+    digits that cancel against e^{-x} in the oscillatory range."""
+    lost = max(0.0, decay(order.imag, x) - x) / math.log(10)
+    with mpmath.workdps(dps + int(math.ceil(lost))):
+        return complex(mpmath.besselk(mpmath.mpc(order.real, order.imag), mpmath.mpf(x)))
+
+
+def decay(t: float, x: float) -> float:
+    """-log of the leading size of K_{it}(x), up to polynomial factors:
+    pi |t| / 2 in the oscillatory range x < |t|, sqrt(x^2 - t^2) + |t| asin(|t|/x)
+    past the turning point."""
+    t = abs(t)
     if x >= t:
         return math.sqrt(x * x - t * t) + (t * math.asin(t / x) if t > 0 else 0.0)
     return 0.5 * math.pi * t

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
+
 from eisenkit.cli import run
 
 
@@ -107,6 +109,41 @@ def test_config_file_defaults_lose_to_flags(tmp_path, capsys):
     assert a["y"] == 0.9
     assert b["y"] == 2.5
     assert a["value"] != b["value"]
+
+
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_config_flag_forms(tmp_path, capsys, form):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chi1 = 1:0\nchi2 = 4:1\nt0 = 5\ny = 0.9\n")
+    flag = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    out = tmp_path / "a.json"
+    assert run(["eval", *flag, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["y"] == 0.9
+
+
+def test_scan_outside_the_bessel_envelope_exits_3(capsys):
+    assert run(["scan", "--level1", "--t0", "250", "--xsteps", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "envelope" in err and "after 0 of" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "nan", "--y", "1.0"],
+    ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "5", "--y", "inf"],
+    ["lfunc", "--chi", "4:1", "--s", "nan"],
+    ["lfunc", "--chi", "4:1", "--s", "1+infj"],
+    ["bessel", "--t", "nan", "--x", "1.0"],
+    ["scan", "--level1", "--t0", "8,nan"],
+])
+def test_non_finite_inputs_are_validation_errors(capsys, argv):
+    assert run(argv) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_bessel_target_below_the_route_accuracy(capsys):
+    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-13"]) == 2
+    assert "target_error" in capsys.readouterr().err
+    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-8"]) == 0
 
 
 def test_selftest_passes(capsys):

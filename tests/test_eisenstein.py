@@ -186,3 +186,9 @@ def test_floor_is_enforced():
         evaluate(params, 0.0, 0.25, eps=1e-8)
     with pytest.raises(ValueError):
         evaluate_truncated(params, 0.0, 0.29, eps=1e-8)
+
+
+def test_non_finite_spectral_point_is_rejected():
+    for t0, sigma in ((math.nan, 0.0), (math.inf, 0.0), (5.0, math.nan)):
+        with pytest.raises(ValueError):
+            EisensteinParams(CHI1, CHI1, t0, sigma)

@@ -79,6 +79,12 @@ def test_lambda_ratio_rejects_imprimitive_and_far_heights():
         lambda_ratio(600j, CHI4)
 
 
+def test_non_finite_point_is_rejected():
+    for s in (math.nan, complex(1.0, math.inf), complex(math.nan, 2.0)):
+        with pytest.raises(ValueError):
+            LValueRequest(s=s, character=CHI4)
+
+
 def test_completed_lambda_functional_equation():
     """Lambda(1 - s, conj chi) = conj(eps) Lambda(s, chi), eps = G(chi)/(i^a sqrt q)."""
     from eisenkit.characters import conjugate, gauss_sum

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from oracles import bessel_quadrature, bump_mellin_quadrature
+from oracles import bessel_k_mp, bessel_quadrature, bump_mellin_quadrature, decay
 from eisenkit.special_functions import (
     BesselRequest,
     BumpWeight,
     NumericEnvelopeError,
     PoleError,
     bessel_k,
+    bessel_k_row,
     gamma_factor,
     whittaker_tail_cutoff,
 )
@@ -42,7 +43,7 @@ def test_order_sign_symmetry():
 
 
 def test_live_quadrature_spot_checks():
-    """Thirty fresh draws against the cosh-integral oracle, both regimes."""
+    """Thirty fresh draws against the cosh-integral oracle."""
     rng = random.Random(1105)
     for _ in range(30):
         t = rng.uniform(-50.0, 50.0)
@@ -83,6 +84,88 @@ def test_envelope_rejections():
         bessel_k(BesselRequest(order=250j, argument=1.0))
     with pytest.raises(NumericEnvelopeError):
         bessel_k(BesselRequest(order=12.0, argument=1.0))
+
+
+def _envelope_grid():
+    """Seeded (order, x) points across the whole envelope, grouped by order.
+
+    |Im nu| runs to 200 with heights on both sides of 60, |Re nu| to 10, and
+    every order gets x at the ends of [1e-6, 705], at and around the turning
+    point x = |Im nu|, and a few log-uniform draws.
+    """
+    rng = random.Random(20261018)
+    grid = []
+    for t in (0.0, 0.7, 12.0, 45.0, 59.5, 60.5, 75.0, 130.0, 200.0):
+        for sigma in (0.0, 0.5, 4.0, 10.0):
+            order = complex(sigma * rng.choice((-1, 1)), t * rng.choice((-1, 1)))
+            xs = [1e-6, 705.0] + [10.0 ** rng.uniform(-6.0, math.log10(705.0)) for _ in range(3)]
+            if t > 0:
+                xs += [0.97 * t, t, 1.03 * t]
+            grid.append((order, xs))
+    return grid
+
+
+# Values below the normal range (about 2.2e-308) carry the absolute
+# resolution of the subnormal grid; a few of its steps are allowed on top.
+_SUBNORMAL_SLACK = 2.0 ** -1070
+
+
+def test_row_against_mpmath_over_the_envelope():
+    """|got - ref| <= 1e-12 max(|ref|, e^-decay) everywhere in the envelope.
+
+    K_{it}(x) oscillates through zeros for x < |t|, so the error is measured
+    against the size of the oscillation, not against the value itself.
+    """
+    worst = 0.0
+    for order, xs in _envelope_grid():
+        row = bessel_k_row(order, xs)
+        for x, got in zip(xs, row):
+            ref = bessel_k_mp(order, x)
+            scale = max(abs(ref), math.exp(-decay(order.imag, x)))
+            err = abs(got - ref) / (1e-12 * scale + _SUBNORMAL_SLACK)
+            worst = max(worst, err)
+            assert err <= 1.0, (order, x, got, ref)
+    assert worst > 0.0
+
+
+def test_row_matches_scalar_bit_for_bit():
+    """A row element does not depend on the rest of the row."""
+    rng = random.Random(77)
+    for order in (61j, -140j + 0.0, 2.5 - 30j, -7.0 + 150j, 0.5):
+        # x = 1e-6 at |t| = 150 has tens of thousands of nodes, so the row
+        # spans several evaluation blocks
+        xs = [1e-6, 3e-6] + [10.0 ** rng.uniform(-6.0, 2.8) for _ in range(40)]
+        row = bessel_k_row(order, xs)
+        shuffled = xs[::-1]
+        row_rev = bessel_k_row(order, shuffled)[::-1]
+        for x, a, b in zip(xs, row, row_rev):
+            single = bessel_k(BesselRequest(order=order, argument=x))
+            assert a == single and b == single, (order, x)
+
+
+def test_row_rejects_inputs_outside_the_envelope():
+    for order, xs in ((0.0, [1.0, 1e-9]), (0.0, [2.0, 800.0]), (250j, [1.0]),
+                      (-12.0, [1.0]), (0.0, [0.0])):
+        with pytest.raises(NumericEnvelopeError):
+            bessel_k_row(order, xs)
+    with pytest.raises(ValueError):
+        bessel_k_row(complex(math.nan, 1.0), [1.0])
+    with pytest.raises(ValueError):
+        bessel_k_row(3j, [1.0, math.inf])
+    assert bessel_k_row(3j, []).shape == (0,)
+
+
+def test_request_contract():
+    """Non-finite inputs and accuracy below the route's 1e-12 are rejected."""
+    for order, x in ((complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0),
+                     (1j, math.nan), (1j, math.inf)):
+        with pytest.raises(ValueError):
+            BesselRequest(order=order, argument=x)
+    for target in (1e-13, 1e-14, math.nan):
+        with pytest.raises(ValueError):
+            BesselRequest(order=1j, argument=1.0, target_error=target)
+    loose = bessel_k(BesselRequest(order=5j, argument=2.0, target_error=1e-6))
+    assert loose == bessel_k(BesselRequest(order=5j, argument=2.0))
 
 
 # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import EisensteinParams
+from eisenkit.special_functions import NumericsError
 from eisenkit.supnorm import (
     ScanAbortedError,
     ScanReport,
@@ -70,8 +71,9 @@ def test_scan_floor_and_height_guards():
 
 
 def test_scan_aborts_outside_the_bessel_envelope():
-    with pytest.raises(ScanAbortedError):
-        scan(LEVEL1, 250.0, x_steps=4, y_grid=(0.5,))
+    with pytest.raises(ScanAbortedError, match=r"after 0 of 2 rows"):
+        scan(LEVEL1, 250.0, x_steps=4, y_grid=(0.5, 0.7))
+    assert issubclass(ScanAbortedError, NumericsError)
 
 
 def test_reference_bound_formula():
