@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, conjugate, multiply, value_table
+from eisenkit.characters import DirichletCharacter, _factorize, conjugate, multiply, value_table
 from eisenkit.eisenstein import generalized_divisor_sum
 from eisenkit.special_functions import BumpWeight
 
@@ -44,20 +44,6 @@ _SEGMENT = 1 << 20
 # configuration
 # ---------------------------------------------------------------------------
 
-def _totient(q: int) -> int:
-    out = q
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            out -= out // d
-            while q % d == 0:
-                q //= d
-        d += 1 if d == 2 else 2
-    if q > 1:
-        out -= out // q
-    return out
-
-
 @dataclass(frozen=True)
 class AmplifierConfig:
     q: int                      # progression modulus, coprime to the level
@@ -69,6 +55,10 @@ class AmplifierConfig:
     weight: BumpWeight = field(default_factory=BumpWeight)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):
+            raise ValueError(f"L, r1 and r2 must be finite, got {self.L}, {self.r1}, {self.r2}")
+        if self.q < 1:
+            raise ValueError(f"progression modulus must be positive, got {self.q}")
         level = self.chi1.modulus * self.chi2.modulus
         if math.gcd(self.q, level) != 1:
             raise ValueError(f"progression modulus {self.q} must be coprime to the level {level}")
@@ -217,6 +207,7 @@ def asymptotic_report(cfgs) -> list[AsymptoticRow]:
     rows = []
     for cfg in cfgs:
         value = amplifier_sum(cfg)
-        scale = _totient(cfg.q) / (2.0 * cfg.weight.mellin_at_one * cfg.L)
+        phi_q = math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(cfg.q))
+        scale = phi_q / (2.0 * cfg.weight.mellin_at_one * cfg.L)
         rows.append(AsymptoticRow(cfg.L, value, value.real * scale))
     return rows

@@ -107,7 +107,6 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
         table[1 % pe] = ()
     else:
         # enumerate the group as products of generator powers
-        exps = [0] * len(gens)
         total = 1
         for o in orders:
             total *= o
@@ -125,7 +124,6 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
             val_of_exps[vec] = u
         for vec, u in val_of_exps.items():
             table[u] = vec
-        del exps
     return gens, orders, table
 
 

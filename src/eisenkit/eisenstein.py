@@ -35,6 +35,7 @@ import numpy as np
 
 from eisenkit.characters import (
     DirichletCharacter,
+    _factorize,
     conductor,
     conjugate,
     gauss_sum,
@@ -53,17 +54,14 @@ from eisenkit.special_functions import (
 )
 
 __all__ = [
-    "CoefficientTable",
     "ConstantTermData",
     "EisensteinParams",
-    "build_coefficient_table",
     "coefficient_prefactor",
     "evaluate",
     "evaluate_truncated",
     "fourier_coefficient",
     "functional_equation_residual",
     "generalized_divisor_sum",
-    "local_constant",
     "scattering_constant",
 ]
 
@@ -126,13 +124,6 @@ class ConstantTermData:
     ramified_product: complex       # c_r(s)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    params: EisensteinParams
-    prefactor: complex              # b_r(s) / L(2s+1, psi)
-    coefficients: dict              # n -> lambda(n), 1 <= n <= M
-
-
 # ---------------------------------------------------------------------------
 # local data helpers
 # ---------------------------------------------------------------------------
@@ -144,12 +135,7 @@ def _quotient_character(chi1: DirichletCharacter, chi2: DirichletCharacter) -> D
 
 def _cond_exp(chi: DirichletCharacter, p: int) -> int:
     """v_p of the conductor of chi."""
-    c = conductor(chi)
-    e = 0
-    while c % p == 0:
-        c //= p
-        e += 1
-    return e
+    return dict(_factorize(conductor(chi))).get(p, 0)
 
 
 def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
@@ -170,32 +156,13 @@ def _local_eps(chi: DirichletCharacter, p: int) -> complex:
     return local_epsilon(target, p).epsilon_half
 
 
-def _primes_of(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
     divs = [1]
-    for p in _primes_of(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
+    for p, e in _factorize(n):
         divs = [d * p ** k for d in divs for k in range(e + 1)]
     return divs
 
@@ -247,7 +214,7 @@ def _b_local(params: EisensteinParams, p: int) -> complex:
 
 def _b_ramified(params: EisensteinParams) -> complex:
     out = 1.0 + 0j
-    for p in _primes_of(params.level):
+    for p, _ in _factorize(params.level):
         out *= _b_local(params, p)
     return out
 
@@ -262,42 +229,6 @@ def coefficient_prefactor(params: EisensteinParams) -> complex:
 # ---------------------------------------------------------------------------
 # constant term
 # ---------------------------------------------------------------------------
-
-def local_constant(params: EisensteinParams, p: int) -> complex:
-    """The local constant-term factor c_p(s), all three ramification cases.
-
-    The unramified branch returns the local L-ratio; production code never
-    multiplies these out (the completed global ratio supplies them), so this
-    operation exists for unit-level cross-checks of the local formulas.
-    """
-    s = params.s
-    psi = params.quotient_character
-    a1 = _cond_exp(params.chi1, p)
-    a2 = _cond_exp(params.chi2, p)
-
-    if a1 == 0 and a2 == 0:
-        psi_p = psi.evaluate(p)
-        num = 1.0 - psi_p * cmath.exp(-2 * s * math.log(p))
-        den = 1.0 - psi_p * cmath.exp(-(2 * s + 1) * math.log(p))
-        return den / num     # L_p(2s)/L_p(2s+1) as a ratio of inverted Euler factors
-
-    if a1 == 0 or a2 == 0:
-        chi1_p = local_component(params.chi1, p)
-        sign = chi1_p.evaluate(chi1_p.modulus - 1) if chi1_p.modulus > 1 else 1.0
-        return sign * p ** (-a2)
-
-    a_psi = _cond_exp(psi, p)
-    n_p = a1 + a2
-    chi1_p = local_component(params.chi1, p)
-    sign = chi1_p.evaluate(chi1_p.modulus - 1)
-    exponent = -2 * s * n_p - (0.5 - 2 * s) * a_psi + a1 / 2.0 - a2 / 2.0
-    eps_block = (_local_eps(params.chi1, p)
-                 * _local_eps(conjugate(params.chi2), p)
-                 / _local_eps(psi, p))
-    char_block = (_chi_at_uniformizer(params.chi2, p, -a1)
-                  * _chi_at_uniformizer(params.chi1, p, a2))
-    return sign * cmath.exp(exponent * math.log(p)) * eps_block * char_block
-
 
 def scattering_constant(params: EisensteinParams) -> ConstantTermData:
     """The full constant-term datum: c(s), its local pieces, and the two
@@ -318,7 +249,7 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 
     dual = params.dual()
     local_factors: dict[int, complex] = {}
-    for p in _primes_of(params.level):
+    for p, _ in _factorize(params.level):
         factor = _b_local(params, p) / _b_local(dual, p)
         if ell % p == 0:
             e = _cond_exp(psi, p)
@@ -351,11 +282,6 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def build_coefficient_table(params: EisensteinParams, m_max: int) -> CoefficientTable:
-    coeffs = {n: fourier_coefficient(params, n) for n in range(1, m_max + 1)}
-    return CoefficientTable(params, coefficient_prefactor(params), coeffs)
-
-
 def _archimedean_constant(params: EisensteinParams) -> complex:
     """The real-place Whittaker normalization 2 / Gamma_R(2s + 1 + a).
 
@@ -367,32 +293,43 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     return 2.0 / gamma_factor("real-place", 2 * params.s + 1 + a)
 
 
-def _truncation(params: EisensteinParams, y: float, eps: float) -> tuple[complex, int]:
-    """The outer scale of the Fourier part at height y, and the number of
-    modes that keeps the dropped tail below eps."""
-    scale = coefficient_prefactor(params) * _archimedean_constant(params) * math.sqrt(y)
+@lru_cache(maxsize=256)
+def _outer_scale(params: EisensteinParams) -> complex:
+    """P(s) = b_r(s) / L(2s+1, psi) * 2 / Gamma_R(2s + 1 + a), once per series."""
+    return coefficient_prefactor(params) * _archimedean_constant(params)
+
+
+@lru_cache(maxsize=256)
+def _scattering(params: EisensteinParams) -> complex:
+    """c(s), once per series."""
+    return scattering_constant(params).scattering
+
+
+def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
+    """The number of modes that keeps the dropped tail of F at height y below eps."""
     # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
     # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
     # outer scale and the cosine's factor 2
-    eps_tail = eps / (4.6 * max(abs(scale), 1e-300))
-    return scale, whittaker_tail_cutoff(params.t_shift, y, eps_tail)
+    scale = abs(_outer_scale(params)) * math.sqrt(y)
+    return whittaker_tail_cutoff(params.t_shift, y, eps / (4.6 * max(scale, 1e-300)))
 
 
-def _bessel_row(order: complex, y: float, m: int) -> list[complex]:
-    """K_order(2 pi n y) for n = 1..m, from one row evaluation."""
-    xs = 2.0 * math.pi * np.arange(1, m + 1) * y
-    return bessel_k_row(order, xs).tolist()
+def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
+    """lambda(1), ..., lambda(m) as a complex array."""
+    return np.array([fourier_coefficient(params, n) for n in range(1, m + 1)], dtype=complex)
 
 
-def _fourier_part(params: EisensteinParams, x: float, scale: complex, krow: list[complex]) -> complex:
-    """scale * sum_n lambda(n) K(2 pi n y) 2 cos(2 pi n x) over the modes of krow."""
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    for n, kval in enumerate(krow, start=1):
-        term = fourier_coefficient(params, n) * kval * (2.0 * math.cos(2.0 * math.pi * n * x))
-        re_terms.append(term.real)
-        im_terms.append(term.imag)
-    return scale * complex(math.fsum(re_terms), math.fsum(im_terms))
+def _fourier_row(params: EisensteinParams, lam: np.ndarray, xs, y: float) -> np.ndarray:
+    """F(s; x, y) for every x in xs, summed over the modes n = 1..len(lam).
+
+    One Bessel row per call; each x is reduced along n by numpy's fixed-order
+    pairwise sum (no BLAS, whose blocking may follow the thread count), so a
+    value does not depend on which other x share the row.
+    """
+    n = np.arange(1, len(lam) + 1)
+    weights = lam * bessel_k_row(params.s, 2.0 * math.pi * n * y)
+    cosines = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
+    return _outer_scale(params) * math.sqrt(y) * (cosines * weights).sum(axis=-1)
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
@@ -400,8 +337,8 @@ def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
     """F(s; x, y): the series with both constant terms removed."""
     if y < y_min:
         raise ValueError(f"y = {y} below the expansion floor y_min = {y_min}")
-    scale, m = _truncation(params, y, eps)
-    return _fourier_part(params, x, scale, _bessel_row(params.s, y, m))
+    lam = _coefficients(params, _truncation(params, y, eps))
+    return complex(_fourier_row(params, lam, [x], y)[0])
 
 
 def evaluate(params: EisensteinParams, x: float, y: float, eps: float,
@@ -416,8 +353,7 @@ def _constant_terms(params: EisensteinParams, y: float) -> complex:
     if params.chi1.modulus == 1:
         out += cmath.exp((0.5 + s) * math.log(y))
     if params.chi2.modulus == 1:
-        c = scattering_constant(params).scattering
-        out += c * cmath.exp((0.5 - s) * math.log(y))
+        out += _scattering(params) * cmath.exp((0.5 - s) * math.log(y))
     return out
 
 
@@ -425,15 +361,11 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
                                  eps: float = 1e-8) -> float:
     """Normalized defect of E(s, z) = c(s) * dual E(-s, z) at one point.
 
-    The Bessel values are shared between the two sides (K is even in its
-    order), so the residual isolates the arithmetic constants rather than
-    quadrature noise.
+    Both sides go through evaluate, with no expansion floor.  K is even in
+    its order and bessel_k_row computes K_s and K_-s bit for bit alike, so
+    the residual isolates the arithmetic constants rather than quadrature
+    noise.
     """
-    dual = params.dual()
-    scale, m = _truncation(params, y, eps)
-    dual_scale, dual_m = _truncation(dual, y, eps)
-    krow = _bessel_row(params.s, y, max(m, dual_m))
-    e_here = _constant_terms(params, y) + _fourier_part(params, x, scale, krow[:m])
-    e_dual = _constant_terms(dual, y) + _fourier_part(dual, x, dual_scale, krow[:dual_m])
-    c = scattering_constant(params).scattering
-    return abs(e_here - c * e_dual) / (1.0 + abs(e_here) + abs(e_dual))
+    e_here = evaluate(params, x, y, eps, y_min=0.0)
+    e_dual = evaluate(params.dual(), x, y, eps, y_min=0.0)
+    return abs(e_here - _scattering(params) * e_dual) / (1.0 + abs(e_here) + abs(e_dual))

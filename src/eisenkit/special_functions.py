@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -245,25 +246,31 @@ class BumpWeight:
     w(r) = exp(-1/((r-1)(2-r))) inside the support, zero outside; all
     derivatives vanish at the endpoints.  mellin(s) is the transform
     int w(r) r^{s-1} dr, and the frequently used value at s = 1 (the plain
-    integral of w) is cached on construction.
+    integral of w) is set on construction, from one quadrature per process.
     """
 
     mellin_at_one: float = field(default=0.0)
 
     def __post_init__(self):
         if self.mellin_at_one == 0.0:
-            object.__setattr__(self, "mellin_at_one", self.mellin(1.0).real)
+            object.__setattr__(self, "mellin_at_one", _bump_integral())
 
     def weight(self, r: float) -> float:
         return _bump(float(r))
 
     __call__ = weight
 
-    def mellin(self, s: complex) -> complex:
+    @staticmethod
+    def mellin(s: complex) -> complex:
         with mpmath.workdps(30):
             s_mp = mpmath.mpc(s)
             val = mpmath.quad(lambda r: mpmath.exp(-1 / ((r - 1) * (2 - r))) * r ** (s_mp - 1), [1, 2])
             return complex(val)
+
+
+@lru_cache(maxsize=1)
+def _bump_integral() -> float:
+    return BumpWeight.mellin(1.0).real
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +287,8 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float) -> int:
     always clears that transition point, and the geometric-ratio tail bound
     past M is pushed below eps.
     """
-    if y <= 0 or eps <= 0:
-        raise ValueError("y and eps must be positive")
+    if not (0 < y < math.inf and 0 < eps < math.inf):
+        raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
     t = abs(float(t))
     two_pi_y = 2.0 * math.pi * y
     m = max(1, math.ceil((1.0 + 0.5 * math.pi * t + 0.01) / two_pi_y))

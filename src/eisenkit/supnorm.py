@@ -7,11 +7,11 @@ region is {x + iy : 0 <= x <= 1/2, y >= y_min}: the expansion is even and
 y-grid is geometric because the Bessel factors switch from oscillation to
 decay near y = T/(2pi) and the interesting structure concentrates there.
 
-Scans are deterministic by construction: each y-row takes its Bessel values
-from one row evaluation, whose elements do not depend on how the row is
-batched, and each grid point is then assembled by a fixed-order compensated
-sum, so the reported values do not depend on how the assembly work is
-partitioned.
+Each y-row is one call of the series' Fourier-row kernel, the same one
+that evaluates single points: one Bessel row, whose elements do not depend
+on how the row is batched, and one fixed-order numpy sum over the modes for
+each x.  Rows are independent, so the reported values do not depend on how
+many threads share them out.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import (
-    EisensteinParams,
-    _archimedean_constant,
-    _bessel_row,
-    build_coefficient_table,
-    coefficient_prefactor,
-)
-from eisenkit.special_functions import NumericsError, whittaker_tail_cutoff
+from eisenkit.eisenstein import EisensteinParams, _coefficients, _fourier_row, _truncation
+from eisenkit.special_functions import NumericsError
 
 __all__ = [
     "ScanAbortedError",
@@ -126,22 +122,6 @@ def load_report(text: str) -> ScanReport:
 # scanning
 # ---------------------------------------------------------------------------
 
-def _assemble_row(scale_abs, y, weights, xs):
-    """|F| along one horizontal row from precomputed coefficient*Bessel data."""
-    root = math.sqrt(y)
-    out = []
-    for x in xs:
-        re_terms = []
-        im_terms = []
-        for n, (wre, wim) in enumerate(weights, start=1):
-            c = 2.0 * math.cos(2.0 * math.pi * n * x)
-            re_terms.append(wre * c)
-            im_terms.append(wim * c)
-        val = scale_abs * root * math.hypot(math.fsum(re_terms), math.fsum(im_terms))
-        out.append((x, y, val))
-    return out
-
-
 def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
          y_grid=None, eps: float = 1e-8, threads: int | None = None) -> ScanReport:
     """Measure |F(it0, x + iy)| over the grid and extract the supremum.
@@ -153,8 +133,6 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     """
     if x_steps < 1:
         raise ValueError("x_steps must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     here = EisensteinParams(params.chi1, params.chi2, float(t0))
     T = spectral_height(t0)
     if y_grid is None:
@@ -166,36 +144,27 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     xs = [0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0 for i in range(x_steps)]
 
     start = time.perf_counter()
-    scale = coefficient_prefactor(here) * _archimedean_constant(here)
-    scale_abs = abs(scale)
-    budgets = []
-    for y in ys:
-        tail = eps / (4.6 * max(scale_abs * math.sqrt(y), 1e-300))
-        budgets.append(whittaker_tail_cutoff(t0, y, tail))
-    table = build_coefficient_table(here, max(budgets))
+    # serially, before any thread starts: the first truncation fills the
+    # series' constant caches through mpmath, whose precision is process-global
+    modes = [_truncation(here, y, eps) for y in ys]
+    lam = _coefficients(here, max(modes))
 
-    # One serial pass produces every Bessel row; everything after is plain
-    # float arithmetic and safe to farm out.
-    row_weights = []
-    for y, m in zip(ys, budgets):
+    def measure(i: int) -> list:
+        y, m = ys[i], modes[i]
         try:
-            krow = _bessel_row(here.s, y, m)
+            values = _fourier_row(here, lam[:m], xs, y)
         except NumericsError as exc:
             raise ScanAbortedError(
-                f"scan aborted at y = {y:.6g} after {len(row_weights)} of "
-                f"{len(ys)} rows: {exc}") from exc
-        prods = [table.coefficients[n] * kval for n, kval in enumerate(krow, start=1)]
-        row_weights.append([(prod.real, prod.imag) for prod in prods])
+                f"scan aborted at y = {y:.6g} after {i} of {len(ys)} rows: {exc}") from exc
+        return [(x, y, float(v)) for x, v in zip(xs, np.abs(values))]
 
     if threads is None:
         threads = int(os.environ.get("EISENKIT_THREADS", "1") or "1")
-    jobs = list(zip(ys, row_weights))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(
-                lambda job: _assemble_row(scale_abs, job[0], job[1], xs), jobs))
+            rows = list(pool.map(measure, range(len(ys))))
     else:
-        rows = [_assemble_row(scale_abs, y, w, xs) for y, w in jobs]
+        rows = [measure(i) for i in range(len(ys))]
 
     grid = tuple(entry for row in rows for entry in row)
     sup = max(entry[2] for entry in grid)
@@ -207,6 +176,7 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         "reference_bound": theorem_reference(here, t0),
         "x_steps": x_steps,
         "y_points": len(ys),
+        "modes": modes,
     }
     return ScanReport(params=here, t0=float(t0), grid=grid, supremum=sup,
                       argmax=(best[0], best[1]), truncation_eps=eps,

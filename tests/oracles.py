@@ -14,7 +14,8 @@ import math
 
 import mpmath
 
-from eisenkit.characters import DirichletCharacter, character_group
+from eisenkit.characters import DirichletCharacter, character_group, conjugate, local_component
+from eisenkit.eisenstein import _chi_at_uniformizer, _cond_exp, _local_eps
 
 
 # ------------------------------------------------------------------
@@ -112,6 +113,46 @@ def bump_mellin_quadrature(s: complex) -> complex:
     re, _ = quad(lambda x: integrand(x).real, 1.0, 2.0, limit=200)
     im, _ = quad(lambda x: integrand(x).imag, 1.0, 2.0, limit=200)
     return complex(re, im)
+
+
+# ------------------------------------------------------------------
+# local constant-term factors
+# ------------------------------------------------------------------
+
+def local_constant(params, p: int) -> complex:
+    """The local constant-term factor c_p(s), all three ramification cases.
+
+    The unramified branch returns the local L-ratio.  The package never
+    multiplies these out (the completed global ratio supplies them), so the
+    local formulas live here, for unit-level cross-checks.
+    """
+    s = params.s
+    psi = params.quotient_character
+    a1 = _cond_exp(params.chi1, p)
+    a2 = _cond_exp(params.chi2, p)
+
+    if a1 == 0 and a2 == 0:
+        psi_p = psi.evaluate(p)
+        num = 1.0 - psi_p * cmath.exp(-2 * s * math.log(p))
+        den = 1.0 - psi_p * cmath.exp(-(2 * s + 1) * math.log(p))
+        return den / num     # L_p(2s)/L_p(2s+1) as a ratio of inverted Euler factors
+
+    if a1 == 0 or a2 == 0:
+        chi1_p = local_component(params.chi1, p)
+        sign = chi1_p.evaluate(chi1_p.modulus - 1) if chi1_p.modulus > 1 else 1.0
+        return sign * p ** (-a2)
+
+    a_psi = _cond_exp(psi, p)
+    n_p = a1 + a2
+    chi1_p = local_component(params.chi1, p)
+    sign = chi1_p.evaluate(chi1_p.modulus - 1)
+    exponent = -2 * s * n_p - (0.5 - 2 * s) * a_psi + a1 / 2.0 - a2 / 2.0
+    eps_block = (_local_eps(params.chi1, p)
+                 * _local_eps(conjugate(params.chi2), p)
+                 / _local_eps(psi, p))
+    char_block = (_chi_at_uniformizer(params.chi2, p, -a1)
+                  * _chi_at_uniformizer(params.chi1, p, a2))
+    return sign * cmath.exp(exponent * math.log(p)) * eps_block * char_block
 
 
 # ------------------------------------------------------------------

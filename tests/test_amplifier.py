@@ -29,6 +29,13 @@ def test_config_validation():
         AmplifierConfig(q=3, L=100.0, r1=1.0, r2=1.0, chi1=CHI3, chi2=CHI4)
     with pytest.raises(ValueError):
         AmplifierConfig(q=1, L=5.0, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1)
+    for q in (0, -3):
+        with pytest.raises(ValueError):
+            AmplifierConfig(q=q, L=100.0, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1)
+    for bad in ({"L": math.nan}, {"L": math.inf}, {"r1": math.nan}, {"r2": -math.inf}):
+        with pytest.raises(ValueError):
+            AmplifierConfig(**{"q": 1, "L": 100.0, "r1": 1.0, "r2": 1.0,
+                               "chi1": CHI1, "chi2": CHI1, **bad})
     cfg = AmplifierConfig(q=5, L=100.0, r1=1.0, r2=1.0, chi1=CHI3, chi2=CHI4)
     assert cfg.level == 12
 

@@ -64,6 +64,11 @@ def test_amp_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_amp_nonpositive_modulus_is_a_validation_error(capsys):
+    assert run(["amp", "--q", "0", "--L", "100"]) == 2
+    assert "progression modulus" in capsys.readouterr().err
+
+
 def test_bessel_value_and_envelope(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert run(["bessel", "--t", "5", "--x", "2.0", "--out", str(out)]) == 0

@@ -8,17 +8,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import local_constant
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
     EisensteinParams,
-    build_coefficient_table,
-    coefficient_prefactor,
     evaluate,
     evaluate_truncated,
-    fourier_coefficient,
     functional_equation_residual,
     generalized_divisor_sum,
-    local_constant,
     scattering_constant,
 )
 
@@ -69,14 +66,6 @@ def test_coefficients_are_multiplicative(m, n):
     s = 7j
     lam = lambda k: generalized_divisor_sum(CHI3, CHI4, s, k)
     assert abs(lam(m * n) - lam(m) * lam(n)) < 1e-12
-
-
-def test_fourier_coefficient_matches_table():
-    params = EisensteinParams(CHI3, CHI4, 5.0)
-    table = build_coefficient_table(params, 40)
-    for n in (1, 2, 7, 39, 40):
-        assert table.coefficients[n] == fourier_coefficient(params, n)
-    assert table.prefactor == coefficient_prefactor(params)
 
 
 def test_coefficient_rejects_nonpositive_index():
@@ -186,6 +175,9 @@ def test_floor_is_enforced():
         evaluate(params, 0.0, 0.25, eps=1e-8)
     with pytest.raises(ValueError):
         evaluate_truncated(params, 0.0, 0.29, eps=1e-8)
+    for y, eps in ((0.6, math.nan), (0.6, math.inf), (math.nan, 1e-8), (math.inf, 1e-8)):
+        with pytest.raises(ValueError):
+            evaluate_truncated(params, 0.1, y, eps=eps)
 
 
 def test_non_finite_spectral_point_is_rejected():

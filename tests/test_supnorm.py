@@ -58,6 +58,8 @@ def test_scan_invariants():
     assert (x, y, sup) in report.grid
     assert report.metadata["chart"] == "cusp-infinity"
     assert report.metadata["x_steps"] == 8
+    assert len(report.metadata["modes"]) == 3
+    assert all(m >= 1 for m in report.metadata["modes"])
     assert report.wall_time >= 0.0
 
 
