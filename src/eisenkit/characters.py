@@ -1,13 +1,22 @@
-"""Exact Dirichlet character arithmetic.
+"""Exact Dirichlet character arithmetic on integer phases.
 
-Characters mod q are stored as discrete-log data on fixed generators of the
-unit groups (Z/p^e)^x, one component per prime power of q.  Values are exact
-rational phases (fractions of a full turn) materialized to complex floats only
-at evaluation time, so Gauss sums and epsilon factors are reproducible to
-machine precision.
+Characters mod q are stored as exponent vectors on fixed generators of the
+unit groups (Z/p^e)^x, one component per prime power of q.  Each prime power
+has one cached integer array dlog[k, u], the exponent of generator k in the
+unit u mod p^e.  With D the exponent of (Z/q)^x (the lcm of the generator
+orders), a character carries integer weights w_k = k * D / o_k on its
+generators, and chi(n) = e(m / D) with
+
+    m = sum over components and generators of w_k * dlog[k, n mod p^e]  (mod D).
+
+Evaluation is integer array lookup; the float value e(m / D) is taken only at
+the end (m / D is correctly rounded), so Gauss sums and epsilon factors are
+reproducible to machine precision.  The exact phase m / D as a Fraction is
+built only where exactness is observable: conductors and induction.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
-  * odd p^e: the smallest primitive root mod p^e;
+  * odd p^e: the smallest primitive root g mod p, or g + p when
+    g^(p-1) = 1 mod p^2 (then g is not primitive mod p^2);
   * 2^1: trivial group, no generators;
   * 2^2: the single generator 3;
   * 2^e, e >= 3: the pair (2^e - 1, 5), i.e. (-1, 5), in that order.
@@ -22,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,9 +50,6 @@ __all__ = [
     "primitive_part",
     "value_table",
 ]
-
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # unit group structure of (Z/p^e)^x
@@ -79,12 +85,12 @@ def _smallest_primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Generators, their orders, and the discrete-log table for (Z/p^e)^x.
+def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """Generators, their orders, and the discrete-log array of (Z/p^e)^x.
 
-    The table maps each unit u mod p^e to its exponent vector on the
-    generators.  Cached per prime power; read-only after construction, so it
-    is safe to share between threads.
+    dlog[k, u] is the exponent of generator k in the unit u mod p^e (0 at
+    the non-units).  Cached per prime power and read-only, so it is safe to
+    share between threads.
     """
     pe = p**e
     if p == 2:
@@ -102,29 +108,20 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
             g += p
         gens, orders = (g,), ((p - 1) * p ** (e - 1),)
 
-    table: dict[int, tuple[int, ...]] = {}
-    if not gens:
-        table[1 % pe] = ()
-    else:
-        # enumerate the group as products of generator powers
-        total = 1
-        for o in orders:
-            total *= o
-        val_of_exps = {}
-        for flat in range(total):
-            rem = flat
-            vec = []
-            for o in reversed(orders):
-                vec.append(rem % o)
-                rem //= o
-            vec = tuple(reversed(vec))
-            u = 1
-            for g, k in zip(gens, vec):
-                u = (u * pow(g, k, pe)) % pe
-            val_of_exps[vec] = u
-        for vec, u in val_of_exps.items():
-            table[u] = vec
-    return gens, orders, table
+    dlog = np.zeros((len(gens), pe), dtype=np.int64)
+    if gens:
+        # every unit as a product of generator powers, in enumeration order
+        units = np.ones(1, dtype=np.int64)
+        for g, o in zip(gens, orders):
+            powers = np.empty(o, dtype=np.int64)
+            v = 1
+            for j in range(o):
+                powers[j] = v
+                v = v * g % pe
+            units = np.multiply.outer(units, powers).ravel() % pe
+        dlog[:, units] = np.indices(orders).reshape(len(orders), -1)
+    dlog.flags.writeable = False
+    return gens, orders, dlog
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +158,42 @@ class DirichletCharacter:
 
     # -- evaluation ---------------------------------------------------------
 
-    def phase(self, n: int) -> Fraction | None:
-        """chi(n) as an exact fraction of a full turn, or None when gcd(n, q) > 1."""
+    @cached_property
+    def _weights(self) -> tuple[int, tuple[tuple[int, np.ndarray, tuple[int, ...]], ...]]:
+        """D and, per component, (p^e, dlog array, integer weights w_k = k D / o_k)."""
+        structures = [_component_structure(c.prime, c.exponent) for c in self.local_components]
+        D = math.lcm(*(o for _, orders, _ in structures for o in orders))
+        return D, tuple((c.modulus, dlog, tuple(k * (D // o) for k, o in zip(c.exps, orders)))
+                        for c, (_, orders, dlog) in zip(self.local_components, structures))
+
+    @property
+    def phase_denominator(self) -> int:
+        """D, the exponent of (Z/q)^x: every value of chi is a D-th root of unity."""
+        return self._weights[0]
+
+    def int_phase(self, n: int) -> int | None:
+        """m in [0, D) with chi(n) = e(m / D), or None when gcd(n, q) > 1."""
         n %= self.modulus
         if math.gcd(n, self.modulus) != 1:
             return None
-        total = Fraction(0)
-        for comp in self.local_components:
-            gens, orders, table = _component_structure(comp.prime, comp.exponent)
-            dlog = table[n % comp.modulus]
-            for k, d, o in zip(comp.exps, dlog, orders):
-                total += Fraction(k * d, o)
-        return total % 1
+        D, parts = self._weights
+        m = 0
+        for pe, dlog, weights in parts:
+            r = n % pe
+            for k, w in enumerate(weights):
+                m += w * dlog.item(k, r)
+        return m % D
+
+    def phase(self, n: int) -> Fraction | None:
+        """chi(n) as an exact fraction of a full turn, or None when gcd(n, q) > 1."""
+        m = self.int_phase(n)
+        return None if m is None else Fraction(m, self.phase_denominator)
 
     def evaluate(self, n: int) -> complex:
-        ph = self.phase(n)
-        if ph is None:
+        m = self.int_phase(n)
+        if m is None:
             return 0j
-        return cmath.exp(2j * math.pi * float(ph))
+        return cmath.exp(2j * math.pi * (m / self.phase_denominator))
 
     __call__ = evaluate
 
@@ -187,8 +202,8 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """chi(-1), which is +1 or -1."""
-        ph = self.phase(self.modulus - 1 if self.modulus > 1 else 1)
-        return 1 if ph == 0 else -1
+        m = self.int_phase(self.modulus - 1 if self.modulus > 1 else 1)
+        return 1 if m == 0 else -1
 
     @property
     def is_principal(self) -> bool:
@@ -437,25 +452,49 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
         raise ValueError(f"gauss_sum requires a primitive character (conductor {conductor(chi)} != modulus {q})")
     if q == 1:
         return 1.0 + 0j
+    D = chi.phase_denominator
     total = 0j
     for u in range(1, q):
-        ph = chi.phase(u)
-        if ph is None:
+        m = chi.int_phase(u)
+        if m is None:
             continue
-        total += cmath.exp(2j * math.pi * (float(ph) + u / q))
+        total += cmath.exp(2j * math.pi * (m / D + u / q))
     return total
+
+
+@lru_cache(maxsize=64)
+def _roots_of_unity(D: int) -> np.ndarray:
+    """e(m / D) for m = 0..D-1, by the same expression as DirichletCharacter.evaluate."""
+    roots = np.array([cmath.exp(2j * math.pi * (m / D)) for m in range(D)], dtype=np.complex128)
+    roots.flags.writeable = False
+    return roots
+
+
+def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
+    """Values at 0..q-1 of the characters mod q with the given weight rows.
+
+    weights[i] holds character i's integer weights on every generator of
+    (Z/q)^x, components in increasing prime order, and D is the exponent of
+    (Z/q)^x; the phases of all rows at all residues are one integer product
+    with the stacked dlog arrays.
+    """
+    residues = np.arange(q)
+    # q = 1 and q = 2 have no generators: stack onto an empty block
+    logs = [np.zeros((0, q), dtype=np.int64)]
+    logs += [_component_structure(p, e)[2][:, residues % p**e] for p, e in _factorize(q)]
+    values = _roots_of_unity(D)[(weights @ np.concatenate(logs)) % D]
+    values[:, np.gcd(residues, q) != 1] = 0
+    return values
 
 
 @lru_cache(maxsize=256)
 def value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(0), chi(1), ..., chi(q-1) as a complex array (cached)."""
-    q = chi.modulus
-    out = np.zeros(q, dtype=np.complex128)
-    for u in range(q):
-        out[u] = chi.evaluate(u)
-    if q == 1:
-        out[0] = 1.0
-    return out
+    """chi(0), chi(1), ..., chi(q-1) as a read-only complex array (cached)."""
+    D, parts = chi._weights
+    weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
+    table = _value_rows(chi.modulus, D, weights)[0]
+    table.flags.writeable = False
+    return table
 
 
 def gauss_sum_moduli_squared(q: int) -> np.ndarray:
@@ -464,13 +503,14 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     Returns an array with one entry per primitive character (enumeration
     order).  Used by the classical-law sweep |G(chi)|^2 = q.
     """
+    orders = [o for _, _, ords in _group_orders(q) for o in ords]
+    D = math.lcm(*orders)
+    # row i is the exponent vector of the i-th character, enumeration order
+    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
+    primitive = np.array([conductor(chi) == q for chi in character_group(q)])
+    weights = exps[primitive] * (D // np.array(orders, dtype=np.int64))
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    out = []
-    for chi in character_group(q):
-        if conductor(chi) != q:
-            continue
-        out.append(abs(np.dot(value_table(chi), roots)) ** 2)
-    return np.asarray(out)
+    return np.asarray([abs(np.dot(row, roots)) ** 2 for row in _value_rows(q, D, weights)])
 
 
 @dataclass(frozen=True)

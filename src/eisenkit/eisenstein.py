@@ -310,8 +310,14 @@ def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
     # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
     # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
     # outer scale and the cosine's factor 2
+    if not (0 < y < math.inf and 0 < eps < math.inf):
+        raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
     scale = abs(_outer_scale(params)) * math.sqrt(y)
-    return whittaker_tail_cutoff(params.t_shift, y, eps / (4.6 * max(scale, 1e-300)))
+    budget = eps / (4.6 * max(scale, 1e-300))
+    if not 0 < budget < math.inf:
+        raise ValueError(f"eps = {eps} is out of range for this series at y = {y}: "
+                         f"its tail budget eps / (4.6 |P(s)| sqrt(y)) is {budget}")
+    return whittaker_tail_cutoff(params.t_shift, y, budget)
 
 
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:

@@ -73,10 +73,10 @@ def _l_value(s: complex, chi: DirichletCharacter) -> mpmath.mpc:
     at_pole = abs(complex(s) - 1) < 1e-14
     total = mpmath.mpc(0)
     for a in range(1, q + 1):
-        ph = chi.phase(a)
-        if ph is None:
+        m = chi.int_phase(a)
+        if m is None:
             continue
-        root = mpmath.expjpi(2 * mpmath.mpf(ph.numerator) / ph.denominator)
+        root = mpmath.expjpi(2 * mpmath.mpf(m) / chi.phase_denominator)
         if at_pole:
             # the Hurwitz poles at s=1 cancel across a non-principal character
             # sum, leaving zeta(s, x) - 1/(s-1) -> -digamma(x)

@@ -3,14 +3,17 @@
 Everything here recomputes a quantity the package produces, by a different
 route: integral representations and mpmath's besselk (which the package
 does not call) instead of its contour quadrature, brute divisor loops
-instead of sieves, series acceleration instead of Hurwitz values.  Keeping them quarantined in the test tree means the library can
-never quietly start testing itself against itself.
+instead of sieves, series acceleration instead of Hurwitz values, and
+character phases by walking generator powers instead of discrete-log arrays.
+Keeping them quarantined in the test tree means the library can never
+quietly start testing itself against itself.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 
@@ -205,16 +208,104 @@ def euler_product_l(s: complex, chi: DirichletCharacter, prime_bound: int) -> co
 
 
 # ------------------------------------------------------------------
-# characters by brute force
+# characters by walking generator powers
 # ------------------------------------------------------------------
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    out = []
+    for p in range(2, n + 1):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _multiplicative_order(g: int, m: int) -> int:
+    k, v = 1, g % m
+    while v != 1:
+        v = v * g % m
+        k += 1
+    return k
+
+
+def _generators(p: int, e: int) -> list[tuple[int, int]]:
+    """(generator, order) pairs of (Z/p^e)^x under the documented conventions."""
+    pe = p**e
+    if p == 2:
+        return [] if e == 1 else [(3, 2)] if e == 2 else [(pe - 1, 2), (5, pe // 4)]
+    phi = (p - 1) * p ** (e - 1)
+    g = next(g for g in range(2, p) if _multiplicative_order(g, p) == p - 1)
+    if _multiplicative_order(g, pe) != phi:
+        g += p
+    assert _multiplicative_order(g, pe) == phi
+    return [(g, phi)]
+
+
+def _crt(residues: list[tuple[int, int]]) -> int:
+    """The x mod prod(m) with x = r mod m for every (r, m), by search on the moduli."""
+    x, mod = 0, 1
+    for r, m in residues:
+        while x % m != r % m:
+            x += mod
+        mod *= m
+    return x
+
+
+def oracle_phases(q: int, index: int) -> dict[int, Fraction]:
+    """Exact phase of the index-th character mod q at every unit residue.
+
+    Reads the conventions of the characters module docstring and nothing
+    else: generators per prime power, lexicographic enumeration of the
+    exponent vectors (components by increasing prime, last generator
+    fastest).  Each generator is lifted by CRT to a residue that is 1 at the
+    other prime powers; the group is walked as products of their powers,
+    the phase adding k/o per step on a generator of order o.
+    """
+    moduli = [p**e for p, e in _prime_powers(q)]
+    lifts = []
+    for pos, (p, e) in enumerate(_prime_powers(q)):
+        for g, o in _generators(p, e):
+            lifts.append((_crt([(g if j == pos else 1, m) for j, m in enumerate(moduli)]), o))
+    exps = []
+    for _, o in reversed(lifts):
+        exps.append(index % o)
+        index //= o
+    assert index == 0, "index out of range"
+    exps.reverse()
+    phases = {1 % q: Fraction(0)}
+    for (g, o), k in zip(lifts, exps):
+        walked = {}
+        for u, ph in phases.items():
+            for j in range(o):
+                walked[u * pow(g, j, q) % q] = (ph + Fraction(j * k, o)) % 1
+        phases = walked
+    return phases
+
+
+def oracle_index(chi: DirichletCharacter) -> int:
+    """The enumeration index of chi, from its per-component ranks."""
+    index = 0
+    for comp in chi.local_components:
+        size = 1
+        for _, o in _generators(comp.prime, comp.exponent):
+            size *= o
+        index = index * size + comp.index
+    return index
+
 
 def brute_conductor(chi: DirichletCharacter) -> int:
     """Smallest d | q with chi trivial on units congruent to 1 mod d."""
     q = chi.modulus
+    phases = oracle_phases(q, oracle_index(chi))
     for d in sorted(_divisors_of(q)):
-        if all(chi.phase(n) == 0
-               for n in range(1, q + 1)
-               if n % d == 1 % d and math.gcd(n, q) == 1):
+        if all(ph == 0 for n, ph in phases.items() if n % d == 1 % d):
             return d
     return q
 
@@ -230,13 +321,14 @@ def _divisors_of(n: int) -> list[int]:
 
 
 def brute_gauss_sum(chi: DirichletCharacter) -> complex:
-    """Direct exponential sum with float phases; fine for moduli in the hundreds."""
+    """Direct exponential sum over the oracle's phases; fine for moduli in the hundreds."""
     q = chi.modulus
+    phases = oracle_phases(q, oracle_index(chi))
     total = 0j
     for u in range(1, q + 1):
-        value = chi.evaluate(u)
-        if value != 0:
-            total += value * cmath.exp(2j * math.pi * u / q)
+        ph = phases.get(u % q)
+        if ph is not None:
+            total += cmath.exp(2j * math.pi * float(ph)) * cmath.exp(2j * math.pi * u / q)
     return total
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_conductor, brute_gauss_sum, character_count
+import eisenkit.characters as characters_module
+from oracles import brute_conductor, brute_gauss_sum, character_count, oracle_phases
 from eisenkit.characters import (
     build_character,
     character_group,
@@ -20,7 +22,9 @@ from eisenkit.characters import (
     local_epsilon,
     multiply,
     primitive_part,
+    value_table,
 )
+from eisenkit.lfunctions import LValueRequest, dirichlet_l
 
 
 def test_group_sizes_match_euler_phi():
@@ -33,6 +37,49 @@ def test_enumeration_index_round_trip():
         for k, chi in enumerate(character_group(q)):
             assert character_index(chi) == k
             assert build_character(q, k) == chi
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("q", list(range(1, 65)) + [81, 125, 128, 243, 256, 360, 499])
+def test_values_match_the_generator_oracle(q):
+    """phase, evaluate and value_table against an independent generator walk, bit for bit."""
+    for index, chi in enumerate(character_group(q)):
+        phases = oracle_phases(q, index)
+        expected = [cmath.exp(2j * math.pi * float(phases[n])) if n in phases else 0j
+                    for n in range(q)]
+        assert [chi.phase(n) for n in range(q)] == [phases.get(n) for n in range(q)]
+        assert np.array_equal(_bits([chi.evaluate(n) for n in range(q)]), _bits(expected))
+        assert np.array_equal(_bits(value_table(chi)), _bits(expected))
+
+
+def test_value_table_is_read_only():
+    chi = build_character(7, 2)
+    table = value_table(chi)
+    before = table.copy()
+    with pytest.raises(ValueError):
+        table[3] = 0
+    assert np.array_equal(value_table(chi), before)
+
+
+def test_evaluation_builds_no_fraction(monkeypatch):
+    """Exact Fractions are for conductors and induction only."""
+    chi = build_character(45, 7)
+    prim = build_character(13, 5)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction built on the evaluation path")
+
+    monkeypatch.setattr(characters_module, "Fraction", forbidden)
+    value_table.cache_clear()
+    chi.evaluate(2)
+    assert chi.parity in (1, -1)
+    value_table(build_character(45, 11))
+    gauss_sum(prim)
+    gauss_sum_moduli_squared(45)
+    dirichlet_l(LValueRequest(0.5 + 2j, prim))
 
 
 def test_conductor_against_brute_force():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +179,13 @@ def test_floor_is_enforced():
     for y, eps in ((0.6, math.nan), (0.6, math.inf), (math.nan, 1e-8), (math.inf, 1e-8)):
         with pytest.raises(ValueError):
             evaluate_truncated(params, 0.1, y, eps=eps)
+
+
+def test_truncation_rejections_quote_the_callers_eps():
+    params = EisensteinParams(CHI1, CHI1, 12.0)
+    for eps in (-1.0, math.nan, 1e-320):
+        with pytest.raises(ValueError, match=re.escape(f"eps = {eps}")):
+            evaluate_truncated(params, 0.1, 0.6, eps=eps)
 
 
 def test_non_finite_spectral_point_is_rejected():
