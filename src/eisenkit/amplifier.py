@@ -12,18 +12,26 @@ expanding the product of the two two-term factors gives exactly the four
 prime coefficients of the quadruple-L numerator that factorization_check
 verifies.  The progression p = 1 mod q realizes the narrow ray class
 restriction over the rationals, with class number phi(q).
+
+Character values come from each character's value table (see characters):
+amplifier_sum indexes the tables with whole segments of primes and weights
+each segment with one array call of the bump weight, and the divisor factors
+read the same tables.  The four twisted characters of a factorization check
+are built once per (xi, chi1, chi2).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _factorize, conjugate, multiply, value_table
-from eisenkit.eisenstein import generalized_divisor_sum
+from eisenkit.eisenstein import _divisors, generalized_divisor_sum
 from eisenkit.special_functions import BumpWeight
 
 __all__ = [
@@ -80,16 +88,26 @@ def eta(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) 
 
 
 @lru_cache(maxsize=512)
-def _twisted_by(xi: DirichletCharacter, chi: DirichletCharacter) -> DirichletCharacter:
-    return multiply(xi, conjugate(chi))
+def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCharacter):
+    """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and xi conj(chi1 conj(chi2))."""
+    return (multiply(xi, conjugate(chi1)), multiply(xi, conjugate(chi2)),
+            multiply(xi, conjugate(multiply(chi2, conjugate(chi1)))),
+            multiply(xi, conjugate(multiply(chi1, conjugate(chi2)))))
 
 
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
-    """log(p) times the product of the two twisted divisor factors at p."""
+    """log(p) times the product of the two twisted divisor factors at the prime p."""
+    try:
+        prime = _divisors(operator.index(p)) == (1, p)
+    except TypeError:
+        prime = False
+    if not prime:
+        raise ValueError(f"p = {p!r} must be a prime")
     if (cfg.q * cfg.level) % p == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
+    twist1, twist2, _, _ = _twists(xi, cfg.chi1, cfg.chi2)
     left = eta(cfg.chi1, cfg.chi2, 1j * cfg.r1, p)
-    right = eta(_twisted_by(xi, cfg.chi1), _twisted_by(xi, cfg.chi2), -1j * cfg.r2, p)
+    right = eta(twist1, twist2, -1j * cfg.r2, p)
     return math.log(p) * left * right
 
 
@@ -102,17 +120,15 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
     bounded correction factor contribute nothing, so the defect is zero in
     exact arithmetic.
     """
-    if (cfg.q * cfg.level) % p == 0:
-        raise ValueError(f"p = {p} must avoid the progression modulus and the level")
+    left = b_xi(p, xi, cfg)
+    _, _, up, down = _twists(xi, cfg.chi1, cfg.chi2)
     logp = math.log(p)
     diff = 1j * (cfg.r1 - cfg.r2) * logp
     total = 1j * (cfg.r1 + cfg.r2) * logp
     xi_p = xi.evaluate(p)
-    up = _twisted_by(xi, _twisted_by(cfg.chi2, cfg.chi1)).evaluate(p)
-    down = _twisted_by(xi, _twisted_by(cfg.chi1, cfg.chi2)).evaluate(p)
-    four_terms = (xi_p * np.exp(diff) + xi_p * np.exp(-diff)
-                  + up * np.exp(total) + down * np.exp(-total))
-    return abs(b_xi(p, xi, cfg) - logp * four_terms)
+    four_terms = (xi_p * cmath.exp(diff) + xi_p * cmath.exp(-diff)
+                  + up.evaluate(p) * cmath.exp(total) + down.evaluate(p) * cmath.exp(-total))
+    return abs(left - logp * four_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +193,7 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
             continue
         p = primes.astype(np.float64)
         logp = np.log(p)
-        w = np.array([cfg.weight(v) for v in p / cfg.L])
+        w = cfg.weight(p / cfg.L)
         c1 = t1[primes % q1]
         c2 = t2[primes % q2]
         left = c1 * np.exp(1j * cfg.r1 * logp) + c2 * np.exp(-1j * cfg.r1 * logp)

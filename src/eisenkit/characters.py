@@ -9,10 +9,15 @@ generators, and chi(n) = e(m / D) with
 
     m = sum over components and generators of w_k * dlog[k, n mod p^e]  (mod D).
 
-Evaluation is integer array lookup; the float value e(m / D) is taken only at
-the end (m / D is correctly rounded), so Gauss sums and epsilon factors are
-reproducible to machine precision.  The exact phase m / D as a Fraction is
-built only where exactness is observable: conductors and induction.
+Each character builds its values chi(0), ..., chi(q-1) once, on first use: one
+integer product of its weights with the stacked dlog arrays gives every m, and
+each m indexes the D roots e(m / D), each taken as cmath.exp of the correctly
+rounded m / D, so Gauss sums and epsilon factors are reproducible to machine
+precision.  evaluate(n) is the table entry at n mod q, and value_table returns
+the same read-only array.  int_phase(n) computes the integer m alone, for the
+callers that need it: gauss_sum, parity and the L-values.  The exact phase
+m / D as a Fraction is built only where exactness is observable: conductors
+and induction.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
@@ -189,11 +194,17 @@ class DirichletCharacter:
         m = self.int_phase(n)
         return None if m is None else Fraction(m, self.phase_denominator)
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """chi(0), ..., chi(q-1), read-only; evaluate and value_table both read it."""
+        D, parts = self._weights
+        weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
+        table = _value_rows(self.modulus, D, weights)[0]
+        table.flags.writeable = False
+        return table
+
     def evaluate(self, n: int) -> complex:
-        m = self.int_phase(n)
-        if m is None:
-            return 0j
-        return cmath.exp(2j * math.pi * (m / self.phase_denominator))
+        return self._table.item(n % self.modulus)
 
     __call__ = evaluate
 
@@ -464,7 +475,7 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
 
 @lru_cache(maxsize=64)
 def _roots_of_unity(D: int) -> np.ndarray:
-    """e(m / D) for m = 0..D-1, by the same expression as DirichletCharacter.evaluate."""
+    """e(m / D) for m = 0..D-1, each as cmath.exp(2j * pi * (m / D))."""
     roots = np.array([cmath.exp(2j * math.pi * (m / D)) for m in range(D)], dtype=np.complex128)
     roots.flags.writeable = False
     return roots
@@ -487,14 +498,12 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=256)
 def value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(0), chi(1), ..., chi(q-1) as a read-only complex array (cached)."""
-    D, parts = chi._weights
-    weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
-    table = _value_rows(chi.modulus, D, weights)[0]
-    table.flags.writeable = False
-    return table
+    """chi(0), chi(1), ..., chi(q-1) as a read-only complex array.
+
+    This is the table chi.evaluate reads, built once per character.
+    """
+    return chi._table
 
 
 def gauss_sum_moduli_squared(q: int) -> np.ndarray:

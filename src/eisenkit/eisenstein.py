@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -160,11 +161,13 @@ def _local_eps(chi: DirichletCharacter, p: int) -> complex:
 # coefficients
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
+@lru_cache(maxsize=1 << 14)
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, from its factorization, once per n."""
     divs = [1]
     for p, e in _factorize(n):
         divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return divs
+    return tuple(divs)
 
 
 def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
@@ -172,17 +175,24 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
     """sum over ab = n of chi1(a) a^s chi2(b) b^{-s}, with primitive values.
 
     Divisors come from the factorization of n, so prime powers cost their
-    handful of divisors rather than a sqrt(n) scan.
+    handful of divisors rather than a sqrt(n) scan; the character values are
+    read from the two characters' value tables.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise ValueError(f"n must be a positive integer, got {n}")
+    t1, q1 = chi1._table, chi1.modulus
+    t2, q2 = chi2._table, chi2.modulus
     total = 0j
     for a in _divisors(n):
-        c1 = chi1.evaluate(a)
+        c1 = t1.item(a % q1)
         if c1 == 0:
             continue
         b = n // a
-        c2 = chi2.evaluate(b)
+        c2 = t2.item(b % q2)
         if c2 == 0:
             continue
         total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(b))

@@ -233,12 +233,6 @@ def gamma_factor(kind: str, s: complex) -> complex:
 # the amplifier bump weight
 # ---------------------------------------------------------------------------
 
-def _bump(r: float) -> float:
-    if r <= 1.0 or r >= 2.0:
-        return 0.0
-    return math.exp(-1.0 / ((r - 1.0) * (2.0 - r)))
-
-
 @dataclass(frozen=True)
 class BumpWeight:
     """The fixed smooth weight supported on (1,2) and its Mellin transform.
@@ -255,8 +249,13 @@ class BumpWeight:
         if self.mellin_at_one == 0.0:
             object.__setattr__(self, "mellin_at_one", _bump_integral())
 
-    def weight(self, r: float) -> float:
-        return _bump(float(r))
+    def weight(self, r):
+        """w(r) for a float or elementwise for an array, by one numpy expression."""
+        r = np.asarray(r, dtype=np.float64)
+        outside = (r <= 1.0) | (r >= 2.0)
+        u = np.where(outside, 1.5, r)
+        w = np.where(outside, 0.0, np.exp(-1.0 / ((u - 1.0) * (2.0 - u))))
+        return w if w.ndim else float(w)
 
     __call__ = weight
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -62,6 +63,15 @@ def test_b_xi_rejects_ramified_primes():
     for p in (2, 3, 5):
         with pytest.raises(ValueError):
             b_xi(p, xi, cfg)
+
+
+def test_b_xi_and_factorization_check_reject_non_primes():
+    cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
+    xi = build_character(3, 1)
+    for p in (0, -7, 1, 4, 49, 7.0):
+        for fn in (b_xi, factorization_check):
+            with pytest.raises(ValueError, match=rf"^p = {re.escape(repr(p))} must be a prime"):
+                fn(p, xi, cfg)
 
 
 def test_b_xi_principal_diagonal_is_a_square():

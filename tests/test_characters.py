@@ -45,14 +45,20 @@ def _bits(values) -> np.ndarray:
 
 @pytest.mark.parametrize("q", list(range(1, 65)) + [81, 125, 128, 243, 256, 360, 499])
 def test_values_match_the_generator_oracle(q):
-    """phase, evaluate and value_table against an independent generator walk, bit for bit."""
+    """phase, evaluate and value_table against an independent generator walk, bit for bit.
+
+    evaluate is checked on [-q, 2q), so its reduction mod q is covered too.
+    """
     for index, chi in enumerate(character_group(q)):
         phases = oracle_phases(q, index)
         expected = [cmath.exp(2j * math.pi * float(phases[n])) if n in phases else 0j
                     for n in range(q)]
         assert [chi.phase(n) for n in range(q)] == [phases.get(n) for n in range(q)]
-        assert np.array_equal(_bits([chi.evaluate(n) for n in range(q)]), _bits(expected))
+        assert np.array_equal(_bits([chi.evaluate(n) for n in range(-q, 2 * q)]),
+                              _bits([expected[n % q] for n in range(-q, 2 * q)]))
         assert np.array_equal(_bits(value_table(chi)), _bits(expected))
+    with pytest.raises(TypeError):
+        chi.evaluate(2.0)
 
 
 def test_value_table_is_read_only():
@@ -73,7 +79,6 @@ def test_evaluation_builds_no_fraction(monkeypatch):
         raise AssertionError("Fraction built on the evaluation path")
 
     monkeypatch.setattr(characters_module, "Fraction", forbidden)
-    value_table.cache_clear()
     chi.evaluate(2)
     assert chi.parity in (1, -1)
     value_table(build_character(45, 11))

@@ -6,6 +6,7 @@ import cmath
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -72,6 +73,10 @@ def test_coefficients_are_multiplicative(m, n):
 def test_coefficient_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         generalized_divisor_sum(CHI3, CHI4, 1j, 0)
+    for n in (4.0, 2.5):
+        with pytest.raises(TypeError, match=f"got {n}"):
+            generalized_divisor_sum(CHI3, CHI4, 1j, n)
+    assert generalized_divisor_sum(CHI3, CHI4, 1j, np.int64(12)) == generalized_divisor_sum(CHI3, CHI4, 1j, 12)
 
 
 # ------------------------------------------------------------------

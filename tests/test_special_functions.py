@@ -219,6 +219,21 @@ def test_bump_weight_support():
     assert w.weight(1.0) == 0.0 and w.weight(2.0) == 0.0
 
 
+def test_bump_weight_on_arrays():
+    """One array call equals the scalar calls bit for bit, and stays within
+    2 ulp of the math.exp formula."""
+    w = BumpWeight()
+    r = np.concatenate([np.linspace(0.5, 2.5, 20001), [1.0, 2.0, np.nextafter(1.0, 2.0),
+                                                     np.nextafter(2.0, 1.0)]])
+    values = w.weight(r)
+    assert np.array_equal(values, [w.weight(v) for v in r])
+    outside = (r <= 1.0) | (r >= 2.0)
+    assert np.all(values[outside] == 0.0) and np.all(values[~outside] >= 0.0)
+    grid = np.linspace(1.0, 2.0, 200001)[1:-1]
+    ref = np.array([math.exp(-1.0 / ((v - 1.0) * (2.0 - v))) for v in grid])
+    assert np.all(np.abs(w.weight(grid) - ref) <= 2 * np.spacing(ref))
+
+
 def test_bump_mellin_against_quadrature():
     w = BumpWeight()
     for s in (1.0 + 0j, 2.0 + 0j, 1.0 + 3.0j, 0.5 - 1.0j):
