@@ -40,7 +40,6 @@ __all__ = [
     "amplifier_sum",
     "asymptotic_report",
     "b_xi",
-    "eta",
     "factorization_check",
     "sieve_interval",
 ]
@@ -82,11 +81,6 @@ class AmplifierConfig:
 # divisor factors
 # ---------------------------------------------------------------------------
 
-def eta(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) -> complex:
-    """The generalized divisor sum; same source of truth as the series coefficients."""
-    return generalized_divisor_sum(chi1, chi2, s, n)
-
-
 @lru_cache(maxsize=512)
 def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCharacter):
     """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and xi conj(chi1 conj(chi2))."""
@@ -106,8 +100,8 @@ def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     if (cfg.q * cfg.level) % p == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
     twist1, twist2, _, _ = _twists(xi, cfg.chi1, cfg.chi2)
-    left = eta(cfg.chi1, cfg.chi2, 1j * cfg.r1, p)
-    right = eta(twist1, twist2, -1j * cfg.r2, p)
+    left = generalized_divisor_sum(cfg.chi1, cfg.chi2, 1j * cfg.r1, p)
+    right = generalized_divisor_sum(twist1, twist2, -1j * cfg.r2, p)
     return math.log(p) * left * right
 
 

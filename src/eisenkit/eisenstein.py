@@ -66,13 +66,12 @@ __all__ = [
     "scattering_constant",
 ]
 
-# Two conventions the defining references leave open: the sign of the
-# exponent in the divisor-sum coefficients, and whether local epsilon factors
-# are consumed with the conjugated character.  Both are implemented behind
-# these switches and were frozen by calibrating the functional-equation
-# residual matrix; do not flip one without re-running that suite.
-_COEFFICIENT_EXPONENT_SIGN = +1
-_EPSILON_CONJUGATE = True
+# Two conventions the defining references leave open were frozen by
+# calibrating the functional-equation residual matrix: the divisor-sum
+# coefficients take the exponent +s, not -s (fourier_coefficient), and the
+# local epsilon factors are consumed with the conjugated character, the
+# epsilon of conj(chi2) in _b_local.  Do not flip either without re-running
+# that suite.
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +152,7 @@ def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
 
 def _local_eps(chi: DirichletCharacter, p: int) -> complex:
     """Local epsilon value at the central point, in the frozen orientation."""
-    target = chi if _EPSILON_CONJUGATE else conjugate(chi)
-    return local_epsilon(target, p).epsilon_half
+    return local_epsilon(chi, p).epsilon_half
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +199,7 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
 
 def fourier_coefficient(params: EisensteinParams, n: int) -> complex:
     """lambda(n), the n-th Hecke eigenvalue of the series."""
-    s_eff = _COEFFICIENT_EXPONENT_SIGN * params.s
-    return generalized_divisor_sum(params.chi1, params.chi2, s_eff, n)
+    return generalized_divisor_sum(params.chi1, params.chi2, params.s, n)
 
 
 # ---------------------------------------------------------------------------

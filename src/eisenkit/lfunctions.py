@@ -2,13 +2,32 @@
 
 Values come from the Hurwitz-zeta decomposition
 
-    L(s, chi) = q^{-s} sum_{a mod q} chi(a) zeta(s, a/q)
+    L(s, chi) = q^{-s} sum_{a mod q} chi(a) zeta(s, a/q),
 
-evaluated in arbitrary precision, which covers every strip this package
-touches without an approximate functional equation.  The completed form
-Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi) and the ratio
-Lambda(2s, chi)/Lambda(2s+1, chi) are assembled in log space so Gamma decay
-high up the line cannot underflow.
+in float64 throughout.  Each zeta(s, a/q) is summed directly over its first
+M terms, and the rest, zeta(s, w) at w = a/q + M, is the Euler-Maclaurin tail
+
+    w^{1-s}/(s-1) + w^{-s}/2 + sum_{j<=P} B_{2j}/(2j)! (s)_{2j-1} w^{-s-2j+1}
+
+with M = ceil(|s|/pi) + 20 and P = 25.  For w >= |s|/pi + 20 the terms of the
+tail fall at least geometrically, by about |s + 2j|^2 / (2 pi w)^2 per step,
+so the P-th is below double precision (error bounds: F. Johansson,
+arXiv:1309.2877).  The direct sum over the units a and k < M is the Dirichlet
+series up to n = qM; its terms are summed in chunks of bounded size, so the
+envelope corner (q near 1e4, |Im s| = 1e3, several million terms) runs in
+flat memory.  q = 1 gives zeta itself.  For a non-principal character the pole
+terms 1/(s-1) cancel over a, so each is taken as (w^{1-s} - 1)/(s-1), which
+stays exact through s = 1 and equals -log w there.
+
+The error floor is the phase t log n of each term, held to double precision:
+about 1e-16 |t| log n.  The supported envelope is q <= 1e4, |Im s| <= 1e3
+and -1/2 <= Re s <= 1e3.  Left of Re s = -1/2 the terms n^{-s} outgrow the
+value they sum to, and digits cancel: at Re s = -1 and q = 1000 only about
+nine are left.
+
+The completed form Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)
+and the ratio Lambda(2s, chi)/Lambda(2s+1, chi) are assembled in log space,
+with a float64 log-gamma, so Gamma decay high up the line cannot underflow.
 """
 
 from __future__ import annotations
@@ -17,10 +36,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath
+import numpy as np
 
 from eisenkit.characters import DirichletCharacter, conductor
-from eisenkit.special_functions import NumericEnvelopeError, NumericsError, PoleError
+from eisenkit.special_functions import (
+    BERNOULLI_OVER_FACTORIAL,
+    NumericEnvelopeError,
+    NumericsError,
+    PoleError,
+    log_gamma_factor,
+)
 
 __all__ = [
     "LValueRequest",
@@ -33,6 +58,9 @@ __all__ = [
 
 _IM_WINDOW = 1e3      # supported |Im s|
 _Q_WINDOW = 10**4     # supported modulus
+_RE_WINDOW = (-0.5, 1e3)   # supported Re s
+
+_CHUNK = 1 << 16      # Dirichlet-series terms per vectorized pass
 
 
 class LineZeroError(NumericsError):
@@ -61,44 +89,53 @@ def parity_exponent(chi: DirichletCharacter) -> int:
     return 0 if chi.parity == 1 else 1
 
 
-def _working_dps(s: complex) -> int:
-    return 30 if abs(s.imag) <= 200 else 45
-
-
-def _l_value(s: complex, chi: DirichletCharacter) -> mpmath.mpc:
-    """L(s, chi) at the current mpmath precision via Hurwitz zeta."""
+def _l_value(s: complex, chi: DirichletCharacter) -> complex:
+    """L(s, chi) by Hurwitz-Euler-Maclaurin in float64 (see the module docstring)."""
+    if not _RE_WINDOW[0] <= s.real <= _RE_WINDOW[1]:
+        raise NumericEnvelopeError(f"Re s = {s.real} outside the supported window {list(_RE_WINDOW)}")
+    if chi.is_principal and abs(s - 1) < 1e-8:
+        raise PoleError(f"principal-character L has a pole at s=1; input is {abs(s - 1):.2e} away")
     q = chi.modulus
-    if q == 1:
-        return mpmath.zeta(s)
-    at_pole = abs(complex(s) - 1) < 1e-14
-    total = mpmath.mpc(0)
-    for a in range(1, q + 1):
-        m = chi.int_phase(a)
-        if m is None:
-            continue
-        root = mpmath.expjpi(2 * mpmath.mpf(m) / chi.phase_denominator)
-        if at_pole:
-            # the Hurwitz poles at s=1 cancel across a non-principal character
-            # sum, leaving zeta(s, x) - 1/(s-1) -> -digamma(x)
-            total += root * (-mpmath.digamma(mpmath.mpf(a) / q))
-        else:
-            total += root * mpmath.zeta(s, mpmath.mpf(a) / q)
-    return total * mpmath.power(q, -s)
+    m = math.ceil(abs(s) / math.pi) + 20
+    residues = np.arange(1, q + 1)
+    values = chi._table[residues % q]
+    units = values != 0
+    a, values = residues[units], values[units]
+
+    # chi(n) n^{-s} for n = a + kq, k < m, a few rows of k per pass
+    head = np.zeros(a.size, dtype=complex)
+    rows = max(1, _CHUNK // a.size)
+    for k0 in range(0, m, rows):
+        n = a + q * np.arange(k0, min(k0 + rows, m))[:, None]
+        head += np.exp(-s * np.log(n)).sum(axis=0)
+
+    # the Euler-Maclaurin tail of zeta(s, w), w = a/q + m, without q^{-s}
+    w = a / q + m
+    log_w = np.log(w)
+    w_s = np.exp(-s * log_w)
+    rising = np.empty(len(BERNOULLI_OVER_FACTORIAL), dtype=complex)   # (s)_{2j-1}
+    rising[0] = s
+    for j in range(1, rising.size):
+        rising[j] = rising[j - 1] * (s + 2 * j - 1) * (s + 2 * j)
+    bernoulli = np.polyval((np.array(BERNOULLI_OVER_FACTORIAL) * rising)[::-1], 1.0 / (w * w))
+    z = (1 - s) * log_w
+    pole = -log_w if s == 1 else -log_w * np.expm1(z) / z     # (w^{1-s} - 1)/(s - 1)
+    tail = w_s * (0.5 + bernoulli / w) + pole
+    total = head @ values + q ** -s * (tail @ values)
+    if chi.is_principal:
+        total += q ** -s * a.size / (s - 1)
+    return complex(total)
 
 
 def dirichlet_l(req: LValueRequest) -> complex:
     """L(s, chi); rejects the pole of the principal-character case."""
     if req.completed:
         raise ValueError("use completed_lambda for completed requests")
-    s = complex(req.s)
-    if req.character.is_principal and abs(s - 1) < 1e-8:
-        raise PoleError(f"principal-character L has a pole at s=1; input is {abs(s - 1):.2e} away")
-    with mpmath.workdps(_working_dps(s)):
-        return complex(_l_value(s, req.character))
+    return _l_value(complex(req.s), req.character)
 
 
-def _log_lambda(s: complex, chi: DirichletCharacter) -> complex:
-    """log Lambda(s, chi), all factors combined at high precision."""
+def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
+    """log Lambda(s, chi) from lval = L(s, chi)."""
     a = parity_exponent(chi)
     q = chi.modulus
     if chi.is_principal and (abs(s) < 1e-8 or abs(s - 1) < 1e-8):
@@ -110,19 +147,17 @@ def _log_lambda(s: complex, chi: DirichletCharacter) -> complex:
     n = round(-half.real)
     if n >= 0 and abs(half + n) < 1e-8:
         raise PoleError(f"Gamma completion pole: (s+{a})/2 = {half} is within 1e-8 of {-n}")
-    with mpmath.workdps(_working_dps(s)):
-        lval = _l_value(s, chi)
-        if abs(lval) < 1e-300:
-            raise LineZeroError(f"L({s}, chi mod {q}) vanished; cannot take logs")
-        out = half * mpmath.log(mpmath.mpf(q) / mpmath.pi) + mpmath.loggamma(half) + mpmath.log(lval)
-        return complex(out)
+    if abs(lval) < 1e-300:
+        raise LineZeroError(f"L({s}, chi mod {q}) vanished; cannot take logs")
+    return half * math.log(q) + log_gamma_factor("real-place", s + a) + cmath.log(lval)
 
 
 def completed_lambda(req: LValueRequest) -> complex:
     """Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)."""
     if not req.completed:
         raise ValueError("completed_lambda requires completed=true")
-    return cmath.exp(_log_lambda(complex(req.s), req.character))
+    s = complex(req.s)
+    return cmath.exp(_log_lambda(s, req.character, _l_value(s, req.character)))
 
 
 def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
@@ -138,10 +173,10 @@ def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
         raise ValueError("lambda_ratio requires a primitive character")
     if abs(s.imag) > 500:
         raise NumericEnvelopeError(f"|Im s| = {abs(s.imag)} outside the supported window 500")
-    with mpmath.workdps(_working_dps(2 * s)):
-        on_line = _l_value(2 * s + 1, chi)
+    on_line = _l_value(2 * s + 1, chi)
     if abs(on_line) < 1e-12:
         raise LineZeroError(
             f"near zero of L on the 1-line at 2s+1 = {2 * s + 1}: |L| = {abs(on_line):.2e}; "
             "this regime is classically excluded, so the input or the numerics are wrong")
-    return cmath.exp(_log_lambda(2 * s, chi) - _log_lambda(2 * s + 1, chi))
+    return cmath.exp(_log_lambda(2 * s, chi, _l_value(2 * s, chi))
+                     - _log_lambda(2 * s + 1, chi, on_line))

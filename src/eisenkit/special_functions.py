@@ -187,6 +187,46 @@ def bessel_k(req: BesselRequest) -> complex:
 
 _POLE_TOL = 1e-10
 
+# B_{2j} / (2j)! for j = 1..25: the Euler-Maclaurin weights of the Hurwitz
+# zeta tail in lfunctions and, times (2j - 2)!, the Stirling coefficients below
+BERNOULLI_OVER_FACTORIAL = (
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+    9.336734257095045e-31, -2.36502241570063e-32, 5.990671762482134e-34,
+    -1.5174548844682903e-35, 3.843758125454189e-37, -9.736353072646691e-39,
+    2.466247044200681e-40,
+)
+
+# Stirling's series for log Gamma(z) at Re z >= 10: the ninth term is below
+# 2e-18, so eight carry a double-precision answer.
+_STIRLING_FLOOR = 10.0
+_STIRLING = tuple(b * math.factorial(2 * j - 2) for j, b in enumerate(BERNOULLI_OVER_FACTORIAL[:8], 1))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_gamma(z: complex) -> complex:
+    """Principal branch of log Gamma(z), in float64, as mpmath.loggamma gives it.
+
+    Re z is raised to at least 10 by the recurrence log Gamma(z) =
+    log Gamma(z + n) - sum_{k<n} log(z + k).  With the principal log in every
+    term that holds on the whole plane cut along the negative axis, so the
+    imaginary part comes out on mpmath's branch, not reduced mod 2 pi.  On the
+    cut itself a signed zero -0.0 is read as +0.0, since mpmath has none.
+    """
+    z = complex(z.real, z.imag + 0.0)
+    n = max(0, math.ceil(_STIRLING_FLOOR - z.real))
+    shift = sum(cmath.log(z + k) for k in range(n))
+    w = z + n
+    inv2 = 1.0 / (w * w)
+    series = 0j
+    for c in reversed(_STIRLING):
+        series = series * inv2 + c
+    return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series / w - shift
+
 
 def _nearest_pole(kind: str, s: complex) -> tuple[float, complex]:
     """Distance from s to the nearest pole of the requested factor."""
@@ -202,21 +242,22 @@ def _nearest_pole(kind: str, s: complex) -> tuple[float, complex]:
 
 
 def log_gamma_factor(kind: str, s: complex) -> complex:
-    """log of gamma_factor(kind, s), safe for arguments far up a vertical line."""
+    """log of gamma_factor(kind, s), safe for arguments far up a vertical line.
+
+    The imaginary part is the continuous one of the principal log-gamma branch
+    (mpmath.loggamma's), not reduced mod 2 pi.
+    """
     s = complex(s)
     dist, pole = _nearest_pole(kind, s)
     if dist < _POLE_TOL:
         raise PoleError(f"{kind} gamma factor pole at {pole}: input is {dist:.3e} away")
-    with mpmath.workdps(30):
-        if kind == "plain":
-            out = mpmath.loggamma(s)
-        elif kind == "real-place":
-            out = mpmath.loggamma(s / 2) - (s / 2) * mpmath.log(mpmath.pi)
-        elif kind == "complex-place":
-            out = mpmath.log(2) - s * mpmath.log(2 * mpmath.pi) + mpmath.loggamma(s)
-        else:
-            raise ValueError(f"unknown gamma factor kind {kind!r}")
-        return complex(out)
+    if kind == "plain":
+        return _log_gamma(s)
+    if kind == "real-place":
+        return _log_gamma(s / 2) - (s / 2) * math.log(math.pi)
+    if kind == "complex-place":
+        return math.log(2.0) - s * math.log(2.0 * math.pi) + _log_gamma(s)
+    raise ValueError(f"unknown gamma factor kind {kind!r}")
 
 
 def gamma_factor(kind: str, s: complex) -> complex:

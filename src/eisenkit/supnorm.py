@@ -144,8 +144,8 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     xs = [0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0 for i in range(x_steps)]
 
     start = time.perf_counter()
-    # serially, before any thread starts: the first truncation fills the
-    # series' constant caches through mpmath, whose precision is process-global
+    # every row's truncation first: the coefficient table is built once, up to
+    # the largest of them, before any thread starts
     modes = [_truncation(here, y, eps) for y in ys]
     lam = _coefficients(here, max(modes))
 

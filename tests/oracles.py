@@ -207,6 +207,27 @@ def euler_product_l(s: complex, chi: DirichletCharacter, prime_bound: int) -> co
     return cmath.exp(log_total)
 
 
+def dirichlet_l_mp(s: complex, q: int, index: int) -> complex:
+    """L(s, chi) for the index-th character mod q, by mpmath's Hurwitz zeta:
+    q^{-s} sum_a chi(a) zeta(s, a/q), with the values chi(a) from the
+    generator walk of oracle_phases.  Works at 30 digits, 45 above
+    |Im s| = 200.  At s = 1 the Hurwitz poles cancel across a non-principal
+    sum, which is then -sum_a chi(a) digamma(a/q) / q.
+    """
+    with mpmath.workdps(30 if abs(complex(s).imag) <= 200 else 45):
+        s_mp = mpmath.mpc(complex(s).real, complex(s).imag)
+        at_one = s_mp == 1
+        total = mpmath.mpc(0)
+        for a, phase in oracle_phases(q, index).items():
+            a = a or q
+            root = mpmath.expjpi(2 * mpmath.mpf(phase.numerator) / phase.denominator)
+            if at_one:
+                total -= root * mpmath.digamma(mpmath.mpf(a) / q)
+            else:
+                total += root * mpmath.zeta(s_mp, mpmath.mpf(a) / q)
+        return complex(total * mpmath.power(q, -s_mp))
+
+
 # ------------------------------------------------------------------
 # characters by walking generator powers
 # ------------------------------------------------------------------

@@ -13,10 +13,10 @@ from eisenkit.amplifier import (
     amplifier_sum,
     asymptotic_report,
     b_xi,
-    eta,
     factorization_check,
     sieve_interval,
 )
+from eisenkit.eisenstein import generalized_divisor_sum
 from eisenkit.characters import build_character, character_group
 
 CHI1 = build_character(1, 0)
@@ -51,9 +51,10 @@ def test_eta_recurrence_at_prime_powers():
         for p in (2, 3, 5, 7, 11, 97, 997):
             central = chi1.evaluate(p) * chi2.evaluate(p)
             for k in range(1, 6):
-                lhs = eta(chi1, chi2, s, p ** (k + 1))
-                rhs = (eta(chi1, chi2, s, p) * eta(chi1, chi2, s, p ** k)
-                       - central * eta(chi1, chi2, s, p ** (k - 1)))
+                lhs = generalized_divisor_sum(chi1, chi2, s, p ** (k + 1))
+                rhs = (generalized_divisor_sum(chi1, chi2, s, p)
+                       * generalized_divisor_sum(chi1, chi2, s, p ** k)
+                       - central * generalized_divisor_sum(chi1, chi2, s, p ** (k - 1)))
                 assert abs(lhs - rhs) / (1.0 + abs(lhs)) < 1e-12
 
 
@@ -80,7 +81,7 @@ def test_b_xi_principal_diagonal_is_a_square():
     xi = build_character(1, 0)
     for p in (7, 11, 101):
         val = b_xi(p, xi, cfg)
-        expect = math.log(p) * abs(eta(CHI3, CHI4, 13j, p)) ** 2
+        expect = math.log(p) * abs(generalized_divisor_sum(CHI3, CHI4, 13j, p)) ** 2
         assert abs(val.imag) < 1e-12
         assert abs(val.real - expect) < 1e-12 * max(1.0, expect)
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from oracles import direct_dirichlet_sum, euler_product_l, leibniz_pi_over_four
+from eisenkit import lfunctions
 from eisenkit.characters import build_character
+from eisenkit.eisenstein import EisensteinParams, functional_equation_residual
 from eisenkit.lfunctions import (
     LValueRequest,
     completed_lambda,
@@ -15,7 +20,9 @@ from eisenkit.lfunctions import (
     lambda_ratio,
     parity_exponent,
 )
-from eisenkit.special_functions import NumericEnvelopeError, PoleError
+from eisenkit.special_functions import NumericEnvelopeError, PoleError, gamma_factor
+
+DATA = Path(__file__).parent / "data"
 
 CHI3 = build_character(3, 1)
 CHI4 = build_character(4, 1)
@@ -102,3 +109,46 @@ def test_completed_lambda_functional_equation():
 def test_completed_lambda_requires_the_flag():
     with pytest.raises(ValueError):
         completed_lambda(LValueRequest(s=2.0, character=CHI4))
+
+
+def test_against_the_frozen_hurwitz_oracle_over_the_envelope():
+    """Every point of tests/data/l_oracle.json (scripts/make_l_oracle.py):
+    q up to 9973, Re s in [-1/2, 2], |Im s| up to 1e3, mpmath at 30+ digits.
+    The tolerance was fixed before the fixture was first compared."""
+    with open(DATA / "l_oracle.json") as fh:
+        fixture = json.load(fh)
+    assert fixture["schema"] == "eisenkit-l-oracle-v1"
+    worst = 0.0
+    for q, index, re_s, im_s, re_l, im_l in fixture["entries"]:
+        ref = complex(re_l, im_l)
+        got = dirichlet_l(LValueRequest(complex(re_s, im_s), build_character(q, index)))
+        worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
+    assert worst <= 1e-10, f"worst relative error {worst:.3e}"
+
+
+def test_rejects_real_parts_outside_the_envelope():
+    for s in (-0.6 + 3j, -2.0, 1000.5):
+        with pytest.raises(NumericEnvelopeError):
+            dirichlet_l(LValueRequest(s=s, character=CHI4))
+    with pytest.raises(NumericEnvelopeError):
+        lambda_ratio(-0.3 + 1j, CHI4)
+
+
+def test_l_function_path_calls_no_mpmath(monkeypatch):
+    """L-values, completed values, the Lambda ratio, Gamma factors and the FE
+    residual all run in float64: mpmath's special functions are never reached."""
+    assert not hasattr(lfunctions, "mpmath")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mpmath called on the L-function path")
+
+    for name in ("zeta", "loggamma", "digamma", "workdps"):
+        monkeypatch.setattr(mpmath, name, forbidden)
+    dirichlet_l(LValueRequest(0.5 + 3.1j, CHI5))
+    dirichlet_l(LValueRequest(1.0, CHI3))
+    dirichlet_l(LValueRequest(2.0 + 0.7j, build_character(1, 0)))
+    completed_lambda(LValueRequest(0.3 + 2.9j, CHI4, completed=True))
+    lambda_ratio(4.3j, CHI5)
+    gamma_factor("real-place", 1.0 + 8.6j)
+    params = EisensteinParams(CHI3, CHI4, 3.7)
+    functional_equation_residual(params, 0.13, 1.1, eps=1e-8)

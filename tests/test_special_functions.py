@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 
 from oracles import bessel_k_mp, bessel_quadrature, bump_mellin_quadrature, decay
 from eisenkit.special_functions import (
+    BERNOULLI_OVER_FACTORIAL,
     BesselRequest,
     BumpWeight,
     NumericEnvelopeError,
@@ -19,6 +21,7 @@ from eisenkit.special_functions import (
     bessel_k,
     bessel_k_row,
     gamma_factor,
+    log_gamma_factor,
     whittaker_tail_cutoff,
 )
 
@@ -188,6 +191,32 @@ def test_gamma_duplication_links_the_places():
         lhs = gamma_factor("real-place", s) * gamma_factor("real-place", s + 1)
         rhs = gamma_factor("complex-place", s)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_log_gamma_against_mpmath_on_its_branch():
+    """Float64 log-gamma against mpmath.loggamma, imaginary parts compared as
+    they are (not mod 2 pi), up the line to |Im z| = 2e3 and left of the
+    origin, where the recurrence crosses the branch cut's neighbourhood."""
+    heights = (0.0, 1e-9, 0.3, 2.5, 17.0, 140.0, 999.0, 2e3)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for re in (-7.3, 0.25, 1.0, 3.5):
+            for t in heights + tuple(-h for h in heights[1:]):
+                z = complex(re, t)
+                ref_plain = complex(mpmath.loggamma(mpmath.mpc(re, t)))
+                ref_real = complex(mpmath.loggamma(mpmath.mpc(re, t) / 2)
+                                   - mpmath.mpc(re, t) / 2 * mpmath.log(mpmath.pi))
+                for kind, ref in (("plain", ref_plain), ("real-place", ref_real)):
+                    got = log_gamma_factor(kind, z)
+                    worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
+    assert worst <= 1e-14
+
+
+def test_bernoulli_table_is_pinned():
+    assert len(BERNOULLI_OVER_FACTORIAL) == 25
+    with mpmath.workdps(40):
+        for j, value in enumerate(BERNOULLI_OVER_FACTORIAL, 1):
+            assert value == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
 
 
 def test_gamma_factor_pole_and_bad_kind():
