@@ -113,10 +113,8 @@ def _l_value(s: complex, chi: DirichletCharacter) -> complex:
     w = a / q + m
     log_w = np.log(w)
     w_s = np.exp(-s * log_w)
-    rising = np.empty(len(BERNOULLI_OVER_FACTORIAL), dtype=complex)   # (s)_{2j-1}
-    rising[0] = s
-    for j in range(1, rising.size):
-        rising[j] = rising[j - 1] * (s + 2 * j - 1) * (s + 2 * j)
+    rising = np.cumprod([s] + [(s + 2 * j - 1) * (s + 2 * j)      # (s)_{2j-1}
+                               for j in range(1, len(BERNOULLI_OVER_FACTORIAL))])
     bernoulli = np.polyval((np.array(BERNOULLI_OVER_FACTORIAL) * rising)[::-1], 1.0 / (w * w))
     z = (1 - s) * log_w
     pole = -log_w if s == 1 else -log_w * np.expm1(z) / z     # (w^{1-s} - 1)/(s - 1)

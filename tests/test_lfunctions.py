@@ -31,7 +31,7 @@ CHI5 = build_character(5, 1)
 
 def test_against_direct_series_in_the_absolute_range():
     for chi in (CHI3, CHI4, CHI5):
-        for s in (2.0 + 0j, 2.0 + 0.3j, 3.5 - 1.0j):
+        for s in (2.0 + 0j, 2.0 + 0.3j, 3.5 - 1.0j, 40.0 + 7.0j):
             got = dirichlet_l(LValueRequest(s=s, character=chi))
             ref = direct_dirichlet_sum(s, chi, 200000)
             assert abs(got - ref) <= 1e-10 * abs(ref)
