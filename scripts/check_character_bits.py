@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Dump the character layer's outputs, or compare two dumps bit for bit.
+
+    python3 scripts/check_character_bits.py --dump FILE.npz
+    python3 scripts/check_character_bits.py --compare A.npz B.npz
+
+--dump evaluates the checkout this script sits in and saves:
+  * for every character with q <= 129 or q in {256, 360, 499, 500}: its value
+    table, its conductor, and the (modulus, index) of its primitive part;
+  * the (modulus, index) of the products over a fixed, seeded sample of
+    character pairs, across moduli as well as within one;
+  * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
+  * the amplifier sums at L = 1e6 for the principal pair at q in {1, 3, 4},
+    on the diagonal r1 = r2, plus one off-diagonal sum at q = 3;
+  * BumpWeight().mellin_at_one.
+
+--compare counts the entries whose raw bytes differ between two dumps, per
+array, and exits 1 if any differ or an array is missing from either side.
+Run --dump on two checkouts (say, before and after a change to the
+character layer) and --compare the two files; a dump takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from eisenkit.amplifier import AmplifierConfig, amplifier_sum  # noqa: E402
+from eisenkit.characters import (  # noqa: E402
+    build_character,
+    character_group,
+    character_index,
+    conductor,
+    gauss_sum_moduli_squared,
+    multiply,
+    primitive_part,
+    value_table,
+)
+from eisenkit.special_functions import BumpWeight  # noqa: E402
+
+MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
+GAUSS_MAX = 500
+PRODUCTS = 4000
+AMP_L = 1e6
+# (q, r1, r2): the three diagonal sums, then one off the diagonal
+AMP_CASES = ((1, 12.5, 12.5), (3, 17.25, 17.25), (4, 23.0, 23.0), (3, 11.0, 19.5))
+
+
+def _identity(chi) -> tuple[int, int]:
+    return chi.modulus, character_index(chi)
+
+
+def dump(path: str) -> None:
+    tables, conductors, prim_parts, labels = [], [], [], []
+    for q in MODULI:
+        for chi in character_group(q):
+            labels.append(_identity(chi))
+            tables.append(value_table(chi))
+            conductors.append(conductor(chi))
+            prim_parts.append(_identity(primitive_part(chi)))
+
+    phi = Counter(q for q, _ in labels)
+    rng = random.Random("check_character_bits")
+    products = []
+    for _ in range(PRODUCTS):
+        (q1, i1), (q2, i2) = rng.choice(labels), rng.choice(labels)
+        if rng.random() < 0.5:
+            q2, i2 = q1, rng.randrange(phi[q1])
+        products.append((q1, i1, q2, i2) + _identity(multiply(build_character(q1, i1),
+                                                              build_character(q2, i2))))
+
+    gauss = [gauss_sum_moduli_squared(q) for q in range(1, GAUSS_MAX + 1)]
+
+    principal = build_character(1, 0)
+    amp = [amplifier_sum(AmplifierConfig(q=q, L=AMP_L, r1=r1, r2=r2, chi1=principal, chi2=principal))
+           for q, r1, r2 in AMP_CASES]
+
+    np.savez_compressed(
+        path,
+        labels=np.array(labels, dtype=np.int64),
+        values=np.concatenate(tables),
+        conductors=np.array(conductors, dtype=np.int64),
+        primitive_parts=np.array(prim_parts, dtype=np.int64),
+        products=np.array(products, dtype=np.int64),
+        gauss_counts=np.array([len(g) for g in gauss], dtype=np.int64),
+        gauss=np.concatenate(gauss),
+        amplifier_sums=np.array(amp, dtype=np.complex128),
+        mellin_at_one=np.array([BumpWeight().mellin_at_one]),
+    )
+    print(f"{path}: {len(labels)} characters, {len(products)} products, "
+          f"{sum(len(g) for g in gauss)} Gauss sums, {len(amp)} amplifier sums")
+
+
+def _raw(a: np.ndarray) -> np.ndarray:
+    """One row of raw bytes per entry, so -0.0 != 0.0 and NaN payloads count."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    bad = 0
+    for name in sorted(set(a.files) | set(b.files)):
+        if name not in a.files or name not in b.files:
+            print(f"{name}: missing from {path_a if name not in a.files else path_b}")
+            bad += 1
+            continue
+        x, y = a[name], b[name]
+        if x.shape != y.shape or x.dtype != y.dtype:
+            print(f"{name}: shape/dtype {x.shape} {x.dtype} vs {y.shape} {y.dtype}")
+            bad += 1
+            continue
+        mismatches = int(np.any(_raw(x) != _raw(y), axis=-1).sum())
+        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches")
+        bad += mismatches
+    print(f"total mismatches: {bad}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", metavar="FILE.npz")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    return compare(*args.compare)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -191,7 +191,10 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
         c1 = t1[primes % q1]
         c2 = t2[primes % q2]
         left = c1 * np.exp(1j * cfg.r1 * logp) + c2 * np.exp(-1j * cfg.r1 * logp)
-        right = np.conj(c1 * np.exp(1j * cfg.r2 * logp) + c2 * np.exp(-1j * cfg.r2 * logp))
+        if cfg.r1 == cfg.r2:
+            right = np.conj(left)
+        else:
+            right = np.conj(c1 * np.exp(1j * cfg.r2 * logp) + c2 * np.exp(-1j * cfg.r2 * logp))
         vals = w * logp * left * right
         seg_re.append(float(np.sum(vals.real)))
         seg_im.append(float(np.sum(vals.imag)))

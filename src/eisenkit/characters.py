@@ -19,6 +19,13 @@ callers that need it: gauss_sum, parity and the L-values.  The exact phase
 m / D as a Fraction is built only where exactness is observable: conductors
 and induction.
 
+A character compares and hashes by one cached integer key, its modulus and
+the index of each component, which identifies it exactly; every cache keyed
+on characters reads that key.  gauss_sum_moduli_squared builds no character
+object at all: whether a character is primitive is a test on its exponent
+vector, one rule per component (see _exponent_vectors), applied to the whole
+group as one array mask.
+
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
     g^(p-1) = 1 mod p^2 (then g is not primitive mod p^2);
@@ -154,12 +161,32 @@ class CharComponent:
         return tuple(reversed(vec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
-    """A Dirichlet character mod q, given by its prime-power components."""
+    """A Dirichlet character mod q, given by its prime-power components.
+
+    Equality and the hash read one cached integer key, the modulus and the
+    per-component indices, which identifies the character exactly.
+    """
 
     modulus: int
     local_components: tuple[CharComponent, ...]
+
+    # -- identity -----------------------------------------------------------
+
+    @cached_property
+    def _key(self) -> tuple[int, tuple[int, ...]]:
+        return self.modulus, tuple(c.index for c in self.local_components)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, DirichletCharacter):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -259,27 +286,16 @@ def build_character(q: int, index: int) -> DirichletCharacter:
     """
     if q <= 0:
         raise ValueError(f"modulus must be positive, got {q}")
-    structure = _group_orders(q)
-    phi = 1
-    for _, _, orders in structure:
-        for o in orders:
-            phi *= o
+    sizes = [(p, e, math.prod(orders)) for p, e, orders in _group_orders(q)]
+    phi = math.prod(size for _, _, size in sizes)
     if not (0 <= index < phi):
         raise ValueError(f"character index {index} out of range for modulus {q} (phi = {phi})")
     comps = []
-    rem = index
     # last component varies fastest: lexicographic in the concatenated vector
-    sizes = []
-    for p, e, orders in structure:
-        size = 1
-        for o in orders:
-            size *= o
-        sizes.append(size)
-    for (p, e, orders), size in zip(reversed(structure), reversed(sizes)):
-        comps.append(CharComponent(p, e, rem % size))
-        rem //= size
-    comps.reverse()
-    return DirichletCharacter(q, tuple(comps))
+    for p, e, size in reversed(sizes):
+        comps.append(CharComponent(p, e, index % size))
+        index //= size
+    return DirichletCharacter(q, tuple(reversed(comps)))
 
 
 def character_index(chi: DirichletCharacter) -> int:
@@ -287,20 +303,13 @@ def character_index(chi: DirichletCharacter) -> int:
     idx = 0
     for comp in chi.local_components:
         _, orders, _ = _component_structure(comp.prime, comp.exponent)
-        size = 1
-        for o in orders:
-            size *= o
-        idx = idx * size + comp.index
+        idx = idx * math.prod(orders) + comp.index
     return idx
 
 
 def character_group(q: int):
     """All phi(q) characters mod q, in enumeration order."""
-    structure = _group_orders(q)
-    phi = 1
-    for _, _, orders in structure:
-        for o in orders:
-            phi *= o
+    phi = math.prod(o for _, _, orders in _group_orders(q) for o in orders)
     for k in range(phi):
         yield build_character(q, k)
 
@@ -506,17 +515,43 @@ def value_table(chi: DirichletCharacter) -> np.ndarray:
     return chi._table
 
 
+def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Generator orders mod q, every character's exponent vector, and which are primitive.
+
+    Row i of the exponent array is the vector of the i-th character in
+    enumeration order.  A character is primitive iff each component is, and
+    that is read off the component's exponents: k != 0 on an odd p, p does
+    not divide k on an odd p^e with e >= 2, k = 1 on 2^2, an odd exponent on
+    5 on 2^e with e >= 3, and never on 2^1.
+    """
+    structure = _group_orders(q)
+    orders = [o for _, _, ords in structure for o in ords]
+    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
+    primitive = np.ones(len(exps), dtype=bool)
+    col = 0
+    for p, e, ords in structure:
+        if p != 2:
+            primitive &= (exps[:, col] % p != 0) if e > 1 else (exps[:, col] != 0)
+        elif e == 1:
+            primitive[:] = False
+        elif e == 2:
+            primitive &= exps[:, col] == 1
+        else:
+            primitive &= exps[:, col + 1] % 2 == 1
+        col += len(ords)
+    return orders, exps, primitive
+
+
 def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     """|G(chi)|^2 for every primitive chi mod q, via one vectorized batch.
 
     Returns an array with one entry per primitive character (enumeration
-    order).  Used by the classical-law sweep |G(chi)|^2 = q.
+    order).  Used by the classical-law sweep |G(chi)|^2 = q.  No character
+    object is built: primitivity and the weights come from the exponent
+    vectors.
     """
-    orders = [o for _, _, ords in _group_orders(q) for o in ords]
+    orders, exps, primitive = _exponent_vectors(q)
     D = math.lcm(*orders)
-    # row i is the exponent vector of the i-th character, enumeration order
-    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
-    primitive = np.array([conductor(chi) == q for chi in character_group(q)])
     weights = exps[primitive] * (D // np.array(orders, dtype=np.int64))
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     return np.asarray([abs(np.dot(row, roots)) ** 2 for row in _value_rows(q, D, weights)])

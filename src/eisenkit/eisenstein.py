@@ -30,7 +30,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,6 +112,10 @@ class EisensteinParams:
 
     def dual(self) -> "EisensteinParams":
         """Swapped characters at the reflected point; E(s) = c(s) * dual E(-s)."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "EisensteinParams":
         return EisensteinParams(self.chi2, self.chi1, -self.t_shift, -self.sigma)
 
 

@@ -158,6 +158,76 @@ def test_gauss_sum_batch_agrees_with_scalar():
             assert abs(a - b) < 1e-10
 
 
+def _own_factorization(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    p = 2
+    while n > 1:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    return out
+
+
+def _primitive_count(q: int) -> int:
+    """sum over d | q of mu(q/d) phi(d), every factor from its own factorization."""
+    def mu(n):
+        exps = _own_factorization(n).values()
+        return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+    def phi(n):
+        return math.prod((p - 1) * p ** (e - 1) for p, e in _own_factorization(n).items())
+
+    return sum(mu(q // d) * phi(d) for d in range(1, q + 1) if q % d == 0)
+
+
+def test_primitive_counts_match_the_moebius_sum():
+    for q in range(1, 501):
+        assert len(gauss_sum_moduli_squared(q)) == _primitive_count(q), q
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 8, 16, 32, 9, 27, 81, 25, 49, 12, 24, 40, 72, 120])
+def test_primitivity_from_exponents_matches_brute_conductor(q):
+    """The exponent mask against the brute conductor search, character by character."""
+    _, _, primitive = characters_module._exponent_vectors(q)
+    assert list(primitive) == [brute_conductor(chi) == q for chi in character_group(q)]
+
+
+def test_gauss_batch_builds_no_character(monkeypatch):
+    """The batch reads primitivity off exponent vectors, not character objects."""
+    def forbidden(*args):
+        raise AssertionError("character built or conductor taken in the Gauss batch")
+
+    monkeypatch.setattr(characters_module, "build_character", forbidden)
+    monkeypatch.setattr(characters_module, "conductor", forbidden)
+    for q in (1, 2, 4, 8, 12, 45, 97, 120, 256):
+        squares = gauss_sum_moduli_squared(q)
+        assert len(squares) == _primitive_count(q)
+        assert np.all(np.abs(squares - q) < 1e-10)
+
+
+def test_equality_and_hash_follow_the_character():
+    """Every route to one character gives an equal object with an equal hash."""
+    for q, index in ((1, 0), (5, 3), (8, 3), (45, 7), (120, 5)):
+        chi = build_character(q, index)
+        routes = [build_character(q, index), multiply(chi, build_character(q, 0)),
+                  conjugate(conjugate(chi))]
+        if brute_conductor(chi) == q:
+            routes.append(primitive_part(chi))
+        assert routes[0] is not chi
+        for other in routes:
+            assert other == chi and chi == other and not other != chi
+            assert hash(other) == hash(chi)
+        assert len({chi, *routes}) == 1
+    chi = build_character(45, 7)
+    assert chi != build_character(45, 8)
+    assert build_character(3, 1) != build_character(5, 1)      # same component index, other modulus
+    assert build_character(5, 1) != build_character(10, 1)
+    assert build_character(1, 0) != build_character(2, 0)
+    assert (chi == 3) is False and (chi != 3) is True
+    assert chi != "chi(45:7)" and chi != None  # noqa: E711
+
+
 def test_primitive_gauss_sum_has_modulus_sqrt_q():
     for q in (3, 4, 5, 8, 13, 25, 32, 49):
         for chi in character_group(q):

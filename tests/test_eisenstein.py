@@ -120,6 +120,17 @@ def test_local_constant_doubly_ramified_magnitude():
     assert abs(abs(local_constant(params, 5)) - 5 ** -0.5) < 1e-12
 
 
+def test_dual_is_built_once_per_series():
+    for chi1, chi2, t0, sigma in ((CHI1, CHI4, 5.0, 0.0), (CHI3, CHI4, 10.0, 0.1)):
+        params = EisensteinParams(chi1, chi2, t0, sigma)
+        dual = params.dual()
+        assert dual is params.dual()
+        assert (dual.chi1, dual.chi2, dual.t_shift, dual.sigma) == (chi2, chi1, -t0, -sigma)
+        assert (dual.level, dual.central_modulus, dual.l_modulus) == (
+            params.level, params.central_modulus, params.l_modulus)
+        assert dual == EisensteinParams(chi2, chi1, -t0, -sigma)
+
+
 def test_constant_term_sections_swap_under_dual():
     data = scattering_constant(EisensteinParams(CHI3, CHI4, 5.0))
     dual = scattering_constant(EisensteinParams(CHI4, CHI3, -5.0))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import eisenkit.special_functions as special_functions
 from oracles import bessel_k_mp, bessel_quadrature, bump_mellin_quadrature, decay
 from eisenkit.special_functions import (
     BERNOULLI_OVER_FACTORIAL,
@@ -269,6 +270,17 @@ def test_bump_mellin_against_quadrature():
         ref = bump_mellin_quadrature(s)
         assert abs(w.mellin(s) - ref) <= 1e-10 * abs(ref)
     assert w.mellin_at_one == pytest.approx(w.mellin(1.0).real, rel=1e-14)
+
+
+def test_bump_integral_is_pinned_and_needs_no_quadrature(monkeypatch):
+    """The integral of w is the correctly rounded value of a 30-digit
+    quadrature, and constructing the weight runs no mpmath quadrature."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("mpmath quadrature in BumpWeight construction")
+
+    monkeypatch.setattr(mpmath, "quad", forbidden)
+    special_functions._bump_integral.cache_clear()
+    assert BumpWeight().mellin_at_one == 0.0070298584066096565
 
 
 @settings(max_examples=60, deadline=None)
