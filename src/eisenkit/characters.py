@@ -15,16 +15,23 @@ each m indexes the D roots e(m / D), each taken as cmath.exp of the correctly
 rounded m / D, so Gauss sums and epsilon factors are reproducible to machine
 precision.  evaluate(n) is the table entry at n mod q, and value_table returns
 the same read-only array.  int_phase(n) computes the integer m alone, for the
-callers that need it: gauss_sum, parity and the L-values.  The exact phase
-m / D as a Fraction is built only where exactness is observable: conductors
-and induction.
+callers that need it: gauss_sum, parity and the L-values.  phase(n), the
+exact m / D as a Fraction, is the only Fraction view, and nothing in the
+package calls it.
+
+Conductors, induction and restriction are integer rules on one component at
+a time.  The conductor exponent of a component mod p^e is e - v_p(k), k its
+last exponent.  Moving a component to p^e' reads its values at the
+generators mod p^e' from the dlog array, so multiply lifts both factors to
+the lcm prime by prime and adds exponents, and primitive_part restricts each
+component to its conductor exponent.
 
 A character compares and hashes by one cached integer key, its modulus and
 the index of each component, which identifies it exactly; every cache keyed
 on characters reads that key.  gauss_sum_moduli_squared builds no character
-object at all: whether a character is primitive is a test on its exponent
-vector, one rule per component (see _exponent_vectors), applied to the whole
-group as one array mask.
+object at all: a character is primitive iff p does not divide the last
+exponent of any component, the conductor rule read as one array mask over
+the whole group.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
@@ -315,35 +322,28 @@ def character_group(q: int):
 
 
 # ---------------------------------------------------------------------------
-# conductors and induction
+# conductors, induction and restriction, one prime power at a time
 # ---------------------------------------------------------------------------
 
 def _component_conductor_exponent(comp: CharComponent) -> int:
-    """Conductor exponent of a single prime-power component."""
-    p, e = comp.prime, comp.exponent
-    _, orders, _ = _component_structure(p, e)
+    """Conductor exponent of a prime-power component: e - v_p(k), k its last exponent.
+
+    The units that are 1 mod p^f (f >= 2 for p = 2) are generated by
+    g^{(p-1) p^{f-1}}, or by 5^{2^{f-2}} mod 2^e, where chi is e(k / p^{e-f}):
+    chi is trivial on them exactly when p^{e-f} divides k.  A character of
+    2^e with no exponent on 5 is trivial or the sign character, of conductor 4.
+    """
     exps = comp.exps
-    if all(k == 0 for k in exps):
+    if not any(exps):
         return 0
-    if p != 2:
-        # cyclic case: trivial on 1 + p^f O  iff  ord(chi_p) | phi(p^f)
-        k = exps[0]
-        o = orders[0]
-        ord_chi = o // math.gcd(k, o)
-        f = 1
-        while (p - 1) * p ** (f - 1) % ord_chi != 0:
-            f += 1
-        return f
-    # p = 2: components on (-1, 5) for e >= 3, on (3,) for e = 2
-    if e == 2:
+    k = exps[-1]
+    if k == 0:
         return 2
-    k_minus, k_five = exps
-    o_five = orders[1]
-    ord_five = o_five // math.gcd(k_five, o_five)
-    if ord_five > 1:
-        # the 5-part of order 2^m is trivial on 1 + 2^{m+2} Z and no smaller
-        return ord_five.bit_length() + 1
-    return 2 if k_minus else 0
+    v = 0
+    while k % comp.prime == 0:
+        k //= comp.prime
+        v += 1
+    return comp.exponent - v
 
 
 def conductor(chi: DirichletCharacter) -> int:
@@ -354,29 +354,35 @@ def conductor(chi: DirichletCharacter) -> int:
     return f
 
 
-def _solve_exps_on_generators(q: int, value_phase) -> DirichletCharacter:
-    """Build the character mod q whose phase on each fixed generator is given.
+def _conductor_exponent(chi: DirichletCharacter, p: int) -> int:
+    """v_p of conductor(chi)."""
+    for comp in chi.local_components:
+        if comp.prime == p:
+            return _component_conductor_exponent(comp)
+    return 0
 
-    value_phase(residue) must return the exact phase (a Fraction) of the
-    desired character at that residue; residues handed over are the canonical
-    generators lifted by CRT to be 1 on every other component.
+
+def _exps_at(comp: CharComponent, e: int) -> list[int]:
+    """The exponent vector mod p^e of the character that agrees with comp on units.
+
+    comp lives mod p^c.  For e >= c this induces; for e < c it restricts,
+    which is exact only when comp's conductor exponent is at most e.  Each
+    generator g of order o mod p^e reads comp's value e(m / D) at g mod p^c
+    from the cached dlog array, D the lcm of comp's orders, and gets the
+    exponent m o / D.
     """
-    structure = _group_orders(q)
-    moduli = [p**e for p, e, _ in structure]
-    comps = []
-    for i, (p, e, orders) in enumerate(structure):
-        gens, _, _ = _component_structure(p, e)
-        exps = []
-        for g, o in zip(gens, orders):
-            # lift g to a residue mod q that is 1 mod every other prime power
-            residue = _crt_lift(g, i, moduli)
-            ph = value_phase(residue)
-            k = ph * o
-            if k.denominator != 1:
-                raise ArithmeticError("phase not compatible with generator order")
-            exps.append(int(k) % o)
-        comps.append(CharComponent(p, e, _rank(exps, orders)))
-    return DirichletCharacter(q, tuple(comps))
+    gens, orders, _ = _component_structure(comp.prime, e)
+    _, comp_orders, dlog = _component_structure(comp.prime, comp.exponent)
+    D = math.lcm(*comp_orders)
+    weights = [k * (D // o) for k, o in zip(comp.exps, comp_orders)]
+    exps = []
+    for g, o in zip(gens, orders):
+        r = g % comp.modulus
+        k, rem = divmod(o * sum(w * dlog.item(i, r) for i, w in enumerate(weights)), D)
+        if rem:
+            raise ArithmeticError(f"{comp} is not trivial on the units that are 1 mod {comp.prime}^{e}")
+        exps.append(k % o)
+    return exps
 
 
 def _rank(exps: list[int], orders) -> int:
@@ -386,48 +392,33 @@ def _rank(exps: list[int], orders) -> int:
     return idx
 
 
-def _crt_lift(g: int, pos: int, moduli: list[int]) -> int:
-    """Residue congruent to g mod moduli[pos] and 1 mod the others."""
-    residue, mod = 0, 1
-    for j, m in enumerate(moduli):
-        target = g % m if j == pos else 1 % m
-        # merge residue (mod mod) with target (mod m)
-        inv = pow(mod, -1, m)
-        residue = residue + mod * ((target - residue) * inv % m)
-        mod *= m
-    return residue % mod if mod > 1 else 0
-
-
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi."""
-    f = conductor(chi)
-    if f == chi.modulus:
+    comps = []
+    for comp in chi.local_components:
+        f = _component_conductor_exponent(comp)
+        if f == comp.exponent:
+            comps.append(comp)
+        elif f:
+            _, orders, _ = _component_structure(comp.prime, f)
+            comps.append(CharComponent(comp.prime, f, _rank(_exps_at(comp, f), orders)))
+    if tuple(comps) == chi.local_components:
         return chi
-    q = chi.modulus
-
-    def phase_at(residue: int) -> Fraction:
-        # adjust the residue to be coprime to q without moving it mod f
-        r = residue
-        while math.gcd(r, q) != 1:
-            r += f
-        ph = chi.phase(r)
-        assert ph is not None
-        return ph
-
-    return _solve_exps_on_generators(f, phase_at)
+    return DirichletCharacter(math.prod(c.modulus for c in comps), tuple(comps))
 
 
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     q = math.lcm(chi1.modulus, chi2.modulus)
-
-    def phase_at(residue: int) -> Fraction:
-        p1 = chi1.phase(residue)
-        p2 = chi2.phase(residue)
-        assert p1 is not None and p2 is not None
-        return (p1 + p2) % 1
-
-    return _solve_exps_on_generators(q, phase_at)
+    comps = []
+    for p, e in _factorize(q):
+        _, orders, _ = _component_structure(p, e)
+        exps = [0] * len(orders)
+        for comp in chi1.local_components + chi2.local_components:
+            if comp.prime == p:
+                exps = [(a + b) % o for a, b, o in zip(exps, _exps_at(comp, e), orders)]
+        comps.append(CharComponent(p, e, _rank(exps, orders)))
+    return DirichletCharacter(q, tuple(comps))
 
 
 def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
@@ -519,26 +510,19 @@ def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Generator orders mod q, every character's exponent vector, and which are primitive.
 
     Row i of the exponent array is the vector of the i-th character in
-    enumeration order.  A character is primitive iff each component is, and
-    that is read off the component's exponents: k != 0 on an odd p, p does
-    not divide k on an odd p^e with e >= 2, k = 1 on 2^2, an odd exponent on
-    5 on 2^e with e >= 3, and never on 2^1.
+    enumeration order.  A character is primitive iff each component is,
+    that is iff its conductor exponent e - v_p(k) is e: p does not divide
+    the component's last exponent k.  2^1 has no generator and no primitive
+    character.
     """
     structure = _group_orders(q)
     orders = [o for _, _, ords in structure for o in ords]
     exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
     primitive = np.ones(len(exps), dtype=bool)
     col = 0
-    for p, e, ords in structure:
-        if p != 2:
-            primitive &= (exps[:, col] % p != 0) if e > 1 else (exps[:, col] != 0)
-        elif e == 1:
-            primitive[:] = False
-        elif e == 2:
-            primitive &= exps[:, col] == 1
-        else:
-            primitive &= exps[:, col + 1] % 2 == 1
+    for p, _, ords in structure:
         col += len(ords)
+        primitive &= exps[:, col - 1] % p != 0 if ords else False
     return orders, exps, primitive
 
 
@@ -573,10 +557,7 @@ def local_epsilon(chi: DirichletCharacter, p: int) -> LocalEpsilonData:
     global functional-equation suite; it is unobservable through any other
     code path.
     """
-    a = 0
-    for comp in chi.local_components:
-        if comp.prime == p:
-            a = _component_conductor_exponent(comp)
+    a = _conductor_exponent(chi, p)
     if a == 0:
         return LocalEpsilonData(p, 0, 1.0 + 0j)
     comp_chi = primitive_part(local_component(chi, p))

@@ -330,7 +330,7 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_lfunc(args) -> int:
-    req = LValueRequest(args.s, args.chi, completed=args.completed)
+    req = LValueRequest(args.s, args.chi)
     value = completed_lambda(req) if args.completed else dirichlet_l(req)
     payload = {"schema": "eisenkit-lfunc-v1",
                "modulus": args.chi.modulus, "s": [args.s.real, args.s.imag],

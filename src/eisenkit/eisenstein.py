@@ -36,6 +36,7 @@ import numpy as np
 
 from eisenkit.characters import (
     DirichletCharacter,
+    _conductor_exponent as _cond_exp,   # v_p of the conductor of chi
     _factorize,
     conductor,
     conjugate,
@@ -135,11 +136,6 @@ class ConstantTermData:
 @lru_cache(maxsize=256)
 def _quotient_character(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     return primitive_part(multiply(chi1, conjugate(chi2)))
-
-
-def _cond_exp(chi: DirichletCharacter, p: int) -> int:
-    """v_p of the conductor of chi."""
-    return dict(_factorize(conductor(chi))).get(p, 0)
 
 
 def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:

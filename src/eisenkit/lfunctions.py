@@ -71,7 +71,6 @@ class LineZeroError(NumericsError):
 class LValueRequest:
     s: complex
     character: DirichletCharacter
-    completed: bool = False
 
     def __post_init__(self):
         if not cmath.isfinite(complex(self.s)):
@@ -80,8 +79,6 @@ class LValueRequest:
             raise NumericEnvelopeError(f"|Im s| = {abs(complex(self.s).imag)} outside the supported window {_IM_WINDOW}")
         if self.character.modulus > _Q_WINDOW:
             raise NumericEnvelopeError(f"modulus {self.character.modulus} outside the supported window {_Q_WINDOW}")
-        if self.completed and conductor(self.character) != self.character.modulus:
-            raise ValueError("completed values require a primitive character")
 
 
 def parity_exponent(chi: DirichletCharacter) -> int:
@@ -127,8 +124,6 @@ def _l_value(s: complex, chi: DirichletCharacter) -> complex:
 
 def dirichlet_l(req: LValueRequest) -> complex:
     """L(s, chi); rejects the pole of the principal-character case."""
-    if req.completed:
-        raise ValueError("use completed_lambda for completed requests")
     return _l_value(complex(req.s), req.character)
 
 
@@ -151,9 +146,9 @@ def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
 
 
 def completed_lambda(req: LValueRequest) -> complex:
-    """Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)."""
-    if not req.completed:
-        raise ValueError("completed_lambda requires completed=true")
+    """Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi), for primitive chi."""
+    if conductor(req.character) != req.character.modulus:
+        raise ValueError("completed_lambda requires a primitive character")
     s = complex(req.s)
     return cmath.exp(_log_lambda(s, req.character, _l_value(s, req.character)))
 

@@ -24,6 +24,7 @@ from eisenkit.characters import (
     primitive_part,
     value_table,
 )
+from eisenkit.eisenstein import EisensteinParams, scattering_constant
 from eisenkit.lfunctions import LValueRequest, dirichlet_l
 
 
@@ -71,12 +72,13 @@ def test_value_table_is_read_only():
 
 
 def test_evaluation_builds_no_fraction(monkeypatch):
-    """Exact Fractions are for conductors and induction only."""
+    """phase is the only Fraction view: evaluation, conductors, induction,
+    restriction, epsilon factors and the scattering constant build none."""
     chi = build_character(45, 7)
     prim = build_character(13, 5)
 
     def forbidden(*args):
-        raise AssertionError("Fraction built on the evaluation path")
+        raise AssertionError("Fraction built outside DirichletCharacter.phase")
 
     monkeypatch.setattr(characters_module, "Fraction", forbidden)
     chi.evaluate(2)
@@ -85,11 +87,16 @@ def test_evaluation_builds_no_fraction(monkeypatch):
     gauss_sum(prim)
     gauss_sum_moduli_squared(45)
     dirichlet_l(LValueRequest(0.5 + 2j, prim))
+    conductor(chi)
+    multiply(build_character(8, 3), build_character(32, 5))
+    primitive_part(build_character(64, 6))
+    local_epsilon(chi, 3)
+    scattering_constant(EisensteinParams(build_character(3, 1), build_character(4, 1), 1.0))
 
 
 def test_conductor_against_brute_force():
     """Exact conductor search by testing chi = 1 on every 1 + d Z unit set."""
-    for q in (1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 21, 24, 36, 40, 45):
+    for q in (1, 2, 3, 4, 5, 8, 9, 12, 15, 16, 21, 24, 27, 32, 36, 40, 45, 64, 81, 125, 128):
         for chi in character_group(q):
             assert conductor(chi) == brute_conductor(chi)
 
@@ -103,6 +110,33 @@ def test_primitive_part_induces_back():
             for n in range(1, q + 1):
                 if math.gcd(n, q) == 1:
                     assert abs(chi.evaluate(n) - prim.evaluate(n)) < 1e-12
+
+
+@pytest.mark.parametrize("q1, q2", [(3, 4), (2, 16), (4, 8), (8, 32), (5, 25), (3, 27),
+                                    (9, 8), (12, 45), (16, 24)])
+def test_multiply_against_oracle_phases(q1, q2):
+    """A product's oracle phases are the sums of its factors' at every unit mod the lcm."""
+    q = math.lcm(q1, q2)
+    units = [u for u in range(q) if math.gcd(u, q) == 1]
+    for i1 in range(character_count(q1)):
+        ph1 = oracle_phases(q1, i1)
+        for i2 in range(character_count(q2)):
+            ph2 = oracle_phases(q2, i2)
+            prod = multiply(build_character(q1, i1), build_character(q2, i2))
+            assert prod.modulus == q
+            assert oracle_phases(q, character_index(prod)) == {
+                u: (ph1[u % q1] + ph2[u % q2]) % 1 for u in units}
+
+
+@pytest.mark.parametrize("q", [12, 16, 24, 27, 32, 45, 64, 81, 125, 128, 180])
+def test_primitive_part_against_oracle_phases(q):
+    """primitive_part agrees with chi at every unit mod q and is primitive, by the oracle."""
+    for index, chi in enumerate(character_group(q)):
+        prim = primitive_part(chi)
+        f = prim.modulus
+        prim_phases = oracle_phases(f, character_index(prim))
+        assert all(prim_phases[u % f] == ph for u, ph in oracle_phases(q, index).items())
+        assert brute_conductor(prim) == f
 
 
 def test_values_are_roots_of_unity_of_the_order():

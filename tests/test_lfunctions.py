@@ -82,6 +82,8 @@ def test_lambda_ratio_rejects_imprimitive_and_far_heights():
     imprimitive = build_character(9, 3)
     with pytest.raises(ValueError):
         lambda_ratio(1j, imprimitive)
+    with pytest.raises(ValueError):
+        completed_lambda(LValueRequest(s=2.0, character=imprimitive))
     with pytest.raises(NumericEnvelopeError):
         lambda_ratio(600j, CHI4)
 
@@ -101,14 +103,9 @@ def test_completed_lambda_functional_equation():
         a = parity_exponent(chi)
         eps = gauss_sum(chi) / ((1j ** a) * math.sqrt(q))
         for s in (0.3 + 2j, 0.5 + 5j):
-            lhs = completed_lambda(LValueRequest(s=1 - s, character=conjugate(chi), completed=True))
-            rhs = completed_lambda(LValueRequest(s=s, character=chi, completed=True))
+            lhs = completed_lambda(LValueRequest(s=1 - s, character=conjugate(chi)))
+            rhs = completed_lambda(LValueRequest(s=s, character=chi))
             assert abs(lhs - eps.conjugate() * rhs) <= 1e-10 * abs(rhs)
-
-
-def test_completed_lambda_requires_the_flag():
-    with pytest.raises(ValueError):
-        completed_lambda(LValueRequest(s=2.0, character=CHI4))
 
 
 def test_against_the_frozen_hurwitz_oracle_over_the_envelope():
@@ -147,7 +144,7 @@ def test_l_function_path_calls_no_mpmath(monkeypatch):
     dirichlet_l(LValueRequest(0.5 + 3.1j, CHI5))
     dirichlet_l(LValueRequest(1.0, CHI3))
     dirichlet_l(LValueRequest(2.0 + 0.7j, build_character(1, 0)))
-    completed_lambda(LValueRequest(0.3 + 2.9j, CHI4, completed=True))
+    completed_lambda(LValueRequest(0.3 + 2.9j, CHI4))
     lambda_ratio(4.3j, CHI5)
     gamma_factor("real-place", 1.0 + 8.6j)
     params = EisensteinParams(CHI3, CHI4, 3.7)
