@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Dump the series layer's outputs, or compare two dumps bit for bit.
+
+    python3 scripts/check_series_bits.py --dump FILE.npz
+    python3 scripts/check_series_bits.py --compare A.npz B.npz
+
+--dump evaluates the checkout this script sits in and saves:
+  * the benchmark's scan ladder: level-1 scans (1:0 x 1:0, x_steps = 64,
+    eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, every grid entry
+    (x, y, |F|) and the truncation length of every row;
+  * the benchmark's 160 functional-equation residuals for seeds 7 and 8;
+  * bessel_k_row over a fixed, seeded set of orders, each with a row of
+    arguments spread log-uniformly over [1e-3, 700].
+
+--compare counts the entries whose raw bytes differ between two dumps, per
+array, and exits 1 if any differ or an array is missing from either side.
+Run --dump on two checkouts (say, before and after a change to the Bessel
+or series code) and --compare the two files; a dump takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
+
+from eisenkit.characters import build_character  # noqa: E402
+from eisenkit.eisenstein import EisensteinParams, functional_equation_residual  # noqa: E402
+from eisenkit.special_functions import bessel_k_row  # noqa: E402
+from eisenkit.supnorm import scan  # noqa: E402
+from workloads import FEMatrix, ScanLadder  # noqa: E402
+
+FE_SEEDS = (7, 8)
+BESSEL_ORDERS = 9
+BESSEL_ARGS = 300
+
+
+def _bessel_cases() -> tuple[np.ndarray, np.ndarray]:
+    """Orders with |Re| <= 10 and |Im| <= 200 (two on the axis), each with
+    a row of arguments in a seeded order."""
+    rng = np.random.default_rng(20170)
+    orders = rng.uniform(-3.0, 3.0, BESSEL_ORDERS) + 1j * rng.uniform(-150.0, 150.0, BESSEL_ORDERS)
+    orders[:2] = orders[:2].imag * 1j
+    xs = np.exp(rng.uniform(np.log(1e-3), np.log(700.0), (BESSEL_ORDERS, BESSEL_ARGS)))
+    return orders, xs
+
+
+def dump(path: str) -> None:
+    level1 = EisensteinParams(build_character(1, 0), build_character(1, 0), 0.0)
+    arrays = {}
+    for t0 in ScanLadder.HEIGHTS:
+        rep = scan(level1, t0, x_steps=ScanLadder.X_STEPS, eps=ScanLadder.EPS, threads=1)
+        arrays[f"scan_{t0:g}_grid"] = np.array(rep.grid, dtype=float)
+        arrays[f"scan_{t0:g}_modes"] = np.array(rep.metadata["modes"], dtype=np.int64)
+
+    for seed in FE_SEEDS:
+        cases = FEMatrix(seed).cases
+        arrays[f"fe_seed{seed}"] = np.array(
+            [functional_equation_residual(p, x, y, eps=FEMatrix.EPS) for p, x, y in cases])
+
+    orders, xs = _bessel_cases()
+    arrays["bessel_orders"] = orders
+    arrays["bessel_values"] = np.concatenate([bessel_k_row(nu, row) for nu, row in zip(orders, xs)])
+
+    np.savez_compressed(path, **arrays)
+    print(f"{path}: {len(ScanLadder.HEIGHTS)} scans, "
+          f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals, "
+          f"{orders.size * BESSEL_ARGS} Bessel values")
+
+
+def _raw(a: np.ndarray) -> np.ndarray:
+    """One row of raw bytes per entry, so -0.0 != 0.0 and NaN payloads count."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    bad = 0
+    for name in sorted(set(a.files) | set(b.files)):
+        if name not in a.files or name not in b.files:
+            print(f"{name}: missing from {path_a if name not in a.files else path_b}")
+            bad += 1
+            continue
+        x, y = a[name], b[name]
+        if x.shape != y.shape or x.dtype != y.dtype:
+            print(f"{name}: shape/dtype {x.shape} {x.dtype} vs {y.shape} {y.dtype}")
+            bad += 1
+            continue
+        mismatches = int(np.any(_raw(x) != _raw(y), axis=-1).sum())
+        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches")
+        bad += mismatches
+    print(f"total mismatches: {bad}")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", metavar="FILE.npz")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.dump)
+        return 0
+    return compare(*args.compare)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -116,7 +116,7 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", help="output file (default: print to stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap (default: EISENKIT_THREADS or 1)")
+                     help="worker cap, at least 1 (default: EISENKIT_THREADS or 1)")
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized point draws")
 
 

@@ -332,17 +332,36 @@ def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
     return np.array([fourier_coefficient(params, n) for n in range(1, m + 1)], dtype=complex)
 
 
-def _fourier_row(params: EisensteinParams, lam: np.ndarray, xs, y: float) -> np.ndarray:
-    """F(s; x, y) for every x in xs, summed over the modes n = 1..len(lam).
+def _bessel_rows(s: complex, ys, modes) -> list[np.ndarray]:
+    """K_s(2 pi n y) for n = 1..m, for each height y and its mode count m,
+    from one bessel_k_row call; every value has its own node set, so a row
+    is the same whichever rows share the call."""
+    n = np.arange(1, max(modes) + 1)
+    values = bessel_k_row(s, np.concatenate([2.0 * math.pi * n[:m] * y for y, m in zip(ys, modes)]))
+    ends = np.cumsum(modes)
+    return [values[end - m:end] for end, m in zip(ends, modes)]
 
-    One Bessel row per call; each x is reduced along n by numpy's fixed-order
-    pairwise sum (no BLAS, whose blocking may follow the thread count), so a
-    value does not depend on which other x share the row.
+
+def _fourier_row(params: EisensteinParams, lam: np.ndarray, bessel: np.ndarray,
+                 xs, y: float) -> np.ndarray:
+    """F(s; x, y) for every x in xs, summed over the modes n = 1..len(lam),
+    given bessel[n - 1] = K_s(2 pi n y).
+
+    Each x is reduced along n by numpy's fixed-order pairwise sum (no BLAS,
+    whose blocking may follow the thread count), so a value does not depend
+    on which other x share the row.
     """
     n = np.arange(1, len(lam) + 1)
-    weights = lam * bessel_k_row(params.s, 2.0 * math.pi * n * y)
+    weights = lam * bessel
     cosines = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
     return _outer_scale(params) * math.sqrt(y) * (cosines * weights).sum(axis=-1)
+
+
+def _series_value(params: EisensteinParams, x: float, y: float, m: int,
+                  bessel: np.ndarray) -> complex:
+    """F(s; x, y) from its first m modes, given K_s(2 pi n y) for n >= 1
+    up to at least m."""
+    return complex(_fourier_row(params, _coefficients(params, m), bessel[:m], [x], y)[0])
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
@@ -350,8 +369,9 @@ def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
     """F(s; x, y): the series with both constant terms removed."""
     if y < y_min:
         raise ValueError(f"y = {y} below the expansion floor y_min = {y_min}")
-    lam = _coefficients(params, _truncation(params, y, eps))
-    return complex(_fourier_row(params, lam, [x], y)[0])
+    m = _truncation(params, y, eps)
+    bessel, = _bessel_rows(params.s, [y], [m])
+    return _series_value(params, x, y, m, bessel)
 
 
 def evaluate(params: EisensteinParams, x: float, y: float, eps: float,
@@ -374,11 +394,17 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
                                  eps: float = 1e-8) -> float:
     """Normalized defect of E(s, z) = c(s) * dual E(-s, z) at one point.
 
-    Both sides go through evaluate, with no expansion floor.  K is even in
-    its order and bessel_k_row computes K_s and K_-s bit for bit alike, so
-    the residual isolates the arithmetic constants rather than quadrature
-    noise.
+    Both sides are evaluate's sums, with no expansion floor, and share one
+    Bessel row, K_s(2 pi n y) up to the longer of their two truncations.
+    That is exact, not an approximation: K is even in its order and
+    bessel_k_row computes K_s and K_-s as equal floats (on the unitary axis
+    their zero imaginary parts differ only in sign), so the residual equals
+    the one from two separate evaluate calls bit for bit and isolates the
+    arithmetic constants rather than quadrature noise.
     """
-    e_here = evaluate(params, x, y, eps, y_min=0.0)
-    e_dual = evaluate(params.dual(), x, y, eps, y_min=0.0)
+    dual = params.dual()
+    m, m_dual = _truncation(params, y, eps), _truncation(dual, y, eps)
+    bessel, = _bessel_rows(params.s, [y], [max(m, m_dual)])
+    e_here = _series_value(params, x, y, m, bessel) + _constant_terms(params, y)
+    e_dual = _series_value(dual, x, y, m_dual, bessel) + _constant_terms(dual, y)
     return abs(e_here - _scattering(params) * e_dual) / (1.0 + abs(e_here) + abs(e_dual))

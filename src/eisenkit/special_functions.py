@@ -12,9 +12,11 @@ than a small factor, so no digits cancel, and the plain trapezoid rule
 converges geometrically: the step charges the integrand's growth on the
 edges of the strip of analyticity around the line (Trefethen and Weideman,
 SIAM Rev. 56, 2014; the contour follows Gil, Segura and Temme, J. Comput.
-Phys. 175, 2002).  A row of arguments is evaluated in one vectorized pass,
-but every value has its own node set, fixed by the order and its argument,
-so it is bitwise reproducible whatever else is in the row.
+Phys. 175, 2002).  A row of arguments is evaluated in vectorized passes
+of at most _PASS arguments each, so one call carries its fixed set-up once
+for a whole batch while its temporaries stay bounded.  Every value has its
+own node set, fixed by the order and its argument, so it is bitwise
+reproducible whatever else is in the row or the pass.
 """
 
 from __future__ import annotations
@@ -87,21 +89,26 @@ _RE_MAX = 10.0
 
 _LOG_TOL = 16.0 * math.log(10.0)   # quadrature and truncation error below e^-37 of the peak
 _CAP = 1.0                         # theta stays _CAP/|t| below pi/2: the peak overshoots by e at most
-_BLOCK = 1 << 14                   # nodes per vectorized pass, in whole node sets
-# candidate strip half-widths, as fractions of the room left to Im w = +-pi/2
+_BLOCK = 1 << 14                   # nodes per vectorized block, in whole node sets
+_PASS = 128                        # arguments per pass, which bounds the strip search's arrays
+# candidate strip half-widths, as fractions of the room left to Im w = +-pi/2,
+# for the edge above the line and then for the edge below it
 _STRIP = np.geomspace(0.995, 0.008, 17)
+_SIDE = np.repeat([1.0, -1.0], _STRIP.size)
+_SIDE_STRIP = np.tile(_STRIP, 2)
 
 
 def _line_peak(sigma: float, t: float, x, theta):
-    """Peak of log|exp(-x cosh w + nu w)| along Im w = theta, and the
-    curvature b there.
+    """Peak of log|exp(-x cosh w + nu w)| along Im w = theta, with its
+    position u, a = x cos(theta) and the curvature b there.
 
     Along the line the log-modulus is -x cos(theta) cosh u + sigma u - t theta,
     which peaks where sinh u = sigma / (x cos theta).
     """
     a = x * np.cos(theta)
     b = np.hypot(a, sigma)
-    return sigma * np.arcsinh(sigma / a) - b - t * theta, b
+    u = np.arcsinh(sigma / a)
+    return sigma * u - b - t * theta, u, a, b
 
 
 def bessel_k_row(order: complex, xs) -> np.ndarray:
@@ -125,27 +132,30 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
 
     # K is even in nu and conjugation-equivariant, so fold into the first quadrant
     sigma, t = abs(nu.real), abs(nu.imag)
-
     cap = 0.5 * math.pi - min(_CAP / t, 0.5 * math.pi) if t > 0 else 0.5 * math.pi
+    out = np.empty(xs.shape, dtype=complex)
+    for lo in range(0, xs.size, _PASS):
+        out[lo:lo + _PASS] = _row_pass(sigma, t, cap, xs[lo:lo + _PASS])
+    return out.conj() if (nu.imag < 0) != (nu.real < 0) else out
+
+
+def _row_pass(sigma: float, t: float, cap: float, xs: np.ndarray) -> np.ndarray:
+    """K_{sigma + it}(x) for up to _PASS arguments, sigma, t >= 0."""
     theta = np.minimum(np.arcsinh(complex(sigma, t) / xs).imag, cap)
-    peak, b = _line_peak(sigma, t, xs, theta)
+    peak, u_peak, a, b = _line_peak(sigma, t, xs, theta)
 
     # Trapezoid step: for an edge of the strip at distance d the error is about
     # exp(-2 pi d / h) times the integral of |integrand| along the edge, whose
     # log is bounded by the edge's peak plus a width term; take the best d on
-    # each side.
-    h = np.full(xs.shape, np.inf)
-    for side in (1.0, -1.0):
-        d = (0.5 * np.pi - side * theta)[:, None] * _STRIP
-        edge, b_edge = _line_peak(sigma, t, xs[:, None], theta[:, None] + side * d)
-        growth = np.maximum(edge - peak[:, None], 0.0) + np.log(5.0 + 4.0 * np.log1p(1.0 / b_edge))
-        h = np.minimum(h, (2.0 * np.pi * d / (_LOG_TOL + growth)).max(axis=1))
+    # each side (both sides' candidates in one array), then the tighter side.
+    d = (0.5 * np.pi - _SIDE * theta[:, None]) * _SIDE_STRIP
+    edge, _, _, b_edge = _line_peak(sigma, t, xs[:, None], theta[:, None] + _SIDE * d)
+    growth = np.maximum(edge - peak[:, None], 0.0) + np.log(5.0 + 4.0 * np.log1p(1.0 / b_edge))
+    h = (2.0 * np.pi * d / (_LOG_TOL + growth)).reshape(-1, 2, _STRIP.size).max(axis=2).min(axis=1)
 
     # Truncation: |integrand| falls e^-37 below its peak within `right` of it
     # on the right; on the left the sigma u term slows the fall, so take the
     # tighter of a cosh bound and a linear one.
-    a = xs * np.cos(theta)
-    u_peak = np.arcsinh(sigma / a)
     right = np.arccosh(1.0 + _LOG_TOL / b)
     left = 0.0     # sigma = 0: the integrand is conjugate-symmetric about u = 0, sum u >= 0
     if sigma > 0.0:
@@ -155,16 +165,20 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     n_lo = np.ceil(left / h).astype(np.int64)
     count = n_lo + np.ceil(right / h).astype(np.int64) + 1
 
+    shift = peak + t * theta
+    x_sin = xs * np.sin(theta)
+    scale = 0.5 * h * np.exp(peak + 1j * sigma * theta)
     out = np.empty(xs.shape, dtype=complex)
     block = np.cumsum(count) // _BLOCK
-    for rows in np.split(np.arange(xs.size), np.flatnonzero(np.diff(block)) + 1):
-        sizes = count[rows]
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), xs.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sizes = count[lo:hi]
         starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(rows, sizes)
-        k = np.arange(sizes.sum()) - np.repeat(starts, sizes) - n_lo[owner]
+        owner = np.repeat(np.arange(lo, hi), sizes)
+        k = np.arange(sizes.sum()) - np.repeat(starts + n_lo[lo:hi], sizes)
         u = u_peak[owner] + k * h[owner]
-        mag = np.exp(sigma * u - a[owner] * np.cosh(u) - (peak + t * theta)[owner])
-        phase = t * u - (xs * np.sin(theta))[owner] * np.sinh(u)
+        mag = np.exp(sigma * u - a[owner] * np.cosh(u) - shift[owner])
+        phase = t * u - x_sin[owner] * np.sinh(u)
         terms = mag * np.cos(phase)
         re = np.add.reduceat(terms, starts)
         if sigma == 0.0:
@@ -172,8 +186,8 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
             im = 0.0
         else:
             im = np.add.reduceat(mag * np.sin(phase), starts)
-        out[rows] = 0.5 * h[rows] * np.exp(peak[rows] + 1j * sigma * theta[rows]) * (re + 1j * im)
-    return out.conj() if (nu.imag < 0) != (nu.real < 0) else out
+        out[lo:hi] = scale[lo:hi] * (re + 1j * im)
+    return out
 
 
 def bessel_k(req: BesselRequest) -> complex:

@@ -7,11 +7,13 @@ region is {x + iy : 0 <= x <= 1/2, y >= y_min}: the expansion is even and
 y-grid is geometric because the Bessel factors switch from oscillation to
 decay near y = T/(2pi) and the interesting structure concentrates there.
 
-Each y-row is one call of the series' Fourier-row kernel, the same one
-that evaluates single points: one Bessel row, whose elements do not depend
-on how the row is batched, and one fixed-order numpy sum over the modes for
-each x.  Rows are independent, so the reported values do not depend on how
-many threads share them out.
+The rows are split into contiguous chunks, one per thread.  A chunk gets
+its Bessel values K_s(2 pi n y) for all its rows from one bessel_k_row
+call; each value has its own node set, so it does not depend on which rows
+share the call.  Each y-row then goes through the series' Fourier-row
+kernel, the same one that evaluates single points: one fixed-order numpy
+sum over the modes for each x.  So the reported values do not depend on how
+many threads share the rows out.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import EisensteinParams, _coefficients, _fourier_row, _truncation
+from eisenkit.eisenstein import (
+    EisensteinParams,
+    _bessel_rows,
+    _coefficients,
+    _fourier_row,
+    _truncation,
+)
 from eisenkit.special_functions import NumericsError
 
 __all__ = [
@@ -133,6 +141,10 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     """
     if x_steps < 1:
         raise ValueError("x_steps must be positive")
+    if threads is None:
+        threads = int(os.environ.get("EISENKIT_THREADS", "1") or "1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     here = EisensteinParams(params.chi1, params.chi2, float(t0))
     T = spectral_height(t0)
     if y_grid is None:
@@ -149,24 +161,35 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     modes = [_truncation(here, y, eps) for y in ys]
     lam = _coefficients(here, max(modes))
 
-    def measure(i: int) -> list:
-        y, m = ys[i], modes[i]
+    def bessel_row(i: int) -> np.ndarray:
         try:
-            values = _fourier_row(here, lam[:m], xs, y)
+            return _bessel_rows(here.s, [ys[i]], [modes[i]])[0]
         except NumericsError as exc:
             raise ScanAbortedError(
-                f"scan aborted at y = {y:.6g} after {i} of {len(ys)} rows: {exc}") from exc
-        return [(x, y, float(v)) for x, v in zip(xs, np.abs(values))]
+                f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: {exc}") from exc
 
-    if threads is None:
-        threads = int(os.environ.get("EISENKIT_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(measure, range(len(ys))))
+    def measure(lo: int, hi: int) -> list:
+        try:
+            bessel = _bessel_rows(here.s, ys[lo:hi], modes[lo:hi])
+        except NumericsError:
+            # row by row, so that the error names the first failing row
+            bessel = [bessel_row(i) for i in range(lo, hi)]
+        out = []
+        for y, m, k in zip(ys[lo:hi], modes[lo:hi], bessel):
+            values = np.abs(_fourier_row(here, lam[:m], k, xs, y))
+            out.extend((x, y, float(v)) for x, v in zip(xs, values))
+        return out
+
+    # contiguous chunks of rows, one per thread
+    n = min(threads, len(ys))
+    cuts = [len(ys) * k // n for k in range(n + 1)]
+    if n > 1:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            parts = list(pool.map(measure, cuts[:-1], cuts[1:]))
     else:
-        rows = [measure(i) for i in range(len(ys))]
+        parts = [measure(0, len(ys))]
 
-    grid = tuple(entry for row in rows for entry in row)
+    grid = tuple(entry for part in parts for entry in part)
     sup = max(entry[2] for entry in grid)
     best = next(entry for entry in grid if entry[2] == sup)
     elapsed = time.perf_counter() - start

@@ -97,6 +97,11 @@ def test_scan_writes_per_height_files_and_fits(tmp_path, capsys):
     assert "fitted exponent" in text
 
 
+def test_scan_rejects_fewer_than_one_thread(capsys):
+    assert run(["scan", "--level1", "--t0", "10", "--threads", "0"]) == 2
+    assert "threads must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_scan_fit_needs_three_heights(tmp_path, capsys):
     assert run(["scan", "--level1", "--t0", "8,16", "--xsteps", "4",
                 "--fit", "--out", str(tmp_path / "s")]) == 2

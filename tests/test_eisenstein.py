@@ -149,6 +149,32 @@ def test_functional_equation_spot_checks():
             assert functional_equation_residual(params, x, y, eps=1e-8) < 1e-6
 
 
+def test_functional_equation_residual_shares_one_bessel_row(monkeypatch):
+    """One Bessel row serves both sides, and the residual is bit for bit the
+    one from two separate evaluate calls."""
+    from eisenkit import eisenstein
+
+    calls = []
+    real = eisenstein.bessel_k_row
+
+    def counted(order, xs):
+        calls.append(order)
+        return real(order, xs)
+
+    monkeypatch.setattr(eisenstein, "bessel_k_row", counted)
+    pairs = ((CHI3, CHI4), (CHI5, CHI5P), (CHI1, CHI4))
+    for (chi1, chi2), t0 in zip(pairs, (10.0, 5.0, 7.5)):
+        params = EisensteinParams(chi1, chi2, t0)
+        c = scattering_constant(params).scattering
+        for x, y in ((0.0, 1.0), (0.37, 0.62), (-0.41, 2.8)):
+            del calls[:]
+            r = functional_equation_residual(params, x, y, eps=1e-8)
+            assert len(calls) == 1
+            e = evaluate(params, x, y, 1e-8, y_min=0.0)
+            e_star = evaluate(params.dual(), x, y, 1e-8, y_min=0.0)
+            assert r == abs(e - c * e_star) / (1.0 + abs(e) + abs(e_star))
+
+
 def test_level_one_translation_invariance():
     params = EisensteinParams(CHI1, CHI1, 5.0)
     for x, y in ((0.13, 0.9), (0.48, 1.7)):

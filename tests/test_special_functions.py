@@ -40,8 +40,11 @@ def test_half_integer_closed_form():
 
 
 def test_order_sign_symmetry():
-    """K_nu = K_-nu exactly: the functional-equation residual evaluates the
-    two sides with separate rows and relies on them agreeing bit for bit."""
+    """K_nu = K_-nu exactly: the functional-equation residual computes one
+    row at s and uses it for the dual side at -s too, which gives the residual
+    of two separate evaluations only because the two rows are equal value for
+    value.  (On the unitary axis the zero imaginary parts differ in sign,
+    which no sum or modulus downstream can see.)"""
     xs = np.geomspace(0.05, 300.0, 50)
     for nu in (0.3 + 4j, 1.5 - 20j, 2j, -7.5j, 3 + 150j):
         assert np.array_equal(bessel_k_row(nu, xs), bessel_k_row(-nu, xs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eisenkit.characters import build_character
@@ -72,9 +73,23 @@ def test_scan_floor_and_height_guards():
         scan(LEVEL1, 12.0, eps=0.0)
 
 
+def test_scan_rejects_fewer_than_one_thread(monkeypatch):
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match=f"got {threads}"):
+            scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,), threads=threads)
+    monkeypatch.setenv("EISENKIT_THREADS", "0")
+    with pytest.raises(ValueError, match="got 0"):
+        scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,))
+
+
 def test_scan_aborts_outside_the_bessel_envelope():
     with pytest.raises(ScanAbortedError, match=r"after 0 of 2 rows"):
         scan(LEVEL1, 250.0, x_steps=4, y_grid=(0.5, 0.7))
+    # the first two rows are in the envelope; the batched Bessel call fails
+    # as a whole, and the message still names the failing row
+    for threads in (1, 3):
+        with pytest.raises(ScanAbortedError, match=r"at y = 150 after 2 of 3 rows"):
+            scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5, 0.7, 150.0), threads=threads)
     assert issubclass(ScanAbortedError, NumericsError)
 
 
@@ -133,11 +148,37 @@ def test_exponent_fit_needs_three_reports_and_one_family():
 
 
 def test_scan_matches_direct_evaluation():
-    """The reported |F| agrees with evaluating the truncated series directly."""
+    """The reported |F| is exactly |evaluate_truncated| at the same point."""
     from eisenkit.eisenstein import evaluate_truncated
 
     report = scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.6, 1.4), eps=1e-8)
     here = EisensteinParams(CHI1, CHI1, 12.0)
     for x, y, val in report.grid:
-        direct = abs(evaluate_truncated(here, x, y, eps=1e-8))
-        assert abs(val - direct) < 1e-9 * max(1.0, direct)
+        assert val == float(np.abs(evaluate_truncated(here, x, y, eps=1e-8)))
+
+
+def test_scan_does_not_depend_on_the_thread_count():
+    """Seven rows split unevenly over 2, 3 and 4 threads give the same grid."""
+    y_grid = geometric_grid(0.4, 2.5, ratio=1.35)
+    assert len(y_grid) == 7
+    reports = [scan(LEVEL1, 14.0, x_steps=5, y_grid=y_grid, threads=n) for n in (1, 2, 3, 4)]
+    for rep in reports[1:]:
+        assert rep.grid == reports[0].grid
+        assert rep.metadata["modes"] == reports[0].metadata["modes"]
+
+
+def test_scan_batches_its_bessel_rows(monkeypatch):
+    from eisenkit import eisenstein
+
+    calls = []
+    real = eisenstein.bessel_k_row
+
+    def counted(order, xs):
+        calls.append(len(xs))
+        return real(order, xs)
+
+    monkeypatch.setattr(eisenstein, "bessel_k_row", counted)
+    report = scan(LEVEL1, 20.0, x_steps=4)
+    rows = report.metadata["y_points"]
+    assert 0 < len(calls) < rows
+    assert sum(calls) == sum(report.metadata["modes"])
