@@ -9,6 +9,9 @@
     eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, every grid entry
     (x, y, |F|) and the truncation length of every row;
   * the benchmark's 160 functional-equation residuals for seeds 7 and 8;
+  * coefficient_prefactor, lambda_ratio (at s and the quotient character)
+    and scattering_constant (c(s) and its ramified product) for the
+    benchmark's FE-matrix parameter sets and their duals;
   * bessel_k_row over a fixed, seeded set of orders, each with a row of
     arguments spread log-uniformly over [1e-3, 700].
 
@@ -31,7 +34,13 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from eisenkit.characters import build_character  # noqa: E402
-from eisenkit.eisenstein import EisensteinParams, functional_equation_residual  # noqa: E402
+from eisenkit.eisenstein import (  # noqa: E402
+    EisensteinParams,
+    coefficient_prefactor,
+    functional_equation_residual,
+    scattering_constant,
+)
+from eisenkit.lfunctions import lambda_ratio  # noqa: E402
 from eisenkit.special_functions import bessel_k_row  # noqa: E402
 from eisenkit.supnorm import scan  # noqa: E402
 from workloads import FEMatrix, ScanLadder  # noqa: E402
@@ -64,6 +73,15 @@ def dump(path: str) -> None:
         arrays[f"fe_seed{seed}"] = np.array(
             [functional_equation_residual(p, x, y, eps=FEMatrix.EPS) for p, x, y in cases])
 
+    series = [EisensteinParams(build_character(*a), build_character(*b), t0)
+              for a, b in FEMatrix.PAIRS for t0 in FEMatrix.HEIGHTS]
+    series += [p.dual() for p in series]
+    arrays["const_prefactor"] = np.array([coefficient_prefactor(p) for p in series])
+    arrays["const_lambda_ratio"] = np.array([lambda_ratio(p.s, p.quotient_character) for p in series])
+    data = [scattering_constant(p) for p in series]
+    arrays["const_scattering"] = np.array([d.scattering for d in data])
+    arrays["const_ramified"] = np.array([d.ramified_product for d in data])
+
     orders, xs = _bessel_cases()
     arrays["bessel_orders"] = orders
     arrays["bessel_values"] = np.concatenate([bessel_k_row(nu, row) for nu, row in zip(orders, xs)])
@@ -71,6 +89,7 @@ def dump(path: str) -> None:
     np.savez_compressed(path, **arrays)
     print(f"{path}: {len(ScanLadder.HEIGHTS)} scans, "
           f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals, "
+          f"constants of {len(series)} series, "
           f"{orders.size * BESSEL_ARGS} Bessel values")
 
 

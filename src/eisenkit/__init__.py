@@ -29,7 +29,6 @@ from eisenkit.special_functions import (
 )
 from eisenkit.lfunctions import (
     LineZeroError,
-    LValueRequest,
     completed_lambda,
     dirichlet_l,
     lambda_ratio,
@@ -73,7 +72,6 @@ __all__ = [
     "ConstantTermData",
     "DirichletCharacter",
     "EisensteinParams",
-    "LValueRequest",
     "LineZeroError",
     "LocalEpsilonData",
     "NumericEnvelopeError",

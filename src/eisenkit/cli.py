@@ -37,7 +37,7 @@ from eisenkit.eisenstein import (
     functional_equation_residual,
     scattering_constant,
 )
-from eisenkit.lfunctions import LValueRequest, completed_lambda, dirichlet_l
+from eisenkit.lfunctions import completed_lambda, dirichlet_l
 from eisenkit.special_functions import BesselRequest, NumericsError, bessel_k
 from eisenkit.supnorm import exponent_fit, load_report, scan, theorem_reference
 
@@ -115,9 +115,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--config", help="flat key = value manifest supplying flag defaults")
     sub.add_argument("--out", help="output file (default: print to stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap, at least 1 (default: EISENKIT_THREADS or 1)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for randomized point draws")
 
 
 def _pair(sub, required: bool = True) -> None:
@@ -154,6 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ymin", type=_finite, default=0.5)
     sub.add_argument("--ymax", type=_finite, default=3.0)
     sub.add_argument("--eps", type=_finite, default=1e-8)
+    sub.add_argument("--seed", type=int, default=None, help="seed for randomized point draws")
     _add_common(sub)
 
     sub = subs.add_parser("amp", help="amplifier sums and the asymptotic ratio")
@@ -173,14 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--xsteps", type=int, default=64)
     sub.add_argument("--eps", type=_finite, default=1e-8)
     sub.add_argument("--fit", action="store_true", help="fit log(sup) against log(T)")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="worker cap, at least 1 (default: EISENKIT_THREADS or 1)")
     _add_common(sub)
 
     sub = subs.add_parser("bessel", help="one K-Bessel value")
     sub.add_argument("--sigma", type=_finite, default=0.0, help="real part of the order")
     sub.add_argument("--t", type=_finite, required=True, help="imaginary part of the order")
     sub.add_argument("--x", type=_finite, required=True)
-    sub.add_argument("--target", type=_finite, default=1e-12,
-                     help="relative accuracy needed, at least 1e-12")
     _add_common(sub)
 
     sub = subs.add_parser("lfunc", help="one Dirichlet L-value")
@@ -319,10 +317,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
-    req = BesselRequest(complex(args.sigma, args.t), args.x, args.target)
-    value = bessel_k(req)
+    value = bessel_k(BesselRequest(complex(args.sigma, args.t), args.x))
     payload = {"schema": "eisenkit-bessel-v1",
-               "order": [args.sigma, args.t], "x": args.x, "target": args.target,
+               "order": [args.sigma, args.t], "x": args.x,
                "value": [value.real, value.imag]}
     _emit(args, payload, None)
     print(f"K_({args.sigma:g}{args.t:+g}j)({args.x:g}) = {value:.12g}")
@@ -330,8 +327,7 @@ def _cmd_bessel(args) -> int:
 
 
 def _cmd_lfunc(args) -> int:
-    req = LValueRequest(args.s, args.chi)
-    value = completed_lambda(req) if args.completed else dirichlet_l(req)
+    value = (completed_lambda if args.completed else dirichlet_l)(args.s, args.chi)
     payload = {"schema": "eisenkit-lfunc-v1",
                "modulus": args.chi.modulus, "s": [args.s.real, args.s.imag],
                "completed": args.completed, "value": [value.real, value.imag]}
@@ -432,7 +428,7 @@ def _selftest_checks():
         return worst < 1e-10, f"max defect {worst:.2e}"
 
     def leibniz():
-        value = dirichlet_l(LValueRequest(1.0, build_character(4, 1)))
+        value = dirichlet_l(1.0, build_character(4, 1))
         dev = abs(value - math.pi / 4)
         return dev < 1e-12, f"|L(1) - pi/4| = {dev:.2e}"
 

@@ -47,7 +47,7 @@ from eisenkit.characters import (
     prime_to_p_part,
     primitive_part,
 )
-from eisenkit.lfunctions import LValueRequest, dirichlet_l, lambda_ratio, parity_exponent
+from eisenkit.lfunctions import dirichlet_l, lambda_ratio, parity_exponent
 from eisenkit.special_functions import (
     PoleError,
     bessel_k_row,
@@ -88,7 +88,6 @@ class EisensteinParams:
     t_shift: float
     sigma: float = 0.0          # off-axis diagnostics only; acceptance runs keep 0
     level: int = field(init=False, compare=False)
-    central_modulus: int = field(init=False, compare=False)
     l_modulus: int = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -98,8 +97,6 @@ class EisensteinParams:
             if conductor(chi) != chi.modulus:
                 raise ValueError(f"characters must be primitive; {chi} has conductor {conductor(chi)}")
         object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
-        object.__setattr__(self, "central_modulus",
-                           conductor(multiply(self.chi1, self.chi2)))
         object.__setattr__(self, "l_modulus", self.quotient_character.modulus)
 
     @property
@@ -229,7 +226,7 @@ def _b_ramified(params: EisensteinParams) -> complex:
 def coefficient_prefactor(params: EisensteinParams) -> complex:
     """Global prefactor of the Whittaker expansion: b_r(s) / L(2s+1, psi)."""
     psi = params.quotient_character
-    lvalue = dirichlet_l(LValueRequest(2 * params.s + 1, psi))
+    lvalue = dirichlet_l(2 * params.s + 1, psi)
     return _b_ramified(params) / lvalue
 
 
@@ -288,6 +285,10 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+# the expansion floor: evaluate takes y >= _Y_FLOOR, and a scan's y-grid starts there
+_Y_FLOOR = 0.3
+
 
 def _archimedean_constant(params: EisensteinParams) -> complex:
     """The real-place Whittaker normalization 2 / Gamma_R(2s + 1 + a).
@@ -364,20 +365,18 @@ def _series_value(params: EisensteinParams, x: float, y: float, m: int,
     return complex(_fourier_row(params, _coefficients(params, m), bessel[:m], [x], y)[0])
 
 
-def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float,
-                       y_min: float = 0.3) -> complex:
-    """F(s; x, y): the series with both constant terms removed."""
-    if y < y_min:
-        raise ValueError(f"y = {y} below the expansion floor y_min = {y_min}")
+def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
+    """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
+    if y < _Y_FLOOR:
+        raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     m = _truncation(params, y, eps)
     bessel, = _bessel_rows(params.s, [y], [m])
     return _series_value(params, x, y, m, bessel)
 
 
-def evaluate(params: EisensteinParams, x: float, y: float, eps: float,
-             y_min: float = 0.3) -> complex:
+def evaluate(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
     """E(s; x, y) on the cusp-infinity chart, truncation error below eps."""
-    return evaluate_truncated(params, x, y, eps, y_min) + _constant_terms(params, y)
+    return evaluate_truncated(params, x, y, eps) + _constant_terms(params, y)
 
 
 def _constant_terms(params: EisensteinParams, y: float) -> complex:

@@ -23,7 +23,10 @@ The error floor is the phase t log n of each term, held to double precision:
 about 1e-16 |t| log n.  The supported envelope is q <= 1e4, |Im s| <= 1e3
 and -1/2 <= Re s <= 1e3.  Left of Re s = -1/2 the terms n^{-s} outgrow the
 value they sum to, and digits cancel: at Re s = -1 and q = 1000 only about
-nine are left.
+nine are left.  The envelope is checked in one place, the sum itself, which
+dirichlet_l, completed_lambda and lambda_ratio all call: a non-finite s
+raises ValueError, and a point or modulus outside it NumericEnvelopeError.
+So lambda_ratio's window, |Im s| <= 500, is the same check at 2s.
 
 The completed form Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)
 and the ratio Lambda(2s, chi)/Lambda(2s+1, chi) are assembled in log space,
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from eisenkit.special_functions import (
 )
 
 __all__ = [
-    "LValueRequest",
     "LineZeroError",
     "completed_lambda",
     "dirichlet_l",
@@ -67,29 +68,23 @@ class LineZeroError(NumericsError):
     """|L| vanished where the 1-line lower bound forbids it; numerics bug."""
 
 
-@dataclass(frozen=True)
-class LValueRequest:
-    s: complex
-    character: DirichletCharacter
-
-    def __post_init__(self):
-        if not cmath.isfinite(complex(self.s)):
-            raise ValueError(f"s must be finite, got {self.s}")
-        if abs(complex(self.s).imag) > _IM_WINDOW:
-            raise NumericEnvelopeError(f"|Im s| = {abs(complex(self.s).imag)} outside the supported window {_IM_WINDOW}")
-        if self.character.modulus > _Q_WINDOW:
-            raise NumericEnvelopeError(f"modulus {self.character.modulus} outside the supported window {_Q_WINDOW}")
-
-
 def parity_exponent(chi: DirichletCharacter) -> int:
     """0 for even characters, 1 for odd: the shift in the Gamma completion."""
     return 0 if chi.parity == 1 else 1
 
 
 def _l_value(s: complex, chi: DirichletCharacter) -> complex:
-    """L(s, chi) by Hurwitz-Euler-Maclaurin in float64 (see the module docstring)."""
+    """L(s, chi) by Hurwitz-Euler-Maclaurin in float64, inside the envelope
+    (see the module docstring)."""
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    if abs(s.imag) > _IM_WINDOW:
+        raise NumericEnvelopeError(f"|Im s| = {abs(s.imag)} outside the supported window {_IM_WINDOW}")
     if not _RE_WINDOW[0] <= s.real <= _RE_WINDOW[1]:
         raise NumericEnvelopeError(f"Re s = {s.real} outside the supported window {list(_RE_WINDOW)}")
+    if chi.modulus > _Q_WINDOW:
+        raise NumericEnvelopeError(f"modulus {chi.modulus} outside the supported window {_Q_WINDOW}")
     if chi.is_principal and abs(s - 1) < 1e-8:
         raise PoleError(f"principal-character L has a pole at s=1; input is {abs(s - 1):.2e} away")
     q = chi.modulus
@@ -122,9 +117,9 @@ def _l_value(s: complex, chi: DirichletCharacter) -> complex:
     return complex(total)
 
 
-def dirichlet_l(req: LValueRequest) -> complex:
+def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     """L(s, chi); rejects the pole of the principal-character case."""
-    return _l_value(complex(req.s), req.character)
+    return _l_value(s, chi)
 
 
 def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
@@ -145,12 +140,12 @@ def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
     return half * math.log(q) + log_gamma_factor("real-place", s + a) + cmath.log(lval)
 
 
-def completed_lambda(req: LValueRequest) -> complex:
+def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
     """Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi), for primitive chi."""
-    if conductor(req.character) != req.character.modulus:
+    if conductor(chi) != chi.modulus:
         raise ValueError("completed_lambda requires a primitive character")
-    s = complex(req.s)
-    return cmath.exp(_log_lambda(s, req.character, _l_value(s, req.character)))
+    s = complex(s)
+    return cmath.exp(_log_lambda(s, chi, _l_value(s, chi)))
 
 
 def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
@@ -164,8 +159,6 @@ def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
     s = complex(s)
     if conductor(chi) != chi.modulus:
         raise ValueError("lambda_ratio requires a primitive character")
-    if abs(s.imag) > 500:
-        raise NumericEnvelopeError(f"|Im s| = {abs(s.imag)} outside the supported window 500")
     on_line = _l_value(2 * s + 1, chi)
     if abs(on_line) < 1e-12:
         raise LineZeroError(

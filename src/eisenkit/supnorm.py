@@ -29,6 +29,7 @@ import numpy as np
 
 from eisenkit.characters import build_character, character_index
 from eisenkit.eisenstein import (
+    _Y_FLOOR,
     EisensteinParams,
     _bessel_rows,
     _coefficients,
@@ -48,7 +49,6 @@ __all__ = [
     "theorem_reference",
 ]
 
-_Y_FLOOR = 0.3
 _SCHEMA = "eisenkit-scan-v1"
 
 

@@ -25,7 +25,7 @@ from eisenkit.characters import (
     value_table,
 )
 from eisenkit.eisenstein import EisensteinParams, scattering_constant
-from eisenkit.lfunctions import LValueRequest, dirichlet_l
+from eisenkit.lfunctions import dirichlet_l
 
 
 def test_group_sizes_match_euler_phi():
@@ -86,7 +86,7 @@ def test_evaluation_builds_no_fraction(monkeypatch):
     value_table(build_character(45, 11))
     gauss_sum(prim)
     gauss_sum_moduli_squared(45)
-    dirichlet_l(LValueRequest(0.5 + 2j, prim))
+    dirichlet_l(0.5 + 2j, prim)
     conductor(chi)
     multiply(build_character(8, 3), build_character(32, 5))
     primitive_part(build_character(64, 6))

@@ -150,10 +150,23 @@ def test_non_finite_inputs_are_validation_errors(capsys, argv):
     assert "not a finite number" in capsys.readouterr().err
 
 
-def test_bessel_target_below_the_route_accuracy(capsys):
-    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-13"]) == 2
-    assert "target_error" in capsys.readouterr().err
-    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-8"]) == 0
+def test_flags_exist_only_where_they_act(tmp_path, capsys):
+    """--threads belongs to scan and --seed to fecheck; elsewhere each is an
+    unknown flag, from the command line or from a config file."""
+    assert run(["eval", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5",
+                "--y", "1.3", "--threads", "2"]) == 2
+    assert run(["scan", "--level1", "--t0", "8", "--seed", "1"]) == 2
+    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-8"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chi1 = 1:0\nchi2 = 4:1\nt0 = 5\ny = 0.9\nthreads = 2\n")
+    assert run(["eval", "--config", str(cfg)]) == 2
+    assert run(["fecheck", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5",
+                "--points", "2", "--seed", "3"]) == 0
+
+
+def test_scatter_outside_the_l_envelope_exits_3(capsys):
+    assert run(["scatter", "--chi1", "10007:1", "--chi2", "1:0", "--t0", "2"]) == 3
+    assert "modulus 10007 outside" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

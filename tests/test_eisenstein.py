@@ -126,8 +126,7 @@ def test_dual_is_built_once_per_series():
         dual = params.dual()
         assert dual is params.dual()
         assert (dual.chi1, dual.chi2, dual.t_shift, dual.sigma) == (chi2, chi1, -t0, -sigma)
-        assert (dual.level, dual.central_modulus, dual.l_modulus) == (
-            params.level, params.central_modulus, params.l_modulus)
+        assert (dual.level, dual.l_modulus) == (params.level, params.l_modulus)
         assert dual == EisensteinParams(chi2, chi1, -t0, -sigma)
 
 
@@ -170,8 +169,8 @@ def test_functional_equation_residual_shares_one_bessel_row(monkeypatch):
             del calls[:]
             r = functional_equation_residual(params, x, y, eps=1e-8)
             assert len(calls) == 1
-            e = evaluate(params, x, y, 1e-8, y_min=0.0)
-            e_star = evaluate(params.dual(), x, y, 1e-8, y_min=0.0)
+            e = evaluate(params, x, y, 1e-8)
+            e_star = evaluate(params.dual(), x, y, 1e-8)
             assert r == abs(e - c * e_star) / (1.0 + abs(e) + abs(e_star))
 
 

@@ -12,9 +12,8 @@ import pytest
 from oracles import direct_dirichlet_sum, euler_product_l, leibniz_pi_over_four
 from eisenkit import lfunctions
 from eisenkit.characters import build_character
-from eisenkit.eisenstein import EisensteinParams, functional_equation_residual
+from eisenkit.eisenstein import EisensteinParams, functional_equation_residual, scattering_constant
 from eisenkit.lfunctions import (
-    LValueRequest,
     completed_lambda,
     dirichlet_l,
     lambda_ratio,
@@ -32,20 +31,20 @@ CHI5 = build_character(5, 1)
 def test_against_direct_series_in_the_absolute_range():
     for chi in (CHI3, CHI4, CHI5):
         for s in (2.0 + 0j, 2.0 + 0.3j, 3.5 - 1.0j, 40.0 + 7.0j):
-            got = dirichlet_l(LValueRequest(s=s, character=chi))
+            got = dirichlet_l(s, chi)
             ref = direct_dirichlet_sum(s, chi, 200000)
             assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 def test_against_euler_product():
-    got = dirichlet_l(LValueRequest(s=2.5, character=CHI4))
+    got = dirichlet_l(2.5, CHI4)
     ref = euler_product_l(2.5, CHI4, 10 ** 6)
     assert abs(got - ref) <= 1e-8 * abs(ref)
 
 
 def test_leibniz_value_at_one():
     """L(1, chi mod 4) = pi/4, reached here by series acceleration."""
-    got = dirichlet_l(LValueRequest(s=1.0, character=CHI4))
+    got = dirichlet_l(1.0, CHI4)
     ref = leibniz_pi_over_four(16, 64)
     assert abs(got.real - ref) < 1e-12
     assert abs(got.imag) < 1e-14
@@ -54,14 +53,14 @@ def test_leibniz_value_at_one():
 
 def test_riemann_zeta_at_two():
     principal = build_character(1, 0)
-    got = dirichlet_l(LValueRequest(s=2.0, character=principal))
+    got = dirichlet_l(2.0, principal)
     assert abs(got.real - math.pi ** 2 / 6) < 1e-12
 
 
 def test_principal_pole_is_reported():
     principal = build_character(1, 0)
     with pytest.raises(PoleError):
-        dirichlet_l(LValueRequest(s=1.0, character=principal))
+        dirichlet_l(1.0, principal)
 
 
 def test_parity_exponent():
@@ -83,15 +82,31 @@ def test_lambda_ratio_rejects_imprimitive_and_far_heights():
     with pytest.raises(ValueError):
         lambda_ratio(1j, imprimitive)
     with pytest.raises(ValueError):
-        completed_lambda(LValueRequest(s=2.0, character=imprimitive))
+        completed_lambda(2.0, imprimitive)
     with pytest.raises(NumericEnvelopeError):
         lambda_ratio(600j, CHI4)
+    # the window |Im s| <= 500 is the L-value's |Im 2s| <= 1e3, edge included
+    assert abs(abs(lambda_ratio(500j, CHI4)) - 1.0) < 1e-10
+    with pytest.raises(NumericEnvelopeError):
+        lambda_ratio(500.001j, CHI4)
+
+
+def test_modulus_window_holds_on_every_path():
+    """q > 1e4 is outside the envelope whichever function reaches the
+    L-value: the Lambda ratio and the scattering constant included."""
+    chi = build_character(10007, 1)
+    with pytest.raises(NumericEnvelopeError):
+        dirichlet_l(2.0, chi)
+    with pytest.raises(NumericEnvelopeError):
+        lambda_ratio(2j, chi)
+    with pytest.raises(NumericEnvelopeError):
+        scattering_constant(EisensteinParams(chi, build_character(1, 0), 2.0))
 
 
 def test_non_finite_point_is_rejected():
     for s in (math.nan, complex(1.0, math.inf), complex(math.nan, 2.0)):
         with pytest.raises(ValueError):
-            LValueRequest(s=s, character=CHI4)
+            dirichlet_l(s, CHI4)
 
 
 def test_completed_lambda_functional_equation():
@@ -103,8 +118,8 @@ def test_completed_lambda_functional_equation():
         a = parity_exponent(chi)
         eps = gauss_sum(chi) / ((1j ** a) * math.sqrt(q))
         for s in (0.3 + 2j, 0.5 + 5j):
-            lhs = completed_lambda(LValueRequest(s=1 - s, character=conjugate(chi)))
-            rhs = completed_lambda(LValueRequest(s=s, character=chi))
+            lhs = completed_lambda(1 - s, conjugate(chi))
+            rhs = completed_lambda(s, chi)
             assert abs(lhs - eps.conjugate() * rhs) <= 1e-10 * abs(rhs)
 
 
@@ -118,7 +133,7 @@ def test_against_the_frozen_hurwitz_oracle_over_the_envelope():
     worst = 0.0
     for q, index, re_s, im_s, re_l, im_l in fixture["entries"]:
         ref = complex(re_l, im_l)
-        got = dirichlet_l(LValueRequest(complex(re_s, im_s), build_character(q, index)))
+        got = dirichlet_l(complex(re_s, im_s), build_character(q, index))
         worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     assert worst <= 1e-10, f"worst relative error {worst:.3e}"
 
@@ -126,7 +141,7 @@ def test_against_the_frozen_hurwitz_oracle_over_the_envelope():
 def test_rejects_real_parts_outside_the_envelope():
     for s in (-0.6 + 3j, -2.0, 1000.5):
         with pytest.raises(NumericEnvelopeError):
-            dirichlet_l(LValueRequest(s=s, character=CHI4))
+            dirichlet_l(s, CHI4)
     with pytest.raises(NumericEnvelopeError):
         lambda_ratio(-0.3 + 1j, CHI4)
 
@@ -141,10 +156,10 @@ def test_l_function_path_calls_no_mpmath(monkeypatch):
 
     for name in ("zeta", "loggamma", "digamma", "workdps"):
         monkeypatch.setattr(mpmath, name, forbidden)
-    dirichlet_l(LValueRequest(0.5 + 3.1j, CHI5))
-    dirichlet_l(LValueRequest(1.0, CHI3))
-    dirichlet_l(LValueRequest(2.0 + 0.7j, build_character(1, 0)))
-    completed_lambda(LValueRequest(0.3 + 2.9j, CHI4))
+    dirichlet_l(0.5 + 3.1j, CHI5)
+    dirichlet_l(1.0, CHI3)
+    dirichlet_l(2.0 + 0.7j, build_character(1, 0))
+    completed_lambda(0.3 + 2.9j, CHI4)
     lambda_ratio(4.3j, CHI5)
     gamma_factor("real-place", 1.0 + 8.6j)
     params = EisensteinParams(CHI3, CHI4, 3.7)

@@ -92,6 +92,9 @@ def test_envelope_rejections():
         bessel_k(BesselRequest(order=250j, argument=1.0))
     with pytest.raises(NumericEnvelopeError):
         bessel_k(BesselRequest(order=12.0, argument=1.0))
+    for order in (300j, 2e4j):
+        with pytest.raises(NumericEnvelopeError):
+            bessel_k(BesselRequest(order=order, argument=1.0))
 
 
 def _envelope_grid():
@@ -152,28 +155,27 @@ def test_row_matches_scalar_bit_for_bit():
 
 
 def test_row_rejects_inputs_outside_the_envelope():
+    """Valid arguments outside the envelope are a numerics error; non-finite
+    input and x <= 0 are no K-Bessel argument at all."""
     for order, xs in ((0.0, [1.0, 1e-9]), (0.0, [2.0, 800.0]), (250j, [1.0]),
-                      (-12.0, [1.0]), (0.0, [0.0])):
+                      (-12.0, [1.0])):
         with pytest.raises(NumericEnvelopeError):
             bessel_k_row(order, xs)
-    with pytest.raises(ValueError):
-        bessel_k_row(complex(math.nan, 1.0), [1.0])
-    with pytest.raises(ValueError):
-        bessel_k_row(3j, [1.0, math.inf])
+    for order, xs in ((complex(math.nan, 1.0), [1.0]), (3j, [1.0, math.inf]), (0.0, [0.0]),
+                      (1j, [0.0]), (1j, [-1.0]), (1j, [2.0, -1.0])):
+        with pytest.raises(ValueError):
+            bessel_k_row(order, xs)
     assert bessel_k_row(3j, []).shape == (0,)
 
 
 def test_request_contract():
-    """Non-finite inputs and accuracy below the route's 1e-12 are rejected."""
+    """A request carries only the order and the argument; bessel_k rejects
+    non-finite or non-positive input as bessel_k_row does."""
     for order, x in ((complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0),
-                     (1j, math.nan), (1j, math.inf)):
+                     (1j, math.nan), (1j, math.inf), (1j, 0.0), (1j, -2.0)):
         with pytest.raises(ValueError):
-            BesselRequest(order=order, argument=x)
-    for target in (1e-13, 1e-14, math.nan):
-        with pytest.raises(ValueError):
-            BesselRequest(order=1j, argument=1.0, target_error=target)
-    loose = bessel_k(BesselRequest(order=5j, argument=2.0, target_error=1e-6))
-    assert loose == bessel_k(BesselRequest(order=5j, argument=2.0))
+            bessel_k(BesselRequest(order=order, argument=x))
+    assert bessel_k(BesselRequest(order=5j, argument=2.0)) == bessel_k_row(5j, [2.0])[0]
 
 
 # ------------------------------------------------------------------
