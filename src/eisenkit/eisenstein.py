@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -49,9 +50,10 @@ from eisenkit.characters import (
 )
 from eisenkit.lfunctions import dirichlet_l, lambda_ratio, parity_exponent
 from eisenkit.special_functions import (
+    NumericEnvelopeError,
     PoleError,
     bessel_k_row,
-    gamma_factor,
+    log_gamma_factor,
     whittaker_tail_cutoff,
 )
 
@@ -288,6 +290,8 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 
 # the expansion floor: evaluate takes y >= _Y_FLOOR, and a scan's y-grid starts there
 _Y_FLOOR = 0.3
+# log of the smallest normal double: a Gamma factor below it has lost its digits
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _archimedean_constant(params: EisensteinParams) -> complex:
@@ -298,7 +302,12 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     functional equation would force a non-elementary Gamma ratio into c(s).
     """
     a = parity_exponent(params.quotient_character)
-    return 2.0 / gamma_factor("real-place", 2 * params.s + 1 + a)
+    log_gamma = log_gamma_factor("real-place", 2 * params.s + 1 + a)
+    if log_gamma.real < _LOG_TINY:
+        raise NumericEnvelopeError(
+            f"unsupported regime: Gamma_R(2s + 1 + a) = exp({log_gamma.real:.1f}) underflows "
+            f"double precision at s = {params.s}")
+    return 2.0 / cmath.exp(log_gamma)
 
 
 @lru_cache(maxsize=256)
@@ -317,14 +326,13 @@ def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
     """The number of modes that keeps the dropped tail of F at height y below eps."""
     # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
     # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
-    # outer scale and the cosine's factor 2
-    if not (0 < y < math.inf and 0 < eps < math.inf):
-        raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
-    scale = abs(_outer_scale(params)) * math.sqrt(y)
+    # outer scale and the cosine's factor 2.  A y or an eps that is not
+    # positive and finite leaves no usable budget, so one check covers all three.
+    scale = abs(_outer_scale(params)) * (math.sqrt(y) if y > 0 else math.nan)
     budget = eps / (4.6 * max(scale, 1e-300))
     if not 0 < budget < math.inf:
-        raise ValueError(f"eps = {eps} is out of range for this series at y = {y}: "
-                         f"its tail budget eps / (4.6 |P(s)| sqrt(y)) is {budget}")
+        raise ValueError(f"y = {y} and eps = {eps} leave this series no tail budget: "
+                         f"eps / (4.6 |P(s)| sqrt(y)) is {budget}")
     return whittaker_tail_cutoff(params.t_shift, y, budget)
 
 
@@ -397,7 +405,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     Bessel row, K_s(2 pi n y) up to the longer of their two truncations.
     That is exact, not an approximation: K is even in its order and
     bessel_k_row computes K_s and K_-s as equal floats (on the unitary axis
-    their zero imaginary parts differ only in sign), so the residual equals
+    equal byte for byte, zero imaginary parts included), so the residual equals
     the one from two separate evaluate calls bit for bit and isolates the
     arithmetic constants rather than quadrature noise.
     """

@@ -126,8 +126,9 @@ def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
     """log Lambda(s, chi) from lval = L(s, chi)."""
     a = parity_exponent(chi)
     q = chi.modulus
-    if chi.is_principal and (abs(s) < 1e-8 or abs(s - 1) < 1e-8):
-        raise PoleError(f"completed zeta has poles at 0 and 1; input {s} is within 1e-8 of one")
+    # the pole at s = 1 is _l_value's, which every caller computes first
+    if chi.is_principal and abs(s) < 1e-8:
+        raise PoleError(f"completed zeta has a pole at 0; input {s} is within 1e-8 of it")
     half = (s + a) / 2
     # Gamma((s+a)/2) poles at nonpositive integers; for non-principal chi these
     # are cancelled by trivial zeros of L, but the product form used here

@@ -1,22 +1,45 @@
 """Complex-order K-Bessel values, Gamma factors, the amplifier bump weight,
 and Fourier-tail truncation cutoffs.
 
-K-Bessel values come from one float64 route.  With w = u + i theta,
+K-Bessel values come from float64 quadrature along one of two contours for
 
-    K_nu(x) = 1/2 int exp(-x cosh w + nu w) du,
+    K_nu(x) = 1/2 int exp(-x cosh w + nu w) dw,      w = u + i theta.
 
-taken along the horizontal line Im w = theta.  The line runs at the height
-of the saddle, sinh w = nu / x, held a little below pi/2 where the integrand
-stops decaying.  On that line the integrand never exceeds the answer by more
-than a small factor, so no digits cancel, and the plain trapezoid rule
-converges geometrically: the step charges the integrand's growth on the
-edges of the strip of analyticity around the line (Trefethen and Weideman,
-SIAM Rev. 56, 2014; the contour follows Gil, Segura and Temme, J. Comput.
-Phys. 175, 2002).  A row of arguments is evaluated in vectorized passes
-of at most _PASS arguments each, so one call carries its fixed set-up once
-for a whole batch while its temporaries stay bounded.  Every value has its
-own node set, fixed by the order and its argument, so it is bitwise
-reproducible whatever else is in the row or the pass.
+Saddle contour: nu = it on the unitary axis, x < |t| and |t| >= _SADDLE_FLOOR.
+With s = sqrt(t^2 - x^2) the integrand has its saddle at S = u0 + i pi/2,
+sinh u0 = s / x, where its modulus is exp(-pi |t| / 2).  By the mirror
+symmetry w -> -conj(w), K is the real part of the integral down the
+vertical ray to S, where exp(pi |t| / 2) |integrand| = exp(-|t| (d - sin d))
+at S + i d, and then out along the ray S + rho, rho = r exp(-i pi/6), where
+the integrand is exp(-pi |t| / 2) times its phase at S times
+exp(-i [s (cosh rho - 1) + |t| (sinh rho - rho)]).  Each piece gets a
+64-point Gauss-Legendre rule and ends where its factor at s = 0 falls to
+exp(-_SADDLE_LOG); a positive s only adds decay.  So the nodes and every
+factor that does not involve s depend on |t| alone: one table per |t| serves
+a whole row, and a value costs 128 nodes at any height.  The sum is taken
+for exp(pi |t| / 2) K, and that scale is undone once at the end.  The floor
+is the height at which the ray reaches its length just where it crosses
+the real axis; lower, it runs on into the lower half of the strip
+|Im w| < pi / 2, where its phase turns faster than 64 nodes resolve (Gil,
+Segura and Temme, ACM TOMS 30, 2004; N. M. Temme, Asymptotic Methods for
+Integrals, 2015).
+
+Line contour: every other value, that is Re nu != 0, |t| below the floor,
+or x >= |t|.  The integral runs along the horizontal line Im w = theta, at
+the height of the saddle, sinh w = nu / x, held a little below pi/2 where
+the integrand stops decaying.  On that line the integrand never exceeds the
+answer by more than a small factor, so no digits cancel, and the plain
+trapezoid rule converges geometrically: the step charges the integrand's
+growth on the edges of the strip of analyticity around the line (Trefethen
+and Weideman, SIAM Rev. 56, 2014; the contour follows Gil, Segura and
+Temme, J. Comput. Phys. 175, 2002).  Past the turning point a value takes
+about 20 nodes; below it the step shrinks like 1 / |t|.
+
+A row of arguments is evaluated in vectorized passes of at most _PASS
+arguments each, so one call carries its fixed set-up once for a whole batch
+while its temporaries stay bounded.  Every value has its own node set, fixed
+by the order and its argument, so it is bitwise reproducible whatever else
+is in the row or the pass.
 """
 
 from __future__ import annotations
@@ -24,7 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath  # noqa: F401  loaded with the package: perfbench/worker.py reads its version
 import numpy as np
@@ -80,7 +103,7 @@ _RE_MAX = 10.0
 _LOG_TOL = 16.0 * math.log(10.0)   # quadrature and truncation error below e^-37 of the peak
 _CAP = 1.0                         # theta stays _CAP/|t| below pi/2: the peak overshoots by e at most
 _BLOCK = 1 << 14                   # nodes per vectorized block, in whole node sets
-_PASS = 128                        # arguments per pass, which bounds the strip search's arrays
+_PASS = 128                        # arguments per pass, which bounds the arrays of a pass
 # candidate strip half-widths, as fractions of the room left to Im w = +-pi/2,
 # for the edge above the line and then for the edge below it
 _STRIP = np.geomspace(0.995, 0.008, 17)
@@ -101,6 +124,72 @@ def _line_peak(sigma: float, t: float, x, theta):
     return sigma * u - b - t * theta, u, a, b
 
 
+# The 64-point Gauss-Legendre rule on [-1, 1]: the positive roots of P_64 and
+# their weights 2 / ((1 - x^2) P_64'(x)^2), correctly rounded from 50-digit
+# Newton steps; the rule is symmetric about 0.
+_GL_NODES = np.array("""
+    0.024350292663424433 0.07299312178779904 0.12146281929612056 0.16964442042399283
+    0.21742364374000708 0.2646871622087674 0.31132287199021097 0.3572201583376681
+    0.4022701579639916 0.4463660172534641 0.48940314570705296 0.5312794640198946
+    0.571895646202634 0.6111553551723933 0.6489654712546573 0.6852363130542333
+    0.7198818501716109 0.7528199072605319 0.7839723589433414 0.8132653151227975
+    0.8406292962525803 0.8659993981540928 0.8893154459951141 0.9105221370785028
+    0.9295691721319396 0.9464113748584028 0.9610087996520538 0.973326827789911
+    0.983336253884626 0.9910133714767443 0.9963401167719553 0.9993050417357722
+""".split(), dtype=float)
+_GL_WEIGHTS = np.array("""
+    0.048690957009139724 0.04857546744150343 0.048344762234802954 0.04799938859645831
+    0.04754016571483031 0.04696818281621002 0.046284796581314416 0.04549162792741814
+    0.044590558163756566 0.04358372452932345 0.04247351512365359 0.04126256324262353
+    0.03995374113272034 0.038550153178615626 0.03705512854024005 0.035472213256882386
+    0.033805161837141606 0.03205792835485155 0.030234657072402478 0.028339672614259483
+    0.02637746971505466 0.024352702568710874 0.022270173808383253 0.02013482315353021
+    0.017951715775697343 0.015726030476024718 0.013463047896718643 0.011168139460131128
+    0.008846759826363947 0.006504457968978363 0.004147033260562468 0.001783280721696433
+""".split(), dtype=float)
+_GL_X = np.concatenate([-_GL_NODES[::-1], _GL_NODES])
+_GL_W = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
+_SADDLE_LOG = _LOG_TOL + 3.0          # each saddle piece ends where its s = 0 factor is e^-L
+_RAY = cmath.exp(-1j * math.pi / 6)   # direction of the descent ray from the saddle
+
+
+def _ray_decay(r: float) -> float:
+    """-log|exp(-i t (sinh rho - rho))| / t at rho = r _RAY: the s = 0 decay
+    along the ray, increasing for r <= pi, where the ray meets the real axis."""
+    rho = r * _RAY
+    return -(cmath.sinh(rho) - rho).imag
+
+
+def _bisect(f, hi: float) -> float:
+    """The root of f on [0, hi] for f increasing, by bisection to the last bit."""
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+_SADDLE_FLOOR = _SADDLE_LOG / _ray_decay(math.pi)    # about 6.58
+
+
+@lru_cache(maxsize=256)
+def _saddle_table(t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents e_k and weights w_k of the saddle contour at height t: the
+    contour integral is exp(-pi t / 2 + i phase) sum_k w_k exp(s e_k), where
+    phase = t u0 - s is the integrand's argument at the saddle."""
+    # vertical ray S + i d: modulus exp(-t (d - sin d)), phase s (1 - cos d)
+    down = _bisect(lambda d: t * (d - math.sin(d)) - _SADDLE_LOG, _SADDLE_LOG / t + 1.0)
+    d = 0.5 * down * (1.0 + _GL_X)
+    # descent ray S + rho: exp(-i [s (cosh rho - 1) + t (sinh rho - rho)])
+    along = _bisect(lambda r: t * _ray_decay(r) - _SADDLE_LOG, math.pi)
+    rho = 0.5 * along * _RAY * (1.0 + _GL_X)
+    exponents = np.concatenate([2j * np.sin(0.5 * d) ** 2, -2j * np.sinh(0.5 * rho) ** 2])
+    weights = np.concatenate([-0.5j * down * _GL_W * np.exp(-t * (d - np.sin(d))),
+                              0.5 * along * _RAY * _GL_W * np.exp(-1j * t * (np.sinh(rho) - rho))])
+    exponents.flags.writeable = weights.flags.writeable = False     # shared through the cache
+    return exponents, weights
+
+
 def bessel_k_row(order: complex, xs) -> np.ndarray:
     """K_order(x) for every x in the sequence ``xs``, as a complex array.
 
@@ -111,30 +200,57 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     non-finite order or argument or an x <= 0, raises ValueError.  A valid
     input outside the envelope raises NumericEnvelopeError ("unsupported
     regime") instead of silently degrading.  Element i equals
-    bessel_k(BesselRequest(order, xs[i])) bit for bit.
+    bessel_k(BesselRequest(order, xs[i])) bit for bit.  On the unitary axis
+    x < |t| with |t| >= _SADDLE_FLOOR takes the saddle contour, every other
+    value the line contour (see the module docstring), and the rows at
+    nu and -nu are equal byte for byte there.
     """
     nu = complex(order)
     xs = np.asarray(xs, dtype=float).ravel()
-    if not (cmath.isfinite(nu) and np.isfinite(xs).all()):
+    lo, hi = (xs.min(), xs.max()) if xs.size else (_X_MIN, _X_MIN)
+    if not (cmath.isfinite(nu) and math.isfinite(lo) and math.isfinite(hi)):   # a nan carries into both
         raise ValueError("order and arguments must be finite")
-    if xs.size and (xs.min() < _X_MIN or xs.max() > _X_MAX):
-        if xs.min() <= 0.0:
-            raise ValueError(f"arguments must be positive, got {xs.min()}")
+    if lo < _X_MIN or hi > _X_MAX:
+        if lo <= 0.0:
+            raise ValueError(f"arguments must be positive, got {lo}")
         raise NumericEnvelopeError(f"unsupported regime: argument outside [{_X_MIN}, {_X_MAX}]")
     if abs(nu.imag) > _IM_MAX or abs(nu.real) > _RE_MAX:
         raise NumericEnvelopeError(f"unsupported regime: order {nu} outside |Re| <= {_RE_MAX}, |Im| <= {_IM_MAX}")
 
     # K is even in nu and conjugation-equivariant, so fold into the first quadrant
     sigma, t = abs(nu.real), abs(nu.imag)
+    line = partial(_line_pass, sigma, t)
+    if sigma != 0.0 or t < _SADDLE_FLOOR or lo >= t:
+        out = _in_passes(line, xs)
+    else:
+        below = xs < t
+        above = ~below
+        out = np.empty(xs.shape, dtype=complex)
+        out[below] = _in_passes(partial(_saddle_pass, t), xs[below])
+        out[above] = _in_passes(line, xs[above])
+    # K is real on both axes, so conjugate only off them
+    return out.conj() if nu.real * nu.imag < 0.0 else out
+
+
+def _in_passes(route, xs: np.ndarray) -> np.ndarray:
+    """route(xs), from passes of at most _PASS arguments (one empty pass for
+    an empty xs, so that the result still has the route's dtype)."""
+    return np.concatenate([route(xs[lo:lo + _PASS]) for lo in range(0, max(xs.size, 1), _PASS)])
+
+
+def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
+    """K_{it}(x) along the saddle contour for up to _PASS arguments x < t."""
+    exponents, weights = _saddle_table(t)
+    s = np.sqrt((t - xs) * (t + xs))
+    phase = t * np.arcsinh(s / xs) - s      # u0 = arcsinh(s / x) keeps its digits as x -> t
+    j = (np.exp(np.multiply.outer(s, exponents)) * weights).sum(axis=1)
+    return math.exp(-0.5 * math.pi * t) * (j * np.exp(1j * phase)).real
+
+
+def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
+    """K_{sigma + it}(x) along the line contour for up to _PASS arguments,
+    sigma, t >= 0."""
     cap = 0.5 * math.pi - min(_CAP / t, 0.5 * math.pi) if t > 0 else 0.5 * math.pi
-    out = np.empty(xs.shape, dtype=complex)
-    for lo in range(0, xs.size, _PASS):
-        out[lo:lo + _PASS] = _row_pass(sigma, t, cap, xs[lo:lo + _PASS])
-    return out.conj() if (nu.imag < 0) != (nu.real < 0) else out
-
-
-def _row_pass(sigma: float, t: float, cap: float, xs: np.ndarray) -> np.ndarray:
-    """K_{sigma + it}(x) for up to _PASS arguments, sigma, t >= 0."""
     theta = np.minimum(np.arcsinh(complex(sigma, t) / xs).imag, cap)
     peak, u_peak, a, b = _line_peak(sigma, t, xs, theta)
 

@@ -138,6 +138,17 @@ def test_scan_outside_the_bessel_envelope_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["scan", "--level1", "--t0", "500"],
+    ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "480", "--y", "1"],
+])
+def test_gamma_underflow_above_the_envelope_exits_3(capsys, argv):
+    """Gamma_R(2s + 1) underflows double precision near t = 450: a numerics
+    error with exit code 3, not a division by zero."""
+    assert run(argv) == 3
+    assert "underflows double precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "nan", "--y", "1.0"],
     ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "5", "--y", "inf"],
     ["lfunc", "--chi", "4:1", "--s", "nan"],

@@ -43,11 +43,14 @@ def test_order_sign_symmetry():
     """K_nu = K_-nu exactly: the functional-equation residual computes one
     row at s and uses it for the dual side at -s too, which gives the residual
     of two separate evaluations only because the two rows are equal value for
-    value.  (On the unitary axis the zero imaginary parts differ in sign,
-    which no sum or modulus downstream can see.)"""
+    value."""
     xs = np.geomspace(0.05, 300.0, 50)
     for nu in (0.3 + 4j, 1.5 - 20j, 2j, -7.5j, 3 + 150j):
         assert np.array_equal(bessel_k_row(nu, xs), bessel_k_row(-nu, xs))
+    # K is real on the unitary axis, so there the rows agree byte for byte,
+    # the signs of their zero imaginary parts included
+    for nu in (2j, -7.5j, 61j):
+        assert bessel_k_row(nu, xs).tobytes() == bessel_k_row(-nu, xs).tobytes()
 
 
 def test_live_quadrature_spot_checks():
@@ -83,6 +86,21 @@ def test_oscillatory_decay_scale():
         assert val > math.exp(-3.0 * t)
 
 
+def test_gauss_legendre_table_is_pinned():
+    """The saddle contour's 64-point rule: each literal node is a root of P_64
+    correctly rounded, and each weight 2 / ((1 - x^2) P_64'(x)^2) at it, by
+    Newton steps in 50 digits from the literal."""
+    with mpmath.workdps(50):
+        for node, weight in zip(special_functions._GL_NODES, special_functions._GL_WEIGHTS):
+            z = mpmath.mpf(node)
+            for _ in range(4):
+                p = mpmath.legendre(64, z)
+                dp = 64 * (z * p - mpmath.legendre(63, z)) / (z * z - 1)
+                z -= p / dp
+            assert float(z) == node
+            assert float(2 / ((1 - z * z) * dp * dp)) == weight
+
+
 def test_envelope_rejections():
     with pytest.raises(NumericEnvelopeError):
         bessel_k(BesselRequest(order=0.0, argument=1e-9))
@@ -102,7 +120,10 @@ def _envelope_grid():
 
     |Im nu| runs to 200 with heights on both sides of 60, |Re nu| to 10, and
     every order gets x at the ends of [1e-6, 705], at and around the turning
-    point x = |Im nu|, and a few log-uniform draws.
+    point x = |Im nu|, and a few log-uniform draws.  Orders on the unitary
+    axis also get x = 1e-3 |t|, |t| / 2 and |t| (1 - 1e-9), deep inside and
+    at the upper end of the saddle contour's range, where a saddle position
+    taken as arccosh(|t| / x) would lose digits.
     """
     rng = random.Random(20261018)
     grid = []
@@ -112,6 +133,8 @@ def _envelope_grid():
             xs = [1e-6, 705.0] + [10.0 ** rng.uniform(-6.0, math.log10(705.0)) for _ in range(3)]
             if t > 0:
                 xs += [0.97 * t, t, 1.03 * t]
+            if t > 0 and sigma == 0.0:
+                xs += [1e-3 * t, 0.5 * t, t * (1.0 - 1e-9)]
             grid.append((order, xs))
     return grid
 
