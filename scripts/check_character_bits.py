@@ -12,7 +12,13 @@
   * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
   * the amplifier sums at L = 1e6 for the principal pair at q in {1, 3, 4},
     on the diagonal r1 = r2, plus one off-diagonal sum at q = 3;
-  * BumpWeight().mellin_at_one.
+  * BumpWeight().mellin_at_one;
+  * the benchmark's arith-sweep divisor sums: lambda(n) = generalized_divisor_sum
+    for n <= 2000 at its five Hecke parameter sets, each at a fixed height;
+  * b_xi and factorization_check at every prime p <= 1500 prime to q and the
+    level, for each of the benchmark's four progression moduli q, every
+    character xi mod q and two fixed (r1, r2) pairs;
+  * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
 array, and exits 1 if any differ or an array is missing from either side.
@@ -23,6 +29,7 @@ character layer) and --compare the two files; a dump takes a few seconds.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from collections import Counter
@@ -32,8 +39,15 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
 
-from eisenkit.amplifier import AmplifierConfig, amplifier_sum  # noqa: E402
+from eisenkit.amplifier import (  # noqa: E402
+    AmplifierConfig,
+    amplifier_sum,
+    b_xi,
+    factorization_check,
+    sieve_interval,
+)
 from eisenkit.characters import (  # noqa: E402
     build_character,
     character_group,
@@ -44,7 +58,9 @@ from eisenkit.characters import (  # noqa: E402
     primitive_part,
     value_table,
 )
+from eisenkit.eisenstein import generalized_divisor_sum  # noqa: E402
 from eisenkit.special_functions import BumpWeight  # noqa: E402
+from workloads import ArithSweep  # noqa: E402
 
 MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
 GAUSS_MAX = 500
@@ -52,6 +68,39 @@ PRODUCTS = 4000
 AMP_L = 1e6
 # (q, r1, r2): the three diagonal sums, then one off the diagonal
 AMP_CASES = ((1, 12.5, 12.5), (3, 17.25, 17.25), (4, 23.0, 23.0), (3, 11.0, 19.5))
+# one height per Hecke parameter set, inside the benchmark's draw range [2, 12]
+HECKE_HEIGHTS = (2.5, 4.75, 7.0, 9.25, 11.5)
+FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
+SIEVE_WINDOW = (10**6, 2 * 10**6)
+
+
+def _hecke() -> np.ndarray:
+    """lambda(n) for n = 1..HECKE_N, one row per Hecke parameter set."""
+    rows = []
+    for ((q1, i1), (q2, i2)), h in zip(ArithSweep.HECKE_SETS, HECKE_HEIGHTS):
+        chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+        rows.append([generalized_divisor_sum(chi1, chi2, 1j * h, n)
+                     for n in range(1, ArithSweep.HECKE_N + 1)])
+    return np.array(rows, dtype=np.complex128)
+
+
+def _factorization() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, xi index, pair, p) labels with b_xi and factorization_check there."""
+    primes = [p for p in range(2, ArithSweep.FACT_PRIMES + 1)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    labels, b, defects = [], [], []
+    for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():
+        chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+        for xi in character_group(q):
+            for k, (r1, r2) in enumerate(FACT_PAIRS):
+                cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+                for p in primes:
+                    if (q * cfg.level) % p:
+                        labels.append((q, character_index(xi), k, p))
+                        b.append(b_xi(p, xi, cfg))
+                        defects.append(factorization_check(p, xi, cfg))
+    return (np.array(labels, dtype=np.int64), np.array(b, dtype=np.complex128),
+            np.array(defects, dtype=np.float64))
 
 
 def _identity(chi) -> tuple[int, int]:
@@ -83,6 +132,10 @@ def dump(path: str) -> None:
     amp = [amplifier_sum(AmplifierConfig(q=q, L=AMP_L, r1=r1, r2=r2, chi1=principal, chi2=principal))
            for q, r1, r2 in AMP_CASES]
 
+    hecke = _hecke()
+    fact_labels, fact_b, fact_defects = _factorization()
+    primes = sieve_interval(*SIEVE_WINDOW)
+
     np.savez_compressed(
         path,
         labels=np.array(labels, dtype=np.int64),
@@ -94,9 +147,15 @@ def dump(path: str) -> None:
         gauss=np.concatenate(gauss),
         amplifier_sums=np.array(amp, dtype=np.complex128),
         mellin_at_one=np.array([BumpWeight().mellin_at_one]),
+        hecke=hecke.ravel(),
+        factorization_labels=fact_labels,
+        b_xi=fact_b,
+        factorization_defects=fact_defects,
+        sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
-          f"{sum(len(g) for g in gauss)} Gauss sums, {len(amp)} amplifier sums")
+          f"{sum(len(g) for g in gauss)} Gauss sums, {len(amp)} amplifier sums, "
+          f"{hecke.size} divisor sums, {len(fact_b)} factorization checks, {len(primes)} sieved primes")
 
 
 def _raw(a: np.ndarray) -> np.ndarray:

@@ -13,10 +13,12 @@ Each character builds its values chi(0), ..., chi(q-1) once, on first use: one
 integer product of its weights with the stacked dlog arrays gives every m, and
 each m indexes the D roots e(m / D), each taken as cmath.exp of the correctly
 rounded m / D, so Gauss sums and epsilon factors are reproducible to machine
-precision.  evaluate(n) is the table entry at n mod q, and value_table returns
-the same read-only array.  int_phase(n) computes the integer m alone, for the
-callers that need it: gauss_sum, parity and the L-values.  phase(n), the
-exact m / D as a Fraction, is the only Fraction view, and nothing in the
+precision.  value_table returns that read-only array, the single source of
+the values.  evaluate(n) reads the entry at n mod q from a list copy of it,
+built on the first scalar read, so scalar callers (the divisor sums among
+them) pay no numpy scalar access.  int_phase(n) computes the integer m alone,
+for the callers that need it: gauss_sum, parity and the L-values.  phase(n),
+the exact m / D as a Fraction, is the only Fraction view, and nothing in the
 package calls it.
 
 Conductors, induction and restriction are integer rules on one component at
@@ -230,15 +232,22 @@ class DirichletCharacter:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        """chi(0), ..., chi(q-1), read-only; evaluate and value_table both read it."""
+        """chi(0), ..., chi(q-1), read-only; value_table returns it."""
         D, parts = self._weights
         weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
         table = _value_rows(self.modulus, D, weights)[0]
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def _values(self) -> list[complex]:
+        """_table as a list of Python complex numbers, for scalar reads."""
+        return self._table.tolist()
+
     def evaluate(self, n: int) -> complex:
-        return self._table.item(n % self.modulus)
+        """chi(n), read from the list copy of the value table: the same bits
+        as the table entry at n mod q, without a numpy scalar read."""
+        return self._values[n % self.modulus]
 
     __call__ = evaluate
 
@@ -501,7 +510,7 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
 def value_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(0), chi(1), ..., chi(q-1) as a read-only complex array.
 
-    This is the table chi.evaluate reads, built once per character.
+    Built once per character; chi.evaluate reads a list copy of it.
     """
     return chi._table
 

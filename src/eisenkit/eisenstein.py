@@ -172,8 +172,10 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
     """sum over ab = n of chi1(a) a^s chi2(b) b^{-s}, with primitive values.
 
     Divisors come from the factorization of n, so prime powers cost their
-    handful of divisors rather than a sqrt(n) scan; the character values are
-    read from the two characters' value tables.
+    handful of divisors rather than a sqrt(n) scan.  The character values are
+    list-backed: they are read from each character's list copy of its value
+    table (the list chi.evaluate reads), as Python complex numbers with the
+    table's bits.
     """
     try:
         n = operator.index(n)
@@ -181,15 +183,15 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
         raise TypeError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    t1, q1 = chi1._table, chi1.modulus
-    t2, q2 = chi2._table, chi2.modulus
+    v1, q1 = chi1._values, chi1.modulus
+    v2, q2 = chi2._values, chi2.modulus
     total = 0j
     for a in _divisors(n):
-        c1 = t1.item(a % q1)
+        c1 = v1[a % q1]
         if c1 == 0:
             continue
         b = n // a
-        c2 = t2.item(b % q2)
+        c2 = v2[b % q2]
         if c2 == 0:
             continue
         total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(b))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -79,6 +80,41 @@ def decay(t: float, x: float) -> float:
     if x >= t:
         return math.sqrt(x * x - t * t) + (t * math.asin(t / x) if t > 0 else 0.0)
     return 0.5 * math.pi * t
+
+
+def bessel_draws(seed: int, count: int) -> list[tuple[float, float]]:
+    """Seeded (t, x) pairs, t uniform in [-50, 50] and x log-uniform in [1e-3, 100]:
+    the points of the frozen cosh-quadrature fixtures."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        t = rng.uniform(-50.0, 50.0)
+        draws.append((t, 10.0 ** rng.uniform(-3.0, 2.0)))
+    return draws
+
+
+def envelope_grid() -> list[tuple[complex, list[float]]]:
+    """Seeded (order, x) points across the whole Bessel envelope, grouped by order.
+
+    |Im nu| runs to 200 with heights on both sides of 60, |Re nu| to 10, and
+    every order gets x at the ends of [1e-6, 705], at and around the turning
+    point x = |Im nu|, and a few log-uniform draws.  Orders on the unitary
+    axis also get x = 1e-3 |t|, |t| / 2 and |t| (1 - 1e-9), deep inside and
+    at the upper end of the saddle contour's range, where a saddle position
+    taken as arccosh(|t| / x) would lose digits.
+    """
+    rng = random.Random(20261018)
+    grid = []
+    for t in (0.0, 0.7, 12.0, 45.0, 59.5, 60.5, 75.0, 130.0, 200.0):
+        for sigma in (0.0, 0.5, 4.0, 10.0):
+            order = complex(sigma * rng.choice((-1, 1)), t * rng.choice((-1, 1)))
+            xs = [1e-6, 705.0] + [10.0 ** rng.uniform(-6.0, math.log10(705.0)) for _ in range(3)]
+            if t > 0:
+                xs += [0.97 * t, t, 1.03 * t]
+            if t > 0 and sigma == 0.0:
+                xs += [1e-3 * t, 0.5 * t, t * (1.0 - 1e-9)]
+            grid.append((order, xs))
+    return grid
 
 
 # ------------------------------------------------------------------

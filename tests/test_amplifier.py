@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 from oracles import naive_amplifier_sum, weighted_prime_log_sum
 from eisenkit.amplifier import (
+    _SEGMENT,
     AmplifierConfig,
     amplifier_sum,
     asymptotic_report,
@@ -37,6 +39,9 @@ def test_config_validation():
         with pytest.raises(ValueError):
             AmplifierConfig(**{"q": 1, "L": 100.0, "r1": 1.0, "r2": 1.0,
                                "chi1": CHI1, "chi2": CHI1, **bad})
+    with pytest.raises(ValueError, match="above the supported ceiling 1e\\+09"):
+        AmplifierConfig(q=1, L=2e9, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1)
+    assert AmplifierConfig(q=1, L=1e9, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1).L == 1e9
     cfg = AmplifierConfig(q=5, L=100.0, r1=1.0, r2=1.0, chi1=CHI3, chi2=CHI4)
     assert cfg.level == 12
 
@@ -104,15 +109,25 @@ def test_factorization_is_symmetric_in_the_height_swap():
 
 
 def test_sieve_interval_matches_a_plain_sieve():
-    lo, hi = 10 ** 6, 10 ** 6 + 10 ** 4
-    segmented = list(sieve_interval(lo, hi))
-    sieve = bytearray([1]) * (hi + 1)
+    """Windows against a plain sieve of every integer.  A segment of the odd-only
+    layout covers 2 * _SEGMENT integers from the first odd number >= max(lo, 3),
+    so each wide window spans two segments, from odd and even lo; one ends on
+    the first number of its second segment."""
+    span = 2 * _SEGMENT
+    windows = [(10 ** 6, 10 ** 6 + 10 ** 4),
+               (0, span + 999), (1, 60), (2, 60), (3, span + 3),
+               (span, 2 * span + 12345), (span + 1, 2 * span + 12345),
+               (2, 2), (3, 3), (97, 97), (1000003, 1000003), (span + 17, span + 17)]
+    hi_max = max(hi for _, hi in windows)
+    sieve = bytearray([1]) * (hi_max + 1)
     sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(hi) + 1):
+    for p in range(2, math.isqrt(hi_max) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    plain = [n for n in range(lo, hi + 1) if sieve[n]]
-    assert segmented == plain
+    assert sieve[span + 17] and sieve[1000003]
+    for lo, hi in windows:
+        plain = list(itertools.compress(range(lo, hi + 1), sieve[lo : hi + 1]))
+        assert list(sieve_interval(lo, hi)) == plain, (lo, hi)
 
 
 def test_sieve_interval_edges():

@@ -69,6 +69,15 @@ def test_amp_nonpositive_modulus_is_a_validation_error(capsys):
     assert "progression modulus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["1e300", "1e13"])
+def test_amp_window_above_the_ceiling_is_a_validation_error(capsys, length):
+    """L above the ceiling is rejected before any sieve starts: exit 2 naming
+    the ceiling, not a numpy dimension error (1e300) or a sieve of 1e13
+    integers."""
+    assert run(["amp", "--q", "3", "--L", length, "--r", "5"]) == 2
+    assert "above the supported ceiling 1e+09" in capsys.readouterr().err
+
+
 def test_bessel_value_and_envelope(tmp_path, capsys):
     out = tmp_path / "k.json"
     assert run(["bessel", "--t", "5", "--x", "2.0", "--out", str(out)]) == 0

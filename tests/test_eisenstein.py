@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import local_constant
+from oracles import local_constant, oracle_phases
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
     EisensteinParams,
@@ -49,14 +49,21 @@ def test_coefficient_exponent_orientation():
 
 
 def test_brute_force_divisor_sum_small_n():
+    """Every divisor by trial, character values from the generator-walk oracle."""
     s = 0.2 - 3j
-    for n in (12, 36, 60, 97, 360):
+    phases1, phases2 = oracle_phases(5, 1), oracle_phases(5, 3)
+
+    def value(phases, n):
+        return cmath.exp(2j * math.pi * phases[n % 5]) if n % 5 in phases else 0j
+
+    # 10 to 1000 share the factor 5 with the modulus; 25 to 961 are prime powers
+    for n in (12, 36, 60, 97, 360, 10, 50, 250, 1000, 25, 125, 128, 243, 343, 961):
         brute = 0j
         for a in range(1, n + 1):
             if n % a == 0:
                 b = n // a
-                brute += (CHI5.evaluate(a) * cmath.exp(s * math.log(a))
-                          * CHI5P.evaluate(b) * cmath.exp(-s * math.log(b)))
+                brute += (value(phases1, a) * cmath.exp(s * math.log(a))
+                          * value(phases2, b) * cmath.exp(-s * math.log(b)))
         assert abs(generalized_divisor_sum(CHI5, CHI5P, s, n) - brute) < 1e-12
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import eisenkit.special_functions as special_functions
-from oracles import bessel_k_mp, bessel_quadrature, bump_mellin_quadrature, decay
+from oracles import (
+    bessel_draws,
+    bessel_k_mp,
+    bessel_quadrature,
+    bump_mellin_quadrature,
+    decay,
+    envelope_grid,
+)
 from eisenkit.special_functions import (
     BERNOULLI_OVER_FACTORIAL,
     BesselRequest,
@@ -25,6 +34,8 @@ from eisenkit.special_functions import (
     log_gamma_factor,
     whittaker_tail_cutoff,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # ------------------------------------------------------------------
@@ -53,14 +64,21 @@ def test_order_sign_symmetry():
         assert bessel_k_row(nu, xs).tobytes() == bessel_k_row(-nu, xs).tobytes()
 
 
-def test_live_quadrature_spot_checks():
-    """Thirty fresh draws against the cosh-integral oracle."""
-    rng = random.Random(1105)
-    for _ in range(30):
-        t = rng.uniform(-50.0, 50.0)
-        x = 10.0 ** rng.uniform(-3.0, 2.0)
+def _fixture(name: str, schema: str) -> list:
+    """The entries of a frozen reference table in tests/data (scripts/make_bessel_oracle.py)."""
+    with open(DATA / name) as fh:
+        fixture = json.load(fh)
+    assert fixture["schema"] == schema
+    return fixture["entries"]
+
+
+def test_quadrature_spot_checks():
+    """Thirty seeded draws against the cosh-integral oracle, frozen in
+    tests/data/bessel_spot_oracle.json."""
+    entries = _fixture("bessel_spot_oracle.json", "eisenkit-bessel-oracle-v1")
+    assert [(t, x) for t, x, _ in entries] == bessel_draws(1105, 30)
+    for t, x, ref in entries:
         got = bessel_k(BesselRequest(order=complex(0.0, t), argument=x))
-        ref = bessel_quadrature(t, x)
         assert abs(got.real - ref) <= 1e-10 * max(abs(ref), 1e-300)
 
 
@@ -115,30 +133,6 @@ def test_envelope_rejections():
             bessel_k(BesselRequest(order=order, argument=1.0))
 
 
-def _envelope_grid():
-    """Seeded (order, x) points across the whole envelope, grouped by order.
-
-    |Im nu| runs to 200 with heights on both sides of 60, |Re nu| to 10, and
-    every order gets x at the ends of [1e-6, 705], at and around the turning
-    point x = |Im nu|, and a few log-uniform draws.  Orders on the unitary
-    axis also get x = 1e-3 |t|, |t| / 2 and |t| (1 - 1e-9), deep inside and
-    at the upper end of the saddle contour's range, where a saddle position
-    taken as arccosh(|t| / x) would lose digits.
-    """
-    rng = random.Random(20261018)
-    grid = []
-    for t in (0.0, 0.7, 12.0, 45.0, 59.5, 60.5, 75.0, 130.0, 200.0):
-        for sigma in (0.0, 0.5, 4.0, 10.0):
-            order = complex(sigma * rng.choice((-1, 1)), t * rng.choice((-1, 1)))
-            xs = [1e-6, 705.0] + [10.0 ** rng.uniform(-6.0, math.log10(705.0)) for _ in range(3)]
-            if t > 0:
-                xs += [0.97 * t, t, 1.03 * t]
-            if t > 0 and sigma == 0.0:
-                xs += [1e-3 * t, 0.5 * t, t * (1.0 - 1e-9)]
-            grid.append((order, xs))
-    return grid
-
-
 # Values below the normal range (about 2.2e-308) carry the absolute
 # resolution of the subnormal grid; a few of its steps are allowed on top.
 _SUBNORMAL_SLACK = 2.0 ** -1070
@@ -147,19 +141,42 @@ _SUBNORMAL_SLACK = 2.0 ** -1070
 def test_row_against_mpmath_over_the_envelope():
     """|got - ref| <= 1e-12 max(|ref|, e^-decay) everywhere in the envelope.
 
-    K_{it}(x) oscillates through zeros for x < |t|, so the error is measured
-    against the size of the oscillation, not against the value itself.
+    The references are mpmath's besselk at every point of the envelope grid,
+    frozen in tests/data/bessel_envelope.json.  K_{it}(x) oscillates through
+    zeros for x < |t|, so the error is measured against the size of the
+    oscillation, not against the value itself.
     """
+    frozen = iter(_fixture("bessel_envelope.json", "eisenkit-bessel-envelope-v1"))
     worst = 0.0
-    for order, xs in _envelope_grid():
+    for order, xs in envelope_grid():
         row = bessel_k_row(order, xs)
         for x, got in zip(xs, row):
-            ref = bessel_k_mp(order, x)
+            re_nu, im_nu, x_ref, re_k, im_k = next(frozen)
+            assert (complex(re_nu, im_nu), x_ref) == (order, x)
+            ref = complex(re_k, im_k)
             scale = max(abs(ref), math.exp(-decay(order.imag, x)))
             err = abs(got - ref) / (1e-12 * scale + _SUBNORMAL_SLACK)
             worst = max(worst, err)
             assert err <= 1.0, (order, x, got, ref)
+    assert next(frozen, None) is None
     assert worst > 0.0
+
+
+def test_frozen_bessel_references_match_live_oracles():
+    """A few frozen points, recomputed live, so that drift between an oracle
+    and its fixture is caught: on the envelope grid, t = 0, the unitary axis
+    below, at and past the turning point up to |t| = 200, and orders off the
+    axis; two of the quadrature spot checks."""
+    envelope = _fixture("bessel_envelope.json", "eisenkit-bessel-envelope-v1")
+    for k in (9, 65, 134, 165, 225, 235, 274, 290):
+        re_nu, im_nu, x, re_k, im_k = envelope[k]
+        ref = complex(re_k, im_k)
+        scale = max(abs(ref), math.exp(-decay(im_nu, x)))
+        assert abs(bessel_k_mp(complex(re_nu, im_nu), x) - ref) <= 1e-15 * scale + _SUBNORMAL_SLACK
+    spots = _fixture("bessel_spot_oracle.json", "eisenkit-bessel-oracle-v1")
+    for k in (5, 22):
+        t, x, ref = spots[k]
+        assert abs(bessel_quadrature(t, x) - ref) <= 1e-15 * abs(ref)
 
 
 def test_row_matches_scalar_bit_for_bit():
