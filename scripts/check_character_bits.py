@@ -11,7 +11,9 @@
     character pairs, across moduli as well as within one;
   * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
   * the amplifier sums at L = 1e6 for the principal pair at q in {1, 3, 4},
-    on the diagonal r1 = r2, plus one off-diagonal sum at q = 3;
+    on the diagonal r1 = r2, plus one off-diagonal sum at q = 3, and the
+    diagonal sums at q in {1, 3} again at L = 3e6, a window of three
+    amplifier segments;
   * BumpWeight().mellin_at_one;
   * the benchmark's arith-sweep divisor sums: lambda(n) = generalized_divisor_sum
     for n <= 2000 at its five Hecke parameter sets, each at a fixed height;
@@ -65,9 +67,10 @@ from workloads import ArithSweep  # noqa: E402
 MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
 GAUSS_MAX = 500
 PRODUCTS = 4000
-AMP_L = 1e6
-# (q, r1, r2): the three diagonal sums, then one off the diagonal
-AMP_CASES = ((1, 12.5, 12.5), (3, 17.25, 17.25), (4, 23.0, 23.0), (3, 11.0, 19.5))
+# (L, q, r1, r2): the three diagonal sums in one sieve segment, one off the
+# diagonal, then two whose window spans three segments and two sieve calls
+AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
+             (1e6, 3, 11.0, 19.5), (3e6, 1, 12.5, 12.5), (3e6, 3, 17.25, 17.25))
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]
 HECKE_HEIGHTS = (2.5, 4.75, 7.0, 9.25, 11.5)
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
@@ -129,8 +132,8 @@ def dump(path: str) -> None:
     gauss = [gauss_sum_moduli_squared(q) for q in range(1, GAUSS_MAX + 1)]
 
     principal = build_character(1, 0)
-    amp = [amplifier_sum(AmplifierConfig(q=q, L=AMP_L, r1=r1, r2=r2, chi1=principal, chi2=principal))
-           for q, r1, r2 in AMP_CASES]
+    amp = [amplifier_sum(AmplifierConfig(q=q, L=L, r1=r1, r2=r2, chi1=principal, chi2=principal))
+           for L, q, r1, r2 in AMP_CASES]
 
     hecke = _hecke()
     fact_labels, fact_b, fact_defects = _factorization()

@@ -6,8 +6,9 @@
 
 --dump evaluates the checkout this script sits in and saves:
   * the benchmark's scan ladder: level-1 scans (1:0 x 1:0, x_steps = 64,
-    eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, every grid entry
-    (x, y, |F|) and the truncation length of every row;
+    eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, and the t0 = 20 scan
+    again with threads = 2: every grid entry (x, y, |F|), the truncation
+    length of every row, the supremum and its argmax;
   * the benchmark's 160 functional-equation residuals for seeds 7 and 8;
   * coefficient_prefactor, lambda_ratio (at s and the quotient character)
     and scattering_constant (c(s) and its ramified product) for the
@@ -45,6 +46,8 @@ from eisenkit.special_functions import bessel_k_row  # noqa: E402
 from eisenkit.supnorm import scan  # noqa: E402
 from workloads import FEMatrix, ScanLadder  # noqa: E402
 
+# (t0, threads): the ladder on one thread, then its middle scan on two
+SCANS = tuple((t0, 1) for t0 in ScanLadder.HEIGHTS) + ((20.0, 2),)
 FE_SEEDS = (7, 8)
 BESSEL_ORDERS = 9
 BESSEL_ARGS = 300
@@ -63,10 +66,13 @@ def _bessel_cases() -> tuple[np.ndarray, np.ndarray]:
 def dump(path: str) -> None:
     level1 = EisensteinParams(build_character(1, 0), build_character(1, 0), 0.0)
     arrays = {}
-    for t0 in ScanLadder.HEIGHTS:
-        rep = scan(level1, t0, x_steps=ScanLadder.X_STEPS, eps=ScanLadder.EPS, threads=1)
-        arrays[f"scan_{t0:g}_grid"] = np.array(rep.grid, dtype=float)
-        arrays[f"scan_{t0:g}_modes"] = np.array(rep.metadata["modes"], dtype=np.int64)
+    for t0, threads in SCANS:
+        rep = scan(level1, t0, x_steps=ScanLadder.X_STEPS, eps=ScanLadder.EPS, threads=threads)
+        tag = f"scan_{t0:g}" + ("" if threads == 1 else f"_threads{threads}")
+        arrays[f"{tag}_grid"] = np.array(rep.grid, dtype=float)
+        arrays[f"{tag}_modes"] = np.array(rep.metadata["modes"], dtype=np.int64)
+        arrays[f"{tag}_supremum"] = np.array([rep.supremum])
+        arrays[f"{tag}_argmax"] = np.array(rep.argmax)
 
     for seed in FE_SEEDS:
         cases = FEMatrix(seed).cases
@@ -87,7 +93,7 @@ def dump(path: str) -> None:
     arrays["bessel_values"] = np.concatenate([bessel_k_row(nu, row) for nu, row in zip(orders, xs)])
 
     np.savez_compressed(path, **arrays)
-    print(f"{path}: {len(ScanLadder.HEIGHTS)} scans, "
+    print(f"{path}: {len(SCANS)} scans, "
           f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals, "
           f"constants of {len(series)} series, "
           f"{orders.size * BESSEL_ARGS} Bessel values")

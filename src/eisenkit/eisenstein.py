@@ -353,18 +353,23 @@ def _bessel_rows(s: complex, ys, modes) -> list[np.ndarray]:
     return [values[end - m:end] for end, m in zip(ends, modes)]
 
 
+def _cosine_table(xs, m: int) -> np.ndarray:
+    """2 cos(2 pi n x), one row per x in xs and one column per n = 1..m."""
+    n = np.arange(1, m + 1)
+    return 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
+
+
 def _fourier_row(params: EisensteinParams, lam: np.ndarray, bessel: np.ndarray,
-                 xs, y: float) -> np.ndarray:
-    """F(s; x, y) for every x in xs, summed over the modes n = 1..len(lam),
+                 cosines: np.ndarray, y: float) -> np.ndarray:
+    """F(s; x, y) for every x of a cosine table with columns n = 1..len(lam),
     given bessel[n - 1] = K_s(2 pi n y).
 
-    Each x is reduced along n by numpy's fixed-order pairwise sum (no BLAS,
-    whose blocking may follow the thread count), so a value does not depend
-    on which other x share the row.
+    The one Fourier-sum core: a scan passes the first columns of one table
+    per chunk, a single point a one-x table.  Each x is reduced along n by
+    numpy's fixed-order pairwise sum (no BLAS, whose blocking may follow the
+    thread count), so a value does not depend on which other x share the table.
     """
-    n = np.arange(1, len(lam) + 1)
     weights = lam * bessel
-    cosines = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
     return _outer_scale(params) * math.sqrt(y) * (cosines * weights).sum(axis=-1)
 
 
@@ -372,7 +377,8 @@ def _series_value(params: EisensteinParams, x: float, y: float, m: int,
                   bessel: np.ndarray) -> complex:
     """F(s; x, y) from its first m modes, given K_s(2 pi n y) for n >= 1
     up to at least m."""
-    return complex(_fourier_row(params, _coefficients(params, m), bessel[:m], [x], y)[0])
+    return complex(_fourier_row(params, _coefficients(params, m), bessel[:m],
+                                _cosine_table([x], m), y)[0])
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:

@@ -12,12 +12,16 @@ its Bessel values K_s(2 pi n y) for all its rows from one bessel_k_row
 call; each value has its own node set, so it does not depend on which rows
 share the call.  Each y-row then goes through the series' Fourier-row
 kernel, the same one that evaluates single points: one fixed-order numpy
-sum over the modes for each x.  So the reported values do not depend on how
-many threads share the rows out.
+sum over the modes for each x, with the cosines read from one table per
+chunk, built after its Bessel rows.  So the reported values do not depend
+on how many threads share the rows out.  The rows' |F| fill one float
+array; a non-finite |F| aborts the scan, and the supremum is the array's
+first maximum (np.argmax), so ties go to the lowest y, then the smallest x.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,6 +37,7 @@ from eisenkit.eisenstein import (
     EisensteinParams,
     _bessel_rows,
     _coefficients,
+    _cosine_table,
     _fourier_row,
     _truncation,
 )
@@ -168,16 +173,16 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
             raise ScanAbortedError(
                 f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: {exc}") from exc
 
-    def measure(lo: int, hi: int) -> list:
+    def measure(lo: int, hi: int) -> np.ndarray:
         try:
             bessel = _bessel_rows(here.s, ys[lo:hi], modes[lo:hi])
         except NumericsError:
             # row by row, so that the error names the first failing row
             bessel = [bessel_row(i) for i in range(lo, hi)]
-        out = []
-        for y, m, k in zip(ys[lo:hi], modes[lo:hi], bessel):
-            values = np.abs(_fourier_row(here, lam[:m], k, xs, y))
-            out.extend((x, y, float(v)) for x, v in zip(xs, values))
+        cosines = _cosine_table(xs, max(modes[lo:hi]))
+        out = np.empty((hi - lo, x_steps))
+        for row, y, m, k in zip(out, ys[lo:hi], modes[lo:hi], bessel):
+            np.abs(_fourier_row(here, lam[:m], k, cosines[:, :m], y), out=row)
         return out
 
     # contiguous chunks of rows, one per thread
@@ -185,13 +190,22 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     cuts = [len(ys) * k // n for k in range(n + 1)]
     if n > 1:
         with ThreadPoolExecutor(max_workers=n) as pool:
-            parts = list(pool.map(measure, cuts[:-1], cuts[1:]))
+            values = np.concatenate(list(pool.map(measure, cuts[:-1], cuts[1:])))
     else:
-        parts = [measure(0, len(ys))]
+        values = measure(0, len(ys))
 
-    grid = tuple(entry for part in parts for entry in part)
-    sup = max(entry[2] for entry in grid)
-    best = next(entry for entry in grid if entry[2] == sup)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ScanAbortedError(
+            f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: |F| is not finite")
+    # np.argmax returns the first entry attaining the supremum
+    best = int(np.argmax(values))
+    flat = values.ravel().tolist()
+    del values    # the flat list holds the values now; free the array before the grid
+    x_col = itertools.chain.from_iterable(itertools.repeat(xs, len(ys)))
+    y_col = itertools.chain.from_iterable(itertools.repeat(y, x_steps) for y in ys)
+    grid = tuple(zip(x_col, y_col, flat))
     elapsed = time.perf_counter() - start
     metadata = {
         "chart": "cusp-infinity",
@@ -201,8 +215,8 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         "y_points": len(ys),
         "modes": modes,
     }
-    return ScanReport(params=here, t0=float(t0), grid=grid, supremum=sup,
-                      argmax=(best[0], best[1]), truncation_eps=eps,
+    return ScanReport(params=here, t0=float(t0), grid=grid, supremum=flat[best],
+                      argmax=grid[best][:2], truncation_eps=eps,
                       wall_time=elapsed, metadata=metadata)
 
 

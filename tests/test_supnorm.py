@@ -93,6 +93,44 @@ def test_scan_aborts_outside_the_bessel_envelope():
     assert issubclass(ScanAbortedError, NumericsError)
 
 
+def test_scan_aborts_on_a_non_finite_value(monkeypatch):
+    """A NaN in one row stops the scan with that row's height and index,
+    instead of leaving the supremum to wherever the NaN sits."""
+    from eisenkit import supnorm
+
+    real = supnorm._fourier_row
+
+    def nan_at_y(params, lam, bessel, cosines, y):
+        row = real(params, lam, bessel, cosines, y)
+        if y == 0.7:
+            row[2] = math.nan
+        return row
+
+    monkeypatch.setattr(supnorm, "_fourier_row", nan_at_y)
+    for threads in (1, 3):
+        with pytest.raises(ScanAbortedError, match=r"at y = 0.7 after 1 of 3 rows: .*not finite"):
+            scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5, 0.7, 0.9), threads=threads)
+
+
+def test_scan_argmax_is_the_first_maximum(monkeypatch):
+    """When every |F| ties, the supremum is attained first at x = 0 on the
+    lowest row, whatever the thread count; the report keeps Python floats,
+    so it round-trips through JSON."""
+    from eisenkit import supnorm
+
+    monkeypatch.setattr(supnorm, "_fourier_row",
+                        lambda params, lam, bessel, cosines, y: np.full(len(cosines), 1.5 + 2j))
+    ys = (0.5, 0.7, 0.9, 1.2)
+    for threads in (1, 3):
+        report = scan(LEVEL1, 12.0, x_steps=5, y_grid=ys, threads=threads)
+        assert report.argmax == (0.0, ys[0])
+        assert type(report.supremum) is float and report.supremum == 2.5
+        assert len(report.grid) == 20
+        assert all(type(entry) is tuple and len(entry) == 3
+                   and all(type(v) is float for v in entry) for entry in report.grid)
+        assert load_report(report.to_json()) == report
+
+
 def test_reference_bound_formula():
     val = theorem_reference(LEVEL1, 160.0)
     assert val == pytest.approx((1.0 * 160.0) ** 0.01 * 160.0 ** 0.375, rel=1e-12)
