@@ -68,7 +68,7 @@ MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
 GAUSS_MAX = 500
 PRODUCTS = 4000
 # (L, q, r1, r2): the three diagonal sums in one sieve segment, one off the
-# diagonal, then two whose window spans three segments and two sieve calls
+# diagonal, then two whose window spans three amplifier segments
 AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
              (1e6, 3, 11.0, 19.5), (3e6, 1, 12.5, 12.5), (3e6, 3, 17.25, 17.25))
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]

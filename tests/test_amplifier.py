@@ -145,29 +145,6 @@ def test_amplifier_sum_against_double_loop():
         assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
-def test_amplifier_sum_over_many_segments(monkeypatch):
-    """With 100-integer segments, [2000, 4000] spans 21 of them: ten sieve
-    calls of two segments each and a last one of a single integer; the sum
-    still matches the double loop."""
-    from eisenkit import amplifier
-
-    calls = []
-    real = amplifier.sieve_interval
-
-    def counted(lo, hi):
-        calls.append((lo, hi))
-        return real(lo, hi)
-
-    monkeypatch.setattr(amplifier, "_SEGMENT", 100)
-    monkeypatch.setattr(amplifier, "sieve_interval", counted)
-    for q, chi1, chi2 in ((1, CHI3, CHI4), (3, CHI1, CHI1)):
-        calls.clear()
-        cfg = AmplifierConfig(q=q, L=2000.0, r1=3.0, r2=-5.0, chi1=chi1, chi2=chi2)
-        slow = naive_amplifier_sum(cfg)
-        assert abs(amplifier_sum(cfg) - slow) <= 1e-12 * max(1.0, abs(slow))
-        assert calls == [(lo, min(lo + 199, 4000)) for lo in range(2000, 4001, 200)]
-
-
 def test_diagonal_sum_is_nonnegative():
     for q in (1, 3):
         cfg = AmplifierConfig(q=q, L=10 ** 4, r1=20.0, r2=20.0, chi1=CHI1, chi2=CHI1)
