@@ -7,6 +7,7 @@
 --dump evaluates the checkout this script sits in and saves:
   * for every character with q <= 129 or q in {256, 360, 499, 500}: its value
     table, its conductor, and the (modulus, index) of its primitive part;
+  * gauss_sum(chi) for every primitive character with q <= 129;
   * the (modulus, index) of the products over a fixed, seeded sample of
     character pairs, across moduli as well as within one;
   * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
@@ -55,6 +56,7 @@ from eisenkit.characters import (  # noqa: E402
     character_group,
     character_index,
     conductor,
+    gauss_sum,
     gauss_sum_moduli_squared,
     multiply,
     primitive_part,
@@ -65,6 +67,7 @@ from eisenkit.special_functions import BumpWeight  # noqa: E402
 from workloads import ArithSweep  # noqa: E402
 
 MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
+GAUSS_SUM_MAX = 129
 GAUSS_MAX = 500
 PRODUCTS = 4000
 # (L, q, r1, r2): the three diagonal sums in one sieve segment, one off the
@@ -112,12 +115,16 @@ def _identity(chi) -> tuple[int, int]:
 
 def dump(path: str) -> None:
     tables, conductors, prim_parts, labels = [], [], [], []
+    gauss_sum_labels, gauss_sums = [], []
     for q in MODULI:
         for chi in character_group(q):
             labels.append(_identity(chi))
             tables.append(value_table(chi))
             conductors.append(conductor(chi))
             prim_parts.append(_identity(primitive_part(chi)))
+            if q <= GAUSS_SUM_MAX and conductors[-1] == q:
+                gauss_sum_labels.append(labels[-1])
+                gauss_sums.append(gauss_sum(chi))
 
     phi = Counter(q for q, _ in labels)
     rng = random.Random("check_character_bits")
@@ -148,6 +155,8 @@ def dump(path: str) -> None:
         products=np.array(products, dtype=np.int64),
         gauss_counts=np.array([len(g) for g in gauss], dtype=np.int64),
         gauss=np.concatenate(gauss),
+        gauss_sum_labels=np.array(gauss_sum_labels, dtype=np.int64),
+        gauss_sums=np.array(gauss_sums, dtype=np.complex128),
         amplifier_sums=np.array(amp, dtype=np.complex128),
         mellin_at_one=np.array([BumpWeight().mellin_at_one]),
         hecke=hecke.ravel(),
@@ -157,7 +166,8 @@ def dump(path: str) -> None:
         sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
-          f"{sum(len(g) for g in gauss)} Gauss sums, {len(amp)} amplifier sums, "
+          f"{sum(len(g) for g in gauss)} |G|^2 values, {len(gauss_sums)} Gauss sums, "
+          f"{len(amp)} amplifier sums, "
           f"{hecke.size} divisor sums, {len(fact_b)} factorization checks, {len(primes)} sieved primes")
 
 

@@ -11,8 +11,9 @@
     length of every row, the supremum and its argmax;
   * the benchmark's 160 functional-equation residuals for seeds 7 and 8;
   * coefficient_prefactor, lambda_ratio (at s and the quotient character)
-    and scattering_constant (c(s) and its ramified product) for the
-    benchmark's FE-matrix parameter sets and their duals;
+    and scattering_constant (c(s), its ramified product and its local
+    factors, prime by prime) for the benchmark's FE-matrix parameter sets
+    and their duals;
   * bessel_k_row over a fixed, seeded set of orders, each with a row of
     arguments spread log-uniformly over [1e-3, 700].
 
@@ -87,6 +88,9 @@ def dump(path: str) -> None:
     data = [scattering_constant(p) for p in series]
     arrays["const_scattering"] = np.array([d.scattering for d in data])
     arrays["const_ramified"] = np.array([d.ramified_product for d in data])
+    local = [(k, p, v) for k, d in enumerate(data) for p, v in sorted(d.local_factors.items())]
+    arrays["const_local_labels"] = np.array([(k, p) for k, p, _ in local], dtype=np.int64)
+    arrays["const_local_factors"] = np.array([v for _, _, v in local], dtype=np.complex128)
 
     orders, xs = _bessel_cases()
     arrays["bessel_orders"] = orders

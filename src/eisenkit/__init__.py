@@ -5,7 +5,6 @@ sup-norm scaling scans."""
 
 from eisenkit.characters import (
     DirichletCharacter,
-    LocalEpsilonData,
     build_character,
     character_group,
     character_index,
@@ -73,7 +72,6 @@ __all__ = [
     "DirichletCharacter",
     "EisensteinParams",
     "LineZeroError",
-    "LocalEpsilonData",
     "NumericEnvelopeError",
     "NumericsError",
     "PoleError",

@@ -34,8 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class AmplifierConfig:
     r2: float                   # spectral twist of the conjugated factor
     chi1: DirichletCharacter
     chi2: DirichletCharacter
-    weight: BumpWeight = field(default_factory=BumpWeight)
+    weight: ClassVar[BumpWeight] = BumpWeight()    # the one window, shared by every config
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):

@@ -58,7 +58,6 @@ import numpy as np
 
 __all__ = [
     "DirichletCharacter",
-    "LocalEpsilonData",
     "build_character",
     "character_group",
     "conductor",
@@ -262,21 +261,6 @@ class DirichletCharacter:
     @property
     def is_principal(self) -> bool:
         return all(c.index == 0 for c in self.local_components)
-
-    @property
-    def order(self) -> int:
-        result = 1
-        for comp in self.local_components:
-            _, orders, _ = _component_structure(comp.prime, comp.exponent)
-            for k, o in zip(comp.exps, orders):
-                result = math.lcm(result, o // math.gcd(k, o))
-        return result
-
-    def conjugate(self) -> "DirichletCharacter":
-        return conjugate(self)
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        return multiply(self, other)
 
     def __repr__(self) -> str:  # q:index, matching the CLI syntax
         return f"chi({self.modulus}:{character_index(self)})"
@@ -550,25 +534,18 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     return np.asarray([abs(np.dot(row, roots)) ** 2 for row in _value_rows(q, D, weights)])
 
 
-@dataclass(frozen=True)
-class LocalEpsilonData:
-    prime: int
-    conductor_exponent: int
-    epsilon_half: complex
-
-
-def local_epsilon(chi: DirichletCharacter, p: int) -> LocalEpsilonData:
+def local_epsilon(chi: DirichletCharacter, p: int) -> complex:
     """Unit-modulus local epsilon factor of chi at p, at the central point.
 
     Normalized as G(conj(chi_p)) / p^{a/2} with the additive character
-    e(u / p^a); at an unramified place the trivial datum (a = 0, 1) is
-    returned.  The conjugation orientation here is the one frozen by the
+    e(u / p^a), a the conductor exponent of chi at p; at an unramified place
+    it is 1.  The conjugation orientation here is the one frozen by the
     global functional-equation suite; it is unobservable through any other
     code path.
     """
     a = _conductor_exponent(chi, p)
     if a == 0:
-        return LocalEpsilonData(p, 0, 1.0 + 0j)
+        return 1.0 + 0j
     comp_chi = primitive_part(local_component(chi, p))
     g = gauss_sum(conjugate(comp_chi))
-    return LocalEpsilonData(p, a, g / p ** (a / 2.0))
+    return g / p ** (a / 2.0)

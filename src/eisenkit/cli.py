@@ -1,15 +1,18 @@
 """Command-line surface: evaluation, scattering, identity checks, amplifier
 tables, sup-norm scans, and a curated selftest.
 
-Conventions shared by every subcommand:
+Conventions shared by the subcommands:
 
 * characters are written ``q:index`` against the fixed enumeration of
   build_character, so invocations are scriptable and unambiguous;
 * ``--config FILE`` reads a flat ``key = value`` manifest whose entries act
   as defaults for the same-named flags (a flag given on the command line
   wins), which keeps experiment setups reproducible;
-* results go to ``--out`` when given, otherwise to stdout, in JSON or CSV
-  per ``--format``; the last stdout line is always a one-line summary;
+* results go to ``--out`` when given, otherwise to stdout, as JSON; eval,
+  fecheck and amp, the subcommands with a CSV form, take ``--format csv``;
+  scan's ``--out`` is a stem, written as ``<stem>-t<t0>.json`` and ``.csv``
+  per height; the last stdout line is always a one-line summary;
+* selftest takes no flags;
 * exit codes: 0 success, 2 validation problem, 3 numeric-envelope problem.
 """
 
@@ -29,7 +32,7 @@ from eisenkit.characters import (
     character_index,
     gauss_sum_moduli_squared,
 )
-from eisenkit.amplifier import AmplifierConfig, amplifier_sum, asymptotic_report, b_xi, factorization_check
+from eisenkit.amplifier import AmplifierConfig, amplifier_sum, asymptotic_report, factorization_check
 from eisenkit.eisenstein import (
     EisensteinParams,
     evaluate,
@@ -39,7 +42,7 @@ from eisenkit.eisenstein import (
 )
 from eisenkit.lfunctions import completed_lambda, dirichlet_l
 from eisenkit.special_functions import BesselRequest, NumericsError, bessel_k
-from eisenkit.supnorm import exponent_fit, load_report, scan, theorem_reference
+from eisenkit.supnorm import exponent_fit, load_report, scan
 
 __all__ = ["main", "run"]
 
@@ -100,10 +103,10 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _emit(args, payload: dict, csv_text: str | None) -> None:
-    if args.format == "csv" and csv_text is None:
-        raise ValueError(f"subcommand {args.command!r} has no CSV form")
-    body = csv_text if args.format == "csv" else json.dumps(payload, indent=2)
+def _emit(args, payload: dict, csv_text: str | None = None) -> None:
+    """The payload to --out or stdout, as CSV where the subcommand has a CSV
+    form and --format asks for it, else as JSON."""
+    body = csv_text if csv_text is not None and args.format == "csv" else json.dumps(payload, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(body if body.endswith("\n") else body + "\n")
@@ -111,10 +114,12 @@ def _emit(args, payload: dict, csv_text: str | None) -> None:
         print(body)
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, csv: bool = False, out: str = "output file (default: print to stdout)") -> None:
+    """--config and --out; --format too where the subcommand has a CSV form."""
     sub.add_argument("--config", help="flat key = value manifest supplying flag defaults")
-    sub.add_argument("--out", help="output file (default: print to stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--out", help=out)
+    if csv:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def _pair(sub, required: bool = True) -> None:
@@ -136,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--x", type=_finite, default=0.0)
     sub.add_argument("--y", type=_finite, required=True)
     sub.add_argument("--eps", type=_finite, default=1e-8, help="truncation target")
-    _add_common(sub)
+    _add_common(sub, csv=True)
 
     sub = subs.add_parser("scatter", help="scattering constant and local factors")
     _pair(sub)
@@ -152,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ymax", type=_finite, default=3.0)
     sub.add_argument("--eps", type=_finite, default=1e-8)
     sub.add_argument("--seed", type=int, default=None, help="seed for randomized point draws")
-    _add_common(sub)
+    _add_common(sub, csv=True)
 
     sub = subs.add_parser("amp", help="amplifier sums and the asymptotic ratio")
     sub.add_argument("--q", type=int, required=True, help="progression modulus")
@@ -162,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--r1", type=_finite, default=None)
     sub.add_argument("--r2", type=_finite, default=None)
     _pair(sub, required=False)
-    _add_common(sub)
+    _add_common(sub, csv=True)
 
     sub = subs.add_parser("scan", help="grid scan of |F| and optional exponent fit")
     _pair(sub, required=False)
@@ -173,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--fit", action="store_true", help="fit log(sup) against log(T)")
     sub.add_argument("--threads", type=int, default=None,
                      help="worker cap, at least 1 (default: EISENKIT_THREADS or 1)")
-    _add_common(sub)
+    _add_common(sub, out="file stem: writes <stem>-t<t0>.json and .csv per height")
 
     sub = subs.add_parser("bessel", help="one K-Bessel value")
     sub.add_argument("--sigma", type=_finite, default=0.0, help="real part of the order")
@@ -187,8 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--completed", action="store_true", help="completed Lambda instead of L")
     _add_common(sub)
 
-    sub = subs.add_parser("selftest", help="curated internal checks with PASS/FAIL lines")
-    _add_common(sub)
+    subs.add_parser("selftest", help="curated internal checks with PASS/FAIL lines")
 
     return parser
 
@@ -223,7 +227,7 @@ def _cmd_scatter(args) -> int:
         "ramified_product": [data.ramified_product.real, data.ramified_product.imag],
         "local_factors": {str(p): [v.real, v.imag] for p, v in sorted(data.local_factors.items())},
     }
-    _emit(args, payload, None)
+    _emit(args, payload)
     print(f"c(s) at s={params.s:g}: {c:.12g}  |c| = {abs(c):.12g}")
     return 0
 
@@ -270,6 +274,8 @@ def _amp_config(args, length: float) -> AmplifierConfig:
 
 
 def _cmd_amp(args) -> int:
+    if not args.L:
+        raise ValueError("need at least one L")
     cfgs = [_amp_config(args, length) for length in args.L]
     rows = asymptotic_report(cfgs)
     payload = {"schema": "eisenkit-amp-v1",
@@ -321,7 +327,7 @@ def _cmd_bessel(args) -> int:
     payload = {"schema": "eisenkit-bessel-v1",
                "order": [args.sigma, args.t], "x": args.x,
                "value": [value.real, value.imag]}
-    _emit(args, payload, None)
+    _emit(args, payload)
     print(f"K_({args.sigma:g}{args.t:+g}j)({args.x:g}) = {value:.12g}")
     return 0
 
@@ -331,7 +337,7 @@ def _cmd_lfunc(args) -> int:
     payload = {"schema": "eisenkit-lfunc-v1",
                "modulus": args.chi.modulus, "s": [args.s.real, args.s.imag],
                "completed": args.completed, "value": [value.real, value.imag]}
-    _emit(args, payload, None)
+    _emit(args, payload)
     name = "Lambda" if args.completed else "L"
     print(f"{name}({args.s:g}, chi mod {args.chi.modulus}) = {value:.12g}")
     return 0

@@ -121,8 +121,6 @@ class EisensteinParams:
 
 @dataclass(frozen=True)
 class ConstantTermData:
-    section_value: complex          # finite-place new-vector value on the y^{1/2+s} side
-    dual_section_value: complex     # same for the y^{1/2-s} side
     scattering: complex             # c(s)
     local_factors: dict             # prime -> local piece of c_r(s)
     ramified_product: complex       # c_r(s)
@@ -147,11 +145,6 @@ def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
         return 1.0 + 0j
     w = prime_to_p_part(chi, p).evaluate(p)
     return w**k
-
-
-def _local_eps(chi: DirichletCharacter, p: int) -> complex:
-    """Local epsilon value at the central point, in the frozen orientation."""
-    return local_epsilon(chi, p).epsilon_half
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,7 @@ def _b_local(params: EisensteinParams, p: int) -> complex:
     psi = params.quotient_character
     a2 = _cond_exp(params.chi2, p)
     out = p ** (-a2 / 2.0) * _chi_at_uniformizer(params.chi1, p, a2)
-    out *= _local_eps(conjugate(params.chi2), p)
+    out *= local_epsilon(conjugate(params.chi2), p)
     if params.l_modulus % p != 0:
         psi_p = psi.evaluate(p)
         out /= 1.0 - psi_p * cmath.exp(-(2 * s + 1) * math.log(p))
@@ -239,15 +232,13 @@ def coefficient_prefactor(params: EisensteinParams) -> complex:
 # ---------------------------------------------------------------------------
 
 def scattering_constant(params: EisensteinParams) -> ConstantTermData:
-    """The full constant-term datum: c(s), its local pieces, and the two
-    finite-place section values.
+    """The constant-term datum: c(s) and its local pieces.
 
     c(s) = c_r(s) * Lambda(2s, psi) / Lambda(2s+1, psi), with the ramified
     product c_r(s) = [b_r(s) / dual b_r(-s)] * eps(psi)^{-1} * l^{2s} spread
-    over local factors whose product reproduces it exactly.  The section
-    values are the new-vector values at the identity: the y^{1/2+s} side
-    survives only when chi1 has conductor one, the dual side only when chi2
-    does.
+    over local factors whose product reproduces it exactly.  Which constant
+    terms survive is _constant_terms' rule: the y^{1/2+s} side only when chi1
+    has conductor one, the y^{1/2-s} side only when chi2 does.
     """
     s = params.s
     psi = params.quotient_character
@@ -277,13 +268,8 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
         ramified *= local_factors[p]
 
     c_value = ramified * lambda_ratio(s, psi)
-    return ConstantTermData(
-        section_value=1.0 + 0j if params.chi1.modulus == 1 else 0j,
-        dual_section_value=1.0 + 0j if params.chi2.modulus == 1 else 0j,
-        scattering=c_value,
-        local_factors=local_factors,
-        ramified_product=ramified,
-    )
+    return ConstantTermData(scattering=c_value, local_factors=local_factors,
+                            ramified_product=ramified)
 
 
 # ---------------------------------------------------------------------------

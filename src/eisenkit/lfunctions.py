@@ -23,8 +23,8 @@ The error floor is the phase t log n of each term, held to double precision:
 about 1e-16 |t| log n.  The supported envelope is q <= 1e4, |Im s| <= 1e3
 and -1/2 <= Re s <= 1e3.  Left of Re s = -1/2 the terms n^{-s} outgrow the
 value they sum to, and digits cancel: at Re s = -1 and q = 1000 only about
-nine are left.  The envelope is checked in one place, the sum itself, which
-dirichlet_l, completed_lambda and lambda_ratio all call: a non-finite s
+nine are left.  The envelope is checked in one place, the sum itself,
+dirichlet_l, which completed_lambda and lambda_ratio call: a non-finite s
 raises ValueError, and a point or modulus outside it NumericEnvelopeError.
 So lambda_ratio's window, |Im s| <= 500, is the same check at 2s.
 
@@ -73,9 +73,10 @@ def parity_exponent(chi: DirichletCharacter) -> int:
     return 0 if chi.parity == 1 else 1
 
 
-def _l_value(s: complex, chi: DirichletCharacter) -> complex:
+def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     """L(s, chi) by Hurwitz-Euler-Maclaurin in float64, inside the envelope
-    (see the module docstring)."""
+    (see the module docstring); rejects the pole of the principal-character
+    case."""
     s = complex(s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
@@ -117,16 +118,11 @@ def _l_value(s: complex, chi: DirichletCharacter) -> complex:
     return complex(total)
 
 
-def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
-    """L(s, chi); rejects the pole of the principal-character case."""
-    return _l_value(s, chi)
-
-
 def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
     """log Lambda(s, chi) from lval = L(s, chi)."""
     a = parity_exponent(chi)
     q = chi.modulus
-    # the pole at s = 1 is _l_value's, which every caller computes first
+    # the pole at s = 1 is dirichlet_l's, which every caller computes first
     if chi.is_principal and abs(s) < 1e-8:
         raise PoleError(f"completed zeta has a pole at 0; input {s} is within 1e-8 of it")
     half = (s + a) / 2
@@ -146,7 +142,7 @@ def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
     if conductor(chi) != chi.modulus:
         raise ValueError("completed_lambda requires a primitive character")
     s = complex(s)
-    return cmath.exp(_log_lambda(s, chi, _l_value(s, chi)))
+    return cmath.exp(_log_lambda(s, chi, dirichlet_l(s, chi)))
 
 
 def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
@@ -160,10 +156,10 @@ def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
     s = complex(s)
     if conductor(chi) != chi.modulus:
         raise ValueError("lambda_ratio requires a primitive character")
-    on_line = _l_value(2 * s + 1, chi)
+    on_line = dirichlet_l(2 * s + 1, chi)
     if abs(on_line) < 1e-12:
         raise LineZeroError(
             f"near zero of L on the 1-line at 2s+1 = {2 * s + 1}: |L| = {abs(on_line):.2e}; "
             "this regime is classically excluded, so the input or the numerics are wrong")
-    return cmath.exp(_log_lambda(2 * s, chi, _l_value(2 * s, chi))
+    return cmath.exp(_log_lambda(2 * s, chi, dirichlet_l(2 * s, chi))
                      - _log_lambda(2 * s + 1, chi, on_line))

@@ -398,26 +398,20 @@ def gamma_factor(kind: str, s: complex) -> complex:
 # the amplifier bump weight
 # ---------------------------------------------------------------------------
 
-# trapezoid nodes of step 1/256 inside (1, 2); the end nodes, where w and
-# all its derivatives vanish, add nothing
-_BUMP_NODES = 1.0 + np.arange(1, 256) / 256.0
-
-
 @dataclass(frozen=True)
 class BumpWeight:
-    """The fixed smooth weight supported on (1,2) and its Mellin transform.
+    """The fixed smooth weight supported on (1,2) and the integral of it.
 
     w(r) = exp(-1/((r-1)(2-r))) inside the support, zero outside; all
-    derivatives vanish at the endpoints.  mellin(s) is the transform
-    int w(r) r^{s-1} dr, and the frequently used value at s = 1 (the plain
-    integral of w) is set on construction, from one trapezoid sum per process.
+    derivatives vanish at the endpoints.  mellin_at_one, the Mellin transform
+    int w(r) r^{s-1} dr at s = 1 (the plain integral of w), is set on
+    construction, from one trapezoid sum per process.
     """
 
-    mellin_at_one: float = field(default=0.0)
+    mellin_at_one: float = field(init=False)
 
     def __post_init__(self):
-        if self.mellin_at_one == 0.0:
-            object.__setattr__(self, "mellin_at_one", _bump_integral())
+        object.__setattr__(self, "mellin_at_one", _bump_integral())
 
     def weight(self, r):
         """w(r) for a float or elementwise for an array, by one numpy expression."""
@@ -429,24 +423,17 @@ class BumpWeight:
 
     __call__ = weight
 
-    @staticmethod
-    def mellin(s: complex) -> complex:
-        """int_1^2 w(r) r^{s-1} dr by the trapezoid sum of _bump_integral."""
-        r = _BUMP_NODES
-        return complex(np.sum(np.exp(-1.0 / ((r - 1.0) * (2.0 - r))) * r ** (complex(s) - 1.0)) / 256.0)
-
 
 @lru_cache(maxsize=1)
 def _bump_integral() -> float:
     """int_1^2 w(r) dr by the trapezoid rule with step 1/256.
 
     w is flat to all orders at both ends, so the rule converges faster than
-    any power of the step; at 255 nodes it equals a 30-digit quadrature
-    rounded to double.  mellin(1) sums the same terms times r^0 in complex
-    arithmetic, which can round 1 ulp differently, so mellin_at_one is this
-    real sum.
+    any power of the step, and the end nodes, where w and all its
+    derivatives vanish, add nothing; at 255 nodes it equals a 30-digit
+    quadrature rounded to double.
     """
-    r = _BUMP_NODES
+    r = 1.0 + np.arange(1, 256) / 256.0
     return float(np.sum(np.exp(-1.0 / ((r - 1.0) * (2.0 - r)))) / 256.0)
 
 

@@ -147,7 +147,11 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     if x_steps < 1:
         raise ValueError("x_steps must be positive")
     if threads is None:
-        threads = int(os.environ.get("EISENKIT_THREADS", "1") or "1")
+        env = os.environ.get("EISENKIT_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"EISENKIT_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     here = EisensteinParams(params.chi1, params.chi2, float(t0))

@@ -18,8 +18,14 @@ from fractions import Fraction
 
 import mpmath
 
-from eisenkit.characters import DirichletCharacter, character_group, conjugate, local_component
-from eisenkit.eisenstein import _chi_at_uniformizer, _cond_exp, _local_eps
+from eisenkit.characters import (
+    DirichletCharacter,
+    character_group,
+    conjugate,
+    local_component,
+    local_epsilon,
+)
+from eisenkit.eisenstein import _chi_at_uniformizer, _cond_exp
 
 
 # ------------------------------------------------------------------
@@ -186,9 +192,9 @@ def local_constant(params, p: int) -> complex:
     chi1_p = local_component(params.chi1, p)
     sign = chi1_p.evaluate(chi1_p.modulus - 1)
     exponent = -2 * s * n_p - (0.5 - 2 * s) * a_psi + a1 / 2.0 - a2 / 2.0
-    eps_block = (_local_eps(params.chi1, p)
-                 * _local_eps(conjugate(params.chi2), p)
-                 / _local_eps(psi, p))
+    eps_block = (local_epsilon(params.chi1, p)
+                 * local_epsilon(conjugate(params.chi2), p)
+                 / local_epsilon(psi, p))
     char_block = (_chi_at_uniformizer(params.chi2, p, -a1)
                   * _chi_at_uniformizer(params.chi1, p, a2))
     return sign * cmath.exp(exponent * math.log(p)) * eps_block * char_block

@@ -64,6 +64,11 @@ def test_amp_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_amp_needs_at_least_one_length(capsys):
+    assert run(["amp", "--q", "1", "--L", ","]) == 2
+    assert "need at least one L" in capsys.readouterr().err
+
+
 def test_amp_nonpositive_modulus_is_a_validation_error(capsys):
     assert run(["amp", "--q", "0", "--L", "100"]) == 2
     assert "progression modulus" in capsys.readouterr().err
@@ -106,9 +111,12 @@ def test_scan_writes_per_height_files_and_fits(tmp_path, capsys):
     assert "fitted exponent" in text
 
 
-def test_scan_rejects_fewer_than_one_thread(capsys):
+def test_scan_rejects_fewer_than_one_thread(monkeypatch, capsys):
     assert run(["scan", "--level1", "--t0", "10", "--threads", "0"]) == 2
     assert "threads must be at least 1, got 0" in capsys.readouterr().err
+    monkeypatch.setenv("EISENKIT_THREADS", "abc")
+    assert run(["scan", "--level1", "--t0", "10"]) == 2
+    assert "EISENKIT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_scan_fit_needs_three_heights(tmp_path, capsys):
@@ -170,18 +178,45 @@ def test_non_finite_inputs_are_validation_errors(capsys, argv):
     assert "not a finite number" in capsys.readouterr().err
 
 
+# one quick, valid invocation per subcommand, for the flag table below
+_BASE = {
+    "eval": ["eval", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5", "--y", "1.3"],
+    "scatter": ["scatter", "--chi1", "5:1", "--chi2", "5:3", "--t0", "7"],
+    "fecheck": ["fecheck", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5", "--points", "2"],
+    "amp": ["amp", "--q", "3", "--L", "100", "--r", "5"],
+    "scan": ["scan", "--level1", "--t0", "8", "--xsteps", "4"],
+    "bessel": ["bessel", "--t", "5", "--x", "2.0"],
+    "lfunc": ["lfunc", "--chi", "4:1", "--s", "2"],
+    "selftest": ["selftest"],
+}
+
+
 def test_flags_exist_only_where_they_act(tmp_path, capsys):
-    """--threads belongs to scan and --seed to fecheck; elsewhere each is an
-    unknown flag, from the command line or from a config file."""
-    assert run(["eval", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5",
-                "--y", "1.3", "--threads", "2"]) == 2
-    assert run(["scan", "--level1", "--t0", "8", "--seed", "1"]) == 2
-    assert run(["bessel", "--t", "5", "--x", "2.0", "--target", "1e-8"]) == 2
+    """--threads belongs to scan, --seed to fecheck, and --format to eval,
+    fecheck and amp, the subcommands with a CSV form; selftest takes no
+    flags.  Elsewhere each is an unknown flag, from the command line or from
+    a config file, and exits 2."""
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("")
+    rejected = [
+        ("eval", ["--threads", "2"]),
+        ("scan", ["--seed", "1"]),
+        ("bessel", ["--target", "1e-8"]),
+        *((cmd, ["--format", "csv"]) for cmd in ("scatter", "scan", "bessel", "lfunc", "selftest")),
+        ("selftest", ["--out", str(tmp_path / "f")]),
+        ("selftest", ["--config", str(empty)]),
+    ]
+    for cmd, extra in rejected:
+        assert run(_BASE[cmd] + extra) == 2, (cmd, extra)
+        assert "unrecognized arguments" in capsys.readouterr().err, (cmd, extra)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("chi1 = 1:0\nchi2 = 4:1\nt0 = 5\ny = 0.9\nthreads = 2\n")
     assert run(["eval", "--config", str(cfg)]) == 2
-    assert run(["fecheck", "--chi1", "1:0", "--chi2", "4:1", "--t0", "5",
-                "--points", "2", "--seed", "3"]) == 0
+    assert run(_BASE["fecheck"] + ["--seed", "3"]) == 0
+    capsys.readouterr()
+    for cmd, header in (("eval", "x,y,re,im"), ("fecheck", "x,y,residual"), ("amp", "L,A_re,A_im,ratio")):
+        assert run(_BASE[cmd] + ["--format", "csv"]) == 0, cmd
+        assert capsys.readouterr().out.splitlines()[0] == header
 
 
 def test_scatter_outside_the_l_envelope_exits_3(capsys):

@@ -14,6 +14,7 @@ from oracles import local_constant, oracle_phases
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
     EisensteinParams,
+    _constant_terms,
     evaluate,
     evaluate_truncated,
     functional_equation_residual,
@@ -138,10 +139,19 @@ def test_dual_is_built_once_per_series():
 
 
 def test_constant_term_sections_swap_under_dual():
-    data = scattering_constant(EisensteinParams(CHI3, CHI4, 5.0))
-    dual = scattering_constant(EisensteinParams(CHI4, CHI3, -5.0))
-    assert abs(data.section_value - dual.dual_section_value) < 1e-12
-    assert abs(data.dual_section_value - dual.section_value) < 1e-12
+    """The y^{1/2+s} term survives only when chi1 has conductor one, the
+    y^{1/2-s} term only when chi2 does, and the dual series swaps the two:
+    E's constant term is c(s) times the dual's, at every height."""
+    for chi1, chi2 in ((CHI3, CHI4), (CHI1, CHI4), (CHI4, CHI1), (CHI1, CHI1)):
+        params = EisensteinParams(chi1, chi2, 5.0)
+        c = scattering_constant(params).scattering
+        for y in (0.6, 1.3, 2.9):
+            here, there = _constant_terms(params, y), _constant_terms(params.dual(), y)
+            plus = cmath.exp((0.5 + params.s) * math.log(y))
+            minus = c * cmath.exp((0.5 - params.s) * math.log(y))
+            expect = (plus if chi1.modulus == 1 else 0) + (minus if chi2.modulus == 1 else 0)
+            assert abs(here - expect) < 1e-14
+            assert abs(here - c * there) < 1e-12 * (1.0 + abs(here))
 
 
 # ------------------------------------------------------------------

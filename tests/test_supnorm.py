@@ -77,9 +77,10 @@ def test_scan_rejects_fewer_than_one_thread(monkeypatch):
     for threads in (0, -3):
         with pytest.raises(ValueError, match=f"got {threads}"):
             scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,), threads=threads)
-    monkeypatch.setenv("EISENKIT_THREADS", "0")
-    with pytest.raises(ValueError, match="got 0"):
-        scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,))
+    for env, message in (("0", "got 0"), ("abc", "EISENKIT_THREADS must be an integer, got 'abc'")):
+        monkeypatch.setenv("EISENKIT_THREADS", env)
+        with pytest.raises(ValueError, match=message):
+            scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,))
 
 
 def test_scan_aborts_outside_the_bessel_envelope():
