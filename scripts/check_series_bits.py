@@ -9,7 +9,11 @@
     eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, and the t0 = 20 scan
     again with threads = 2: every grid entry (x, y, |F|), the truncation
     length of every row, the supremum and its argmax;
-  * the benchmark's 160 functional-equation residuals for seeds 7 and 8;
+  * the benchmark's 160 functional-equation residuals for seeds 7 and 8,
+    and seed 7's a second time: in reverse order, on the same params
+    objects, after an evaluate at y = 0.3 on each series and its dual has
+    grown every coefficient table past every truncation, so that per-series
+    state whose contents depend on call order shows as a mismatch;
   * coefficient_prefactor, lambda_ratio (at s and the quotient character)
     and scattering_constant (c(s), its ramified product and its local
     factors, prime by prime) for the benchmark's FE-matrix parameter sets
@@ -37,8 +41,10 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 from eisenkit.characters import build_character  # noqa: E402
 from eisenkit.eisenstein import (  # noqa: E402
+    _Y_FLOOR,
     EisensteinParams,
     coefficient_prefactor,
+    evaluate,
     functional_equation_residual,
     scattering_constant,
 )
@@ -79,6 +85,13 @@ def dump(path: str) -> None:
         cases = FEMatrix(seed).cases
         arrays[f"fe_seed{seed}"] = np.array(
             [functional_equation_residual(p, x, y, eps=FEMatrix.EPS) for p, x, y in cases])
+        if seed == FE_SEEDS[0]:
+            for p in dict.fromkeys(p for p, _, _ in cases):
+                for side in (p, p.dual()):
+                    evaluate(side, 0.0, _Y_FLOOR, FEMatrix.EPS)
+            reverse = [functional_equation_residual(p, x, y, eps=FEMatrix.EPS)
+                       for p, x, y in reversed(cases)]
+            arrays[f"fe_seed{seed}_reversed_after_growth"] = np.array(reverse[::-1])
 
     series = [EisensteinParams(build_character(*a), build_character(*b), t0)
               for a, b in FEMatrix.PAIRS for t0 in FEMatrix.HEIGHTS]
@@ -98,7 +111,8 @@ def dump(path: str) -> None:
 
     np.savez_compressed(path, **arrays)
     print(f"{path}: {len(SCANS)} scans, "
-          f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals, "
+          f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals "
+          f"(+{len(arrays[f'fe_seed{FE_SEEDS[0]}_reversed_after_growth'])} in reverse), "
           f"constants of {len(series)} series, "
           f"{orders.size * BESSEL_ARGS} Bessel values")
 

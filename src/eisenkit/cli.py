@@ -13,7 +13,9 @@ Conventions shared by the subcommands:
   scan's ``--out`` is a stem, written as ``<stem>-t<t0>.json`` and ``.csv``
   per height; the last stdout line is always a one-line summary;
 * selftest takes no flags;
-* exit codes: 0 success, 2 validation problem, 3 numeric-envelope problem.
+* exit codes: 0 success, 2 validation problem (an ``--out`` in a missing
+  directory or a file that cannot be written included), 3 numeric-envelope
+  problem.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -511,12 +514,16 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 2
+    # checked before any work, so a scan does not run only to fail at the write
+    out_dir = os.path.dirname(getattr(args, "out", None) or "")
     try:
+        if out_dir and not os.path.isdir(out_dir):
+            raise ValueError(f"--out directory {out_dir!r} does not exist")
         return _DISPATCH[args.command](args)
     except NumericsError as exc:
         print(f"numeric envelope: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

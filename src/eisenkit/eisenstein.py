@@ -22,6 +22,13 @@ Lambda(2s+1, psi); the functional-equation residual then exercises the
 Dirichlet functional equation (Gauss sum against the completed-L ratio)
 against the evaluator's independent path through L(2s+1), the Gamma factor,
 the Bessel values, and the coefficients.
+
+Per-series state lives on the EisensteinParams instance, computed on first
+use: L(2s+1, psi), which coefficient_prefactor and scattering_constant both
+read; P(s); c(s); the dual series; and the table lambda(1..m), grown only
+when a call needs more modes.  A computation that raises leaves nothing
+behind, so the next call raises again.  Equal params objects do not share
+this state; a caller that reuses one object per series pays for it once.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from eisenkit.characters import (
     prime_to_p_part,
     primitive_part,
 )
-from eisenkit.lfunctions import dirichlet_l, lambda_ratio, parity_exponent
+from eisenkit.lfunctions import _lambda_ratio, dirichlet_l, parity_exponent
 from eisenkit.special_functions import (
     NumericEnvelopeError,
     PoleError,
@@ -91,6 +98,7 @@ class EisensteinParams:
     sigma: float = 0.0          # off-axis diagnostics only; acceptance runs keep 0
     level: int = field(init=False, compare=False)
     l_modulus: int = field(init=False, compare=False)
+    _lam: np.ndarray = field(init=False, compare=False, repr=False)   # see _coefficients
 
     def __post_init__(self):
         if not (math.isfinite(self.t_shift) and math.isfinite(self.sigma)):
@@ -100,6 +108,7 @@ class EisensteinParams:
                 raise ValueError(f"characters must be primitive; {chi} has conductor {conductor(chi)}")
         object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
         object.__setattr__(self, "l_modulus", self.quotient_character.modulus)
+        object.__setattr__(self, "_lam", np.zeros(0, dtype=complex))
 
     @property
     def quotient_character(self) -> DirichletCharacter:
@@ -117,6 +126,21 @@ class EisensteinParams:
     @cached_property
     def _dual(self) -> "EisensteinParams":
         return EisensteinParams(self.chi2, self.chi1, -self.t_shift, -self.sigma)
+
+    @cached_property
+    def _l_one_line(self) -> complex:
+        """L(2s+1, psi), read by coefficient_prefactor and scattering_constant."""
+        return dirichlet_l(2 * self.s + 1, self.quotient_character)
+
+    @cached_property
+    def _outer_scale(self) -> complex:
+        """P(s) = b_r(s) / L(2s+1, psi) * 2 / Gamma_R(2s + 1 + a)."""
+        return coefficient_prefactor(self) * _archimedean_constant(self)
+
+    @cached_property
+    def _scattering(self) -> complex:
+        """c(s)."""
+        return scattering_constant(self).scattering
 
 
 @dataclass(frozen=True)
@@ -222,9 +246,7 @@ def _b_ramified(params: EisensteinParams) -> complex:
 
 def coefficient_prefactor(params: EisensteinParams) -> complex:
     """Global prefactor of the Whittaker expansion: b_r(s) / L(2s+1, psi)."""
-    psi = params.quotient_character
-    lvalue = dirichlet_l(2 * params.s + 1, psi)
-    return _b_ramified(params) / lvalue
+    return _b_ramified(params) / params._l_one_line
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +289,7 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
     for p in sorted(local_factors):
         ramified *= local_factors[p]
 
-    c_value = ramified * lambda_ratio(s, psi)
+    c_value = ramified * _lambda_ratio(s, psi, params._l_one_line)
     return ConstantTermData(scattering=c_value, local_factors=local_factors,
                             ramified_product=ramified)
 
@@ -298,25 +320,13 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     return 2.0 / cmath.exp(log_gamma)
 
 
-@lru_cache(maxsize=256)
-def _outer_scale(params: EisensteinParams) -> complex:
-    """P(s) = b_r(s) / L(2s+1, psi) * 2 / Gamma_R(2s + 1 + a), once per series."""
-    return coefficient_prefactor(params) * _archimedean_constant(params)
-
-
-@lru_cache(maxsize=256)
-def _scattering(params: EisensteinParams) -> complex:
-    """c(s), once per series."""
-    return scattering_constant(params).scattering
-
-
 def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
     """The number of modes that keeps the dropped tail of F at height y below eps."""
     # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
     # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
     # outer scale and the cosine's factor 2.  A y or an eps that is not
     # positive and finite leaves no usable budget, so one check covers all three.
-    scale = abs(_outer_scale(params)) * (math.sqrt(y) if y > 0 else math.nan)
+    scale = abs(params._outer_scale) * (math.sqrt(y) if y > 0 else math.nan)
     budget = eps / (4.6 * max(scale, 1e-300))
     if not 0 < budget < math.inf:
         raise ValueError(f"y = {y} and eps = {eps} leave this series no tail budget: "
@@ -325,8 +335,18 @@ def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
 
 
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
-    """lambda(1), ..., lambda(m) as a complex array."""
-    return np.array([fourier_coefficient(params, n) for n in range(1, m + 1)], dtype=complex)
+    """lambda(1), ..., lambda(m): a read-only view of the series' table, which
+    grows only when m exceeds it.  Each lambda(n) is computed on its own, so
+    the table holds the same bits whatever order it grew in."""
+    table = params._lam
+    if len(table) < m:
+        grown = [fourier_coefficient(params, n) for n in range(len(table) + 1, m + 1)]
+        table = np.concatenate([table, np.array(grown, dtype=complex)])
+        table.flags.writeable = False
+        # one assignment publishes the longer table: a thread sharing the
+        # series sees the old table or the new one, never a half-grown one
+        object.__setattr__(params, "_lam", table)
+    return table[:m]
 
 
 def _bessel_rows(s: complex, ys, modes) -> list[np.ndarray]:
@@ -356,15 +376,15 @@ def _fourier_row(params: EisensteinParams, lam: np.ndarray, bessel: np.ndarray,
     thread count), so a value does not depend on which other x share the table.
     """
     weights = lam * bessel
-    return _outer_scale(params) * math.sqrt(y) * (cosines * weights).sum(axis=-1)
+    return params._outer_scale * math.sqrt(y) * (cosines * weights).sum(axis=-1)
 
 
-def _series_value(params: EisensteinParams, x: float, y: float, m: int,
-                  bessel: np.ndarray) -> complex:
-    """F(s; x, y) from its first m modes, given K_s(2 pi n y) for n >= 1
-    up to at least m."""
+def _series_value(params: EisensteinParams, y: float, m: int, bessel: np.ndarray,
+                  cosines: np.ndarray) -> complex:
+    """F(s; x, y) from its first m modes, given K_s(2 pi n y) and the one-x
+    cosine table, each for n >= 1 up to at least m."""
     return complex(_fourier_row(params, _coefficients(params, m), bessel[:m],
-                                _cosine_table([x], m), y)[0])
+                                cosines[:, :m], y)[0])
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
@@ -373,7 +393,7 @@ def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float)
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     m = _truncation(params, y, eps)
     bessel, = _bessel_rows(params.s, [y], [m])
-    return _series_value(params, x, y, m, bessel)
+    return _series_value(params, y, m, bessel, _cosine_table([x], m))
 
 
 def evaluate(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
@@ -387,7 +407,7 @@ def _constant_terms(params: EisensteinParams, y: float) -> complex:
     if params.chi1.modulus == 1:
         out += cmath.exp((0.5 + s) * math.log(y))
     if params.chi2.modulus == 1:
-        out += _scattering(params) * cmath.exp((0.5 - s) * math.log(y))
+        out += params._scattering * cmath.exp((0.5 - s) * math.log(y))
     return out
 
 
@@ -396,7 +416,8 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     """Normalized defect of E(s, z) = c(s) * dual E(-s, z) at one point.
 
     Both sides are evaluate's sums, with no expansion floor, and share one
-    Bessel row, K_s(2 pi n y) up to the longer of their two truncations.
+    Bessel row, K_s(2 pi n y), and one cosine table, 2 cos(2 pi n x), each up
+    to the longer of their two truncations.
     That is exact, not an approximation: K is even in its order and
     bessel_k_row computes K_s and K_-s as equal floats (on the unitary axis
     equal byte for byte, zero imaginary parts included), so the residual equals
@@ -406,6 +427,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     dual = params.dual()
     m, m_dual = _truncation(params, y, eps), _truncation(dual, y, eps)
     bessel, = _bessel_rows(params.s, [y], [max(m, m_dual)])
-    e_here = _series_value(params, x, y, m, bessel) + _constant_terms(params, y)
-    e_dual = _series_value(dual, x, y, m_dual, bessel) + _constant_terms(dual, y)
-    return abs(e_here - _scattering(params) * e_dual) / (1.0 + abs(e_here) + abs(e_dual))
+    cosines = _cosine_table([x], max(m, m_dual))
+    e_here = _series_value(params, y, m, bessel, cosines) + _constant_terms(params, y)
+    e_dual = _series_value(dual, y, m_dual, bessel, cosines) + _constant_terms(dual, y)
+    return abs(e_here - params._scattering * e_dual) / (1.0 + abs(e_here) + abs(e_dual))

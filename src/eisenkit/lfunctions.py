@@ -156,7 +156,12 @@ def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
     s = complex(s)
     if conductor(chi) != chi.modulus:
         raise ValueError("lambda_ratio requires a primitive character")
-    on_line = dirichlet_l(2 * s + 1, chi)
+    return _lambda_ratio(s, chi, dirichlet_l(2 * s + 1, chi))
+
+
+def _lambda_ratio(s: complex, chi: DirichletCharacter, on_line: complex) -> complex:
+    """lambda_ratio's body, given on_line = L(2s+1, chi) for primitive chi, so
+    that a caller holding that L-value does not compute it again."""
     if abs(on_line) < 1e-12:
         raise LineZeroError(
             f"near zero of L on the 1-line at 2s+1 = {2 * s + 1}: |L| = {abs(on_line):.2e}; "

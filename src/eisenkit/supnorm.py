@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +192,9 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     n = min(threads, len(ys))
     cuts = [len(ys) * k // n for k in range(n + 1)]
     if n > 1:
+        # imported here: concurrent.futures pulls in logging, which a
+        # single-threaded process never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n) as pool:
             values = np.concatenate(list(pool.map(measure, cuts[:-1], cuts[1:])))
     else:

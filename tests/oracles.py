@@ -395,6 +395,19 @@ def brute_gauss_sum(chi: DirichletCharacter) -> complex:
     return total
 
 
+def brute_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                      s: complex, n: int) -> complex:
+    """sum over ab = n of chi1(a) a^s chi2(b) b^{-s}: every divisor by trial,
+    character values from the generator-walk phases."""
+    def values(chi):
+        q, phases = chi.modulus, oracle_phases(chi.modulus, oracle_index(chi))
+        return lambda m: cmath.exp(2j * math.pi * float(phases[m % q])) if m % q in phases else 0j
+
+    v1, v2 = values(chi1), values(chi2)
+    return sum((v1(a) * cmath.exp(s * math.log(a)) * v2(n // a) * cmath.exp(-s * math.log(n // a))
+                for a in range(1, n + 1) if n % a == 0), 0j)
+
+
 def character_count(q: int) -> int:
     return sum(1 for _ in character_group(q))
 

@@ -111,6 +111,29 @@ def test_scan_writes_per_height_files_and_fits(tmp_path, capsys):
     assert "fitted exponent" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["bessel", "--t", "5", "--x", "2"],
+    ["scan", "--level1", "--t0", "8", "--xsteps", "4"],
+])
+def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    from eisenkit import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the --out check")
+
+    monkeypatch.setattr(cli, "scan", no_work)
+    monkeypatch.setattr(cli, "bessel_k", no_work)
+    missing = tmp_path / "missing"
+    assert run(argv + ["--out", str(missing / "x")]) == 2
+    assert f"--out directory {str(missing)!r} does not exist" in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    assert run(["bessel", "--t", "5", "--x", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_scan_rejects_fewer_than_one_thread(monkeypatch, capsys):
     assert run(["scan", "--level1", "--t0", "10", "--threads", "0"]) == 2
     assert "threads must be at least 1, got 0" in capsys.readouterr().err

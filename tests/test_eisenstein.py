@@ -5,15 +5,18 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import local_constant, oracle_phases
+from oracles import brute_divisor_sum, local_constant
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
     EisensteinParams,
+    _coefficients,
     _constant_terms,
     evaluate,
     evaluate_truncated,
@@ -21,6 +24,7 @@ from eisenkit.eisenstein import (
     generalized_divisor_sum,
     scattering_constant,
 )
+from eisenkit.special_functions import NumericEnvelopeError
 
 CHI1 = build_character(1, 0)
 CHI3 = build_character(3, 1)
@@ -52,19 +56,9 @@ def test_coefficient_exponent_orientation():
 def test_brute_force_divisor_sum_small_n():
     """Every divisor by trial, character values from the generator-walk oracle."""
     s = 0.2 - 3j
-    phases1, phases2 = oracle_phases(5, 1), oracle_phases(5, 3)
-
-    def value(phases, n):
-        return cmath.exp(2j * math.pi * phases[n % 5]) if n % 5 in phases else 0j
-
     # 10 to 1000 share the factor 5 with the modulus; 25 to 961 are prime powers
     for n in (12, 36, 60, 97, 360, 10, 50, 250, 1000, 25, 125, 128, 243, 343, 961):
-        brute = 0j
-        for a in range(1, n + 1):
-            if n % a == 0:
-                b = n // a
-                brute += (value(phases1, a) * cmath.exp(s * math.log(a))
-                          * value(phases2, b) * cmath.exp(-s * math.log(b)))
+        brute = brute_divisor_sum(CHI5, CHI5P, s, n)
         assert abs(generalized_divisor_sum(CHI5, CHI5P, s, n) - brute) < 1e-12
 
 
@@ -250,3 +244,103 @@ def test_non_finite_spectral_point_is_rejected():
     for t0, sigma in ((math.nan, 0.0), (math.inf, 0.0), (5.0, math.nan)):
         with pytest.raises(ValueError):
             EisensteinParams(CHI1, CHI1, t0, sigma)
+
+
+# ------------------------------------------------------------------
+# per-series state: L(2s+1, psi), P(s), c(s), the lambda table
+# ------------------------------------------------------------------
+
+_POINTS = ((0.1, 2.5), (0.37, 0.4), (-0.2, 1.1), (0.45, 0.7))
+
+
+def _values(params, points):
+    """evaluate and the FE residual at each point, in the given order."""
+    return {(x, y): (evaluate(params, x, y, 1e-8), functional_equation_residual(params, x, y))
+            for x, y in points}
+
+
+def test_coefficient_table_matches_the_brute_divisor_sum():
+    for chi1, chi2, t0 in ((CHI5, CHI5P, 5.0), (CHI3, CHI4, 10.0), (CHI1, CHI4, 7.5)):
+        params = EisensteinParams(chi1, chi2, t0)
+        for side in (params, params.dual()):
+            _coefficients(side, 12)
+            table = _coefficients(side, 40)          # grown from 12 to 40
+            assert len(table) == 40 and not table.flags.writeable
+            for n, lam in enumerate(table, start=1):
+                assert abs(lam - brute_divisor_sum(side.chi1, side.chi2, side.s, n)) < 1e-12
+
+
+def test_table_growth_order_does_not_change_bits():
+    """Tables grown small to large, large to small, or fresh per call give
+    the same evaluate and residual bits."""
+    for chi1, chi2, t0 in ((CHI1, CHI1, 5.0), (CHI3, CHI4, 10.0), (CHI5, CHI5P, 7.5)):
+        by_height = sorted(_POINTS, key=lambda p: p[1])
+        fresh = {point: _values(EisensteinParams(chi1, chi2, t0), [point])[point]
+                 for point in _POINTS}
+        growing = _values(EisensteinParams(chi1, chi2, t0), by_height[::-1])
+        shrinking = _values(EisensteinParams(chi1, chi2, t0), by_height)
+        assert growing == fresh and shrinking == fresh
+
+
+def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
+    """L(2s+1) for each side, L(2s) for c(s), and for the dual's c(-s) only
+    where the dual keeps its y^{1/2-s} term; nothing on a second call."""
+    from eisenkit import eisenstein, lfunctions
+
+    calls = []
+    real = lfunctions.dirichlet_l
+
+    def counted(s, chi):
+        calls.append((s, chi))
+        return real(s, chi)
+
+    monkeypatch.setattr(eisenstein, "dirichlet_l", counted)
+    monkeypatch.setattr(lfunctions, "dirichlet_l", counted)
+    for chi1, chi2, expected in ((CHI3, CHI4, 3), (CHI1, CHI4, 4), (CHI1, CHI1, 4)):
+        params = EisensteinParams(chi1, chi2, 5.0)
+        del calls[:]
+        functional_equation_residual(params, 0.37, 0.62)
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
+        functional_equation_residual(params, -0.41, 2.8)
+        assert len(calls) == expected
+
+
+@pytest.mark.parametrize("t0, message", [
+    (480.0, "underflows double precision"),        # after L(2s+1) succeeded
+    (600.0, "outside the supported window"),       # L(2s+1) itself
+])
+def test_a_failed_set_up_is_raised_again(t0, message):
+    params = EisensteinParams(CHI1, CHI1, t0)
+    for _ in range(2):
+        with pytest.raises(NumericEnvelopeError, match=message):
+            evaluate(params, 0.0, 1.0, 1e-8)
+        with pytest.raises(NumericEnvelopeError, match=message):
+            functional_equation_residual(params, 0.0, 1.0)
+
+
+def test_threads_sharing_a_fresh_series_agree():
+    """Threads growing one fresh series' state at once, switching often, get
+    the values a single thread gets."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chi1, chi2, t0 in ((CHI1, CHI4, 5.0), (CHI3, CHI4, 10.0)):
+            expected = _values(EisensteinParams(chi1, chi2, t0), _POINTS)
+            shared = EisensteinParams(chi1, chi2, t0)
+            start = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(k):
+                start.wait()
+                results[k] = _values(shared, _POINTS[k:] + _POINTS[:k])
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
