@@ -16,14 +16,11 @@ from eisenkit.characters import (
     primitive_part,
 )
 from eisenkit.special_functions import (
-    BesselRequest,
     BumpWeight,
     NumericEnvelopeError,
     NumericsError,
     PoleError,
-    bessel_k,
     bessel_k_row,
-    gamma_factor,
     whittaker_tail_cutoff,
 )
 from eisenkit.lfunctions import (
@@ -66,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplifierConfig",
     "AsymptoticRow",
-    "BesselRequest",
     "BumpWeight",
     "ConstantTermData",
     "DirichletCharacter",
@@ -80,7 +76,6 @@ __all__ = [
     "amplifier_sum",
     "asymptotic_report",
     "b_xi",
-    "bessel_k",
     "bessel_k_row",
     "build_character",
     "character_group",
@@ -95,7 +90,6 @@ __all__ = [
     "factorization_check",
     "fourier_coefficient",
     "functional_equation_residual",
-    "gamma_factor",
     "gauss_sum",
     "gauss_sum_moduli_squared",
     "generalized_divisor_sum",

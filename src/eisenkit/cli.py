@@ -44,7 +44,7 @@ from eisenkit.eisenstein import (
     scattering_constant,
 )
 from eisenkit.lfunctions import completed_lambda, dirichlet_l
-from eisenkit.special_functions import BesselRequest, NumericsError, bessel_k
+from eisenkit.special_functions import NumericsError, bessel_k_row
 from eisenkit.supnorm import exponent_fit, load_report, scan
 
 __all__ = ["main", "run"]
@@ -326,7 +326,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bessel(args) -> int:
-    value = bessel_k(BesselRequest(complex(args.sigma, args.t), args.x))
+    value = bessel_k_row(complex(args.sigma, args.t), [args.x])[0]
     payload = {"schema": "eisenkit-bessel-v1",
                "order": [args.sigma, args.t], "x": args.x,
                "value": [value.real, value.imag]}
@@ -380,7 +380,7 @@ def _selftest_checks():
     def bessel_half():
         worst = 0.0
         for x in (0.01, 0.5, 3.0, 40.0, 300.0):
-            got = bessel_k(BesselRequest(0.5, x))
+            got = bessel_k_row(0.5, [x])[0]
             ref = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
             worst = max(worst, abs(got - ref) / ref)
         return worst < 1e-13, f"max closed-form deviation {worst:.2e}"
@@ -392,7 +392,7 @@ def _selftest_checks():
                  (100.0, 70.0, 1.3678185681808807e-70), (160.0, 240.0, 3.762201040832116e-130))
         worst = 0.0
         for t, x, ref in table:
-            got = bessel_k(BesselRequest(1j * t, x))
+            got = bessel_k_row(1j * t, [x])[0]
             worst = max(worst, abs(got - ref) / abs(ref))
         return worst < 1e-10, f"max cross-check deviation {worst:.2e}"
 

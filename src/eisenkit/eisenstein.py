@@ -60,7 +60,7 @@ from eisenkit.special_functions import (
     NumericEnvelopeError,
     PoleError,
     bessel_k_row,
-    log_gamma_factor,
+    log_gamma_r,
     whittaker_tail_cutoff,
 )
 
@@ -312,7 +312,7 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     functional equation would force a non-elementary Gamma ratio into c(s).
     """
     a = parity_exponent(params.quotient_character)
-    log_gamma = log_gamma_factor("real-place", 2 * params.s + 1 + a)
+    log_gamma = log_gamma_r(2 * params.s + 1 + a)
     if log_gamma.real < _LOG_TINY:
         raise NumericEnvelopeError(
             f"unsupported regime: Gamma_R(2s + 1 + a) = exp({log_gamma.real:.1f}) underflows "

@@ -28,15 +28,18 @@ dirichlet_l, which completed_lambda and lambda_ratio call: a non-finite s
 raises ValueError, and a point or modulus outside it NumericEnvelopeError.
 So lambda_ratio's window, |Im s| <= 500, is the same check at 2s.
 
-The completed form Lambda(s, chi) = (q/pi)^{(s+a)/2} Gamma((s+a)/2) L(s, chi)
-and the ratio Lambda(2s, chi)/Lambda(2s+1, chi) are assembled in log space,
-with a float64 log-gamma, so Gamma decay high up the line cannot underflow.
+The completed form Lambda(s, chi) = q^{(s+a)/2} Gamma_R(s + a) L(s, chi),
+Gamma_R(s) = pi^{-s/2} Gamma(s/2), and the ratio Lambda(2s, chi)/Lambda(2s+1,
+chi) are assembled in log space, with the float64 log_gamma_r, so Gamma decay
+high up the line cannot underflow.  A completed value too large for a double,
+as at s = 700 for chi mod 4, raises NumericEnvelopeError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from eisenkit.special_functions import (
     NumericEnvelopeError,
     NumericsError,
     PoleError,
-    log_gamma_factor,
+    log_gamma_r,
 )
 
 __all__ = [
@@ -62,6 +65,8 @@ _Q_WINDOW = 10**4     # supported modulus
 _RE_WINDOW = (-0.5, 1e3)   # supported Re s
 
 _CHUNK = 1 << 16      # Dirichlet-series terms per vectorized pass
+# log of the largest double: a completed value above it cannot be returned
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 class LineZeroError(NumericsError):
@@ -134,7 +139,7 @@ def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
         raise PoleError(f"Gamma completion pole: (s+{a})/2 = {half} is within 1e-8 of {-n}")
     if abs(lval) < 1e-300:
         raise LineZeroError(f"L({s}, chi mod {q}) vanished; cannot take logs")
-    return half * math.log(q) + log_gamma_factor("real-place", s + a) + cmath.log(lval)
+    return half * math.log(q) + log_gamma_r(s + a) + cmath.log(lval)
 
 
 def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
@@ -142,7 +147,12 @@ def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
     if conductor(chi) != chi.modulus:
         raise ValueError("completed_lambda requires a primitive character")
     s = complex(s)
-    return cmath.exp(_log_lambda(s, chi, dirichlet_l(s, chi)))
+    log_value = _log_lambda(s, chi, dirichlet_l(s, chi))
+    if log_value.real > _LOG_HUGE:
+        raise NumericEnvelopeError(
+            f"unsupported regime: Lambda(s, chi) = exp({log_value.real:.1f}) overflows "
+            f"double precision at s = {s}")
+    return cmath.exp(log_value)
 
 
 def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:

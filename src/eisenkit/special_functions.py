@@ -1,5 +1,5 @@
-"""Complex-order K-Bessel values, Gamma factors, the amplifier bump weight,
-and Fourier-tail truncation cutoffs.
+"""Complex-order K-Bessel values, the real-place Gamma factor, the amplifier
+bump weight, and Fourier-tail truncation cutoffs.
 
 K-Bessel values come from float64 quadrature along one of two contours for
 
@@ -53,15 +53,12 @@ import mpmath  # noqa: F401  loaded with the package: perfbench/worker.py reads 
 import numpy as np
 
 __all__ = [
-    "BesselRequest",
     "BumpWeight",
     "NumericEnvelopeError",
     "NumericsError",
     "PoleError",
-    "bessel_k",
     "bessel_k_row",
-    "gamma_factor",
-    "log_gamma_factor",
+    "log_gamma_r",
     "whittaker_tail_cutoff",
 ]
 
@@ -85,14 +82,6 @@ class NumericEnvelopeError(NumericsError):
 # ---------------------------------------------------------------------------
 # K-Bessel
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BesselRequest:
-    """One K_nu(x) for bessel_k; bessel_k_row checks the inputs."""
-
-    order: complex            # nu = sigma + it
-    argument: float           # x > 0
-
 
 # guaranteed envelope of bessel_k_row
 _X_MIN = 1e-6
@@ -200,7 +189,8 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     non-finite order or argument or an x <= 0, raises ValueError.  A valid
     input outside the envelope raises NumericEnvelopeError ("unsupported
     regime") instead of silently degrading.  Element i equals
-    bessel_k(BesselRequest(order, xs[i])) bit for bit.  On the unitary axis
+    bessel_k_row(order, [xs[i]])[0] bit for bit: each value has its own node
+    set, whatever else is in the row.  On the unitary axis
     x < |t| with |t| >= _SADDLE_FLOOR takes the saddle contour, every other
     value the line contour (see the module docstring), and the rows at
     nu and -nu are equal byte for byte there.
@@ -300,13 +290,8 @@ def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def bessel_k(req: BesselRequest) -> complex:
-    """K_nu(x) for one request: a one-element bessel_k_row."""
-    return complex(bessel_k_row(req.order, [req.argument])[0])
-
-
 # ---------------------------------------------------------------------------
-# Gamma factors
+# the real-place Gamma factor
 # ---------------------------------------------------------------------------
 
 _POLE_TOL = 1e-10
@@ -352,46 +337,19 @@ def _log_gamma(z: complex) -> complex:
     return (w - 0.5) * cmath.log(w) - w + _HALF_LOG_2PI + series / w - shift
 
 
-def _nearest_pole(kind: str, s: complex) -> tuple[float, complex]:
-    """Distance from s to the nearest pole of the requested factor."""
-    if kind == "real-place":
-        # poles of Gamma(s/2) at s = 0, -2, -4, ...
-        n = max(0, round(-s.real / 2.0))
-        pole = complex(-2 * n, 0.0)
-    else:
-        # plain Gamma and the complex-place factor share poles at 0, -1, -2, ...
-        n = max(0, round(-s.real))
-        pole = complex(-n, 0.0)
-    return abs(s - pole), pole
-
-
-def log_gamma_factor(kind: str, s: complex) -> complex:
-    """log of gamma_factor(kind, s), safe for arguments far up a vertical line.
+def log_gamma_r(s: complex) -> complex:
+    """log Gamma_R(s) = log Gamma(s/2) - (s/2) log pi, safe far up a vertical line.
 
     The imaginary part is the continuous one of the principal log-gamma branch
-    (mpmath.loggamma's), not reduced mod 2 pi.
+    (mpmath.loggamma's), not reduced mod 2 pi.  The poles s = 0, -2, -4, ...
+    are rejected with a distance-to-pole diagnostic.
     """
     s = complex(s)
-    dist, pole = _nearest_pole(kind, s)
+    pole = complex(-2 * max(0, round(-s.real / 2.0)), 0.0)
+    dist = abs(s - pole)
     if dist < _POLE_TOL:
-        raise PoleError(f"{kind} gamma factor pole at {pole}: input is {dist:.3e} away")
-    if kind == "plain":
-        return _log_gamma(s)
-    if kind == "real-place":
-        return _log_gamma(s / 2) - (s / 2) * math.log(math.pi)
-    if kind == "complex-place":
-        return math.log(2.0) - s * math.log(2.0 * math.pi) + _log_gamma(s)
-    raise ValueError(f"unknown gamma factor kind {kind!r}")
-
-
-def gamma_factor(kind: str, s: complex) -> complex:
-    """Gamma_R(s) = pi^{-s/2} Gamma(s/2), Gamma_C(s) = 2 (2 pi)^{-s} Gamma(s),
-    or the plain Gamma function.
-
-    Pole inputs are rejected with a distance-to-pole diagnostic.  Values too
-    large for double precision overflow; use log_gamma_factor there.
-    """
-    return cmath.exp(log_gamma_factor(kind, s))
+        raise PoleError(f"real-place gamma factor pole at {pole}: input is {dist:.3e} away")
+    return _log_gamma(s / 2) - (s / 2) * math.log(math.pi)
 
 
 # ---------------------------------------------------------------------------

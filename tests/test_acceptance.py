@@ -8,6 +8,7 @@ contract, not fixing a test.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
@@ -25,7 +26,7 @@ from eisenkit.eisenstein import (
     functional_equation_residual,
     generalized_divisor_sum,
 )
-from eisenkit.special_functions import BesselRequest, bessel_k, gamma_factor
+from eisenkit.special_functions import bessel_k_row, log_gamma_r
 from eisenkit.supnorm import exponent_fit, scan
 
 DATA = Path(__file__).parent / "data"
@@ -62,7 +63,7 @@ def test_real_place_factor_vs_quadrature():
     """The archimedean constant-term factor equals an explicit line integral."""
     worst = 0.0
     for s in (0.75 + 0j, 1.0 + 0j, 1.0 + 2.0j):
-        factor = gamma_factor("real-place", 2 * s) / gamma_factor("real-place", 2 * s + 1)
+        factor = cmath.exp(log_gamma_r(2 * s)) / cmath.exp(log_gamma_r(2 * s + 1))
         ref = real_place_quadrature(s)
         worst = max(worst, abs(factor - ref) / abs(ref))
     ok = worst < 1e-8
@@ -201,7 +202,7 @@ def test_bessel_backend():
     assert fixture["schema"] == "eisenkit-bessel-oracle-v1"
     worst = 0.0
     for t, x, ref in fixture["entries"]:
-        got = bessel_k(BesselRequest(order=complex(0.0, t), argument=x))
+        got = bessel_k_row(complex(0.0, t), [x])[0]
         worst = max(worst, abs(got.real - ref) / max(abs(ref), 1e-300))
     fixture_ok = worst < 1e-10 and len(fixture["entries"]) == 1000
 
@@ -213,11 +214,11 @@ def test_bessel_backend():
             x = x0 * (1.0 + 0.45 * k)
             if x > 700.0:
                 break
-            val = abs(bessel_k(BesselRequest(order=complex(0.0, t), argument=x)))
+            val = abs(bessel_k_row(complex(0.0, t), [x])[0])
             ratio_max = max(ratio_max, val * math.sqrt(x) * math.exp(x))
     envelope_ok = ratio_max <= 10.0
 
-    half = bessel_k(BesselRequest(order=0.5, argument=2.3))
+    half = bessel_k_row(0.5, [2.3])[0]
     closed = math.sqrt(math.pi / (2 * 2.3)) * math.exp(-2.3)
     half_ok = abs(half.real - closed) / closed < 1e-13
 

@@ -122,7 +122,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(tmp_path, monkeypatc
         raise AssertionError("ran before the --out check")
 
     monkeypatch.setattr(cli, "scan", no_work)
-    monkeypatch.setattr(cli, "bessel_k", no_work)
+    monkeypatch.setattr(cli, "bessel_k_row", no_work)
     missing = tmp_path / "missing"
     assert run(argv + ["--out", str(missing / "x")]) == 2
     assert f"--out directory {str(missing)!r} does not exist" in capsys.readouterr().err
@@ -186,6 +186,14 @@ def test_gamma_underflow_above_the_envelope_exits_3(capsys, argv):
     error with exit code 3, not a division by zero."""
     assert run(argv) == 3
     assert "underflows double precision" in capsys.readouterr().err
+
+
+def test_completed_lambda_overflow_exits_3(capsys):
+    """Lambda(700, chi mod 4) is about exp(1786): a numerics error with exit
+    code 3, not an OverflowError."""
+    assert run(["lfunc", "--chi", "4:1", "--s", "700", "--completed"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric envelope: ") and "overflows double precision" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -19,7 +21,7 @@ from eisenkit.lfunctions import (
     lambda_ratio,
     parity_exponent,
 )
-from eisenkit.special_functions import NumericEnvelopeError, PoleError, gamma_factor
+from eisenkit.special_functions import NumericEnvelopeError, PoleError, log_gamma_r
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,6 +125,26 @@ def test_completed_lambda_functional_equation():
             assert abs(lhs - eps.conjugate() * rhs) <= 1e-10 * abs(rhs)
 
 
+def test_completed_lambda_is_finite_or_an_envelope_error():
+    """Far right in the envelope Lambda(s, chi) outgrows double precision: there
+    it is a NumericEnvelopeError, everywhere else a finite value, never an
+    OverflowError."""
+    rng = random.Random(700)
+    outcomes = set()
+    for _ in range(200):
+        chi = rng.choice((build_character(1, 0), CHI3, CHI4))
+        s = complex(rng.uniform(-0.5, 1e3), rng.uniform(-1e3, 1e3))
+        try:
+            value = completed_lambda(s, chi)
+        except NumericEnvelopeError as exc:
+            assert "overflows double precision" in str(exc), (s, chi.modulus)
+            outcomes.add("envelope")
+        else:
+            assert cmath.isfinite(value), (s, chi.modulus)
+            outcomes.add("finite")
+    assert outcomes == {"envelope", "finite"}
+
+
 def test_against_the_frozen_hurwitz_oracle_over_the_envelope():
     """Every point of tests/data/l_oracle.json (scripts/make_l_oracle.py):
     q up to 9973, Re s in [-1/2, 2], |Im s| up to 1e3, mpmath at 30+ digits.
@@ -161,6 +183,6 @@ def test_l_function_path_calls_no_mpmath(monkeypatch):
     dirichlet_l(2.0 + 0.7j, build_character(1, 0))
     completed_lambda(0.3 + 2.9j, CHI4)
     lambda_ratio(4.3j, CHI5)
-    gamma_factor("real-place", 1.0 + 8.6j)
+    log_gamma_r(1.0 + 8.6j)
     params = EisensteinParams(CHI3, CHI4, 3.7)
     functional_equation_residual(params, 0.13, 1.1, eps=1e-8)

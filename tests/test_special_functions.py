@@ -1,7 +1,8 @@
-"""Bessel backend, gamma factors, and the smooth amplifier weight."""
+"""Bessel backend, the real-place Gamma factor, and the smooth amplifier weight."""
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
@@ -24,14 +25,11 @@ from oracles import (
 )
 from eisenkit.special_functions import (
     BERNOULLI_OVER_FACTORIAL,
-    BesselRequest,
     BumpWeight,
     NumericEnvelopeError,
     PoleError,
-    bessel_k,
     bessel_k_row,
-    gamma_factor,
-    log_gamma_factor,
+    log_gamma_r,
     whittaker_tail_cutoff,
 )
 
@@ -44,7 +42,7 @@ DATA = Path(__file__).parent / "data"
 
 def test_half_integer_closed_form():
     for x in (0.01, 0.5, 2.3, 40.0, 300.0):
-        got = bessel_k(BesselRequest(order=0.5, argument=x))
+        got = bessel_k_row(0.5, [x])[0]
         ref = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
         assert abs(got.real - ref) <= 1e-13 * ref
         assert got.imag == 0.0
@@ -78,7 +76,7 @@ def test_quadrature_spot_checks():
     entries = _fixture("bessel_spot_oracle.json", "eisenkit-bessel-oracle-v1")
     assert [(t, x) for t, x, _ in entries] == bessel_draws(1105, 30)
     for t, x, ref in entries:
-        got = bessel_k(BesselRequest(order=complex(0.0, t), argument=x))
+        got = bessel_k_row(complex(0.0, t), [x])[0]
         assert abs(got.real - ref) <= 1e-10 * max(abs(ref), 1e-300)
 
 
@@ -91,7 +89,7 @@ def test_exponential_regime_envelope_constant():
             x = x0 * (1.0 + 0.5 * k)
             if x > 700.0:
                 break
-            val = abs(bessel_k(BesselRequest(order=complex(0.0, t), argument=x)))
+            val = abs(bessel_k_row(complex(0.0, t), [x])[0])
             worst = max(worst, val * math.sqrt(x) * math.exp(x))
     assert worst <= 10.0
 
@@ -99,7 +97,7 @@ def test_exponential_regime_envelope_constant():
 def test_oscillatory_decay_scale():
     """On the transition x ~ t the value carries the e^{-pi t / 2} scale."""
     for t in (10.0, 30.0, 50.0):
-        val = abs(bessel_k(BesselRequest(order=complex(0.0, t), argument=t / 2)))
+        val = abs(bessel_k_row(complex(0.0, t), [t / 2])[0])
         assert val < math.exp(-0.3 * t)
         assert val > math.exp(-3.0 * t)
 
@@ -120,17 +118,10 @@ def test_gauss_legendre_table_is_pinned():
 
 
 def test_envelope_rejections():
-    with pytest.raises(NumericEnvelopeError):
-        bessel_k(BesselRequest(order=0.0, argument=1e-9))
-    with pytest.raises(NumericEnvelopeError):
-        bessel_k(BesselRequest(order=0.0, argument=800.0))
-    with pytest.raises(NumericEnvelopeError):
-        bessel_k(BesselRequest(order=250j, argument=1.0))
-    with pytest.raises(NumericEnvelopeError):
-        bessel_k(BesselRequest(order=12.0, argument=1.0))
-    for order in (300j, 2e4j):
+    for order, x in ((0.0, 1e-9), (0.0, 800.0), (250j, 1.0), (12.0, 1.0), (300j, 1.0),
+                     (2e4j, 1.0)):
         with pytest.raises(NumericEnvelopeError):
-            bessel_k(BesselRequest(order=order, argument=1.0))
+            bessel_k_row(order, [x])
 
 
 # Values below the normal range (about 2.2e-308) carry the absolute
@@ -190,7 +181,7 @@ def test_row_matches_scalar_bit_for_bit():
         shuffled = xs[::-1]
         row_rev = bessel_k_row(order, shuffled)[::-1]
         for x, a, b in zip(xs, row, row_rev):
-            single = bessel_k(BesselRequest(order=order, argument=x))
+            single = bessel_k_row(order, [x])[0]
             assert a == single and b == single, (order, x)
 
 
@@ -201,59 +192,33 @@ def test_row_rejects_inputs_outside_the_envelope():
                       (-12.0, [1.0])):
         with pytest.raises(NumericEnvelopeError):
             bessel_k_row(order, xs)
-    for order, xs in ((complex(math.nan, 1.0), [1.0]), (3j, [1.0, math.inf]), (0.0, [0.0]),
+    for order, xs in ((complex(math.nan, 1.0), [1.0]), (complex(0.0, math.inf), [1.0]),
+                      (1j, [math.nan]), (3j, [1.0, math.inf]), (0.0, [0.0]),
                       (1j, [0.0]), (1j, [-1.0]), (1j, [2.0, -1.0])):
         with pytest.raises(ValueError):
             bessel_k_row(order, xs)
     assert bessel_k_row(3j, []).shape == (0,)
 
 
-def test_request_contract():
-    """A request carries only the order and the argument; bessel_k rejects
-    non-finite or non-positive input as bessel_k_row does."""
-    for order, x in ((complex(math.nan, 0.0), 1.0), (complex(0.0, math.inf), 1.0),
-                     (1j, math.nan), (1j, math.inf), (1j, 0.0), (1j, -2.0)):
-        with pytest.raises(ValueError):
-            bessel_k(BesselRequest(order=order, argument=x))
-    assert bessel_k(BesselRequest(order=5j, argument=2.0)) == bessel_k_row(5j, [2.0])[0]
-
-
 # ------------------------------------------------------------------
-# gamma factors
+# the real-place Gamma factor
 # ------------------------------------------------------------------
-
-def test_gamma_factor_kinds():
-    import cmath
-    s = 1.3 + 0.7j
-    assert abs(gamma_factor("real-place", s)
-               - cmath.pi ** (-s / 2) * gamma_factor("plain", s / 2)) < 1e-12
-    assert abs(gamma_factor("complex-place", s)
-               - 2 * (2 * cmath.pi) ** (-s) * gamma_factor("plain", s)) < 1e-10
-
-
-def test_gamma_duplication_links_the_places():
-    """Gamma_R(s) Gamma_R(s+1) = Gamma_C(s), the classical doubling identity."""
-    for s in (0.8, 1.0 + 2j, 2.5 - 1j):
-        lhs = gamma_factor("real-place", s) * gamma_factor("real-place", s + 1)
-        rhs = gamma_factor("complex-place", s)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
 
 def test_log_gamma_against_mpmath_on_its_branch():
-    """Float64 log-gamma against mpmath.loggamma, imaginary parts compared as
-    they are (not mod 2 pi), up the line to |Im z| = 2e3 and left of the
-    origin, where the recurrence crosses the branch cut's neighbourhood."""
+    """log Gamma_R against mpmath.loggamma, imaginary parts compared as they
+    are (not mod 2 pi), up the line to |Im z| = 2e3 and left of the origin,
+    where the recurrence crosses the branch cut's neighbourhood.  At s = 2z
+    the log-gamma inside runs at z itself."""
     heights = (0.0, 1e-9, 0.3, 2.5, 17.0, 140.0, 999.0, 2e3)
     worst = 0.0
     with mpmath.workdps(40):
         for re in (-7.3, 0.25, 1.0, 3.5):
             for t in heights + tuple(-h for h in heights[1:]):
                 z = complex(re, t)
-                ref_plain = complex(mpmath.loggamma(mpmath.mpc(re, t)))
-                ref_real = complex(mpmath.loggamma(mpmath.mpc(re, t) / 2)
-                                   - mpmath.mpc(re, t) / 2 * mpmath.log(mpmath.pi))
-                for kind, ref in (("plain", ref_plain), ("real-place", ref_real)):
-                    got = log_gamma_factor(kind, z)
+                for s in (z, 2 * z):
+                    half = mpmath.mpc(s.real, s.imag) / 2
+                    ref = complex(mpmath.loggamma(half) - half * mpmath.log(mpmath.pi))
+                    got = log_gamma_r(s)
                     worst = max(worst, abs(got - ref) / max(abs(ref), 1.0))
     assert worst <= 1e-14
 
@@ -265,19 +230,19 @@ def test_bernoulli_table_is_pinned():
             assert value == float(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j))
 
 
-def test_gamma_factor_pole_and_bad_kind():
-    with pytest.raises(PoleError):
-        gamma_factor("real-place", 0.0)
-    with pytest.raises(PoleError):
-        gamma_factor("plain", -3.0)
-    with pytest.raises(ValueError):
-        gamma_factor("imaginary-place", 1.0)
+def test_log_gamma_r_poles():
+    """Gamma(s/2) has its poles at s = 0, -2, -4, ...; the odd integers between
+    them are ordinary points."""
+    for s in (0.0, -2.0, complex(-6.0, 1e-11)):
+        with pytest.raises(PoleError, match="real-place gamma factor pole at"):
+            log_gamma_r(s)
+    assert math.isfinite(abs(log_gamma_r(-3.0)))
 
 
 def test_beta_integral_identity():
     """Gamma_R(2s)/Gamma_R(2s+1) equals the (1+x^2)^(-s-1/2) line integral."""
     s = 1.25
-    lhs = (gamma_factor("real-place", 2 * s) / gamma_factor("real-place", 2 * s + 1)).real
+    lhs = (cmath.exp(log_gamma_r(2 * s)) / cmath.exp(log_gamma_r(2 * s + 1))).real
     ref, _ = quad(lambda x: (1.0 + x * x) ** (-s - 0.5), -math.inf, math.inf, limit=200)
     assert abs(lhs - ref) <= 1e-10 * ref
 
@@ -340,12 +305,8 @@ def test_tail_cutoff_actually_bounds_the_tail():
     """Sum the discarded Bessel terms explicitly and compare against eps."""
     t, y, eps = 8.0, 0.7, 1e-9
     m = whittaker_tail_cutoff(t, y, eps)
-    tail = 0.0
-    for n in range(m + 1, m + 200):
-        x = 2 * math.pi * n * y
-        if x > 700.0:
-            break
-        tail += 2 * abs(bessel_k(BesselRequest(order=complex(0.0, t), argument=x)))
+    xs = [2 * math.pi * n * y for n in range(m + 1, m + 200)]
+    tail = 2 * np.abs(bessel_k_row(complex(0.0, t), [x for x in xs if x <= 700.0])).sum()
     assert tail < eps
     # no bound exists for a non-finite height or budget
     for y_bad, eps_bad in ((y, math.nan), (y, math.inf), (math.nan, eps), (math.inf, eps)):
