@@ -22,7 +22,8 @@
     arguments spread log-uniformly over [1e-3, 700].
 
 --compare counts the entries whose raw bytes differ between two dumps, per
-array, and exits 1 if any differ or an array is missing from either side.
+array, with the largest absolute and relative deviation among them, and
+exits 1 if any differ or an array is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the Bessel
 or series code) and --compare the two files; a dump takes a few seconds.
 """
@@ -123,6 +124,19 @@ def _raw(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
 
 
+def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray) -> str:
+    """The largest absolute and relative deviation over the mismatched
+    entries (relative to the first dump's entry), or "" if there are none."""
+    if not differ.any():
+        return ""
+    a = x.reshape(len(differ), -1)[differ].astype(complex)
+    b = y.reshape(len(differ), -1)[differ].astype(complex)
+    dev = np.abs(a - b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(dev == 0, 0.0, dev / np.abs(a))
+    return f", max abs deviation {dev.max():.3g}, max rel deviation {rel.max():.3g}"
+
+
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
     bad = 0
@@ -136,8 +150,9 @@ def compare(path_a: str, path_b: str) -> int:
             print(f"{name}: shape/dtype {x.shape} {x.dtype} vs {y.shape} {y.dtype}")
             bad += 1
             continue
-        mismatches = int(np.any(_raw(x) != _raw(y), axis=-1).sum())
-        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches")
+        differ = np.any(_raw(x) != _raw(y), axis=-1)
+        mismatches = int(differ.sum())
+        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches" + _deviation(x, y, differ))
         bad += mismatches
     print(f"total mismatches: {bad}")
     return 1 if bad else 0

@@ -270,8 +270,16 @@ class DirichletCharacter:
 # construction and enumeration
 # ---------------------------------------------------------------------------
 
+# the largest modulus: above the L-value window q <= 1e4, and low enough that
+# gauss_sum_moduli_squared's phi(q) q values take seconds
+_MODULUS_MAX = 1 << 14
+
+
 def _group_orders(q: int) -> list[tuple[int, int, list[int]]]:
-    """Per-component (p, e, generator orders) for modulus q."""
+    """Per-component (p, e, generator orders) for a modulus q in [1, 2^14],
+    checked before any table is built."""
+    if not 0 < q <= _MODULUS_MAX:
+        raise ValueError(f"modulus must be in [1, {_MODULUS_MAX}], got {q}")
     out = []
     for p, e in _factorize(q):
         _, orders, _ = _component_structure(p, e)
@@ -284,8 +292,6 @@ def build_character(q: int, index: int) -> DirichletCharacter:
 
     Index 0 is the principal character; valid indices run over [0, phi(q)).
     """
-    if q <= 0:
-        raise ValueError(f"modulus must be positive, got {q}")
     sizes = [(p, e, math.prod(orders)) for p, e, orders in _group_orders(q)]
     phi = math.prod(size for _, _, size in sizes)
     if not (0 <= index < phi):
@@ -520,18 +526,20 @@ def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
 
 
 def gauss_sum_moduli_squared(q: int) -> np.ndarray:
-    """|G(chi)|^2 for every primitive chi mod q, via one vectorized batch.
+    """|G(chi)|^2 for every primitive chi mod q, from batches of value rows.
 
     Returns an array with one entry per primitive character (enumeration
     order).  Used by the classical-law sweep |G(chi)|^2 = q.  No character
     object is built: primitivity and the weights come from the exponent
-    vectors.
+    vectors.  q <= 2^14, and the rows come in batches of about 2^20 values.
     """
     orders, exps, primitive = _exponent_vectors(q)
     D = math.lcm(*orders)
     weights = exps[primitive] * (D // np.array(orders, dtype=np.int64))
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    return np.asarray([abs(np.dot(row, roots)) ** 2 for row in _value_rows(q, D, weights)])
+    batch = max(1, (1 << 20) // q)      # value rows per batch: about 2^20 values
+    return np.asarray([abs(np.dot(row, roots)) ** 2 for lo in range(0, len(weights), batch)
+                       for row in _value_rows(q, D, weights[lo:lo + batch])])
 
 
 def local_epsilon(chi: DirichletCharacter, p: int) -> complex:

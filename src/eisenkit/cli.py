@@ -98,11 +98,10 @@ def _config_flags(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
             key = key.strip().replace("_", "-")
             value = value.strip().strip("\"'")
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    flags.append(f"--{key}")
-            else:
+            if value.lower() not in ("true", "false"):
                 flags.extend([f"--{key}", value])
+            elif value.lower() == "true":
+                flags.append(f"--{key}")
     return flags
 
 
@@ -176,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _pair(sub, required=False)
     sub.add_argument("--level1", action="store_true", help="shorthand for --chi1 1:0 --chi2 1:0")
     sub.add_argument("--t0", type=_float_list, required=True, help="comma list of spectral parameters")
-    sub.add_argument("--xsteps", type=int, default=64)
+    sub.add_argument("--xsteps", type=int, default=64, help="x grid points per row, 1 to 4096")
     sub.add_argument("--eps", type=_finite, default=1e-8)
     sub.add_argument("--fit", action="store_true", help="fit log(sup) against log(T)")
     sub.add_argument("--threads", type=int, default=None,
@@ -246,15 +245,10 @@ def _cmd_fecheck(args) -> int:
         pts = [(rng.uniform(0.0, 0.5), math.exp(rng.uniform(math.log(args.ymin), math.log(args.ymax))))
                for _ in range(args.points)]
     else:
-        pts = []
-        for j in range(args.points):
-            frac = (j + 0.5) / args.points
-            pts.append((0.5 * frac,
-                        args.ymin * (args.ymax / args.ymin) ** frac))
-    rows = []
-    for x, y in pts:
-        rows.append({"x": x, "y": y,
-                     "residual": functional_equation_residual(params, x, y, args.eps)})
+        fracs = [(j + 0.5) / args.points for j in range(args.points)]
+        pts = [(0.5 * frac, args.ymin * (args.ymax / args.ymin) ** frac) for frac in fracs]
+    rows = [{"x": x, "y": y, "residual": functional_equation_residual(params, x, y, args.eps)}
+            for x, y in pts]
     worst = max(row["residual"] for row in rows)
     payload = {"schema": "eisenkit-fecheck-v1",
                "chi1": [args.chi1.modulus, character_index(args.chi1)],
@@ -352,24 +346,16 @@ def _cmd_lfunc(args) -> int:
 
 def _selftest_checks():
     def gauss_law():
-        worst = 0.0
-        for q in range(3, 101):
-            devs = gauss_sum_moduli_squared(q)
-            if devs.size:
-                worst = max(worst, float(abs(devs - q).max()))
+        worst = max(float(abs(gauss_sum_moduli_squared(q) - q).max(initial=0.0)) for q in range(3, 101))
         return worst < 1e-10, f"max |G|^2 deviation {worst:.2e}"
 
     def hecke():
         params = EisensteinParams(build_character(4, 1), build_character(3, 1), 1.5)
         lam = {n: fourier_coefficient(params, n) for n in range(1, 2001)}
         prod = params.chi1.evaluate(3) * params.chi2.evaluate(3)
-        worst = 0.0
-        for k in range(1, 6):
-            lhs = lam[3 ** (k + 1)]
-            rhs = lam[3] * lam[3 ** k] - prod * lam[3 ** (k - 1)]
-            worst = max(worst, abs(lhs - rhs))
-        for m, n in ((4, 9), (25, 49), (11, 13), (8, 27)):
-            worst = max(worst, abs(lam[m * n] - lam[m] * lam[n]))
+        defects = [abs(lam[3 ** (k + 1)] - (lam[3] * lam[3 ** k] - prod * lam[3 ** (k - 1)])) for k in range(1, 6)]
+        defects += [abs(lam[m * n] - lam[m] * lam[n]) for m, n in ((4, 9), (25, 49), (11, 13), (8, 27))]
+        worst = max(defects)
         return worst < 1e-12, f"max defect {worst:.2e}"
 
     def fe_residual():
@@ -378,11 +364,8 @@ def _selftest_checks():
         return worst < 1e-6, f"max residual {worst:.2e}"
 
     def bessel_half():
-        worst = 0.0
-        for x in (0.01, 0.5, 3.0, 40.0, 300.0):
-            got = bessel_k_row(0.5, [x])[0]
-            ref = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-            worst = max(worst, abs(got - ref) / ref)
+        refs = {x: math.sqrt(math.pi / (2 * x)) * math.exp(-x) for x in (0.01, 0.5, 3.0, 40.0, 300.0)}
+        worst = max(abs(bessel_k_row(0.5, [x])[0] - ref) / ref for x, ref in refs.items())
         return worst < 1e-13, f"max closed-form deviation {worst:.2e}"
 
     def bessel_reference():
@@ -390,18 +373,13 @@ def _selftest_checks():
         table = ((12.0, 0.5, -2.966296614242154e-09), (30.0, 9.0, -1.662637137405939e-22),
                  (50.0, 250.0, 1.4153573529314504e-112), (60.0, 360.0, 1.9964225634017682e-160),
                  (100.0, 70.0, 1.3678185681808807e-70), (160.0, 240.0, 3.762201040832116e-130))
-        worst = 0.0
-        for t, x, ref in table:
-            got = bessel_k_row(1j * t, [x])[0]
-            worst = max(worst, abs(got - ref) / abs(ref))
+        worst = max(abs(bessel_k_row(1j * t, [x])[0] - ref) / abs(ref) for t, x, ref in table)
         return worst < 1e-10, f"max cross-check deviation {worst:.2e}"
 
     def scattering_unitary():
         params = EisensteinParams(build_character(4, 1), build_character(3, 1), 7.0)
-        c = scattering_constant(params).scattering
-        dev = abs(abs(c) - math.sqrt(4.0 / 3.0))
-        cdual = scattering_constant(params.dual()).scattering
-        dev = max(dev, abs(c * cdual - 1))
+        c, cdual = (scattering_constant(p).scattering for p in (params, params.dual()))
+        dev = max(abs(abs(c) - math.sqrt(4.0 / 3.0)), abs(c * cdual - 1))
         return dev < 1e-10, f"max deviation {dev:.2e}"
 
     def amp_window():
@@ -416,29 +394,23 @@ def _selftest_checks():
         cfg = AmplifierConfig(q=5, L=1000.0, r1=2.0, r2=-1.0, chi1=chi1, chi2=chi2)
         naive = 0j
         for p in range(1000, 2001):
-            if p % 5 != 1 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-                continue
-            e1 = chi1.evaluate(p) * p ** (2j) + chi2.evaluate(p) * p ** (-2j)
-            e2 = (chi1.evaluate(p) * p ** (-1j) + chi2.evaluate(p) * p ** (1j)).conjugate()
-            naive += cfg.weight(p / 1000.0) * math.log(p) * e1 * e2
+            if p % 5 == 1 and all(p % d for d in range(2, math.isqrt(p) + 1)):
+                e1 = chi1.evaluate(p) * p ** (2j) + chi2.evaluate(p) * p ** (-2j)
+                e2 = (chi1.evaluate(p) * p ** (-1j) + chi2.evaluate(p) * p ** (1j)).conjugate()
+                naive += cfg.weight(p / 1000.0) * math.log(p) * e1 * e2
         dev = abs(amplifier_sum(cfg) - naive)
         return dev < 1e-12, f"sieve vs direct deviation {dev:.2e}"
 
     def factorization():
         rng = random.Random(11)
-        triv = build_character(1, 0)
-        worst = 0.0
-        for _ in range(3):
-            cfg = AmplifierConfig(q=5, L=10.0, r1=rng.uniform(-20, 20), r2=rng.uniform(-20, 20),
-                                  chi1=triv, chi2=triv)
-            xi = build_character(5, 2)
-            for p in (7, 11, 101, 499):
-                worst = max(worst, factorization_check(p, xi, cfg))
+        triv, xi = build_character(1, 0), build_character(5, 2)
+        cfgs = [AmplifierConfig(q=5, L=10.0, r1=rng.uniform(-20, 20), r2=rng.uniform(-20, 20),
+                                chi1=triv, chi2=triv) for _ in range(3)]
+        worst = max(factorization_check(p, xi, cfg) for cfg in cfgs for p in (7, 11, 101, 499))
         return worst < 1e-10, f"max defect {worst:.2e}"
 
     def leibniz():
-        value = dirichlet_l(1.0, build_character(4, 1))
-        dev = abs(value - math.pi / 4)
+        dev = abs(dirichlet_l(1.0, build_character(4, 1)) - math.pi / 4)
         return dev < 1e-12, f"|L(1) - pi/4| = {dev:.2e}"
 
     def scan_roundtrip():
@@ -474,8 +446,7 @@ def _cmd_selftest(args) -> int:
             ok, detail = fn()
         except Exception as exc:   # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        dt = time.perf_counter() - t0
-        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail}, {dt:.2f} s)")
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({detail}, {time.perf_counter() - t0:.2f} s)")
         failures += 0 if ok else 1
     total = time.perf_counter() - start
     print(f"selftest: {len(checks) - failures}/{len(checks)} passed in {total:.1f} s")

@@ -322,16 +322,16 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
 
 def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
     """The number of modes that keeps the dropped tail of F at height y below eps."""
-    # the tail estimate majorizes |lambda(n)| K(2 pi n y) by
-    # 2.3 * n^{0.6} (2 pi n y)^{-1/2} e^{-2 pi n y}; budget eps against the
-    # outer scale and the cosine's factor 2.  A y or an eps that is not
-    # positive and finite leaves no usable budget, so one check covers all three.
-    scale = abs(params._outer_scale) * (math.sqrt(y) if y > 0 else math.nan)
-    budget = eps / (4.6 * max(scale, 1e-300))
-    if not 0 < budget < math.inf:
+    # the tail is at most 2 |P(s)| sqrt(y) sum_{n > m} |lambda(n) K_s(2 pi n y)|
+    # and whittaker_tail_cutoff bounds the sum times e^{pi |t| / 2}.  A y or an
+    # eps that is not positive and finite leaves no usable budget, nor does a
+    # subnormal one (its modes lie past the Bessel envelope): one check for all.
+    scale = abs(params._outer_scale) * math.exp(-0.5 * math.pi * abs(params.t_shift))
+    budget = eps / (2.0 * max(scale * (math.sqrt(y) if y > 0 else math.nan), 1e-300))
+    if not sys.float_info.min <= budget < math.inf:
         raise ValueError(f"y = {y} and eps = {eps} leave this series no tail budget: "
-                         f"eps / (4.6 |P(s)| sqrt(y)) is {budget}")
-    return whittaker_tail_cutoff(params.t_shift, y, budget)
+                         f"eps / (2 |P(s)| e^(-pi |t| / 2) sqrt(y)) is {budget}")
+    return whittaker_tail_cutoff(params.t_shift, y, budget, params.sigma)
 
 
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:

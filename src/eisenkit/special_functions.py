@@ -108,6 +108,8 @@ def _line_peak(sigma: float, t: float, x, theta):
     which peaks where sinh u = sigma / (x cos theta).
     """
     a = x * np.cos(theta)
+    if sigma == 0.0:        # hypot(a, 0) is a and arcsinh(0 / a) is 0, exactly
+        return -a - t * theta, 0.0, a, a
     b = np.hypot(a, sigma)
     u = np.arcsinh(sigma / a)
     return sigma * u - b - t * theta, u, a, b
@@ -225,7 +227,8 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
 def _in_passes(route, xs: np.ndarray) -> np.ndarray:
     """route(xs), from passes of at most _PASS arguments (one empty pass for
     an empty xs, so that the result still has the route's dtype)."""
-    return np.concatenate([route(xs[lo:lo + _PASS]) for lo in range(0, max(xs.size, 1), _PASS)])
+    passes = [route(xs[lo:lo + _PASS]) for lo in range(0, max(xs.size, 1), _PASS)]
+    return passes[0] if len(passes) == 1 else np.concatenate(passes)
 
 
 def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
@@ -255,36 +258,38 @@ def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
 
     # Truncation: |integrand| falls e^-37 below its peak within `right` of it
     # on the right; on the left the sigma u term slows the fall, so take the
-    # tighter of a cosh bound and a linear one.
+    # tighter of a cosh bound and a linear one.  At sigma = 0 the integrand is
+    # conjugate-symmetric about u = 0, so the sum runs over u >= 0 only.
     right = np.arccosh(1.0 + _LOG_TOL / b)
-    left = 0.0     # sigma = 0: the integrand is conjugate-symmetric about u = 0, sum u >= 0
+    count = np.ceil(right / h).astype(np.int64) + 1
     if sigma > 0.0:
         with np.errstate(divide="ignore"):
             left = np.minimum(np.arccosh(1.0 + _LOG_TOL / (b - sigma)),
                               1.0 + (_LOG_TOL + math.log1p(1.0 / sigma)) / sigma)
-    n_lo = np.ceil(left / h).astype(np.int64)
-    count = n_lo + np.ceil(right / h).astype(np.int64) + 1
+        n_lo = np.ceil(left / h).astype(np.int64)
+        count += n_lo
 
     shift = peak + t * theta
     x_sin = xs * np.sin(theta)
     scale = 0.5 * h * np.exp(peak + 1j * sigma * theta)
     out = np.empty(xs.shape, dtype=complex)
-    block = np.cumsum(count) // _BLOCK
-    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), xs.size]
+    cuts = [0, xs.size]
+    if count.sum() > _BLOCK:
+        block = np.cumsum(count) // _BLOCK
+        cuts[1:1] = (np.flatnonzero(np.diff(block)) + 1).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
         sizes = count[lo:hi]
         starts = np.cumsum(sizes) - sizes
         owner = np.repeat(np.arange(lo, hi), sizes)
-        k = np.arange(sizes.sum()) - np.repeat(starts + n_lo[lo:hi], sizes)
-        u = u_peak[owner] + k * h[owner]
-        mag = np.exp(sigma * u - a[owner] * np.cosh(u) - shift[owner])
-        phase = t * u - x_sin[owner] * np.sinh(u)
-        terms = mag * np.cos(phase)
-        re = np.add.reduceat(terms, starts)
-        if sigma == 0.0:
-            re = 2.0 * re - terms[starts]
-            im = 0.0
+        if sigma == 0.0:        # u_peak is 0, no sigma u term, and the u < 0 half mirrors u > 0
+            u = (np.arange(sizes.sum()) - np.repeat(starts, sizes)) * h[owner]
+            terms = np.exp(-a[owner] * np.cosh(u) - shift[owner]) * np.cos(t * u - x_sin[owner] * np.sinh(u))
+            re, im = 2.0 * np.add.reduceat(terms, starts) - terms[starts], 0.0
         else:
+            u = u_peak[owner] + (np.arange(sizes.sum()) - np.repeat(starts + n_lo[lo:hi], sizes)) * h[owner]
+            mag = np.exp(sigma * u - a[owner] * np.cosh(u) - shift[owner])
+            phase = t * u - x_sin[owner] * np.sinh(u)
+            re = np.add.reduceat(mag * np.cos(phase), starts)
             im = np.add.reduceat(mag * np.sin(phase), starts)
         out[lo:hi] = scale[lo:hi] * (re + 1j * im)
     return out
@@ -399,33 +404,47 @@ def _bump_integral() -> float:
 # truncation cutoffs
 # ---------------------------------------------------------------------------
 
-def whittaker_tail_cutoff(t: float, y: float, eps: float) -> int:
-    """Number of Fourier modes needed so the dropped tail is below eps.
+def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) -> int:
+    """The least m >= 1 with sum_{n > m} sqrt(3n) n^|sigma| e^{pi |t| / 2}
+    |K_{sigma + it}(2 pi n y)| < eps, where sqrt(3n) n^|sigma| bounds |lambda(n)|.
 
-    Bounds each dropped term by n^{0.6} (2 pi n y)^{-1/2} exp(-2 pi n y):
-    the n^{0.5} part majorizes the divisor count (d(n) <= sqrt(3n)), the
-    extra n^{0.1} absorbs the constant, and the rest is the exponential-regime
-    Bessel envelope, valid once 2 pi n y > 1 + pi |t| / 2.  The returned M
-    always clears that transition point, and the geometric-ratio tail bound
-    past M is pushed below eps.
+    For x > |t|, the integral for K (DLMF 10.32.9) on Im w = arcsin(|t| / x),
+    with cosh u >= 1 + u^2 / 2, gives e^{pi |t| / 2} |K_{sigma + it}(x)| <=
+    sqrt(pi / 2r) exp(|t| arccos(|t| / x) - r + sigma^2 / 2r), r^2 = x^2 - t^2,
+    whose exponent has slope below -r / x.  So past the first mode with x > |t|
+    the terms fall by rho = (1 + 1/n)^{1/2 + |sigma|} e^{-2 pi y r / x} per
+    mode or more, and the tail is at most the first over 1 - rho.  That bound
+    falls with m, so the search gallops from a first guess, then bisects.
     """
     if not (0 < y < math.inf and 0 < eps < math.inf):
         raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
-    t = abs(float(t))
-    two_pi_y = 2.0 * math.pi * y
-    m = max(1, math.ceil((1.0 + 0.5 * math.pi * t + 0.01) / two_pi_y))
+    t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
+    two_pi_y, log_eps = 2.0 * math.pi * y, math.log(eps)
 
-    def term(n: int) -> float:
-        z = two_pi_y * n
-        return n**0.6 * math.exp(-z) / math.sqrt(z)
+    def fits(m: int) -> bool:
+        n = m + 1                  # the first dropped mode
+        x = two_pi_y * n
+        r = math.sqrt((x - t) * (x + t)) if x > t else 0.0
+        log_rho = power * math.log1p(1.0 / n) - two_pi_y * r / x
+        return log_rho < 0.0 and (power * math.log(n) + t * math.acos(t / x) - r + half_s2 / r
+                                  + 0.5 * math.log(1.5 * math.pi / r) - math.log(-math.expm1(log_rho))) < log_eps
 
-    def tail_bound(m0: int) -> float:
-        # a_{n+1}/a_n <= (1 + 1/m0)^{0.1} e^{-2 pi y} =: rho < 1 for n >= m0
-        rho = (1.0 + 1.0 / m0) ** 0.1 * math.exp(-two_pi_y)
-        if rho >= 1.0:
-            return math.inf
-        return term(m0 + 1) / (1.0 - rho)
-
-    while tail_bound(m) >= eps:
-        m = math.ceil(m * 1.1) + 1
-    return m
+    # first guess: one Newton step on t arccos(t / x) - r = log eps from its
+    # upper bound pi t / 2 - log eps, since x - r <= t arcsin(t / x)
+    x = max(0.5 * math.pi * t - log_eps, t + 1.0)
+    r = math.sqrt((x - t) * (x + t))
+    x += (t * math.acos(t / x) - r - log_eps) * x / r
+    lo = max(1, math.floor(t / two_pi_y)) - 1     # every mode past lo + 1 has x > |t|
+    hi, step = max(lo + 1, math.ceil(x / two_pi_y) - 1), 1
+    if fits(hi):           # gallop down to a bracket (lo, hi], fits(lo) false
+        while hi - step > lo and fits(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+    else:                  # or up
+        while not fits(hi + step):
+            hi, step = hi + step, 2 * step
+        lo, hi = hi, hi + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi

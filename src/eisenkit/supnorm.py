@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _SCHEMA = "eisenkit-scan-v1"
+_X_STEPS_MAX = 4096
 
 
 def spectral_height(t0: float) -> float:
@@ -142,9 +143,10 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     to s = i*t0.  ``y_grid`` may be any increasing sequence of heights above
     the evaluation floor; by default a geometric grid up to 1.2*T/(2pi),
     which covers the transition range where the supremum is attained.
+    x_steps runs over [1, 4096], checked first: a grid point takes about 110 bytes.
     """
-    if x_steps < 1:
-        raise ValueError("x_steps must be positive")
+    if not 1 <= x_steps <= _X_STEPS_MAX:
+        raise ValueError(f"x_steps must be in [1, {_X_STEPS_MAX}], got {x_steps}")
     if threads is None:
         env = os.environ.get("EISENKIT_THREADS") or "1"
         try:

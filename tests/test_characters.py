@@ -235,7 +235,7 @@ def test_gauss_batch_builds_no_character(monkeypatch):
 
     monkeypatch.setattr(characters_module, "build_character", forbidden)
     monkeypatch.setattr(characters_module, "conductor", forbidden)
-    for q in (1, 2, 4, 8, 12, 45, 97, 120, 256):
+    for q in (1, 2, 4, 8, 12, 45, 97, 120, 256, 1031):    # 1031 takes two row batches
         squares = gauss_sum_moduli_squared(q)
         assert len(squares) == _primitive_count(q)
         assert np.all(np.abs(squares - q) < 1e-10)
@@ -297,6 +297,21 @@ def test_local_epsilon_unramified_is_trivial():
     chi = build_character(45, 3)
     assert characters_module._conductor_exponent(chi, 7) == 0
     assert local_epsilon(chi, 7) == 1
+
+
+def test_modulus_above_the_ceiling_is_rejected_before_any_table(monkeypatch):
+    """Moduli run over [1, 2^14]: above that, and at q <= 0, both entry points
+    raise ValueError before factoring q or building a discrete-log array."""
+    def forbidden(*args):
+        raise AssertionError("q factored or a table built before the modulus check")
+
+    monkeypatch.setattr(characters_module, "_factorize", forbidden)
+    monkeypatch.setattr(characters_module, "_component_structure", forbidden)
+    for q in (0, -3, 16385, 1000003, 10**12):
+        with pytest.raises(ValueError, match=rf"modulus must be in \[1, 16384\], got {q}"):
+            build_character(q, 1)
+        with pytest.raises(ValueError, match=rf"modulus must be in \[1, 16384\], got {q}"):
+            gauss_sum_moduli_squared(q)
 
 
 def test_build_character_rejects_bad_index():

@@ -250,6 +250,29 @@ def test_flags_exist_only_where_they_act(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[0] == header
 
 
+def test_character_modulus_above_the_ceiling_exits_2_before_any_table(monkeypatch, capsys):
+    from eisenkit import characters
+
+    def forbidden(*args):
+        raise AssertionError("a character table was built")
+
+    monkeypatch.setattr(characters, "_component_structure", forbidden)
+    assert run(["lfunc", "--chi", "1000003:1", "--s", "2"]) == 2
+    assert "modulus must be in [1, 16384], got 1000003" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xsteps", ["0", "4097", "1000000000"])
+def test_scan_xsteps_outside_its_range_exits_2_before_any_work(monkeypatch, capsys, xsteps):
+    from eisenkit import supnorm
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan started before the --xsteps check")
+
+    monkeypatch.setattr(supnorm, "_truncation", no_work)
+    assert run(["scan", "--level1", "--t0", "10", "--xsteps", xsteps]) == 2
+    assert f"x_steps must be in [1, 4096], got {xsteps}" in capsys.readouterr().err
+
+
 def test_scatter_outside_the_l_envelope_exits_3(capsys):
     assert run(["scatter", "--chi1", "10007:1", "--chi2", "1:0", "--t0", "2"]) == 3
     assert "modulus 10007 outside" in capsys.readouterr().err

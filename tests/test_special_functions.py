@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import eisenkit.special_functions as special_functions
+from eisenkit.characters import build_character
+from eisenkit.eisenstein import EisensteinParams, _coefficients, _truncation
 from oracles import (
     bessel_draws,
     bessel_k_mp,
@@ -302,13 +304,24 @@ def test_tail_cutoff_is_positive_and_monotone_in_eps(t, y, eps):
 
 
 def test_tail_cutoff_actually_bounds_the_tail():
-    """Sum the discarded Bessel terms explicitly and compare against eps."""
-    t, y, eps = 8.0, 0.7, 1e-9
-    m = whittaker_tail_cutoff(t, y, eps)
-    xs = [2 * math.pi * n * y for n in range(m + 1, m + 200)]
-    tail = 2 * np.abs(bessel_k_row(complex(0.0, t), [x for x in xs if x <= 700.0])).sum()
-    assert tail < eps
+    """The true dropped tail 2 |P(s)| sqrt(y) sum_{n > m} |lambda(n) K_s(2 pi n y)|,
+    summed from rows extended past each truncation m up to x = 705, stays
+    below eps over pairs, heights, y and sigma, off the unitary axis too."""
+    eps = 1e-8
+    for a, b in (((1, 0), (1, 0)), ((3, 1), (4, 1)), ((1, 0), (4, 1))):
+        chi1, chi2 = build_character(*a), build_character(*b)
+        for sigma in (0.0, 0.5, 2.0, 9.0):
+            for t in (0.5, 5.0, 10.0, 20.0, 61.0):
+                params = EisensteinParams(chi1, chi2, t, sigma)
+                for y in (0.3, 0.8, 1.7, 3.0):
+                    m = _truncation(params, y, eps)
+                    last = math.floor(705.0 / (2 * math.pi * y))
+                    n = np.arange(m + 1, last + 1)
+                    lam = _coefficients(params, max(m, last))[m:]
+                    k = bessel_k_row(params.s, 2 * math.pi * y * n)
+                    tail = 2 * abs(params._outer_scale) * math.sqrt(y) * np.abs(lam * k).sum()
+                    assert tail < eps, (a, b, sigma, t, y, m, tail)
     # no bound exists for a non-finite height or budget
-    for y_bad, eps_bad in ((y, math.nan), (y, math.inf), (math.nan, eps), (math.inf, eps)):
+    for y_bad, eps_bad in ((0.7, math.nan), (0.7, math.inf), (math.nan, eps), (math.inf, eps)):
         with pytest.raises(ValueError):
-            whittaker_tail_cutoff(t, y_bad, eps_bad)
+            whittaker_tail_cutoff(8.0, y_bad, eps_bad)
