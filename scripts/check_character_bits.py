@@ -6,8 +6,11 @@
 
 --dump evaluates the checkout this script sits in and saves:
   * for every character with q <= 129 or q in {256, 360, 499, 500}: its value
-    table, its conductor, and the (modulus, index) of its primitive part;
-  * gauss_sum(chi) for every primitive character with q <= 129;
+    table, its conductor, its parity, and the (modulus, index) of its
+    primitive part and its conjugate, and at each p | q of its local
+    component and its prime-to-p part;
+  * gauss_sum(chi) for every primitive character with q <= 129, and
+    local_epsilon(chi, p) at each p | q;
   * the (modulus, index) of the products over a fixed, seeded sample of
     character pairs, across moduli as well as within one;
   * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
@@ -56,9 +59,13 @@ from eisenkit.characters import (  # noqa: E402
     character_group,
     character_index,
     conductor,
+    conjugate,
     gauss_sum,
     gauss_sum_moduli_squared,
+    local_component,
+    local_epsilon,
     multiply,
+    prime_to_p_part,
     primitive_part,
     value_table,
 )
@@ -115,16 +122,26 @@ def _identity(chi) -> tuple[int, int]:
 
 def dump(path: str) -> None:
     tables, conductors, prim_parts, labels = [], [], [], []
-    gauss_sum_labels, gauss_sums = [], []
+    parities, conjugates, local_parts = [], [], []
+    gauss_sum_labels, gauss_sums, epsilon_labels, epsilons = [], [], [], []
     for q in MODULI:
+        prime_divisors = [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
         for chi in character_group(q):
             labels.append(_identity(chi))
             tables.append(value_table(chi))
             conductors.append(conductor(chi))
             prim_parts.append(_identity(primitive_part(chi)))
+            parities.append(chi.parity)
+            conjugates.append(_identity(conjugate(chi)))
+            for p in prime_divisors:
+                local_parts.append(labels[-1] + (p,) + _identity(local_component(chi, p))
+                                   + _identity(prime_to_p_part(chi, p)))
             if q <= GAUSS_SUM_MAX and conductors[-1] == q:
                 gauss_sum_labels.append(labels[-1])
                 gauss_sums.append(gauss_sum(chi))
+                for p in prime_divisors:
+                    epsilon_labels.append(labels[-1] + (p,))
+                    epsilons.append(local_epsilon(chi, p))
 
     phi = Counter(q for q, _ in labels)
     rng = random.Random("check_character_bits")
@@ -152,6 +169,11 @@ def dump(path: str) -> None:
         values=np.concatenate(tables),
         conductors=np.array(conductors, dtype=np.int64),
         primitive_parts=np.array(prim_parts, dtype=np.int64),
+        parities=np.array(parities, dtype=np.int64),
+        conjugates=np.array(conjugates, dtype=np.int64),
+        local_parts=np.array(local_parts, dtype=np.int64),
+        local_epsilon_labels=np.array(epsilon_labels, dtype=np.int64),
+        local_epsilons=np.array(epsilons, dtype=np.complex128),
         products=np.array(products, dtype=np.int64),
         gauss_counts=np.array([len(g) for g in gauss], dtype=np.int64),
         gauss=np.concatenate(gauss),
@@ -167,6 +189,7 @@ def dump(path: str) -> None:
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
           f"{sum(len(g) for g in gauss)} |G|^2 values, {len(gauss_sums)} Gauss sums, "
+          f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp)} amplifier sums, "
           f"{hecke.size} divisor sums, {len(fact_b)} factorization checks, {len(primes)} sieved primes")
 

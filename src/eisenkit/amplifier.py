@@ -75,8 +75,9 @@ class AmplifierConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):
             raise ValueError(f"L, r1 and r2 must be finite, got {self.L}, {self.r1}, {self.r2}")
-        if self.q < 1:
-            raise ValueError(f"progression modulus must be positive, got {self.q}")
+        # above 2 L_MAX no prime p = 1 mod q lies in any window [L, 2L]
+        if not 0 < self.q <= 2 * _L_MAX:
+            raise ValueError(f"progression modulus must be in [1, {2 * _L_MAX:g}], got {self.q}")
         level = self.chi1.modulus * self.chi2.modulus
         if math.gcd(self.q, level) != 1:
             raise ValueError(f"progression modulus {self.q} must be coprime to the level {level}")

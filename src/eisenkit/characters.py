@@ -1,13 +1,14 @@
 """Exact Dirichlet character arithmetic on integer phases.
 
-Characters mod q are stored as exponent vectors on fixed generators of the
-unit groups (Z/p^e)^x, one component per prime power of q.  Each prime power
-has one cached integer array dlog[k, u], the exponent of generator k in the
-unit u mod p^e.  With D the exponent of (Z/q)^x (the lcm of the generator
-orders), a character carries integer weights w_k = k * D / o_k on its
-generators, and chi(n) = e(m / D) with
+A character mod q is its exponent vector exps on fixed generators g_k of
+(Z/q)^x, those of each prime power p^e of q in turn, p increasing: chi(g_k) =
+e(exps[k] / o_k), o_k the order of g_k.  Each prime power has one cached array
+dlog[k, u], the exponent of its generator k in the unit u mod p^e, and each
+modulus one cached list of its prime powers with their slices of the vector.
+With D the lcm of the o_k, a character carries integer weights
+w_k = exps[k] * D / o_k, and chi(n) = e(m / D) with
 
-    m = sum over components and generators of w_k * dlog[k, n mod p^e]  (mod D).
+    m = sum over generators of w_k * dlog[k, n mod p^e]  (mod D).
 
 Each character builds its values chi(0), ..., chi(q-1) once, on first use: one
 integer product of its weights with the stacked dlog arrays gives every m, and
@@ -21,19 +22,21 @@ for the callers that need it: gauss_sum, parity and the L-values.  phase(n),
 the exact m / D as a Fraction, is the only Fraction view, and nothing in the
 package calls it.
 
-Conductors, induction and restriction are integer rules on one component at
-a time.  The conductor exponent of a component mod p^e is e - v_p(k), k its
-last exponent.  Moving a component to p^e' reads its values at the
-generators mod p^e' from the dlog array, so multiply lifts both factors to
-the lcm prime by prime and adds exponents, and primitive_part restricts each
-component to its conductor exponent.
+Conductors, induction and restriction are integer rules on one prime power
+at a time.  The conductor exponent at p^e is e - v_p(k), k the last exponent
+of its slice.  Moving the p-part to p^e' reads its integer phase at each
+generator mod p^e', so multiply lifts both factors to the lcm prime by prime
+and adds exponents, and primitive_part restricts each prime power to its
+conductor exponent; conjugate negates the vector, and local_component and
+prime_to_p_part are slices of it.
 
-A character compares and hashes by one cached integer key, its modulus and
-the index of each component, which identifies it exactly; every cache keyed
-on characters reads that key.  gauss_sum_moduli_squared builds no character
-object at all: a character is primitive iff p does not divide the last
-exponent of any component, the conductor rule read as one array mask over
-the whole group.
+Characters compare as dataclasses and hash once per object, as every cache
+keyed on them reads the hash.  gauss_sum_moduli_squared builds no character
+object: a character is primitive iff p does not divide the last exponent of
+any slice, the conductor rule read as one array mask over the whole group.
+Moduli run over [1, 2^14] where one comes in and wherever a value table is
+built; products and quotients, which may exceed it, need no table for their
+phases, conductors and parts.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
@@ -41,9 +44,8 @@ Generator conventions (fixed once, for determinism across runs and platforms):
   * 2^1: trivial group, no generators;
   * 2^2: the single generator 3;
   * 2^e, e >= 3: the pair (2^e - 1, 5), i.e. (-1, 5), in that order.
-Character enumeration is lexicographic in the exponent vectors on these
-generators, components ordered by increasing prime; index 0 is always the
-principal character.
+Character enumeration is lexicographic in the exponent vector, its last
+exponent varying fastest; index 0 is always the principal character.
 """
 
 from __future__ import annotations
@@ -148,63 +150,67 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
 # the character type
 # ---------------------------------------------------------------------------
 
+# the largest modulus taken in or tabulated: above the L-value window q <= 1e4,
+# and low enough that gauss_sum_moduli_squared's phi(q) q values take seconds
+_MODULUS_MAX = 1 << 14
+
+
+def _checked_modulus(q: int) -> int:
+    """q, checked to lie in [1, 2^14] before it is factored or a table built."""
+    if not 0 < q <= _MODULUS_MAX:
+        raise ValueError(f"modulus must be in [1, {_MODULUS_MAX}], got {q}")
+    return q
+
+
+@lru_cache(maxsize=None)
+def _structure(q: int) -> tuple[tuple[int, int, slice, tuple[int, ...]], ...]:
+    """Per prime power p^e of q, p increasing: (p, e, its slice of an exponent
+    vector mod q, its generator orders)."""
+    out, start = [], 0
+    for p, e in _factorize(q):
+        _, orders, _ = _component_structure(p, e)
+        out.append((p, e, slice(start, start + len(orders)), orders))
+        start += len(orders)
+    return tuple(out)
+
+
+def _orders(q: int) -> list[int]:
+    """The orders of the generators of (Z/q)^x, in exponent-vector order."""
+    return [o for *_, orders in _structure(q) for o in orders]
+
+
+def _p_part(q: int, p: int) -> tuple[int, slice]:
+    """e = v_p(q) and the slice of an exponent vector mod q that lives at p^e."""
+    for prime, e, span, _ in _structure(q):
+        if prime == p:
+            return e, span
+    return 0, slice(0, 0)
+
+
 @dataclass(frozen=True)
-class CharComponent:
-    prime: int       # p
-    exponent: int    # e, so the component lives mod p^e
-    index: int       # mixed-radix rank of the exponent vector on the fixed generators
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.exponent
-
-    @property
-    def exps(self) -> tuple[int, ...]:
-        _, orders, _ = _component_structure(self.prime, self.exponent)
-        rem = self.index
-        vec = []
-        for o in reversed(orders):
-            vec.append(rem % o)
-            rem //= o
-        return tuple(reversed(vec))
-
-
-@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
-    """A Dirichlet character mod q, given by its prime-power components.
-
-    Equality and the hash read one cached integer key, the modulus and the
-    per-component indices, which identifies the character exactly.
-    """
+    """A Dirichlet character mod q, given by its exponent vector on the fixed
+    generators of (Z/q)^x: chi(g_k) = e(exps[k] / o_k), o_k the order of g_k."""
 
     modulus: int
-    local_components: tuple[CharComponent, ...]
-
-    # -- identity -----------------------------------------------------------
+    exps: tuple[int, ...]
 
     @cached_property
-    def _key(self) -> tuple[int, tuple[int, ...]]:
-        return self.modulus, tuple(c.index for c in self.local_components)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self._key == other._key
+    def _hash(self) -> int:
+        return hash((self.modulus, self.exps))
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     # -- evaluation ---------------------------------------------------------
 
     @cached_property
     def _weights(self) -> tuple[int, tuple[tuple[int, np.ndarray, tuple[int, ...]], ...]]:
-        """D and, per component, (p^e, dlog array, integer weights w_k = k D / o_k)."""
-        structures = [_component_structure(c.prime, c.exponent) for c in self.local_components]
-        D = math.lcm(*(o for _, orders, _ in structures for o in orders))
-        return D, tuple((c.modulus, dlog, tuple(k * (D // o) for k, o in zip(c.exps, orders)))
-                        for c, (_, orders, dlog) in zip(self.local_components, structures))
+        """D and, per prime power p^e, (p^e, dlog array, integer weights w_k = k D / o_k)."""
+        D = math.lcm(*_orders(self.modulus))
+        return D, tuple((p**e, _component_structure(p, e)[2],
+                         tuple(k * (D // o) for k, o in zip(self.exps[span], orders)))
+                        for p, e, span, orders in _structure(self.modulus))
 
     @property
     def phase_denominator(self) -> int:
@@ -231,10 +237,11 @@ class DirichletCharacter:
 
     @cached_property
     def _table(self) -> np.ndarray:
-        """chi(0), ..., chi(q-1), read-only; value_table returns it."""
+        """chi(0), ..., chi(q-1), read-only; value_table returns it.  Only up
+        to the modulus ceiling: a table costs about 60 bytes per residue."""
         D, parts = self._weights
         weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
-        table = _value_rows(self.modulus, D, weights)[0]
+        table = _value_rows(_checked_modulus(self.modulus), D, weights)[0]
         table.flags.writeable = False
         return table
 
@@ -260,7 +267,7 @@ class DirichletCharacter:
 
     @property
     def is_principal(self) -> bool:
-        return all(c.index == 0 for c in self.local_components)
+        return not any(self.exps)
 
     def __repr__(self) -> str:  # q:index, matching the CLI syntax
         return f"chi({self.modulus}:{character_index(self)})"
@@ -270,52 +277,34 @@ class DirichletCharacter:
 # construction and enumeration
 # ---------------------------------------------------------------------------
 
-# the largest modulus: above the L-value window q <= 1e4, and low enough that
-# gauss_sum_moduli_squared's phi(q) q values take seconds
-_MODULUS_MAX = 1 << 14
-
-
-def _group_orders(q: int) -> list[tuple[int, int, list[int]]]:
-    """Per-component (p, e, generator orders) for a modulus q in [1, 2^14],
-    checked before any table is built."""
-    if not 0 < q <= _MODULUS_MAX:
-        raise ValueError(f"modulus must be in [1, {_MODULUS_MAX}], got {q}")
-    out = []
-    for p, e in _factorize(q):
-        _, orders, _ = _component_structure(p, e)
-        out.append((p, e, list(orders)))
-    return out
-
-
 def build_character(q: int, index: int) -> DirichletCharacter:
     """The index-th character mod q in the fixed lexicographic enumeration.
 
     Index 0 is the principal character; valid indices run over [0, phi(q)).
     """
-    sizes = [(p, e, math.prod(orders)) for p, e, orders in _group_orders(q)]
-    phi = math.prod(size for _, _, size in sizes)
+    orders = _orders(_checked_modulus(q))
+    phi = math.prod(orders)
     if not (0 <= index < phi):
         raise ValueError(f"character index {index} out of range for modulus {q} (phi = {phi})")
-    comps = []
-    # last component varies fastest: lexicographic in the concatenated vector
-    for p, e, size in reversed(sizes):
-        comps.append(CharComponent(p, e, index % size))
-        index //= size
-    return DirichletCharacter(q, tuple(reversed(comps)))
+    exps = []
+    # the last exponent varies fastest: lexicographic in the vector
+    for o in reversed(orders):
+        index, k = divmod(index, o)
+        exps.append(k)
+    return DirichletCharacter(q, tuple(reversed(exps)))
 
 
 def character_index(chi: DirichletCharacter) -> int:
     """Inverse of build_character's enumeration."""
     idx = 0
-    for comp in chi.local_components:
-        _, orders, _ = _component_structure(comp.prime, comp.exponent)
-        idx = idx * math.prod(orders) + comp.index
+    for k, o in zip(chi.exps, _orders(chi.modulus)):
+        idx = idx * o + k
     return idx
 
 
 def character_group(q: int):
     """All phi(q) characters mod q, in enumeration order."""
-    phi = math.prod(o for _, _, orders in _group_orders(q) for o in orders)
+    phi = math.prod(_orders(_checked_modulus(q)))
     for k in range(phi):
         yield build_character(q, k)
 
@@ -324,127 +313,84 @@ def character_group(q: int):
 # conductors, induction and restriction, one prime power at a time
 # ---------------------------------------------------------------------------
 
-def _component_conductor_exponent(comp: CharComponent) -> int:
-    """Conductor exponent of a prime-power component: e - v_p(k), k its last exponent.
+def _conductor_exponent(chi: DirichletCharacter, p: int) -> int:
+    """v_p of conductor(chi): e - v_p(k), k the last exponent of chi's p-part mod p^e.
 
     The units that are 1 mod p^f (f >= 2 for p = 2) are generated by
     g^{(p-1) p^{f-1}}, or by 5^{2^{f-2}} mod 2^e, where chi is e(k / p^{e-f}):
     chi is trivial on them exactly when p^{e-f} divides k.  A character of
     2^e with no exponent on 5 is trivial or the sign character, of conductor 4.
     """
-    exps = comp.exps
+    e, span = _p_part(chi.modulus, p)
+    exps = chi.exps[span]
     if not any(exps):
         return 0
     k = exps[-1]
     if k == 0:
         return 2
     v = 0
-    while k % comp.prime == 0:
-        k //= comp.prime
+    while k % p == 0:
+        k //= p
         v += 1
-    return comp.exponent - v
+    return e - v
 
 
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi is induced from a character mod f."""
-    f = 1
-    for comp in chi.local_components:
-        f *= comp.prime ** _component_conductor_exponent(comp)
-    return f
+    return math.prod(p ** _conductor_exponent(chi, p) for p, *_ in _structure(chi.modulus))
 
 
-def _conductor_exponent(chi: DirichletCharacter, p: int) -> int:
-    """v_p of conductor(chi)."""
-    for comp in chi.local_components:
-        if comp.prime == p:
-            return _component_conductor_exponent(comp)
-    return 0
-
-
-def _exps_at(comp: CharComponent, e: int) -> list[int]:
-    """The exponent vector mod p^e of the character that agrees with comp on units.
-
-    comp lives mod p^c.  For e >= c this induces; for e < c it restricts,
-    which is exact only when comp's conductor exponent is at most e.  Each
-    generator g of order o mod p^e reads comp's value e(m / D) at g mod p^c
-    from the cached dlog array, D the lcm of comp's orders, and gets the
-    exponent m o / D.
-    """
-    gens, orders, _ = _component_structure(comp.prime, e)
-    _, comp_orders, dlog = _component_structure(comp.prime, comp.exponent)
-    D = math.lcm(*comp_orders)
-    weights = [k * (D // o) for k, o in zip(comp.exps, comp_orders)]
+def _exps_at(chi: DirichletCharacter, p: int, e: int) -> list[int]:
+    """The exponent vector mod p^e of the character that agrees with chi's p-part on units:
+    m o / D on a generator g of order o, where the p-part is e(m / D).  Exact
+    when e is at least chi's conductor exponent at p."""
+    part = local_component(chi, p)
+    D = part.phase_denominator
+    gens, orders, _ = _component_structure(p, e)
     exps = []
     for g, o in zip(gens, orders):
-        r = g % comp.modulus
-        k, rem = divmod(o * sum(w * dlog.item(i, r) for i, w in enumerate(weights)), D)
+        k, rem = divmod(o * part.int_phase(g), D)
         if rem:
-            raise ArithmeticError(f"{comp} is not trivial on the units that are 1 mod {comp.prime}^{e}")
-        exps.append(k % o)
+            raise ArithmeticError(f"{part} is not trivial on the units that are 1 mod {p}^{e}")
+        exps.append(k)
     return exps
-
-
-def _rank(exps: list[int], orders) -> int:
-    idx = 0
-    for k, o in zip(exps, orders):
-        idx = idx * o + k
-    return idx
 
 
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi."""
-    comps = []
-    for comp in chi.local_components:
-        f = _component_conductor_exponent(comp)
-        if f == comp.exponent:
-            comps.append(comp)
-        elif f:
-            _, orders, _ = _component_structure(comp.prime, f)
-            comps.append(CharComponent(comp.prime, f, _rank(_exps_at(comp, f), orders)))
-    if tuple(comps) == chi.local_components:
+    f = conductor(chi)
+    if f == chi.modulus:
         return chi
-    return DirichletCharacter(math.prod(c.modulus for c in comps), tuple(comps))
+    exps = []
+    for p, e, *_ in _structure(f):
+        exps += _exps_at(chi, p, e)
+    return DirichletCharacter(f, tuple(exps))
 
 
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     q = math.lcm(chi1.modulus, chi2.modulus)
-    comps = []
-    for p, e in _factorize(q):
-        _, orders, _ = _component_structure(p, e)
-        exps = [0] * len(orders)
-        for comp in chi1.local_components + chi2.local_components:
-            if comp.prime == p:
-                exps = [(a + b) % o for a, b, o in zip(exps, _exps_at(comp, e), orders)]
-        comps.append(CharComponent(p, e, _rank(exps, orders)))
-    return DirichletCharacter(q, tuple(comps))
+    exps = []
+    for p, e, _, orders in _structure(q):
+        exps += [(a + b) % o for a, b, o in zip(_exps_at(chi1, p, e), _exps_at(chi2, p, e), orders)]
+    return DirichletCharacter(q, tuple(exps))
 
 
 def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex conjugate (inverse) character."""
-    comps = []
-    for comp in chi.local_components:
-        _, orders, _ = _component_structure(comp.prime, comp.exponent)
-        exps = [(-k) % o for k, o in zip(comp.exps, orders)]
-        comps.append(CharComponent(comp.prime, comp.exponent, _rank(exps, orders)))
-    return DirichletCharacter(chi.modulus, tuple(comps))
+    return DirichletCharacter(chi.modulus, tuple(-k % o for k, o in zip(chi.exps, _orders(chi.modulus))))
 
 
 def local_component(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """The p-part of chi, as a standalone character mod p^{v_p(q)}."""
-    for comp in chi.local_components:
-        if comp.prime == p:
-            return DirichletCharacter(comp.modulus, (comp,))
-    return DirichletCharacter(1, ())
+    e, span = _p_part(chi.modulus, p)
+    return DirichletCharacter(p**e, chi.exps[span])
 
 
 def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """chi with its p-component removed (trivial at p)."""
-    comps = tuple(c for c in chi.local_components if c.prime != p)
-    q = 1
-    for c in comps:
-        q *= c.modulus
-    return DirichletCharacter(q, comps)
+    e, span = _p_part(chi.modulus, p)
+    return DirichletCharacter(chi.modulus // p**e, chi.exps[:span.start] + chi.exps[span.stop:])
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +430,14 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
     """Values at 0..q-1 of the characters mod q with the given weight rows.
 
     weights[i] holds character i's integer weights on every generator of
-    (Z/q)^x, components in increasing prime order, and D is the exponent of
+    (Z/q)^x, in exponent-vector order, and D is the exponent of
     (Z/q)^x; the phases of all rows at all residues are one integer product
     with the stacked dlog arrays.
     """
     residues = np.arange(q)
     # q = 1 and q = 2 have no generators: stack onto an empty block
     logs = [np.zeros((0, q), dtype=np.int64)]
-    logs += [_component_structure(p, e)[2][:, residues % p**e] for p, e in _factorize(q)]
+    logs += [_component_structure(p, e)[2][:, residues % p**e] for p, e, *_ in _structure(q)]
     values = _roots_of_unity(D)[(weights @ np.concatenate(logs)) % D]
     values[:, np.gcd(residues, q) != 1] = 0
     return values
@@ -509,19 +455,16 @@ def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Generator orders mod q, every character's exponent vector, and which are primitive.
 
     Row i of the exponent array is the vector of the i-th character in
-    enumeration order.  A character is primitive iff each component is,
-    that is iff its conductor exponent e - v_p(k) is e: p does not divide
-    the component's last exponent k.  2^1 has no generator and no primitive
-    character.
+    enumeration order.  A character is primitive iff its conductor exponent
+    e - v_p(k) is e at every prime power p^e: p does not divide k, the last
+    exponent of that prime power's slice.  2^1 has no generator and no
+    primitive character.
     """
-    structure = _group_orders(q)
-    orders = [o for _, _, ords in structure for o in ords]
+    orders = _orders(q)
     exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
     primitive = np.ones(len(exps), dtype=bool)
-    col = 0
-    for p, _, ords in structure:
-        col += len(ords)
-        primitive &= exps[:, col - 1] % p != 0 if ords else False
+    for p, _, span, _ in _structure(q):
+        primitive &= exps[:, span.stop - 1] % p != 0 if span.stop > span.start else False
     return orders, exps, primitive
 
 
@@ -533,7 +476,7 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     object is built: primitivity and the weights come from the exponent
     vectors.  q <= 2^14, and the rows come in batches of about 2^20 values.
     """
-    orders, exps, primitive = _exponent_vectors(q)
+    orders, exps, primitive = _exponent_vectors(_checked_modulus(q))
     D = math.lcm(*orders)
     weights = exps[primitive] * (D // np.array(orders, dtype=np.int64))
     roots = np.exp(2j * np.pi * np.arange(q) / q)

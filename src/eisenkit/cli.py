@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("fecheck", help="functional-equation residuals on a point set")
     _pair(sub)
     sub.add_argument("--t0", type=_finite, required=True)
-    sub.add_argument("--points", type=int, default=20)
+    sub.add_argument("--points", type=int, default=20, help="residual points, 1 to 4096")
     sub.add_argument("--ymin", type=_finite, default=0.5)
     sub.add_argument("--ymax", type=_finite, default=3.0)
     sub.add_argument("--eps", type=_finite, default=1e-8)
@@ -235,11 +235,11 @@ def _cmd_scatter(args) -> int:
 
 
 def _cmd_fecheck(args) -> int:
-    params = EisensteinParams(args.chi1, args.chi2, args.t0)
-    if args.points < 1:
-        raise ValueError("need at least one point")
+    if not 1 <= args.points <= 4096:     # as scan's x-steps: each point is a residual
+        raise ValueError(f"points must be in [1, 4096], got {args.points}")
     if not 0 < args.ymin <= args.ymax:
         raise ValueError("need 0 < ymin <= ymax")
+    params = EisensteinParams(args.chi1, args.chi2, args.t0)
     if args.seed is not None:
         rng = random.Random(args.seed)
         pts = [(rng.uniform(0.0, 0.5), math.exp(rng.uniform(math.log(args.ymin), math.log(args.ymax))))

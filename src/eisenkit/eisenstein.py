@@ -55,7 +55,7 @@ from eisenkit.characters import (
     prime_to_p_part,
     primitive_part,
 )
-from eisenkit.lfunctions import _lambda_ratio, dirichlet_l, parity_exponent
+from eisenkit.lfunctions import _Q_WINDOW, _lambda_ratio, dirichlet_l, parity_exponent
 from eisenkit.special_functions import (
     NumericEnvelopeError,
     PoleError,
@@ -108,6 +108,9 @@ class EisensteinParams:
                 raise ValueError(f"characters must be primitive; {chi} has conductor {conductor(chi)}")
         object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
         object.__setattr__(self, "l_modulus", self.quotient_character.modulus)
+        if self.l_modulus > _Q_WINDOW:    # refused before psi's value table is built
+            raise NumericEnvelopeError(f"quotient character modulus {self.l_modulus} outside "
+                                       f"the supported L-value window {_Q_WINDOW}")
         object.__setattr__(self, "_lam", np.zeros(0, dtype=complex))
 
     @property
@@ -298,7 +301,7 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 # evaluation
 # ---------------------------------------------------------------------------
 
-# the expansion floor: evaluate takes y >= _Y_FLOOR, and a scan's y-grid starts there
+# the expansion floor: evaluate and the FE residual take y >= _Y_FLOOR, a scan's y-grid starts there
 _Y_FLOOR = 0.3
 # log of the smallest normal double: a Gamma factor below it has lost its digits
 _LOG_TINY = math.log(sys.float_info.min)
@@ -415,7 +418,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
                                  eps: float = 1e-8) -> float:
     """Normalized defect of E(s, z) = c(s) * dual E(-s, z) at one point.
 
-    Both sides are evaluate's sums, with no expansion floor, and share one
+    Both sides are evaluate's sums, with its expansion floor, and share one
     Bessel row, K_s(2 pi n y), and one cosine table, 2 cos(2 pi n x), each up
     to the longer of their two truncations.
     That is exact, not an approximation: K is even in its order and
@@ -424,6 +427,8 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     the one from two separate evaluate calls bit for bit and isolates the
     arithmetic constants rather than quadrature noise.
     """
+    if y < _Y_FLOOR:
+        raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     dual = params.dual()
     m, m_dual = _truncation(params, y, eps), _truncation(dual, y, eps)
     bessel, = _bessel_rows(params.s, [y], [max(m, m_dual)])

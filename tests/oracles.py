@@ -353,13 +353,13 @@ def oracle_phases(q: int, index: int) -> dict[int, Fraction]:
 
 
 def oracle_index(chi: DirichletCharacter) -> int:
-    """The enumeration index of chi, from its per-component ranks."""
+    """The enumeration index of chi, its exponent vector read in mixed radix
+    against this module's own generator orders."""
+    orders = [o for p, e in _prime_powers(chi.modulus) for _, o in _generators(p, e)]
+    assert len(chi.exps) == len(orders) and all(0 <= k < o for k, o in zip(chi.exps, orders))
     index = 0
-    for comp in chi.local_components:
-        size = 1
-        for _, o in _generators(comp.prime, comp.exponent):
-            size *= o
-        index = index * size + comp.index
+    for k, o in zip(chi.exps, orders):
+        index = index * o + k
     return index
 
 

@@ -314,6 +314,37 @@ def test_modulus_above_the_ceiling_is_rejected_before_any_table(monkeypatch):
             gauss_sum_moduli_squared(q)
 
 
+@pytest.mark.parametrize("a, b, conjugated, q, f", [
+    ((16381, 5), (16369, 7), True, 16381 * 16369, 16381 * 16369),    # coprime primes
+    ((993, 331), (1011, 337), True, 3 * 331 * 337, 331 * 337),        # equal 3-parts cancel
+    ((128, 37), (129, 53), False, 128 * 129, 128 * 129),
+    ((16256, 4415), (14464, 3927), True, 128 * 127 * 113, 127 * 113),  # equal 2-parts cancel
+])
+def test_products_past_the_modulus_ceiling_need_no_table(monkeypatch, a, b, conjugated, q, f):
+    """A product (or quotient) of characters whose lcm exceeds 2^14 has the
+    factors' oracle phases summed at sample units, and the expected conductor,
+    without any value table; its own table is refused above the ceiling."""
+    def forbidden(*args):
+        raise AssertionError("a character value table was built")
+
+    (q1, i1), (q2, i2) = a, b
+    ph1, ph2 = oracle_phases(q1, i1), oracle_phases(q2, i2)
+    monkeypatch.setattr(characters_module, "_value_rows", forbidden)
+    chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+    prod = multiply(chi1, conjugate(chi2) if conjugated else chi2)
+    assert prod.modulus == q
+    sign = -1 if conjugated else 1
+    units = [u for u in list(range(1, 400)) + [q - 1, q // 2 + 1, 7**9 % q] if math.gcd(u, q) == 1]
+    for u in units:
+        assert prod.phase(u) == (ph1[u % q1] + sign * ph2[u % q2]) % 1, u
+    assert conductor(prod) == f
+    prim = primitive_part(prod)
+    assert prim.modulus == f and conductor(prim) == f
+    assert all(prim.phase(u) == prod.phase(u) for u in units)
+    with pytest.raises(ValueError, match=rf"modulus must be in \[1, 16384\], got {q}"):
+        prod.evaluate(3)
+
+
 def test_build_character_rejects_bad_index():
     with pytest.raises(ValueError):
         build_character(12, 4)

@@ -273,6 +273,49 @@ def test_scan_xsteps_outside_its_range_exits_2_before_any_work(monkeypatch, caps
     assert f"x_steps must be in [1, 4096], got {xsteps}" in capsys.readouterr().err
 
 
+def test_amp_modulus_above_twice_the_window_ceiling_exits_2(monkeypatch, capsys):
+    """No prime p = 1 mod q lies in a window [L, 2L] with L <= 1e9 once
+    q > 2e9, so such a q is refused before any sieve or trial division."""
+    from eisenkit import amplifier
+
+    def forbidden(*args):
+        raise AssertionError("the window was sieved or q factored")
+
+    monkeypatch.setattr(amplifier, "sieve_interval", forbidden)
+    monkeypatch.setattr(amplifier, "_factorize", forbidden)
+    for q in ("2000000001", "2305843009213693951"):
+        assert run(["amp", "--q", q, "--L", "10"]) == 2
+        assert f"progression modulus must be in [1, 2e+09], got {q}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--ymin", "1e-4", "--ymax", "1e-4"], "y = 0.0001 below the expansion floor 0.3"),
+    (["--points", "0"], "points must be in [1, 4096], got 0"),
+    (["--points", "4097"], "points must be in [1, 4096], got 4097"),
+])
+def test_fecheck_outside_its_bounds_exits_2_before_any_truncation(monkeypatch, capsys, extra, message):
+    from eisenkit import eisenstein
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a residual was truncated before the bounds check")
+
+    monkeypatch.setattr(eisenstein, "_truncation", no_work)
+    assert run(["fecheck", "--chi1", "1:0", "--chi2", "1:0", "--t0", "5", "--points", "1"] + extra) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_quotient_modulus_past_the_l_window_exits_3_before_any_table(monkeypatch, capsys):
+    """993 = 3 * 331 and 1011 = 3 * 337 with one 3-part: psi is mod 111547."""
+    from eisenkit import characters
+
+    def forbidden(*args):
+        raise AssertionError("a character value table was built")
+
+    monkeypatch.setattr(characters, "_value_rows", forbidden)
+    assert run(["eval", "--chi1", "993:331", "--chi2", "1011:337", "--t0", "5", "--y", "1"]) == 3
+    assert "quotient character modulus 111547 outside" in capsys.readouterr().err
+
+
 def test_scatter_outside_the_l_envelope_exits_3(capsys):
     assert run(["scatter", "--chi1", "10007:1", "--chi2", "1:0", "--t0", "2"]) == 3
     assert "modulus 10007 outside" in capsys.readouterr().err

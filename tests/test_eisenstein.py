@@ -233,6 +233,37 @@ def test_floor_is_enforced():
             evaluate_truncated(params, 0.1, y, eps=eps)
 
 
+def test_residual_below_the_floor_is_rejected_before_any_truncation(monkeypatch):
+    """The FE residual keeps evaluate's floor: its modes grow like 1/y, so
+    y = 1e-4 used to cost seconds."""
+    from eisenkit import eisenstein
+
+    def forbidden(*args):
+        raise AssertionError("a truncation was computed below the floor")
+
+    monkeypatch.setattr(eisenstein, "_truncation", forbidden)
+    params = EisensteinParams(CHI1, CHI1, 5.0)
+    for y in (0.29, 1e-4, -1.0):
+        with pytest.raises(ValueError, match="below the expansion floor 0.3"):
+            functional_equation_residual(params, 0.1, y)
+
+
+def test_quotient_modulus_past_the_l_window_is_refused_before_any_table(monkeypatch):
+    """chi1 mod 993 = 3 * 331 and chi2 mod 1011 = 3 * 337 share their 3-part,
+    so psi lives mod 331 * 337 = 111547, past the L-value window 1e4: the
+    series is refused on construction, before psi's value table is built."""
+    from eisenkit import characters
+
+    def forbidden(*args):
+        raise AssertionError("a character value table was built")
+
+    monkeypatch.setattr(characters, "_value_rows", forbidden)
+    chi1, chi2 = build_character(993, 331), build_character(1011, 337)
+    for a, b in ((chi1, chi2), (chi2, chi1)):
+        with pytest.raises(NumericEnvelopeError, match="modulus 111547 outside"):
+            EisensteinParams(a, b, 5.0)
+
+
 def test_truncation_rejections_quote_the_callers_eps():
     params = EisensteinParams(CHI1, CHI1, 12.0)
     for eps in (-1.0, math.nan, 1e-320):
