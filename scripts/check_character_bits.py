@@ -27,7 +27,8 @@
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
-array, and exits 1 if any differ or an array is missing from either side.
+array, with the largest deviation among them (check_series_bits.compare),
+and exits 1 if any differ or an array is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the
 character layer) and --compare the two files; a dump takes a few seconds.
 """
@@ -72,6 +73,7 @@ from eisenkit.characters import (  # noqa: E402
 from eisenkit.eisenstein import generalized_divisor_sum  # noqa: E402
 from eisenkit.special_functions import BumpWeight  # noqa: E402
 from workloads import ArithSweep  # noqa: E402
+from check_series_bits import compare  # noqa: E402
 
 MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
 GAUSS_SUM_MAX = 129
@@ -192,32 +194,6 @@ def dump(path: str) -> None:
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp)} amplifier sums, "
           f"{hecke.size} divisor sums, {len(fact_b)} factorization checks, {len(primes)} sieved primes")
-
-
-def _raw(a: np.ndarray) -> np.ndarray:
-    """One row of raw bytes per entry, so -0.0 != 0.0 and NaN payloads count."""
-    a = np.ascontiguousarray(a)
-    return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
-
-
-def compare(path_a: str, path_b: str) -> int:
-    a, b = np.load(path_a), np.load(path_b)
-    bad = 0
-    for name in sorted(set(a.files) | set(b.files)):
-        if name not in a.files or name not in b.files:
-            print(f"{name}: missing from {path_a if name not in a.files else path_b}")
-            bad += 1
-            continue
-        x, y = a[name], b[name]
-        if x.shape != y.shape or x.dtype != y.dtype:
-            print(f"{name}: shape/dtype {x.shape} {x.dtype} vs {y.shape} {y.dtype}")
-            bad += 1
-            continue
-        mismatches = int(np.any(_raw(x) != _raw(y), axis=-1).sum())
-        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches")
-        bad += mismatches
-    print(f"total mismatches: {bad}")
-    return 1 if bad else 0
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@
     objects, after an evaluate at y = 0.3 on each series and its dual has
     grown every coefficient table past every truncation, so that per-series
     state whose contents depend on call order shows as a mismatch;
-  * coefficient_prefactor, lambda_ratio (at s and the quotient character)
+  * coefficient_prefactor, the Lambda ratio (at s and the quotient character)
     and scattering_constant (c(s), its ramified product and its local
     factors, prime by prime) for the benchmark's FE-matrix parameter sets
     and their duals;
@@ -49,7 +49,7 @@ from eisenkit.eisenstein import (  # noqa: E402
     functional_equation_residual,
     scattering_constant,
 )
-from eisenkit.lfunctions import lambda_ratio  # noqa: E402
+from eisenkit.lfunctions import _lambda_ratio, dirichlet_l  # noqa: E402
 from eisenkit.special_functions import bessel_k_row  # noqa: E402
 from eisenkit.supnorm import scan  # noqa: E402
 from workloads import FEMatrix, ScanLadder  # noqa: E402
@@ -98,7 +98,9 @@ def dump(path: str) -> None:
               for a, b in FEMatrix.PAIRS for t0 in FEMatrix.HEIGHTS]
     series += [p.dual() for p in series]
     arrays["const_prefactor"] = np.array([coefficient_prefactor(p) for p in series])
-    arrays["const_lambda_ratio"] = np.array([lambda_ratio(p.s, p.quotient_character) for p in series])
+    arrays["const_lambda_ratio"] = np.array([
+        _lambda_ratio(p.s, p.quotient_character, dirichlet_l(2 * p.s + 1, p.quotient_character))
+        for p in series])
     data = [scattering_constant(p) for p in series]
     arrays["const_scattering"] = np.array([d.scattering for d in data])
     arrays["const_ramified"] = np.array([d.ramified_product for d in data])

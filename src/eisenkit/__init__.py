@@ -27,7 +27,6 @@ from eisenkit.lfunctions import (
     LineZeroError,
     completed_lambda,
     dirichlet_l,
-    lambda_ratio,
 )
 from eisenkit.eisenstein import (
     ConstantTermData,
@@ -94,7 +93,6 @@ __all__ = [
     "gauss_sum_moduli_squared",
     "generalized_divisor_sum",
     "geometric_grid",
-    "lambda_ratio",
     "load_report",
     "local_epsilon",
     "multiply",

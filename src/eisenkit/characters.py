@@ -36,7 +36,8 @@ object: a character is primitive iff p does not divide the last exponent of
 any slice, the conductor rule read as one array mask over the whole group.
 Moduli run over [1, 2^14] where one comes in and wherever a value table is
 built; products and quotients, which may exceed it, need no table for their
-phases, conductors and parts.
+phases, conductors and parts, nor for scalar values: past the ceiling
+evaluate(n) takes the root of unity at int_phase(n), the bits a table holds.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
@@ -246,13 +247,16 @@ class DirichletCharacter:
         return table
 
     @cached_property
-    def _values(self) -> list[complex]:
-        """_table as a list of Python complex numbers, for scalar reads."""
+    def _values(self):
+        """_table as a list of Python complex numbers, for scalar reads; past
+        the modulus ceiling, reads that build no table (_PhaseReads)."""
+        if self.modulus > _MODULUS_MAX:
+            return _PhaseReads(self)
         return self._table.tolist()
 
     def evaluate(self, n: int) -> complex:
-        """chi(n), read from the list copy of the value table: the same bits
-        as the table entry at n mod q, without a numpy scalar read."""
+        """chi(n), read from _values: the same bits as the table entry at
+        n mod q, without a numpy scalar read."""
         return self._values[n % self.modulus]
 
     __call__ = evaluate
@@ -271,6 +275,17 @@ class DirichletCharacter:
 
     def __repr__(self) -> str:  # q:index, matching the CLI syntax
         return f"chi({self.modulus}:{character_index(self)})"
+
+
+class _PhaseReads:
+    """chi(n) by index, from int_phase alone: the bits of the table entry."""
+
+    def __init__(self, chi: DirichletCharacter):
+        self._chi = chi
+
+    def __getitem__(self, n: int) -> complex:
+        m = self._chi.int_phase(n)
+        return 0j if m is None else _root(m, self._chi.phase_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +433,15 @@ def gauss_sum(chi: DirichletCharacter) -> complex:
     return total
 
 
+def _root(m: int, D: int) -> complex:
+    """e(m / D), as cmath.exp of the correctly rounded m / D."""
+    return cmath.exp(2j * math.pi * (m / D))
+
+
 @lru_cache(maxsize=64)
 def _roots_of_unity(D: int) -> np.ndarray:
-    """e(m / D) for m = 0..D-1, each as cmath.exp(2j * pi * (m / D))."""
-    roots = np.array([cmath.exp(2j * math.pi * (m / D)) for m in range(D)], dtype=np.complex128)
+    """_root(m, D) for m = 0..D-1."""
+    roots = np.array([_root(m, D) for m in range(D)], dtype=np.complex128)
     roots.flags.writeable = False
     return roots
 

@@ -23,6 +23,9 @@ Dirichlet functional equation (Gauss sum against the completed-L ratio)
 against the evaluator's independent path through L(2s+1), the Gamma factor,
 the Bessel values, and the coefficients.
 
+evaluate, the residual and supnorm.scan compute F through one core,
+_fourier_grid, over any grid of x and y and one series or a series and its dual.
+
 Per-series state lives on the EisensteinParams instance, computed on first
 use: L(2s+1, psi), which coefficient_prefactor and scattering_constant both
 read; P(s); c(s); the dual series; and the table lambda(1..m), grown only
@@ -240,16 +243,12 @@ def _b_local(params: EisensteinParams, p: int) -> complex:
     return out
 
 
-def _b_ramified(params: EisensteinParams) -> complex:
-    out = 1.0 + 0j
-    for p, _ in _factorize(params.level):
-        out *= _b_local(params, p)
-    return out
-
-
 def coefficient_prefactor(params: EisensteinParams) -> complex:
     """Global prefactor of the Whittaker expansion: b_r(s) / L(2s+1, psi)."""
-    return _b_ramified(params) / params._l_one_line
+    b_r = 1.0 + 0j
+    for p, _ in _factorize(params.level):
+        b_r *= _b_local(params, p)
+    return b_r / params._l_one_line
 
 
 # ---------------------------------------------------------------------------
@@ -352,51 +351,43 @@ def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
     return table[:m]
 
 
-def _bessel_rows(s: complex, ys, modes) -> list[np.ndarray]:
-    """K_s(2 pi n y) for n = 1..m, for each height y and its mode count m,
-    from one bessel_k_row call; every value has its own node set, so a row
-    is the same whichever rows share the call."""
-    n = np.arange(1, max(modes) + 1)
-    values = bessel_k_row(s, np.concatenate([2.0 * math.pi * n[:m] * y for y, m in zip(ys, modes)]))
-    ends = np.cumsum(modes)
-    return [values[end - m:end] for end, m in zip(ends, modes)]
+def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int]]]:
+    """Per series, F(s; x, y) truncated below eps, one row per y and one
+    column per x, and its mode count at each y.
 
-
-def _cosine_table(xs, m: int) -> np.ndarray:
-    """2 cos(2 pi n x), one row per x in xs and one column per n = 1..m."""
-    n = np.arange(1, m + 1)
-    return 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
-
-
-def _fourier_row(params: EisensteinParams, lam: np.ndarray, bessel: np.ndarray,
-                 cosines: np.ndarray, y: float) -> np.ndarray:
-    """F(s; x, y) for every x of a cosine table with columns n = 1..len(lam),
-    given bessel[n - 1] = K_s(2 pi n y).
-
-    The one Fourier-sum core: a scan passes the first columns of one table
-    per chunk, a single point a one-x table.  Each x is reduced along n by
+    The series may differ only in the sign of s, as a series and its dual
+    do: bessel_k_row computes K_s and K_-s as equal floats, so one call gives
+    every row, each as long as the longest truncation at its y.  The cosines
+    2 cos(2 pi n x) come from one table, and each x is reduced along n by
     numpy's fixed-order pairwise sum (no BLAS, whose blocking may follow the
-    thread count), so a value does not depend on which other x share the table.
+    thread count).  Every Bessel value has its own node set, so no value
+    depends on which other x or y share the call.
     """
-    weights = lam * bessel
-    return params._outer_scale * math.sqrt(y) * (cosines * weights).sum(axis=-1)
-
-
-def _series_value(params: EisensteinParams, y: float, m: int, bessel: np.ndarray,
-                  cosines: np.ndarray) -> complex:
-    """F(s; x, y) from its first m modes, given K_s(2 pi n y) and the one-x
-    cosine table, each for n >= 1 up to at least m."""
-    return complex(_fourier_row(params, _coefficients(params, m), bessel[:m],
-                                cosines[:, :m], y)[0])
+    modes = [[_truncation(p, y, eps) for y in ys] for p in series]
+    widths = [max(row) for row in zip(*modes)]
+    tables = [_coefficients(p, max(row)) for p, row in zip(series, modes)]
+    n = np.arange(1, max(widths) + 1)
+    bessel = bessel_k_row(series[0].s, np.concatenate([2.0 * math.pi * n[:w] * y
+                                                       for y, w in zip(ys, widths)]))
+    cosines = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
+    out = []
+    for p, row_modes, lam in zip(series, modes, tables):
+        values = np.empty((len(ys), len(xs)), dtype=complex)
+        start = 0
+        for row, y, m, w in zip(values, ys, row_modes, widths):
+            weights = lam[:m] * bessel[start:start + m]
+            row[:] = p._outer_scale * math.sqrt(y) * (cosines[:, :m] * weights).sum(axis=-1)
+            start += w
+        out.append((values, row_modes))
+    return out
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
     """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
-    m = _truncation(params, y, eps)
-    bessel, = _bessel_rows(params.s, [y], [m])
-    return _series_value(params, y, m, bessel, _cosine_table([x], m))
+    (values, _), = _fourier_grid((params,), [x], [y], eps)
+    return complex(values[0, 0])
 
 
 def evaluate(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
@@ -418,21 +409,15 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
                                  eps: float = 1e-8) -> float:
     """Normalized defect of E(s, z) = c(s) * dual E(-s, z) at one point.
 
-    Both sides are evaluate's sums, with its expansion floor, and share one
-    Bessel row, K_s(2 pi n y), and one cosine table, 2 cos(2 pi n x), each up
-    to the longer of their two truncations.
-    That is exact, not an approximation: K is even in its order and
-    bessel_k_row computes K_s and K_-s as equal floats (on the unitary axis
-    equal byte for byte, zero imaginary parts included), so the residual equals
-    the one from two separate evaluate calls bit for bit and isolates the
-    arithmetic constants rather than quadrature noise.
+    Both sides are evaluate's sums, with its expansion floor, from one
+    _fourier_grid call: one Bessel row and one cosine table serve both, so
+    the residual equals the one from two separate evaluate calls bit for bit
+    and isolates the arithmetic constants rather than quadrature noise.
     """
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     dual = params.dual()
-    m, m_dual = _truncation(params, y, eps), _truncation(dual, y, eps)
-    bessel, = _bessel_rows(params.s, [y], [max(m, m_dual)])
-    cosines = _cosine_table([x], max(m, m_dual))
-    e_here = _series_value(params, y, m, bessel, cosines) + _constant_terms(params, y)
-    e_dual = _series_value(dual, y, m_dual, bessel, cosines) + _constant_terms(dual, y)
+    (here, _), (there, _) = _fourier_grid((params, dual), [x], [y], eps)
+    e_here = complex(here[0, 0]) + _constant_terms(params, y)
+    e_dual = complex(there[0, 0]) + _constant_terms(dual, y)
     return abs(e_here - params._scattering * e_dual) / (1.0 + abs(e_here) + abs(e_dual))

@@ -24,9 +24,9 @@ about 1e-16 |t| log n.  The supported envelope is q <= 1e4, |Im s| <= 1e3
 and -1/2 <= Re s <= 1e3.  Left of Re s = -1/2 the terms n^{-s} outgrow the
 value they sum to, and digits cancel: at Re s = -1 and q = 1000 only about
 nine are left.  The envelope is checked in one place, the sum itself,
-dirichlet_l, which completed_lambda and lambda_ratio call: a non-finite s
+dirichlet_l, which every completed value is built on: a non-finite s
 raises ValueError, and a point or modulus outside it NumericEnvelopeError.
-So lambda_ratio's window, |Im s| <= 500, is the same check at 2s.
+So the Lambda ratio's window, |Im s| <= 500, is the same check at 2s.
 
 The completed form Lambda(s, chi) = q^{(s+a)/2} Gamma_R(s + a) L(s, chi),
 Gamma_R(s) = pi^{-s/2} Gamma(s/2), and the ratio Lambda(2s, chi)/Lambda(2s+1,
@@ -56,7 +56,6 @@ __all__ = [
     "LineZeroError",
     "completed_lambda",
     "dirichlet_l",
-    "lambda_ratio",
     "parity_exponent",
 ]
 
@@ -127,16 +126,12 @@ def _log_lambda(s: complex, chi: DirichletCharacter, lval: complex) -> complex:
     """log Lambda(s, chi) from lval = L(s, chi)."""
     a = parity_exponent(chi)
     q = chi.modulus
-    # the pole at s = 1 is dirichlet_l's, which every caller computes first
-    if chi.is_principal and abs(s) < 1e-8:
-        raise PoleError(f"completed zeta has a pole at 0; input {s} is within 1e-8 of it")
     half = (s + a) / 2
-    # Gamma((s+a)/2) poles at nonpositive integers; for non-principal chi these
-    # are cancelled by trivial zeros of L, but the product form used here
-    # cannot evaluate through them
-    n = round(-half.real)
-    if n >= 0 and abs(half + n) < 1e-8:
-        raise PoleError(f"Gamma completion pole: (s+{a})/2 = {half} is within 1e-8 of {-n}")
+    # every caller ran dirichlet_l at s, which refuses Re s < -1/2, so of the
+    # poles of Gamma((s+a)/2) only s = 0 for even chi is left: completed zeta's,
+    # or one that L's trivial zero cancels but this product form cannot pass
+    if a == 0 and abs(half) < 1e-8:
+        raise PoleError(f"Gamma completion pole: (s+{a})/2 = {half} is within 1e-8 of 0")
     if abs(lval) < 1e-300:
         raise LineZeroError(f"L({s}, chi mod {q}) vanished; cannot take logs")
     return half * math.log(q) + log_gamma_r(s + a) + cmath.log(lval)
@@ -155,23 +150,15 @@ def completed_lambda(s: complex, chi: DirichletCharacter) -> complex:
     return cmath.exp(log_value)
 
 
-def lambda_ratio(s: complex, chi: DirichletCharacter) -> complex:
-    """Lambda(2s, chi) / Lambda(2s+1, chi) for primitive chi, via log space.
+def _lambda_ratio(s: complex, chi: DirichletCharacter, on_line: complex) -> complex:
+    """Lambda(2s, chi) / Lambda(2s+1, chi) for primitive chi, via log space,
+    given on_line = L(2s+1, chi), which the caller has already computed.
 
     On the unitary axis Re s = 0 this ratio has modulus exactly one (the
     completed functional equation plus Schwarz reflection), which the test
     suite uses as a cross-check.  A tiny |L(2s+1, chi)| is reported as a
     numerics bug: L has a classical lower bound on the 1-line.
     """
-    s = complex(s)
-    if conductor(chi) != chi.modulus:
-        raise ValueError("lambda_ratio requires a primitive character")
-    return _lambda_ratio(s, chi, dirichlet_l(2 * s + 1, chi))
-
-
-def _lambda_ratio(s: complex, chi: DirichletCharacter, on_line: complex) -> complex:
-    """lambda_ratio's body, given on_line = L(2s+1, chi) for primitive chi, so
-    that a caller holding that L-value does not compute it again."""
     if abs(on_line) < 1e-12:
         raise LineZeroError(
             f"near zero of L on the 1-line at 2s+1 = {2 * s + 1}: |L| = {abs(on_line):.2e}; "

@@ -7,16 +7,15 @@ region is {x + iy : 0 <= x <= 1/2, y >= y_min}: the expansion is even and
 y-grid is geometric because the Bessel factors switch from oscillation to
 decay near y = T/(2pi) and the interesting structure concentrates there.
 
-The rows are split into contiguous chunks, one per thread.  A chunk gets
-its Bessel values K_s(2 pi n y) for all its rows from one bessel_k_row
-call; each value has its own node set, so it does not depend on which rows
-share the call.  Each y-row then goes through the series' Fourier-row
-kernel, the same one that evaluates single points: one fixed-order numpy
-sum over the modes for each x, with the cosines read from one table per
-chunk, built after its Bessel rows.  So the reported values do not depend
-on how many threads share the rows out.  The rows' |F| fill one float
-array; a non-finite |F| aborts the scan, and the supremum is the array's
-first maximum (np.argmax), so ties go to the lowest y, then the smallest x.
+This module owns the grid, the thread split and the report.  The rows are
+split into contiguous chunks, one per thread, and each chunk is one call of
+the Fourier-grid core that also evaluates single points
+(eisenstein._fourier_grid).  No value depends on which rows share a call,
+so none depends on the thread count.  A numerics error in a chunk is
+retried row by row, so that the abort names the first failing row.  The
+chunks' |F| fill one float array; a non-finite |F| aborts the scan, and the
+supremum is the array's first maximum (np.argmax), so ties go to the lowest
+y, then the smallest x.
 """
 
 from __future__ import annotations
@@ -31,15 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import (
-    _Y_FLOOR,
-    EisensteinParams,
-    _bessel_rows,
-    _coefficients,
-    _cosine_table,
-    _fourier_row,
-    _truncation,
-)
+from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _fourier_grid
 from eisenkit.special_functions import NumericsError
 
 __all__ = [
@@ -166,29 +157,21 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     xs = [0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0 for i in range(x_steps)]
 
     start = time.perf_counter()
-    # every row's truncation first: the coefficient table is built once, up to
-    # the largest of them, before any thread starts
-    modes = [_truncation(here, y, eps) for y in ys]
-    lam = _coefficients(here, max(modes))
 
-    def bessel_row(i: int) -> np.ndarray:
+    def measure(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
+        """|F| on rows lo..hi-1, and their mode counts."""
         try:
-            return _bessel_rows(here.s, [ys[i]], [modes[i]])[0]
-        except NumericsError as exc:
-            raise ScanAbortedError(
-                f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: {exc}") from exc
-
-    def measure(lo: int, hi: int) -> np.ndarray:
-        try:
-            bessel = _bessel_rows(here.s, ys[lo:hi], modes[lo:hi])
+            (values, modes), = _fourier_grid((here,), xs, ys[lo:hi], eps)
         except NumericsError:
             # row by row, so that the error names the first failing row
-            bessel = [bessel_row(i) for i in range(lo, hi)]
-        cosines = _cosine_table(xs, max(modes[lo:hi]))
-        out = np.empty((hi - lo, x_steps))
-        for row, y, m, k in zip(out, ys[lo:hi], modes[lo:hi], bessel):
-            np.abs(_fourier_row(here, lam[:m], k, cosines[:, :m], y), out=row)
-        return out
+            for i in range(lo, hi):
+                try:
+                    _fourier_grid((here,), xs, ys[i:i + 1], eps)
+                except NumericsError as exc:
+                    raise ScanAbortedError(
+                        f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: {exc}") from exc
+            raise
+        return np.abs(values), modes
 
     # contiguous chunks of rows, one per thread
     n = min(threads, len(ys))
@@ -198,9 +181,11 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         # single-threaded process never needs
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n) as pool:
-            values = np.concatenate(list(pool.map(measure, cuts[:-1], cuts[1:])))
+            chunks = list(pool.map(measure, cuts[:-1], cuts[1:]))
     else:
-        values = measure(0, len(ys))
+        chunks = [measure(0, len(ys))]
+    values = np.concatenate([v for v, _ in chunks])
+    modes = [m for _, chunk_modes in chunks for m in chunk_modes]
 
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

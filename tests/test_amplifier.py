@@ -98,6 +98,26 @@ def test_factorization_identity_spot_checks():
             assert factorization_check(p, xi, cfg) < 1e-12
 
 
+def test_factorization_identity_with_twists_past_the_modulus_ceiling(monkeypatch):
+    """xi mod 16381 twists chi1 mod 3 and chi2 mod 4 into characters mod 49143,
+    65524 and 196572, past the 2^14 ceiling on value tables: their values
+    come from their phases, and no table is built for them."""
+    from eisenkit import characters
+
+    xi = build_character(16381, 5)
+    for chi in (CHI3, CHI4, xi):
+        chi.evaluate(1)      # the factors' own tables, below the ceiling
+
+    def forbidden(*args):
+        raise AssertionError("a value table was built")
+
+    monkeypatch.setattr(characters, "_value_rows", forbidden)
+    cfg = AmplifierConfig(q=16381, L=100.0, r1=1.0, r2=1.0, chi1=CHI3, chi2=CHI4)
+    for p in (5, 7, 11):
+        assert factorization_check(p, xi, cfg) < 1e-10
+        assert math.isfinite(abs(b_xi(p, xi, cfg)))
+
+
 def test_factorization_is_symmetric_in_the_height_swap():
     """Swapping (r1, r2) conjugates the spectral data, not the identity."""
     xi = list(character_group(8))[2]

@@ -322,8 +322,9 @@ def test_modulus_above_the_ceiling_is_rejected_before_any_table(monkeypatch):
 ])
 def test_products_past_the_modulus_ceiling_need_no_table(monkeypatch, a, b, conjugated, q, f):
     """A product (or quotient) of characters whose lcm exceeds 2^14 has the
-    factors' oracle phases summed at sample units, and the expected conductor,
-    without any value table; its own table is refused above the ceiling."""
+    factors' oracle phases summed at sample units, the matching values, and
+    the expected conductor, without any value table; its own table is
+    refused above the ceiling."""
     def forbidden(*args):
         raise AssertionError("a character value table was built")
 
@@ -337,12 +338,25 @@ def test_products_past_the_modulus_ceiling_need_no_table(monkeypatch, a, b, conj
     units = [u for u in list(range(1, 400)) + [q - 1, q // 2 + 1, 7**9 % q] if math.gcd(u, q) == 1]
     for u in units:
         assert prod.phase(u) == (ph1[u % q1] + sign * ph2[u % q2]) % 1, u
+        assert abs(prod.evaluate(u) - cmath.exp(2j * math.pi * prod.phase(u))) < 1e-12, u
+    assert prod.evaluate(q1 * q2) == 0j
     assert conductor(prod) == f
     prim = primitive_part(prod)
     assert prim.modulus == f and conductor(prim) == f
     assert all(prim.phase(u) == prod.phase(u) for u in units)
     with pytest.raises(ValueError, match=rf"modulus must be in \[1, 16384\], got {q}"):
-        prod.evaluate(3)
+        value_table(prod)
+
+
+def test_table_free_reads_match_the_value_table():
+    """The reads a character past the modulus ceiling makes, the root of unity
+    at its integer phase and 0j off the units, hold the table's bits at every
+    residue of every character mod q <= 129."""
+    for q in range(1, 130):
+        for chi in character_group(q):
+            reads = characters_module._PhaseReads(chi)
+            table = value_table(chi)
+            assert np.array([reads[n] for n in range(q)]).tobytes() == table.tobytes(), chi
 
 
 def test_build_character_rejects_bad_index():

@@ -188,6 +188,11 @@ def test_gamma_underflow_above_the_envelope_exits_3(capsys, argv):
     assert "underflows double precision" in capsys.readouterr().err
 
 
+def test_completed_zeta_at_its_pole_exits_3(capsys):
+    assert run(["lfunc", "--chi", "1:0", "--s", "0", "--completed"]) == 3
+    assert "pole" in capsys.readouterr().err
+
+
 def test_completed_lambda_overflow_exits_3(capsys):
     """Lambda(700, chi mod 4) is about exp(1786): a numerics error with exit
     code 3, not an OverflowError."""
@@ -268,7 +273,7 @@ def test_scan_xsteps_outside_its_range_exits_2_before_any_work(monkeypatch, caps
     def no_work(*args, **kwargs):
         raise AssertionError("the scan started before the --xsteps check")
 
-    monkeypatch.setattr(supnorm, "_truncation", no_work)
+    monkeypatch.setattr(supnorm, "_fourier_grid", no_work)
     assert run(["scan", "--level1", "--t0", "10", "--xsteps", xsteps]) == 2
     assert f"x_steps must be in [1, 4096], got {xsteps}" in capsys.readouterr().err
 

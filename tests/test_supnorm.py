@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,15 +100,15 @@ def test_scan_aborts_on_a_non_finite_value(monkeypatch):
     instead of leaving the supremum to wherever the NaN sits."""
     from eisenkit import supnorm
 
-    real = supnorm._fourier_row
+    real = supnorm._fourier_grid
 
-    def nan_at_y(params, lam, bessel, cosines, y):
-        row = real(params, lam, bessel, cosines, y)
-        if y == 0.7:
-            row[2] = math.nan
-        return row
+    def nan_at_y(series, xs, ys, eps):
+        out = real(series, xs, ys, eps)
+        for values, _ in out:
+            values[np.asarray(ys) == 0.7, 2] = math.nan
+        return out
 
-    monkeypatch.setattr(supnorm, "_fourier_row", nan_at_y)
+    monkeypatch.setattr(supnorm, "_fourier_grid", nan_at_y)
     for threads in (1, 3):
         with pytest.raises(ScanAbortedError, match=r"at y = 0.7 after 1 of 3 rows: .*not finite"):
             scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5, 0.7, 0.9), threads=threads)
@@ -119,8 +120,8 @@ def test_scan_argmax_is_the_first_maximum(monkeypatch):
     so it round-trips through JSON."""
     from eisenkit import supnorm
 
-    monkeypatch.setattr(supnorm, "_fourier_row",
-                        lambda params, lam, bessel, cosines, y: np.full(len(cosines), 1.5 + 2j))
+    monkeypatch.setattr(supnorm, "_fourier_grid", lambda series, xs, ys, eps: [
+        (np.full((len(ys), len(xs)), 1.5 + 2j), [1] * len(ys)) for _ in series])
     ys = (0.5, 0.7, 0.9, 1.2)
     for threads in (1, 3):
         report = scan(LEVEL1, 12.0, x_steps=5, y_grid=ys, threads=threads)
@@ -197,10 +198,16 @@ def test_scan_matches_direct_evaluation():
 
 
 def test_scan_does_not_depend_on_the_thread_count():
-    """Seven rows split unevenly over 2, 3 and 4 threads give the same grid."""
+    """Seven rows split unevenly over 2, 3 and 4 threads give the same grid,
+    with the chunks growing the fresh series' state at once, switching often."""
     y_grid = geometric_grid(0.4, 2.5, ratio=1.35)
     assert len(y_grid) == 7
-    reports = [scan(LEVEL1, 14.0, x_steps=5, y_grid=y_grid, threads=n) for n in (1, 2, 3, 4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reports = [scan(LEVEL1, 14.0, x_steps=5, y_grid=y_grid, threads=n) for n in (1, 2, 3, 4)]
+    finally:
+        sys.setswitchinterval(switch)
     for rep in reports[1:]:
         assert rep.grid == reports[0].grid
         assert rep.metadata["modes"] == reports[0].metadata["modes"]
