@@ -34,7 +34,6 @@ from eisenkit.eisenstein import (
     coefficient_prefactor,
     evaluate,
     evaluate_truncated,
-    fourier_coefficient,
     functional_equation_residual,
     generalized_divisor_sum,
     scattering_constant,
@@ -87,7 +86,6 @@ __all__ = [
     "evaluate_truncated",
     "exponent_fit",
     "factorization_check",
-    "fourier_coefficient",
     "functional_equation_residual",
     "gauss_sum",
     "gauss_sum_moduli_squared",

@@ -26,7 +26,8 @@ only.  amplifier_sum sieves and reduces its window in fixed segments of
 _SEGMENT integers, whatever the sieve's own layout, because its compensated
 per-segment sums fix the bits of the result.  The window start L is capped
 at _L_MAX = 1e9: one sum there sieves 1e9 integers, about 13 s on one 2.1 GHz
-Xeon core, and AmplifierConfig rejects a larger L before any sieve starts.
+Xeon core, and AmplifierConfig rejects a larger L before any sieve starts,
+as it does twists |r1|, |r2| > 1e3.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _factorize, conjugate, multiply, value_table
 from eisenkit.eisenstein import _divisors, generalized_divisor_sum
+from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
 __all__ = [
@@ -75,12 +77,17 @@ class AmplifierConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):
             raise ValueError(f"L, r1 and r2 must be finite, got {self.L}, {self.r1}, {self.r2}")
+        # the twists stay in the L-value window's |Im s| <= 1e3, where the
+        # factorization holds to 1e-10; past it the phases p^{i r} lose digits
+        if max(abs(self.r1), abs(self.r2)) > _IM_WINDOW:
+            raise ValueError(f"twists r1 = {self.r1} and r2 = {self.r2} outside "
+                             f"[-{_IM_WINDOW:g}, {_IM_WINDOW:g}]")
         # above 2 L_MAX no prime p = 1 mod q lies in any window [L, 2L]
         if not 0 < self.q <= 2 * _L_MAX:
             raise ValueError(f"progression modulus must be in [1, {2 * _L_MAX:g}], got {self.q}")
-        level = self.chi1.modulus * self.chi2.modulus
-        if math.gcd(self.q, level) != 1:
-            raise ValueError(f"progression modulus {self.q} must be coprime to the level {level}")
+        if math.gcd(self.q, self.level) != 1:
+            raise ValueError(f"progression modulus {self.q} must be coprime "
+                             f"to the level {self.level}")
         if self.L < 10:
             raise ValueError(f"window start L = {self.L} below the supported floor 10")
         if self.L > _L_MAX:

@@ -259,8 +259,6 @@ class DirichletCharacter:
         n mod q, without a numpy scalar read."""
         return self._values[n % self.modulus]
 
-    __call__ = evaluate
-
     # -- basic attributes ---------------------------------------------------
 
     @property

@@ -3,16 +3,19 @@ characters: scattering constants, Fourier coefficients, and the truncated
 evaluator at the cusp-infinity chart.
 
 Conventions.  The series is parametrized on the unitary axis s = sigma + i t
-with sigma = 0 in production use.  With chi1 mod q1 and chi2 mod q2 and
-psi the primitive character inducing chi1 * conj(chi2), the expansion
-implemented here is
+with sigma = 0 in production use; off the axis |sigma| <= 10, the K-Bessel
+order envelope every evaluation of the series needs, and a larger |sigma| is
+refused on construction (NumericEnvelopeError).  With chi1 mod q1 and chi2
+mod q2 and psi the primitive character inducing chi1 * conj(chi2), the
+expansion implemented here is
 
     E(s; x, y) = [q1 = 1] y^{1/2+s}
                + c(s) [q2 = 1] y^{1/2-s}
                + P(s) sqrt(y) sum_{n >= 1} lambda_s(n) K_s(2 pi n y) 2 cos(2 pi n x)
 
-with P(s) = b_r(s) / L(2s+1, psi) * 2 / Gamma_R(2s + 1 + a), where a is the
-parity exponent of psi and b_r collects the ramified local normalizations.
+with the Hecke eigenvalues lambda_s(n) = generalized_divisor_sum(chi1, chi2,
+s, n) and P(s) = b_r(s) / L(2s+1, psi) * 2 / Gamma_R(2s + 1 + a), where a is
+the parity exponent of psi and b_r collects the ramified local normalizations.
 At level one this reduces to the classical real-analytic Eisenstein series
 with constant term y^{1/2+s} + c(s) y^{1/2-s}, which the modular-invariance
 test checks end to end.
@@ -62,6 +65,7 @@ from eisenkit.lfunctions import _Q_WINDOW, _lambda_ratio, dirichlet_l, parity_ex
 from eisenkit.special_functions import (
     NumericEnvelopeError,
     PoleError,
+    _RE_MAX,
     bessel_k_row,
     log_gamma_r,
     whittaker_tail_cutoff,
@@ -73,7 +77,6 @@ __all__ = [
     "coefficient_prefactor",
     "evaluate",
     "evaluate_truncated",
-    "fourier_coefficient",
     "functional_equation_residual",
     "generalized_divisor_sum",
     "scattering_constant",
@@ -81,7 +84,7 @@ __all__ = [
 
 # Two conventions the defining references leave open were frozen by
 # calibrating the functional-equation residual matrix: the divisor-sum
-# coefficients take the exponent +s, not -s (fourier_coefficient), and the
+# coefficients take the exponent +s, not -s (generalized_divisor_sum), and the
 # local epsilon factors are consumed with the conjugated character, the
 # epsilon of conj(chi2) in _b_local.  Do not flip either without re-running
 # that suite.
@@ -98,7 +101,7 @@ class EisensteinParams:
     chi1: DirichletCharacter
     chi2: DirichletCharacter
     t_shift: float
-    sigma: float = 0.0          # off-axis diagnostics only; acceptance runs keep 0
+    sigma: float = 0.0          # off-axis diagnostics only, |sigma| <= 10; acceptance runs keep 0
     level: int = field(init=False, compare=False)
     l_modulus: int = field(init=False, compare=False)
     _lam: np.ndarray = field(init=False, compare=False, repr=False)   # see _coefficients
@@ -109,6 +112,9 @@ class EisensteinParams:
         for chi in (self.chi1, self.chi2):
             if conductor(chi) != chi.modulus:
                 raise ValueError(f"characters must be primitive; {chi} has conductor {conductor(chi)}")
+        if abs(self.sigma) > _RE_MAX:     # every K_s(2 pi n y) of the series needs |Re s| <= 10
+            raise NumericEnvelopeError(f"sigma = {self.sigma} outside the K-Bessel order "
+                                       f"envelope |sigma| <= {_RE_MAX:g}")
         object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
         object.__setattr__(self, "l_modulus", self.quotient_character.modulus)
         if self.l_modulus > _Q_WINDOW:    # refused before psi's value table is built
@@ -219,11 +225,6 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
             continue
         total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(b))
     return total
-
-
-def fourier_coefficient(params: EisensteinParams, n: int) -> complex:
-    """lambda(n), the n-th Hecke eigenvalue of the series."""
-    return generalized_divisor_sum(params.chi1, params.chi2, params.s, n)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +343,8 @@ def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
     the table holds the same bits whatever order it grew in."""
     table = params._lam
     if len(table) < m:
-        grown = [fourier_coefficient(params, n) for n in range(len(table) + 1, m + 1)]
+        chi1, chi2, s = params.chi1, params.chi2, params.s
+        grown = [generalized_divisor_sum(chi1, chi2, s, n) for n in range(len(table) + 1, m + 1)]
         table = np.concatenate([table, np.array(grown, dtype=complex)])
         table.flags.writeable = False
         # one assignment publishes the longer table: a thread sharing the

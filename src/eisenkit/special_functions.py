@@ -376,15 +376,13 @@ class BumpWeight:
     def __post_init__(self):
         object.__setattr__(self, "mellin_at_one", _bump_integral())
 
-    def weight(self, r):
+    def __call__(self, r):
         """w(r) for a float or elementwise for an array, by one numpy expression."""
         r = np.asarray(r, dtype=np.float64)
         outside = (r <= 1.0) | (r >= 2.0)
         u = np.where(outside, 1.5, r)
         w = np.where(outside, 0.0, np.exp(-1.0 / ((u - 1.0) * (2.0 - u))))
         return w if w.ndim else float(w)
-
-    __call__ = weight
 
 
 @lru_cache(maxsize=1)

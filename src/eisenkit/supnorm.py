@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -54,8 +53,8 @@ def spectral_height(t0: float) -> float:
 
 
 def geometric_grid(y_min: float, y_max: float, ratio: float = 1.05) -> list[float]:
-    if not (y_max >= y_min > 0 and ratio > 1):
-        raise ValueError("need 0 < y_min <= y_max and ratio > 1")
+    if not (math.inf > y_max >= y_min > 0 and ratio > 1):
+        raise ValueError("need 0 < y_min <= y_max < inf and ratio > 1")
     grid = [y_min]
     while grid[-1] * ratio <= y_max:
         grid.append(grid[-1] * ratio)
@@ -127,7 +126,7 @@ def load_report(text: str) -> ScanReport:
 # ---------------------------------------------------------------------------
 
 def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
-         y_grid=None, eps: float = 1e-8, threads: int | None = None) -> ScanReport:
+         y_grid=None, eps: float = 1e-8, threads: int = 1) -> ScanReport:
     """Measure |F(it0, x + iy)| over the grid and extract the supremum.
 
     The character pair is taken from ``params``; the spectral point is pinned
@@ -138,18 +137,13 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     """
     if not 1 <= x_steps <= _X_STEPS_MAX:
         raise ValueError(f"x_steps must be in [1, {_X_STEPS_MAX}], got {x_steps}")
-    if threads is None:
-        env = os.environ.get("EISENKIT_THREADS") or "1"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"EISENKIT_THREADS must be an integer, got {env!r}") from None
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     here = EisensteinParams(params.chi1, params.chi2, float(t0))
     T = spectral_height(t0)
     if y_grid is None:
-        y_grid = geometric_grid(_Y_FLOOR, max(1.2 * T / (2.0 * math.pi), _Y_FLOOR * 1.3))
+        # T first: 1.2 T overflows to inf for T near the largest double
+        y_grid = geometric_grid(_Y_FLOOR, max(T * (1.2 / (2.0 * math.pi)), _Y_FLOOR * 1.3))
     ys = [float(y) for y in y_grid]
     if not ys or min(ys) < _Y_FLOOR * (1 - 1e-12):
         raise ValueError(f"y-grid must stay at or above the evaluation floor {_Y_FLOOR}")
@@ -228,14 +222,11 @@ def exponent_fit(reports) -> float:
             raise ValueError("exponent fit needs a fixed character pair")
     logt = [math.log(spectral_height(rep.t0)) for rep in reports]
     logs = [math.log(rep.supremum) for rep in reports]
-    n = len(reports)
-    mt = math.fsum(logt) / n
-    ms = math.fsum(logs) / n
-    num = math.fsum((a - mt) * (b - ms) for a, b in zip(logt, logs))
-    den = math.fsum((a - mt) ** 2 for a in logt)
-    if den == 0:
-        raise ValueError("exponent fit needs distinct spectral heights")
-    return num / den
+    import statistics   # here: a scan that fits nothing need not import it
+    try:
+        return statistics.linear_regression(logt, logs).slope
+    except statistics.StatisticsError:
+        raise ValueError("exponent fit needs distinct spectral heights") from None
 
 
 def theorem_reference(params: EisensteinParams, T: float) -> float:

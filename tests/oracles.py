@@ -25,7 +25,6 @@ from eisenkit.characters import (
     local_component,
     local_epsilon,
 )
-from eisenkit.eisenstein import _chi_at_uniformizer, _cond_exp
 
 
 # ------------------------------------------------------------------
@@ -169,12 +168,14 @@ def local_constant(params, p: int) -> complex:
 
     The unramified branch returns the local L-ratio.  The package never
     multiplies these out (the completed global ratio supplies them), so the
-    local formulas live here, for unit-level cross-checks.
+    local formulas live here, for unit-level cross-checks.  Conductor
+    exponents and values at the uniformizer come from the generator-walk
+    phases (brute_conductor, _at_uniformizer), not from the package's rules.
     """
     s = params.s
     psi = params.quotient_character
-    a1 = _cond_exp(params.chi1, p)
-    a2 = _cond_exp(params.chi2, p)
+    a1 = _conductor_exponent(params.chi1, p)
+    a2 = _conductor_exponent(params.chi2, p)
 
     if a1 == 0 and a2 == 0:
         psi_p = psi.evaluate(p)
@@ -187,7 +188,7 @@ def local_constant(params, p: int) -> complex:
         sign = chi1_p.evaluate(chi1_p.modulus - 1) if chi1_p.modulus > 1 else 1.0
         return sign * p ** (-a2)
 
-    a_psi = _cond_exp(psi, p)
+    a_psi = _conductor_exponent(psi, p)
     n_p = a1 + a2
     chi1_p = local_component(params.chi1, p)
     sign = chi1_p.evaluate(chi1_p.modulus - 1)
@@ -195,9 +196,24 @@ def local_constant(params, p: int) -> complex:
     eps_block = (local_epsilon(params.chi1, p)
                  * local_epsilon(conjugate(params.chi2), p)
                  / local_epsilon(psi, p))
-    char_block = (_chi_at_uniformizer(params.chi2, p, -a1)
-                  * _chi_at_uniformizer(params.chi1, p, a2))
+    char_block = _at_uniformizer(params.chi2, p, -a1) * _at_uniformizer(params.chi1, p, a2)
     return sign * cmath.exp(exponent * math.log(p)) * eps_block * char_block
+
+
+def _conductor_exponent(chi: DirichletCharacter, p: int) -> int:
+    """v_p of brute_conductor(chi)."""
+    return dict(_prime_powers(brute_conductor(chi))).get(p, 0)
+
+
+def _at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
+    """The p-component of chi at p^k: the prime-to-p part of chi at p, to the
+    k-th power.  That part at p is chi at the unit u = p mod q / p^e, u = 1
+    mod p^e, where the p-part is trivial; its phase is the generator walk's."""
+    q = chi.modulus
+    pe = p ** dict(_prime_powers(q)).get(p, 0)
+    u = _crt([(p, q // pe), (1, pe)])
+    phase = oracle_phases(q, oracle_index(chi))[u % q]
+    return cmath.exp(2j * math.pi * float(phase * k % 1))
 
 
 # ------------------------------------------------------------------

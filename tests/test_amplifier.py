@@ -118,6 +118,21 @@ def test_factorization_identity_with_twists_past_the_modulus_ceiling(monkeypatch
         assert math.isfinite(abs(b_xi(p, xi, cfg)))
 
 
+def test_twists_stay_in_the_l_value_window():
+    """|r1|, |r2| <= 1e3, where the factorization holds to 1e-10 at the primes
+    of [1e3, 1500] (2.3e-11; the defect grows with |r| log p, and passes
+    1e-10 near |r| = 1e4); past it the config is refused, as amp --r 1e308
+    is (it printed ratio NaN)."""
+    primes = sieve_interval(1000, 1500).tolist()
+    for r in (1e3, -1e3):
+        cfg = AmplifierConfig(q=5, L=1e3, r1=r, r2=r / 3, chi1=CHI3, chi2=CHI4)
+        assert max(factorization_check(p, xi, cfg)
+                   for xi in character_group(5) for p in primes) < 1e-10
+    for r1, r2 in ((1000.5, 0.0), (0.0, -1e4), (1e308, 1e308)):
+        with pytest.raises(ValueError, match=r"outside \[-1000, 1000\]"):
+            AmplifierConfig(q=5, L=1e3, r1=r1, r2=r2, chi1=CHI3, chi2=CHI4)
+
+
 def test_factorization_is_symmetric_in_the_height_swap():
     """Swapping (r1, r2) conjugates the spectral data, not the identity."""
     xi = list(character_group(8))[2]

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eisenkit.cli import run
 
@@ -134,12 +141,9 @@ def test_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_scan_rejects_fewer_than_one_thread(monkeypatch, capsys):
+def test_scan_rejects_fewer_than_one_thread(capsys):
     assert run(["scan", "--level1", "--t0", "10", "--threads", "0"]) == 2
     assert "threads must be at least 1, got 0" in capsys.readouterr().err
-    monkeypatch.setenv("EISENKIT_THREADS", "abc")
-    assert run(["scan", "--level1", "--t0", "10"]) == 2
-    assert "EISENKIT_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_scan_fit_needs_three_heights(tmp_path, capsys):
@@ -331,3 +335,114 @@ def test_selftest_passes(capsys):
     text = capsys.readouterr().out
     assert "PASS" in text
     assert "FAIL" not in text
+
+
+# off-axis series past the K-Bessel order envelope |sigma| <= 10: unless
+# refused on construction, each overflows (Gamma_R, an Euler factor or
+# p^(2 sigma e)) or yields c(s) = nan
+_SIGMA_PAST_THE_ENVELOPE = [
+    ["eval", "--chi1", "13:1", "--chi2", "5:1", "--t0", "1", "--sigma", "400", "--y", "1"],
+    ["eval", "--chi1", "3:1", "--chi2", "3:1", "--t0", "1", "--sigma=-400", "--y", "1"],
+    ["scatter", "--chi1", "3:1", "--chi2", "3:1", "--t0", "1", "--sigma=-400"],
+    ["scatter", "--chi1", "3:1", "--chi2", "3:1", "--t0", "1", "--sigma", "400"],
+    ["scatter", "--chi1", "1:0", "--chi2", "9973:7007", "--t0", "226.8", "--sigma", "178.6"],
+    ["scatter", "--chi1", "5:3", "--chi2", "13:4", "--t0=-497.7", "--sigma", "93.8"],
+]
+_R_PAST_THE_WINDOW = ["amp", "--q", "3", "--L", "100", "--r", "1e308"]
+_SCAN_AT_THE_TOP_OF_THE_DOUBLES = ["scan", "--level1", "--t0", "1.7e308"]
+
+
+@pytest.mark.parametrize("argv", _SIGMA_PAST_THE_ENVELOPE)
+def test_sigma_past_the_bessel_order_envelope_exits_3(capsys, argv):
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric envelope: sigma = ") and err.count("\n") == 1
+
+
+def test_level_one_scatter_past_the_order_envelope_exits_3(capsys):
+    """Level one needs no Euler factor and no Bessel value for c(s), but the
+    series it belongs to does, so |sigma| > 10 is refused there too."""
+    assert run(["scatter", "--chi1", "1:0", "--chi2", "1:0", "--t0", "1", "--sigma", "10"]) == 0
+    assert run(["scatter", "--chi1", "1:0", "--chi2", "1:0", "--t0", "1", "--sigma", "10.5"]) == 3
+
+
+def test_amp_twist_past_the_window_exits_2(capsys):
+    assert run(_R_PAST_THE_WINDOW) == 2
+    err = capsys.readouterr().err
+    assert err == "error: twists r1 = 1e+308 and r2 = 1e+308 outside [-1000, 1000]\n"
+
+
+def test_scan_at_the_top_of_the_doubles_ends_at_once(capsys):
+    """1.2 T overflows here; the default grid's top must not, or the grid
+    grows until memory runs out."""
+    start = time.perf_counter()
+    assert run(_SCAN_AT_THE_TOP_OF_THE_DOUBLES) in (2, 3)
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+# ------------------------------------------------------------------
+# the contract of cli.run: exit 0, 2 or 3, and finite numbers at exit 0
+# ------------------------------------------------------------------
+
+# the last is no character: index 6 is past phi(7)
+_CHARACTERS = ("1:0", "3:1", "4:1", "5:1", "5:3", "13:1", "13:4", "9973:7007", "7:6")
+
+
+def _number(*edges):
+    """Any finite double, or one of the edges of its parameter's envelope."""
+    return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(edges))
+
+
+def _flags(**draws):
+    """argv flags --name=value, one per drawn value; None leaves a flag out."""
+    return st.fixed_dictionaries(draws).map(
+        lambda d: [f"--{k}={v}" for k, v in d.items() if v is not None])
+
+
+_T = _number(0.0, 0.5, 6.5, 200.0, 200.5, -500.0, 1e3, 1.5e308, -1.7e308)
+_SIGMA = _number(10.0, -10.0, 10.5, 400.0)
+_Y = _number(0.3, 0.2999, 112.2, 1e300)
+_EPS = _number(1e-300, 5e-324, 1.0, 1e300)
+_CHI = st.sampled_from(_CHARACTERS)
+_COMMANDS = {
+    "eval": _flags(chi1=_CHI, chi2=_CHI, t0=_T, sigma=_SIGMA, x=_number(0.0, 0.5), y=_Y, eps=_EPS),
+    "scatter": _flags(chi1=_CHI, chi2=_CHI, t0=_T, sigma=_SIGMA),
+    "fecheck": _flags(chi1=_CHI, chi2=_CHI, t0=_T, points=st.integers(-1, 3), ymin=_Y, ymax=_Y,
+                      eps=_EPS, seed=st.none() | st.integers()),
+    "amp": _flags(q=st.integers(-1, 2**64) | st.sampled_from([1, 3, 2 * 10**9, 2 * 10**9 + 1]),
+                  L=st.floats(max_value=1e4) | st.sampled_from([10.0, 9.99, 1e4]),
+                  r1=_number(1e3, -1e3, 1000.5), r2=_number(0.0, 1e3), chi1=_CHI, chi2=_CHI),
+    "scan": _flags(chi1=_CHI, chi2=_CHI, t0=_T, xsteps=st.integers(0, 3), eps=_EPS,
+                   threads=st.integers(0, 2)),
+    "bessel": _flags(sigma=_SIGMA, t=_number(200.0, 200.5, 6.58), x=_number(1e-6, 705.0, 705.5)),
+    "lfunc": _flags(chi=_CHI, s=st.builds(complex, _number(-0.5, -0.51, 1e3, 1e3 + 1),
+                                          _number(1e3, -1e3, 1000.5))),
+}
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"{token} in a JSON payload at exit 0")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(argv=st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda command: _COMMANDS[command].map(lambda flags: [command] + flags)))
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[0])
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[1])
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[2])
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[3])
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[4])
+@example(argv=_SIGMA_PAST_THE_ENVELOPE[5])
+@example(argv=_R_PAST_THE_WINDOW)
+@example(argv=_SCAN_AT_THE_TOP_OF_THE_DOUBLES)
+def test_cli_run_exits_0_2_or_3_with_finite_payloads(argv):
+    """Numbers from the whole double range and the envelope edges: cli.run
+    returns 0, 2 or 3, raises nothing, and writes no NaN or infinity."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv + [f"--out={out}/o.json"])
+        assert code in (0, 2, 3), argv
+        for path in Path(out).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_non_finite)
+        assert code != 0 or any(Path(out).glob("*.json"))

@@ -280,6 +280,18 @@ def test_non_finite_spectral_point_is_rejected():
             EisensteinParams(CHI1, CHI1, t0, sigma)
 
 
+def test_sigma_past_the_bessel_order_envelope_is_refused():
+    """Every K_s(2 pi n y) of the series needs |sigma| <= 10: at the edge the
+    series evaluates, past it construction raises, before any L-value or
+    Euler factor overflows."""
+    params = EisensteinParams(CHI3, CHI3, 1.0, 10.0)
+    assert cmath.isfinite(evaluate(params, 0.1, 1.0, eps=1e-8))
+    assert cmath.isfinite(scattering_constant(params).scattering)
+    for sigma in (10.5, -10.5, 400.0):
+        with pytest.raises(NumericEnvelopeError, match=f"sigma = {sigma} outside"):
+            EisensteinParams(CHI3, CHI3, 1.0, sigma)
+
+
 # ------------------------------------------------------------------
 # per-series state: L(2s+1, psi), P(s), c(s), the lambda table
 # ------------------------------------------------------------------

@@ -255,10 +255,10 @@ def test_beta_integral_identity():
 
 def test_bump_weight_support():
     w = BumpWeight()
-    assert w.weight(0.99) == 0.0
-    assert w.weight(2.01) == 0.0
-    assert w.weight(1.5) > 0.0
-    assert w.weight(1.0) == 0.0 and w.weight(2.0) == 0.0
+    assert w(0.99) == 0.0
+    assert w(2.01) == 0.0
+    assert w(1.5) > 0.0
+    assert w(1.0) == 0.0 and w(2.0) == 0.0
 
 
 def test_bump_weight_on_arrays():
@@ -267,13 +267,13 @@ def test_bump_weight_on_arrays():
     w = BumpWeight()
     r = np.concatenate([np.linspace(0.5, 2.5, 20001), [1.0, 2.0, np.nextafter(1.0, 2.0),
                                                      np.nextafter(2.0, 1.0)]])
-    values = w.weight(r)
-    assert np.array_equal(values, [w.weight(v) for v in r])
+    values = w(r)
+    assert np.array_equal(values, [w(v) for v in r])
     outside = (r <= 1.0) | (r >= 2.0)
     assert np.all(values[outside] == 0.0) and np.all(values[~outside] >= 0.0)
     grid = np.linspace(1.0, 2.0, 200001)[1:-1]
     ref = np.array([math.exp(-1.0 / ((v - 1.0) * (2.0 - v))) for v in grid])
-    assert np.all(np.abs(w.weight(grid) - ref) <= 2 * np.spacing(ref))
+    assert np.all(np.abs(w(grid) - ref) <= 2 * np.spacing(ref))
 
 
 def test_bump_mellin_against_quadrature():

@@ -48,6 +48,9 @@ def test_geometric_grid_validation():
         geometric_grid(5.0, 0.3)
     with pytest.raises(ValueError):
         geometric_grid(0.3, 5.0, ratio=0.99)
+    for y_max in (math.inf, math.nan):     # the grid would grow without end
+        with pytest.raises(ValueError, match="y_max < inf"):
+            geometric_grid(0.3, y_max)
 
 
 def test_scan_invariants():
@@ -74,14 +77,10 @@ def test_scan_floor_and_height_guards():
         scan(LEVEL1, 12.0, eps=0.0)
 
 
-def test_scan_rejects_fewer_than_one_thread(monkeypatch):
+def test_scan_rejects_fewer_than_one_thread():
     for threads in (0, -3):
         with pytest.raises(ValueError, match=f"got {threads}"):
             scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,), threads=threads)
-    for env, message in (("0", "got 0"), ("abc", "EISENKIT_THREADS must be an integer, got 'abc'")):
-        monkeypatch.setenv("EISENKIT_THREADS", env)
-        with pytest.raises(ValueError, match=message):
-            scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,))
 
 
 def test_scan_aborts_outside_the_bessel_envelope():
@@ -185,6 +184,8 @@ def test_exponent_fit_needs_three_reports_and_one_family():
     other = scan(EisensteinParams(CHI3, CHI4, 0.0), 9.0, x_steps=4, y_grid=(0.5,))
     with pytest.raises(ValueError):
         exponent_fit([report, report, other])
+    with pytest.raises(ValueError, match="distinct spectral heights"):
+        exponent_fit([report, report, report])
 
 
 def test_scan_matches_direct_evaluation():
