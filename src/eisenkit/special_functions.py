@@ -16,8 +16,15 @@ exp(-i [s (cosh rho - 1) + |t| (sinh rho - rho)]).  Each piece gets a
 64-point Gauss-Legendre rule and ends where its factor at s = 0 falls to
 exp(-_SADDLE_LOG); a positive s only adds decay.  So the nodes and every
 factor that does not involve s depend on |t| alone: one table per |t| serves
-a whole row, and a value costs 128 nodes at any height.  The sum is taken
-for exp(pi |t| / 2) K, and that scale is undone once at the end.  The floor
+a whole row, and a value costs 128 nodes at any height.  Only the real part
+is kept, so the sum is real too: with node exponents a_k + i b_k and weights
+exp(l_k + i g_k), and phi = |t| u0 - s the integrand's argument at S,
+
+    exp(pi |t| / 2) K = sum_k exp(s a_k + l_k) cos(s b_k + g_k + phi),
+
+one exp and one cos per node (a_k = 0 on the vertical ray).  phi is reduced
+mod 2 pi first, so that adding it costs the nodes' arguments no digits, and
+the scale exp(-pi |t| / 2) is applied once at the end.  The floor
 is the height at which the ray reaches its length just where it crosses
 the real axis; lower, it runs on into the lower half of the strip
 |Im w| < pi / 2, where its phase turns faster than 64 nodes resolve (Gil,
@@ -142,6 +149,7 @@ _GL_X = np.concatenate([-_GL_NODES[::-1], _GL_NODES])
 _GL_W = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
 _SADDLE_LOG = _LOG_TOL + 3.0          # each saddle piece ends where its s = 0 factor is e^-L
 _RAY = cmath.exp(-1j * math.pi / 6)   # direction of the descent ray from the saddle
+_TAU_LO = 2.4492935982947064e-16      # 2 pi - math.tau: the part of 2 pi a double drops
 
 
 def _ray_decay(r: float) -> float:
@@ -164,21 +172,29 @@ _SADDLE_FLOOR = _SADDLE_LOG / _ray_decay(math.pi)    # about 6.58
 
 
 @lru_cache(maxsize=256)
-def _saddle_table(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents e_k and weights w_k of the saddle contour at height t: the
-    contour integral is exp(-pi t / 2 + i phase) sum_k w_k exp(s e_k), where
-    phase = t u0 - s is the integrand's argument at the saddle."""
-    # vertical ray S + i d: modulus exp(-t (d - sin d)), phase s (1 - cos d)
+def _saddle_table(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The saddle contour at height t as four real arrays (b, g, a, l): node
+    k has exponent e_k = a_k + i b_k and weight w_k = exp(l_k + i g_k), and
+    the contour integral is exp(-pi t / 2 + i phase) sum_k w_k exp(s e_k),
+    where phase = t u0 - s is the integrand's argument at the saddle.  So K,
+    its real part, is exp(-pi t / 2) sum_k exp(s a_k + l_k) cos(s b_k + g_k + phase).
+    """
+    # vertical ray S + i d: modulus exp(-t (d - sin d)), phase s (1 - cos d), so a = 0
     down = _bisect(lambda d: t * (d - math.sin(d)) - _SADDLE_LOG, _SADDLE_LOG / t + 1.0)
     d = 0.5 * down * (1.0 + _GL_X)
     # descent ray S + rho: exp(-i [s (cosh rho - 1) + t (sinh rho - rho)])
     along = _bisect(lambda r: t * _ray_decay(r) - _SADDLE_LOG, math.pi)
     rho = 0.5 * along * _RAY * (1.0 + _GL_X)
-    exponents = np.concatenate([2j * np.sin(0.5 * d) ** 2, -2j * np.sinh(0.5 * rho) ** 2])
-    weights = np.concatenate([-0.5j * down * _GL_W * np.exp(-t * (d - np.sin(d))),
-                              0.5 * along * _RAY * _GL_W * np.exp(-1j * t * (np.sinh(rho) - rho))])
-    exponents.flags.writeable = weights.flags.writeable = False     # shared through the cache
-    return exponents, weights
+    ray = -2j * np.sinh(0.5 * rho) ** 2
+    bend = np.sinh(rho) - rho
+    b = np.concatenate([2.0 * np.sin(0.5 * d) ** 2, ray.imag])
+    g = np.concatenate([np.full(d.size, -0.5 * math.pi), -math.pi / 6.0 - t * bend.real])
+    a = np.concatenate([np.zeros(d.size), ray.real])
+    l = np.concatenate([np.log(0.5 * down * _GL_W) - t * (d - np.sin(d)),
+                        np.log(0.5 * along * _GL_W) + t * bend.imag])
+    for table in (b, g, a, l):
+        table.flags.writeable = False      # shared through the cache
+    return b, g, a, l
 
 
 def bessel_k_row(order: complex, xs) -> np.ndarray:
@@ -233,11 +249,25 @@ def _in_passes(route, xs: np.ndarray) -> np.ndarray:
 
 def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
     """K_{it}(x) along the saddle contour for up to _PASS arguments x < t."""
-    exponents, weights = _saddle_table(t)
+    b, g, a, l = _saddle_table(t)
     s = np.sqrt((t - xs) * (t + xs))
     phase = t * np.arcsinh(s / xs) - s      # u0 = arcsinh(s / x) keeps its digits as x -> t
-    j = (np.exp(np.multiply.outer(s, exponents)) * weights).sum(axis=1)
-    return math.exp(-0.5 * math.pi * t) * (j * np.exp(1j * phase)).real
+    # reduce the phase (up to 4e3 at x = 1e-6) mod 2 pi before it joins each
+    # node's argument, which would otherwise be rounded to the phase's ulp:
+    # fmod by math.tau is exact, and turns * _TAU_LO restores the part of
+    # 2 pi that math.tau drops
+    turns, phase = np.divmod(phase, math.tau)
+    phase -= turns * _TAU_LO
+    # both rays share each array: slicing off the vertical ray, where a = 0,
+    # costs more fixed set-up in a small pass than it saves in a large one
+    arg = np.multiply.outer(s, b)
+    arg += g
+    arg += phase[:, None]
+    terms = np.multiply.outer(s, a)
+    terms += l
+    np.exp(terms, out=terms)
+    terms *= np.cos(arg, out=arg)
+    return math.exp(-0.5 * math.pi * t) * terms.sum(axis=1)
 
 
 def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:

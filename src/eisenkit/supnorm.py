@@ -30,7 +30,7 @@ import numpy as np
 
 from eisenkit.characters import build_character, character_index
 from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _fourier_grid
-from eisenkit.special_functions import NumericsError
+from eisenkit.special_functions import _IM_MAX, NumericEnvelopeError, NumericsError
 
 __all__ = [
     "ScanAbortedError",
@@ -45,6 +45,7 @@ __all__ = [
 
 _SCHEMA = "eisenkit-scan-v1"
 _X_STEPS_MAX = 4096
+_Y_POINTS_MAX = 4096
 
 
 def spectral_height(t0: float) -> float:
@@ -53,8 +54,13 @@ def spectral_height(t0: float) -> float:
 
 
 def geometric_grid(y_min: float, y_max: float, ratio: float = 1.05) -> list[float]:
+    """y_min, y_min * ratio, ... up to y_max, at most 4096 points (checked
+    before the grid is built, as x_steps is)."""
     if not (math.inf > y_max >= y_min > 0 and ratio > 1):
         raise ValueError("need 0 < y_min <= y_max < inf and ratio > 1")
+    points = math.floor((math.log(y_max) - math.log(y_min)) / math.log1p(ratio - 1)) + 1
+    if points > _Y_POINTS_MAX:
+        raise ValueError(f"geometric grid of about {points} points exceeds {_Y_POINTS_MAX}")
     grid = [y_min]
     while grid[-1] * ratio <= y_max:
         grid.append(grid[-1] * ratio)
@@ -133,16 +139,21 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     to s = i*t0.  ``y_grid`` may be any increasing sequence of heights above
     the evaluation floor; by default a geometric grid up to 1.2*T/(2pi),
     which covers the transition range where the supremum is attained.
-    x_steps runs over [1, 4096], checked first: a grid point takes about 110 bytes.
+    x_steps runs over [1, 4096] and |t0| up to the K-Bessel order bound 200,
+    both checked first: a grid point takes about 110 bytes, and every row
+    needs K values of order i t0.
     """
     if not 1 <= x_steps <= _X_STEPS_MAX:
         raise ValueError(f"x_steps must be in [1, {_X_STEPS_MAX}], got {x_steps}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if abs(t0) > _IM_MAX:
+        raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
     here = EisensteinParams(params.chi1, params.chi2, float(t0))
     T = spectral_height(t0)
     if y_grid is None:
-        # T first: 1.2 T overflows to inf for T near the largest double
         y_grid = geometric_grid(_Y_FLOOR, max(T * (1.2 / (2.0 * math.pi)), _Y_FLOOR * 1.3))
     ys = [float(y) for y in y_grid]
     if not ys or min(ys) < _Y_FLOOR * (1 - 1e-12):

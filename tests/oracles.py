@@ -17,7 +17,9 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
+import eisenkit.special_functions as sf
 from eisenkit.characters import (
     DirichletCharacter,
     character_group,
@@ -120,6 +122,30 @@ def envelope_grid() -> list[tuple[complex, list[float]]]:
                 xs += [1e-3 * t, 0.5 * t, t * (1.0 - 1e-9)]
             grid.append((order, xs))
     return grid
+
+
+def saddle_sum_complex(t: float, xs) -> np.ndarray:
+    """K_{it}(x) for 0 < x < t on the library's saddle contour, summed in
+    complex form: the weights w_k and exponents e_k as complex numbers, one
+    complex exponential and one complex product per node, and the real part
+    of exp(-pi t / 2 + i phase) sum_k w_k exp(s e_k) at the end.
+
+    It shares the library's nodes and contour ends, so it checks the
+    arithmetic of the real form, not the contour; `bessel_k_mp` is the
+    independent check of the values.
+    """
+    down = sf._bisect(lambda d: t * (d - math.sin(d)) - sf._SADDLE_LOG, sf._SADDLE_LOG / t + 1.0)
+    d = 0.5 * down * (1.0 + sf._GL_X)
+    along = sf._bisect(lambda r: t * sf._ray_decay(r) - sf._SADDLE_LOG, math.pi)
+    rho = 0.5 * along * sf._RAY * (1.0 + sf._GL_X)
+    exponents = np.concatenate([2j * np.sin(0.5 * d) ** 2, -2j * np.sinh(0.5 * rho) ** 2])
+    weights = np.concatenate([-0.5j * down * sf._GL_W * np.exp(-t * (d - np.sin(d))),
+                              0.5 * along * sf._RAY * sf._GL_W * np.exp(-1j * t * (np.sinh(rho) - rho))])
+    xs = np.asarray(xs, dtype=float)
+    s = np.sqrt((t - xs) * (t + xs))
+    phase = t * np.arcsinh(s / xs) - s
+    j = (np.exp(np.multiply.outer(s, exponents)) * weights).sum(axis=1)
+    return math.exp(-0.5 * math.pi * t) * (j * np.exp(1j * phase)).real
 
 
 # ------------------------------------------------------------------

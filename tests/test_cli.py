@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import eisenkit
 from eisenkit.cli import run
 
 
@@ -32,6 +35,18 @@ def test_eval_writes_json(tmp_path, capsys):
 def test_eval_below_floor_is_a_validation_error(capsys):
     assert run(["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "5",
                 "--x", "0.0", "--y", "0.1"]) == 2
+
+
+def test_importing_the_package_leaves_cli_and_pool_modules_unloaded():
+    """A library user who imports eisenkit gets none of the modules only the
+    CLI, a thread pool or an exponent fit needs."""
+    src = Path(eisenkit.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import eisenkit; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout.split()
+    for name in ("concurrent.futures", "statistics", "logging", "argparse", "scipy", "eisenkit.cli"):
+        assert name not in out, name
 
 
 def test_unknown_subcommand(capsys):
@@ -176,13 +191,16 @@ def test_config_flag_forms(tmp_path, capsys, form):
 
 
 def test_scan_outside_the_bessel_envelope_exits_3(capsys):
-    assert run(["scan", "--level1", "--t0", "250", "--xsteps", "4"]) == 3
-    err = capsys.readouterr().err
-    assert "envelope" in err and "after 0 of" in err
+    # past the height where Gamma_R(2s + 1) underflows too, the order bound
+    # is what scan names, before any other work
+    for t0 in ("250", "500"):
+        assert run(["scan", "--level1", "--t0", t0, "--xsteps", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "envelope" in err and f"t0 = {t0} outside the K-Bessel order bound" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["scan", "--level1", "--t0", "500"],
+    ["fecheck", "--chi1", "1:0", "--chi2", "1:0", "--t0", "480", "--points", "1"],
     ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "480", "--y", "1"],
 ])
 def test_gamma_underflow_above_the_envelope_exits_3(capsys, argv):
@@ -373,12 +391,13 @@ def test_amp_twist_past_the_window_exits_2(capsys):
 
 
 def test_scan_at_the_top_of_the_doubles_ends_at_once(capsys):
-    """1.2 T overflows here; the default grid's top must not, or the grid
-    grows until memory runs out."""
+    """The height is past the K-Bessel order bound, so scan refuses it, by
+    name, before it builds a grid."""
     start = time.perf_counter()
-    assert run(_SCAN_AT_THE_TOP_OF_THE_DOUBLES) in (2, 3)
+    assert run(_SCAN_AT_THE_TOP_OF_THE_DOUBLES) == 3
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err.count("\n") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "t0 = 1.7e+308" in err
 
 
 # ------------------------------------------------------------------

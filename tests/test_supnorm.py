@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import EisensteinParams
-from eisenkit.special_functions import NumericsError
+from eisenkit.special_functions import NumericEnvelopeError, NumericsError
 from eisenkit.supnorm import (
     ScanAbortedError,
     ScanReport,
@@ -53,6 +54,21 @@ def test_geometric_grid_validation():
             geometric_grid(0.3, y_max)
 
 
+def test_geometric_grid_caps_its_point_count():
+    """A ratio just above 1 is refused before the loop: 1 + 1e-9 asks for
+    about 3.5e9 points, which used to run out of memory."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds 4096"):
+        geometric_grid(0.3, 10.0, ratio=1 + 1e-9)
+    assert time.perf_counter() - start < 1.0
+    assert len(geometric_grid(1.0, 1.05 ** 4095.5, ratio=1.05)) == 4096
+    with pytest.raises(ValueError, match="exceeds 4096"):
+        geometric_grid(1.0, 1.05 ** 4096.5, ratio=1.05)
+    for y_min, y_max in ((1e-300, 1e10), (5e-324, 1.0)):   # y_max / y_min overflows
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            geometric_grid(y_min, y_max)
+
+
 def test_scan_invariants():
     report = scan(LEVEL1, 12.0, x_steps=8, y_grid=(0.5, 0.8, 1.3))
     assert len(report.grid) == 24
@@ -84,8 +100,12 @@ def test_scan_rejects_fewer_than_one_thread():
 
 
 def test_scan_aborts_outside_the_bessel_envelope():
-    with pytest.raises(ScanAbortedError, match=r"after 0 of 2 rows"):
+    # a height past the order bound is refused before any row, and a
+    # non-finite one is no height at all
+    with pytest.raises(NumericEnvelopeError, match=r"^t0 = 250 outside the K-Bessel order bound"):
         scan(LEVEL1, 250.0, x_steps=4, y_grid=(0.5, 0.7))
+    with pytest.raises(ValueError, match="t0 must be finite"):
+        scan(LEVEL1, math.inf, x_steps=4, y_grid=(0.5, 0.7))
     # the first two rows are in the envelope; the batched Bessel call fails
     # as a whole, and the message still names the failing row
     for threads in (1, 3):
