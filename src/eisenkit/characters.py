@@ -32,8 +32,11 @@ prime_to_p_part are slices of it.
 
 Characters compare as dataclasses and hash once per object, as every cache
 keyed on them reads the hash.  gauss_sum_moduli_squared builds no character
-object: a character is primitive iff p does not divide the last exponent of
-any slice, the conductor rule read as one array mask over the whole group.
+object: every Gauss sum mod q is one entry of a single inverse DFT of
+e(u/q) over the exponent grid of (Z/q)^x, O(phi log phi), and a character
+is primitive iff p does not divide the last exponent of any slice, the
+conductor rule read as one array mask over the whole group.  gauss_sum
+stays a scalar sum: one character needs no transform.
 Moduli run over [1, 2^14] where one comes in and wherever a value table is
 built; products and quotients, which may exceed it, need no table for their
 phases, conductors and parts, nor for scalar values: past the ceiling
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -108,12 +112,13 @@ def _smallest_primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """Generators, their orders, and the discrete-log array of (Z/p^e)^x.
+def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray]:
+    """Generators, their orders, the discrete-log array and the units of (Z/p^e)^x.
 
     dlog[k, u] is the exponent of generator k in the unit u mod p^e (0 at
-    the non-units).  Cached per prime power and read-only, so it is safe to
-    share between threads.
+    the non-units); units[i] is the unit whose exponent vector is the i-th
+    in enumeration order, dlog read backwards.  Cached per prime power and
+    read-only, so both are safe to share between threads.
     """
     pe = p**e
     if p == 2:
@@ -131,20 +136,21 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
             g += p
         gens, orders = (g,), ((p - 1) * p ** (e - 1),)
 
+    # every unit as a product of generator powers, in enumeration order
+    units = np.ones(1, dtype=np.int64)
+    for g, o in zip(gens, orders):
+        powers = np.empty(o, dtype=np.int64)
+        v = 1
+        for j in range(o):
+            powers[j] = v
+            v = v * g % pe
+        units = np.multiply.outer(units, powers).ravel() % pe
     dlog = np.zeros((len(gens), pe), dtype=np.int64)
     if gens:
-        # every unit as a product of generator powers, in enumeration order
-        units = np.ones(1, dtype=np.int64)
-        for g, o in zip(gens, orders):
-            powers = np.empty(o, dtype=np.int64)
-            v = 1
-            for j in range(o):
-                powers[j] = v
-                v = v * g % pe
-            units = np.multiply.outer(units, powers).ravel() % pe
         dlog[:, units] = np.indices(orders).reshape(len(orders), -1)
     dlog.flags.writeable = False
-    return gens, orders, dlog
+    units.flags.writeable = False
+    return gens, orders, dlog, units
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +158,19 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
 # ---------------------------------------------------------------------------
 
 # the largest modulus taken in or tabulated: above the L-value window q <= 1e4,
-# and low enough that gauss_sum_moduli_squared's phi(q) q values take seconds
+# where a value table is about 1 MB and gauss_sum_moduli_squared's O(phi log phi)
+# transform takes milliseconds
 _MODULUS_MAX = 1 << 14
 
 
 def _checked_modulus(q: int) -> int:
-    """q, checked to lie in [1, 2^14] before it is factored or a table built."""
+    """q as an int, checked to lie in [1, 2^14] before it is factored or a
+    table built.  An integer type such as np.int64 reads as its int; a float
+    is refused, even 5.0."""
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise TypeError(f"modulus must be an integer, got {q!r}") from None
     if not 0 < q <= _MODULUS_MAX:
         raise ValueError(f"modulus must be in [1, {_MODULUS_MAX}], got {q}")
     return q
@@ -169,7 +182,7 @@ def _structure(q: int) -> tuple[tuple[int, int, slice, tuple[int, ...]], ...]:
     vector mod q, its generator orders)."""
     out, start = [], 0
     for p, e in _factorize(q):
-        _, orders, _ = _component_structure(p, e)
+        orders = _component_structure(p, e)[1]
         out.append((p, e, slice(start, start + len(orders)), orders))
         start += len(orders)
     return tuple(out)
@@ -295,7 +308,12 @@ def build_character(q: int, index: int) -> DirichletCharacter:
 
     Index 0 is the principal character; valid indices run over [0, phi(q)).
     """
-    orders = _orders(_checked_modulus(q))
+    q = _checked_modulus(q)
+    try:
+        index = operator.index(index)
+    except TypeError:
+        raise TypeError(f"character index must be an integer, got {index!r}") from None
+    orders = _orders(q)
     phi = math.prod(orders)
     if not (0 <= index < phi):
         raise ValueError(f"character index {index} out of range for modulus {q} (phi = {phi})")
@@ -317,7 +335,8 @@ def character_index(chi: DirichletCharacter) -> int:
 
 def character_group(q: int):
     """All phi(q) characters mod q, in enumeration order."""
-    phi = math.prod(_orders(_checked_modulus(q)))
+    q = _checked_modulus(q)
+    phi = math.prod(_orders(q))
     for k in range(phi):
         yield build_character(q, k)
 
@@ -359,7 +378,7 @@ def _exps_at(chi: DirichletCharacter, p: int, e: int) -> list[int]:
     when e is at least chi's conductor exponent at p."""
     part = local_component(chi, p)
     D = part.phase_denominator
-    gens, orders, _ = _component_structure(p, e)
+    gens, orders = _component_structure(p, e)[:2]
     exps = []
     for g, o in zip(gens, orders):
         k, rem = divmod(o * part.int_phase(g), D)
@@ -486,21 +505,39 @@ def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     return orders, exps, primitive
 
 
+def _gauss_sums(q: int) -> np.ndarray:
+    """G(chi) = sum over units u of chi(u) e(u/q) for every chi mod q, in enumeration order.
+
+    With u(j) the unit whose exponent vector is j, chi(u(j)) = e(sum_k
+    exps[k] j_k / o_k), so G over all characters is one unscaled inverse DFT
+    of e(u(j)/q) over the exponent grid of shape orders: O(phi log phi).
+    u(j) is the sum over prime powers of each one's units array, in exponent
+    order, times its CRT idempotent.
+    """
+    from numpy import fft                   # here, so importing eisenkit does not load it
+
+    structure = _structure(q)
+    u = np.zeros([o for *_, orders in structure for o in orders], dtype=np.int64)
+    for p, e, span, orders in structure:
+        pe = p**e
+        cofactor = q // pe
+        shape = [1] * u.ndim
+        shape[span] = orders
+        u += _component_structure(p, e)[3].reshape(shape) * (cofactor * pow(cofactor, -1, pe))
+    return fft.ifftn(np.exp(2j * np.pi * (u % q) / q), norm="forward").ravel()
+
+
 def gauss_sum_moduli_squared(q: int) -> np.ndarray:
-    """|G(chi)|^2 for every primitive chi mod q, from batches of value rows.
+    """|G(chi)|^2 for every primitive chi mod q, from one transform over the unit group.
 
     Returns an array with one entry per primitive character (enumeration
     order).  Used by the classical-law sweep |G(chi)|^2 = q.  No character
-    object is built: primitivity and the weights come from the exponent
-    vectors.  q <= 2^14, and the rows come in batches of about 2^20 values.
+    object is built: _gauss_sums gives every G(chi) mod q in O(phi log phi),
+    and primitivity comes from the exponent vectors.
     """
-    orders, exps, primitive = _exponent_vectors(_checked_modulus(q))
-    D = math.lcm(*orders)
-    weights = exps[primitive] * (D // np.array(orders, dtype=np.int64))
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    batch = max(1, (1 << 20) // q)      # value rows per batch: about 2^20 values
-    return np.asarray([abs(np.dot(row, roots)) ** 2 for lo in range(0, len(weights), batch)
-                       for row in _value_rows(q, D, weights[lo:lo + batch])])
+    q = _checked_modulus(q)
+    _, _, primitive = _exponent_vectors(q)
+    return np.abs(_gauss_sums(q)[primitive]) ** 2
 
 
 def local_epsilon(chi: DirichletCharacter, p: int) -> complex:

@@ -193,6 +193,18 @@ def test_gauss_sum_batch_agrees_with_scalar():
             assert abs(a - b) < 1e-10
 
 
+@pytest.mark.parametrize("q", [8, 16, 24, 45, 97, 120, 128, 243, 360])
+def test_gauss_transform_entries_match_the_direct_sum(q):
+    """Every entry of the unit-group transform, imprimitive characters too,
+    against the oracle's direct sum: |G|^2 = q cannot see the transform's
+    sign convention or its labelling.  One to three grid axes, and both
+    generator shapes mod 2^e."""
+    sums = characters_module._gauss_sums(q)
+    assert len(sums) == character_count(q)
+    for index, g in enumerate(sums):
+        assert abs(g - brute_gauss_sum(build_character(q, index))) < 1e-11, index
+
+
 def _own_factorization(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     p = 2
@@ -235,7 +247,7 @@ def test_gauss_batch_builds_no_character(monkeypatch):
 
     monkeypatch.setattr(characters_module, "build_character", forbidden)
     monkeypatch.setattr(characters_module, "conductor", forbidden)
-    for q in (1, 2, 4, 8, 12, 45, 97, 120, 256, 1031):    # 1031 takes two row batches
+    for q in (1, 2, 4, 8, 12, 45, 97, 120, 256, 1031):    # 1031: a 1030-point transform
         squares = gauss_sum_moduli_squared(q)
         assert len(squares) == _primitive_count(q)
         assert np.all(np.abs(squares - q) < 1e-10)
@@ -357,6 +369,31 @@ def test_table_free_reads_match_the_value_table():
             reads = characters_module._PhaseReads(chi)
             table = value_table(chi)
             assert np.array([reads[n] for n in range(q)]).tobytes() == table.tobytes(), chi
+
+
+def test_moduli_and_indices_must_be_integers(monkeypatch):
+    """A float modulus or index is refused with a TypeError naming it, before
+    q is factored; an integer type such as np.int64 reads as its int."""
+    def forbidden(*args):
+        raise AssertionError("q factored before the type check")
+
+    with monkeypatch.context() as m:
+        m.setattr(characters_module, "_factorize", forbidden)
+        for index in (1.5, 2.0, "1"):
+            with pytest.raises(TypeError, match="character index must be an integer"):
+                build_character(7, index)
+        for q in (7.0, 5.0, 7.5):
+            with pytest.raises(TypeError, match="modulus must be an integer"):
+                build_character(q, 1)
+            with pytest.raises(TypeError, match="modulus must be an integer"):
+                gauss_sum_moduli_squared(q)
+            with pytest.raises(TypeError, match="modulus must be an integer"):
+                list(character_group(q))
+    chi = build_character(np.int64(7), np.int64(2))
+    assert chi == build_character(7, 2) and type(chi.modulus) is int and type(chi.exps[0]) is int
+    assert chi.evaluate(3) == build_character(7, 2).evaluate(3)
+    assert [c.modulus for c in character_group(np.int64(5))] == [5] * 4
+    assert np.array_equal(gauss_sum_moduli_squared(np.int64(5)), gauss_sum_moduli_squared(5))
 
 
 def test_build_character_rejects_bad_index():

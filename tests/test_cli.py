@@ -39,13 +39,14 @@ def test_eval_below_floor_is_a_validation_error(capsys):
 
 def test_importing_the_package_leaves_cli_and_pool_modules_unloaded():
     """A library user who imports eisenkit gets none of the modules only the
-    CLI, a thread pool or an exponent fit needs."""
+    CLI, a thread pool, an exponent fit or the Gauss-sum transform needs."""
     src = Path(eisenkit.__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import eisenkit; "
             "print(' '.join(sorted(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True).stdout.split()
-    for name in ("concurrent.futures", "statistics", "logging", "argparse", "scipy", "eisenkit.cli"):
+    for name in ("concurrent.futures", "statistics", "logging", "argparse", "scipy", "numpy.fft",
+                 "eisenkit.cli"):
         assert name not in out, name
 
 
