@@ -16,8 +16,8 @@
   * |G(chi)|^2 from gauss_sum_moduli_squared(q) for every q <= 500;
   * the amplifier sums at L = 1e6 for the principal pair at q in {1, 3, 4},
     on the diagonal r1 = r2, plus one off-diagonal sum at q = 3, and the
-    diagonal sums at q in {1, 3} again at L = 3e6, a window of three
-    amplifier segments;
+    diagonal sums at q in {1, 3} again at L = 3e6, over three amplifier
+    sieve windows;
   * BumpWeight().mellin_at_one;
   * the benchmark's arith-sweep divisor sums: lambda(n) = generalized_divisor_sum
     for n <= 2000 at its five Hecke parameter sets, each at a fixed height;
@@ -79,8 +79,8 @@ MODULI = tuple(range(1, 130)) + (256, 360, 499, 500)
 GAUSS_SUM_MAX = 129
 GAUSS_MAX = 500
 PRODUCTS = 4000
-# (L, q, r1, r2): the three diagonal sums in one sieve segment, one off the
-# diagonal, then two whose window spans three amplifier segments
+# (L, q, r1, r2): the three diagonal sums in one sieve window, one off the
+# diagonal, then two whose [L, 2L] spans three amplifier sieve windows
 AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
              (1e6, 3, 11.0, 19.5), (3e6, 1, 12.5, 12.5), (3e6, 3, 17.25, 17.25))
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]

@@ -14,20 +14,24 @@ verifies.  The progression p = 1 mod q realizes the narrow ray class
 restriction over the rationals, with class number phi(q).
 
 Character values come from each character's value table (see characters):
-amplifier_sum indexes the numpy tables with whole segments of primes and
-weights each segment with one array call of the bump weight, while the
+amplifier_sum indexes the numpy tables with whole blocks of primes and
+weights each block with one array call of the bump weight, while the
 divisor factors at single primes read the list copies of the same tables, as
 Python scalars.  The four twisted characters of a factorization check are
 built once per (xi, chi1, chi2); b_xi and factorization_check share one
 helper that validates p, looks the twists up and takes log p once per call.
 
 Primes come from sieve_interval, a segmented sieve over the odd numbers
-only.  amplifier_sum sieves and reduces its window in fixed segments of
-_SEGMENT integers, whatever the sieve's own layout, because its compensated
-per-segment sums fix the bits of the result.  The window start L is capped
-at _L_MAX = 1e9: one sum there sieves 1e9 integers, about 13 s on one 2.1 GHz
-Xeon core, and AmplifierConfig rejects a larger L before any sieve starts,
-as it does twists |r1|, |r2| > 1e3.
+only.  amplifier_sum sieves [L, 2L] in sieve windows of _SEGMENT integers
+and reduces each window's primes in blocks, the primes of one span
+[lo + k _SPAN, lo + (k + 1) _SPAN) with lo = ceil(L), so that its arithmetic
+holds one block's primes at a time (_SPAN = 2^16: about 4,700 primes at
+L = 1e6, of a window's 70,000).  _SEGMENT is a multiple of _SPAN, so the
+blocks depend on L alone, and math.fsum combines their sums exactly
+rounded: the sieve layout does not set the bits of the result.  The window
+start L is capped at _L_MAX = 1e9: one sum there sieves 1e9 integers, about
+13 s on one 2.1 GHz Xeon core, and AmplifierConfig rejects a larger L before
+any sieve starts, as it does twists |r1|, |r2| > 1e3.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ __all__ = [
     "sieve_interval",
 ]
 
-_SEGMENT = 1 << 20
+_SEGMENT = 1 << 20     # sieve window of amplifier_sum, a multiple of _SPAN
+_SPAN = 1 << 16        # reduction block of amplifier_sum
 _L_MAX = 1e9    # ceiling on the window start L: [L, 2L] holds L integers to sieve
 
 
@@ -158,14 +163,26 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
 # prime windows
 # ---------------------------------------------------------------------------
 
+def _checked_bound(name: str, v) -> int:
+    """v as an int; an integer type such as np.int64 reads as its int, a float is refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+
+
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi], by a segmented sieve over the odd numbers only.
 
     2 is added by hand.  Each segment is one boolean array with an entry per
     odd number, so its _SEGMENT entries cover 2 * _SEGMENT integers.  The odd
     base primes up to sqrt(hi) are a Python list, so crossing off does plain
-    integer arithmetic.
+    integer arithmetic.  lo and hi are integers, hi at most 2 _L_MAX, the
+    top of any amplifier window.
     """
+    lo, hi = _checked_bound("lo", lo), _checked_bound("hi", hi)
+    if hi > 2 * _L_MAX:
+        raise ValueError(f"hi = {hi} above the sieve ceiling {2 * _L_MAX:g}")
     if hi < lo or hi < 2:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(hi)
@@ -185,7 +202,12 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
                 first += p
             if first < stop:
                 seg[(first - start) // 2 :: p] = False
-        chunks.append(2 * np.flatnonzero(seg) + start)
+        primes = np.flatnonzero(seg)
+        primes *= 2
+        primes += start
+        chunks.append(primes)
+    if len(chunks) == 1:
+        return chunks[0]
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
@@ -196,9 +218,10 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
 def amplifier_sum(cfg: AmplifierConfig) -> complex:
     """A_L(r1, r2): the weighted eta-product sum over p = 1 mod q in [L, 2L].
 
-    Segments are reduced independently and combined in a fixed order with
-    compensated summation, so the value is stable under any partitioning of
-    the work.
+    [L, 2L] is sieved in windows of _SEGMENT integers, and each window's
+    primes are reduced in blocks, one per span of _SPAN integers counted
+    from ceil(L).  math.fsum combines the block sums exactly rounded, so the
+    value is stable under any partitioning of the sieve work.
     """
     lo = math.ceil(cfg.L)
     hi = math.floor(2 * cfg.L)
@@ -213,25 +236,24 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
     for start in range(lo, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT - 1, hi)
         primes = sieve_interval(start, stop)
-        if primes.size == 0:
-            continue
-        primes = primes[primes % cfg.q == 1 % cfg.q]
-        primes = primes[level % primes != 0]
-        if primes.size == 0:
-            continue
-        p = primes.astype(np.float64)
-        logp = np.log(p)
-        w = cfg.weight(p / cfg.L)
-        c1 = t1[primes % q1]
-        c2 = t2[primes % q2]
-        left = c1 * np.exp(1j * cfg.r1 * logp) + c2 * np.exp(-1j * cfg.r1 * logp)
-        if cfg.r1 == cfg.r2:
-            right = np.conj(left)
-        else:
-            right = np.conj(c1 * np.exp(1j * cfg.r2 * logp) + c2 * np.exp(-1j * cfg.r2 * logp))
-        vals = w * logp * left * right
-        seg_re.append(float(np.sum(vals.real)))
-        seg_im.append(float(np.sum(vals.imag)))
+        primes = primes[(primes % cfg.q == 1 % cfg.q) & (level % primes != 0)]
+        cuts = np.searchsorted(primes, np.arange(start + _SPAN, stop + 1, _SPAN))
+        for block in np.split(primes, cuts):
+            if block.size == 0:
+                continue
+            p = block.astype(np.float64)
+            logp = np.log(p)
+            w = cfg.weight(p / cfg.L)
+            c1 = t1[block % q1]
+            c2 = t2[block % q2]
+            left = c1 * np.exp(1j * cfg.r1 * logp) + c2 * np.exp(-1j * cfg.r1 * logp)
+            if cfg.r1 == cfg.r2:
+                right = np.conj(left)
+            else:
+                right = np.conj(c1 * np.exp(1j * cfg.r2 * logp) + c2 * np.exp(-1j * cfg.r2 * logp))
+            vals = w * logp * left * right
+            seg_re.append(float(np.sum(vals.real)))
+            seg_im.append(float(np.sum(vals.imag)))
     return complex(math.fsum(seg_re), math.fsum(seg_im))
 
 

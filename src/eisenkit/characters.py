@@ -254,8 +254,8 @@ class DirichletCharacter:
         """chi(0), ..., chi(q-1), read-only; value_table returns it.  Only up
         to the modulus ceiling: a table costs about 60 bytes per residue."""
         D, parts = self._weights
-        weights = np.array([[w for _, _, ws in parts for w in ws]], dtype=np.int64)
-        table = _value_rows(_checked_modulus(self.modulus), D, weights)[0]
+        weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)
+        table = _value_rows(_checked_modulus(self.modulus), D, weights)
         table.flags.writeable = False
         return table
 
@@ -464,19 +464,18 @@ def _roots_of_unity(D: int) -> np.ndarray:
 
 
 def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
-    """Values at 0..q-1 of the characters mod q with the given weight rows.
+    """Values at 0..q-1 of the character mod q with the given weights.
 
-    weights[i] holds character i's integer weights on every generator of
-    (Z/q)^x, in exponent-vector order, and D is the exponent of
-    (Z/q)^x; the phases of all rows at all residues are one integer product
-    with the stacked dlog arrays.
+    weights holds its integer weights on every generator of (Z/q)^x, in
+    exponent-vector order, and D is the exponent of (Z/q)^x; its phases at
+    all residues are one integer product with the stacked dlog arrays.
     """
     residues = np.arange(q)
     # q = 1 and q = 2 have no generators: stack onto an empty block
     logs = [np.zeros((0, q), dtype=np.int64)]
     logs += [_component_structure(p, e)[2][:, residues % p**e] for p, e, *_ in _structure(q)]
     values = _roots_of_unity(D)[(weights @ np.concatenate(logs)) % D]
-    values[:, np.gcd(residues, q) != 1] = 0
+    values[np.gcd(residues, q) != 1] = 0
     return values
 
 

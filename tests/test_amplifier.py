@@ -5,12 +5,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import naive_amplifier_sum, weighted_prime_log_sum
+from eisenkit import amplifier
 from eisenkit.amplifier import (
     _SEGMENT,
+    _SPAN,
     AmplifierConfig,
     amplifier_sum,
     asymptotic_report,
@@ -170,6 +174,13 @@ def test_sieve_interval_edges():
     assert list(sieve_interval(0, 1)) == []
     assert list(sieve_interval(14, 16)) == []
     assert list(sieve_interval(100, 10)) == []
+    assert list(sieve_interval(np.int64(10), np.int64(20))) == [11, 13, 17, 19]
+    for args, message in (((10.0, 20.0), "lo must be an integer, got 10.0"),
+                          ((10, 20.0), "hi must be an integer, got 20.0")):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            sieve_interval(*args)
+    with pytest.raises(ValueError, match="above the sieve ceiling 2e\\+09"):
+        sieve_interval(0, 10 ** 13)
 
 
 def test_amplifier_sum_against_double_loop():
@@ -178,6 +189,39 @@ def test_amplifier_sum_against_double_loop():
         fast = amplifier_sum(cfg)
         slow = naive_amplifier_sum(cfg)
         assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+def test_sieve_layout_does_not_set_the_bits(monkeypatch):
+    """Reduction blocks are spans of _SPAN integers counted from ceil(L), so
+    four sieve windows over [1e6, 2e6] give the default sum's bits; blocks of
+    64 and 1024 integers, many per window, agree with the double loop."""
+    cfg = AmplifierConfig(q=3, L=1e6, r1=17.25, r2=17.25, chi1=CHI1, chi2=CHI1)
+    default = amplifier_sum(cfg)
+    monkeypatch.setattr(amplifier, "_SEGMENT", 4 * _SPAN)
+    assert amplifier_sum(cfg) == default
+    monkeypatch.undo()
+    for L, (q, chi1, chi2) in itertools.product((2000.0, 5000.0),
+                                                ((1, CHI3, CHI4), (3, CHI1, CHI1))):
+        cfg = AmplifierConfig(q=q, L=L, r1=3.0, r2=-5.0, chi1=chi1, chi2=chi2)
+        slow = naive_amplifier_sum(cfg)
+        for span in (64, 1024):
+            monkeypatch.setattr(amplifier, "_SPAN", span)
+            assert abs(amplifier_sum(cfg) - slow) <= 1e-12 * max(1.0, abs(slow)), (L, q, span)
+
+
+def test_amplifier_sum_works_in_bounded_memory():
+    """One sum at L = 1e6 holds one block's temporaries at a time, not a sieve
+    window's: its traced peak is about 1.3 MB, where arrays over all of the
+    window's 70,000 primes peak at 8.6 MB."""
+    cfg = AmplifierConfig(q=1, L=1e6, r1=12.5, r2=12.5, chi1=CHI1, chi2=CHI1)
+    amplifier_sum(AmplifierConfig(q=1, L=100.0, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1))
+    tracemalloc.start()
+    try:
+        amplifier_sum(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
 
 
 def test_diagonal_sum_is_nonnegative():
