@@ -17,7 +17,9 @@
   * coefficient_prefactor, the Lambda ratio (at s and the quotient character)
     and scattering_constant (c(s), its ramified product and its local
     factors, prime by prime) for the benchmark's FE-matrix parameter sets
-    and their duals;
+    and their duals, and the two L-values these are built on,
+    L(2s+1, psi) and L(2s, psi) with psi the quotient character, each as
+    its own array, so that a change to the L-value sum shows there by name;
   * bessel_k_row over a fixed, seeded set of orders, each with a row of
     arguments spread log-uniformly over [1e-3, 700].
 
@@ -98,6 +100,8 @@ def dump(path: str) -> None:
               for a, b in FEMatrix.PAIRS for t0 in FEMatrix.HEIGHTS]
     series += [p.dual() for p in series]
     arrays["const_prefactor"] = np.array([coefficient_prefactor(p) for p in series])
+    arrays["const_l_2s_plus_1"] = np.array([dirichlet_l(2 * p.s + 1, p.quotient_character) for p in series])
+    arrays["const_l_2s"] = np.array([dirichlet_l(2 * p.s, p.quotient_character) for p in series])
     arrays["const_lambda_ratio"] = np.array([
         _lambda_ratio(p.s, p.quotient_character, dirichlet_l(2 * p.s + 1, p.quotient_character))
         for p in series])

@@ -10,17 +10,18 @@ w_k = exps[k] * D / o_k, and chi(n) = e(m / D) with
 
     m = sum over generators of w_k * dlog[k, n mod p^e]  (mod D).
 
-Each character builds its values chi(0), ..., chi(q-1) once, on first use: one
-integer product of its weights with the stacked dlog arrays gives every m, and
-each m indexes the D roots e(m / D), each taken as cmath.exp of the correctly
-rounded m / D, so Gauss sums and epsilon factors are reproducible to machine
-precision.  value_table returns that read-only array, the single source of
-the values.  evaluate(n) reads the entry at n mod q from a list copy of it,
-built on the first scalar read, so scalar callers (the divisor sums among
-them) pay no numpy scalar access.  int_phase(n) computes the integer m alone,
-for the callers that need it: gauss_sum, parity and the L-values.  phase(n),
-the exact m / D as a Fraction, is the only Fraction view, and nothing in the
-package calls it.
+Each character value has its values chi(0), ..., chi(q-1) built once, on
+first use: one integer product of its weights with the stacked dlog arrays
+gives every m, and each m indexes the D roots e(m / D), each taken as
+cmath.exp of the correctly rounded m / D, so Gauss sums and epsilon factors
+are reproducible to machine precision.  value_table returns that read-only
+array, the single source of the values, memoized on the character's value so
+that equal character objects share it.  evaluate(n) reads the entry at
+n mod q from a per-object list copy of it, built on the first scalar read,
+so scalar callers (the divisor sums among them) pay no numpy scalar access.
+int_phase(n) computes the integer m alone, for the callers that need it:
+gauss_sum, parity and the L-values.  phase(n), the exact m / D as a
+Fraction, is the only Fraction view, and nothing in the package calls it.
 
 Conductors, induction and restriction are integer rules on one prime power
 at a time.  The conductor exponent at p^e is e - v_p(k), k the last exponent
@@ -31,12 +32,19 @@ conductor exponent; conjugate negates the vector, and local_component and
 prime_to_p_part are slices of it.
 
 Characters compare as dataclasses and hash once per object, as every cache
-keyed on them reads the hash.  gauss_sum_moduli_squared builds no character
-object: every Gauss sum mod q is one entry of a single inverse DFT of
-e(u/q) over the exponent grid of (Z/q)^x, O(phi log phi), and a character
-is primitive iff p does not divide the last exponent of any slice, the
-conductor rule read as one array mask over the whole group.  gauss_sum
-stays a scalar sum: one character needs no transform.
+keyed on them reads the hash.  Those caches are the memoized functions of
+characters: conjugate, multiply, primitive_part, local_component,
+prime_to_p_part, gauss_sum, local_epsilon and value_table each keep their
+last _MEMO results, keyed on the values of their arguments, so equal inputs
+return one object and each derived character, table, Gauss sum and epsilon
+factor is computed once per value, not once per object that asks.
+
+gauss_sum_moduli_squared builds no character object: every Gauss sum mod q
+is one entry of a single inverse DFT of e(u/q) over the exponent grid of
+(Z/q)^x, O(phi log phi), and a character is primitive iff p does not divide
+the last exponent of any slice, the conductor rule read as one array mask
+over the whole group.  gauss_sum stays a scalar sum: one character needs no
+transform.
 Moduli run over [1, 2^14] where one comes in and wherever a value table is
 built; products and quotients, which may exceed it, need no table for their
 phases, conductors and parts, nor for scalar values: past the ceiling
@@ -161,6 +169,8 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
 # where a value table is about 1 MB and gauss_sum_moduli_squared's O(phi log phi)
 # transform takes milliseconds
 _MODULUS_MAX = 1 << 14
+# entries per memoized function of characters (conjugate, multiply, ..., local_epsilon)
+_MEMO = 256
 
 
 def _checked_modulus(q: int) -> int:
@@ -250,22 +260,12 @@ class DirichletCharacter:
         return None if m is None else Fraction(m, self.phase_denominator)
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        """chi(0), ..., chi(q-1), read-only; value_table returns it.  Only up
-        to the modulus ceiling: a table costs about 60 bytes per residue."""
-        D, parts = self._weights
-        weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)
-        table = _value_rows(_checked_modulus(self.modulus), D, weights)
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def _values(self):
-        """_table as a list of Python complex numbers, for scalar reads; past
-        the modulus ceiling, reads that build no table (_PhaseReads)."""
+        """value_table as a list of Python complex numbers, for scalar reads;
+        past the modulus ceiling, reads that build no table (_PhaseReads)."""
         if self.modulus > _MODULUS_MAX:
             return _PhaseReads(self)
-        return self._table.tolist()
+        return value_table(self).tolist()
 
     def evaluate(self, n: int) -> complex:
         """chi(n), read from _values: the same bits as the table entry at
@@ -388,6 +388,7 @@ def _exps_at(chi: DirichletCharacter, p: int, e: int) -> list[int]:
     return exps
 
 
+@lru_cache(maxsize=_MEMO)
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi."""
     f = conductor(chi)
@@ -399,6 +400,7 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f, tuple(exps))
 
 
+@lru_cache(maxsize=_MEMO)
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     q = math.lcm(chi1.modulus, chi2.modulus)
@@ -408,17 +410,20 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
     return DirichletCharacter(q, tuple(exps))
 
 
+@lru_cache(maxsize=_MEMO)
 def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex conjugate (inverse) character."""
     return DirichletCharacter(chi.modulus, tuple(-k % o for k, o in zip(chi.exps, _orders(chi.modulus))))
 
 
+@lru_cache(maxsize=_MEMO)
 def local_component(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """The p-part of chi, as a standalone character mod p^{v_p(q)}."""
     e, span = _p_part(chi.modulus, p)
     return DirichletCharacter(p**e, chi.exps[span])
 
 
+@lru_cache(maxsize=_MEMO)
 def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """chi with its p-component removed (trivial at p)."""
     e, span = _p_part(chi.modulus, p)
@@ -429,11 +434,12 @@ def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
 # Gauss sums and epsilon factors
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=_MEMO)
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """The Gauss sum sum_{u mod q} chi(u) e(u/q), for primitive chi.
 
     Non-primitive input is rejected: the naive sum is not the normalized
-    local quantity in that case.
+    local quantity in that case.  Memoized on chi's value, like local_epsilon.
     """
     q = chi.modulus
     if conductor(chi) != q:
@@ -479,12 +485,19 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
     return values
 
 
+@lru_cache(maxsize=_MEMO)
 def value_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(0), chi(1), ..., chi(q-1) as a read-only complex array.
 
-    Built once per character; chi.evaluate reads a list copy of it.
+    Built once per character value, so equal characters share one array;
+    chi.evaluate reads a list copy of it.  Only up to the modulus ceiling: a
+    table costs about 60 bytes per residue.
     """
-    return chi._table
+    D, parts = chi._weights
+    weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)
+    table = _value_rows(_checked_modulus(chi.modulus), D, weights)
+    table.flags.writeable = False
+    return table
 
 
 def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -539,6 +552,7 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     return np.abs(_gauss_sums(q)[primitive]) ** 2
 
 
+@lru_cache(maxsize=_MEMO)
 def local_epsilon(chi: DirichletCharacter, p: int) -> complex:
     """Unit-modulus local epsilon factor of chi at p, at the central point.
 

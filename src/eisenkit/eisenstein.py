@@ -30,11 +30,22 @@ evaluate, the residual and supnorm.scan compute F through one core,
 _fourier_grid, over any grid of x and y and one series or a series and its dual.
 
 Per-series state lives on the EisensteinParams instance, computed on first
-use: L(2s+1, psi), which coefficient_prefactor and scattering_constant both
-read; P(s); c(s); the dual series; and the table lambda(1..m), grown only
-when a call needs more modes.  A computation that raises leaves nothing
-behind, so the next call raises again.  Equal params objects do not share
-this state; a caller that reuses one object per series pays for it once.
+use: the quotient character psi; L(2s+1, psi) and the local normalization
+b_p(s) at each p | level, which coefficient_prefactor and
+scattering_constant both read; P(s); c(s); the dual series, whose dual is
+the instance itself, so the dual's c(-s) reads the same b_p(s); and the
+table lambda(1..m), grown only when a call needs more modes.  A computation
+that raises leaves nothing behind, so the next call raises again.  Equal
+params objects do not share this state; a caller that reuses one object per
+series pays for it once.  What it is built from is shared by character
+value, not by object: the derived characters, their value tables, Gauss
+sums and local epsilon factors come from the memoized functions of
+characters, so a second object for an equal series recomputes only the
+per-series state above.
+
+evaluate and the FE residual check the height |t| <= 200, the K-Bessel
+order bound, before any L-value, truncation or Bessel work, through the
+same _check_height that supnorm.scan calls.
 """
 
 from __future__ import annotations
@@ -65,6 +76,7 @@ from eisenkit.lfunctions import _Q_WINDOW, _lambda_ratio, dirichlet_l, parity_ex
 from eisenkit.special_functions import (
     NumericEnvelopeError,
     PoleError,
+    _IM_MAX,
     _RE_MAX,
     bessel_k_row,
     log_gamma_r,
@@ -122,10 +134,10 @@ class EisensteinParams:
                                        f"the supported L-value window {_Q_WINDOW}")
         object.__setattr__(self, "_lam", np.zeros(0, dtype=complex))
 
-    @property
+    @cached_property
     def quotient_character(self) -> DirichletCharacter:
         """The primitive character inducing chi1 * conj(chi2)."""
-        return _quotient_character(self.chi1, self.chi2)
+        return primitive_part(multiply(self.chi1, conjugate(self.chi2)))
 
     @property
     def s(self) -> complex:
@@ -137,12 +149,21 @@ class EisensteinParams:
 
     @cached_property
     def _dual(self) -> "EisensteinParams":
-        return EisensteinParams(self.chi2, self.chi1, -self.t_shift, -self.sigma)
+        dual = EisensteinParams(self.chi2, self.chi1, -self.t_shift, -self.sigma)
+        object.__setattr__(dual, "_dual", self)     # so the dual's c(-s) reads this series' state
+        return dual
 
     @cached_property
     def _l_one_line(self) -> complex:
         """L(2s+1, psi), read by coefficient_prefactor and scattering_constant."""
         return dirichlet_l(2 * self.s + 1, self.quotient_character)
+
+    @cached_property
+    def _b_locals(self) -> dict[int, complex]:
+        """_b_local at each p | level, p increasing: read by
+        coefficient_prefactor, and by scattering_constant for the series and
+        its dual."""
+        return {p: _b_local(self, p) for p, _ in _factorize(self.level)}
 
     @cached_property
     def _outer_scale(self) -> complex:
@@ -165,11 +186,6 @@ class ConstantTermData:
 # ---------------------------------------------------------------------------
 # local data helpers
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _quotient_character(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
-    return primitive_part(multiply(chi1, conjugate(chi2)))
-
 
 def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
     """The p-component of chi at the k-th uniformizer power.
@@ -247,8 +263,8 @@ def _b_local(params: EisensteinParams, p: int) -> complex:
 def coefficient_prefactor(params: EisensteinParams) -> complex:
     """Global prefactor of the Whittaker expansion: b_r(s) / L(2s+1, psi)."""
     b_r = 1.0 + 0j
-    for p, _ in _factorize(params.level):
-        b_r *= _b_local(params, p)
+    for b in params._b_locals.values():
+        b_r *= b
     return b_r / params._l_one_line
 
 
@@ -271,10 +287,10 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
     if ell == 1 and abs(s) < 1e-12:
         raise PoleError("scattering pole: principal quotient character at s = 0")
 
-    dual = params.dual()
+    dual_b = params.dual()._b_locals
     local_factors: dict[int, complex] = {}
-    for p, _ in _factorize(params.level):
-        factor = _b_local(params, p) / _b_local(dual, p)
+    for p, b in params._b_locals.items():
+        factor = b / dual_b[p]
         if ell % p == 0:
             e = _cond_exp(psi, p)
             psi_p = primitive_part(local_component(psi, p))
@@ -305,6 +321,16 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
 _Y_FLOOR = 0.3
 # log of the smallest normal double: a Gamma factor below it has lost its digits
 _LOG_TINY = math.log(sys.float_info.min)
+
+
+def _check_height(t0: float) -> None:
+    """Refuse a height t0 = Im s that is not finite or lies past the K-Bessel
+    order bound: every evaluation of the series needs K values of order s, so
+    evaluate, the FE residual and scan check it before any other work."""
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if abs(t0) > _IM_MAX:
+        raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
 
 
 def _archimedean_constant(params: EisensteinParams) -> complex:
@@ -386,6 +412,7 @@ def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
     """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
+    _check_height(params.t_shift)
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     (values, _), = _fourier_grid((params,), [x], [y], eps)
@@ -416,6 +443,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     the residual equals the one from two separate evaluate calls bit for bit
     and isolates the arithmetic constants rather than quadrature noise.
     """
+    _check_height(params.t_shift)
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
     dual = params.dual()

@@ -9,15 +9,17 @@ M terms, and the rest, zeta(s, w) at w = a/q + M, is the Euler-Maclaurin tail
 
     w^{1-s}/(s-1) + w^{-s}/2 + sum_{j<=P} B_{2j}/(2j)! (s)_{2j-1} w^{-s-2j+1}
 
-with M = ceil(|s|/pi) + 20 and P = 25.  For w >= |s|/pi + 20 the terms of the
-tail fall at least geometrically, by about |s + 2j|^2 / (2 pi w)^2 per step,
-so the P-th is below double precision (error bounds: F. Johansson,
-arXiv:1309.2877).  The direct sum over the units a and k < M is the Dirichlet
-series up to n = qM; its terms are summed in chunks of bounded size, so the
-envelope corner (q near 1e4, |Im s| = 1e3, several million terms) runs in
-flat memory.  q = 1 gives zeta itself.  For a non-principal character the pole
-terms 1/(s-1) cancel over a, so each is taken as (w^{1-s} - 1)/(s-1), which
-stays exact through s = 1 and equals -log w there.
+with M = ceil(|s|/pi) + 20 and P = 25; the sum over j is one product of
+the P powers of 1/w^2 with the P weights, for every w at once.  For
+w >= |s|/pi + 20 the terms of the tail fall at least geometrically, by about
+|s + 2j|^2 / (2 pi w)^2 per step, so the P-th is below double precision
+(error bounds: F. Johansson, arXiv:1309.2877).  The direct sum over the
+units a and k < M is the Dirichlet series up to n = qM; its terms are
+summed in chunks of bounded size, so the envelope corner (q near 1e4,
+|Im s| = 1e3, several million terms) runs in flat memory.  q = 1 gives zeta
+itself.  For a non-principal character the pole terms 1/(s-1) cancel over
+a, so each is taken as (w^{1-s} - 1)/(s-1), which stays exact through s = 1
+and equals -log w there.
 
 The error floor is the phase t log n of each term, held to double precision:
 about 1e-16 |t| log n.  The supported envelope is q <= 1e4, |Im s| <= 1e3
@@ -43,7 +45,7 @@ import sys
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, conductor
+from eisenkit.characters import DirichletCharacter, conductor, value_table
 from eisenkit.special_functions import (
     BERNOULLI_OVER_FACTORIAL,
     NumericEnvelopeError,
@@ -64,6 +66,8 @@ _Q_WINDOW = 10**4     # supported modulus
 _RE_WINDOW = (-0.5, 1e3)   # supported Re s
 
 _CHUNK = 1 << 16      # Dirichlet-series terms per vectorized pass
+_BERNOULLI = np.array(BERNOULLI_OVER_FACTORIAL)    # B_{2j}/(2j)!, j = 1..P
+_P = len(_BERNOULLI)
 # log of the largest double: a completed value above it cannot be returned
 _LOG_HUGE = math.log(sys.float_info.max)
 
@@ -95,7 +99,7 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     q = chi.modulus
     m = math.ceil(abs(s) / math.pi) + 20
     residues = np.arange(1, q + 1)
-    values = chi._table[residues % q]
+    values = value_table(chi)[residues % q]
     units = values != 0
     a, values = residues[units], values[units]
 
@@ -111,8 +115,10 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     log_w = np.log(w)
     w_s = np.exp(-s * log_w)
     rising = np.cumprod([s] + [(s + 2 * j - 1) * (s + 2 * j)      # (s)_{2j-1}
-                               for j in range(1, len(BERNOULLI_OVER_FACTORIAL))])
-    bernoulli = np.polyval((np.array(BERNOULLI_OVER_FACTORIAL) * rising)[::-1], 1.0 / (w * w))
+                               for j in range(1, _P)])
+    # sum_j B_{2j}/(2j)! (s)_{2j-1} w^{-2(j-1)}, as one product of every
+    # power of 1/w^2 with the weights
+    bernoulli = np.power.outer(1.0 / (w * w), np.arange(_P)) @ (_BERNOULLI * rising)
     z = (1 - s) * log_w
     pole = -log_w if s == 1 else -log_w * np.expm1(z) / z     # (w^{1-s} - 1)/(s - 1)
     tail = w_s * (0.5 + bernoulli / w) + pole

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _fourier_grid
-from eisenkit.special_functions import _IM_MAX, NumericEnvelopeError, NumericsError
+from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _check_height, _fourier_grid
+from eisenkit.special_functions import NumericsError
 
 __all__ = [
     "ScanAbortedError",
@@ -147,10 +147,7 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         raise ValueError(f"x_steps must be in [1, {_X_STEPS_MAX}], got {x_steps}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
-    if abs(t0) > _IM_MAX:
-        raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
+    _check_height(t0)
     here = EisensteinParams(params.chi1, params.chi2, float(t0))
     T = spectral_height(t0)
     if y_grid is None:

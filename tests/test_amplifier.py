@@ -197,7 +197,7 @@ def test_sieve_layout_does_not_set_the_bits(monkeypatch):
     64 and 1024 integers, many per window, agree with the double loop."""
     cfg = AmplifierConfig(q=3, L=1e6, r1=17.25, r2=17.25, chi1=CHI1, chi2=CHI1)
     default = amplifier_sum(cfg)
-    monkeypatch.setattr(amplifier, "_SEGMENT", 4 * _SPAN)
+    monkeypatch.setattr(amplifier, "_SEGMENT", 2 * _SPAN)
     assert amplifier_sum(cfg) == default
     monkeypatch.undo()
     for L, (q, chi1, chi2) in itertools.product((2000.0, 5000.0),

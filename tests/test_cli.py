@@ -200,15 +200,29 @@ def test_scan_outside_the_bessel_envelope_exits_3(capsys):
         assert "envelope" in err and f"t0 = {t0} outside the K-Bessel order bound" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["fecheck", "--chi1", "1:0", "--chi2", "1:0", "--t0", "480", "--points", "1"],
-    ["eval", "--chi1", "1:0", "--chi2", "1:0", "--t0", "480", "--y", "1"],
-])
-def test_gamma_underflow_above_the_envelope_exits_3(capsys, argv):
-    """Gamma_R(2s + 1) underflows double precision near t = 450: a numerics
-    error with exit code 3, not a division by zero."""
-    assert run(argv) == 3
-    assert "underflows double precision" in capsys.readouterr().err
+@pytest.mark.parametrize("t0", ["250", "480", "1e300"])
+@pytest.mark.parametrize("command", ["eval", "fecheck"])
+def test_a_height_past_the_order_bound_exits_3_before_any_l_value(monkeypatch, capsys, command, t0):
+    """eval and fecheck check |t0| <= 200 first and name t0: not the order of
+    a Bessel row (250), the Gamma_R(2s + 1) underflow near t = 450 (480), or
+    the L-value window at 2s + 1 (1e300), and without computing an L-value."""
+    from eisenkit import eisenstein, lfunctions
+
+    def forbidden(s, chi):
+        raise AssertionError(f"L({s}, {chi}) computed for a height past the order bound")
+
+    monkeypatch.setattr(eisenstein, "dirichlet_l", forbidden)
+    monkeypatch.setattr(lfunctions, "dirichlet_l", forbidden)
+    last = ["--y", "1"] if command == "eval" else ["--points", "5"]
+    assert run([command, "--chi1", "1:0", "--chi2", "1:0", "--t0", t0, *last]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numeric envelope: t0 = {float(t0):g} outside the K-Bessel order bound |t0| <= 200\n"
+
+
+def test_scatter_answers_past_the_order_bound(capsys):
+    """c(s) needs no K value, so scatter has no height check of its own."""
+    assert run(["scatter", "--chi1", "3:1", "--chi2", "4:1", "--t0", "250"]) == 0
+    assert "c(s) at s=0+250j" in capsys.readouterr().out
 
 
 def test_completed_zeta_at_its_pole_exits_3(capsys):

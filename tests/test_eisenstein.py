@@ -5,13 +5,16 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eisenkit
 from oracles import brute_divisor_sum, local_constant
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
@@ -24,6 +27,7 @@ from eisenkit.eisenstein import (
     generalized_divisor_sum,
     scattering_constant,
 )
+from eisenkit.lfunctions import dirichlet_l
 from eisenkit.special_functions import NumericEnvelopeError
 
 CHI1 = build_character(1, 0)
@@ -109,6 +113,49 @@ def test_ramified_product_collects_the_local_factors():
     assert abs(prod - data.ramified_product) < 1e-12
 
 
+# the benchmark's functional-equation pairs (q, index), each at t0 = 5 and 10
+_FE_PAIRS = (((1, 0), (1, 0)), ((1, 0), (4, 1)), ((3, 1), (4, 1)), ((5, 1), (5, 3)))
+_FE_HEIGHTS = (5.0, 10.0)
+
+_COLD_CONSTANTS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from eisenkit.characters import build_character
+from eisenkit.eisenstein import EisensteinParams, scattering_constant
+from eisenkit.lfunctions import dirichlet_l
+a, b, t0 = eval(sys.argv[2])
+p = EisensteinParams(build_character(*a), build_character(*b), t0)
+data = scattering_constant(p)
+print(repr([p._outer_scale, data.scattering, data.ramified_product, data.local_factors,
+            p._l_one_line, dirichlet_l(2 * p.s, p.quotient_character)]))
+"""
+
+
+def _constants(params):
+    data = scattering_constant(params)
+    return [params._outer_scale, data.scattering, data.ramified_product, data.local_factors,
+            params._l_one_line, dirichlet_l(2 * params.s, params.quotient_character)]
+
+
+def test_series_constants_do_not_depend_on_warm_caches():
+    """P(s), c(s), the ramified product, the local factors and both L-values
+    of a fresh series equal, bit for bit, those a process computes for that
+    series alone, after every other pair, height and dual has filled the
+    shared character caches."""
+    src = str(Path(eisenkit.__file__).resolve().parent.parent)
+    cases = [(a, b, t0) for a, b in _FE_PAIRS for t0 in _FE_HEIGHTS]
+    cold = [subprocess.run([sys.executable, "-c", _COLD_CONSTANTS, src, repr(case)],
+                           capture_output=True, text=True, check=True).stdout for case in cases]
+    for a, b, t0 in reversed(cases):     # warm every cache first, in another order
+        params = EisensteinParams(build_character(*a), build_character(*b), t0)
+        for side in (params.dual(), params):
+            _constants(side)
+    for case, out in zip(cases, cold):
+        a, b, t0 = case
+        fresh = EisensteinParams(build_character(*a), build_character(*b), t0)
+        assert _constants(fresh) == eval(out), case
+
+
 def test_local_constant_unramified_is_an_euler_ratio():
     params = EisensteinParams(CHI1, CHI1, 5.0)
     s = params.s
@@ -127,6 +174,7 @@ def test_dual_is_built_once_per_series():
         params = EisensteinParams(chi1, chi2, t0, sigma)
         dual = params.dual()
         assert dual is params.dual()
+        assert dual.dual() is params
         assert (dual.chi1, dual.chi2, dual.t_shift, dual.sigma) == (chi2, chi1, -t0, -sigma)
         assert (dual.level, dual.l_modulus) == (params.level, params.l_modulus)
         assert dual == EisensteinParams(chi2, chi1, -t0, -sigma)
@@ -330,19 +378,49 @@ def test_table_growth_order_does_not_change_bits():
 
 def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
     """L(2s+1) for each side, L(2s) for c(s), and for the dual's c(-s) only
-    where the dual keeps its y^{1/2-s} term; nothing on a second call."""
-    from eisenkit import eisenstein, lfunctions
+    where the dual keeps its y^{1/2-s} term; nothing on a second call.  From
+    cold caches, each distinct character builds one value table, each series
+    one _b_local per prime, and each distinct argument one Gauss sum and one
+    local epsilon, however many equal character objects the series make."""
+    from eisenkit import characters, eisenstein, lfunctions
 
+    memoized = {name: getattr(characters, name) for name in (
+        "conjugate", "multiply", "primitive_part", "local_component", "prime_to_p_part",
+        "gauss_sum", "local_epsilon", "value_table")}
+    for f in memoized.values():
+        f.cache_clear()
     calls = []
-    real = lfunctions.dirichlet_l
+    tables, b_locals = [], []
+    arguments = {"gauss_sum": [], "local_epsilon": []}
 
     def counted(s, chi):
         calls.append((s, chi))
-        return real(s, chi)
+        return real_l(s, chi)
 
+    def rows(q, D, weights):
+        tables.append((q, tuple(weights.tolist())))
+        return real_rows(q, D, weights)
+
+    def b_local(params, p):
+        b_locals.append((params, p))
+        return real_b(params, p)
+
+    def recorded(name, f):
+        def wrapper(*args):
+            arguments[name].append(args)
+            return f(*args)
+        return wrapper
+
+    real_l, real_rows, real_b = lfunctions.dirichlet_l, characters._value_rows, eisenstein._b_local
     monkeypatch.setattr(eisenstein, "dirichlet_l", counted)
     monkeypatch.setattr(lfunctions, "dirichlet_l", counted)
-    for chi1, chi2, expected in ((CHI3, CHI4, 3), (CHI1, CHI4, 4), (CHI1, CHI1, 4)):
+    monkeypatch.setattr(characters, "_value_rows", rows)
+    monkeypatch.setattr(eisenstein, "_b_local", b_local)
+    for name in arguments:
+        wrapper = recorded(name, getattr(characters, name))
+        monkeypatch.setattr(characters, name, wrapper)
+        monkeypatch.setattr(eisenstein, name, wrapper)
+    for chi1, chi2, expected in ((CHI3, CHI4, 3), (CHI1, CHI4, 4), (CHI1, CHI1, 4), (CHI5, CHI5P, 3)):
         params = EisensteinParams(chi1, chi2, 5.0)
         del calls[:]
         functional_equation_residual(params, 0.37, 0.62)
@@ -350,6 +428,11 @@ def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
         assert len(set(calls)) == expected
         functional_equation_residual(params, -0.41, 2.8)
         assert len(calls) == expected
+    # the last pair's quotient and its dual's are one character, 5:2
+    assert tables and len(tables) == len(set(tables))
+    assert b_locals and len(b_locals) == len(set(b_locals))
+    for name, args in arguments.items():
+        assert args and memoized[name].cache_info().misses == len(set(args)), name
 
 
 @pytest.mark.parametrize("t0, message", [
@@ -357,11 +440,15 @@ def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
     (600.0, "outside the supported window"),       # L(2s+1) itself
 ])
 def test_a_failed_set_up_is_raised_again(t0, message):
+    """P(s) fails past t = 450 and is not stored, so it fails again; evaluate
+    and the FE residual refuse such a height before they reach it."""
     params = EisensteinParams(CHI1, CHI1, t0)
     for _ in range(2):
         with pytest.raises(NumericEnvelopeError, match=message):
+            params._outer_scale
+        with pytest.raises(NumericEnvelopeError, match=f"^t0 = {t0:g} outside the K-Bessel order bound"):
             evaluate(params, 0.0, 1.0, 1e-8)
-        with pytest.raises(NumericEnvelopeError, match=message):
+        with pytest.raises(NumericEnvelopeError, match=f"^t0 = {t0:g} outside the K-Bessel order bound"):
             functional_equation_residual(params, 0.0, 1.0)
 
 
