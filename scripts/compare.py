@@ -26,9 +26,10 @@ median and quartiles of each side, the change's wins (pairs in which it was
 the better by the metric's direction in BENCHMARK.json), the median gap,
 the parent's interquartile range and the relative change against its bound;
 failed operations and the exit status of any run that did not finish; each
-bit script's mismatch counts per array; and the line counts of src/.  The
-file is rewritten after every workload, so an interrupted run keeps what it
-measured.  The exported directories are removed whatever happens.
+bit script's mismatch counts per array, an array that one side lacks counted
+as one; and the line counts of src/.  The file is rewritten after every
+workload, so an interrupted run keeps what it measured.  The exported
+directories are removed whatever happens.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ BIT_SCRIPTS = ("check_series_bits.py", "check_character_bits.py")
 SIDES = ("parent", "change")       # equal lengths, so both paths are as long
 _BIT_LINE = re.compile(r"^(\S+): (\d+) entries, (\d+) mismatches"
                        r"(?:, max abs deviation (\S+), max rel deviation (\S+))?$")
+# an array that one dump lacks, or whose shape or dtype differs: the bit
+# script counts it as one mismatch
+_BIT_PROBLEM = re.compile(r"^(\S+): ((?:missing from|shape/dtype) .*)$")
 
 
 def _git(*args: str) -> bytes:
@@ -145,17 +149,26 @@ def _bits(dirs: dict[str, Path], work: Path) -> dict:
                            env=_env(), check=True, capture_output=True)
         proc = subprocess.run([sys.executable, str(paths["change"]), "--compare", *map(str, dumps)],
                               cwd=dirs["change"], env=_env(), capture_output=True, text=True)
-        arrays = {}
-        for line in proc.stdout.splitlines():
-            match = _BIT_LINE.match(line)
-            if match:
-                name, entries, mismatches, dev_abs, dev_rel = match.groups()
-                arrays[name] = {"entries": int(entries), "mismatches": int(mismatches)}
-                if dev_abs is not None:
-                    arrays[name].update(max_abs_deviation=float(dev_abs), max_rel_deviation=float(dev_rel))
-        out[script] = {"total_mismatches": sum(a["mismatches"] for a in arrays.values()),
-                       "exit": proc.returncode, "arrays": arrays}
+        out[script] = {**_parse_compare(proc.stdout), "exit": proc.returncode}
     return out
+
+
+def _parse_compare(stdout: str) -> dict:
+    """The per-array lines of a bit script's --compare output, and their total:
+    an array missing from one dump, or of another shape or dtype, counts as
+    one mismatch, as the script itself counts it."""
+    arrays = {}
+    for line in stdout.splitlines():
+        match, problem = _BIT_LINE.match(line), _BIT_PROBLEM.match(line)
+        if match:
+            name, entries, mismatches, dev_abs, dev_rel = match.groups()
+            arrays[name] = {"entries": int(entries), "mismatches": int(mismatches)}
+            if dev_abs is not None:
+                arrays[name].update(max_abs_deviation=float(dev_abs), max_rel_deviation=float(dev_rel))
+        elif problem:
+            name, what = problem.groups()
+            arrays[name] = {"mismatches": 1, "problem": what}
+    return {"total_mismatches": sum(a["mismatches"] for a in arrays.values()), "arrays": arrays}
 
 
 def _src_lines(root: Path) -> int:

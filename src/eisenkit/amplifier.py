@@ -46,7 +46,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, _factorize, conjugate, multiply, value_table
+from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
 from eisenkit.eisenstein import _divisors, generalized_divisor_sum
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
@@ -164,14 +164,6 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
 # prime windows
 # ---------------------------------------------------------------------------
 
-def _checked_bound(name: str, v) -> int:
-    """v as an int; an integer type such as np.int64 reads as its int, a float is refused."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {v!r}") from None
-
-
 def sieve_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi], by a segmented sieve over the odd numbers only.
 
@@ -181,7 +173,7 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
     integer arithmetic.  lo and hi are integers, hi at most 2 _L_MAX, the
     top of any amplifier window.
     """
-    lo, hi = _checked_bound("lo", lo), _checked_bound("hi", hi)
+    lo, hi = _checked_int("lo", lo), _checked_int("hi", hi)
     if hi > 2 * _L_MAX:
         raise ValueError(f"hi = {hi} above the sieve ceiling {2 * _L_MAX:g}")
     if hi < lo or hi < 2:

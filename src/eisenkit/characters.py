@@ -173,14 +173,19 @@ _MODULUS_MAX = 1 << 14
 _MEMO = 256
 
 
+def _checked_int(name: str, v) -> int:
+    """v as an int.  An integer type such as np.int64 reads as its int; a
+    float is refused, even 5.0."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+
+
 def _checked_modulus(q: int) -> int:
     """q as an int, checked to lie in [1, 2^14] before it is factored or a
-    table built.  An integer type such as np.int64 reads as its int; a float
-    is refused, even 5.0."""
-    try:
-        q = operator.index(q)
-    except TypeError:
-        raise TypeError(f"modulus must be an integer, got {q!r}") from None
+    table built."""
+    q = _checked_int("modulus", q)
     if not 0 < q <= _MODULUS_MAX:
         raise ValueError(f"modulus must be in [1, {_MODULUS_MAX}], got {q}")
     return q
@@ -308,11 +313,7 @@ def build_character(q: int, index: int) -> DirichletCharacter:
 
     Index 0 is the principal character; valid indices run over [0, phi(q)).
     """
-    q = _checked_modulus(q)
-    try:
-        index = operator.index(index)
-    except TypeError:
-        raise TypeError(f"character index must be an integer, got {index!r}") from None
+    q, index = _checked_modulus(q), _checked_int("character index", index)
     orders = _orders(q)
     phi = math.prod(orders)
     if not (0 <= index < phi):
@@ -500,21 +501,25 @@ def value_table(chi: DirichletCharacter) -> np.ndarray:
     return table
 
 
-def _exponent_vectors(q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Generator orders mod q, every character's exponent vector, and which are primitive.
+def _primitive_mask(q: int) -> np.ndarray:
+    """Which characters mod q are primitive, in enumeration order.
 
-    Row i of the exponent array is the vector of the i-th character in
-    enumeration order.  A character is primitive iff its conductor exponent
-    e - v_p(k) is e at every prime power p^e: p does not divide k, the last
-    exponent of that prime power's slice.  2^1 has no generator and no
+    A character is primitive iff its conductor exponent e - v_p(k) is e at
+    every prime power p^e: p does not divide k, the last exponent of that
+    prime power's slice of the exponent vector.  So the mask over the
+    exponent grid of shape orders is one 1-D mask per prime power, on its
+    last axis, broadcast over the rest.  2^1 has no generator and no
     primitive character.
     """
     orders = _orders(q)
-    exps = np.indices(orders, dtype=np.int64).reshape(len(orders), math.prod(orders)).T
-    primitive = np.ones(len(exps), dtype=bool)
+    primitive = np.ones(orders, dtype=bool)
     for p, _, span, _ in _structure(q):
-        primitive &= exps[:, span.stop - 1] % p != 0 if span.stop > span.start else False
-    return orders, exps, primitive
+        if span.stop == span.start:
+            return np.zeros(primitive.size, dtype=bool)
+        shape = [1] * len(orders)
+        shape[span.stop - 1] = orders[span.stop - 1]
+        primitive &= (np.arange(orders[span.stop - 1]) % p != 0).reshape(shape)
+    return primitive.ravel()
 
 
 def _gauss_sums(q: int) -> np.ndarray:
@@ -545,11 +550,10 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     Returns an array with one entry per primitive character (enumeration
     order).  Used by the classical-law sweep |G(chi)|^2 = q.  No character
     object is built: _gauss_sums gives every G(chi) mod q in O(phi log phi),
-    and primitivity comes from the exponent vectors.
+    and primitivity comes from the exponent grid.
     """
     q = _checked_modulus(q)
-    _, _, primitive = _exponent_vectors(q)
-    return np.abs(_gauss_sums(q)[primitive]) ** 2
+    return np.abs(_gauss_sums(q)[_primitive_mask(q)]) ** 2
 
 
 @lru_cache(maxsize=_MEMO)

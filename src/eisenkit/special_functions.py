@@ -36,17 +36,22 @@ or x >= |t|.  The integral runs along the horizontal line Im w = theta, at
 the height of the saddle, sinh w = nu / x, held a little below pi/2 where
 the integrand stops decaying.  On that line the integrand never exceeds the
 answer by more than a small factor, so no digits cancel, and the plain
-trapezoid rule converges geometrically: the step charges the integrand's
-growth on the edges of the strip of analyticity around the line (Trefethen
-and Weideman, SIAM Rev. 56, 2014; the contour follows Gil, Segura and
-Temme, J. Comput. Phys. 175, 2002).  Past the turning point a value takes
-about 20 nodes; below it the step shrinks like 1 / |t|.
+trapezoid rule converges geometrically: with a strip of half-width d on
+each side of the line, the error is about exp(-2 pi d / h) times the
+integrand's growth on the strip's edge (Trefethen and Weideman, SIAM Rev.
+56, 2014; the contour follows Gil, Segura and Temme, J. Comput. Phys. 175,
+2002).  That growth is about b d^2 / 2, b the curvature of the log-modulus
+at its peak on the line, so for the error target exp(-L), L = _LOG_TOL, the
+step h = 2 pi d / (L + b d^2 / 2) is largest at d = sqrt(2 L / b).  d is
+that, or 0.995 of the room to Im w = +-pi/2 if that is less, and the tighter
+of the two sides sets h.  Past the turning point a value takes about 20
+nodes; below it the step shrinks like 1 / |t|.
 
-A row of arguments is evaluated in vectorized passes of at most _PASS
-arguments each, so one call carries its fixed set-up once for a whole batch
-while its temporaries stay bounded.  Every value has its own node set, fixed
-by the order and its argument, so it is bitwise reproducible whatever else
-is in the row or the pass.
+A row is evaluated whole, one vectorized block of at most about _BLOCK
+nodes at a time on either contour, so one call carries its fixed set-up once
+for the whole row while its temporaries stay bounded.  Every value has its
+own node set, fixed by the order and its argument, and its own sum, so it is
+bitwise reproducible whatever else is in the row or its block.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import mpmath  # noqa: F401  loaded with the package: perfbench/worker.py reads its version
 import numpy as np
@@ -98,13 +103,8 @@ _RE_MAX = 10.0
 
 _LOG_TOL = 16.0 * math.log(10.0)   # quadrature and truncation error below e^-37 of the peak
 _CAP = 1.0                         # theta stays _CAP/|t| below pi/2: the peak overshoots by e at most
-_BLOCK = 1 << 14                   # nodes per vectorized block, in whole node sets
-_PASS = 128                        # arguments per pass, which bounds the arrays of a pass
-# candidate strip half-widths, as fractions of the room left to Im w = +-pi/2,
-# for the edge above the line and then for the edge below it
-_STRIP = np.geomspace(0.995, 0.008, 17)
-_SIDE = np.repeat([1.0, -1.0], _STRIP.size)
-_SIDE_STRIP = np.tile(_STRIP, 2)
+_BLOCK = 1 << 12                   # nodes per vectorized block, in whole node sets
+_SIDE = np.array([1.0, -1.0])      # the strip's edge above the line, then below it
 
 
 def _line_peak(sigma: float, t: float, x, theta):
@@ -227,28 +227,20 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
 
     # K is even in nu and conjugation-equivariant, so fold into the first quadrant
     sigma, t = abs(nu.real), abs(nu.imag)
-    line = partial(_line_pass, sigma, t)
     if sigma != 0.0 or t < _SADDLE_FLOOR or lo >= t:
-        out = _in_passes(line, xs)
+        out = _line_pass(sigma, t, xs)
     else:
         below = xs < t
-        above = ~below
         out = np.empty(xs.shape, dtype=complex)
-        out[below] = _in_passes(partial(_saddle_pass, t), xs[below])
-        out[above] = _in_passes(line, xs[above])
+        out[below] = _saddle_pass(t, xs[below])
+        out[~below] = _line_pass(sigma, t, xs[~below])
     # K is real on both axes, so conjugate only off them
     return out.conj() if nu.real * nu.imag < 0.0 else out
 
 
-def _in_passes(route, xs: np.ndarray) -> np.ndarray:
-    """route(xs), from passes of at most _PASS arguments (one empty pass for
-    an empty xs, so that the result still has the route's dtype)."""
-    passes = [route(xs[lo:lo + _PASS]) for lo in range(0, max(xs.size, 1), _PASS)]
-    return passes[0] if len(passes) == 1 else np.concatenate(passes)
-
-
 def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
-    """K_{it}(x) along the saddle contour for up to _PASS arguments x < t."""
+    """K_{it}(x) along the saddle contour for arguments x < t, in blocks of
+    _BLOCK // 128 arguments, each one (arguments x nodes) array per quantity."""
     b, g, a, l = _saddle_table(t)
     s = np.sqrt((t - xs) * (t + xs))
     phase = t * np.arcsinh(s / xs) - s      # u0 = arcsinh(s / x) keeps its digits as x -> t
@@ -259,32 +251,40 @@ def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
     turns, phase = np.divmod(phase, math.tau)
     phase -= turns * _TAU_LO
     # both rays share each array: slicing off the vertical ray, where a = 0,
-    # costs more fixed set-up in a small pass than it saves in a large one
-    arg = np.multiply.outer(s, b)
-    arg += g
-    arg += phase[:, None]
-    terms = np.multiply.outer(s, a)
-    terms += l
-    np.exp(terms, out=terms)
-    terms *= np.cos(arg, out=arg)
-    return math.exp(-0.5 * math.pi * t) * terms.sum(axis=1)
+    # costs more fixed set-up in a small block than it saves in a large one
+    out = np.empty(xs.shape)
+    step = _BLOCK // b.size
+    for lo in range(0, xs.size, step):
+        s_blk = s[lo:lo + step]
+        arg = np.multiply.outer(s_blk, b)
+        arg += g
+        arg += phase[lo:lo + step, None]
+        terms = np.multiply.outer(s_blk, a)
+        terms += l
+        np.exp(terms, out=terms)
+        terms *= np.cos(arg, out=arg)
+        out[lo:lo + step] = terms.sum(axis=1)
+    return math.exp(-0.5 * math.pi * t) * out
 
 
 def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
-    """K_{sigma + it}(x) along the line contour for up to _PASS arguments,
-    sigma, t >= 0."""
+    """K_{sigma + it}(x) along the line contour for every argument x,
+    sigma, t >= 0, in blocks of about _BLOCK nodes."""
     cap = 0.5 * math.pi - min(_CAP / t, 0.5 * math.pi) if t > 0 else 0.5 * math.pi
     theta = np.minimum(np.arcsinh(complex(sigma, t) / xs).imag, cap)
     peak, u_peak, a, b = _line_peak(sigma, t, xs, theta)
 
     # Trapezoid step: for an edge of the strip at distance d the error is about
     # exp(-2 pi d / h) times the integral of |integrand| along the edge, whose
-    # log is bounded by the edge's peak plus a width term; take the best d on
-    # each side (both sides' candidates in one array), then the tighter side.
-    d = (0.5 * np.pi - _SIDE * theta[:, None]) * _SIDE_STRIP
+    # log is bounded by the edge's peak plus a width term.  The edge's peak
+    # rises about b d^2 / 2 above the line's, which makes the step largest at
+    # d = sqrt(2 L / b), held within 0.995 of the room to Im w = +-pi/2, where
+    # the integrand stops decaying.  The tighter side sets h.
+    room = 0.5 * np.pi - _SIDE * theta[:, None]
+    d = np.minimum(0.995 * room, np.sqrt(2.0 * _LOG_TOL / b)[:, None])
     edge, _, _, b_edge = _line_peak(sigma, t, xs[:, None], theta[:, None] + _SIDE * d)
     growth = np.maximum(edge - peak[:, None], 0.0) + np.log(5.0 + 4.0 * np.log1p(1.0 / b_edge))
-    h = (2.0 * np.pi * d / (_LOG_TOL + growth)).reshape(-1, 2, _STRIP.size).max(axis=2).min(axis=1)
+    h = (2.0 * np.pi * d / (_LOG_TOL + growth)).min(axis=1)
 
     # Truncation: |integrand| falls e^-37 below its peak within `right` of it
     # on the right; on the left the sigma u term slows the fall, so take the

@@ -188,6 +188,27 @@ def test_row_matches_scalar_bit_for_bit():
             assert a == single and b == single, (order, x)
 
 
+def test_row_bits_do_not_depend_on_block_layout():
+    """Rows that span several blocks on both contours, shifted by 0, 1, 7 and
+    33 other arguments in front, so that every block boundary moves: each
+    element equals its scalar call bit for bit.  On the axis the row holds
+    150 saddle values (five blocks of 32) and 1000 line values (about five
+    blocks of 4096 nodes); off it, 300 line values with tens of blocks."""
+    rng = np.random.default_rng(2501)
+    others = 10.0 ** rng.uniform(-6.0, 2.8, 33)
+    for order in (61j, 199j, 2.5 + 40j, 10.0 - 150j):
+        t = abs(order.imag)
+        if order.real == 0.0:
+            xs = np.concatenate([np.geomspace(1e-3, t, 150, endpoint=False), np.geomspace(t, 700.0, 1000)])
+        else:
+            xs = np.geomspace(1e-3, 700.0, 300)
+        xs = rng.permutation(xs)
+        singles = np.array([bessel_k_row(order, [x])[0] for x in xs])
+        for shift in (0, 1, 7, 33):
+            row = bessel_k_row(order, np.concatenate([others[:shift], xs]))[shift:]
+            assert row.tobytes() == singles.tobytes(), (order, shift)
+
+
 def test_saddle_pass_matches_the_complex_form():
     """The real-arithmetic saddle sum equals the complex-form sum on the same
     nodes, to 45 float64 ulps (1e-14) of the scale exp(-pi t / 2), at the ends
