@@ -19,7 +19,10 @@ weights each block with one array call of the bump weight, while the
 divisor factors at single primes read the list copies of the same tables, as
 Python scalars.  The four twisted characters of a factorization check are
 built once per (xi, chi1, chi2); b_xi and factorization_check share one
-helper that validates p, looks the twists up and takes log p once per call.
+helper that validates p, looks the twists up, takes log p once per call and
+builds both prime factors from their two terms, a = 1 and a = p, with the
+bits of generalized_divisor_sum's loop.  It refuses p above 2 _L_MAX, the
+top of any window, before its trial division.
 
 Primes come from sieve_interval, a segmented sieve over the odd numbers
 only.  amplifier_sum sieves [L, 2L] in sieve windows of 2 _SEGMENT integers,
@@ -47,7 +50,7 @@ from typing import ClassVar
 import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
-from eisenkit.eisenstein import _divisors, generalized_divisor_sum
+from eisenkit.eisenstein import _divisors
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
@@ -116,24 +119,46 @@ def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCha
             multiply(xi, conjugate(multiply(chi1, conjugate(chi2)))))
 
 
+def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                  s: complex, p: int, logp: float) -> complex:
+    """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit:
+    its two terms a = 1 and a = p, in the loop's order, each skipped when a
+    character value is 0."""
+    zp = s * logp
+    total = 0j
+    c1, c2 = chi1._values[1 % chi1.modulus], chi2._values[p % chi2.modulus]
+    if c1 != 0 and c2 != 0:
+        total += c1 * c2 * cmath.exp(-zp)
+    c1, c2 = chi1._values[p % chi1.modulus], chi2._values[1 % chi2.modulus]
+    if c1 != 0 and c2 != 0:
+        total += c1 * c2 * cmath.exp(zp)
+    return total
+
+
 def _b_xi_parts(p: int, xi: DirichletCharacter, cfg: AmplifierConfig):
     """b_xi at the prime p, with the four twisted characters and log(p) it used.
 
-    Validates p, looks the twists up and takes log(p) once, so that
-    factorization_check reuses all three.
+    Validates p (an integer prime, at most 2 _L_MAX, the top of any window),
+    looks the twists up, takes log(p) once and builds both prime factors from
+    their two terms (_prime_lambda); factorization_check reuses the twists
+    and log(p).
     """
     try:
-        prime = _divisors(operator.index(p)) == (1, p)
+        n = operator.index(p)
     except TypeError:
-        prime = False
-    if not prime:
+        n = 0
+    # trial division of p costs about 2 ms at the ceiling, minutes near 1e18
+    if n > 2 * _L_MAX:
+        raise ValueError(f"p = {p} above the amplifier's prime ceiling {2 * _L_MAX:g}")
+    if _divisors(n) != (1, n):
         raise ValueError(f"p = {p!r} must be a prime")
+    p = n
     if (cfg.q * cfg.level) % p == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
     twists = _twists(xi, cfg.chi1, cfg.chi2)
     logp = math.log(p)
-    left = generalized_divisor_sum(cfg.chi1, cfg.chi2, 1j * cfg.r1, p)
-    right = generalized_divisor_sum(twists[0], twists[1], -1j * cfg.r2, p)
+    left = _prime_lambda(cfg.chi1, cfg.chi2, 1j * cfg.r1, p, logp)
+    right = _prime_lambda(twists[0], twists[1], -1j * cfg.r2, p, logp)
     return logp * left * right, twists, logp
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 import tracemalloc
 
@@ -23,7 +24,7 @@ from eisenkit.amplifier import (
     sieve_interval,
 )
 from eisenkit.eisenstein import generalized_divisor_sum
-from eisenkit.characters import build_character, character_group
+from eisenkit.characters import build_character, character_group, conjugate, multiply
 
 CHI1 = build_character(1, 0)
 CHI3 = build_character(3, 1)
@@ -82,6 +83,48 @@ def test_b_xi_and_factorization_check_reject_non_primes():
         for fn in (b_xi, factorization_check):
             with pytest.raises(ValueError, match=rf"^p = {re.escape(repr(p))} must be a prime"):
                 fn(p, xi, cfg)
+
+
+def test_b_xi_refuses_primes_past_the_window_ceiling():
+    """No window [L, 2L] reaches past 2 _L_MAX = 2e9, so a larger p is refused
+    before its trial division (minutes at 2^61 - 1); the largest prime below
+    the ceiling is still checked."""
+    cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
+    xi = build_character(3, 1)
+    for fn in (b_xi, factorization_check):
+        with pytest.raises(ValueError, match=rf"^p = {2 ** 61 - 1} above the amplifier's "
+                                             r"prime ceiling 2e\+09$"):
+            fn(2 ** 61 - 1, xi, cfg)
+    assert factorization_check(1999999973, xi, cfg) < 1e-10
+
+
+def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():
+    """The two-term lambda(p) of b_xi equals generalized_divisor_sum at every
+    prime below 1500, by == and by repr, so no signed zero slips through:
+    300 seeded pairs mod 1, 3, 4, 5, 8 and 12 at s = +-(+-0.0 + i r), r drawn
+    from [-30, 30] or +-0.0, so each pair takes one of the 12 sign cases;
+    then heights with a real part, and a twist mod 49143, past the 2^14
+    ceiling, whose values come from its phases."""
+    rng = random.Random(2601)
+    groups = [list(character_group(q)) for q in (1, 3, 4, 5, 8, 12)]
+    signs = list(itertools.product((1, -1), (0.0, -0.0), ("r", 0.0, -0.0)))
+    cases = []
+    for k in range(300):
+        sign, re_s, im_s = signs[k % len(signs)]
+        s = complex(re_s, rng.uniform(-30.0, 30.0) if im_s == "r" else im_s)
+        cases.append((rng.choice(rng.choice(groups)), rng.choice(rng.choice(groups)),
+                      s if sign == 1 else -s))
+    cases += [(CHI3, CHI4, 0.5 + 7.1j), (CHI5, CHI1, -1.5 - 3.3j)]
+    primes = sieve_interval(2, 1499).tolist()
+    calls = [(chi1, chi2, s, p) for chi1, chi2, s in cases for p in primes]
+    wide = multiply(build_character(16381, 5), conjugate(CHI3))
+    assert wide.modulus == 49143
+    calls += [(chi1, chi2, s, p) for p in (2, 5, 1499) for s in (12.5j, complex(-0.0, -12.5))
+              for chi1, chi2 in ((wide, CHI4), (CHI5, wide))]
+    got = [amplifier._prime_lambda(chi1, chi2, s, p, math.log(p)) for chi1, chi2, s, p in calls]
+    want = [generalized_divisor_sum(*call) for call in calls]
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_b_xi_principal_diagonal_is_a_square():

@@ -360,3 +360,19 @@ def test_tail_cutoff_actually_bounds_the_tail():
     for y_bad, eps_bad in ((0.7, math.nan), (0.7, math.inf), (math.nan, eps), (math.inf, eps)):
         with pytest.raises(ValueError):
             whittaker_tail_cutoff(8.0, y_bad, eps_bad)
+
+
+def test_tail_cutoff_bounds_its_own_majorant():
+    """The documented majorant sum_{n > m} sqrt(3n) n^|sigma| e^{pi |t| / 2}
+    |K_{sigma + it}(2 pi n y)|, summed up to x = 705, stays below eps.  The
+    true tail sits far below it, since |lambda(n)| is far below sqrt(3n), so
+    only this sum notices a bound too small by a constant factor."""
+    for sigma in (0.0, 0.5, 2.0):
+        for t in (0.5, 5.0, 10.0, 20.0, 61.0, 150.0):
+            for y in (0.3, 0.8, 1.7, 3.0, 10.0):
+                n = np.arange(1, math.floor(705.0 / (2 * math.pi * y)) + 1)
+                k = np.abs(bessel_k_row(complex(sigma, t), 2 * math.pi * y * n))
+                terms = np.sqrt(3.0 * n) * n ** sigma * math.exp(0.5 * math.pi * t) * k
+                for eps in (1e-4, 1e-8, 1e-12):
+                    m = whittaker_tail_cutoff(t, y, eps, sigma)
+                    assert terms[m:].sum() < eps, (sigma, t, y, eps, m, terms[m:].sum())
