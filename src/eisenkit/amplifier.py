@@ -24,6 +24,13 @@ builds both prime factors from their two terms, a = 1 and a = p, with the
 bits of generalized_divisor_sum's loop.  It refuses p above 2 _L_MAX, the
 top of any window, before its trial division.
 
+Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
+z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
+complex exp both return exp(+-0.0) = 1 times cos y and sin y, and cos is even
+and sin odd, so exp(-z) == conj(exp(z)) in every bit, signed zeros included:
+amplifier_sum, factorization_check and _prime_lambda take the second phase
+of a pair as the conjugate of the first.
+
 Primes come from sieve_interval, a segmented sieve over the odd numbers
 only.  amplifier_sum sieves [L, 2L] in sieve windows of 2 _SEGMENT integers,
 the reach of one odd-only segment of _SEGMENT entries, and reduces each
@@ -43,7 +50,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
 
@@ -81,9 +88,12 @@ class AmplifierConfig:
     r2: float                   # spectral twist of the conjugated factor
     chi1: DirichletCharacter
     chi2: DirichletCharacter
+    level: int = field(init=False, repr=False, compare=False)     # chi1.modulus * chi2.modulus
     weight: ClassVar[BumpWeight] = BumpWeight()    # the one window, shared by every config
 
     def __post_init__(self):
+        object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
+        q = _checked_int("q", self.q)
         if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):
             raise ValueError(f"L, r1 and r2 must be finite, got {self.L}, {self.r1}, {self.r2}")
         # the twists stay in the L-value window's |Im s| <= 1e3, where the
@@ -92,19 +102,15 @@ class AmplifierConfig:
             raise ValueError(f"twists r1 = {self.r1} and r2 = {self.r2} outside "
                              f"[-{_IM_WINDOW:g}, {_IM_WINDOW:g}]")
         # above 2 L_MAX no prime p = 1 mod q lies in any window [L, 2L]
-        if not 0 < self.q <= 2 * _L_MAX:
-            raise ValueError(f"progression modulus must be in [1, {2 * _L_MAX:g}], got {self.q}")
-        if math.gcd(self.q, self.level) != 1:
-            raise ValueError(f"progression modulus {self.q} must be coprime "
+        if not 0 < q <= 2 * _L_MAX:
+            raise ValueError(f"progression modulus must be in [1, {2 * _L_MAX:g}], got {q}")
+        if math.gcd(q, self.level) != 1:
+            raise ValueError(f"progression modulus {q} must be coprime "
                              f"to the level {self.level}")
         if self.L < 10:
             raise ValueError(f"window start L = {self.L} below the supported floor 10")
         if self.L > _L_MAX:
             raise ValueError(f"window start L = {self.L} above the supported ceiling {_L_MAX:g}")
-
-    @property
-    def level(self) -> int:
-        return self.chi1.modulus * self.chi2.modulus
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +129,21 @@ def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
                   s: complex, p: int, logp: float) -> complex:
     """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit:
     its two terms a = 1 and a = p, in the loop's order, each skipped when a
-    character value is 0."""
+    character value is 0.
+
+    When zp = s log p has a real part of +-0.0, as b_xi's s = +-i r always
+    gives, p^{-s} is the conjugate of p^s, exact in every bit (see the module
+    docstring); off that axis it takes its own exponential.
+    """
     zp = s * logp
+    e = cmath.exp(zp)
     total = 0j
     c1, c2 = chi1._values[1 % chi1.modulus], chi2._values[p % chi2.modulus]
     if c1 != 0 and c2 != 0:
-        total += c1 * c2 * cmath.exp(-zp)
+        total += c1 * c2 * (e.conjugate() if zp.real == 0.0 else cmath.exp(-zp))
     c1, c2 = chi1._values[p % chi1.modulus], chi2._values[1 % chi2.modulus]
     if c1 != 0 and c2 != 0:
-        total += c1 * c2 * cmath.exp(zp)
+        total += c1 * c2 * e
     return total
 
 
@@ -175,13 +187,17 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
     character algebra.  At squarefree coefficients the denominator and the
     bounded correction factor contribute nothing, so the defect is zero in
     exact arithmetic.
+
+    p^{-i(r1 -+ r2)} is taken as the conjugate of p^{i(r1 -+ r2)}, exact in
+    every bit (see the module docstring): two exponentials per check, not
+    four.
     """
     left, (_, _, up, down), logp = _b_xi_parts(p, xi, cfg)
-    diff = 1j * (cfg.r1 - cfg.r2) * logp
-    total = 1j * (cfg.r1 + cfg.r2) * logp
+    e_diff = cmath.exp(1j * (cfg.r1 - cfg.r2) * logp)
+    e_total = cmath.exp(1j * (cfg.r1 + cfg.r2) * logp)
     xi_p = xi.evaluate(p)
-    four_terms = (xi_p * cmath.exp(diff) + xi_p * cmath.exp(-diff)
-                  + up.evaluate(p) * cmath.exp(total) + down.evaluate(p) * cmath.exp(-total))
+    four_terms = (xi_p * e_diff + xi_p * e_diff.conjugate()
+                  + up.evaluate(p) * e_total + down.evaluate(p) * e_total.conjugate())
     return abs(left - logp * four_terms)
 
 
@@ -240,7 +256,9 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
     segment each (so [1e6, 2e6] is one window), and each window's primes
     are reduced in blocks, one per span of _SPAN integers counted from
     ceil(L).  math.fsum combines the block sums exactly rounded, so the
-    value is stable under any partitioning of the sieve work.
+    value is stable under any partitioning of the sieve work.  Each twist
+    takes one exponential per block: p^{-i r} is the exact conjugate of
+    p^{i r} (see the module docstring).
     """
     lo = math.ceil(cfg.L)
     hi = math.floor(2 * cfg.L)
@@ -265,11 +283,13 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
             w = cfg.weight(p / cfg.L)
             c1 = t1[block % q1]
             c2 = t2[block % q2]
-            left = c1 * np.exp(1j * cfg.r1 * logp) + c2 * np.exp(-1j * cfg.r1 * logp)
+            e1 = np.exp(1j * cfg.r1 * logp)
+            left = c1 * e1 + c2 * np.conj(e1)
             if cfg.r1 == cfg.r2:
                 right = np.conj(left)
             else:
-                right = np.conj(c1 * np.exp(1j * cfg.r2 * logp) + c2 * np.exp(-1j * cfg.r2 * logp))
+                e2 = np.exp(1j * cfg.r2 * logp)
+                right = np.conj(c1 * e2 + c2 * np.conj(e2))
             vals = w * logp * left * right
             seg_re.append(float(np.sum(vals.real)))
             seg_im.append(float(np.sum(vals.imag)))

@@ -90,20 +90,31 @@ __all__ = [
 # unit group structure of (Z/p^e)^x
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a list of (p, e), p increasing."""
-    out = []
-    d = 2
+def _least_prime_power(n: int, d: int = 2) -> tuple[int, int, int]:
+    """(p, e, n // p^e) for the least prime p of n >= 2, p^e its exact power.
+
+    The one trial division of the package: candidates run from d (2 or odd)
+    upward, so the caller promises that n has no prime factor below d.
+    """
     while d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
-            out.append((d, e))
+            return d, e, n
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
+    return n, 1, 1
+
+
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as a list of (p, e), p increasing."""
+    out = []
+    d = 2
+    while n > 1:
+        p, e, n = _least_prime_power(n, d)
+        out.append((p, e))
+        d = p + 1 if p == 2 else p + 2
     return out
 
 

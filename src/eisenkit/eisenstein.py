@@ -63,6 +63,7 @@ from eisenkit.characters import (
     DirichletCharacter,
     _conductor_exponent as _cond_exp,   # v_p of the conductor of chi
     _factorize,
+    _least_prime_power,
     conductor,
     conjugate,
     gauss_sum,
@@ -205,11 +206,20 @@ def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
 
 @lru_cache(maxsize=1 << 14)
 def _divisors(n: int) -> tuple[int, ...]:
-    """The divisors of n >= 1, from its factorization, once per n."""
-    divs = [1]
-    for p, e in _factorize(n):
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return tuple(divs)
+    """The divisors of n, once per n; (1,) for every n <= 1.
+
+    With p the least prime of n and p^e its exact power, the tuple is
+    p^k d for k = 0..e (outer) and d over the cofactor n / p^e's own tuple
+    (inner), read from this cache.  So the least prime's exponent varies
+    slowest, then the next prime's, and so on.  That order is a contract:
+    generalized_divisor_sum adds its terms in it, so it sets the bits of
+    lambda(n).
+    """
+    if n < 2:
+        return (1,)
+    p, e, m = _least_prime_power(n)
+    rest = _divisors(m)
+    return tuple([p ** k * d for k in range(e + 1) for d in rest])
 
 
 def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,

@@ -12,6 +12,7 @@ quietly start testing itself against itself.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from eisenkit.characters import (
     conjugate,
     local_component,
     local_epsilon,
+    multiply,
 )
 
 
@@ -415,6 +417,14 @@ def brute_conductor(chi: DirichletCharacter) -> int:
     return q
 
 
+def divisors_by_product(n: int) -> tuple[int, ...]:
+    """The divisors of n as the product of the prime-power lists of n's own
+    trial division, primes increasing: the least prime's exponent varies
+    slowest.  (1,) for every n <= 1."""
+    powers = [[p ** k for k in range(e + 1)] for p, e in _prime_powers(max(n, 1))]
+    return tuple(math.prod(ds) for ds in itertools.product(*powers))
+
+
 def _divisors_of(n: int) -> list[int]:
     out = []
     for d in range(1, int(math.isqrt(n)) + 1):
@@ -471,6 +481,40 @@ def naive_amplifier_sum(cfg) -> complex:
                  + cfg.chi2.evaluate(p) * p ** (-1j * cfg.r2)).conjugate()
         total += cfg.weight(p / cfg.L) * math.log(p) * left * right
     return total
+
+
+def _two_exponential_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                            s: complex, p: int, logp: float) -> complex:
+    """chi1(1) chi2(p) p^{-s} + chi1(p) chi2(1) p^s at a prime p, each phase
+    its own exponential, terms with a zero character value skipped."""
+    total = 0j
+    for a, b, z in ((1, p, -(s * logp)), (p, 1, s * logp)):
+        c1, c2 = chi1.evaluate(a), chi2.evaluate(b)
+        if c1 != 0 and c2 != 0:
+            total += c1 * c2 * cmath.exp(z)
+    return total
+
+
+def two_exponential_b_xi(p: int, xi: DirichletCharacter, cfg) -> complex:
+    """b_xi with p^{-i r} taken by its own exponential, not as a conjugate."""
+    logp = math.log(p)
+    left = _two_exponential_lambda(cfg.chi1, cfg.chi2, 1j * cfg.r1, p, logp)
+    right = _two_exponential_lambda(multiply(xi, conjugate(cfg.chi1)),
+                                    multiply(xi, conjugate(cfg.chi2)), -1j * cfg.r2, p, logp)
+    return logp * left * right
+
+
+def two_exponential_factorization_check(p: int, xi: DirichletCharacter, cfg) -> float:
+    """factorization_check with all four phases p^{+-i(r1 -+ r2)} exponentiated."""
+    logp = math.log(p)
+    up = multiply(xi, conjugate(multiply(cfg.chi2, conjugate(cfg.chi1))))
+    down = multiply(xi, conjugate(multiply(cfg.chi1, conjugate(cfg.chi2))))
+    diff = 1j * (cfg.r1 - cfg.r2) * logp
+    total = 1j * (cfg.r1 + cfg.r2) * logp
+    xi_p = xi.evaluate(p)
+    four_terms = (xi_p * cmath.exp(diff) + xi_p * cmath.exp(-diff)
+                  + up.evaluate(p) * cmath.exp(total) + down.evaluate(p) * cmath.exp(-total))
+    return abs(two_exponential_b_xi(p, xi, cfg) - logp * four_terms)
 
 
 def weighted_prime_log_sum(q: int, L: float, weight) -> float:

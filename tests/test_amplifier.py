@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -11,7 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_amplifier_sum, weighted_prime_log_sum
+from oracles import (
+    naive_amplifier_sum,
+    two_exponential_b_xi,
+    two_exponential_factorization_check,
+    weighted_prime_log_sum,
+)
 from eisenkit import amplifier
 from eisenkit.amplifier import (
     _SEGMENT,
@@ -49,6 +55,15 @@ def test_config_validation():
     assert AmplifierConfig(q=1, L=1e9, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI1).L == 1e9
     cfg = AmplifierConfig(q=5, L=100.0, r1=1.0, r2=1.0, chi1=CHI3, chi2=CHI4)
     assert cfg.level == 12
+
+
+def test_config_names_a_non_integer_modulus():
+    """q is checked as an integer before any arithmetic, and the error names it."""
+    for q in (3.0, "3", None):
+        with pytest.raises(TypeError, match=rf"^q must be an integer, got {re.escape(repr(q))}$"):
+            AmplifierConfig(q=q, L=100.0, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI5)
+    cfg = AmplifierConfig(q=np.int64(3), L=100.0, r1=1.0, r2=1.0, chi1=CHI1, chi2=CHI5)
+    assert cfg.level == 5
 
 
 def test_eta_recurrence_at_prime_powers():
@@ -125,6 +140,37 @@ def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():
     want = [generalized_divisor_sum(*call) for call in calls]
     assert got == want
     assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_one_exponential_per_conjugate_phase_pair():
+    """exp(-z) == conj(exp(z)) byte for byte at z = (+-0.0, y), for cmath and
+    numpy, |y| up to 2.2e4 (1e3 log 2e9, the largest twist phase) and y = +-0.0;
+    so b_xi and factorization_check equal their forms with every phase
+    exponentiated, by == and repr: q in {3, 4, 5, 8}, every xi mod q, twist
+    pairs with r = +-0.0 among them, at the unramified primes below 200."""
+    rng = random.Random(2702)
+    ys = [rng.uniform(-2.2e4, 2.2e4) for _ in range(400)]
+    ys += [rng.uniform(-4.0, 4.0) for _ in range(100)]
+    ys += [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 2.2e4, -2.2e4]
+    zs = [complex(x, y) for y in ys for x in (0.0, -0.0)]
+    assert [repr(cmath.exp(-z)) for z in zs] == [repr(cmath.exp(z).conjugate()) for z in zs]
+    arr = np.array(zs)
+    assert np.exp(-arr).tobytes() == np.conj(np.exp(arr)).tobytes()
+
+    pairs = [(0.0, -0.0), (-0.0, 0.0), (0.0, 7.25), (-13.5, -0.0)]
+    pairs += [(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0)) for _ in range(2)]
+    primes = sieve_interval(2, 199).tolist()
+    for q, chi1, chi2 in ((3, CHI5, CHI4), (4, CHI3, CHI5), (5, CHI3, CHI4), (8, CHI3, CHI5)):
+        for r1, r2 in pairs:
+            cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+            calls = [(p, xi, cfg) for xi in character_group(q) for p in primes
+                     if (q * cfg.level) % p]
+            for fn, oracle in ((b_xi, two_exponential_b_xi),
+                               (factorization_check, two_exponential_factorization_check)):
+                got = [fn(*call) for call in calls]
+                want = [oracle(*call) for call in calls]
+                assert got == want
+                assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_b_xi_principal_diagonal_is_a_square():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import re
 import subprocess
 import sys
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenkit
-from oracles import brute_divisor_sum, local_constant
+from oracles import brute_divisor_sum, divisors_by_product, local_constant
 from eisenkit.characters import build_character
 from eisenkit.eisenstein import (
     EisensteinParams,
     _coefficients,
     _constant_terms,
+    _divisors,
     evaluate,
     evaluate_truncated,
     functional_equation_residual,
@@ -64,6 +66,22 @@ def test_brute_force_divisor_sum_small_n():
     for n in (12, 36, 60, 97, 360, 10, 50, 250, 1000, 25, 125, 128, 243, 343, 961):
         brute = brute_divisor_sum(CHI5, CHI5P, s, n)
         assert abs(generalized_divisor_sum(CHI5, CHI5P, s, n) - brute) < 1e-12
+
+
+def test_divisor_lists_in_the_summation_order():
+    """_divisors, grown from each cofactor's cached tuple, equals the product
+    of the prime-power lists, least prime outermost (the order lambda(n) is
+    summed in), from a cold cache: every n <= 5000, then seeded n up to 2e9
+    with 2^30, 3^19 and the product of the twin primes 44651 and 44657; n <= 1
+    gives (1,), as _b_xi_parts relies on for 0 and negative p."""
+    _divisors.cache_clear()
+    rng = random.Random(2701)
+    big = [rng.randrange(5001, 2 * 10 ** 9) for _ in range(60)]
+    big += [rng.randrange(1, 2 * 10 ** 5) * rng.choice((6, 30, 210, 2 ** 10, 3 ** 6))
+            for _ in range(60)]
+    for n in list(range(1, 5001)) + big + [2 ** 30, 3 ** 19, 44651 * 44657]:
+        assert _divisors(n) == divisors_by_product(n), n
+    assert [_divisors(n) for n in (-7, 0, 1)] == [(1,)] * 3
 
 
 @settings(max_examples=80, deadline=None)
