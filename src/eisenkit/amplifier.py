@@ -21,8 +21,10 @@ Python scalars.  The four twisted characters of a factorization check are
 built once per (xi, chi1, chi2); b_xi and factorization_check share one
 helper that validates p, looks the twists up, takes log p once per call and
 builds both prime factors from their two terms, a = 1 and a = p, with the
-bits of generalized_divisor_sum's loop.  It refuses p above 2 _L_MAX, the
-top of any window, before its trial division.
+bits of generalized_divisor_sum, whose every lambda(n), though read from a
+per-series table filled by blocks, is its own ordered divisor sum: the
+scalar loop that _prime_lambda writes out at a prime.  It refuses p above
+2 _L_MAX, the top of any window, before its trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,6 +95,12 @@ class AmplifierConfig:
     weight: ClassVar[BumpWeight] = BumpWeight()    # the one window, shared by every config
 
     def __post_init__(self):
+        for name in ("chi1", "chi2"):
+            if not isinstance(getattr(self, name), DirichletCharacter):
+                raise TypeError(f"{name} must be a DirichletCharacter, got {getattr(self, name)!r}")
+        for name in ("L", "r1", "r2"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {getattr(self, name)!r}")
         object.__setattr__(self, "level", self.chi1.modulus * self.chi2.modulus)
         q = _checked_int("q", self.q)
         if not all(math.isfinite(v) for v in (self.L, self.r1, self.r2)):
@@ -128,7 +137,7 @@ def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCha
 def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
                   s: complex, p: int, logp: float) -> complex:
     """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit:
-    its two terms a = 1 and a = p, in the loop's order, each skipped when a
+    its two terms a = 1 and a = p, in the divisor order, each skipped when a
     character value is 0.
 
     When zp = s log p has a real part of +-0.0, as b_xi's s = +-i r always

@@ -32,16 +32,25 @@ _fourier_grid, over any grid of x and y and one series or a series and its dual.
 Per-series state lives on the EisensteinParams instance, computed on first
 use: the quotient character psi; L(2s+1, psi) and the local normalization
 b_p(s) at each p | level, which coefficient_prefactor and
-scattering_constant both read; P(s); c(s); the dual series, whose dual is
-the instance itself, so the dual's c(-s) reads the same b_p(s); and the
-table lambda(1..m), grown only when a call needs more modes.  A computation
-that raises leaves nothing behind, so the next call raises again.  Equal
-params objects do not share this state; a caller that reuses one object per
-series pays for it once.  What it is built from is shared by character
-value, not by object: the derived characters, their value tables, Gauss
-sums and local epsilon factors come from the memoized functions of
+scattering_constant both read; P(s); c(s); and the dual series, whose dual
+is the instance itself, so the dual's c(-s) reads the same b_p(s).  A
+computation that raises leaves nothing behind, so the next call raises
+again.  Equal params objects do not share this state; a caller that reuses
+one object per series pays for it once.  What it is built from is shared by
+character value, not by object: the derived characters, their value tables,
+Gauss sums and local epsilon factors come from the memoized functions of
 characters, so a second object for an equal series recomputes only the
 per-series state above.
+
+lambda has one table per series value (chi1, chi2, s), the signs of s's
+zero parts included, kept for the last _LAMBDA_SERIES values:
+generalized_divisor_sum and _coefficients both read it, so equal series
+share it.  Its first block is [1, M], M the least power of two, at least
+16, that covers the n asked for; later blocks (M, 2M] double it, up to
+n = 2^12, and one vectorized kernel fills each block.  Each lambda(n) is its own sum
+over _divisors(n), in that order, with the bits of the scalar loop, so no
+value depends on the block or table that holds it; past 2^12 the kernel
+sums n alone and nothing is kept.
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
@@ -51,7 +60,9 @@ same _check_height that supnorm.scan calls.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -60,6 +71,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from eisenkit.characters import (
+    _MODULUS_MAX,
     DirichletCharacter,
     _conductor_exponent as _cond_exp,   # v_p of the conductor of chi
     _factorize,
@@ -72,6 +84,7 @@ from eisenkit.characters import (
     multiply,
     prime_to_p_part,
     primitive_part,
+    value_table,
 )
 from eisenkit.lfunctions import _Q_WINDOW, _lambda_ratio, dirichlet_l, parity_exponent
 from eisenkit.special_functions import (
@@ -117,7 +130,6 @@ class EisensteinParams:
     sigma: float = 0.0          # off-axis diagnostics only, |sigma| <= 10; acceptance runs keep 0
     level: int = field(init=False, compare=False)
     l_modulus: int = field(init=False, compare=False)
-    _lam: np.ndarray = field(init=False, compare=False, repr=False)   # see _coefficients
 
     def __post_init__(self):
         if not (math.isfinite(self.t_shift) and math.isfinite(self.sigma)):
@@ -133,7 +145,6 @@ class EisensteinParams:
         if self.l_modulus > _Q_WINDOW:    # refused before psi's value table is built
             raise NumericEnvelopeError(f"quotient character modulus {self.l_modulus} outside "
                                        f"the supported L-value window {_Q_WINDOW}")
-        object.__setattr__(self, "_lam", np.zeros(0, dtype=complex))
 
     @cached_property
     def quotient_character(self) -> DirichletCharacter:
@@ -176,6 +187,12 @@ class EisensteinParams:
         """c(s)."""
         return scattering_constant(self).scattering
 
+    @cached_property
+    def _lambda(self) -> list[np.ndarray]:
+        """The _lambda_slot of this series value, shared with equal series."""
+        return _lambda_slot(self.chi1, self.chi2, self.s,
+                            math.copysign(1.0, self.sigma), math.copysign(1.0, self.t_shift))
+
 
 @dataclass(frozen=True)
 class ConstantTermData:
@@ -204,6 +221,11 @@ def _chi_at_uniformizer(chi: DirichletCharacter, p: int, k: int) -> complex:
 # coefficients
 # ---------------------------------------------------------------------------
 
+_LAMBDA_FIRST = 16          # the least first block of a lambda table: lambda(1..16)
+_LAMBDA_MAX = 1 << 12       # the table ceiling; lambda(n) past it is computed per call
+_LAMBDA_SERIES = 64         # series whose lambda tables are kept
+
+
 @lru_cache(maxsize=1 << 14)
 def _divisors(n: int) -> tuple[int, ...]:
     """The divisors of n, once per n; (1,) for every n <= 1.
@@ -213,7 +235,8 @@ def _divisors(n: int) -> tuple[int, ...]:
     (inner), read from this cache.  So the least prime's exponent varies
     slowest, then the next prime's, and so on.  That order is a contract:
     generalized_divisor_sum adds its terms in it, so it sets the bits of
-    lambda(n).
+    lambda(n).  The tuple is its own mirror: _divisors(n)[k - 1 - i] is
+    n / _divisors(n)[i], k the divisor count.
     """
     if n < 2:
         return (1,)
@@ -222,15 +245,135 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple([p ** k * d for k in range(e + 1) for d in rest])
 
 
+def _layout(ns) -> tuple:
+    """The divisor terms of lambda(n) for each n of ns: n after n, each n's
+    in _divisors order.
+
+    Returns (divs, logs, mirror, counts): the divisor a at each position;
+    math.log(a); the position of the same n's divisor n / a, index k - 1 - i
+    of its tuple for a at index i; and each n's divisor count k.
+    """
+    tuples = [_divisors(n) for n in ns]
+    counts = np.array([len(d) for d in tuples])
+    ends = np.cumsum(counts)
+    divs = np.fromiter(itertools.chain.from_iterable(tuples), count=ends[-1],
+                       dtype=np.intp if max(ns) < 1 << 63 else object)
+    logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1], dtype=float)
+    mirror = np.repeat(2 * ends - counts - 1, counts) - np.arange(ends[-1])
+    return divs, logs, mirror, counts
+
+
+@lru_cache(maxsize=2 * (_LAMBDA_MAX // _LAMBDA_FIRST).bit_length())
+def _block_layout(lo: int, top: int):
+    """_layout of one table block, n in (lo, top]: a first block (0, 2^k] or
+    a doubling (2^k, 2^(k+1)], so at most two per power of two."""
+    return _layout(range(lo + 1, top + 1))
+
+
+def _values_at(chi: DirichletCharacter, divs: np.ndarray) -> np.ndarray:
+    """chi at each of divs, with the bits of chi._values."""
+    q = chi.modulus
+    if q > _MODULUS_MAX or divs.dtype == object:    # no value table, or Python ints
+        v = chi._values
+        return np.array([v[a % q] for a in divs.tolist()], dtype=complex)
+    return value_table(chi)[divs % q]
+
+
+def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
+                   layout) -> np.ndarray:
+    """lambda(n) for each n of a _layout: each its own sum, in _divisors order,
+    with the bits of the scalar loop
+
+        total = 0j
+        for a in _divisors(n):
+            if chi1(a) != 0 and chi2(n / a) != 0:
+                total += chi1(a) * chi2(n / a) * cmath.exp(s * log(a) - s * log(n / a))
+
+    Every complex product is written out in float64, one rounding per
+    operation as Python's complex arithmetic does, since numpy's complex
+    multiply may fuse or reorder them; s * log(a) is (sigma log a - t 0.0,
+    sigma 0.0 + t log a), as Python multiplies a complex by a float.  A
+    skipped term is kept as c1 c2 e = +-0.0, which leaves a sum started at
+    +0.0 unchanged: the sum is never -0.0, and x + -0.0 is x.  An
+    exponential that overflows in a kept term raises OverflowError, as
+    cmath.exp does.
+    """
+    divs, logs, mirror, counts = layout
+    sigma, t = s.real, s.imag
+    c = _values_at(chi1, divs)
+    c2 = _values_at(chi2, divs[mirror])
+    cr = c.real * c2.real
+    cr -= c.imag * c2.imag
+    ci = c.real * c2.imag
+    ci += c.imag * c2.real
+    del c, c2
+    w = np.empty(len(divs), dtype=complex)        # s log a
+    with np.errstate(all="ignore"):
+        np.multiply(logs, sigma, out=w.real)
+        w.real -= t * 0.0
+        np.multiply(logs, t, out=w.imag)
+        w.imag += sigma * 0.0
+        e = w - w[mirror]
+        np.exp(e, out=e)
+        if not cmath.isfinite(e.sum()):       # then some exponential is not finite
+            kept = (cr != 0) | (ci != 0)       # character values are 0 or of modulus 1
+            if (kept & ~np.isfinite(e) & np.isfinite(w - w[mirror])).any():
+                raise OverflowError("math range error")
+            e[~kept] = 0.0
+        terms = w                              # c1 c2 e, over s log a
+        np.multiply(cr, e.real, out=terms.real)
+        terms.real -= ci * e.imag
+        np.multiply(cr, e.imag, out=terms.imag)
+        terms.imag += ci * e.real
+    out = np.zeros(len(counts), dtype=complex)
+    # np.add.at adds in index order, so each n's terms in turn, from +0.0
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts), terms)
+    return out
+
+
+@lru_cache(maxsize=_LAMBDA_SERIES)
+def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
+                 sign_re: float, sign_im: float) -> list[np.ndarray]:
+    """The one-entry list holding the series' table lambda(1..M), M a power
+    of two from _LAMBDA_FIRST to _LAMBDA_MAX.  Keyed on the series value
+    with the signs of s's parts, so that sigma + 0.0j and sigma - 0.0j, which
+    the dual of a t = 0 series passes, never share a table."""
+    return [np.zeros(0, dtype=complex)]
+
+
+def _lambda_table(slot: list[np.ndarray], chi1: DirichletCharacter, chi2: DirichletCharacter,
+                  s: complex, n: int) -> np.ndarray:
+    """The stored lambda(1..M), M >= n, of the series whose _lambda_slot is
+    slot, grown to the least power of two that covers n, at least
+    _LAMBDA_FIRST: an empty table by one block, a stored one by doubling
+    blocks; n <= _LAMBDA_MAX, s a finite complex."""
+    table = slot[0]
+    if len(table) < n:
+        blocks, top = [table], len(table)
+        while top < n:
+            # the first block covers n, later ones double the table
+            lo, top = top, 2 * top if top else max(_LAMBDA_FIRST, 1 << (n - 1).bit_length())
+            blocks.append(_lambda_kernel(chi1, chi2, s, _block_layout(lo, top)))
+        table = np.concatenate(blocks)
+        table.flags.writeable = False
+        # one assignment publishes the longer table: a thread sharing the
+        # series sees the old table or the new one, never a half-grown one
+        slot[0] = table
+    return table
+
+
 def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
                             s: complex, n: int) -> complex:
     """sum over ab = n of chi1(a) a^s chi2(b) b^{-s}, with primitive values.
 
-    Divisors come from the factorization of n, so prime powers cost their
-    handful of divisors rather than a sqrt(n) scan.  The character values are
-    list-backed: they are read from each character's list copy of its value
-    table (the list chi.evaluate reads), as Python complex numbers with the
-    table's bits.
+    lambda(n) is its own ordered sum over _divisors(n), the scalar loop of
+    _lambda_kernel, whatever table or block computes it.  For n <= 2^12 it
+    is read from the one table kept per series value (chi1, chi2, s), which
+    equal series share and which grows by whole blocks of n; past 2^12 the
+    same kernel sums n alone, and nothing is kept.  A finite s of any
+    numeric type gives the bits of complex(s); a non-finite s raises
+    ValueError before any table is built, and an exponential that
+    overflows raises OverflowError, as the loop's cmath.exp does.
     """
     try:
         n = operator.index(n)
@@ -238,19 +381,18 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
         raise TypeError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    v1, q1 = chi1._values, chi1.modulus
-    v2, q2 = chi2._values, chi2.modulus
-    total = 0j
-    for a in _divisors(n):
-        c1 = v1[a % q1]
-        if c1 == 0:
-            continue
-        b = n // a
-        c2 = v2[b % q2]
-        if c2 == 0:
-            continue
-        total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(b))
-    return total
+    if type(s) is not complex and not isinstance(s, numbers.Number):
+        raise TypeError(f"s must be a number, got {s!r}")
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s!r}")
+    s = complex(s)
+    if n <= _LAMBDA_MAX:
+        slot = _lambda_slot(chi1, chi2, s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+        try:
+            return _lambda_table(slot, chi1, chi2, s, n).item(n - 1)
+        except OverflowError:     # a term of the block overflows: sum n alone
+            pass
+    return _lambda_kernel(chi1, chi2, s, _layout((n,))).item(0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +516,10 @@ def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
 
 
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
-    """lambda(1), ..., lambda(m): a read-only view of the series' table, which
-    grows only when m exceeds it.  Each lambda(n) is computed on its own, so
-    the table holds the same bits whatever order it grew in."""
-    table = params._lam
-    if len(table) < m:
-        chi1, chi2, s = params.chi1, params.chi2, params.s
-        grown = [generalized_divisor_sum(chi1, chi2, s, n) for n in range(len(table) + 1, m + 1)]
-        table = np.concatenate([table, np.array(grown, dtype=complex)])
-        table.flags.writeable = False
-        # one assignment publishes the longer table: a thread sharing the
-        # series sees the old table or the new one, never a half-grown one
-        object.__setattr__(params, "_lam", table)
-    return table[:m]
+    """lambda(1), ..., lambda(m), read-only: a view of the table that
+    generalized_divisor_sum reads for the series value.  m stays far below
+    the table ceiling: K values at y >= _Y_FLOOR reach x <= 705 by mode 374."""
+    return _lambda_table(params._lambda, params.chi1, params.chi2, params.s, m)[:m]
 
 
 def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int]]]:

@@ -460,6 +460,28 @@ def brute_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
                 for a in range(1, n + 1) if n % a == 0), 0j)
 
 
+def divisor_sum_loop(chi1: DirichletCharacter, chi2: DirichletCharacter,
+                     s: complex, n: int) -> complex:
+    """lambda(n) by the scalar loop: the divisors in the summation order
+    (divisors_by_product), character values from the characters' list
+    copies, terms with a zero value skipped, every product and exponential
+    in Python complex arithmetic, added in turn to 0j.  The bit reference
+    for generalized_divisor_sum's vectorized kernel."""
+    v1, q1 = chi1._values, chi1.modulus
+    v2, q2 = chi2._values, chi2.modulus
+    total = 0j
+    for a in divisors_by_product(n):
+        c1 = v1[a % q1]
+        if c1 == 0:
+            continue
+        b = n // a
+        c2 = v2[b % q2]
+        if c2 == 0:
+            continue
+        total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(b))
+    return total
+
+
 def character_count(q: int) -> int:
     return sum(1 for _ in character_group(q))
 

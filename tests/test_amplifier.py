@@ -66,6 +66,20 @@ def test_config_names_a_non_integer_modulus():
     assert cfg.level == 5
 
 
+def test_config_names_a_mistyped_field():
+    """chi1 and chi2 must be characters and L, r1 and r2 real numbers; each
+    is checked before any arithmetic, and the error names the field."""
+    base = {"q": 1, "L": 100.0, "r1": 1.0, "r2": 1.0, "chi1": CHI1, "chi2": CHI5}
+    for name, bad in (("chi1", 3), ("chi2", None), ("chi1", "3:1")):
+        with pytest.raises(TypeError, match=rf"^{name} must be a DirichletCharacter, got {re.escape(repr(bad))}$"):
+            AmplifierConfig(**{**base, name: bad})
+    for name, bad in (("L", "x"), ("r1", None), ("r2", 1j), ("L", [100.0])):
+        with pytest.raises(TypeError, match=rf"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            AmplifierConfig(**{**base, name: bad})
+    cfg = AmplifierConfig(**{**base, "L": np.float64(100.0), "r1": np.int64(2), "r2": 0})
+    assert cfg.level == 5
+
+
 def test_eta_recurrence_at_prime_powers():
     """lambda(p^{k+1}) = lambda(p) lambda(p^k) - chi1 chi2(p) lambda(p^{k-1}).
 

@@ -16,13 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenkit
-from oracles import brute_divisor_sum, divisors_by_product, local_constant
-from eisenkit.characters import build_character
+from oracles import brute_divisor_sum, divisor_sum_loop, divisors_by_product, local_constant
+from eisenkit.characters import build_character, conjugate, multiply
 from eisenkit.eisenstein import (
     EisensteinParams,
     _coefficients,
     _constant_terms,
     _divisors,
+    _lambda_kernel,
+    _lambda_slot,
+    _layout,
     evaluate,
     evaluate_truncated,
     functional_equation_residual,
@@ -37,6 +40,7 @@ CHI3 = build_character(3, 1)
 CHI4 = build_character(4, 1)
 CHI5 = build_character(5, 1)
 CHI5P = build_character(5, 3)
+CHI7 = build_character(7, 1)
 
 
 # ------------------------------------------------------------------
@@ -73,14 +77,18 @@ def test_divisor_lists_in_the_summation_order():
     of the prime-power lists, least prime outermost (the order lambda(n) is
     summed in), from a cold cache: every n <= 5000, then seeded n up to 2e9
     with 2^30, 3^19 and the product of the twin primes 44651 and 44657; n <= 1
-    gives (1,), as _b_xi_parts relies on for 0 and negative p."""
+    gives (1,), as _b_xi_parts relies on for 0 and negative p.  Each list is
+    its own mirror, _divisors(n)[k - 1 - i] = n / _divisors(n)[i] for k
+    divisors: the lambda kernel reads n / a at the mirror position of a."""
     _divisors.cache_clear()
     rng = random.Random(2701)
     big = [rng.randrange(5001, 2 * 10 ** 9) for _ in range(60)]
     big += [rng.randrange(1, 2 * 10 ** 5) * rng.choice((6, 30, 210, 2 ** 10, 3 ** 6))
             for _ in range(60)]
-    for n in list(range(1, 5001)) + big + [2 ** 30, 3 ** 19, 44651 * 44657]:
-        assert _divisors(n) == divisors_by_product(n), n
+    for n in list(range(1, 5001)) + big + [2 ** 30, 3 ** 19, 44651 * 44657, 2 ** 64, 997 ** 6]:
+        d = _divisors(n)
+        assert d == divisors_by_product(n), n
+        assert all(a * b == n for a, b in zip(d, reversed(d))), n
     assert [_divisors(n) for n in (-7, 0, 1)] == [(1,)] * 3
 
 
@@ -101,6 +109,100 @@ def test_coefficient_rejects_nonpositive_index():
         with pytest.raises(TypeError, match=f"got {n}"):
             generalized_divisor_sum(CHI3, CHI4, 1j, n)
     assert generalized_divisor_sum(CHI3, CHI4, 1j, np.int64(12)) == generalized_divisor_sum(CHI3, CHI4, 1j, 12)
+
+
+# the benchmark's Hecke parameter sets; characters mod 7 and 9, whose value
+# products round (those mod 1, 3, 4 and 5 multiply exactly); a twist past the
+# 2^14 ceiling on value tables, whose values come from its phases; and
+# heights with signed zeros, int and float s among them, and off the axis
+_HECKE_PAIRS = [(build_character(*a), build_character(*b)) for a, b in (
+    ((1, 0), (1, 0)), ((1, 0), (4, 1)), ((3, 1), (4, 1)), ((5, 1), (5, 3)), ((4, 1), (3, 1)))]
+_ROUNDING_PAIR = (CHI7, build_character(9, 1))
+_WIDE = multiply(build_character(16381, 5), conjugate(CHI3))
+_HEIGHTS = (4.2j, complex(0.0, -0.0), complex(-0.0, 6.5), complex(0.5, -0.0),
+            complex(-0.0, -0.0), 2, -0.5, 0.5 + 7.1j, -10 + 200j)
+_PAST_THE_TABLE = (4097, 9170, 2 ** 64, 997 ** 6, 44651 * 44657)
+
+
+def _same_bits(got, want):
+    assert got == want
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_divisor_sum_is_the_scalar_loop_bit_for_bit():
+    """generalized_divisor_sum equals the scalar divisor loop by == and repr:
+    every n <= 4096 through the tables at the benchmark's five parameter sets,
+    a sample of n at each further height, for characters mod 7 and 9 and at
+    the twist mod 49143, block edges included, and n past the table ceiling
+    through the one-n path."""
+    assert _WIDE.modulus == 49143
+    _lambda_slot.cache_clear()
+    rng = random.Random(2801)
+    sample = sorted(set(range(1, 65)) | {2 ** k + d for k in range(4, 12) for d in (0, 1)}
+                    | {4096} | {rng.randrange(65, 4097) for _ in range(150)})
+    calls = [(chi1, chi2, 3.7j, n) for chi1, chi2 in _HECKE_PAIRS for n in range(1, 4097)]
+    calls += [(chi1, chi2, s, n) for chi1, chi2 in _HECKE_PAIRS + [_ROUNDING_PAIR]
+              for s in _HEIGHTS for n in sample + list(_PAST_THE_TABLE)]
+    calls += [(chi1, chi2, s, n) for chi1, chi2 in ((_WIDE, CHI4), (CHI5, _WIDE), (_WIDE, CHI7))
+              for s in (12.5j, complex(-0.0, -12.5), 0.5 + 7.1j)
+              for n in [n for n in sample if n <= 512] + list(_PAST_THE_TABLE)]
+    _same_bits([generalized_divisor_sum(*call) for call in calls],
+               [divisor_sum_loop(*call) for call in calls])
+
+
+def test_lambda_bits_do_not_depend_on_the_table():
+    """A table grown n by n, one grown by a single call at n = 4000, the
+    one-n path, and _coefficients, which reads the same table, all give the
+    same bits for every n <= 4096."""
+    rng = random.Random(2802)
+    for chi1, chi2, sigma, t in ((CHI3, CHI4, 0.0, 5.7), (CHI5, CHI5P, 0.5, -0.0),
+                                 (CHI1, CHI4, -1.5, 3.3)):
+        s = complex(sigma, t)
+        _lambda_slot.cache_clear()
+        one_by_one = [generalized_divisor_sum(chi1, chi2, s, n) for n in range(1, 4097)]
+        _lambda_slot.cache_clear()
+        generalized_divisor_sum(chi1, chi2, s, 4000)
+        at_once = [generalized_divisor_sum(chi1, chi2, s, n) for n in range(1, 4097)]
+        _same_bits(at_once, one_by_one)
+        sample = sorted({1, 16, 17, 64, 65, 2048, 2049, 4096} | {rng.randrange(1, 4097) for _ in range(200)})
+        _same_bits([_lambda_kernel(chi1, chi2, s, _layout((n,))).item(0) for n in sample],
+                   [one_by_one[n - 1] for n in sample])
+        table = _coefficients(EisensteinParams(chi1, chi2, t, sigma), 4096)
+        assert table.tobytes() == np.array(one_by_one).tobytes()
+
+
+def test_divisor_sum_refuses_a_non_finite_s(monkeypatch):
+    """A non-finite s is refused by name before any table is built or keyed;
+    a string is not parsed as a number."""
+    from eisenkit import eisenstein
+
+    monkeypatch.setattr(eisenstein, "_lambda_kernel", None)     # any kernel call fails
+    before = _lambda_slot.cache_info()
+    for s in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0),
+              complex(0.0, -math.inf)):
+        for n in (1, 12, 5000):
+            with pytest.raises(ValueError, match=f"^s must be finite, got {re.escape(repr(s))}$"):
+                generalized_divisor_sum(CHI3, CHI4, s, n)
+    with pytest.raises(TypeError, match="^s must be a number, got '1\\+2j'$"):
+        generalized_divisor_sum(CHI3, CHI4, "1+2j", 3)
+    after = _lambda_slot.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+
+def test_divisor_sum_overflows_where_the_loop_does():
+    """Far off the axis a term's exponential can overflow.  Where the loop
+    raises OverflowError so does generalized_divisor_sum; where the loop
+    skips the overflowing term (a zero character value), the sum is the
+    loop's, though other n of its table block overflow."""
+    for chi1, chi2, n in ((CHI1, CHI1, 10), (CHI4, CHI1, 64), (CHI4, CHI1, 63), (CHI1, CHI1, 40)):
+        _lambda_slot.cache_clear()
+        try:
+            want = divisor_sum_loop(chi1, chi2, 200.0, n)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                generalized_divisor_sum(chi1, chi2, 200.0, n)
+        else:
+            _same_bits([generalized_divisor_sum(chi1, chi2, 200.0, n)], [want])
 
 
 # ------------------------------------------------------------------
@@ -384,13 +486,17 @@ def test_coefficient_table_matches_the_brute_divisor_sum():
 
 def test_table_growth_order_does_not_change_bits():
     """Tables grown small to large, large to small, or fresh per call give
-    the same evaluate and residual bits."""
+    the same evaluate and residual bits.  Equal series share one lambda
+    table, so each variant starts from an empty memo and grows its own."""
+    def cold(points):
+        _lambda_slot.cache_clear()
+        return _values(EisensteinParams(chi1, chi2, t0), points)
+
     for chi1, chi2, t0 in ((CHI1, CHI1, 5.0), (CHI3, CHI4, 10.0), (CHI5, CHI5P, 7.5)):
         by_height = sorted(_POINTS, key=lambda p: p[1])
-        fresh = {point: _values(EisensteinParams(chi1, chi2, t0), [point])[point]
-                 for point in _POINTS}
-        growing = _values(EisensteinParams(chi1, chi2, t0), by_height[::-1])
-        shrinking = _values(EisensteinParams(chi1, chi2, t0), by_height)
+        fresh = {point: cold([point])[point] for point in _POINTS}
+        growing = cold(by_height[::-1])
+        shrinking = cold(by_height)
         assert growing == fresh and shrinking == fresh
 
 
@@ -478,6 +584,7 @@ def test_threads_sharing_a_fresh_series_agree():
     try:
         for chi1, chi2, t0 in ((CHI1, CHI4, 5.0), (CHI3, CHI4, 10.0)):
             expected = _values(EisensteinParams(chi1, chi2, t0), _POINTS)
+            _lambda_slot.cache_clear()     # so that the threads grow the lambda tables
             shared = EisensteinParams(chi1, chi2, t0)
             start = threading.Barrier(4)
             results = [None] * 4
