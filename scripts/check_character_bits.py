@@ -17,13 +17,18 @@
   * the amplifier sums at L = 1e6 for the principal pair at q in {1, 3, 4},
     on the diagonal r1 = r2, plus one off-diagonal sum at q = 3, and the
     diagonal sums at q in {1, 3} again at L = 3e6, over three amplifier
-    sieve windows;
+    sieve windows; then the three diagonal sums at L = 1e6 once more, in
+    reverse q order, so that a result that depends on the window cache
+    shows as a mismatch;
   * BumpWeight().mellin_at_one;
   * the benchmark's arith-sweep divisor sums: lambda(n) = generalized_divisor_sum
     for n <= 2000 at its five Hecke parameter sets, each at a fixed height;
   * b_xi and factorization_check at every prime p <= 1500 prime to q and the
     level, for each of the benchmark's four progression moduli q, every
-    character xi mod q and two fixed (r1, r2) pairs;
+    character xi mod q and two fixed (r1, r2) pairs, with one config per
+    (q, xi, pair); then again with xi in reverse order and a fresh equal
+    config per call, so that a result that depends on the prime contexts
+    kept on a config shows as a mismatch;
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
@@ -99,21 +104,27 @@ def _hecke() -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _factorization() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, xi index, pair, p) labels with b_xi and factorization_check there."""
+def _factorization(reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, xi index, pair, p) labels with b_xi and factorization_check there:
+    one config per (q, xi, pair), or with reverse, xi in reverse order and a
+    fresh equal config per call."""
     primes = [p for p in range(2, ArithSweep.FACT_PRIMES + 1)
               if all(p % d for d in range(2, math.isqrt(p) + 1))]
     labels, b, defects = [], [], []
     for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():
         chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
-        for xi in character_group(q):
+        xis = list(character_group(q))
+        for xi in xis[::-1] if reverse else xis:
             for k, (r1, r2) in enumerate(FACT_PAIRS):
-                cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+                def config():
+                    return AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+
+                cfg = config()
                 for p in primes:
                     if (q * cfg.level) % p:
                         labels.append((q, character_index(xi), k, p))
-                        b.append(b_xi(p, xi, cfg))
-                        defects.append(factorization_check(p, xi, cfg))
+                        b.append(b_xi(p, xi, config() if reverse else cfg))
+                        defects.append(factorization_check(p, xi, config() if reverse else cfg))
     return (np.array(labels, dtype=np.int64), np.array(b, dtype=np.complex128),
             np.array(defects, dtype=np.float64))
 
@@ -160,9 +171,12 @@ def dump(path: str) -> None:
     principal = build_character(1, 0)
     amp = [amplifier_sum(AmplifierConfig(q=q, L=L, r1=r1, r2=r2, chi1=principal, chi2=principal))
            for L, q, r1, r2 in AMP_CASES]
+    amp_again = [amplifier_sum(AmplifierConfig(q=q, L=L, r1=r1, r2=r2, chi1=principal, chi2=principal))
+                 for L, q, r1, r2 in AMP_CASES[2::-1]]
 
     hecke = _hecke()
     fact_labels, fact_b, fact_defects = _factorization()
+    again_labels, again_b, again_defects = _factorization(reverse=True)
     primes = sieve_interval(*SIEVE_WINDOW)
 
     np.savez_compressed(
@@ -182,18 +196,23 @@ def dump(path: str) -> None:
         gauss_sum_labels=np.array(gauss_sum_labels, dtype=np.int64),
         gauss_sums=np.array(gauss_sums, dtype=np.complex128),
         amplifier_sums=np.array(amp, dtype=np.complex128),
+        amplifier_sums_again=np.array(amp_again, dtype=np.complex128),
         mellin_at_one=np.array([BumpWeight().mellin_at_one]),
         hecke=hecke.ravel(),
         factorization_labels=fact_labels,
         b_xi=fact_b,
         factorization_defects=fact_defects,
+        factorization_labels_again=again_labels,
+        b_xi_again=again_b,
+        factorization_defects_again=again_defects,
         sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
           f"{sum(len(g) for g in gauss)} |G|^2 values, {len(gauss_sums)} Gauss sums, "
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
-          f"{len(amp)} amplifier sums, "
-          f"{hecke.size} divisor sums, {len(fact_b)} factorization checks, {len(primes)} sieved primes")
+          f"{len(amp) + len(amp_again)} amplifier sums, "
+          f"{hecke.size} divisor sums, {len(fact_b) + len(again_b)} factorization checks, "
+          f"{len(primes)} sieved primes")
 
 
 def main(argv=None) -> int:

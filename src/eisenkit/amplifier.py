@@ -17,14 +17,19 @@ Character values come from each character's value table (see characters):
 amplifier_sum indexes the numpy tables with whole blocks of primes and
 weights each block with one array call of the bump weight, while the
 divisor factors at single primes read the list copies of the same tables, as
-Python scalars.  The four twisted characters of a factorization check are
-built once per (xi, chi1, chi2); b_xi and factorization_check share one
-helper that validates p, looks the twists up, takes log p once per call and
-builds both prime factors from their two terms, a = 1 and a = p, with the
-bits of generalized_divisor_sum, whose every lambda(n), though read from a
-per-series table filled by blocks, is its own ordered divisor sum: the
-scalar loop that _prime_lambda writes out at a prime.  It refuses p above
-2 _L_MAX, the top of any window, before its trial division.
+Python scalars.  b_xi and factorization_check read what (xi, cfg) fixes
+from one _PrimeContext, built on the first call for xi and kept on the
+config, keyed by xi: the value lists and moduli of chi1, chi2, xi and the
+four twisted characters (built once per (xi, chi1, chi2)), the phase
+multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), and q times the
+level.  xi is checked when its context is built: TypeError if it is not a
+character, ValueError if its modulus is not q.  Each prime then validates
+p, takes log p once and builds both prime factors from their two terms,
+a = 1 and a = p, with the bits of generalized_divisor_sum, whose every
+lambda(n), though read from a per-series table filled by blocks, is its own
+ordered divisor sum: the scalar loop that _prime_lambda writes out at a
+prime.  p above 2 _L_MAX, the top of any window, is refused before its
+trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -41,7 +46,12 @@ lo + (k + 1) _SPAN) with lo = ceil(L), so that its arithmetic holds one
 block's primes at a time (_SPAN = 2^16: about 4,700 primes at L = 1e6, of a
 window's 70,000).  _SEGMENT is a multiple of _SPAN, so the blocks depend on
 L alone, and math.fsum combines their sums exactly
-rounded: the sieve layout does not set the bits of the result.  The window
+rounded: the sieve layout does not set the bits of the result.  A window's
+primes come from _window_primes, a read-only cache of the last four
+windows, so sums at one L for several q or twists sieve once; it holds at
+most 3.2 MB (0.56 MB a window at L = 1e6, 0.8 MB at 1e9).  Each block is
+filtered to p = 1 mod q prime to the level after the split, so a sum never
+copies a whole window; sieve_interval itself keeps nothing.  The window
 start L is capped at _L_MAX = 1e9: one sum there sieves 1e9 integers, about
 9 s on one 2.1 GHz Xeon core, and AmplifierConfig rejects a larger L before
 any sieve starts, as it does twists |r1|, |r2| > 1e3.
@@ -92,6 +102,8 @@ class AmplifierConfig:
     chi1: DirichletCharacter
     chi2: DirichletCharacter
     level: int = field(init=False, repr=False, compare=False)     # chi1.modulus * chi2.modulus
+    # xi -> its _PrimeContext, filled by b_xi and factorization_check
+    _contexts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     weight: ClassVar[BumpWeight] = BumpWeight()    # the one window, shared by every config
 
     def __post_init__(self):
@@ -134,11 +146,51 @@ def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCha
             multiply(xi, conjugate(multiply(chi1, conjugate(chi2)))))
 
 
-def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
-                  s: complex, p: int, logp: float) -> complex:
-    """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit:
-    its two terms a = 1 and a = p, in the divisor order, each skipped when a
-    character value is 0.
+class _PrimeContext:
+    """What b_xi and factorization_check read at every prime for one (xi, cfg):
+    the value lists and moduli of chi1, chi2, xi and the four twists, the
+    phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), and q
+    times the level.  Built once per xi on first use and kept in the
+    config's _contexts, so a later prime hashes xi alone."""
+
+    __slots__ = ("v1", "q1", "v2", "q2", "w1", "m1", "w2", "m2", "vx", "qx", "vu", "qu",
+                 "vd", "qd", "s_left", "s_right", "s_diff", "s_total", "q_level")
+
+    def __init__(self, xi: DirichletCharacter, cfg: AmplifierConfig):
+        twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
+        self.v1, self.q1 = cfg.chi1._values, cfg.chi1.modulus
+        self.v2, self.q2 = cfg.chi2._values, cfg.chi2.modulus
+        self.w1, self.m1 = twist1._values, twist1.modulus
+        self.w2, self.m2 = twist2._values, twist2.modulus
+        self.vx, self.qx = xi._values, xi.modulus
+        self.vu, self.qu = up._values, up.modulus
+        self.vd, self.qd = down._values, down.modulus
+        # the expressions the phases were always built from, so s log p keeps its bits
+        self.s_left, self.s_right = 1j * cfg.r1, -1j * cfg.r2
+        self.s_diff, self.s_total = 1j * (cfg.r1 - cfg.r2), 1j * (cfg.r1 + cfg.r2)
+        self.q_level = cfg.q * cfg.level
+
+
+def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
+    """The _PrimeContext of (xi, cfg), built and stored on first use; xi must
+    be a character mod cfg.q, checked when its context is built."""
+    try:
+        return cfg._contexts[xi]
+    except (KeyError, TypeError):     # not built yet, or xi is not even hashable
+        pass
+    if not isinstance(xi, DirichletCharacter):
+        raise TypeError(f"xi must be a DirichletCharacter, got {xi!r}")
+    if xi.modulus != cfg.q:
+        raise ValueError(f"xi must be a character mod q = {cfg.q}, got {xi!r}")
+    ctx = cfg._contexts[xi] = _PrimeContext(xi, cfg)
+    return ctx
+
+
+def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> complex:
+    """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit,
+    from the value lists v1 = chi1._values and v2 = chi2._values and the
+    moduli q1, q2: its two terms a = 1 and a = p, in the divisor order, each
+    skipped when a character value is 0.
 
     When zp = s log p has a real part of +-0.0, as b_xi's s = +-i r always
     gives, p^{-s} is the conjugate of p^s, exact in every bit (see the module
@@ -147,22 +199,21 @@ def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
     zp = s * logp
     e = cmath.exp(zp)
     total = 0j
-    c1, c2 = chi1._values[1 % chi1.modulus], chi2._values[p % chi2.modulus]
+    c1, c2 = v1[1 % q1], v2[p % q2]
     if c1 != 0 and c2 != 0:
         total += c1 * c2 * (e.conjugate() if zp.real == 0.0 else cmath.exp(-zp))
-    c1, c2 = chi1._values[p % chi1.modulus], chi2._values[1 % chi2.modulus]
+    c1, c2 = v1[p % q1], v2[1 % q2]
     if c1 != 0 and c2 != 0:
         total += c1 * c2 * e
     return total
 
 
-def _b_xi_parts(p: int, xi: DirichletCharacter, cfg: AmplifierConfig):
-    """b_xi at the prime p, with the four twisted characters and log(p) it used.
+def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
+    """b_xi at p with the integer p and log(p) it used.
 
-    Validates p (an integer prime, at most 2 _L_MAX, the top of any window),
-    looks the twists up, takes log(p) once and builds both prime factors from
-    their two terms (_prime_lambda); factorization_check reuses the twists
-    and log(p).
+    Validates p (an integer prime, at most 2 _L_MAX, the top of any window,
+    prime to q and the level), takes log(p) once and builds both prime
+    factors from their two terms (_prime_lambda).
     """
     try:
         n = operator.index(p)
@@ -174,18 +225,17 @@ def _b_xi_parts(p: int, xi: DirichletCharacter, cfg: AmplifierConfig):
     if _divisors(n) != (1, n):
         raise ValueError(f"p = {p!r} must be a prime")
     p = n
-    if (cfg.q * cfg.level) % p == 0:
+    if ctx.q_level % p == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
-    twists = _twists(xi, cfg.chi1, cfg.chi2)
     logp = math.log(p)
-    left = _prime_lambda(cfg.chi1, cfg.chi2, 1j * cfg.r1, p, logp)
-    right = _prime_lambda(twists[0], twists[1], -1j * cfg.r2, p, logp)
-    return logp * left * right, twists, logp
+    left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, p, logp)
+    right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, p, logp)
+    return logp * left * right, p, logp
 
 
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     """log(p) times the product of the two twisted divisor factors at the prime p."""
-    return _b_xi_parts(p, xi, cfg)[0]
+    return _b_xi_at(p, _context(xi, cfg))[0]
 
 
 def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> float:
@@ -201,12 +251,13 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
     every bit (see the module docstring): two exponentials per check, not
     four.
     """
-    left, (_, _, up, down), logp = _b_xi_parts(p, xi, cfg)
-    e_diff = cmath.exp(1j * (cfg.r1 - cfg.r2) * logp)
-    e_total = cmath.exp(1j * (cfg.r1 + cfg.r2) * logp)
-    xi_p = xi.evaluate(p)
+    ctx = _context(xi, cfg)
+    left, p, logp = _b_xi_at(p, ctx)
+    e_diff = cmath.exp(ctx.s_diff * logp)
+    e_total = cmath.exp(ctx.s_total * logp)
+    xi_p = ctx.vx[p % ctx.qx]
     four_terms = (xi_p * e_diff + xi_p * e_diff.conjugate()
-                  + up.evaluate(p) * e_total + down.evaluate(p) * e_total.conjugate())
+                  + ctx.vu[p % ctx.qu] * e_total + ctx.vd[p % ctx.qd] * e_total.conjugate())
     return abs(left - logp * four_terms)
 
 
@@ -254,6 +305,17 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
+@lru_cache(maxsize=4)
+def _window_primes(start: int, stop: int) -> np.ndarray:
+    """sieve_interval(start, stop), read-only, for the last four sieve windows
+    of amplifier_sum, so that sums at one L but different q, r1 or r2 sieve
+    once.  A window holds about 2 _SEGMENT / log(stop) primes of 8 bytes:
+    0.56 MB at L = 1e6, 0.8 MB at L = 1e9, so at most 3.2 MB for all four."""
+    primes = sieve_interval(start, stop)
+    primes.flags.writeable = False
+    return primes
+
+
 # ---------------------------------------------------------------------------
 # the amplifier sum
 # ---------------------------------------------------------------------------
@@ -281,10 +343,10 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
     seg_im: list[float] = []
     for start in range(lo, hi + 1, 2 * _SEGMENT):
         stop = min(start + 2 * _SEGMENT - 1, hi)
-        primes = sieve_interval(start, stop)
-        primes = primes[(primes % cfg.q == 1 % cfg.q) & (level % primes != 0)]
+        primes = _window_primes(start, stop)
         cuts = np.searchsorted(primes, np.arange(start + _SPAN, stop + 1, _SPAN))
         for block in np.split(primes, cuts):
+            block = block[(block % cfg.q == 1 % cfg.q) & (level % block != 0)]
             if block.size == 0:
                 continue
             p = block.astype(np.float64)

@@ -50,7 +50,10 @@ share it.  Its first block is [1, M], M the least power of two, at least
 n = 2^12, and one vectorized kernel fills each block.  Each lambda(n) is its own sum
 over _divisors(n), in that order, with the bits of the scalar loop, so no
 value depends on the block or table that holds it; past 2^12 the kernel
-sums n alone and nothing is kept.
+sums n alone and nothing is kept.  The block layouts, shared by every
+series, read log a from one table of math.log(a), grown to the largest
+block's top, so each a <= 2^12 takes one math.log per process; a one-n
+layout past 2^12 takes math.log per divisor.
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
@@ -245,20 +248,41 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple([p ** k * d for k in range(e + 1) for d in rest])
 
 
+_log_slot = [np.array([-math.inf])]     # math.log(a) at index a >= 1, grown by _logs_to
+
+
+def _logs_to(top: int) -> np.ndarray:
+    """The table of math.log(a) at index a, grown to cover a <= top.  One
+    assignment publishes a longer table, as _lambda_table does."""
+    table = _log_slot[0]
+    if len(table) <= top:
+        grown = np.fromiter(map(math.log, range(len(table), top + 1)), count=top + 1 - len(table),
+                            dtype=float)
+        table = np.concatenate((table, grown))
+        _log_slot[0] = table
+    return table
+
+
 def _layout(ns) -> tuple:
     """The divisor terms of lambda(n) for each n of ns: n after n, each n's
     in _divisors order.
 
     Returns (divs, logs, mirror, counts): the divisor a at each position;
-    math.log(a); the position of the same n's divisor n / a, index k - 1 - i
-    of its tuple for a at index i; and each n's divisor count k.
+    math.log(a), read from one table for ns up to _LAMBDA_MAX and taken per
+    divisor above it; the position of the same n's divisor n / a, index
+    k - 1 - i of its tuple for a at index i; and each n's divisor count k.
     """
     tuples = [_divisors(n) for n in ns]
     counts = np.array([len(d) for d in tuples])
     ends = np.cumsum(counts)
+    top = max(ns)
     divs = np.fromiter(itertools.chain.from_iterable(tuples), count=ends[-1],
-                       dtype=np.intp if max(ns) < 1 << 63 else object)
-    logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1], dtype=float)
+                       dtype=np.intp if top < 1 << 63 else object)
+    if top <= _LAMBDA_MAX:
+        logs = _logs_to(top)[divs]
+    else:
+        logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1],
+                           dtype=float)
     mirror = np.repeat(2 * ends - counts - 1, counts) - np.arange(ends[-1])
     return divs, logs, mirror, counts
 
@@ -518,7 +542,11 @@ def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
     """lambda(1), ..., lambda(m), read-only: a view of the table that
     generalized_divisor_sum reads for the series value.  m stays far below
-    the table ceiling: K values at y >= _Y_FLOOR reach x <= 705 by mode 374."""
+    the table ceiling: K values at y >= _Y_FLOOR reach x <= 705 by mode 374.
+    A table that already covers m is sliced before s is built."""
+    table = params._lambda[0]
+    if len(table) >= m:
+        return table[:m]
     return _lambda_table(params._lambda, params.chi1, params.chi2, params.s, m)[:m]
 
 

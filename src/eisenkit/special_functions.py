@@ -446,6 +446,10 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
     """
     if not (0 < y < math.inf and 0 < eps < math.inf):
         raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
     two_pi_y, log_eps = 2.0 * math.pi * y, math.log(eps)
 

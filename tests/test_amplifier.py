@@ -150,7 +150,8 @@ def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():
     assert wide.modulus == 49143
     calls += [(chi1, chi2, s, p) for p in (2, 5, 1499) for s in (12.5j, complex(-0.0, -12.5))
               for chi1, chi2 in ((wide, CHI4), (CHI5, wide))]
-    got = [amplifier._prime_lambda(chi1, chi2, s, p, math.log(p)) for chi1, chi2, s, p in calls]
+    got = [amplifier._prime_lambda(chi1._values, chi1.modulus, chi2._values, chi2.modulus,
+                                   s, p, math.log(p)) for chi1, chi2, s, p in calls]
     want = [generalized_divisor_sum(*call) for call in calls]
     assert got == want
     assert list(map(repr, got)) == list(map(repr, want))
@@ -185,6 +186,48 @@ def test_one_exponential_per_conjugate_phase_pair():
                 want = [oracle(*call) for call in calls]
                 assert got == want
                 assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_xi_must_be_a_character_mod_q():
+    """xi is checked when its prime context is built: a value that is not a
+    character raises TypeError naming xi, and a character of another modulus
+    ValueError naming xi and q (chi(7:1) at q = 3 gave a defect of 2.5e-16)."""
+    cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
+    for fn in (b_xi, factorization_check):
+        for bad in (None, 3, "3:1", [1]):
+            with pytest.raises(TypeError, match=f"^xi must be a DirichletCharacter, got {re.escape(repr(bad))}$"):
+                fn(11, bad, cfg)
+        for xi in (build_character(7, 1), CHI1, build_character(9, 1)):
+            with pytest.raises(ValueError, match=rf"^xi must be a character mod q = 3, got {re.escape(repr(xi))}$"):
+                fn(11, xi, cfg)
+    assert cfg._contexts == {}
+    assert factorization_check(11, CHI3, cfg) < 1e-12
+    assert list(cfg._contexts) == [CHI3]
+
+
+def test_factorization_bits_do_not_depend_on_the_context_cache():
+    """b_xi and factorization_check give the two-exponential oracles' bits
+    (== and repr) whichever contexts were built before: one config reused
+    across every xi, a fresh equal config per call, and xi in reverse order
+    on one config; q in {3, 4, 5, 8}, two twist pairs, primes below 200."""
+    primes = sieve_interval(2, 199).tolist()
+    for q, chi1, chi2 in ((3, CHI5, CHI4), (4, CHI3, CHI5), (5, CHI3, CHI4), (8, CHI3, CHI5)):
+        for r1, r2 in ((-27.5, 13.25), (8.0, -0.0)):
+            def config():
+                return AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+
+            shared, backwards = config(), config()
+            xis = list(character_group(q))
+            calls = [(p, xi) for xi in xis for p in primes if (q * shared.level) % p]
+            for fn, oracle in ((b_xi, two_exponential_b_xi),
+                               (factorization_check, two_exponential_factorization_check)):
+                want = [oracle(p, xi, shared) for p, xi in calls]
+                reused = [fn(p, xi, shared) for p, xi in calls]
+                fresh = [fn(p, xi, config()) for p, xi in calls]
+                reverse = {(p, xi): fn(p, xi, backwards) for p, xi in reversed(calls)}
+                for got in (reused, fresh, [reverse[call] for call in calls]):
+                    assert got == want
+                    assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_b_xi_principal_diagonal_is_a_square():
@@ -310,6 +353,37 @@ def test_sieve_layout_does_not_set_the_bits(monkeypatch):
         for span in (64, 1024):
             monkeypatch.setattr(amplifier, "_SPAN", span)
             assert abs(amplifier_sum(cfg) - slow) <= 1e-12 * max(1.0, abs(slow)), (L, q, span)
+
+
+def test_amplifier_sum_bits_do_not_depend_on_the_window_cache():
+    """Sums at L = 1e6 for q in {1, 3, 4} give the same bits (repr) from a
+    cleared window cache, warm, and after sums at L = 1e4, 1e5 and 3e6 have
+    pushed the 1e6 window out of it.  The cached window is read-only;
+    sieve_interval still returns a fresh, writable array, and writing to it
+    leaves the next sum unchanged."""
+    def sums(L):
+        return [amplifier_sum(AmplifierConfig(q=q, L=L, r1=r, r2=r, chi1=CHI1, chi2=CHI1))
+                for q, r in ((1, 12.5), (3, 17.25), (4, 23.0))]
+
+    amplifier._window_primes.cache_clear()
+    cold = sums(1e6)
+    assert amplifier._window_primes.cache_info().misses == 1
+    warm = sums(1e6)
+    for L in (1e4, 1e5, 3e6):    # four windows: 3e6's [L, 2L] takes two
+        sums(L)
+    misses = amplifier._window_primes.cache_info().misses
+    cycled = sums(1e6)
+    assert amplifier._window_primes.cache_info().misses == misses + 1
+    assert list(map(repr, cold)) == list(map(repr, warm)) == list(map(repr, cycled))
+
+    window = amplifier._window_primes(10 ** 6, 2 * 10 ** 6)
+    assert not window.flags.writeable
+    with pytest.raises(ValueError):
+        window[0] = 7
+    primes = sieve_interval(10 ** 6, 2 * 10 ** 6)
+    assert primes.flags.writeable and not np.shares_memory(primes, window)
+    primes[:] = 1000003
+    assert list(map(repr, sums(1e6))) == list(map(repr, cold))
 
 
 def test_amplifier_sum_works_in_bounded_memory():

@@ -77,7 +77,7 @@ def test_divisor_lists_in_the_summation_order():
     of the prime-power lists, least prime outermost (the order lambda(n) is
     summed in), from a cold cache: every n <= 5000, then seeded n up to 2e9
     with 2^30, 3^19 and the product of the twin primes 44651 and 44657; n <= 1
-    gives (1,), as _b_xi_parts relies on for 0 and negative p.  Each list is
+    gives (1,), as _b_xi_at relies on for 0 and negative p.  Each list is
     its own mirror, _divisors(n)[k - 1 - i] = n / _divisors(n)[i] for k
     divisors: the lambda kernel reads n / a at the mirror position of a."""
     _divisors.cache_clear()
@@ -169,6 +169,24 @@ def test_lambda_bits_do_not_depend_on_the_table():
                    [one_by_one[n - 1] for n in sample])
         table = _coefficients(EisensteinParams(chi1, chi2, t, sigma), 4096)
         assert table.tobytes() == np.array(one_by_one).tobytes()
+
+
+def test_layout_logs_are_math_log_of_each_divisor(monkeypatch):
+    """_layout's logs equal math.log of each divisor, byte for byte: every
+    table block up to 2^12, a first block (0, 2^k] and a doubling
+    (2^k, 2^(k+1)], read from a log table grown from empty in both orders,
+    then the one-n layouts past the ceiling, which take math.log per divisor."""
+    from eisenkit import eisenstein
+
+    blocks = [(0, 1 << k) for k in range(4, 13)] + [(1 << k, 2 << k) for k in range(4, 12)]
+    for order in (blocks, blocks[::-1]):
+        monkeypatch.setattr(eisenstein, "_log_slot", [np.array([-math.inf])])
+        for lo, top in order:
+            divs, logs = _layout(range(lo + 1, top + 1))[:2]
+            assert logs.tobytes() == np.array([math.log(a) for a in divs.tolist()]).tobytes(), (lo, top)
+    for n in (4097, 9170, 2 ** 64):
+        divs, logs = _layout((n,))[:2]
+        assert logs.tobytes() == np.array([math.log(a) for a in divs.tolist()]).tobytes(), n
 
 
 def test_divisor_sum_refuses_a_non_finite_s(monkeypatch):

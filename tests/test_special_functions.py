@@ -362,6 +362,18 @@ def test_tail_cutoff_actually_bounds_the_tail():
             whittaker_tail_cutoff(8.0, y_bad, eps_bad)
 
 
+def test_tail_cutoff_refuses_a_non_finite_t_or_sigma():
+    """A non-finite t or sigma is refused by name before the search, which
+    otherwise failed on int(nan) or galloped through about 1,000 doublings
+    to an OverflowError."""
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {bad}$"):
+            whittaker_tail_cutoff(bad, 0.7, 1e-8)
+        with pytest.raises(ValueError, match=f"^sigma must be finite, got {bad}$"):
+            whittaker_tail_cutoff(8.0, 0.7, 1e-8, bad)
+    assert whittaker_tail_cutoff(-8.0, 0.7, 1e-8, -0.5) == whittaker_tail_cutoff(8.0, 0.7, 1e-8, 0.5)
+
+
 def test_tail_cutoff_bounds_its_own_majorant():
     """The documented majorant sum_{n > m} sqrt(3n) n^|sigma| e^{pi |t| / 2}
     |K_{sigma + it}(2 pi n y)|, summed up to x = 705, stays below eps.  The
