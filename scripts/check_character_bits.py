@@ -23,6 +23,11 @@
   * BumpWeight().mellin_at_one;
   * the benchmark's arith-sweep divisor sums: lambda(n) = generalized_divisor_sum
     for n <= 2000 at its five Hecke parameter sets, each at a fixed height;
+  * lambda(n) for every n <= 4096, the lambda table ceiling, at the same
+    sets and heights, twice: read in ascending order, and read after one
+    read at 4096, each on cleared lambda and block-layout memos; so the
+    tables are built by doubling blocks and by one block (0, 4096], and a
+    result that depends on the block layout shows as a mismatch;
   * b_xi and factorization_check at every prime p <= 1500 prime to q and the
     level, for each of the benchmark's four progression moduli q, every
     character xi mod q and two fixed (r1, r2) pairs, with one config per
@@ -75,6 +80,7 @@ from eisenkit.characters import (  # noqa: E402
     primitive_part,
     value_table,
 )
+from eisenkit import eisenstein  # noqa: E402
 from eisenkit.eisenstein import generalized_divisor_sum  # noqa: E402
 from eisenkit.special_functions import BumpWeight  # noqa: E402
 from workloads import ArithSweep  # noqa: E402
@@ -90,6 +96,7 @@ AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
              (1e6, 3, 11.0, 19.5), (3e6, 1, 12.5, 12.5), (3e6, 3, 17.25, 17.25))
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]
 HECKE_HEIGHTS = (2.5, 4.75, 7.0, 9.25, 11.5)
+LAMBDA_TOP = 4096       # the lambda table ceiling, eisenstein._LAMBDA_MAX
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
 SIEVE_WINDOW = (10**6, 2 * 10**6)
 
@@ -101,6 +108,21 @@ def _hecke() -> np.ndarray:
         chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
         rows.append([generalized_divisor_sum(chi1, chi2, 1j * h, n)
                      for n in range(1, ArithSweep.HECKE_N + 1)])
+    return np.array(rows, dtype=np.complex128)
+
+
+def _hecke_to_ceiling(at_once: bool) -> np.ndarray:
+    """lambda(n) for n = 1..4096 per Hecke parameter set, on cleared lambda
+    and layout memos: read in ascending order, or with at_once, after one
+    read at 4096."""
+    rows = []
+    for ((q1, i1), (q2, i2)), h in zip(ArithSweep.HECKE_SETS, HECKE_HEIGHTS):
+        chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+        eisenstein._lambda_slot.cache_clear()
+        eisenstein._block_layout.cache_clear()
+        if at_once:
+            generalized_divisor_sum(chi1, chi2, 1j * h, LAMBDA_TOP)
+        rows.append([generalized_divisor_sum(chi1, chi2, 1j * h, n) for n in range(1, LAMBDA_TOP + 1)])
     return np.array(rows, dtype=np.complex128)
 
 
@@ -175,6 +197,7 @@ def dump(path: str) -> None:
                  for L, q, r1, r2 in AMP_CASES[2::-1]]
 
     hecke = _hecke()
+    ascending, at_once = _hecke_to_ceiling(False), _hecke_to_ceiling(True)
     fact_labels, fact_b, fact_defects = _factorization()
     again_labels, again_b, again_defects = _factorization(reverse=True)
     primes = sieve_interval(*SIEVE_WINDOW)
@@ -199,6 +222,8 @@ def dump(path: str) -> None:
         amplifier_sums_again=np.array(amp_again, dtype=np.complex128),
         mellin_at_one=np.array([BumpWeight().mellin_at_one]),
         hecke=hecke.ravel(),
+        hecke_to_ceiling=ascending.ravel(),
+        hecke_to_ceiling_at_once=at_once.ravel(),
         factorization_labels=fact_labels,
         b_xi=fact_b,
         factorization_defects=fact_defects,
@@ -211,7 +236,8 @@ def dump(path: str) -> None:
           f"{sum(len(g) for g in gauss)} |G|^2 values, {len(gauss_sums)} Gauss sums, "
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp) + len(amp_again)} amplifier sums, "
-          f"{hecke.size} divisor sums, {len(fact_b) + len(again_b)} factorization checks, "
+          f"{hecke.size + ascending.size + at_once.size} divisor sums, "
+          f"{len(fact_b) + len(again_b)} factorization checks, "
           f"{len(primes)} sieved primes")
 
 

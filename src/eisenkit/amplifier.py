@@ -28,8 +28,10 @@ p, takes log p once and builds both prime factors from their two terms,
 a = 1 and a = p, with the bits of generalized_divisor_sum, whose every
 lambda(n), though read from a per-series table filled by blocks, is its own
 ordered divisor sum: the scalar loop that _prime_lambda writes out at a
-prime.  p above 2 _L_MAX, the top of any window, is refused before its
-trial division.
+prime.  The prime test reads the sieve table of eisenstein where it
+covers p (up to the largest lambda block built, at most 2^12) and
+_divisors past it; p above 2 _L_MAX, the top of any window, is refused
+before that trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -70,7 +72,7 @@ from typing import ClassVar
 import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
-from eisenkit.eisenstein import _divisors
+from eisenkit.eisenstein import _divisors, _sieve_slot
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
@@ -172,12 +174,8 @@ class _PrimeContext:
 
 
 def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
-    """The _PrimeContext of (xi, cfg), built and stored on first use; xi must
-    be a character mod cfg.q, checked when its context is built."""
-    try:
-        return cfg._contexts[xi]
-    except (KeyError, TypeError):     # not built yet, or xi is not even hashable
-        pass
+    """The _PrimeContext of (xi, cfg), built and stored; _b_xi_at calls it
+    when cfg has none for xi.  xi must be a character mod cfg.q."""
     if not isinstance(xi, DirichletCharacter):
         raise TypeError(f"xi must be a DirichletCharacter, got {xi!r}")
     if xi.modulus != cfg.q:
@@ -200,21 +198,28 @@ def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> 
     e = cmath.exp(zp)
     total = 0j
     c1, c2 = v1[1 % q1], v2[p % q2]
-    if c1 != 0 and c2 != 0:
+    if c1 and c2:      # a complex value is false exactly when it is 0
         total += c1 * c2 * (e.conjugate() if zp.real == 0.0 else cmath.exp(-zp))
     c1, c2 = v1[p % q1], v2[1 % q2]
-    if c1 != 0 and c2 != 0:
+    if c1 and c2:
         total += c1 * c2 * e
     return total
 
 
-def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
-    """b_xi at p with the integer p and log(p) it used.
+def _b_xi_at(p: int, xi: DirichletCharacter,
+             cfg: AmplifierConfig) -> tuple[complex, int, float, _PrimeContext]:
+    """b_xi at p with the integer p, log(p) and the _PrimeContext it used.
 
-    Validates p (an integer prime, at most 2 _L_MAX, the top of any window,
+    Reads the context kept on cfg for xi, or builds it (_context).  Then
+    validates p (an integer prime, at most 2 _L_MAX, the top of any window,
     prime to q and the level), takes log(p) once and builds both prime
-    factors from their two terms (_prime_lambda).
+    factors from their two terms (_prime_lambda).  The prime test reads the
+    sieve table of eisenstein where it covers p, and _divisors past it.
     """
+    try:
+        ctx = cfg._contexts[xi]
+    except (KeyError, TypeError):     # not built yet, or xi is not even hashable
+        ctx = _context(xi, cfg)
     try:
         n = operator.index(p)
     except TypeError:
@@ -222,7 +227,8 @@ def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
     # trial division of p costs about 2 ms at the ceiling, minutes near 1e18
     if n > 2 * _L_MAX:
         raise ValueError(f"p = {p} above the amplifier's prime ceiling {2 * _L_MAX:g}")
-    if _divisors(n) != (1, n):
+    prime = _sieve_slot[0][4]       # one byte per n, 1 at the primes
+    if not (prime[n] if 0 <= n < len(prime) else _divisors(n) == (1, n)):
         raise ValueError(f"p = {p!r} must be a prime")
     p = n
     if ctx.q_level % p == 0:
@@ -230,12 +236,12 @@ def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
     logp = math.log(p)
     left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, p, logp)
     right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, p, logp)
-    return logp * left * right, p, logp
+    return logp * left * right, p, logp, ctx
 
 
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     """log(p) times the product of the two twisted divisor factors at the prime p."""
-    return _b_xi_at(p, _context(xi, cfg))[0]
+    return _b_xi_at(p, xi, cfg)[0]
 
 
 def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> float:
@@ -251,8 +257,7 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
     every bit (see the module docstring): two exponentials per check, not
     four.
     """
-    ctx = _context(xi, cfg)
-    left, p, logp = _b_xi_at(p, ctx)
+    left, p, logp, ctx = _b_xi_at(p, xi, cfg)
     e_diff = cmath.exp(ctx.s_diff * logp)
     e_total = cmath.exp(ctx.s_total * logp)
     xi_p = ctx.vx[p % ctx.qx]

@@ -51,9 +51,13 @@ n = 2^12, and one vectorized kernel fills each block.  Each lambda(n) is its own
 over _divisors(n), in that order, with the bits of the scalar loop, so no
 value depends on the block or table that holds it; past 2^12 the kernel
 sums n alone and nothing is kept.  The block layouts, shared by every
-series, read log a from one table of math.log(a), grown to the largest
-block's top, so each a <= 2^12 takes one math.log per process; a one-n
-layout past 2^12 takes math.log per divisor.
+series, come from one sieve table of least primes, exponents and cofactors,
+grown with the lambda tables to the largest block's top and never past
+2^12, by array passes in _divisors order, with log a read from its
+math.log(a) entries.  The sieve table also answers the amplifier's prime
+test for every p it covers.  _divisors, trial division with a cache
+of tuples, is left for one-n layouts (past 2^12, or a block that
+overflows) and for the primes past the table.
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
@@ -248,50 +252,88 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple([p ** k * d for k in range(e + 1) for d in rest])
 
 
-_log_slot = [np.array([-math.inf])]     # math.log(a) at index a >= 1, grown by _logs_to
+# The sieve table (spf, exp, rest, logs, prime) at index n: n = spf^exp rest
+# with spf the least prime of n and rest prime to it (1, 0, 1 at n = 1);
+# logs holds math.log(n), and prime one byte per n, 1 where n is prime.  It
+# starts at n <= 3.
+_sieve_slot = [(np.array([0, 1, 2, 3]), np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]),
+                np.array([-math.inf, 0.0, math.log(2), math.log(3)]), b"\0\0\1\1")]
 
 
-def _logs_to(top: int) -> np.ndarray:
-    """The table of math.log(a) at index a, grown to cover a <= top.  One
-    assignment publishes a longer table, as _lambda_table does."""
-    table = _log_slot[0]
-    if len(table) <= top:
-        grown = np.fromiter(map(math.log, range(len(table), top + 1)), count=top + 1 - len(table),
-                            dtype=float)
-        table = np.concatenate((table, grown))
-        _log_slot[0] = table
+def _sieve_to(top: int) -> tuple:
+    """The sieve table grown to cover n <= top, in steps [a, b] with b < 2a.
+    spf(n) is the least prime up to sqrt(b) < a that divides n, or n; and
+    m = n / spf(n) < a shares its least prime exactly when spf(n)^2 | n, so
+    exp and rest extend the table's entries at m.  Only _block_layout grows
+    it, so it never passes _LAMBDA_MAX; one assignment publishes each step."""
+    table = _sieve_slot[0]
+    while len(table[0]) <= top:
+        spf, exp, rest, logs, prime = table
+        a = len(spf)
+        n = np.arange(a, min(2 * a, top + 1))
+        p = n.copy()
+        for q in range(math.isqrt(n[-1]), 1, -1):     # the least prime is written last
+            if prime[q]:
+                p[-a % q::q] = q
+        m = n // p
+        same = spf[m] == p
+        table = (np.concatenate((spf, p)), np.concatenate((exp, np.where(same, exp[m] + 1, 1))),
+                 np.concatenate((rest, np.where(same, rest[m], m))),
+                 np.concatenate((logs, np.fromiter(map(math.log, range(a, a + len(n))), count=len(n),
+                                                   dtype=float))),
+                 prime + (p == n).tobytes())
+        _sieve_slot[0] = table
     return table
 
 
 def _layout(ns) -> tuple:
-    """The divisor terms of lambda(n) for each n of ns: n after n, each n's
-    in _divisors order.
+    """The divisor terms of lambda(n) for each n of ns, from _divisors: n
+    after n, each n's in _divisors order.
 
     Returns (divs, logs, mirror, counts): the divisor a at each position;
-    math.log(a), read from one table for ns up to _LAMBDA_MAX and taken per
-    divisor above it; the position of the same n's divisor n / a, index
+    math.log(a); the position of the same n's divisor n / a, index
     k - 1 - i of its tuple for a at index i; and each n's divisor count k.
     """
     tuples = [_divisors(n) for n in ns]
     counts = np.array([len(d) for d in tuples])
     ends = np.cumsum(counts)
-    top = max(ns)
     divs = np.fromiter(itertools.chain.from_iterable(tuples), count=ends[-1],
-                       dtype=np.intp if top < 1 << 63 else object)
-    if top <= _LAMBDA_MAX:
-        logs = _logs_to(top)[divs]
-    else:
-        logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1],
-                           dtype=float)
+                       dtype=np.intp if max(ns) < 1 << 63 else object)
+    logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1],
+                       dtype=float)
     mirror = np.repeat(2 * ends - counts - 1, counts) - np.arange(ends[-1])
     return divs, logs, mirror, counts
 
 
 @lru_cache(maxsize=2 * (_LAMBDA_MAX // _LAMBDA_FIRST).bit_length())
 def _block_layout(lo: int, top: int):
-    """_layout of one table block, n in (lo, top]: a first block (0, 2^k] or
-    a doubling (2^k, 2^(k+1)], so at most two per power of two."""
-    return _layout(range(lo + 1, top + 1))
+    """_layout(range(lo + 1, top + 1)) of one table block, n in (lo, top]:
+    a first block (0, 2^k] or a doubling (2^k, 2^(k+1)], so at most two per
+    power of two.  Built from the sieve table, logs included.
+
+    n = p1^e1 ... pr^er, p1 < ... < pr, lists its divisors p1^k1 ... pr^kr
+    in _divisors order when the digits (k1, ..., kr), of radices ej + 1,
+    count up with kr fastest.  The levels n, rest(n), ... of the sieve
+    table give each pj and ej, and one pass over the block's positions per
+    distinct prime, greatest first, splits off its digit.
+    """
+    spf, exp, rest, logs, _ = _sieve_to(top)
+    x = np.arange(lo + 1, top + 1)
+    levels, counts = [], np.ones(len(x), dtype=np.intp)
+    while x.max() > 1:
+        radix = exp[x] + 1
+        levels.append((spf[x], radix))
+        counts *= radix
+        x = rest[x]
+    ends = np.cumsum(counts)
+    at = np.arange(ends[-1])
+    index = at - np.repeat(ends - counts, counts)      # each divisor's index within its n
+    divs = np.ones(ends[-1], dtype=np.intp)
+    for p, radix in reversed(levels):
+        index, k = np.divmod(index, np.repeat(radix, counts))
+        divs *= np.repeat(p, counts) ** k
+    mirror = np.repeat(2 * ends - counts - 1, counts) - at
+    return divs, logs[divs], mirror, counts
 
 
 def _values_at(chi: DirichletCharacter, divs: np.ndarray) -> np.ndarray:
@@ -409,9 +451,14 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
         raise TypeError(f"s must be a number, got {s!r}")
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    s = complex(s)
+    if type(s) is not complex:
+        s = complex(s)
     if n <= _LAMBDA_MAX:
         slot = _lambda_slot(chi1, chi2, s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+        try:
+            return slot[0].item(n - 1)      # a table that covers n
+        except IndexError:
+            pass
         try:
             return _lambda_table(slot, chi1, chi2, s, n).item(n - 1)
         except OverflowError:     # a term of the block overflows: sum n alone

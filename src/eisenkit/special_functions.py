@@ -443,6 +443,8 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
     the terms fall by rho = (1 + 1/n)^{1/2 + |sigma|} e^{-2 pi y r / x} per
     mode or more, and the tail is at most the first over 1 - rho.  That bound
     falls with m, so the search gallops from a first guess, then bisects.
+    |t| > 200 or |sigma| > 10, past the K-Bessel order envelope, is refused
+    before the search (NumericEnvelopeError).
     """
     if not (0 < y < math.inf and 0 < eps < math.inf):
         raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
@@ -450,6 +452,11 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
         raise ValueError(f"t must be finite, got {t}")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    if abs(t) > _IM_MAX:
+        raise NumericEnvelopeError(f"t = {t} outside the K-Bessel order bound |t| <= {_IM_MAX:g}")
+    if abs(sigma) > _RE_MAX:
+        raise NumericEnvelopeError(f"sigma = {sigma} outside the K-Bessel order envelope "
+                                   f"|sigma| <= {_RE_MAX:g}")
     t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
     two_pi_y, log_eps = 2.0 * math.pi * y, math.log(eps)
 

@@ -29,7 +29,7 @@ from eisenkit.amplifier import (
     factorization_check,
     sieve_interval,
 )
-from eisenkit.eisenstein import generalized_divisor_sum
+from eisenkit.eisenstein import _divisors, generalized_divisor_sum
 from eisenkit.characters import build_character, character_group, conjugate, multiply
 
 CHI1 = build_character(1, 0)
@@ -125,6 +125,38 @@ def test_b_xi_refuses_primes_past_the_window_ceiling():
                                              r"prime ceiling 2e\+09$"):
             fn(2 ** 61 - 1, xi, cfg)
     assert factorization_check(1999999973, xi, cfg) < 1e-10
+
+
+def test_prime_test_reads_the_sieve_table(monkeypatch):
+    """The sieve table's prime byte is _divisors(n) == (1, n) at every
+    n <= 4096, 0 and 1 included, and b_xi refuses as not prime exactly the n
+    that are not: through the table up to 4096, through _divisors past it
+    (4097 = 17 * 241; 1999999973 is prime) and through _divisors at every n
+    from a cold table.  2^31 - 1, a prime, lies past the prime ceiling 2e9
+    and is refused before any prime test."""
+    from eisenkit import eisenstein
+
+    prime = eisenstein._sieve_to(4096)[4]
+    assert [prime[n] == 1 for n in range(4097)] == [_divisors(n) == (1, n) for n in range(4097)]
+
+    cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
+    xi = build_character(3, 1)
+
+    def refused(n: int) -> bool:
+        try:
+            b_xi(n, xi, cfg)
+        except ValueError as exc:
+            return str(exc) == f"p = {n} must be a prime"
+        return False
+
+    ns = list(range(4097)) + [4097, 1999999973]
+    assert [refused(n) for n in ns] == [_divisors(n) != (1, n) for n in ns]
+    cold = [tuple(part[:4] for part in eisenstein._sieve_slot[0])]
+    monkeypatch.setattr(amplifier, "_sieve_slot", cold)
+    assert [refused(n) for n in range(300)] == [_divisors(n) != (1, n) for n in range(300)]
+    assert len(cold[0][0]) == 4
+    with pytest.raises(ValueError, match=r"^p = 2147483647 above the amplifier's prime ceiling 2e\+09$"):
+        b_xi(2 ** 31 - 1, xi, cfg)
 
 
 def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():

@@ -77,7 +77,7 @@ def test_divisor_lists_in_the_summation_order():
     of the prime-power lists, least prime outermost (the order lambda(n) is
     summed in), from a cold cache: every n <= 5000, then seeded n up to 2e9
     with 2^30, 3^19 and the product of the twin primes 44651 and 44657; n <= 1
-    gives (1,), as _b_xi_at relies on for 0 and negative p.  Each list is
+    gives (1,), as _b_xi_at relies on for negative p.  Each list is
     its own mirror, _divisors(n)[k - 1 - i] = n / _divisors(n)[i] for k
     divisors: the lambda kernel reads n / a at the mirror position of a."""
     _divisors.cache_clear()
@@ -171,22 +171,48 @@ def test_lambda_bits_do_not_depend_on_the_table():
         assert table.tobytes() == np.array(one_by_one).tobytes()
 
 
-def test_layout_logs_are_math_log_of_each_divisor(monkeypatch):
-    """_layout's logs equal math.log of each divisor, byte for byte: every
-    table block up to 2^12, a first block (0, 2^k] and a doubling
-    (2^k, 2^(k+1)], read from a log table grown from empty in both orders,
-    then the one-n layouts past the ceiling, which take math.log per divisor."""
+def _cold_tables(monkeypatch):
+    """Start the sieve table (at n <= 3, as the module does) and the block
+    layouts over; monkeypatch restores the table."""
     from eisenkit import eisenstein
 
-    blocks = [(0, 1 << k) for k in range(4, 13)] + [(1 << k, 2 << k) for k in range(4, 12)]
-    for order in (blocks, blocks[::-1]):
-        monkeypatch.setattr(eisenstein, "_log_slot", [np.array([-math.inf])])
+    monkeypatch.setattr(eisenstein, "_sieve_slot", [tuple(part[:4] for part in eisenstein._sieve_slot[0])])
+    eisenstein._block_layout.cache_clear()
+
+
+def test_block_layouts_are_the_divisor_layouts(monkeypatch):
+    """Every table block up to 2^12, a first block (0, 2^k] or a doubling
+    (2^k, 2^(k+1)], built from the sieve table equals _layout over _divisors
+    byte for byte (divisors, logs, mirror, counts), with logs equal to
+    math.log of each divisor: built from cold tables in ascending order, and
+    from cold tables by one call at 2^12 first."""
+    from eisenkit.eisenstein import _block_layout
+
+    ascending = sorted([(0, 1 << k) for k in range(4, 13)] + [(1 << k, 2 << k) for k in range(4, 12)],
+                       key=lambda block: block[::-1])
+    for order in (ascending, sorted(ascending, key=lambda block: block != (0, 1 << 12))):
+        _cold_tables(monkeypatch)
         for lo, top in order:
-            divs, logs = _layout(range(lo + 1, top + 1))[:2]
+            got, want = _block_layout(lo, top), _layout(range(lo + 1, top + 1))
+            assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want], (lo, top)
+            divs, logs = got[:2]
             assert logs.tobytes() == np.array([math.log(a) for a in divs.tolist()]).tobytes(), (lo, top)
-    for n in (4097, 9170, 2 ** 64):
-        divs, logs = _layout((n,))[:2]
-        assert logs.tobytes() == np.array([math.log(a) for a in divs.tolist()]).tobytes(), n
+
+
+def test_sieve_table_stops_at_the_lambda_ceiling(monkeypatch):
+    """The sieve table grows block by block with the lambda tables, to the
+    least power of two at least 16 that covers n, and never past
+    _LAMBDA_MAX: an n past it takes the one-n path through _divisors."""
+    from eisenkit import eisenstein
+
+    _cold_tables(monkeypatch)
+    _lambda_slot.cache_clear()
+    sizes = []
+    for n in (1, 17, 100, 4096, 4097, 9170, 2 ** 64, 10 ** 4):
+        generalized_divisor_sum(CHI3, CHI4, 2.5j, n)
+        sizes.append(len(eisenstein._sieve_slot[0][0]) - 1)
+    assert sizes == [16, 32, 128] + [eisenstein._LAMBDA_MAX] * 5
+    assert all(len(part) == eisenstein._LAMBDA_MAX + 1 for part in eisenstein._sieve_slot[0])
 
 
 def test_divisor_sum_refuses_a_non_finite_s(monkeypatch):

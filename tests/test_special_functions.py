@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import mpmath
@@ -372,6 +373,23 @@ def test_tail_cutoff_refuses_a_non_finite_t_or_sigma():
         with pytest.raises(ValueError, match=f"^sigma must be finite, got {bad}$"):
             whittaker_tail_cutoff(8.0, 0.7, 1e-8, bad)
     assert whittaker_tail_cutoff(-8.0, 0.7, 1e-8, -0.5) == whittaker_tail_cutoff(8.0, 0.7, 1e-8, 0.5)
+
+
+def test_tail_cutoff_refuses_orders_past_the_envelope():
+    """|t| > 200 or |sigma| > 10 is refused by value before the search,
+    which failed there on int(nan) (t = 1e155), in math.log (sigma = 1e200)
+    or returned a mode count of 152 digits (sigma = 1e150); the edges pass."""
+    for t in (1e155, -200.5, 200.00000000000003):
+        with pytest.raises(NumericEnvelopeError, match=f"^t = {re.escape(str(t))} outside the "
+                                                       r"K-Bessel order bound \|t\| <= 200$"):
+            whittaker_tail_cutoff(t, 0.7, 1e-8)
+    for sigma in (1e200, 1e150, -10.5):
+        with pytest.raises(NumericEnvelopeError, match=f"^sigma = {re.escape(str(sigma))} outside "
+                                                       r"the K-Bessel order envelope \|sigma\| <= 10$"):
+            whittaker_tail_cutoff(8.0, 0.7, 1e-8, sigma)
+    assert whittaker_tail_cutoff(200.0, 0.7, 1e-8) == whittaker_tail_cutoff(-200.0, 0.7, 1e-8) == 55
+    assert whittaker_tail_cutoff(8.0, 0.7, 1e-8, 10.0) == whittaker_tail_cutoff(-8.0, 0.7, 1e-8, -10.0) == 12
+    assert whittaker_tail_cutoff(200.0, 0.7, 1e-8, -10.0) == 70
 
 
 def test_tail_cutoff_bounds_its_own_majorant():
