@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Dump the character layer's outputs, or compare two dumps bit for bit.
 
-    python3 scripts/check_character_bits.py --dump FILE.npz
+    python3 scripts/check_character_bits.py --dump FILE.npz [--src DIR]
     python3 scripts/check_character_bits.py --compare A.npz B.npz
 
---dump evaluates the checkout this script sits in and saves:
+--dump evaluates the checkout this script sits in, or the eisenkit sources
+in DIR (a src/ directory) with --src, with this checkout's workload
+definitions, and saves:
   * for every character with q <= 129 or q in {256, 360, 499, 500}: its value
     table, its conductor, its parity, and the (modulus, index) of its
     primitive part and its conjugate, and at each p | q of its local
@@ -28,6 +30,9 @@
     read at 4096, each on cleared lambda and block-layout memos; so the
     tables are built by doubling blocks and by one block (0, 4096], and a
     result that depends on the block layout shows as a mismatch;
+  * lambda(n) for every n in (4096, 10^4], past the table ceiling, where
+    each n is summed alone, at the benchmark's Hecke set 5:1 x 5:3 and its
+    fixed height;
   * b_xi and factorization_check at every prime p <= 1500 prime to q and the
     level, for each of the benchmark's four progression moduli q, every
     character xi mod q and two fixed (r1, r2) pairs, with one config per
@@ -40,7 +45,8 @@
 array, with the largest deviation among them (check_series_bits.compare),
 and exits 1 if any differ or an array is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the
-character layer) and --compare the two files; a dump takes a few seconds.
+character layer), or one copy of this script with --src on each checkout's
+src/, and --compare the two files; a dump takes a few seconds.
 """
 
 from __future__ import annotations
@@ -55,7 +61,12 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+# --src DIR: the eisenkit sources to evaluate, read before eisenkit is imported
+SRC_ARG = argparse.ArgumentParser(add_help=False)
+SRC_ARG.add_argument("--src", type=Path, default=REPO / "src", metavar="DIR",
+                     help="the eisenkit sources to dump (default: this checkout's src/)")
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC_ARG.parse_known_args()[0].src.resolve()))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from eisenkit.amplifier import (  # noqa: E402
@@ -97,6 +108,8 @@ AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]
 HECKE_HEIGHTS = (2.5, 4.75, 7.0, 9.25, 11.5)
 LAMBDA_TOP = 4096       # the lambda table ceiling, eisenstein._LAMBDA_MAX
+PAST_TOP = 10 ** 4      # the hecke-relations acceptance test's largest n
+PAST_SET = 3            # the Hecke set 5:1 x 5:3
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
 SIEVE_WINDOW = (10**6, 2 * 10**6)
 
@@ -124,6 +137,14 @@ def _hecke_to_ceiling(at_once: bool) -> np.ndarray:
             generalized_divisor_sum(chi1, chi2, 1j * h, LAMBDA_TOP)
         rows.append([generalized_divisor_sum(chi1, chi2, 1j * h, n) for n in range(1, LAMBDA_TOP + 1)])
     return np.array(rows, dtype=np.complex128)
+
+
+def _hecke_past_ceiling() -> np.ndarray:
+    """lambda(n) for n in (4096, 10^4] at one Hecke parameter set."""
+    ((q1, i1), (q2, i2)), h = ArithSweep.HECKE_SETS[PAST_SET], HECKE_HEIGHTS[PAST_SET]
+    chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+    return np.array([generalized_divisor_sum(chi1, chi2, 1j * h, n)
+                     for n in range(LAMBDA_TOP + 1, PAST_TOP + 1)], dtype=np.complex128)
 
 
 def _factorization(reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,6 +219,7 @@ def dump(path: str) -> None:
 
     hecke = _hecke()
     ascending, at_once = _hecke_to_ceiling(False), _hecke_to_ceiling(True)
+    past = _hecke_past_ceiling()
     fact_labels, fact_b, fact_defects = _factorization()
     again_labels, again_b, again_defects = _factorization(reverse=True)
     primes = sieve_interval(*SIEVE_WINDOW)
@@ -224,6 +246,7 @@ def dump(path: str) -> None:
         hecke=hecke.ravel(),
         hecke_to_ceiling=ascending.ravel(),
         hecke_to_ceiling_at_once=at_once.ravel(),
+        hecke_past_ceiling=past,
         factorization_labels=fact_labels,
         b_xi=fact_b,
         factorization_defects=fact_defects,
@@ -236,13 +259,13 @@ def dump(path: str) -> None:
           f"{sum(len(g) for g in gauss)} |G|^2 values, {len(gauss_sums)} Gauss sums, "
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp) + len(amp_again)} amplifier sums, "
-          f"{hecke.size + ascending.size + at_once.size} divisor sums, "
+          f"{hecke.size + ascending.size + at_once.size + past.size} divisor sums, "
           f"{len(fact_b) + len(again_b)} factorization checks, "
           f"{len(primes)} sieved primes")
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], parents=[SRC_ARG])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dump", metavar="FILE.npz")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"))

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Dump the series layer's outputs, or compare two dumps bit for bit.
 
-    python3 scripts/check_series_bits.py --dump FILE.npz
+    python3 scripts/check_series_bits.py --dump FILE.npz [--src DIR]
     python3 scripts/check_series_bits.py --compare A.npz B.npz
 
---dump evaluates the checkout this script sits in and saves:
+--dump evaluates the checkout this script sits in, or the eisenkit sources
+in DIR (a src/ directory) with --src, with this checkout's workload
+definitions, and saves:
   * the benchmark's scan ladder: level-1 scans (1:0 x 1:0, x_steps = 64,
     eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, and the t0 = 20 scan
     again with threads = 2: every grid entry (x, y, |F|), the truncation
@@ -27,7 +29,8 @@
 array, with the largest absolute and relative deviation among them, and
 exits 1 if any differ or an array is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the Bessel
-or series code) and --compare the two files; a dump takes a few seconds.
+or series code), or one copy of this script with --src on each checkout's
+src/, and --compare the two files; a dump takes a few seconds.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+# --src DIR: the eisenkit sources to evaluate, read before eisenkit is imported
+SRC_ARG = argparse.ArgumentParser(add_help=False)
+SRC_ARG.add_argument("--src", type=Path, default=REPO / "src", metavar="DIR",
+                     help="the eisenkit sources to dump (default: this checkout's src/)")
+if __name__ == "__main__":
+    sys.path.insert(0, str(SRC_ARG.parse_known_args()[0].src.resolve()))
 sys.path.insert(0, str(REPO / "perfbench"))
 
 from eisenkit.characters import build_character  # noqa: E402
@@ -165,7 +173,7 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0], parents=[SRC_ARG])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dump", metavar="FILE.npz")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"))

@@ -16,9 +16,13 @@ For each workload in BENCHMARK.json, N pairs run the unchanged
 perfbench/run.py of both sides for the benchmark's run_seconds at --trace 0
 on one seed per pair, first-seed, first-seed + 1, ..., and the side that
 runs first alternates from pair to pair (Kalibera and Jones, "Rigorous
-Benchmarking in Reasonable Time", ISMM 2013).  Then each bit
-script in scripts/ (check_series_bits.py, check_character_bits.py) dumps
-both sides, and the change's copy compares the dumps.
+Benchmarking in Reasonable Time", ISMM 2013).  Then the change's copy of
+each bit script in scripts/ (check_series_bits.py, check_character_bits.py)
+dumps both sides, with --src on each side's src/, so that an array the
+change adds is dumped from the parent's code too, and compares the dumps.
+Where the change's copy cannot dump the parent's code, because it reads an
+entry point the parent lacks, the parent's own copy dumps it, and an array
+that only the change's dump holds is reported as new.
 
 The record goes to BENCH_<label>.json at the root of this checkout: the
 host, the revisions, the seeds, every pair's metrics, and per metric the
@@ -26,10 +30,11 @@ median and quartiles of each side, the change's wins (pairs in which it was
 the better by the metric's direction in BENCHMARK.json), the median gap,
 the parent's interquartile range and the relative change against its bound;
 failed operations and the exit status of any run that did not finish; each
-bit script's mismatch counts per array, an array that one side lacks counted
-as one; and the line counts of src/.  The file is rewritten after every
-workload, so an interrupted run keeps what it measured.  The exported
-directories are removed whatever happens.
+bit script's mismatch counts per array, an array that the change's dump
+lacks counted as one, and its new arrays, which count as none (the script's
+own exit status still counts them); and the line counts of src/.  The file
+is rewritten after every workload, so an interrupted run keeps what it
+measured.  The exported directories are removed whatever happens.
 """
 
 from __future__ import annotations
@@ -136,27 +141,37 @@ def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
 
 
 def _bits(dirs: dict[str, Path], work: Path) -> dict:
-    """Each bit script's dump on both sides, compared by the change's copy."""
+    """Each bit script's dumps of both sides by the change's copy, --src on
+    each side's src/, or by the parent's own copy where the change's fails
+    on the parent; compared by the change's copy."""
     out = {}
     for script in BIT_SCRIPTS:
-        paths = {side: dirs[side] / "scripts" / script for side in SIDES}
-        if not all(p.is_file() for p in paths.values()):
-            out[script] = {"skipped": "not in both checkouts"}
+        mine, theirs = (dirs[side] / "scripts" / script for side in ("change", "parent"))
+        if not mine.is_file():
+            out[script] = {"skipped": "not in the change"}
             continue
-        dumps = [work / f"{side}-{Path(script).stem}.npz" for side in SIDES]
-        for side, dump in zip(SIDES, dumps):
-            subprocess.run([sys.executable, str(paths[side]), "--dump", str(dump)], cwd=dirs[side],
-                           env=_env(), check=True, capture_output=True)
-        proc = subprocess.run([sys.executable, str(paths["change"]), "--compare", *map(str, dumps)],
+        dumps = {side: work / f"{side}-{Path(script).stem}.npz" for side in SIDES}
+        dumped_by = dict.fromkeys(SIDES, "change")
+        for side in SIDES:
+            cmd = [sys.executable, str(mine), "--dump", str(dumps[side]), "--src", str(dirs[side] / "src")]
+            proc = subprocess.run(cmd, cwd=dirs[side], env=_env(), capture_output=True, text=True)
+            if proc.returncode and side == "parent" and theirs.is_file():
+                dumped_by[side] = "parent"
+                proc = subprocess.run([sys.executable, str(theirs), "--dump", str(dumps[side])],
+                                      cwd=dirs[side], env=_env(), capture_output=True, text=True)
+            proc.check_returncode()
+        proc = subprocess.run([sys.executable, str(mine), "--compare", *map(str, dumps.values())],
                               cwd=dirs["change"], env=_env(), capture_output=True, text=True)
-        out[script] = {**_parse_compare(proc.stdout), "exit": proc.returncode}
+        out[script] = {**_parse_compare(proc.stdout, str(dumps["parent"])), "exit": proc.returncode,
+                       "dumped_by": dumped_by}
     return out
 
 
-def _parse_compare(stdout: str) -> dict:
+def _parse_compare(stdout: str, parent_dump: str) -> dict:
     """The per-array lines of a bit script's --compare output, and their total:
-    an array missing from one dump, or of another shape or dtype, counts as
-    one mismatch, as the script itself counts it."""
+    an array missing from the change's dump, or of another shape or dtype,
+    counts as one mismatch, as the script itself counts it; one missing from
+    the parent's dump, parent_dump, is new and counts as none."""
     arrays = {}
     for line in stdout.splitlines():
         match, problem = _BIT_LINE.match(line), _BIT_PROBLEM.match(line)
@@ -167,8 +182,10 @@ def _parse_compare(stdout: str) -> dict:
                 arrays[name].update(max_abs_deviation=float(dev_abs), max_rel_deviation=float(dev_rel))
         elif problem:
             name, what = problem.groups()
-            arrays[name] = {"mismatches": 1, "problem": what}
-    return {"total_mismatches": sum(a["mismatches"] for a in arrays.values()), "arrays": arrays}
+            new = what == f"missing from {parent_dump}"
+            arrays[name] = {"mismatches": 0, "new": True} if new else {"mismatches": 1, "problem": what}
+    return {"total_mismatches": sum(a["mismatches"] for a in arrays.values()),
+            "new_arrays": sorted(name for name, a in arrays.items() if a.get("new")), "arrays": arrays}
 
 
 def _src_lines(root: Path) -> int:

@@ -218,7 +218,7 @@ def _b_xi_at(p: int, xi: DirichletCharacter,
     """
     try:
         ctx = cfg._contexts[xi]
-    except (KeyError, TypeError):     # not built yet, or xi is not even hashable
+    except (KeyError, TypeError):     # not built yet, or xi is unhashable, so no character
         ctx = _context(xi, cfg)
     try:
         n = operator.index(p)

@@ -15,10 +15,9 @@ first use: one integer product of its weights with the stacked dlog arrays
 gives every m, and each m indexes the D roots e(m / D), each taken as
 cmath.exp of the correctly rounded m / D, so Gauss sums and epsilon factors
 are reproducible to machine precision.  value_table returns that read-only
-array, the single source of the values, memoized on the character's value so
-that equal character objects share it.  evaluate(n) reads the entry at
-n mod q from a per-object list copy of it, built on the first scalar read,
-so scalar callers (the divisor sums among them) pay no numpy scalar access.
+array, the single source of the values.  evaluate(n) reads the entry at
+n mod q from a list copy of it, built on the first scalar read, so scalar
+callers (the divisor sums among them) pay no numpy scalar access.
 int_phase(n) computes the integer m alone, for the callers that need it:
 gauss_sum, parity and the L-values.  phase(n), the exact m / D as a
 Fraction, is the only Fraction view, and nothing in the package calls it.
@@ -31,13 +30,11 @@ and adds exponents, and primitive_part restricts each prime power to its
 conductor exponent; conjugate negates the vector, and local_component and
 prime_to_p_part are slices of it.
 
-Characters compare as dataclasses and hash once per object, as every cache
-keyed on them reads the hash.  Those caches are the memoized functions of
-characters: conjugate, multiply, primitive_part, local_component,
-prime_to_p_part, gauss_sum, local_epsilon and value_table each keep their
-last _MEMO results, keyed on the values of their arguments, so equal inputs
-return one object and each derived character, table, Gauss sum and epsilon
-factor is computed once per value, not once per object that asks.
+A value is one object, interned by (modulus, exps) in a weak table, so
+equality and hashing are identity, in C, for every cache keyed on
+characters: the memoized functions conjugate, multiply, primitive_part,
+local_component, prime_to_p_part, gauss_sum, local_epsilon and value_table,
+which keep their last _MEMO results, each computed once per value.
 
 gauss_sum_moduli_squared builds no character object: every Gauss sum mod q
 is one entry of a single inverse DFT of e(u/q) over the exponent grid of
@@ -65,6 +62,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -182,6 +181,9 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
 _MODULUS_MAX = 1 << 14
 # entries per memoized function of characters (conjugate, multiply, ..., local_epsilon)
 _MEMO = 256
+# every live character by (modulus, exps), held weakly: one object per value
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 def _checked_int(name: str, v) -> int:
@@ -227,20 +229,28 @@ def _p_part(q: int, p: int) -> tuple[int, slice]:
     return 0, slice(0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class DirichletCharacter:
-    """A Dirichlet character mod q, given by its exponent vector on the fixed
-    generators of (Z/q)^x: chi(g_k) = e(exps[k] / o_k), o_k the order of g_k."""
+    """A Dirichlet character mod q, one object per value: its exponent vector on
+    the fixed generators of (Z/q)^x, chi(g_k) = e(exps[k] / o_k), o_k the order of g_k."""
 
     modulus: int
     exps: tuple[int, ...]
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.modulus, self.exps))
+    def __new__(cls, modulus: int, exps: tuple[int, ...]) -> DirichletCharacter:
+        try:
+            return _INTERNED[modulus, exps]
+        except (KeyError, TypeError):       # a new value, or an unhashable one
+            if type(modulus) is not int or type(exps) is not tuple or any(type(k) is not int for k in exps):
+                raise TypeError(f"need an int modulus and a tuple of int exps, got ({modulus!r}, {exps!r})") from None
+        chi = super().__new__(cls)
+        object.__setattr__(chi, "modulus", modulus)
+        object.__setattr__(chi, "exps", exps)
+        with _INTERN_LOCK:      # two threads building one value get one object
+            return _INTERNED.setdefault((modulus, exps), chi)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):       # so that pickle and copy return the live object
+        return DirichletCharacter, (self.modulus, self.exps)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -501,9 +511,8 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
 def value_table(chi: DirichletCharacter) -> np.ndarray:
     """chi(0), chi(1), ..., chi(q-1) as a read-only complex array.
 
-    Built once per character value, so equal characters share one array;
-    chi.evaluate reads a list copy of it.  Only up to the modulus ceiling: a
-    table costs about 60 bytes per residue.
+    Built once per character value; chi.evaluate reads a list copy of it.
+    Only up to the modulus ceiling: a table costs about 60 bytes per residue.
     """
     D, parts = chi._weights
     weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)

@@ -36,28 +36,28 @@ scattering_constant both read; P(s); c(s); and the dual series, whose dual
 is the instance itself, so the dual's c(-s) reads the same b_p(s).  A
 computation that raises leaves nothing behind, so the next call raises
 again.  Equal params objects do not share this state; a caller that reuses
-one object per series pays for it once.  What it is built from is shared by
-character value, not by object: the derived characters, their value tables,
-Gauss sums and local epsilon factors come from the memoized functions of
-characters, so a second object for an equal series recomputes only the
+one object per series pays for it once.  What it is built from is shared
+per character, one object per value: the derived characters, their value
+tables, Gauss sums and local epsilon factors come from the memoized functions
+of characters, so a second object for an equal series recomputes only the
 per-series state above.
 
-lambda has one table per series value (chi1, chi2, s), the signs of s's
-zero parts included, kept for the last _LAMBDA_SERIES values:
-generalized_divisor_sum and _coefficients both read it, so equal series
-share it.  Its first block is [1, M], M the least power of two, at least
-16, that covers the n asked for; later blocks (M, 2M] double it, up to
-n = 2^12, and one vectorized kernel fills each block.  Each lambda(n) is its own sum
-over _divisors(n), in that order, with the bits of the scalar loop, so no
-value depends on the block or table that holds it; past 2^12 the kernel
-sums n alone and nothing is kept.  The block layouts, shared by every
-series, come from one sieve table of least primes, exponents and cofactors,
-grown with the lambda tables to the largest block's top and never past
-2^12, by array passes in _divisors order, with log a read from its
-math.log(a) entries.  The sieve table also answers the amplifier's prime
-test for every p it covers.  _divisors, trial division with a cache
-of tuples, is left for one-n layouts (past 2^12, or a block that
-overflows) and for the primes past the table.
+lambda has one table per series value (chi1, chi2, s), kept for the last
+_LAMBDA_SERIES values and read by generalized_divisor_sum and _coefficients:
+equal series share it, and so do s and s with its zero parts' signs flipped,
+which give the same lambda.  Its first block is [1, M], M the least power of
+two, at least 16, that covers the n asked for; later blocks (M, 2M] double
+it, up to n = 2^12, and one vectorized kernel fills each block.  Each
+lambda(n) is its own sum over _divisors(n), in that order, with the bits of
+the scalar loop, so no value depends on the block or table that holds it;
+past 2^12 the scalar loop sums n alone and nothing is kept.  The block
+layouts, shared by every series, come from one sieve table of least primes,
+exponents and cofactors, grown with the lambda tables to the largest block's
+top and never past 2^12, by array passes in _divisors order, with log a read
+from its math.log(a) entries.  The sieve table also answers the amplifier's
+prime test for every p it covers.  _divisors, trial division with a cache of
+tuples, is left for the scalar loop (past 2^12, or a block that overflows)
+and for the primes past the table.
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
@@ -67,7 +67,6 @@ same _check_height that supnorm.scan calls.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import numbers
 import operator
@@ -197,8 +196,7 @@ class EisensteinParams:
     @cached_property
     def _lambda(self) -> list[np.ndarray]:
         """The _lambda_slot of this series value, shared with equal series."""
-        return _lambda_slot(self.chi1, self.chi2, self.s,
-                            math.copysign(1.0, self.sigma), math.copysign(1.0, self.t_shift))
+        return _lambda_slot(self.chi1, self.chi2, self.s)
 
 
 @dataclass(frozen=True)
@@ -286,30 +284,15 @@ def _sieve_to(top: int) -> tuple:
     return table
 
 
-def _layout(ns) -> tuple:
-    """The divisor terms of lambda(n) for each n of ns, from _divisors: n
-    after n, each n's in _divisors order.
-
-    Returns (divs, logs, mirror, counts): the divisor a at each position;
-    math.log(a); the position of the same n's divisor n / a, index
-    k - 1 - i of its tuple for a at index i; and each n's divisor count k.
-    """
-    tuples = [_divisors(n) for n in ns]
-    counts = np.array([len(d) for d in tuples])
-    ends = np.cumsum(counts)
-    divs = np.fromiter(itertools.chain.from_iterable(tuples), count=ends[-1],
-                       dtype=np.intp if max(ns) < 1 << 63 else object)
-    logs = np.fromiter(map(math.log, itertools.chain.from_iterable(tuples)), count=ends[-1],
-                       dtype=float)
-    mirror = np.repeat(2 * ends - counts - 1, counts) - np.arange(ends[-1])
-    return divs, logs, mirror, counts
-
-
 @lru_cache(maxsize=2 * (_LAMBDA_MAX // _LAMBDA_FIRST).bit_length())
 def _block_layout(lo: int, top: int):
-    """_layout(range(lo + 1, top + 1)) of one table block, n in (lo, top]:
-    a first block (0, 2^k] or a doubling (2^k, 2^(k+1)], so at most two per
+    """The divisor terms of lambda(n) for n in (lo, top], one table block: a
+    first block (0, 2^k] or a doubling (2^k, 2^(k+1)], so at most two per
     power of two.  Built from the sieve table, logs included.
+
+    Returns (divs, logs, mirror, counts), n after n in _divisors order: each
+    divisor a, math.log(a), the position of the same n's divisor n / a
+    (k - 1 - i for a at index i), and each n's divisor count k.
 
     n = p1^e1 ... pr^er, p1 < ... < pr, lists its divisors p1^k1 ... pr^kr
     in _divisors order when the digits (k1, ..., kr), of radices ej + 1,
@@ -339,7 +322,7 @@ def _block_layout(lo: int, top: int):
 def _values_at(chi: DirichletCharacter, divs: np.ndarray) -> np.ndarray:
     """chi at each of divs, with the bits of chi._values."""
     q = chi.modulus
-    if q > _MODULUS_MAX or divs.dtype == object:    # no value table, or Python ints
+    if q > _MODULUS_MAX:        # no value table
         v = chi._values
         return np.array([v[a % q] for a in divs.tolist()], dtype=complex)
     return value_table(chi)[divs % q]
@@ -347,13 +330,8 @@ def _values_at(chi: DirichletCharacter, divs: np.ndarray) -> np.ndarray:
 
 def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
                    layout) -> np.ndarray:
-    """lambda(n) for each n of a _layout: each its own sum, in _divisors order,
-    with the bits of the scalar loop
-
-        total = 0j
-        for a in _divisors(n):
-            if chi1(a) != 0 and chi2(n / a) != 0:
-                total += chi1(a) * chi2(n / a) * cmath.exp(s * log(a) - s * log(n / a))
+    """lambda(n) for each n of a _block_layout: each its own sum, in
+    _divisors order, with the bits of the scalar loop _lambda_loop.
 
     Every complex product is written out in float64, one rounding per
     operation as Python's complex arithmetic does, since numpy's complex
@@ -397,13 +375,24 @@ def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: comple
     return out
 
 
+def _lambda_loop(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) -> complex:
+    """lambda(n) by the scalar loop over _divisors(n), terms with a zero
+    character value skipped: the one-n path, past the table or where a
+    block overflows, and the bits every table entry has."""
+    v1, q1, v2, q2 = chi1._values, chi1.modulus, chi2._values, chi2.modulus
+    total = 0j
+    for a in _divisors(n):
+        c1, c2 = v1[a % q1], v2[n // a % q2]
+        if c1 and c2:       # a complex value is false exactly when it is 0
+            total += c1 * c2 * cmath.exp(s * math.log(a) - s * math.log(n // a))
+    return total
+
+
 @lru_cache(maxsize=_LAMBDA_SERIES)
-def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
-                 sign_re: float, sign_im: float) -> list[np.ndarray]:
+def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex) -> list[np.ndarray]:
     """The one-entry list holding the series' table lambda(1..M), M a power
-    of two from _LAMBDA_FIRST to _LAMBDA_MAX.  Keyed on the series value
-    with the signs of s's parts, so that sigma + 0.0j and sigma - 0.0j, which
-    the dual of a t = 0 series passes, never share a table."""
+    of two from _LAMBDA_FIRST to _LAMBDA_MAX.  s and s with its zero parts'
+    signs flipped are one key: no lambda depends on those signs."""
     return [np.zeros(0, dtype=complex)]
 
 
@@ -432,14 +421,15 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
                             s: complex, n: int) -> complex:
     """sum over ab = n of chi1(a) a^s chi2(b) b^{-s}, with primitive values.
 
-    lambda(n) is its own ordered sum over _divisors(n), the scalar loop of
-    _lambda_kernel, whatever table or block computes it.  For n <= 2^12 it
+    lambda(n) is its own ordered sum over _divisors(n), the scalar loop
+    _lambda_loop, whatever table or block computes it.  For n <= 2^12 it
     is read from the one table kept per series value (chi1, chi2, s), which
-    equal series share and which grows by whole blocks of n; past 2^12 the
-    same kernel sums n alone, and nothing is kept.  A finite s of any
-    numeric type gives the bits of complex(s); a non-finite s raises
-    ValueError before any table is built, and an exponential that
-    overflows raises OverflowError, as the loop's cmath.exp does.
+    equal series share and which grows by whole blocks of n; past 2^12, and
+    for an n whose block overflows, _lambda_loop sums n alone and nothing
+    is kept.  A finite s of any numeric type gives the bits of complex(s);
+    a non-finite s raises ValueError before any table is built, and an
+    exponential that overflows raises OverflowError, as the loop's
+    cmath.exp does.
     """
     try:
         n = operator.index(n)
@@ -454,7 +444,7 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
     if type(s) is not complex:
         s = complex(s)
     if n <= _LAMBDA_MAX:
-        slot = _lambda_slot(chi1, chi2, s, math.copysign(1.0, s.real), math.copysign(1.0, s.imag))
+        slot = _lambda_slot(chi1, chi2, s)
         try:
             return slot[0].item(n - 1)      # a table that covers n
         except IndexError:
@@ -463,7 +453,7 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
             return _lambda_table(slot, chi1, chi2, s, n).item(n - 1)
         except OverflowError:     # a term of the block overflows: sum n alone
             pass
-    return _lambda_kernel(chi1, chi2, s, _layout((n,))).item(0)
+    return _lambda_loop(chi1, chi2, s, n)
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,24 @@ def divisors_by_product(n: int) -> tuple[int, ...]:
     return tuple(math.prod(ds) for ds in itertools.product(*powers))
 
 
+def divisor_layout(ns) -> tuple:
+    """The divisor terms of lambda(n) for each n of ns, as a lambda table
+    block lays them out: n after n, each n's in divisors_by_product order.
+
+    Returns (divs, logs, mirror, counts): the divisor a at each position;
+    math.log(a); the position of the same n's divisor n / a, index
+    k - 1 - i of its list for a at index i; and each n's divisor count k.
+    """
+    lists = [divisors_by_product(n) for n in ns]
+    counts = np.array([len(d) for d in lists])
+    ends = np.cumsum(counts)
+    divs = np.fromiter(itertools.chain.from_iterable(lists), count=ends[-1], dtype=np.intp)
+    logs = np.fromiter(map(math.log, itertools.chain.from_iterable(lists)), count=ends[-1],
+                       dtype=float)
+    mirror = np.repeat(2 * ends - counts - 1, counts) - np.arange(ends[-1])
+    return divs, logs, mirror, counts
+
+
 def _divisors_of(n: int) -> list[int]:
     out = []
     for d in range(1, int(math.isqrt(n)) + 1):

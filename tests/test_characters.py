@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import cmath
+import copy
+import gc
 import math
+import pickle
+import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import eisenkit.characters as characters_module
 from oracles import brute_conductor, brute_gauss_sum, character_count, oracle_phases
 from eisenkit.characters import (
+    DirichletCharacter,
     build_character,
     character_group,
     character_index,
@@ -254,15 +262,16 @@ def test_gauss_batch_builds_no_character(monkeypatch):
 
 
 def test_equality_and_hash_follow_the_character():
-    """Every route to one character gives an equal object with an equal hash."""
+    """Every route to one character gives the one object for its value, so
+    equality and hashing, which go by identity, follow the value."""
     for q, index in ((1, 0), (5, 3), (8, 3), (45, 7), (120, 5)):
         chi = build_character(q, index)
         routes = [build_character(q, index), multiply(chi, build_character(q, 0)),
                   conjugate(conjugate(chi))]
         if brute_conductor(chi) == q:
             routes.append(primitive_part(chi))
-        assert routes[0] is not chi
         for other in routes:
+            assert other is chi
             assert other == chi and chi == other and not other != chi
             assert hash(other) == hash(chi)
         assert len({chi, *routes}) == 1
@@ -273,6 +282,106 @@ def test_equality_and_hash_follow_the_character():
     assert build_character(1, 0) != build_character(2, 0)
     assert (chi == 3) is False and (chi != 3) is True
     assert chi != "chi(45:7)" and chi != None  # noqa: E711
+
+
+# the derived characters without their memos, so that only interning can
+# make a route return the object another route built
+_UNMEMOIZED = {f.__name__: f.__wrapped__ for f in (multiply, conjugate, primitive_part,
+                                                    local_component, characters_module.prime_to_p_part)}
+
+
+def _construction_routes(chi):
+    """chi's value by every construction path: build_character, the group,
+    the derived characters without their memos, direct construction, pickle
+    at every protocol, copy and deepcopy."""
+    q, index = chi.modulus, character_index(chi)
+    f = _UNMEMOIZED
+    routes = [build_character(q, index), list(character_group(q))[index],
+              f["multiply"](chi, build_character(q, 0)), f["multiply"](build_character(1, 0), chi),
+              f["conjugate"](f["conjugate"](chi)), DirichletCharacter(q, tuple(chi.exps)),
+              DirichletCharacter(modulus=q, exps=chi.exps), copy.copy(chi), copy.deepcopy(chi),
+              copy.deepcopy([chi, {chi: chi}])[1][chi]]
+    routes += [pickle.loads(pickle.dumps(chi, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    if conductor(chi) == q:
+        routes.append(f["primitive_part"](chi))
+    for p in (2, 3, 5, 7):
+        if q % p:
+            routes.append(f["prime_to_p_part"](chi, p))
+        elif q == p ** round(math.log(q, p)):
+            routes.append(f["local_component"](chi, p))
+    return routes
+
+
+def test_one_object_per_character_value():
+    """Every construction path returns the one live object for a value, and
+    distinct values are distinct objects."""
+    seen = {}
+    for q in (1, 2, 4, 5, 8, 9, 12, 45, 49, 120):
+        for chi in character_group(q):
+            assert all(route is chi for route in _construction_routes(chi)), chi
+            seen[id(chi)] = (chi.modulus, chi.exps)
+    assert len(set(seen.values())) == len(seen)
+    assert build_character(3, 1) is not build_character(5, 1)
+    assert DirichletCharacter(1, ()) is not DirichletCharacter(2, ())
+
+
+def test_interning_keeps_cached_state_repr_and_index():
+    """Building a value again hands back the object with its cached weights
+    and value list in place, its repr and its enumeration index unchanged."""
+    for q, index in ((45, 7), (120, 5), (49, 12)):
+        chi = build_character(q, index)
+        chi.evaluate(2)
+        weights, values = chi._weights, chi._values
+        for route in _construction_routes(chi):
+            assert route.__dict__["_weights"] is weights and route.__dict__["_values"] is values
+            assert repr(route) == f"chi({q}:{index})" and character_index(route) == index
+
+
+def test_interning_under_threads():
+    """Threads that build the same new values at once all get one object
+    per value."""
+    values = [(4099, (k,)) for k in range(300)]     # built by no other test
+    barrier = threading.Barrier(8)
+    built = []
+
+    def build():
+        barrier.wait(timeout=30)
+        built.append([DirichletCharacter(*v) for v in values])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == 8
+    for objects in zip(*built):
+        assert all(chi is objects[0] for chi in objects)
+
+
+def test_interned_values_die_with_their_last_reference():
+    """The intern table holds its characters weakly."""
+    chi = DirichletCharacter(4099, (4000,))
+    ref = weakref.ref(chi)
+    del chi
+    gc.collect()
+    assert ref() is None and (4099, (4000,)) not in characters_module._INTERNED
+
+
+def test_a_character_needs_an_int_modulus_and_a_tuple_of_ints():
+    """A list of exponents is refused by name, not by the weak table's
+    traceback, and so is a new value that is not ints in a tuple."""
+    for exps in ([1, 2], ([1], 2)):
+        with pytest.raises(TypeError, match=re.escape(f"need an int modulus and a tuple of int exps, "
+                                                      f"got (45, {exps!r})")):
+            DirichletCharacter(45, exps)
+    for args in ((4099.0, (7,)), (4099, (7.0,)), (4099, np.array([7]))):
+        with pytest.raises(TypeError, match="^need an int modulus"):
+            DirichletCharacter(*args)
 
 
 def test_primitive_gauss_sum_has_modulus_sqrt_q():

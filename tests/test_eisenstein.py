@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenkit
-from oracles import brute_divisor_sum, divisor_sum_loop, divisors_by_product, local_constant
+from oracles import (
+    brute_divisor_sum,
+    divisor_layout,
+    divisor_sum_loop,
+    divisors_by_product,
+    local_constant,
+)
 from eisenkit.characters import build_character, conjugate, multiply
 from eisenkit.eisenstein import (
     EisensteinParams,
@@ -24,8 +30,8 @@ from eisenkit.eisenstein import (
     _constant_terms,
     _divisors,
     _lambda_kernel,
+    _lambda_loop,
     _lambda_slot,
-    _layout,
     evaluate,
     evaluate_truncated,
     functional_equation_residual,
@@ -152,8 +158,9 @@ def test_divisor_sum_is_the_scalar_loop_bit_for_bit():
 
 def test_lambda_bits_do_not_depend_on_the_table():
     """A table grown n by n, one grown by a single call at n = 4000, the
-    one-n path, and _coefficients, which reads the same table, all give the
-    same bits for every n <= 4096."""
+    kernel on a one-n layout, the scalar loop of the one-n path, and
+    _coefficients, which reads the same table, all give the same bits for
+    every n <= 4096."""
     rng = random.Random(2802)
     for chi1, chi2, sigma, t in ((CHI3, CHI4, 0.0, 5.7), (CHI5, CHI5P, 0.5, -0.0),
                                  (CHI1, CHI4, -1.5, 3.3)):
@@ -165,10 +172,38 @@ def test_lambda_bits_do_not_depend_on_the_table():
         at_once = [generalized_divisor_sum(chi1, chi2, s, n) for n in range(1, 4097)]
         _same_bits(at_once, one_by_one)
         sample = sorted({1, 16, 17, 64, 65, 2048, 2049, 4096} | {rng.randrange(1, 4097) for _ in range(200)})
-        _same_bits([_lambda_kernel(chi1, chi2, s, _layout((n,))).item(0) for n in sample],
+        _same_bits([_lambda_kernel(chi1, chi2, s, divisor_layout((n,))).item(0) for n in sample],
                    [one_by_one[n - 1] for n in sample])
+        _same_bits([_lambda_loop(chi1, chi2, s, n) for n in sample], [one_by_one[n - 1] for n in sample])
         table = _coefficients(EisensteinParams(chi1, chi2, t, sigma), 4096)
         assert table.tobytes() == np.array(one_by_one).tobytes()
+
+
+def test_lambda_key_ignores_the_signs_of_zero_parts():
+    """s = sigma + 0.0j and sigma - 0.0j (and -0.0 + 0.0j and so on on the
+    axis), and a t = 0 series with chi1 = chi2 on the axis and its dual,
+    at s = -0.0 - 0.0j, share one _lambda_slot; every lambda read from a
+    table that another of these s built has the scalar loop's bits at the
+    s that reads it."""
+    rng = random.Random(3101)
+    sample = sorted(set(range(1, 65)) | {4096} | {rng.randrange(65, 4097) for _ in range(100)})
+    for chi1, chi2 in _HECKE_PAIRS + [_ROUNDING_PAIR]:
+        for sigma in (0.0, 0.5, -1.5):
+            heights = [complex(sigma * a, b) for a in ((1.0, -1.0) if sigma == 0.0 else (1.0,))
+                       for b in (0.0, -0.0)]
+            _lambda_slot.cache_clear()
+            generalized_divisor_sum(chi1, chi2, heights[-1], 4096)
+            assert all(_lambda_slot(chi1, chi2, s) is _lambda_slot(chi1, chi2, heights[0]) for s in heights)
+            for s in heights:
+                _same_bits([generalized_divisor_sum(chi1, chi2, s, n) for n in sample],
+                           [divisor_sum_loop(chi1, chi2, s, n) for n in sample])
+    for chi in (CHI1, CHI5, CHI7):
+        series = EisensteinParams(chi, chi, 0.0)
+        dual = series.dual()
+        assert repr(dual.s) == "(-0-0j)" and dual._lambda is series._lambda
+        for p in (series, dual):
+            assert _coefficients(p, 512).tobytes() == np.array(
+                [divisor_sum_loop(chi, chi, p.s, n) for n in range(1, 513)]).tobytes()
 
 
 def _cold_tables(monkeypatch):
@@ -182,10 +217,11 @@ def _cold_tables(monkeypatch):
 
 def test_block_layouts_are_the_divisor_layouts(monkeypatch):
     """Every table block up to 2^12, a first block (0, 2^k] or a doubling
-    (2^k, 2^(k+1)], built from the sieve table equals _layout over _divisors
-    byte for byte (divisors, logs, mirror, counts), with logs equal to
-    math.log of each divisor: built from cold tables in ascending order, and
-    from cold tables by one call at 2^12 first."""
+    (2^k, 2^(k+1)], built from the sieve table equals the oracle's
+    divisor_layout over divisors_by_product byte for byte (divisors, logs,
+    mirror, counts), with logs equal to math.log of each divisor: built from
+    cold tables in ascending order, and from cold tables by one call at 2^12
+    first."""
     from eisenkit.eisenstein import _block_layout
 
     ascending = sorted([(0, 1 << k) for k in range(4, 13)] + [(1 << k, 2 << k) for k in range(4, 12)],
@@ -193,7 +229,7 @@ def test_block_layouts_are_the_divisor_layouts(monkeypatch):
     for order in (ascending, sorted(ascending, key=lambda block: block != (0, 1 << 12))):
         _cold_tables(monkeypatch)
         for lo, top in order:
-            got, want = _block_layout(lo, top), _layout(range(lo + 1, top + 1))
+            got, want = _block_layout(lo, top), divisor_layout(range(lo + 1, top + 1))
             assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want], (lo, top)
             divs, logs = got[:2]
             assert logs.tobytes() == np.array([math.log(a) for a in divs.tolist()]).tobytes(), (lo, top)
