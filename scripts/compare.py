@@ -34,7 +34,13 @@ bit script's mismatch counts per array, an array that the change's dump
 lacks counted as one, and its new arrays, which count as none (the script's
 own exit status still counts them); and the line counts of src/.  The file
 is rewritten after every workload, so an interrupted run keeps what it
-measured.  The exported directories are removed whatever happens.
+measured.  Last, each side runs Tier-1 once (pytest -q on its own src/ and
+tests/), and the record keeps its counts and wall time and the nine
+acceptance verdicts it prints, PASS or FAIL with their figures: every number
+of a verdict's detail but its bounds, in parentheses, and its timings, in
+seconds.  The acceptance names whose verdict or figures differ between the
+sides are listed under "moved".  The exported directories are removed
+whatever happens.
 """
 
 from __future__ import annotations
@@ -63,6 +69,12 @@ _BIT_LINE = re.compile(r"^(\S+): (\d+) entries, (\d+) mismatches"
 # an array that one dump lacks, or whose shape or dtype differs: the bit
 # script counts it as one mismatch
 _BIT_PROBLEM = re.compile(r"^(\S+): ((?:missing from|shape/dtype) .*)$")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+# the acceptance block of tests/conftest.py, and pytest's closing summary
+_VERDICT = re.compile(r"^(PASS|FAIL)  ([\w-]+): (.*)$")
+_SUMMARY = re.compile(r"^=*\s*(\d+ \w+.*?) in ([\d.]+)s\b")
+_NOT_FIGURES = re.compile(r"\([^)]*\)|\b[\d.]+ s\b")     # bounds, and timings
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _git(*args: str) -> bytes:
@@ -188,6 +200,40 @@ def _parse_compare(stdout: str, parent_dump: str) -> dict:
             "new_arrays": sorted(name for name, a in arrays.items() if a.get("new")), "arrays": arrays}
 
 
+def _tier1(side: Path) -> dict:
+    """One Tier-1 run of a side on its own src/: its counts, wall time, exit
+    status and acceptance verdicts."""
+    env = {**_env(), "PYTHONPATH": str(side / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=side, env=env, capture_output=True, text=True)
+    return {**_parse_tier1(proc.stdout), "wall_s": time.perf_counter() - start, "exit": proc.returncode}
+
+
+def _parse_tier1(stdout: str) -> dict:
+    """The counts and time of pytest's closing summary line, and each
+    acceptance verdict with its figures."""
+    out = {"counts": {}, "pytest_s": None, "acceptance": {}}
+    for line in stdout.splitlines():
+        verdict, summary = _VERDICT.match(line), _SUMMARY.match(line)
+        if verdict:
+            word, name, detail = verdict.groups()
+            figures = [float(x) for x in _NUMBER.findall(_NOT_FIGURES.sub(" ", detail))]
+            out["acceptance"][name] = {"passed": word == "PASS", "figures": figures, "detail": detail}
+        elif summary:
+            counts, seconds = summary.groups()
+            out["counts"] = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", counts)}
+            out["pytest_s"] = float(seconds)
+    return out
+
+
+def _moved(tier1: dict) -> list[str]:
+    """The acceptance names whose verdict or figures differ between the
+    sides, or that one side lacks."""
+    parent, change = ({name: (v["passed"], v["figures"]) for name, v in tier1[side]["acceptance"].items()}
+                      for side in SIDES)
+    return sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+
+
 def _src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
@@ -256,6 +302,9 @@ def main(argv=None) -> int:
             }
             _write(out_path, record)
         record["bits"] = _bits(dirs, work)
+        _write(out_path, record)
+        record["tier1"] = {side: _tier1(dirs[side]) for side in SIDES}
+        record["tier1"]["moved"] = _moved(record["tier1"])
         _write(out_path, record)
     finally:
         shutil.rmtree(work, ignore_errors=True)

@@ -238,11 +238,13 @@ class DirichletCharacter:
     exps: tuple[int, ...]
 
     def __new__(cls, modulus: int, exps: tuple[int, ...]) -> DirichletCharacter:
+        # checked before the lookup: 5.0 and (True,) hash and compare equal to 5 and (1,)
+        if type(modulus) is not int or type(exps) is not tuple or not {int}.issuperset(map(type, exps)):
+            raise TypeError(f"need an int modulus and a tuple of int exps, got ({modulus!r}, {exps!r})")
         try:
             return _INTERNED[modulus, exps]
-        except (KeyError, TypeError):       # a new value, or an unhashable one
-            if type(modulus) is not int or type(exps) is not tuple or any(type(k) is not int for k in exps):
-                raise TypeError(f"need an int modulus and a tuple of int exps, got ({modulus!r}, {exps!r})") from None
+        except KeyError:        # a new value
+            pass
         chi = super().__new__(cls)
         object.__setattr__(chi, "modulus", modulus)
         object.__setattr__(chi, "exps", exps)

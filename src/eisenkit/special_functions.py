@@ -45,13 +45,15 @@ at its peak on the line, so for the error target exp(-L), L = _LOG_TOL, the
 step h = 2 pi d / (L + b d^2 / 2) is largest at d = sqrt(2 L / b).  d is
 that, or 0.995 of the room to Im w = +-pi/2 if that is less, and the tighter
 of the two sides sets h.  Past the turning point a value takes about 20
-nodes; below it the step shrinks like 1 / |t|.
+nodes; below it the step shrinks like 1 / |t|.  On the axis the integrand
+is conjugate-symmetric about u = 0, so u >= 0 is summed, in real arithmetic.
 
 A row is evaluated whole, one vectorized block of at most about _BLOCK
 nodes at a time on either contour, so one call carries its fixed set-up once
-for the whole row while its temporaries stay bounded.  Every value has its
-own node set, fixed by the order and its argument, and its own sum, so it is
-bitwise reproducible whatever else is in the row or its block.
+for the whole row while its temporaries stay bounded.  An axis row is filled
+from both contours into one float buffer and made complex once.  Every value
+has its own node set and its own sum, so its bits do not depend on the rest
+of the row or its block.
 """
 
 from __future__ import annotations
@@ -105,15 +107,16 @@ _LOG_TOL = 16.0 * math.log(10.0)   # quadrature and truncation error below e^-37
 _CAP = 1.0                         # theta stays _CAP/|t| below pi/2: the peak overshoots by e at most
 _BLOCK = 1 << 12                   # nodes per vectorized block, in whole node sets
 _SIDE = np.array([1.0, -1.0])      # the strip's edge above the line, then below it
+# the line pass's scalar operands as 0-d arrays: numpy converts a Python float
+# operand anew on every ufunc call, which costs as much as a short row's work
+_ZERO, _HALF, _ONE, _FOUR, _FIVE, _ROOM, _LOG, _TWO_LOG, _HALF_PI, _TWO_PI = map(np.array, (
+    0.0, 0.5, 1.0, 4.0, 5.0, 0.995, _LOG_TOL, 2.0 * _LOG_TOL, 0.5 * math.pi, 2.0 * math.pi))
 
 
 def _line_peak(sigma: float, t: float, x, theta):
-    """Peak of log|exp(-x cosh w + nu w)| along Im w = theta, with its
-    position u, a = x cos(theta) and the curvature b there.
-
-    Along the line the log-modulus is -x cos(theta) cosh u + sigma u - t theta,
-    which peaks where sinh u = sigma / (x cos theta).
-    """
+    """Peak of log|exp(-x cosh w + nu w)| along Im w = theta, that is of
+    -a cosh u + sigma u - t theta, a = x cos(theta), at sinh u = sigma / a:
+    the peak, its position u, a and the curvature b there."""
     a = x * np.cos(theta)
     if sigma == 0.0:        # hypot(a, 0) is a and arcsinh(0 / a) is 0, exactly
         return -a - t * theta, 0.0, a, a
@@ -174,11 +177,9 @@ _SADDLE_FLOOR = _SADDLE_LOG / _ray_decay(math.pi)    # about 6.58
 @lru_cache(maxsize=256)
 def _saddle_table(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The saddle contour at height t as four real arrays (b, g, a, l): node
-    k has exponent e_k = a_k + i b_k and weight w_k = exp(l_k + i g_k), and
-    the contour integral is exp(-pi t / 2 + i phase) sum_k w_k exp(s e_k),
-    where phase = t u0 - s is the integrand's argument at the saddle.  So K,
-    its real part, is exp(-pi t / 2) sum_k exp(s a_k + l_k) cos(s b_k + g_k + phase).
-    """
+    k has exponent a_k + i b_k and weight exp(l_k + i g_k), so that K is
+    exp(-pi t / 2) sum_k exp(s a_k + l_k) cos(s b_k + g_k + phase), phase =
+    t u0 - s the integrand's argument at the saddle (see the module docstring)."""
     # vertical ray S + i d: modulus exp(-t (d - sin d)), phase s (1 - cos d), so a = 0
     down = _bisect(lambda d: t * (d - math.sin(d)) - _SADDLE_LOG, _SADDLE_LOG / t + 1.0)
     d = 0.5 * down * (1.0 + _GL_X)
@@ -208,14 +209,15 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     input outside the envelope raises NumericEnvelopeError ("unsupported
     regime") instead of silently degrading.  Element i equals
     bessel_k_row(order, [xs[i]])[0] bit for bit: each value has its own node
-    set, whatever else is in the row.  On the unitary axis
-    x < |t| with |t| >= _SADDLE_FLOOR takes the saddle contour, every other
-    value the line contour (see the module docstring), and the rows at
-    nu and -nu are equal byte for byte there.
+    set, whatever else is in the row.  On the unitary axis x < |t| with
+    |t| >= _SADDLE_FLOOR takes the saddle contour and every other value the
+    line contour, both summed in real arithmetic into one float row that is
+    made complex once (see the module docstring); the rows at nu and -nu are
+    equal byte for byte there.
     """
     nu = complex(order)
     xs = np.asarray(xs, dtype=float).ravel()
-    lo, hi = (xs.min(), xs.max()) if xs.size else (_X_MIN, _X_MIN)
+    lo, hi = (np.minimum.reduce(xs), np.maximum.reduce(xs)) if xs.size else (_X_MIN, _X_MIN)
     if not (cmath.isfinite(nu) and math.isfinite(lo) and math.isfinite(hi)):   # a nan carries into both
         raise ValueError("order and arguments must be finite")
     if lo < _X_MIN or hi > _X_MAX:
@@ -229,13 +231,13 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     sigma, t = abs(nu.real), abs(nu.imag)
     if sigma != 0.0 or t < _SADDLE_FLOOR or lo >= t:
         out = _line_pass(sigma, t, xs)
-    else:
+    else:               # both routes fill one float row
         below = xs < t
-        out = np.empty(xs.shape, dtype=complex)
+        out = np.empty(xs.shape)
         out[below] = _saddle_pass(t, xs[below])
         out[~below] = _line_pass(sigma, t, xs[~below])
-    # K is real on both axes, so conjugate only off them
-    return out.conj() if nu.real * nu.imag < 0.0 else out
+    # K is real on both axes, so conjugate only off them; an axis row turns complex here
+    return out.conj() if nu.real * nu.imag < 0.0 else np.asarray(out, dtype=complex)
 
 
 def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
@@ -245,9 +247,8 @@ def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
     s = np.sqrt((t - xs) * (t + xs))
     phase = t * np.arcsinh(s / xs) - s      # u0 = arcsinh(s / x) keeps its digits as x -> t
     # reduce the phase (up to 4e3 at x = 1e-6) mod 2 pi before it joins each
-    # node's argument, which would otherwise be rounded to the phase's ulp:
-    # fmod by math.tau is exact, and turns * _TAU_LO restores the part of
-    # 2 pi that math.tau drops
+    # node's argument, which would otherwise be rounded to its ulp: fmod by
+    # math.tau is exact, and turns * _TAU_LO adds back what math.tau drops
     turns, phase = np.divmod(phase, math.tau)
     phase -= turns * _TAU_LO
     # both rays share each array: slicing off the vertical ray, where a = 0,
@@ -268,30 +269,28 @@ def _saddle_pass(t: float, xs: np.ndarray) -> np.ndarray:
 
 
 def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
-    """K_{sigma + it}(x) along the line contour for every argument x,
-    sigma, t >= 0, in blocks of about _BLOCK nodes."""
+    """K_{sigma + it}(x) along the line contour for every argument x, sigma,
+    t >= 0, in blocks of about _BLOCK nodes: a float row on the axis."""
     cap = 0.5 * math.pi - min(_CAP / t, 0.5 * math.pi) if t > 0 else 0.5 * math.pi
-    theta = np.minimum(np.arcsinh(complex(sigma, t) / xs).imag, cap)
+    theta = np.arcsin(np.minimum(t / xs, _ONE)) if sigma == 0.0 else np.arcsinh(complex(sigma, t) / xs).imag
+    theta = np.minimum(theta, cap)
     peak, u_peak, a, b = _line_peak(sigma, t, xs, theta)
 
-    # Trapezoid step: for an edge of the strip at distance d the error is about
-    # exp(-2 pi d / h) times the integral of |integrand| along the edge, whose
-    # log is bounded by the edge's peak plus a width term.  The edge's peak
-    # rises about b d^2 / 2 above the line's, which makes the step largest at
-    # d = sqrt(2 L / b), held within 0.995 of the room to Im w = +-pi/2, where
-    # the integrand stops decaying.  The tighter side sets h.
-    room = 0.5 * np.pi - _SIDE * theta[:, None]
-    d = np.minimum(0.995 * room, np.sqrt(2.0 * _LOG_TOL / b)[:, None])
-    edge, _, _, b_edge = _line_peak(sigma, t, xs[:, None], theta[:, None] + _SIDE * d)
-    growth = np.maximum(edge - peak[:, None], 0.0) + np.log(5.0 + 4.0 * np.log1p(1.0 / b_edge))
-    h = (2.0 * np.pi * d / (_LOG_TOL + growth)).min(axis=1)
+    # Trapezoid step: an edge of the strip at distance d costs about exp(-2 pi d / h)
+    # times the integral of |integrand| along it, whose log is the edge's peak plus a
+    # width term; both edges of every value share one (n, 2) array, the tighter sets h.
+    d = np.subtract(_HALF_PI, _SIDE * theta[:, None])
+    np.minimum(np.multiply(d, _ROOM, out=d), np.sqrt(_TWO_LOG / b)[:, None], out=d)
+    edge, _, _, width = _line_peak(sigma, t, xs[:, None], theta[:, None] + _SIDE * d)
+    edge -= peak[:, None]
+    edge = np.maximum(edge, _ZERO, out=edge) + np.log(_FIVE + _FOUR * np.log1p(np.reciprocal(width)))
+    np.divide(np.multiply(d, _TWO_PI, out=d), np.add(edge, _LOG, out=edge), out=d)
+    h = np.minimum(d[:, 0], d[:, 1])
 
-    # Truncation: |integrand| falls e^-37 below its peak within `right` of it
-    # on the right; on the left the sigma u term slows the fall, so take the
-    # tighter of a cosh bound and a linear one.  At sigma = 0 the integrand is
-    # conjugate-symmetric about u = 0, so the sum runs over u >= 0 only.
-    right = np.arccosh(1.0 + _LOG_TOL / b)
-    count = np.ceil(right / h).astype(np.int64) + 1
+    # Truncation: |integrand| falls e^-37 below its peak within arccosh(1 + L / b)
+    # on the right; on the left, off the axis, the sigma u term slows the fall,
+    # so take the tighter of a cosh bound and a linear one.
+    count = np.add(np.ceil(np.arccosh(_ONE + _LOG / b) / h), _ONE).astype(np.int64)
     if sigma > 0.0:
         with np.errstate(divide="ignore"):
             left = np.minimum(np.arccosh(1.0 + _LOG_TOL / (b - sigma)),
@@ -299,29 +298,30 @@ def _line_pass(sigma: float, t: float, xs: np.ndarray) -> np.ndarray:
         n_lo = np.ceil(left / h).astype(np.int64)
         count += n_lo
 
-    shift = peak + t * theta
     x_sin = xs * np.sin(theta)
-    scale = 0.5 * h * np.exp(peak + 1j * sigma * theta)
-    out = np.empty(xs.shape, dtype=complex)
+    scale = h * (np.exp(peak) if sigma == 0.0 else 0.5 * np.exp(peak + 1j * sigma * theta))
+    out = np.empty(xs.shape, dtype=scale.dtype)
+    first = np.add.accumulate(count)
     cuts = [0, xs.size]
-    if count.sum() > _BLOCK:
-        block = np.cumsum(count) // _BLOCK
-        cuts[1:1] = (np.flatnonzero(np.diff(block)) + 1).tolist()
+    if xs.size and first[-1] > _BLOCK:
+        cuts[1:1] = (np.flatnonzero(np.diff(first // _BLOCK)) + 1).tolist()
+    first -= count
     for lo, hi in zip(cuts, cuts[1:]):
-        sizes = count[lo:hi]
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(lo, hi), sizes)
-        if sigma == 0.0:        # u_peak is 0, no sigma u term, and the u < 0 half mirrors u > 0
-            u = (np.arange(sizes.sum()) - np.repeat(starts, sizes)) * h[owner]
-            terms = np.exp(-a[owner] * np.cosh(u) - shift[owner]) * np.cos(t * u - x_sin[owner] * np.sinh(u))
-            re, im = 2.0 * np.add.reduceat(terms, starts) - terms[starts], 0.0
+        starts = first[lo:hi] - first[lo:lo + 1]
+        owner = np.arange(lo, hi).repeat(count[lo:hi])
+        u = np.arange(owner.size) - starts.repeat(count[lo:hi])
+        if sigma == 0.0:    # the term at u = 0 is exactly 1: h e^peak (S - 1/2) is 1/2 h e^peak (2 S - 1)
+            u = u * h[owner]
+            terms = np.exp(np.subtract(_ONE, np.cosh(u)) * a[owner])
+            terms *= np.cos(t * u - x_sin[owner] * np.sinh(u))
+            np.multiply(np.add.reduceat(terms, starts) - _HALF, scale[lo:hi], out=out[lo:hi])
         else:
-            u = u_peak[owner] + (np.arange(sizes.sum()) - np.repeat(starts + n_lo[lo:hi], sizes)) * h[owner]
-            mag = np.exp(sigma * u - a[owner] * np.cosh(u) - shift[owner])
+            u = u_peak[owner] + (u - n_lo[owner]) * h[owner]
+            mag = np.exp(sigma * u - a[owner] * np.cosh(u) - (peak + t * theta)[owner])
             phase = t * u - x_sin[owner] * np.sinh(u)
             re = np.add.reduceat(mag * np.cos(phase), starts)
             im = np.add.reduceat(mag * np.sin(phase), starts)
-        out[lo:hi] = scale[lo:hi] * (re + 1j * im)
+            out[lo:hi] = scale[lo:hi] * (re + 1j * im)
     return out
 
 

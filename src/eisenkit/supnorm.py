@@ -184,10 +184,10 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n) as pool:
             chunks = list(pool.map(measure, cuts[:-1], cuts[1:]))
-    else:
-        chunks = [measure(0, len(ys))]
-    values = np.concatenate([v for v, _ in chunks])
-    modes = [m for _, chunk_modes in chunks for m in chunk_modes]
+        values = np.concatenate([v for v, _ in chunks])
+        modes = [m for _, chunk_modes in chunks for m in chunk_modes]
+    else:       # one chunk's |F| is the array itself, not a copy
+        values, modes = measure(0, len(ys))
 
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

@@ -150,6 +150,36 @@ def saddle_sum_complex(t: float, xs) -> np.ndarray:
     return math.exp(-0.5 * math.pi * t) * (j * np.exp(1j * phase)).real
 
 
+def line_sum_complex(t: float, xs) -> np.ndarray:
+    """K_{it}(x) for x in the envelope on the library's line contour, summed
+    in the complex form the real one replaced: theta as Im arcsinh(i t / x),
+    capped, the scale h/2 exp(peak) as a complex exponential, and
+    2 sum_{k >= 0} T_k - T_0 times it as a complex product, one value at a
+    time.
+
+    It shares the library's strip, step and node count, so it checks the
+    arithmetic of the real form, not the contour; `bessel_k_mp` is the
+    independent check of the values.
+    """
+    xs = np.asarray(xs, dtype=float)
+    cap = 0.5 * math.pi - min(sf._CAP / t, 0.5 * math.pi) if t > 0 else 0.5 * math.pi
+    theta = np.minimum(np.arcsinh(complex(0.0, t) / xs).imag, cap)
+    peak, _, a, b = sf._line_peak(0.0, t, xs, theta)
+    room = 0.5 * np.pi - sf._SIDE * theta[:, None]
+    d = np.minimum(0.995 * room, np.sqrt(2.0 * sf._LOG_TOL / b)[:, None])
+    edge, _, _, b_edge = sf._line_peak(0.0, t, xs[:, None], theta[:, None] + sf._SIDE * d)
+    growth = np.maximum(edge - peak[:, None], 0.0) + np.log(5.0 + 4.0 * np.log1p(1.0 / b_edge))
+    h = (2.0 * np.pi * d / (sf._LOG_TOL + growth)).min(axis=1)
+    count = np.ceil(np.arccosh(1.0 + sf._LOG_TOL / b) / h).astype(np.int64) + 1
+    out = np.empty(xs.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        u = np.arange(count[i]) * h[i]
+        terms = (np.exp(-a[i] * np.cosh(u) - (peak[i] + t * theta[i]))
+                 * np.cos(t * u - x * math.sin(theta[i]) * np.sinh(u)))
+        out[i] = 0.5 * h[i] * np.exp(complex(peak[i], 0.0)) * complex(2.0 * terms.sum() - terms[0])
+    return out
+
+
 # ------------------------------------------------------------------
 # the real-place integral behind the constant-term factor
 # ------------------------------------------------------------------

@@ -374,14 +374,20 @@ def test_interned_values_die_with_their_last_reference():
 
 def test_a_character_needs_an_int_modulus_and_a_tuple_of_ints():
     """A list of exponents is refused by name, not by the weak table's
-    traceback, and so is a new value that is not ints in a tuple."""
+    traceback, and so is a value that is not ints in a tuple, new or live:
+    5.0 and (True,) hash and compare equal to 5 and (1,), so a check made
+    only on a miss would hand them the live 5:1."""
     for exps in ([1, 2], ([1], 2)):
         with pytest.raises(TypeError, match=re.escape(f"need an int modulus and a tuple of int exps, "
                                                       f"got (45, {exps!r})")):
             DirichletCharacter(45, exps)
-    for args in ((4099.0, (7,)), (4099, (7.0,)), (4099, np.array([7]))):
+    live = build_character(5, 1)
+    assert (live.modulus, live.exps) == (5, (1,))
+    for args in ((4099.0, (7,)), (4099, (7.0,)), (4099, np.array([7])),
+                 (5.0, (1,)), (np.int64(5), (True,)), (5, (np.int64(1),))):
         with pytest.raises(TypeError, match="^need an int modulus"):
             DirichletCharacter(*args)
+    assert DirichletCharacter(5, (1,)) is live
 
 
 def test_primitive_gauss_sum_has_modulus_sqrt_q():

@@ -1,5 +1,6 @@
-"""scripts/compare.py reads a bit script's --compare output faithfully, and
-dumps both sides with the change's copy of each bit script."""
+"""scripts/compare.py reads a bit script's --compare output faithfully,
+dumps both sides with the change's copy of each bit script, and records each
+side's Tier-1 counts, time and acceptance figures."""
 
 from __future__ import annotations
 
@@ -113,3 +114,63 @@ def test_an_array_the_parent_cannot_compute_is_new(tmp_path, monkeypatch):
     assert got["arrays"] == {"added": {"mismatches": 0, "new": True}, "old": {"entries": 1, "mismatches": 0}}
     assert got["total_mismatches"] == 0 and got["new_arrays"] == ["added"] and got["exit"] == 1
     assert json.loads((tmp_path / "work" / "parent-fake_bits.npz").read_text()) == {"old": 1}
+
+
+def test_tier1_counts_time_and_acceptance_figures_are_parsed():
+    """pytest's closing summary gives the counts and time; each PASS or FAIL
+    line gives a verdict and its figures, without its bounds (in
+    parentheses) or its timings (in seconds)."""
+    stdout = "\n".join([
+        "........F.                                                               [100%]",
+        "============================= acceptance criteria ==============================",
+        "PASS  functional-equation-suite: max residual 1.919e-09 (< 1e-6), 0.0 s (< 60 s)",
+        "FAIL  bessel-backend: 1000-point oracle max rel 3.448e-12 (< 1e-10); envelope ratio 1.23 (<= 10); "
+        "half-integer pin off",
+        "PASS  supnorm-exponent: suprema [7.330, 7.708], slope 0.1726 (<= 0.475), 12.5 s (< 900 s)",
+        "=========== 1 failed, 348 passed, 2 warnings in 65.35s (0:01:05) ===========",
+    ])
+    parsed = _load_compare()._parse_tier1(stdout)
+    assert parsed["counts"] == {"failed": 1, "passed": 348, "warnings": 2}
+    assert parsed["pytest_s"] == 65.35
+    acceptance = parsed["acceptance"]
+    assert list(acceptance) == ["functional-equation-suite", "bessel-backend", "supnorm-exponent"]
+    assert acceptance["functional-equation-suite"]["figures"] == [1.919e-09]
+    assert acceptance["bessel-backend"] == {
+        "passed": False, "figures": [1000.0, 3.448e-12, 1.23],
+        "detail": "1000-point oracle max rel 3.448e-12 (< 1e-10); envelope ratio 1.23 (<= 10); half-integer pin off"}
+    assert acceptance["supnorm-exponent"]["figures"] == [7.33, 7.708, 0.1726]
+    assert _load_compare()._parse_tier1("349 passed in 25.35s")["counts"] == {"passed": 349}
+
+
+def test_moved_names_the_verdicts_that_differ():
+    """A verdict moves when its PASS/FAIL or a figure differs, or when one
+    side lacks it; a detail that differs only in its timing does not."""
+    def side(**figures):
+        return {"acceptance": {name: {"passed": True, "figures": f, "detail": f"{f} {len(name)} s"}
+                               for name, f in figures.items()}}
+    tier1 = {"parent": side(a=[1.0], b=[2.0], c=[3.0], d=[4.0]),
+             "change": side(a=[1.0], b=[2.5], d=[4.0], e=[5.0])}
+    tier1["change"]["acceptance"]["d"]["passed"] = False
+    assert _load_compare()._moved(tier1) == ["b", "c", "d", "e"]
+
+
+def test_tier1_runs_each_side_on_its_own_sources(tmp_path):
+    """_tier1 runs pytest in the side's directory with its src/ on the path,
+    and reads back the counts and the acceptance block its conftest prints."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "fake.py").write_text("VALUE = 7\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "conftest.py").write_text(textwrap.dedent('''
+        def pytest_terminal_summary(terminalreporter, exitstatus, config):
+            terminalreporter.write_line("PASS  fake-check: value 7 (< 8), 0.1 s (< 1 s)")
+    '''))
+    (tmp_path / "tests" / "test_fake.py").write_text(textwrap.dedent('''
+        import fake
+        def test_value():
+            assert fake.VALUE == 7
+        def test_other():
+            pass
+    '''))
+    got = _load_compare()._tier1(tmp_path)
+    assert got["exit"] == 0 and got["counts"] == {"passed": 2} and got["wall_s"] > 0.0
+    assert got["acceptance"] == {"fake-check": {"passed": True, "figures": [7.0], "detail": "value 7 (< 8), 0.1 s (< 1 s)"}}

@@ -25,6 +25,7 @@ from oracles import (
     bump_mellin_quadrature,
     decay,
     envelope_grid,
+    line_sum_complex,
     saddle_sum_complex,
 )
 from eisenkit.special_functions import (
@@ -174,19 +175,33 @@ def test_frozen_bessel_references_match_live_oracles():
         assert abs(bessel_quadrature(t, x) - ref) <= 1e-15 * abs(ref)
 
 
+def _fe_rows(seed: int) -> list[tuple[complex, np.ndarray]]:
+    """Rows shaped like the functional-equation residual's: orders +-5i and
+    +-10i, and 1 to 7 arguments 2 pi n y, n = 1, 2, ..., y in [0.5, 3], so
+    that rows at t = 10 straddle the turning point x = t."""
+    rng = random.Random(seed)
+    return [(order, 2.0 * math.pi * rng.uniform(0.5, 3.0) * np.arange(1, length + 1))
+            for order in (5j, -5j, 10j, -10j) for length in range(1, 8) for _ in range(2)]
+
+
 def test_row_matches_scalar_bit_for_bit():
-    """A row element does not depend on the rest of the row."""
+    """A row element does not depend on the rest of the row, and on the
+    axis the rows at it and -it are equal byte for byte."""
     rng = random.Random(77)
+    rows = []
     for order in (61j, -140j + 0.0, 199j, 2.5 - 30j, -7.0 + 150j, 0.5):
         # x = 1e-6 at |t| = 150 has tens of thousands of nodes, so the row
         # spans several evaluation blocks
-        xs = [1e-6, 3e-6] + [10.0 ** rng.uniform(-6.0, 2.8) for _ in range(40)]
+        rows.append((order, [1e-6, 3e-6] + [10.0 ** rng.uniform(-6.0, 2.8) for _ in range(40)]))
+    fe_rows = _fe_rows(32)
+    assert any(min(xs) < 10.0 <= max(xs) for order, xs in fe_rows if abs(order) == 10.0)
+    for order, xs in rows + fe_rows:
         row = bessel_k_row(order, xs)
-        shuffled = xs[::-1]
-        row_rev = bessel_k_row(order, shuffled)[::-1]
-        for x, a, b in zip(xs, row, row_rev):
-            single = bessel_k_row(order, [x])[0]
-            assert a == single and b == single, (order, x)
+        row_rev = bessel_k_row(order, xs[::-1])[::-1]
+        singles = np.array([bessel_k_row(order, [x])[0] for x in xs])
+        assert row.tobytes() == row_rev.tobytes() == singles.tobytes(), order
+        if order.real == 0.0:
+            assert row.tobytes() == bessel_k_row(-order, xs).tobytes(), order
 
 
 def test_row_bits_do_not_depend_on_block_layout():
@@ -194,16 +209,19 @@ def test_row_bits_do_not_depend_on_block_layout():
     33 other arguments in front, so that every block boundary moves: each
     element equals its scalar call bit for bit.  On the axis the row holds
     150 saddle values (five blocks of 32) and 1000 line values (about five
-    blocks of 4096 nodes); off it, 300 line values with tens of blocks."""
+    blocks of 4096 nodes); off it, 300 line values with tens of blocks.  The
+    functional-equation residual's short rows get the same treatment."""
     rng = np.random.default_rng(2501)
     others = 10.0 ** rng.uniform(-6.0, 2.8, 33)
+    rows = []
     for order in (61j, 199j, 2.5 + 40j, 10.0 - 150j):
         t = abs(order.imag)
         if order.real == 0.0:
             xs = np.concatenate([np.geomspace(1e-3, t, 150, endpoint=False), np.geomspace(t, 700.0, 1000)])
         else:
             xs = np.geomspace(1e-3, 700.0, 300)
-        xs = rng.permutation(xs)
+        rows.append((order, rng.permutation(xs)))
+    for order, xs in rows + _fe_rows(2502):
         singles = np.array([bessel_k_row(order, [x])[0] for x in xs])
         for shift in (0, 1, 7, 33):
             row = bessel_k_row(order, np.concatenate([others[:shift], xs]))[shift:]
@@ -221,6 +239,22 @@ def test_saddle_pass_matches_the_complex_form():
         got = special_functions._saddle_pass(t, np.array(xs))
         gap = np.abs(got - saddle_sum_complex(t, xs)).max()
         assert gap <= tol * math.exp(-0.5 * math.pi * t), (t, gap)
+
+
+def test_line_pass_matches_the_complex_form():
+    """On the unitary axis the real-arithmetic line sum equals the
+    complex-form sum it replaced, on the same contour, to 1e-14 of
+    max(|K|, exp(-pi t / 2)), for x across the envelope on both sides of the
+    turning point, at the ends and at seeded draws."""
+    rng = random.Random(2032)
+    for t in (0.5, 2.0, 5.0, 6.5, 10.0, 61.0, 199.0):
+        xs = [1e-6, 1e-3, 0.5 * t, t * (1 - 1e-9), t, t * (1 + 1e-9), min(2.0 * t, 705.0), 705.0]
+        xs = np.array(xs + [10.0 ** rng.uniform(-6.0, math.log10(705.0)) for _ in range(40)])
+        got = special_functions._line_pass(0.0, t, xs)
+        assert got.dtype == np.float64
+        ref = line_sum_complex(t, xs)
+        gap = (np.abs(got - ref) / np.maximum(np.abs(ref), math.exp(-0.5 * math.pi * t))).max()
+        assert gap <= 1e-14, (t, gap)
 
 
 def test_row_rejects_inputs_outside_the_envelope():
