@@ -39,6 +39,12 @@ definitions, and saves:
     (q, xi, pair); then again with xi in reverse order and a fresh equal
     config per call, so that a result that depends on the prime contexts
     kept on a config shows as a mismatch;
+  * b_xi and factorization_check at every prime p in [3900, 4400] prime to q
+    and the level, both sides of the 4096 prime-table ceiling, for the same
+    q, xi and pairs, one config per (q, xi, pair): once with the primes
+    asked in descending order, so that each config is asked past the
+    ceiling first, and once in ascending order, so that its prime table is
+    built first;
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
@@ -111,6 +117,7 @@ LAMBDA_TOP = 4096       # the lambda table ceiling, eisenstein._LAMBDA_MAX
 PAST_TOP = 10 ** 4      # the hecke-relations acceptance test's largest n
 PAST_SET = 3            # the Hecke set 5:1 x 5:3
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
+CEILING_PRIMES = (3900, 4400)   # around the amplifier's prime-table ceiling 4096
 SIEVE_WINDOW = (10**6, 2 * 10**6)
 
 
@@ -172,6 +179,28 @@ def _factorization(reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.nd
             np.array(defects, dtype=np.float64))
 
 
+def _around_ceiling(past_first: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, xi index, pair, p) labels with b_xi and factorization_check there
+    for the primes in CEILING_PRIMES, one config per (q, xi, pair), asked in
+    descending order with past_first, else ascending; stored ascending."""
+    primes = sieve_interval(*CEILING_PRIMES).tolist()
+    labels, b, defects = [], [], []
+    for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():
+        chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+        for xi in character_group(q):
+            for k, (r1, r2) in enumerate(FACT_PAIRS):
+                cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+                asked = [p for p in primes if (q * cfg.level) % p]
+                values = {p: (b_xi(p, xi, cfg), factorization_check(p, xi, cfg))
+                          for p in (asked[::-1] if past_first else asked)}
+                for p in asked:
+                    labels.append((q, character_index(xi), k, p))
+                    b.append(values[p][0])
+                    defects.append(values[p][1])
+    return (np.array(labels, dtype=np.int64), np.array(b, dtype=np.complex128),
+            np.array(defects, dtype=np.float64))
+
+
 def _identity(chi) -> tuple[int, int]:
     return chi.modulus, character_index(chi)
 
@@ -222,6 +251,8 @@ def dump(path: str) -> None:
     past = _hecke_past_ceiling()
     fact_labels, fact_b, fact_defects = _factorization()
     again_labels, again_b, again_defects = _factorization(reverse=True)
+    ceiling_labels, ceiling_b, ceiling_defects = _around_ceiling(past_first=True)
+    _, ascending_b, ascending_defects = _around_ceiling(past_first=False)
     primes = sieve_interval(*SIEVE_WINDOW)
 
     np.savez_compressed(
@@ -253,6 +284,11 @@ def dump(path: str) -> None:
         factorization_labels_again=again_labels,
         b_xi_again=again_b,
         factorization_defects_again=again_defects,
+        factorization_labels_ceiling=ceiling_labels,
+        b_xi_ceiling_past_first=ceiling_b,
+        factorization_defects_ceiling_past_first=ceiling_defects,
+        b_xi_ceiling_ascending=ascending_b,
+        factorization_defects_ceiling_ascending=ascending_defects,
         sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
@@ -260,7 +296,7 @@ def dump(path: str) -> None:
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp) + len(amp_again)} amplifier sums, "
           f"{hecke.size + ascending.size + at_once.size + past.size} divisor sums, "
-          f"{len(fact_b) + len(again_b)} factorization checks, "
+          f"{len(fact_b) + len(again_b) + len(ceiling_b) + len(ascending_b)} factorization checks, "
           f"{len(primes)} sieved primes")
 
 

@@ -15,30 +15,43 @@ restriction over the rationals, with class number phi(q).
 
 Character values come from each character's value table (see characters):
 amplifier_sum indexes the numpy tables with whole blocks of primes and
-weights each block with one array call of the bump weight, while the
-divisor factors at single primes read the list copies of the same tables, as
-Python scalars.  b_xi and factorization_check read what (xi, cfg) fixes
-from one _PrimeContext, built on the first call for xi and kept on the
-config, keyed by xi: the value lists and moduli of chi1, chi2, xi and the
-four twisted characters (built once per (xi, chi1, chi2)), the phase
-multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), and q times the
-level.  xi is checked when its context is built: TypeError if it is not a
-character, ValueError if its modulus is not q.  Each prime then validates
-p, takes log p once and builds both prime factors from their two terms,
-a = 1 and a = p, with the bits of generalized_divisor_sum, whose every
-lambda(n), though read from a per-series table filled by blocks, is its own
-ordered divisor sum: the scalar loop that _prime_lambda writes out at a
-prime.  The prime test reads the sieve table of eisenstein where it
-covers p (up to the largest lambda block built, at most 2^12) and
-_divisors past it; p above 2 _L_MAX, the top of any window, is refused
-before that trial division.
+weights each block with one array call of the bump weight.  b_xi and
+factorization_check read what (xi, cfg) fixes from one _PrimeContext, built
+on the first call for xi and kept on the config, keyed by xi: the value
+lists and moduli of chi1, chi2, xi and the four twisted characters (built
+once per (xi, chi1, chi2)), the phase multipliers 1j r1, -1j r2,
+1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime table.  xi
+is checked when its context is built: TypeError if it is not a character,
+ValueError if its modulus is not q.
+
+The prime table holds b_xi and the factorization defect at every prime
+p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, prime to q and the
+level.  One vectorized kernel, _prime_kernel, fills it on the context's
+first call at an integer p <= 4096 and publishes it by one assignment; each
+call at a prime in it is then one read.  It lives on the context, so it
+dies with its config.  Every other p (past the ceiling, not an integer, not
+prime, or dividing q times the level) takes the scalar path, with its
+checks and messages: validate p, take log p once and build both prime
+factors from their two terms, a = 1 and a = p, with the bits of
+generalized_divisor_sum, whose every lambda(n), though read from a
+per-series table filled by blocks, is its own ordered divisor sum: the
+scalar loop that _prime_lambda writes out at a prime.  The kernel gives the
+scalar path's bits, as eisenstein's lambda kernel does: each complex
+product is written out in float64 with one rounding per operation (_mul),
+the +-0.0 terms of a complex times a float included; the phases are numpy's
+complex exp at (+-0.0, y), equal to cmath.exp there (below); abs is
+np.hypot; character values come through eisenstein._values_at, so twists
+past 2^14 work.  Its primes and log p come from the sieve table of
+eisenstein, grown to 4096 by the first fill, so the scalar prime test reads
+that table for every p up to 4096 and _divisors past it; p above 2 _L_MAX,
+the top of any window, is refused before that trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
 complex exp both return exp(+-0.0) = 1 times cos y and sin y, and cos is even
 and sin odd, so exp(-z) == conj(exp(z)) in every bit, signed zeros included:
-amplifier_sum, factorization_check and _prime_lambda take the second phase
-of a pair as the conjugate of the first.
+amplifier_sum, factorization_check, _prime_lambda and _prime_kernel take
+the second phase of a pair as the conjugate of the first.
 
 Primes come from sieve_interval, a segmented sieve over the odd numbers
 only.  amplifier_sum sieves [L, 2L] in sieve windows of 2 _SEGMENT integers,
@@ -72,7 +85,7 @@ from typing import ClassVar
 import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
-from eisenkit.eisenstein import _divisors, _sieve_slot
+from eisenkit.eisenstein import _LAMBDA_MAX, _divisors, _sieve_slot, _sieve_to, _values_at
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
@@ -151,12 +164,13 @@ def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCha
 class _PrimeContext:
     """What b_xi and factorization_check read at every prime for one (xi, cfg):
     the value lists and moduli of chi1, chi2, xi and the four twists, the
-    phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), and q
-    times the level.  Built once per xi on first use and kept in the
+    phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), q
+    times the level, and the prime table, None until its first read (see
+    _prime_table).  Built once per xi on first use and kept in the
     config's _contexts, so a later prime hashes xi alone."""
 
     __slots__ = ("v1", "q1", "v2", "q2", "w1", "m1", "w2", "m2", "vx", "qx", "vu", "qu",
-                 "vd", "qd", "s_left", "s_right", "s_diff", "s_total", "q_level")
+                 "vd", "qd", "s_left", "s_right", "s_diff", "s_total", "q_level", "table")
 
     def __init__(self, xi: DirichletCharacter, cfg: AmplifierConfig):
         twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
@@ -171,17 +185,78 @@ class _PrimeContext:
         self.s_left, self.s_right = 1j * cfg.r1, -1j * cfg.r2
         self.s_diff, self.s_total = 1j * (cfg.r1 - cfg.r2), 1j * (cfg.r1 + cfg.r2)
         self.q_level = cfg.q * cfg.level
+        self.table = None
 
 
 def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
-    """The _PrimeContext of (xi, cfg), built and stored; _b_xi_at calls it
-    when cfg has none for xi.  xi must be a character mod cfg.q."""
+    """The _PrimeContext of (xi, cfg), built and stored; b_xi and
+    factorization_check call it when cfg has none for xi.  xi must be a
+    character mod cfg.q."""
     if not isinstance(xi, DirichletCharacter):
         raise TypeError(f"xi must be a DirichletCharacter, got {xi!r}")
     if xi.modulus != cfg.q:
         raise ValueError(f"xi must be a character mod q = {cfg.q}, got {xi!r}")
     ctx = cfg._contexts[xi] = _PrimeContext(xi, cfg)
     return ctx
+
+
+def _mul(ar, ai, br, bi):
+    """The parts of (ar + i ai)(br + i bi), rounded as Python's complex
+    multiply rounds them, one rounding per operation; a float x is (x, 0.0)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _prime_table(ctx: _PrimeContext, xi: DirichletCharacter,
+                 cfg: AmplifierConfig) -> tuple[dict, dict]:
+    """b_xi and factorization_check at every prime p <= _LAMBDA_MAX prime to
+    q and the level, as two dicts keyed by p, from one _prime_kernel call;
+    published on ctx by one assignment.  Primes and log p come from the
+    sieve table, grown to _LAMBDA_MAX."""
+    _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
+    p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
+    try:
+        p = p[np.remainder(ctx.q_level, p) != 0]
+    except OverflowError:       # q times the level past int64
+        p = p[[ctx.q_level % n != 0 for n in p.tolist()]]
+    b, defect = _prime_kernel(ctx, xi, cfg, p, logs[p])
+    primes = p.tolist()
+    ctx.table = table = dict(zip(primes, b.tolist())), dict(zip(primes, defect.tolist()))
+    return table
+
+
+def _prime_kernel(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
+                  p: np.ndarray, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b_xi and the factorization defect at each of the primes p, given log p,
+    by the operations of the scalar path (_b_xi_at and factorization_check's
+    four terms) in its order, so with its bits (see the module docstring).
+    A term with a zero character value is kept as c e = +-0.0, which leaves
+    a sum started at +0.0 unchanged, as skipping it does."""
+    twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
+    # p^s for s = s_left, s_right, s_diff, s_total in rows: s log p as Python
+    # multiplies a complex by a float, its real part +-0.0
+    s = np.array([ctx.s_left, ctx.s_right, ctx.s_diff, ctx.s_total])[:, None]
+    e = np.empty((4, len(p)), dtype=complex)
+    e.real, e.imag = _mul(s.real, s.imag, logp, 0.0)
+    np.exp(e, out=e)
+    er, ei = e.real, e.imag
+
+    # the two prime factors in rows, chi1 x chi2 at s_left and twist1 x
+    # twist2 at s_right: 0j + c1(1) c2(p) conj(p^s) + c1(p) c2(1) p^s
+    c1_1 = np.array([[ctx.v1[1 % ctx.q1]], [ctx.w1[1 % ctx.m1]]])
+    c2_1 = np.array([[ctx.v2[1 % ctx.q2]], [ctx.w2[1 % ctx.m2]]])
+    c1_p = np.array([_values_at(cfg.chi1, p), _values_at(twist1, p)])
+    c2_p = np.array([_values_at(cfg.chi2, p), _values_at(twist2, p)])
+    ar, ai = _mul(*_mul(c1_1.real, c1_1.imag, c2_p.real, c2_p.imag), er[:2], -ei[:2])
+    br, bi = _mul(*_mul(c1_p.real, c1_p.imag, c2_1.real, c2_1.imag), er[:2], ei[:2])
+    fr, fi = 0.0 + ar + br, 0.0 + ai + bi
+    b = np.empty(len(p), dtype=complex)
+    b.real, b.imag = _mul(*_mul(logp, 0.0, fr[0], fi[0]), fr[1], fi[1])
+
+    # xi(p) p^{i(r1 - r2)} + xi(p) conj(...) + up(p) p^{i(r1 + r2)} + down(p) conj(...)
+    c = np.array([_values_at(xi, p)] * 2 + [_values_at(up, p), _values_at(down, p)])
+    tr, ti = _mul(c.real, c.imag, er[[2, 2, 3, 3]], ei[[2, 2, 3, 3]] * [[1.0], [-1.0], [1.0], [-1.0]])
+    gr, gi = _mul(logp, 0.0, tr[0] + tr[1] + tr[2] + tr[3], ti[0] + ti[1] + ti[2] + ti[3])
+    return b, np.hypot(b.real - gr, b.imag - gi)
 
 
 def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> complex:
@@ -206,20 +281,15 @@ def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> 
     return total
 
 
-def _b_xi_at(p: int, xi: DirichletCharacter,
-             cfg: AmplifierConfig) -> tuple[complex, int, float, _PrimeContext]:
-    """b_xi at p with the integer p, log(p) and the _PrimeContext it used.
+def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
+    """b_xi at p by the scalar path, with the integer p and log(p): the
+    path of every p that the prime table lacks.
 
-    Reads the context kept on cfg for xi, or builds it (_context).  Then
-    validates p (an integer prime, at most 2 _L_MAX, the top of any window,
+    Validates p (an integer prime, at most 2 _L_MAX, the top of any window,
     prime to q and the level), takes log(p) once and builds both prime
     factors from their two terms (_prime_lambda).  The prime test reads the
     sieve table of eisenstein where it covers p, and _divisors past it.
     """
-    try:
-        ctx = cfg._contexts[xi]
-    except (KeyError, TypeError):     # not built yet, or xi is unhashable, so no character
-        ctx = _context(xi, cfg)
     try:
         n = operator.index(p)
     except TypeError:
@@ -236,12 +306,20 @@ def _b_xi_at(p: int, xi: DirichletCharacter,
     logp = math.log(p)
     left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, p, logp)
     right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, p, logp)
-    return logp * left * right, p, logp, ctx
+    return logp * left * right, p, logp
 
 
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     """log(p) times the product of the two twisted divisor factors at the prime p."""
-    return _b_xi_at(p, xi, cfg)[0]
+    try:
+        ctx = cfg._contexts[xi]
+    except (KeyError, TypeError):     # not built yet, or xi is unhashable, so no character
+        ctx = _context(xi, cfg)
+    if type(p) is int and p <= _LAMBDA_MAX:
+        value = (ctx.table or _prime_table(ctx, xi, cfg))[0].get(p)
+        if value is not None:
+            return value
+    return _b_xi_at(p, ctx)[0]
 
 
 def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> float:
@@ -255,9 +333,17 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
 
     p^{-i(r1 -+ r2)} is taken as the conjugate of p^{i(r1 -+ r2)}, exact in
     every bit (see the module docstring): two exponentials per check, not
-    four.
+    four.  A p in the prime table is one read of it.
     """
-    left, p, logp, ctx = _b_xi_at(p, xi, cfg)
+    try:
+        ctx = cfg._contexts[xi]
+    except (KeyError, TypeError):
+        ctx = _context(xi, cfg)
+    if type(p) is int and p <= _LAMBDA_MAX:
+        defect = (ctx.table or _prime_table(ctx, xi, cfg))[1].get(p)
+        if defect is not None:
+            return defect
+    left, p, logp = _b_xi_at(p, ctx)
     e_diff = cmath.exp(ctx.s_diff * logp)
     e_total = cmath.exp(ctx.s_total * logp)
     xi_p = ctx.vx[p % ctx.qx]

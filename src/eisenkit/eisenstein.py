@@ -54,8 +54,9 @@ past 2^12 the scalar loop sums n alone and nothing is kept.  The block
 layouts, shared by every series, come from one sieve table of least primes,
 exponents and cofactors, grown with the lambda tables to the largest block's
 top and never past 2^12, by array passes in _divisors order, with log a read
-from its math.log(a) entries.  The sieve table also answers the amplifier's
-prime test for every p it covers.  _divisors, trial division with a cache of
+from its math.log(a) entries.  The amplifier's prime table grows it to 2^12
+and reads its primes and logs, and its prime test reads it for every p it
+covers.  _divisors, trial division with a cache of
 tuples, is left for the scalar loop (past 2^12, or a block that overflows)
 and for the primes past the table.
 
@@ -262,8 +263,9 @@ def _sieve_to(top: int) -> tuple:
     """The sieve table grown to cover n <= top, in steps [a, b] with b < 2a.
     spf(n) is the least prime up to sqrt(b) < a that divides n, or n; and
     m = n / spf(n) < a shares its least prime exactly when spf(n)^2 | n, so
-    exp and rest extend the table's entries at m.  Only _block_layout grows
-    it, so it never passes _LAMBDA_MAX; one assignment publishes each step."""
+    exp and rest extend the table's entries at m.  _block_layout grows it
+    to a block's top, and the amplifier's prime table to _LAMBDA_MAX, so it
+    never passes _LAMBDA_MAX; one assignment publishes each step."""
     table = _sieve_slot[0]
     while len(table[0]) <= top:
         spf, exp, rest, logs, prime = table

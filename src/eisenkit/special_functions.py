@@ -231,6 +231,8 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     sigma, t = abs(nu.real), abs(nu.imag)
     if sigma != 0.0 or t < _SADDLE_FLOOR or lo >= t:
         out = _line_pass(sigma, t, xs)
+    elif hi < t:        # every x below the turning point
+        out = _saddle_pass(t, xs)
     else:               # both routes fill one float row
         below = xs < t
         out = np.empty(xs.shape)

@@ -186,6 +186,7 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
             chunks = list(pool.map(measure, cuts[:-1], cuts[1:]))
         values = np.concatenate([v for v, _ in chunks])
         modes = [m for _, chunk_modes in chunks for m in chunk_modes]
+        del chunks      # the chunks' |F| arrays, copied into values
     else:       # one chunk's |F| is the array itself, not a copy
         values, modes = measure(0, len(ys))
 

@@ -131,8 +131,9 @@ def test_prime_test_reads_the_sieve_table(monkeypatch):
     """The sieve table's prime byte is _divisors(n) == (1, n) at every
     n <= 4096, 0 and 1 included, and b_xi refuses as not prime exactly the n
     that are not: through the table up to 4096, through _divisors past it
-    (4097 = 17 * 241; 1999999973 is prime) and through _divisors at every n
-    from a cold table.  2^31 - 1, a prime, lies past the prime ceiling 2e9
+    (4097 = 17 * 241; 1999999973 is prime) and, with the scalar path's
+    table cold, through _divisors at every n below 300 that the prime table
+    of the config lacks.  2^31 - 1, a prime, lies past the prime ceiling 2e9
     and is refused before any prime test."""
     from eisenkit import eisenstein
 
@@ -239,27 +240,112 @@ def test_xi_must_be_a_character_mod_q():
 
 def test_factorization_bits_do_not_depend_on_the_context_cache():
     """b_xi and factorization_check give the two-exponential oracles' bits
-    (== and repr) whichever contexts were built before: one config reused
-    across every xi, a fresh equal config per call, and xi in reverse order
-    on one config; q in {3, 4, 5, 8}, two twist pairs, primes below 200."""
-    primes = sieve_interval(2, 199).tolist()
+    (== and repr) whichever contexts and prime tables were built before, at
+    every prime up to the prime table's ceiling 4096 and the first ten past
+    it: q in {3, 4, 5, 8}, every xi mod q, four twist pairs with signed
+    zeros among them.  The primes are asked ascending on one config reused
+    across every xi, descending with xi in reverse order on one config, past
+    the ceiling first on a fresh config per xi, and on a fresh equal config
+    per call (every 50th prime and those from 4050 on)."""
+    primes = sieve_interval(2, 4177).tolist()
+    assert [p for p in primes if p > 4096] == [4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 4159, 4177]
     for q, chi1, chi2 in ((3, CHI5, CHI4), (4, CHI3, CHI5), (5, CHI3, CHI4), (8, CHI3, CHI5)):
-        for r1, r2 in ((-27.5, 13.25), (8.0, -0.0)):
+        for r1, r2 in ((-27.5, 13.25), (8.0, -0.0), (-0.0, 3.0), (-5.0, 5.0)):
             def config():
                 return AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
 
             shared, backwards = config(), config()
+            unramified = [p for p in primes if (q * shared.level) % p]
+            past_first = [p for p in unramified if p > 4096] + [p for p in unramified if p <= 4096]
+            sample = unramified[::50] + [p for p in unramified if p >= 4050]
             xis = list(character_group(q))
-            calls = [(p, xi) for xi in xis for p in primes if (q * shared.level) % p]
             for fn, oracle in ((b_xi, two_exponential_b_xi),
                                (factorization_check, two_exponential_factorization_check)):
-                want = [oracle(p, xi, shared) for p, xi in calls]
-                reused = [fn(p, xi, shared) for p, xi in calls]
-                fresh = [fn(p, xi, config()) for p, xi in calls]
-                reverse = {(p, xi): fn(p, xi, backwards) for p, xi in reversed(calls)}
-                for got in (reused, fresh, [reverse[call] for call in calls]):
-                    assert got == want
-                    assert list(map(repr, got)) == list(map(repr, want))
+                want = {(p, xi): oracle(p, xi, shared) for xi in xis for p in unramified}
+                runs = [{(p, xi): fn(p, xi, shared) for xi in xis for p in unramified},
+                        {(p, xi): fn(p, xi, backwards) for xi in xis[::-1] for p in unramified[::-1]},
+                        {(p, xi): fn(p, xi, cfg) for xi in xis for cfg in [config()] for p in past_first},
+                        {(p, xi): fn(p, xi, config()) for xi in xis for p in sample}]
+                for got in runs:
+                    assert [got[call] for call in got] == [want[call] for call in got]
+                    assert [repr(got[call]) for call in got] == [repr(want[call]) for call in got]
+
+
+def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkeypatch):
+    """The kernel runs once per (xi, config), on the first call at a
+    p <= 4096, and holds the primes up to 4096 prime to q and the level;
+    calls past the ceiling alone, refused ones included, never run it."""
+    calls = []
+    kernel = amplifier._prime_table
+
+    def counted(ctx, xi, cfg):
+        calls.append(xi)
+        return kernel(ctx, xi, cfg)
+
+    monkeypatch.setattr(amplifier, "_prime_table", counted)
+    cfg = AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
+    xi, other = list(character_group(5))[1:3]
+    for fn in (b_xi, factorization_check):
+        for p in (4099, 9973, 1999999973, np.int64(4099)):
+            fn(p, xi, cfg)
+        for p in (4097, 2 ** 61 - 1, 4.0, np.int64(4)):
+            with pytest.raises(ValueError):
+                fn(p, xi, cfg)
+    assert calls == [] and cfg._contexts[xi].table is None
+    primes = sieve_interval(2, 4096).tolist()
+    for p in primes[::-1]:
+        if p not in (2, 3, 5):
+            b_xi(p, xi, cfg)
+            factorization_check(p, xi, cfg)
+    factorization_check(7, other, cfg)
+    b_xi(4099, other, cfg)
+    assert calls == [xi, other]
+    for values in cfg._contexts[xi].table:
+        assert list(values) == [p for p in primes if p not in (2, 3, 5)]
+
+
+def test_prime_table_with_q_times_the_level_past_int64():
+    """chi1 mod 3 * 43 * 127 * 16381 and chi2 mod 16361 * 16369 at q = 131:
+    q times the level, 9.4e18, passes int64, and the table still holds every
+    prime up to 4096 prime to it, with the oracles' bits."""
+    chi1 = multiply(build_character(16381, 1), build_character(16383, 5))
+    chi2 = multiply(build_character(16369, 3), build_character(16361, 2))
+    cfg = AmplifierConfig(q=131, L=100.0, r1=2.0, r2=-3.5, chi1=chi1, chi2=chi2)
+    assert cfg.q * cfg.level > 2 ** 63
+    xi = list(character_group(131))[7]
+    primes = [p for p in sieve_interval(2, 4177).tolist() if (cfg.q * cfg.level) % p]
+    for fn, oracle in ((b_xi, two_exponential_b_xi),
+                       (factorization_check, two_exponential_factorization_check)):
+        got = [fn(p, xi, cfg) for p in primes]
+        want = [oracle(p, xi, cfg) for p in primes]
+        assert list(map(repr, got)) == list(map(repr, want))
+    assert list(cfg._contexts[xi].table[1]) == [p for p in primes if p <= 4096]
+
+
+def test_prime_table_leaves_the_errors_unchanged():
+    """Each refusal keeps its message, from a config whose prime table is
+    not built yet and from one whose table is: non-primes (0, 1, 4, 4096,
+    -7, True, 2.0, np.int64(4)), ramified primes, and primes past 2e9; an
+    np.int64 prime gives the bits of the int."""
+    def config():
+        return AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
+
+    xi = list(character_group(5))[1]
+    refusals = [(p, f"p = {p!r} must be a prime") for p in (0, 1, 4, 4096, -7, True, 2.0, np.int64(4))]
+    refusals += [(p, f"p = {p} must avoid the progression modulus and the level")
+                 for p in (2, 3, 5, np.int64(3))]
+    refusals += [(p, f"p = {p} above the amplifier's prime ceiling 2e+09")
+                 for p in (2000000011, 2 ** 61 - 1)]
+    warm = config()
+    b_xi(7, xi, warm)
+    assert warm._contexts[xi].table is not None
+    for fn in (b_xi, factorization_check):
+        for p, message in refusals:
+            for cfg in (config(), warm):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    fn(p, xi, cfg)
+        for p in (7, 4093, 4099):
+            assert repr(fn(np.int64(p), xi, config())) == repr(fn(p, xi, warm))
 
 
 def test_b_xi_principal_diagonal_is_a_square():

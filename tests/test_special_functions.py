@@ -228,6 +228,22 @@ def test_row_bits_do_not_depend_on_block_layout():
             assert row.tobytes() == singles.tobytes(), (order, shift)
 
 
+def test_row_below_the_turning_point_takes_the_saddle_route_alone(monkeypatch):
+    """An axis row whose every x lies below the turning point x = |t| runs no
+    line pass, not even on an empty array, and its bytes equal the same
+    values taken from a row that straddles |t|, at nu and -nu."""
+    cases = ((10j, [6.0]), (-10j, [6.0, 1e-6, 9.999]), (61j, [60.5, 3.0, 0.25]),
+             (199j, list(np.geomspace(1e-6, 198.0, 40))))
+    straddling = [bessel_k_row(order, xs + [abs(order.imag), 700.0])[:len(xs)] for order, xs in cases]
+
+    def forbidden(*args):
+        raise AssertionError("a line pass ran")
+
+    monkeypatch.setattr(special_functions, "_line_pass", forbidden)
+    for (order, xs), want in zip(cases, straddling):
+        assert bessel_k_row(order, xs).tobytes() == want.tobytes(), order
+
+
 def test_saddle_pass_matches_the_complex_form():
     """The real-arithmetic saddle sum equals the complex-form sum on the same
     nodes, to 45 float64 ulps (1e-14) of the scale exp(-pi t / 2), at the ends
