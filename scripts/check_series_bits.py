@@ -23,7 +23,10 @@ definitions, and saves:
     L(2s+1, psi) and L(2s, psi) with psi the quotient character, each as
     its own array, so that a change to the L-value sum shows there by name;
   * bessel_k_row over a fixed, seeded set of orders, each with a row of
-    arguments spread log-uniformly over [1e-3, 700].
+    arguments spread log-uniformly over [1e-3, 700];
+  * two saddle-only axis rows, at orders 61i and 199i, each with 200
+    seeded arguments spread log-uniformly below the turning point x = |t|,
+    so that a change to the saddle route shows apart from bessel_values.
 
 --compare counts the entries whose raw bytes differ between two dumps, per
 array, with the largest absolute and relative deviation among them, and
@@ -69,6 +72,8 @@ SCANS = tuple((t0, 1) for t0 in ScanLadder.HEIGHTS) + ((20.0, 2),)
 FE_SEEDS = (7, 8)
 BESSEL_ORDERS = 9
 BESSEL_ARGS = 300
+SADDLE_HEIGHTS = (61.0, 199.0)
+SADDLE_ARGS = 200
 
 
 def _bessel_cases() -> tuple[np.ndarray, np.ndarray]:
@@ -79,6 +84,12 @@ def _bessel_cases() -> tuple[np.ndarray, np.ndarray]:
     orders[:2] = orders[:2].imag * 1j
     xs = np.exp(rng.uniform(np.log(1e-3), np.log(700.0), (BESSEL_ORDERS, BESSEL_ARGS)))
     return orders, xs
+
+
+def _saddle_cases() -> list[tuple[float, np.ndarray]]:
+    """Each saddle height t with a row of arguments in [1e-3, t)."""
+    rng = np.random.default_rng(20171)
+    return [(t, np.exp(rng.uniform(np.log(1e-3), np.log(t), SADDLE_ARGS))) for t in SADDLE_HEIGHTS]
 
 
 def dump(path: str) -> None:
@@ -123,13 +134,16 @@ def dump(path: str) -> None:
     orders, xs = _bessel_cases()
     arrays["bessel_orders"] = orders
     arrays["bessel_values"] = np.concatenate([bessel_k_row(nu, row) for nu, row in zip(orders, xs)])
+    for t, row in _saddle_cases():
+        arrays[f"saddle_{t:g}"] = bessel_k_row(1j * t, row)
 
     np.savez_compressed(path, **arrays)
     print(f"{path}: {len(SCANS)} scans, "
           f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals "
           f"(+{len(arrays[f'fe_seed{FE_SEEDS[0]}_reversed_after_growth'])} in reverse), "
           f"constants of {len(series)} series, "
-          f"{orders.size * BESSEL_ARGS} Bessel values")
+          f"{orders.size * BESSEL_ARGS} Bessel values "
+          f"(+{len(SADDLE_HEIGHTS) * SADDLE_ARGS} on the saddle route)")
 
 
 def _raw(a: np.ndarray) -> np.ndarray:

@@ -27,9 +27,10 @@ ValueError if its modulus is not q.
 The prime table holds b_xi and the factorization defect at every prime
 p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, prime to q and the
 level.  One vectorized kernel, _prime_kernel, fills it on the context's
-first call at an integer p <= 4096 and publishes it by one assignment; each
-call at a prime in it is then one read.  It lives on the context, so it
-dies with its config.  Every other p (past the ceiling, not an integer, not
+first call at one of those primes and publishes it by one assignment; each
+call at a prime in it is then one read.  p is read through operator.index,
+so a numpy integer reads the table as the int does.  The table lives on the
+context, so it dies with its config.  Every other p (past the ceiling, not an integer, not
 prime, or dividing q times the level) takes the scalar path, with its
 checks and messages: validate p, take log p once and build both prime
 factors from their two terms, a = 1 and a = p, with the bits of
@@ -200,6 +201,9 @@ def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
     return ctx
 
 
+_NO_TABLE = ({}, {})     # what a context reads before its prime table is built
+
+
 def _mul(ar, ai, br, bi):
     """The parts of (ar + i ai)(br + i bi), rounded as Python's complex
     multiply rounds them, one rounding per operation; a float x is (x, 0.0)."""
@@ -309,14 +313,34 @@ def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
     return logp * left * right, p, logp
 
 
+def _index(p) -> float:
+    """p as an int for a prime table read, numpy integers included, or inf,
+    past every table, if p is no integer."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        return math.inf
+
+
+def _first_table(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
+                 n: int) -> tuple[dict, dict]:
+    """The prime table of ctx, which has none yet: built if the integer
+    n <= _LAMBDA_MAX is one of its primes, else an empty table, so that a
+    refused p builds none."""
+    if n > 1 and _sieve_to(_LAMBDA_MAX)[4][n] and ctx.q_level % n:
+        return _prime_table(ctx, xi, cfg)
+    return _NO_TABLE
+
+
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     """log(p) times the product of the two twisted divisor factors at the prime p."""
     try:
         ctx = cfg._contexts[xi]
     except (KeyError, TypeError):     # not built yet, or xi is unhashable, so no character
         ctx = _context(xi, cfg)
-    if type(p) is int and p <= _LAMBDA_MAX:
-        value = (ctx.table or _prime_table(ctx, xi, cfg))[0].get(p)
+    n = p if type(p) is int else _index(p)
+    if n <= _LAMBDA_MAX:
+        value = (ctx.table or _first_table(ctx, xi, cfg, n))[0].get(n)
         if value is not None:
             return value
     return _b_xi_at(p, ctx)[0]
@@ -339,8 +363,9 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
         ctx = cfg._contexts[xi]
     except (KeyError, TypeError):
         ctx = _context(xi, cfg)
-    if type(p) is int and p <= _LAMBDA_MAX:
-        defect = (ctx.table or _prime_table(ctx, xi, cfg))[1].get(p)
+    n = p if type(p) is int else _index(p)
+    if n <= _LAMBDA_MAX:
+        defect = (ctx.table or _first_table(ctx, xi, cfg, n))[1].get(n)
         if defect is not None:
             return defect
     left, p, logp = _b_xi_at(p, ctx)

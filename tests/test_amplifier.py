@@ -348,6 +348,38 @@ def test_prime_table_leaves_the_errors_unchanged():
             assert repr(fn(np.int64(p), xi, config())) == repr(fn(p, xi, warm))
 
 
+def test_numpy_integer_primes_read_the_prime_table(monkeypatch):
+    """np.int64 and np.int32 primes p <= 4096, as iterating sieve_interval
+    yields them, give the int's value byte for byte from the prime table,
+    never the scalar path: the first call at one builds the table, and no
+    later call, at an int or a numpy integer, builds a second."""
+    calls = []
+    kernel = amplifier._prime_table
+
+    def counted(ctx, xi, cfg):
+        calls.append(cfg)
+        return kernel(ctx, xi, cfg)
+
+    def config():
+        return AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
+
+    xi = list(character_group(5))[1]
+    primes = [p for p in sieve_interval(2, 4096).tolist() if p not in (2, 3, 5)]
+    for fn in (b_xi, factorization_check):
+        plain = config()
+        want = [repr(fn(p, xi, plain)) for p in primes]
+        monkeypatch.setattr(amplifier, "_prime_table", counted)
+        monkeypatch.setattr(amplifier, "_b_xi_at", None)     # the scalar path is not taken
+        for dtype in (np.int64, np.int32):
+            cfg = config()
+            assert [repr(fn(p, xi, cfg)) for p in map(dtype, primes)] == want
+            table = cfg._contexts[xi].table
+            assert [repr(fn(p, xi, cfg)) for p in primes[::-1]] == want[::-1]
+            assert cfg._contexts[xi].table is table and calls == [cfg]
+            calls.clear()
+        monkeypatch.undo()
+
+
 def test_b_xi_principal_diagonal_is_a_square():
     """With xi principal and r1 = r2, b_xi(p) = log(p) |eta(p)|^2."""
     cfg = AmplifierConfig(q=1, L=100.0, r1=13.0, r2=13.0, chi1=CHI3, chi2=CHI4)

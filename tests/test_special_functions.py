@@ -257,6 +257,28 @@ def test_saddle_pass_matches_the_complex_form():
         assert gap <= tol * math.exp(-0.5 * math.pi * t), (t, gap)
 
 
+def test_saddle_cosine_from_the_half_angle_tangent():
+    """The saddle pass's node cosine, cos(2 h) = 2 / (1 + tan(h)^2) - 1:
+    within 4.5e-16 of math.cos at 1e5 seeded draws with |theta| <= 1000,
+    exactly 1.0 at theta = 0, finite and within one ulp of -1 at odd
+    multiples of pi, and an array's bytes equal those of its elements taken
+    one at a time, at every offset and in a strided block."""
+    cos_from_half = special_functions._cos_from_half
+    theta = np.random.default_rng(3401).uniform(-1000.0, 1000.0, 100_000)
+    got = cos_from_half(0.5 * theta)
+    assert np.abs(got - [math.cos(v) for v in theta]).max() <= 4.5e-16
+    assert cos_from_half(np.zeros(5)).tolist() == [1.0] * 5
+    odd = cos_from_half(0.5 * math.pi * (2.0 * np.arange(-500, 500) + 1.0))
+    assert np.isfinite(odd).all() and np.abs(odd + 1.0).max() <= np.spacing(1.0)
+    half = 0.5 * theta[:4096]
+    singles = np.array([cos_from_half(np.array([h]))[0] for h in half])
+    assert got[:4096].tobytes() == singles.tobytes()
+    for offset in range(17):
+        assert cos_from_half(half[offset:].copy()).tobytes() == singles[offset:].tobytes(), offset
+    block = half.reshape(32, 128)[:, 5:]
+    assert cos_from_half(block.copy()).tobytes() == singles.reshape(32, 128)[:, 5:].tobytes()
+
+
 def test_line_pass_matches_the_complex_form():
     """On the unitary axis the real-arithmetic line sum equals the
     complex-form sum it replaced, on the same contour, to 1e-14 of

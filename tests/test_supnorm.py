@@ -209,13 +209,18 @@ def test_exponent_fit_needs_three_reports_and_one_family():
 
 
 def test_scan_matches_direct_evaluation():
-    """The reported |F| is exactly |evaluate_truncated| at the same point."""
+    """The reported |F| is exactly |evaluate_truncated| at the same point,
+    also at t0 = 199, where the modes below the turning point 2 pi n y = t0
+    (105 at y = 0.3, 70 at y = 0.45) fill several 32-value saddle blocks."""
     from eisenkit.eisenstein import evaluate_truncated
 
-    report = scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.6, 1.4), eps=1e-8)
-    here = EisensteinParams(CHI1, CHI1, 12.0)
-    for x, y, val in report.grid:
-        assert val == float(np.abs(evaluate_truncated(here, x, y, eps=1e-8)))
+    for t0, y_grid in ((12.0, (0.6, 1.4)), (199.0, (0.3, 0.45))):
+        report = scan(LEVEL1, t0, x_steps=4, y_grid=y_grid, eps=1e-8)
+        for y, modes in zip(y_grid, report.metadata["modes"]):   # each row straddles the turning point
+            assert modes > t0 / (2.0 * math.pi * y)
+        here = EisensteinParams(CHI1, CHI1, t0)
+        for x, y, val in report.grid:
+            assert val == float(np.abs(evaluate_truncated(here, x, y, eps=1e-8)))
 
 
 def test_scan_does_not_depend_on_the_thread_count():
