@@ -45,6 +45,8 @@ definitions, and saves:
     asked in descending order, so that each config is asked past the
     ceiling first, and once in ascending order, so that its prime table is
     built first;
+  * b_xi's prime verdict at every n in [-3, 10^4] and at 44651 * 44657 and
+    1999999973, at one config: 0 where it refuses n as not prime, else 1;
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
@@ -119,6 +121,8 @@ PAST_SET = 3            # the Hecke set 5:1 x 5:3
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
 CEILING_PRIMES = (3900, 4400)   # around the amplifier's prime-table ceiling 4096
 SIEVE_WINDOW = (10**6, 2 * 10**6)
+# the prime test's range: past the 4096 sieve table, and two large n
+PRIME_TEST_NS = tuple(range(-3, 10**4 + 1)) + (44651 * 44657, 1999999973)
 
 
 def _hecke() -> np.ndarray:
@@ -201,6 +205,24 @@ def _around_ceiling(past_first: bool) -> tuple[np.ndarray, np.ndarray, np.ndarra
             np.array(defects, dtype=np.float64))
 
 
+def _prime_test() -> np.ndarray:
+    """b_xi's verdict at each n of PRIME_TEST_NS, at the config q = 3,
+    chi1 = 1:0, chi2 = 5:1, xi = 3:1: 0 where it refuses n as not prime,
+    else 1 (a value, or another refusal)."""
+    cfg = AmplifierConfig(q=3, L=100.0, r1=FACT_PAIRS[0][0], r2=FACT_PAIRS[0][1],
+                          chi1=build_character(1, 0), chi2=build_character(5, 1))
+    xi = build_character(3, 1)
+    verdicts = []
+    for n in PRIME_TEST_NS:
+        try:
+            b_xi(n, xi, cfg)
+        except ValueError as exc:
+            verdicts.append(str(exc) != f"p = {n} must be a prime")
+        else:
+            verdicts.append(True)
+    return np.array(verdicts, dtype=np.uint8)
+
+
 def _identity(chi) -> tuple[int, int]:
     return chi.modulus, character_index(chi)
 
@@ -253,6 +275,7 @@ def dump(path: str) -> None:
     again_labels, again_b, again_defects = _factorization(reverse=True)
     ceiling_labels, ceiling_b, ceiling_defects = _around_ceiling(past_first=True)
     _, ascending_b, ascending_defects = _around_ceiling(past_first=False)
+    prime_test = _prime_test()
     primes = sieve_interval(*SIEVE_WINDOW)
 
     np.savez_compressed(
@@ -289,6 +312,7 @@ def dump(path: str) -> None:
         factorization_defects_ceiling_past_first=ceiling_defects,
         b_xi_ceiling_ascending=ascending_b,
         factorization_defects_ceiling_ascending=ascending_defects,
+        prime_test=prime_test,
         sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
@@ -297,6 +321,7 @@ def dump(path: str) -> None:
           f"{len(amp) + len(amp_again)} amplifier sums, "
           f"{hecke.size + ascending.size + at_once.size + past.size} divisor sums, "
           f"{len(fact_b) + len(again_b) + len(ceiling_b) + len(ascending_b)} factorization checks, "
+          f"{len(prime_test)} prime verdicts ({int(prime_test.sum())} prime), "
           f"{len(primes)} sieved primes")
 
 

@@ -29,8 +29,10 @@ definitions, and saves:
     so that a change to the saddle route shows apart from bessel_values.
 
 --compare counts the entries whose raw bytes differ between two dumps, per
-array, with the largest absolute and relative deviation among them, and
-exits 1 if any differ or an array is missing from either side.
+array, with the largest absolute and relative deviation among them (and for
+bessel_values and saddle_*, the largest deviation relative to
+max(|K|, e^{-pi t/2}), t = |Im nu|), and exits 1 if any differ or an array
+is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the Bessel
 or series code), or one copy of this script with --src on each checkout's
 src/, and --compare the two files; a dump takes a few seconds.
@@ -152,9 +154,12 @@ def _raw(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
 
 
-def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray) -> str:
+def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray, heights=None) -> str:
     """The largest absolute and relative deviation over the mismatched
-    entries (relative to the first dump's entry), or "" if there are none."""
+    entries (relative to the first dump's entry), or "" if there are none.
+    For K values, heights gives each entry's |Im nu| = t, and the scale
+    deviation |a - b| / max(|a|, e^{-pi t/2}) is added: the gap the K routes
+    are held to, which stays small where an oscillating K nears a zero."""
     if not differ.any():
         return ""
     a = x.reshape(len(differ), -1)[differ].astype(complex)
@@ -162,7 +167,22 @@ def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray) -> str:
     dev = np.abs(a - b)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(dev == 0, 0.0, dev / np.abs(a))
-    return f", max abs deviation {dev.max():.3g}, max rel deviation {rel.max():.3g}"
+    out = f", max abs deviation {dev.max():.3g}, max rel deviation {rel.max():.3g}"
+    if heights is not None:
+        scale = np.maximum(np.abs(a), np.exp(-np.pi * np.abs(heights[differ]) / 2)[:, None])
+        out += f", max scale deviation {(dev / scale).max():.3g}"
+    return out
+
+
+def _heights(name: str, dump) -> np.ndarray | None:
+    """Each entry's height t for the K arrays, None for every other array:
+    bessel_values repeats each of bessel_orders' imaginary parts over its
+    BESSEL_ARGS arguments, and saddle_T is the order T i throughout."""
+    if name == "bessel_values":
+        return np.repeat(dump["bessel_orders"].imag, BESSEL_ARGS)
+    if name.startswith("saddle_"):
+        return np.full(len(dump[name]), float(name[len("saddle_"):]))
+    return None
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -180,7 +200,8 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         differ = np.any(_raw(x) != _raw(y), axis=-1)
         mismatches = int(differ.sum())
-        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches" + _deviation(x, y, differ))
+        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches"
+              + _deviation(x, y, differ, _heights(name, a)))
         bad += mismatches
     print(f"total mismatches: {bad}")
     return 1 if bad else 0

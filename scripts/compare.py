@@ -30,8 +30,9 @@ median and quartiles of each side, the change's wins (pairs in which it was
 the better by the metric's direction in BENCHMARK.json), the median gap,
 the parent's interquartile range and the relative change against its bound;
 failed operations and the exit status of any run that did not finish; each
-bit script's mismatch counts per array, an array that the change's dump
-lacks counted as one, and its new arrays, which count as none (the script's
+bit script's mismatch counts per array, with the largest deviations it
+prints (absolute, relative, and for K values relative to
+max(|K|, e^{-pi t/2})), an array that the change's dump lacks counted as one, and its new arrays, which count as none (the script's
 own exit status still counts them); and the line counts of src/.  The file
 is rewritten after every workload, so an interrupted run keeps what it
 measured.  Last, each side runs Tier-1 once (pytest -q on its own src/ and
@@ -65,7 +66,8 @@ REPO = Path(__file__).resolve().parent.parent
 BIT_SCRIPTS = ("check_series_bits.py", "check_character_bits.py")
 SIDES = ("parent", "change")       # equal lengths, so both paths are as long
 _BIT_LINE = re.compile(r"^(\S+): (\d+) entries, (\d+) mismatches"
-                       r"(?:, max abs deviation (\S+), max rel deviation (\S+))?$")
+                       r"(?:, max abs deviation (\S+), max rel deviation (\S+)"
+                       r"(?:, max scale deviation (\S+))?)?$")
 # an array that one dump lacks, or whose shape or dtype differs: the bit
 # script counts it as one mismatch
 _BIT_PROBLEM = re.compile(r"^(\S+): ((?:missing from|shape/dtype) .*)$")
@@ -188,10 +190,12 @@ def _parse_compare(stdout: str, parent_dump: str) -> dict:
     for line in stdout.splitlines():
         match, problem = _BIT_LINE.match(line), _BIT_PROBLEM.match(line)
         if match:
-            name, entries, mismatches, dev_abs, dev_rel = match.groups()
+            name, entries, mismatches, dev_abs, dev_rel, dev_scale = match.groups()
             arrays[name] = {"entries": int(entries), "mismatches": int(mismatches)}
             if dev_abs is not None:
                 arrays[name].update(max_abs_deviation=float(dev_abs), max_rel_deviation=float(dev_rel))
+            if dev_scale is not None:
+                arrays[name]["max_scale_deviation"] = float(dev_scale)
         elif problem:
             name, what = problem.groups()
             new = what == f"missing from {parent_dump}"

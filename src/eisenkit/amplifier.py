@@ -43,9 +43,9 @@ the +-0.0 terms of a complex times a float included; the phases are numpy's
 complex exp at (+-0.0, y), equal to cmath.exp there (below); abs is
 np.hypot; character values come through eisenstein._values_at, so twists
 past 2^14 work.  Its primes and log p come from the sieve table of
-eisenstein, grown to 4096 by the first fill, so the scalar prime test reads
-that table for every p up to 4096 and _divisors past it; p above 2 _L_MAX,
-the top of any window, is refused before that trial division.
+eisenstein, grown to 4096 by the first fill.  The one prime test, _is_prime,
+reads that table up to 4096 and characters._factorize past it; p above
+2 _L_MAX, the top of any window, is refused before that trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -86,7 +86,7 @@ from typing import ClassVar
 import numpy as np
 
 from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
-from eisenkit.eisenstein import _LAMBDA_MAX, _divisors, _sieve_slot, _sieve_to, _values_at
+from eisenkit.eisenstein import _LAMBDA_MAX, _sieve_to, _values_at
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
@@ -285,41 +285,40 @@ def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> 
     return total
 
 
-def _b_xi_at(p: int, ctx: _PrimeContext) -> tuple[complex, int, float]:
-    """b_xi at p by the scalar path, with the integer p and log(p): the
-    path of every p that the prime table lacks.
+def _is_prime(n: int) -> bool:
+    """Whether the integer n is prime: the sieve table's byte (the table grown
+    to _LAMBDA_MAX) for 2 <= n <= _LAMBDA_MAX, else the trial division _factorize."""
+    if 2 <= n <= _LAMBDA_MAX:
+        return _sieve_to(_LAMBDA_MAX)[4][n] == 1
+    return _factorize(n) == ((n, 1),)
 
-    Validates p (an integer prime, at most 2 _L_MAX, the top of any window,
-    prime to q and the level), takes log(p) once and builds both prime
-    factors from their two terms (_prime_lambda).  The prime test reads the
-    sieve table of eisenstein where it covers p, and _divisors past it.
+
+def _b_xi_at(p: int, n: int, ctx: _PrimeContext) -> tuple[complex, float]:
+    """b_xi at p and log(p) by the scalar path, that of every p the prime
+    table lacks, with n = _index(p).  Validates p (an integer prime, at most
+    2 _L_MAX, the top of any window, prime to q and the level), every message
+    naming p as given, takes log(p) once and builds both prime factors from
+    their two terms (_prime_lambda).
     """
-    try:
-        n = operator.index(p)
-    except TypeError:
-        n = 0
     # trial division of p costs about 2 ms at the ceiling, minutes near 1e18
     if n > 2 * _L_MAX:
         raise ValueError(f"p = {p} above the amplifier's prime ceiling {2 * _L_MAX:g}")
-    prime = _sieve_slot[0][4]       # one byte per n, 1 at the primes
-    if not (prime[n] if 0 <= n < len(prime) else _divisors(n) == (1, n)):
+    if not _is_prime(n):
         raise ValueError(f"p = {p!r} must be a prime")
-    p = n
-    if ctx.q_level % p == 0:
+    if ctx.q_level % n == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
-    logp = math.log(p)
-    left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, p, logp)
-    right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, p, logp)
-    return logp * left * right, p, logp
+    logp = math.log(n)
+    left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, n, logp)
+    right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, n, logp)
+    return logp * left * right, logp
 
 
-def _index(p) -> float:
-    """p as an int for a prime table read, numpy integers included, or inf,
-    past every table, if p is no integer."""
+def _index(p) -> int:
+    """p as an int, numpy integers included, or 0, not prime, if p is no integer."""
     try:
         return operator.index(p)
     except TypeError:
-        return math.inf
+        return 0
 
 
 def _first_table(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
@@ -327,7 +326,7 @@ def _first_table(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfi
     """The prime table of ctx, which has none yet: built if the integer
     n <= _LAMBDA_MAX is one of its primes, else an empty table, so that a
     refused p builds none."""
-    if n > 1 and _sieve_to(_LAMBDA_MAX)[4][n] and ctx.q_level % n:
+    if _is_prime(n) and ctx.q_level % n:
         return _prime_table(ctx, xi, cfg)
     return _NO_TABLE
 
@@ -343,7 +342,7 @@ def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
         value = (ctx.table or _first_table(ctx, xi, cfg, n))[0].get(n)
         if value is not None:
             return value
-    return _b_xi_at(p, ctx)[0]
+    return _b_xi_at(p, n, ctx)[0]
 
 
 def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> float:
@@ -368,12 +367,12 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
         defect = (ctx.table or _first_table(ctx, xi, cfg, n))[1].get(n)
         if defect is not None:
             return defect
-    left, p, logp = _b_xi_at(p, ctx)
+    left, logp = _b_xi_at(p, n, ctx)
     e_diff = cmath.exp(ctx.s_diff * logp)
     e_total = cmath.exp(ctx.s_total * logp)
-    xi_p = ctx.vx[p % ctx.qx]
+    xi_p = ctx.vx[n % ctx.qx]
     four_terms = (xi_p * e_diff + xi_p * e_diff.conjugate()
-                  + ctx.vu[p % ctx.qu] * e_total + ctx.vd[p % ctx.qd] * e_total.conjugate())
+                  + ctx.vu[n % ctx.qu] * e_total + ctx.vd[n % ctx.qd] * e_total.conjugate())
     return abs(left - logp * four_terms)
 
 
@@ -386,21 +385,16 @@ def sieve_interval(lo: int, hi: int) -> np.ndarray:
 
     2 is added by hand.  Each segment is one boolean array with an entry per
     odd number, so its _SEGMENT entries cover 2 * _SEGMENT integers.  The odd
-    base primes up to sqrt(hi) are a Python list, so crossing off does plain
-    integer arithmetic.  lo and hi are integers, hi at most 2 _L_MAX, the
-    top of any amplifier window.
+    base primes up to sqrt(hi) come from sieve_interval itself, as a Python
+    list, so crossing off does plain integer arithmetic.  lo and hi are
+    integers, hi at most 2 _L_MAX, the top of any amplifier window.
     """
     lo, hi = _checked_int("lo", lo), _checked_int("hi", hi)
     if hi > 2 * _L_MAX:
         raise ValueError(f"hi = {hi} above the sieve ceiling {2 * _L_MAX:g}")
     if hi < lo or hi < 2:
         return np.empty(0, dtype=np.int64)
-    root = math.isqrt(hi)
-    base = np.ones(root + 1, dtype=bool)
-    for p in range(3, math.isqrt(root) + 1, 2):
-        if base[p]:
-            base[p * p :: 2 * p] = False
-    base_primes = (2 * np.flatnonzero(base[3::2]) + 3).tolist()
+    base_primes = sieve_interval(3, math.isqrt(hi)).tolist()
 
     chunks = [np.array([2], dtype=np.int64)] if lo <= 2 else []
     for start in range(max(lo, 3) | 1, hi + 1, 2 * _SEGMENT):

@@ -89,32 +89,27 @@ __all__ = [
 # unit group structure of (Z/p^e)^x
 # ---------------------------------------------------------------------------
 
-def _least_prime_power(n: int, d: int = 2) -> tuple[int, int, int]:
-    """(p, e, n // p^e) for the least prime p of n >= 2, p^e its exact power.
+@lru_cache(maxsize=1 << 14)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n as (p, e) pairs, p increasing; () for n <= 1.
 
-    The one trial division of the package: candidates run from d (2 or odd)
-    upward, so the caller promises that n has no prime factor below d.
+    The one trial division of the package, memoized: characters factor
+    moduli with it, eisenstein's divisor lists past the sieve table expand
+    it, and the amplifier's prime test reads it past that table.
     """
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
-            return d, e, n
+            out.append((d, e))
         d += 1 if d == 2 else 2
-    return n, 1, 1
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a list of (p, e), p increasing."""
-    out = []
-    d = 2
-    while n > 1:
-        p, e, n = _least_prime_power(n, d)
-        out.append((p, e))
-        d = p + 1 if p == 2 else p + 2
-    return out
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -55,10 +55,9 @@ layouts, shared by every series, come from one sieve table of least primes,
 exponents and cofactors, grown with the lambda tables to the largest block's
 top and never past 2^12, by array passes in _divisors order, with log a read
 from its math.log(a) entries.  The amplifier's prime table grows it to 2^12
-and reads its primes and logs, and its prime test reads it for every p it
-covers.  _divisors, trial division with a cache of
-tuples, is left for the scalar loop (past 2^12, or a block that overflows)
-and for the primes past the table.
+and reads its primes and logs, and its prime test reads it.  Past it,
+_divisors expands the memoized characters._factorize for the scalar loop
+(past 2^12, or a block that overflows).
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
@@ -82,7 +81,6 @@ from eisenkit.characters import (
     DirichletCharacter,
     _conductor_exponent as _cond_exp,   # v_p of the conductor of chi
     _factorize,
-    _least_prime_power,
     conductor,
     conjugate,
     gauss_sum,
@@ -232,23 +230,20 @@ _LAMBDA_MAX = 1 << 12       # the table ceiling; lambda(n) past it is computed p
 _LAMBDA_SERIES = 64         # series whose lambda tables are kept
 
 
-@lru_cache(maxsize=1 << 14)
-def _divisors(n: int) -> tuple[int, ...]:
-    """The divisors of n, once per n; (1,) for every n <= 1.
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, expanded from _factorize(n); [1] for every n <= 1.
 
-    With p the least prime of n and p^e its exact power, the tuple is
-    p^k d for k = 0..e (outer) and d over the cofactor n / p^e's own tuple
-    (inner), read from this cache.  So the least prime's exponent varies
-    slowest, then the next prime's, and so on.  That order is a contract:
-    generalized_divisor_sum adds its terms in it, so it sets the bits of
-    lambda(n).  The tuple is its own mirror: _divisors(n)[k - 1 - i] is
-    n / _divisors(n)[i], k the divisor count.
+    For n = p1^e1 ... pr^er, p1 < ... < pr, the list is p1^k1 ... pr^kr
+    with the least prime's exponent varying slowest, then the next prime's,
+    and so on.  That order is a contract: generalized_divisor_sum adds its
+    terms in it, so it sets the bits of lambda(n).  The list is its own
+    mirror: _divisors(n)[k - 1 - i] is n / _divisors(n)[i], k the divisor
+    count.
     """
-    if n < 2:
-        return (1,)
-    p, e, m = _least_prime_power(n)
-    rest = _divisors(m)
-    return tuple([p ** k * d for k in range(e + 1) for d in rest])
+    divs = [1]
+    for p, e in reversed(_factorize(n)):
+        divs = [p ** k * d for k in range(e + 1) for d in divs]
+    return divs
 
 
 # The sieve table (spf, exp, rest, logs, prime) at index n: n = spf^exp rest

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _prime_powers,
     naive_amplifier_sum,
     two_exponential_b_xi,
     two_exponential_factorization_check,
@@ -29,7 +30,7 @@ from eisenkit.amplifier import (
     factorization_check,
     sieve_interval,
 )
-from eisenkit.eisenstein import _divisors, generalized_divisor_sum
+from eisenkit.eisenstein import generalized_divisor_sum
 from eisenkit.characters import build_character, character_group, conjugate, multiply
 
 CHI1 = build_character(1, 0)
@@ -127,18 +128,20 @@ def test_b_xi_refuses_primes_past_the_window_ceiling():
     assert factorization_check(1999999973, xi, cfg) < 1e-10
 
 
-def test_prime_test_reads_the_sieve_table(monkeypatch):
-    """The sieve table's prime byte is _divisors(n) == (1, n) at every
-    n <= 4096, 0 and 1 included, and b_xi refuses as not prime exactly the n
-    that are not: through the table up to 4096, through _divisors past it
-    (4097 = 17 * 241; 1999999973 is prime) and, with the scalar path's
-    table cold, through _divisors at every n below 300 that the prime table
-    of the config lacks.  2^31 - 1, a prime, lies past the prime ceiling 2e9
-    and is refused before any prime test."""
+def test_prime_test_reads_the_sieve_table():
+    """The amplifier's one prime test, the sieve table's byte up to 4096
+    and _factorize past it, agrees with the oracle's trial division,
+    _prime_powers(n) == [(n, 1)], at every n in [-3, 10^4], at 44651 * 44657
+    and at the prime 1999999973; and b_xi refuses as not prime exactly the
+    n that are not.  2^31 - 1, a prime, lies past the prime ceiling 2e9 and
+    is refused before any prime test."""
     from eisenkit import eisenstein
 
-    prime = eisenstein._sieve_to(4096)[4]
-    assert [prime[n] == 1 for n in range(4097)] == [_divisors(n) == (1, n) for n in range(4097)]
+    ns = list(range(-3, 10 ** 4 + 1)) + [44651 * 44657, 1999999973]
+    primes = [_prime_powers(n) == [(n, 1)] for n in ns]
+    assert [amplifier._is_prime(n) for n in ns] == primes
+    table = eisenstein._sieve_to(4096)[4]
+    assert [table[n] == 1 for n in range(4097)] == primes[3:4100]
 
     cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
     xi = build_character(3, 1)
@@ -150,12 +153,7 @@ def test_prime_test_reads_the_sieve_table(monkeypatch):
             return str(exc) == f"p = {n} must be a prime"
         return False
 
-    ns = list(range(4097)) + [4097, 1999999973]
-    assert [refused(n) for n in ns] == [_divisors(n) != (1, n) for n in ns]
-    cold = [tuple(part[:4] for part in eisenstein._sieve_slot[0])]
-    monkeypatch.setattr(amplifier, "_sieve_slot", cold)
-    assert [refused(n) for n in range(300)] == [_divisors(n) != (1, n) for n in range(300)]
-    assert len(cold[0][0]) == 4
+    assert [refused(n) for n in ns] == [not prime for prime in primes]
     with pytest.raises(ValueError, match=r"^p = 2147483647 above the amplifier's prime ceiling 2e\+09$"):
         b_xi(2 ** 31 - 1, xi, cfg)
 
@@ -325,13 +323,13 @@ def test_prime_table_with_q_times_the_level_past_int64():
 def test_prime_table_leaves_the_errors_unchanged():
     """Each refusal keeps its message, from a config whose prime table is
     not built yet and from one whose table is: non-primes (0, 1, 4, 4096,
-    -7, True, 2.0, np.int64(4)), ramified primes, and primes past 2e9; an
+    -7, True, 2.0, 3e9, np.int64(4)), ramified primes, and primes past 2e9; an
     np.int64 prime gives the bits of the int."""
     def config():
         return AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
 
     xi = list(character_group(5))[1]
-    refusals = [(p, f"p = {p!r} must be a prime") for p in (0, 1, 4, 4096, -7, True, 2.0, np.int64(4))]
+    refusals = [(p, f"p = {p!r} must be a prime") for p in (0, 1, 4, 4096, -7, True, 2.0, 3e9, np.int64(4))]
     refusals += [(p, f"p = {p} must avoid the progression modulus and the level")
                  for p in (2, 3, 5, np.int64(3))]
     refusals += [(p, f"p = {p} above the amplifier's prime ceiling 2e+09")
@@ -447,12 +445,15 @@ def test_sieve_interval_matches_a_plain_sieve():
     """Windows against a plain sieve of every integer.  A segment of the odd-only
     layout covers 2 * _SEGMENT integers from the first odd number >= max(lo, 3),
     so each wide window spans two segments, from odd and even lo; one ends on
-    the first number of its second segment."""
+    the first number of its second segment.  The base primes up to sqrt(hi)
+    come from sieve_interval itself, so every small window, lo in [-3, 12]
+    and hi in [-3, 120], runs that recursion down to its empty base case."""
     span = 2 * _SEGMENT
     windows = [(10 ** 6, 10 ** 6 + 10 ** 4),
                (0, span + 999), (1, 60), (2, 60), (3, span + 3),
                (span, 2 * span + 12345), (span + 1, 2 * span + 12345),
                (2, 2), (3, 3), (97, 97), (1000003, 1000003), (span + 17, span + 17)]
+    windows += [(lo, hi) for lo in range(-3, 13) for hi in range(-3, 121)]
     hi_max = max(hi for _, hi in windows)
     sieve = bytearray([1]) * (hi_max + 1)
     sieve[0:2] = b"\x00\x00"
@@ -461,7 +462,8 @@ def test_sieve_interval_matches_a_plain_sieve():
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     assert sieve[span + 17] and sieve[1000003]
     for lo, hi in windows:
-        plain = list(itertools.compress(range(lo, hi + 1), sieve[lo : hi + 1]))
+        start = max(lo, 0)
+        plain = list(itertools.compress(range(start, hi + 1), sieve[start : hi + 1]))
         assert list(sieve_interval(lo, hi)) == plain, (lo, hi)
 
 

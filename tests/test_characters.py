@@ -7,6 +7,7 @@ import copy
 import gc
 import math
 import pickle
+import random
 import re
 import sys
 import threading
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenkit.characters as characters_module
-from oracles import brute_conductor, brute_gauss_sum, character_count, oracle_phases
+from oracles import _prime_powers, brute_conductor, brute_gauss_sum, character_count, oracle_phases
 from eisenkit.characters import (
     DirichletCharacter,
     build_character,
@@ -47,6 +48,19 @@ def test_enumeration_index_round_trip():
         for k, chi in enumerate(character_group(q)):
             assert character_index(chi) == k
             assert build_character(q, k) == chi
+
+
+def test_factorize_matches_the_oracle_trial_division():
+    """_factorize, the package's one trial division, equals the oracle's
+    prime powers at every n in [-3, 10^4] (() for n <= 1), at seeded n up
+    to 2e9 and at 2^30, 3^19, the product of the twin primes 44651 and
+    44657, and 2^64; a second call returns the memoized tuple."""
+    rng = random.Random(3501)
+    ns = list(range(-3, 10 ** 4 + 1)) + [rng.randrange(10 ** 4, 2 * 10 ** 9) for _ in range(40)]
+    for n in ns + [2 ** 30, 3 ** 19, 44651 * 44657, 2 ** 64]:
+        got = characters_module._factorize(n)
+        assert got == tuple(_prime_powers(n)), n
+        assert characters_module._factorize(n) is got
 
 
 def _bits(values) -> np.ndarray:

@@ -44,6 +44,30 @@ def test_an_array_missing_from_one_dump_counts_as_a_mismatch():
     assert parsed["new_arrays"] == ["hecke_past_ceiling"]
 
 
+def test_the_scale_deviation_of_k_values_is_recorded():
+    """A K array's line also gives its deviation relative to
+    max(|K|, e^{-pi t/2}), recorded beside the absolute and relative ones;
+    a line without it records none."""
+    stdout = "\n".join([
+        "bessel_values: 2700 entries, 448 mismatches, max abs deviation 4.41e-39, "
+        "max rel deviation 2.2e-14, max scale deviation 1.1e-16",
+        "saddle_199: 200 entries, 3 mismatches, max abs deviation 3.82e-152, "
+        "max rel deviation 4.8e-15, max scale deviation 2.17e-16",
+        "fe_seed8: 160 entries, 2 mismatches, max abs deviation 3.8e-17, max rel deviation 0.021",
+        "total mismatches: 453",
+    ])
+    parsed = _load_compare()._parse_compare(stdout, "parent-check_series_bits.npz")
+    assert parsed["arrays"] == {
+        "bessel_values": {"entries": 2700, "mismatches": 448, "max_abs_deviation": 4.41e-39,
+                          "max_rel_deviation": 2.2e-14, "max_scale_deviation": 1.1e-16},
+        "saddle_199": {"entries": 200, "mismatches": 3, "max_abs_deviation": 3.82e-152,
+                       "max_rel_deviation": 4.8e-15, "max_scale_deviation": 2.17e-16},
+        "fe_seed8": {"entries": 160, "mismatches": 2,
+                     "max_abs_deviation": 3.8e-17, "max_rel_deviation": 0.021},
+    }
+    assert parsed["total_mismatches"] == 453
+
+
 # A bit script in miniature: --dump writes each value its side's eisenkit
 # stand-in (src/fake.py) computes, --compare prints a line per array in the
 # bit scripts' format.  The change's copy takes --src and dumps "old" and

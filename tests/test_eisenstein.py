@@ -79,23 +79,22 @@ def test_brute_force_divisor_sum_small_n():
 
 
 def test_divisor_lists_in_the_summation_order():
-    """_divisors, grown from each cofactor's cached tuple, equals the product
-    of the prime-power lists, least prime outermost (the order lambda(n) is
-    summed in), from a cold cache: every n <= 5000, then seeded n up to 2e9
-    with 2^30, 3^19 and the product of the twin primes 44651 and 44657; n <= 1
-    gives (1,), as _b_xi_at relies on for negative p.  Each list is
-    its own mirror, _divisors(n)[k - 1 - i] = n / _divisors(n)[i] for k
-    divisors: the lambda kernel reads n / a at the mirror position of a."""
-    _divisors.cache_clear()
+    """_divisors, expanded from _factorize, equals the product of the
+    prime-power lists, least prime outermost (the order lambda(n) is summed
+    in): every n <= 5000, then seeded n up to 2e9 with 2^30, 3^19 and the
+    product of the twin primes 44651 and 44657; n <= 1 gives [1].  Each
+    list is its own mirror, _divisors(n)[k - 1 - i] = n / _divisors(n)[i]
+    for k divisors: the lambda kernel reads n / a at the mirror position of
+    a."""
     rng = random.Random(2701)
     big = [rng.randrange(5001, 2 * 10 ** 9) for _ in range(60)]
     big += [rng.randrange(1, 2 * 10 ** 5) * rng.choice((6, 30, 210, 2 ** 10, 3 ** 6))
             for _ in range(60)]
     for n in list(range(1, 5001)) + big + [2 ** 30, 3 ** 19, 44651 * 44657, 2 ** 64, 997 ** 6]:
         d = _divisors(n)
-        assert d == divisors_by_product(n), n
+        assert d == list(divisors_by_product(n)), n
         assert all(a * b == n for a, b in zip(d, reversed(d))), n
-    assert [_divisors(n) for n in (-7, 0, 1)] == [(1,)] * 3
+    assert [_divisors(n) for n in (-7, 0, 1)] == [[1]] * 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -238,7 +237,8 @@ def test_block_layouts_are_the_divisor_layouts(monkeypatch):
 def test_sieve_table_stops_at_the_lambda_ceiling(monkeypatch):
     """The sieve table grows block by block with the lambda tables, to the
     least power of two at least 16 that covers n, and never past
-    _LAMBDA_MAX: an n past it takes the one-n path through _divisors."""
+    _LAMBDA_MAX: an n past it takes the one-n path, the scalar loop over
+    _divisors, which expands the trial division _factorize."""
     from eisenkit import eisenstein
 
     _cold_tables(monkeypatch)
