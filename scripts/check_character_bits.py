@@ -50,7 +50,8 @@ definitions, and saves:
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
-array, with the largest deviation among them (check_series_bits.compare),
+array, with the largest deviation among them and a verdict against the
+array's tolerance, exact for every array here (check_series_bits.compare),
 and exits 1 if any differ or an array is missing from either side.
 Run --dump on two checkouts (say, before and after a change to the
 character layer), or one copy of this script with --src on each checkout's

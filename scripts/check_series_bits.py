@@ -32,7 +32,10 @@ definitions, and saves:
 array, with the largest absolute and relative deviation among them (and for
 bessel_values and saddle_*, the largest deviation relative to
 max(|K|, e^{-pi t/2}), t = |Im nu|), and exits 1 if any differ or an array
-is missing from either side.
+is missing from either side.  Each array's line ends with its verdict
+against its declared tolerance (TOLERANCES): "within tolerance" or "outside
+tolerance", with the tolerance in parentheses.  The verdict records how far
+a change moved an array; the count and the exit status still go by bits.
 Run --dump on two checkouts (say, before and after a change to the Bessel
 or series code), or one copy of this script with --src on each checkout's
 src/, and --compare the two files; a dump takes a few seconds.
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +80,28 @@ BESSEL_ORDERS = 9
 BESSEL_ARGS = 300
 SADDLE_HEIGHTS = (61.0, 199.0)
 SADDLE_ARGS = 200
+
+# The move a change may make to each array, first matching name pattern;
+# an array that no pattern names must match exactly: the const_* arrays,
+# *_modes, *_argmax, bessel_orders and every array of check_character_bits.py.
+#   scale: |a - b| <= bound * max(|a|, e^{-pi t/2}) at every entry, t = |Im nu|:
+#          the gap a change of arithmetic inside a K route is held to;
+#   grid:  a scan row (x, y, |F|): x and y exact, |F| within bound, absolute;
+#   abs:   |a - b| <= bound at every entry.
+# Scan values and FE residuals come from series truncated to an error of
+# eps = 1e-8; a move of _EPS_SHARE eps is four orders below the accuracy they
+# are computed to, and about 80 times the largest move that K changes within
+# the scale gate have made to them (1.24e-14 on a grid, 8.5e-17 on a
+# residual).  Modes, argmax points and constants are exact: each is an
+# integer decision, or built without a K value.
+_EPS_SHARE = 1e-4
+TOLERANCES = (
+    ("bessel_values", "scale", 1e-15),
+    ("saddle_*", "scale", 1e-15),
+    ("scan_*_grid", "grid", _EPS_SHARE * ScanLadder.EPS),
+    ("scan_*_supremum", "abs", _EPS_SHARE * ScanLadder.EPS),
+    ("fe_seed*", "abs", _EPS_SHARE * FEMatrix.EPS),
+)
 
 
 def _bessel_cases() -> tuple[np.ndarray, np.ndarray]:
@@ -154,14 +180,26 @@ def _raw(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint8).reshape(len(a), -1) if a.ndim else a.view(np.uint8)[None]
 
 
-def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray, heights=None) -> str:
-    """The largest absolute and relative deviation over the mismatched
-    entries (relative to the first dump's entry), or "" if there are none.
-    For K values, heights gives each entry's |Im nu| = t, and the scale
-    deviation |a - b| / max(|a|, e^{-pi t/2}) is added: the gap the K routes
-    are held to, which stays small where an oscillating K nears a zero."""
+def _tolerance(name: str) -> tuple[str, float]:
+    """The kind and bound of name's declared tolerance: ("exact", 0.0) unless
+    a TOLERANCES pattern names it."""
+    return next(((kind, bound) for pattern, kind, bound in TOLERANCES if fnmatch(name, pattern)),
+                ("exact", 0.0))
+
+
+def _deviation(name: str, x: np.ndarray, y: np.ndarray, differ: np.ndarray,
+               heights=None) -> tuple[str, bool]:
+    """The end of name's --compare line and whether name is within its
+    tolerance.  The line gives the largest absolute and relative deviation
+    over the mismatched entries (relative to the first dump's entry), if
+    there are any, then the verdict.  For K values, heights gives each
+    entry's |Im nu| = t, and the scale deviation |a - b| / max(|a|, e^{-pi t/2})
+    is added: the gap the K routes are held to, which stays small where an
+    oscillating K nears a zero."""
+    kind, bound = _tolerance(name)
+    tolerance = "exact" if kind == "exact" else f"{kind} <= {bound:g}"
     if not differ.any():
-        return ""
+        return f", within tolerance ({tolerance})", True
     a = x.reshape(len(differ), -1)[differ].astype(complex)
     b = y.reshape(len(differ), -1)[differ].astype(complex)
     dev = np.abs(a - b)
@@ -171,7 +209,13 @@ def _deviation(x: np.ndarray, y: np.ndarray, differ: np.ndarray, heights=None) -
     if heights is not None:
         scale = np.maximum(np.abs(a), np.exp(-np.pi * np.abs(heights[differ]) / 2)[:, None])
         out += f", max scale deviation {(dev / scale).max():.3g}"
-    return out
+    if kind == "scale":
+        within = (dev <= bound * scale).all()
+    elif kind == "grid":
+        within = (dev[:, :2] == 0).all() and (dev[:, 2:] <= bound).all()
+    else:
+        within = kind == "abs" and (dev <= bound).all()
+    return out + f", {'within' if within else 'outside'} tolerance ({tolerance})", bool(within)
 
 
 def _heights(name: str, dump) -> np.ndarray | None:
@@ -187,23 +231,27 @@ def _heights(name: str, dump) -> np.ndarray | None:
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
-    bad = 0
+    bad = outside = 0
     for name in sorted(set(a.files) | set(b.files)):
         if name not in a.files or name not in b.files:
             print(f"{name}: missing from {path_a if name not in a.files else path_b}")
             bad += 1
+            outside += 1
             continue
         x, y = a[name], b[name]
         if x.shape != y.shape or x.dtype != y.dtype:
             print(f"{name}: shape/dtype {x.shape} {x.dtype} vs {y.shape} {y.dtype}")
             bad += 1
+            outside += 1
             continue
         differ = np.any(_raw(x) != _raw(y), axis=-1)
         mismatches = int(differ.sum())
-        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches"
-              + _deviation(x, y, differ, _heights(name, a)))
+        detail, within = _deviation(name, x, y, differ, _heights(name, a))
+        print(f"{name}: {len(_raw(x))} entries, {mismatches} mismatches{detail}")
         bad += mismatches
+        outside += not within
     print(f"total mismatches: {bad}")
+    print(f"arrays outside tolerance: {outside}")
     return 1 if bad else 0
 
 

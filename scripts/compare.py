@@ -32,8 +32,11 @@ the parent's interquartile range and the relative change against its bound;
 failed operations and the exit status of any run that did not finish; each
 bit script's mismatch counts per array, with the largest deviations it
 prints (absolute, relative, and for K values relative to
-max(|K|, e^{-pi t/2})), an array that the change's dump lacks counted as one, and its new arrays, which count as none (the script's
-own exit status still counts them); and the line counts of src/.  The file
+max(|K|, e^{-pi t/2})) and its verdict against the array's declared
+tolerance (within_tolerance, and the list outside_tolerance), an array
+that the change's dump lacks counted as one mismatch and outside its
+tolerance, and its new arrays, which count as none (the script's own exit
+status still counts them); and the line counts of src/.  The file
 is rewritten after every workload, so an interrupted run keeps what it
 measured.  Last, each side runs Tier-1 once (pytest -q on its own src/ and
 tests/), and the record keeps its counts and wall time and the nine
@@ -67,7 +70,8 @@ BIT_SCRIPTS = ("check_series_bits.py", "check_character_bits.py")
 SIDES = ("parent", "change")       # equal lengths, so both paths are as long
 _BIT_LINE = re.compile(r"^(\S+): (\d+) entries, (\d+) mismatches"
                        r"(?:, max abs deviation (\S+), max rel deviation (\S+)"
-                       r"(?:, max scale deviation (\S+))?)?$")
+                       r"(?:, max scale deviation (\S+))?)?"
+                       r"(?:, (within|outside) tolerance \(([^)]*)\))?$")
 # an array that one dump lacks, or whose shape or dtype differs: the bit
 # script counts it as one mismatch
 _BIT_PROBLEM = re.compile(r"^(\S+): ((?:missing from|shape/dtype) .*)$")
@@ -184,24 +188,32 @@ def _bits(dirs: dict[str, Path], work: Path) -> dict:
 def _parse_compare(stdout: str, parent_dump: str) -> dict:
     """The per-array lines of a bit script's --compare output, and their total:
     an array missing from the change's dump, or of another shape or dtype,
-    counts as one mismatch, as the script itself counts it; one missing from
-    the parent's dump, parent_dump, is new and counts as none."""
+    counts as one mismatch, as the script itself counts it, and is outside
+    its tolerance; one missing from the parent's dump, parent_dump, is new
+    and counts as none.  Each line's verdict against the array's declared
+    tolerance is kept as within_tolerance, and outside_tolerance lists the
+    arrays outside theirs."""
     arrays = {}
     for line in stdout.splitlines():
         match, problem = _BIT_LINE.match(line), _BIT_PROBLEM.match(line)
         if match:
-            name, entries, mismatches, dev_abs, dev_rel, dev_scale = match.groups()
+            name, entries, mismatches, dev_abs, dev_rel, dev_scale, verdict, tolerance = match.groups()
             arrays[name] = {"entries": int(entries), "mismatches": int(mismatches)}
             if dev_abs is not None:
                 arrays[name].update(max_abs_deviation=float(dev_abs), max_rel_deviation=float(dev_rel))
             if dev_scale is not None:
                 arrays[name]["max_scale_deviation"] = float(dev_scale)
+            if verdict is not None:
+                arrays[name].update(within_tolerance=verdict == "within", tolerance=tolerance)
         elif problem:
             name, what = problem.groups()
             new = what == f"missing from {parent_dump}"
             arrays[name] = {"mismatches": 0, "new": True} if new else {"mismatches": 1, "problem": what}
     return {"total_mismatches": sum(a["mismatches"] for a in arrays.values()),
-            "new_arrays": sorted(name for name, a in arrays.items() if a.get("new")), "arrays": arrays}
+            "new_arrays": sorted(name for name, a in arrays.items() if a.get("new")),
+            "outside_tolerance": sorted(name for name, a in arrays.items()
+                                        if "problem" in a or a.get("within_tolerance") is False),
+            "arrays": arrays}
 
 
 def _tier1(side: Path) -> dict:

@@ -157,9 +157,9 @@ class AmplifierConfig:
 @lru_cache(maxsize=512)
 def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCharacter):
     """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and xi conj(chi1 conj(chi2))."""
-    return (multiply(xi, conjugate(chi1)), multiply(xi, conjugate(chi2)),
-            multiply(xi, conjugate(multiply(chi2, conjugate(chi1)))),
-            multiply(xi, conjugate(multiply(chi1, conjugate(chi2)))))
+    conj1, conj2 = conjugate(chi1), conjugate(chi2)
+    return (multiply(xi, conj1), multiply(xi, conj2),
+            multiply(xi, multiply(chi1, conj2)), multiply(xi, multiply(chi2, conj1)))
 
 
 class _PrimeContext:

@@ -32,9 +32,9 @@ prime_to_p_part are slices of it.
 
 A value is one object, interned by (modulus, exps) in a weak table, so
 equality and hashing are identity, in C, for every cache keyed on
-characters: the memoized functions conjugate, multiply, primitive_part,
-local_component, prime_to_p_part, gauss_sum, local_epsilon and value_table,
-which keep their last _MEMO results, each computed once per value.
+characters.  The value table, its list copy and the Gauss sum are cached
+properties of that object, freed with it; the derived characters are not
+cached (microseconds each), and local_epsilon alone keeps an lru memo.
 
 gauss_sum_moduli_squared builds no character object: every Gauss sum mod q
 is one entry of a single inverse DFT of e(u/q) over the exponent grid of
@@ -174,8 +174,6 @@ def _component_structure(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ..
 # where a value table is about 1 MB and gauss_sum_moduli_squared's O(phi log phi)
 # transform takes milliseconds
 _MODULUS_MAX = 1 << 14
-# entries per memoized function of characters (conjugate, multiply, ..., local_epsilon)
-_MEMO = 256
 # every live character by (modulus, exps), held weakly: one object per value
 _INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _INTERN_LOCK = threading.Lock()
@@ -283,17 +281,42 @@ class DirichletCharacter:
         return None if m is None else Fraction(m, self.phase_denominator)
 
     @cached_property
+    def _table(self) -> np.ndarray:
+        """value_table(self); only up to the modulus ceiling, at about 60 bytes per residue."""
+        D, parts = self._weights
+        weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)
+        table = _value_rows(_checked_modulus(self.modulus), D, weights)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def _values(self):
-        """value_table as a list of Python complex numbers, for scalar reads;
+        """_table as a list of Python complex numbers, for scalar reads;
         past the modulus ceiling, reads that build no table (_PhaseReads)."""
         if self.modulus > _MODULUS_MAX:
             return _PhaseReads(self)
-        return value_table(self).tolist()
+        return self._table.tolist()
 
     def evaluate(self, n: int) -> complex:
         """chi(n), read from _values: the same bits as the table entry at
         n mod q, without a numpy scalar read."""
         return self._values[n % self.modulus]
+
+    @cached_property
+    def _gauss(self) -> complex:
+        """gauss_sum(self), summed over the units u mod q in increasing order."""
+        q, f = self.modulus, conductor(self)
+        if f != q:
+            raise ValueError(f"gauss_sum requires a primitive character (conductor {f} != modulus {q})")
+        if q == 1:
+            return 1.0 + 0j
+        D = self.phase_denominator
+        total = 0j
+        for u in range(1, q):
+            m = self.int_phase(u)
+            if m is not None:
+                total += cmath.exp(2j * math.pi * (m / D + u / q))
+        return total
 
     # -- basic attributes ---------------------------------------------------
 
@@ -395,9 +418,14 @@ def _exps_at(chi: DirichletCharacter, p: int, e: int) -> list[int]:
     """The exponent vector mod p^e of the character that agrees with chi's p-part on units:
     m o / D on a generator g of order o, where the p-part is e(m / D).  Exact
     when e is at least chi's conductor exponent at p."""
+    gens, orders = _component_structure(p, e)[:2]
+    e_chi, span = _p_part(chi.modulus, p)
+    if e_chi == e:          # the same generators: chi's own slice
+        return list(chi.exps[span])
+    if e_chi == 0:          # no p-part: trivial at p
+        return [0] * len(orders)
     part = local_component(chi, p)
     D = part.phase_denominator
-    gens, orders = _component_structure(p, e)[:2]
     exps = []
     for g, o in zip(gens, orders):
         k, rem = divmod(o * part.int_phase(g), D)
@@ -407,7 +435,6 @@ def _exps_at(chi: DirichletCharacter, p: int, e: int) -> list[int]:
     return exps
 
 
-@lru_cache(maxsize=_MEMO)
 def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     """The primitive character mod conductor(chi) inducing chi."""
     f = conductor(chi)
@@ -419,7 +446,6 @@ def primitive_part(chi: DirichletCharacter) -> DirichletCharacter:
     return DirichletCharacter(f, tuple(exps))
 
 
-@lru_cache(maxsize=_MEMO)
 def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCharacter:
     """Pointwise product, as a character mod lcm of the two moduli."""
     q = math.lcm(chi1.modulus, chi2.modulus)
@@ -429,20 +455,17 @@ def multiply(chi1: DirichletCharacter, chi2: DirichletCharacter) -> DirichletCha
     return DirichletCharacter(q, tuple(exps))
 
 
-@lru_cache(maxsize=_MEMO)
 def conjugate(chi: DirichletCharacter) -> DirichletCharacter:
     """The complex conjugate (inverse) character."""
     return DirichletCharacter(chi.modulus, tuple(-k % o for k, o in zip(chi.exps, _orders(chi.modulus))))
 
 
-@lru_cache(maxsize=_MEMO)
 def local_component(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """The p-part of chi, as a standalone character mod p^{v_p(q)}."""
     e, span = _p_part(chi.modulus, p)
     return DirichletCharacter(p**e, chi.exps[span])
 
 
-@lru_cache(maxsize=_MEMO)
 def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
     """chi with its p-component removed (trivial at p)."""
     e, span = _p_part(chi.modulus, p)
@@ -453,26 +476,10 @@ def prime_to_p_part(chi: DirichletCharacter, p: int) -> DirichletCharacter:
 # Gauss sums and epsilon factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=_MEMO)
 def gauss_sum(chi: DirichletCharacter) -> complex:
-    """The Gauss sum sum_{u mod q} chi(u) e(u/q), for primitive chi.
-
-    Non-primitive input is rejected: the naive sum is not the normalized
-    local quantity in that case.  Memoized on chi's value, like local_epsilon.
-    """
-    q = chi.modulus
-    if conductor(chi) != q:
-        raise ValueError(f"gauss_sum requires a primitive character (conductor {conductor(chi)} != modulus {q})")
-    if q == 1:
-        return 1.0 + 0j
-    D = chi.phase_denominator
-    total = 0j
-    for u in range(1, q):
-        m = chi.int_phase(u)
-        if m is None:
-            continue
-        total += cmath.exp(2j * math.pi * (m / D + u / q))
-    return total
+    """The Gauss sum sum_{u mod q} chi(u) e(u/q), for primitive chi, kept on chi; non-primitive
+    input is rejected, as the naive sum is not the normalized local quantity then."""
+    return chi._gauss
 
 
 def _root(m: int, D: int) -> complex:
@@ -504,18 +511,10 @@ def _value_rows(q: int, D: int, weights: np.ndarray) -> np.ndarray:
     return values
 
 
-@lru_cache(maxsize=_MEMO)
 def value_table(chi: DirichletCharacter) -> np.ndarray:
-    """chi(0), chi(1), ..., chi(q-1) as a read-only complex array.
-
-    Built once per character value; chi.evaluate reads a list copy of it.
-    Only up to the modulus ceiling: a table costs about 60 bytes per residue.
-    """
-    D, parts = chi._weights
-    weights = np.array([w for _, _, ws in parts for w in ws], dtype=np.int64)
-    table = _value_rows(_checked_modulus(chi.modulus), D, weights)
-    table.flags.writeable = False
-    return table
+    """chi(0), chi(1), ..., chi(q-1) as a read-only complex array, up to the
+    modulus ceiling: built once per character value and kept on it."""
+    return chi._table
 
 
 def _primitive_mask(q: int) -> np.ndarray:
@@ -573,7 +572,7 @@ def gauss_sum_moduli_squared(q: int) -> np.ndarray:
     return np.abs(_gauss_sums(q)[_primitive_mask(q)]) ** 2
 
 
-@lru_cache(maxsize=_MEMO)
+@lru_cache(maxsize=256)
 def local_epsilon(chi: DirichletCharacter, p: int) -> complex:
     """Unit-modulus local epsilon factor of chi at p, at the central point.
 

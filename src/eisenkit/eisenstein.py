@@ -37,10 +37,10 @@ is the instance itself, so the dual's c(-s) reads the same b_p(s).  A
 computation that raises leaves nothing behind, so the next call raises
 again.  Equal params objects do not share this state; a caller that reuses
 one object per series pays for it once.  What it is built from is shared
-per character, one object per value: the derived characters, their value
-tables, Gauss sums and local epsilon factors come from the memoized functions
-of characters, so a second object for an equal series recomputes only the
-per-series state above.
+per character value, one object per value: value tables and Gauss sums are
+kept on the live characters, and local epsilon factors in characters' memo,
+so a second object for an equal series recomputes only the per-series state
+above and the derived characters, microseconds each.
 
 lambda has one table per series value (chi1, chi2, s), kept for the last
 _LAMBDA_SERIES values and read by generalized_divisor_sum and _coefficients:

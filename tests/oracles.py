@@ -12,6 +12,7 @@ quietly start testing itself against itself.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -395,15 +396,17 @@ def _crt(residues: list[tuple[int, int]]) -> int:
     return x
 
 
-def oracle_phases(q: int, index: int) -> dict[int, Fraction]:
-    """Exact phase of the index-th character mod q at every unit residue.
+def oracle_int_phases(q: int, index: int) -> tuple[int, dict[int, int]]:
+    """D and the phase m in [0, D) of the index-th character mod q at every
+    unit residue, the value being e(m / D), D the lcm of the generator orders.
 
     Reads the conventions of the characters module docstring and nothing
     else: generators per prime power, lexicographic enumeration of the
     exponent vectors (components by increasing prime, last generator
     fastest).  Each generator is lifted by CRT to a residue that is 1 at the
-    other prime powers; the group is walked as products of their powers,
-    the phase adding k/o per step on a generator of order o.
+    other prime powers; the group is walked as products of their powers, in
+    integers mod D, the phase adding k D / o per step on a generator of
+    order o.
     """
     moduli = [p**e for p, e in _prime_powers(q)]
     lifts = []
@@ -416,14 +419,23 @@ def oracle_phases(q: int, index: int) -> dict[int, Fraction]:
         index //= o
     assert index == 0, "index out of range"
     exps.reverse()
-    phases = {1 % q: Fraction(0)}
+    D = math.lcm(*(o for _, o in lifts))
+    phases = {1 % q: 0}
     for (g, o), k in zip(lifts, exps):
+        step = k * (D // o)
         walked = {}
-        for u, ph in phases.items():
-            for j in range(o):
-                walked[u * pow(g, j, q) % q] = (ph + Fraction(j * k, o)) % 1
+        for u, m in phases.items():
+            for _ in range(o):
+                walked[u] = m
+                u, m = u * g % q, (m + step) % D
         phases = walked
-    return phases
+    return D, phases
+
+
+def oracle_phases(q: int, index: int) -> dict[int, Fraction]:
+    """oracle_int_phases as exact fractions of a turn, m / D in lowest terms."""
+    D, phases = oracle_int_phases(q, index)
+    return {u: Fraction(m, D) for u, m in phases.items()}
 
 
 def oracle_index(chi: DirichletCharacter) -> int:
@@ -565,20 +577,29 @@ def _two_exponential_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter,
     return total
 
 
+@functools.cache
+def _oracle_twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCharacter):
+    """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and
+    xi conj(chi1 conj(chi2)), built once per (xi, chi1, chi2) and held, so
+    that the per-prime oracles below neither rebuild them nor their values."""
+    return (multiply(xi, conjugate(chi1)), multiply(xi, conjugate(chi2)),
+            multiply(xi, conjugate(multiply(chi2, conjugate(chi1)))),
+            multiply(xi, conjugate(multiply(chi1, conjugate(chi2)))))
+
+
 def two_exponential_b_xi(p: int, xi: DirichletCharacter, cfg) -> complex:
     """b_xi with p^{-i r} taken by its own exponential, not as a conjugate."""
     logp = math.log(p)
+    twist1, twist2 = _oracle_twists(xi, cfg.chi1, cfg.chi2)[:2]
     left = _two_exponential_lambda(cfg.chi1, cfg.chi2, 1j * cfg.r1, p, logp)
-    right = _two_exponential_lambda(multiply(xi, conjugate(cfg.chi1)),
-                                    multiply(xi, conjugate(cfg.chi2)), -1j * cfg.r2, p, logp)
+    right = _two_exponential_lambda(twist1, twist2, -1j * cfg.r2, p, logp)
     return logp * left * right
 
 
 def two_exponential_factorization_check(p: int, xi: DirichletCharacter, cfg) -> float:
     """factorization_check with all four phases p^{+-i(r1 -+ r2)} exponentiated."""
     logp = math.log(p)
-    up = multiply(xi, conjugate(multiply(cfg.chi2, conjugate(cfg.chi1))))
-    down = multiply(xi, conjugate(multiply(cfg.chi1, conjugate(cfg.chi2))))
+    up, down = _oracle_twists(xi, cfg.chi1, cfg.chi2)[2:]
     diff = 1j * (cfg.r1 - cfg.r2) * logp
     total = 1j * (cfg.r1 + cfg.r2) * logp
     xi_p = xi.evaluate(p)

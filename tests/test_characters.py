@@ -12,13 +12,15 @@ import re
 import sys
 import threading
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenkit.characters as characters_module
-from oracles import _prime_powers, brute_conductor, brute_gauss_sum, character_count, oracle_phases
+from oracles import (_prime_powers, brute_conductor, brute_gauss_sum, character_count, oracle_int_phases,
+                     oracle_phases)
 from eisenkit.characters import (
     DirichletCharacter,
     build_character,
@@ -69,15 +71,24 @@ def _bits(values) -> np.ndarray:
 
 @pytest.mark.parametrize("q", list(range(1, 65)) + [81, 125, 128, 243, 256, 360, 499])
 def test_values_match_the_generator_oracle(q):
-    """phase, evaluate and value_table against an independent generator walk, bit for bit.
+    """int_phase, phase, evaluate and value_table against an independent
+    generator walk in integers mod D, bit for bit.
 
     evaluate is checked on [-q, 2q), so its reduction mod q is covered too.
+    phase(n) must be the Fraction m / D, compared by cross-multiplication.
     """
     for index, chi in enumerate(character_group(q)):
-        phases = oracle_phases(q, index)
-        expected = [cmath.exp(2j * math.pi * float(phases[n])) if n in phases else 0j
-                    for n in range(q)]
-        assert [chi.phase(n) for n in range(q)] == [phases.get(n) for n in range(q)]
+        D, phases = oracle_int_phases(q, index)
+        ms = [phases.get(n) for n in range(q)]
+        expected = [0j if m is None else cmath.exp(2j * math.pi * (m / D)) for m in ms]
+        assert chi.phase_denominator == D
+        assert [chi.int_phase(n) for n in range(q)] == ms
+        for n, m in enumerate(ms):
+            ph = chi.phase(n)
+            if m is None:
+                assert ph is None
+            else:
+                assert type(ph) is Fraction and ph.numerator * D == m * ph.denominator
         assert np.array_equal(_bits([chi.evaluate(n) for n in range(-q, 2 * q)]),
                               _bits([expected[n % q] for n in range(-q, 2 * q)]))
         assert np.array_equal(_bits(value_table(chi)), _bits(expected))
@@ -298,31 +309,25 @@ def test_equality_and_hash_follow_the_character():
     assert chi != "chi(45:7)" and chi != None  # noqa: E711
 
 
-# the derived characters without their memos, so that only interning can
-# make a route return the object another route built
-_UNMEMOIZED = {f.__name__: f.__wrapped__ for f in (multiply, conjugate, primitive_part,
-                                                    local_component, characters_module.prime_to_p_part)}
-
-
 def _construction_routes(chi):
     """chi's value by every construction path: build_character, the group,
-    the derived characters without their memos, direct construction, pickle
-    at every protocol, copy and deepcopy."""
+    the derived characters, which keep no memo, so that only interning can
+    make a route return the object another route built, direct
+    construction, pickle at every protocol, copy and deepcopy."""
     q, index = chi.modulus, character_index(chi)
-    f = _UNMEMOIZED
     routes = [build_character(q, index), list(character_group(q))[index],
-              f["multiply"](chi, build_character(q, 0)), f["multiply"](build_character(1, 0), chi),
-              f["conjugate"](f["conjugate"](chi)), DirichletCharacter(q, tuple(chi.exps)),
+              multiply(chi, build_character(q, 0)), multiply(build_character(1, 0), chi),
+              conjugate(conjugate(chi)), DirichletCharacter(q, tuple(chi.exps)),
               DirichletCharacter(modulus=q, exps=chi.exps), copy.copy(chi), copy.deepcopy(chi),
               copy.deepcopy([chi, {chi: chi}])[1][chi]]
     routes += [pickle.loads(pickle.dumps(chi, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     if conductor(chi) == q:
-        routes.append(f["primitive_part"](chi))
+        routes.append(primitive_part(chi))
     for p in (2, 3, 5, 7):
         if q % p:
-            routes.append(f["prime_to_p_part"](chi, p))
+            routes.append(characters_module.prime_to_p_part(chi, p))
         elif q == p ** round(math.log(q, p)):
-            routes.append(f["local_component"](chi, p))
+            routes.append(local_component(chi, p))
     return routes
 
 
@@ -384,6 +389,26 @@ def test_interned_values_die_with_their_last_reference():
     del chi
     gc.collect()
     assert ref() is None and (4099, (4000,)) not in characters_module._INTERNED
+
+
+def test_reading_a_character_does_not_keep_it_alive():
+    """A character mod 16381 dies with its last reference after any of
+    evaluate, value_table, its conjugate's evaluate, primitive_part or
+    gauss_sum: no memo keeps it, or its 16,381-entry table, alive.  The
+    characters are primitive, so each is its own primitive part."""
+    reads = {"evaluate": lambda chi: chi.evaluate(2), "value_table": value_table,
+             "conjugate(chi).evaluate": lambda chi: conjugate(chi).evaluate(2),
+             "primitive_part": primitive_part, "gauss_sum": gauss_sum}
+    alive = []
+    for index, (name, read) in enumerate(reads.items(), start=9000):
+        chi = build_character(16381, index)
+        ref = weakref.ref(chi)
+        read(chi)
+        del chi
+        gc.collect()
+        if ref() is not None:
+            alive.append(name)
+    assert alive == []
 
 
 def test_a_character_needs_an_int_modulus_and_a_tuple_of_ints():

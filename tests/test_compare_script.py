@@ -6,10 +6,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 import textwrap
 from pathlib import Path
 
-COMPARE = Path(__file__).resolve().parent.parent / "scripts" / "compare.py"
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+COMPARE = SCRIPTS / "compare.py"
 
 
 def _load_compare():
@@ -17,6 +21,98 @@ def _load_compare():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_series_bits():
+    """scripts/check_series_bits.py as a module, with sys.path as it was:
+    the script puts perfbench/ on it for its workload definitions."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("series_bits_script", SCRIPTS / "check_series_bits.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+def _moved(a: np.ndarray, limit, inside: bool) -> np.ndarray:
+    """a moved up by the largest whole number of its ulps that is at most
+    limit (inside), or by one ulp more (outside); a stays in its binade."""
+    ulp = np.spacing(np.abs(a))
+    n = np.floor(limit / ulp)
+    n = np.where(n * ulp > limit, n - 1, n)
+    return a + (n if inside else n + 1) * ulp
+
+
+def test_each_array_is_judged_against_its_declared_tolerance(tmp_path, capsys):
+    """Dumps moved just inside and just outside each declared bound read
+    within and outside tolerance, array by array: K values against
+    1e-15 max(|K|, e^{-pi t/2}), with |K| above and below that floor; a
+    scan grid's |F| column, its supremum and the FE residuals absolutely,
+    and a grid's x and y exactly; modes and constants exactly.  The
+    mismatch counts and the exit status still go by bits."""
+    bits, compare = _load_series_bits(), _load_compare()
+    args = bits.BESSEL_ARGS
+    base = {
+        "bessel_orders": np.array([10j, 100j]),
+        "bessel_values": np.concatenate([np.full(args, 1.5), np.full(args, 1e-70)]),  # floor 6e-69 at t = 100
+        "saddle_61": np.array([3e-40, 1.25]),
+        "scan_20_grid": np.array([[0.25, 1.5, 7.0], [0.5, 3.0, 2.0]]),
+        "scan_20_supremum": np.array([7.0]),
+        "fe_seed7": np.array([1e-9, 3e-10]),
+        "scan_20_modes": np.array([12, 14]),
+        "const_prefactor": np.array([0.5 + 0.25j]),
+    }
+    floors = {"bessel_values": np.repeat(np.exp(-np.pi * np.array([10.0, 100.0]) / 2), args),
+              "saddle_61": np.exp(-np.pi * np.full(2, 61.0) / 2)}
+
+    def dump(tag: str, inside: bool | None, x_moved: bool = False) -> str:
+        arrays = dict(base)
+        if inside is not None:
+            for name, floor in floors.items():
+                a = base[name]
+                arrays[name] = _moved(a, 1e-15 * np.maximum(np.abs(a), floor), inside)
+            grid = base["scan_20_grid"].copy()
+            grid[:, 2] = _moved(grid[:, 2], 1e-12, inside)
+            arrays["scan_20_grid"] = grid
+            for name in ("scan_20_supremum", "fe_seed7"):
+                arrays[name] = _moved(base[name], 1e-12, inside)
+            if not inside:
+                arrays["scan_20_modes"] = base["scan_20_modes"] + [0, 1]
+                arrays["const_prefactor"] = _moved(base["const_prefactor"].real, 0.0, False) + 0.25j
+        if x_moved:
+            arrays["scan_20_grid"] = base["scan_20_grid"].copy()
+            arrays["scan_20_grid"][0, 0] = np.nextafter(0.25, 1.0)
+        arrays["bessel_values"] = arrays["bessel_values"].astype(complex)
+        path = str(tmp_path / f"{tag}.npz")
+        np.savez(path, **arrays)
+        return path
+
+    def verdicts(other: str) -> tuple[int, dict]:
+        capsys.readouterr()
+        status = bits.compare(dump("base", None), other)
+        parsed = compare._parse_compare(capsys.readouterr().out, "base.npz")
+        return status, parsed
+
+    tolerant = ["bessel_values", "fe_seed7", "saddle_61", "scan_20_grid", "scan_20_supremum"]
+    status, parsed = verdicts(dump("inside", True))
+    assert status == 1 and parsed["outside_tolerance"] == []
+    assert parsed["total_mismatches"] == 2 * args + 2 + 2 + 1 + 2
+    assert all(parsed["arrays"][name]["within_tolerance"] for name in parsed["arrays"])
+    assert parsed["arrays"]["bessel_values"]["tolerance"] == "scale <= 1e-15"
+    assert parsed["arrays"]["scan_20_grid"]["tolerance"] == "grid <= 1e-12"
+    assert parsed["arrays"]["const_prefactor"] == {"entries": 1, "mismatches": 0,
+                                                   "within_tolerance": True, "tolerance": "exact"}
+
+    status, parsed = verdicts(dump("outside", False))
+    assert status == 1
+    assert parsed["outside_tolerance"] == sorted(tolerant + ["const_prefactor", "scan_20_modes"])
+    assert parsed["arrays"]["bessel_orders"]["within_tolerance"]
+
+    status, parsed = verdicts(dump("x_moved", None, x_moved=True))
+    assert status == 1 and parsed["outside_tolerance"] == ["scan_20_grid"]
+    assert parsed["arrays"]["scan_20_grid"]["mismatches"] == 1
 
 
 def test_an_array_missing_from_one_dump_counts_as_a_mismatch():

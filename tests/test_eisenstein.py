@@ -585,16 +585,19 @@ def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
     where the dual keeps its y^{1/2-s} term; nothing on a second call.  From
     cold caches, each distinct character builds one value table, each series
     one _b_local per prime, and each distinct argument one Gauss sum and one
-    local epsilon, however many equal character objects the series make."""
+    local epsilon, however many equal character objects the series make.
+    Cold means no character holds its table, value list or Gauss sum, and
+    local_epsilon's memo is empty; Gauss sums are counted where they are
+    computed, in the _gauss property."""
     from eisenkit import characters, eisenstein, lfunctions
 
-    memoized = {name: getattr(characters, name) for name in (
-        "conjugate", "multiply", "primitive_part", "local_component", "prime_to_p_part",
-        "gauss_sum", "local_epsilon", "value_table")}
-    for f in memoized.values():
-        f.cache_clear()
+    for chi in list(characters._INTERNED.values()):
+        for name in ("_table", "_values", "_gauss"):
+            chi.__dict__.pop(name, None)
+    local_epsilon = characters.local_epsilon
+    local_epsilon.cache_clear()
     calls = []
-    tables, b_locals = [], []
+    tables, b_locals, gauss_sums = [], [], []
     arguments = {"gauss_sum": [], "local_epsilon": []}
 
     def counted(s, chi):
@@ -615,7 +618,14 @@ def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
             return f(*args)
         return wrapper
 
+    def gauss(chi):
+        gauss_sums.append(chi)
+        return real_gauss(chi)
+
     real_l, real_rows, real_b = lfunctions.dirichlet_l, characters._value_rows, eisenstein._b_local
+    gauss_property = characters.DirichletCharacter.__dict__["_gauss"]
+    real_gauss = gauss_property.func
+    monkeypatch.setattr(gauss_property, "func", gauss)
     monkeypatch.setattr(eisenstein, "dirichlet_l", counted)
     monkeypatch.setattr(lfunctions, "dirichlet_l", counted)
     monkeypatch.setattr(characters, "_value_rows", rows)
@@ -635,8 +645,10 @@ def test_one_residual_on_a_fresh_series_computes_each_l_value_once(monkeypatch):
     # the last pair's quotient and its dual's are one character, 5:2
     assert tables and len(tables) == len(set(tables))
     assert b_locals and len(b_locals) == len(set(b_locals))
-    for name, args in arguments.items():
-        assert args and memoized[name].cache_info().misses == len(set(args)), name
+    assert arguments["gauss_sum"] and len(gauss_sums) == len(set(arguments["gauss_sum"]))
+    assert {(chi,) for chi in gauss_sums} == set(arguments["gauss_sum"])
+    assert arguments["local_epsilon"]
+    assert local_epsilon.cache_info().misses == len(set(arguments["local_epsilon"]))
 
 
 @pytest.mark.parametrize("t0, message", [
