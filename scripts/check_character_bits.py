@@ -47,6 +47,11 @@ definitions, and saves:
     built first;
   * b_xi's prime verdict at every n in [-3, 10^4] and at 44651 * 44657 and
     1999999973, at one config: 0 where it refuses n as not prime, else 1;
+  * the ramified verdicts of b_xi and factorization_check at every prime
+    p <= 4096, for each of the benchmark's four progression moduli q, every
+    character xi mod q and the first fixed pair, each config's prime table
+    built first: 1 where the function refuses p as dividing q and the level,
+    else 0, so that a table that serves such a p shows as a mismatch;
   * sieve_interval(10**6, 2 * 10**6).
 
 --compare counts the entries whose raw bytes differ between two dumps, per
@@ -224,6 +229,30 @@ def _prime_test() -> np.ndarray:
     return np.array(verdicts, dtype=np.uint8)
 
 
+def _ramified() -> np.ndarray:
+    """(b_xi, factorization_check) verdicts, one row per (q, xi, p) for the
+    primes p <= 4096, on a config per (q, xi) whose prime table is built by
+    a call at its least prime prime to q and the level: 1 where the call
+    refuses p as dividing q and the level, else 0."""
+    primes = sieve_interval(2, LAMBDA_TOP).tolist()
+    r1, r2 = FACT_PAIRS[0]
+    verdicts = []
+    for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():
+        chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+        for xi in character_group(q):
+            cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+            b_xi(next(p for p in primes if (q * cfg.level) % p), xi, cfg)
+            for p in primes:
+                for fn in (b_xi, factorization_check):
+                    try:
+                        fn(p, xi, cfg)
+                    except ValueError as exc:
+                        verdicts.append(str(exc) == f"p = {p} must avoid the progression modulus and the level")
+                    else:
+                        verdicts.append(False)
+    return np.array(verdicts, dtype=np.uint8).reshape(-1, 2)
+
+
 def _identity(chi) -> tuple[int, int]:
     return chi.modulus, character_index(chi)
 
@@ -277,6 +306,7 @@ def dump(path: str) -> None:
     ceiling_labels, ceiling_b, ceiling_defects = _around_ceiling(past_first=True)
     _, ascending_b, ascending_defects = _around_ceiling(past_first=False)
     prime_test = _prime_test()
+    ramified = _ramified()
     primes = sieve_interval(*SIEVE_WINDOW)
 
     np.savez_compressed(
@@ -314,6 +344,7 @@ def dump(path: str) -> None:
         b_xi_ceiling_ascending=ascending_b,
         factorization_defects_ceiling_ascending=ascending_defects,
         prime_test=prime_test,
+        ramified_refusals=ramified,
         sieve=primes,
     )
     print(f"{path}: {len(labels)} characters, {len(products)} products, "
@@ -323,6 +354,7 @@ def dump(path: str) -> None:
           f"{hecke.size + ascending.size + at_once.size + past.size} divisor sums, "
           f"{len(fact_b) + len(again_b) + len(ceiling_b) + len(ascending_b)} factorization checks, "
           f"{len(prime_test)} prime verdicts ({int(prime_test.sum())} prime), "
+          f"{ramified.size} ramified verdicts ({int(ramified.sum())} refused), "
           f"{len(primes)} sieved primes")
 
 

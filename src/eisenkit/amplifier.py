@@ -17,35 +17,36 @@ Character values come from each character's value table (see characters):
 amplifier_sum indexes the numpy tables with whole blocks of primes and
 weights each block with one array call of the bump weight.  b_xi and
 factorization_check read what (xi, cfg) fixes from one _PrimeContext, built
-on the first call for xi and kept on the config, keyed by xi: the value
-lists and moduli of chi1, chi2, xi and the four twisted characters (built
-once per (xi, chi1, chi2)), the phase multipliers 1j r1, -1j r2,
-1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime table.  xi
-is checked when its context is built: TypeError if it is not a character,
-ValueError if its modulus is not q.
+on the first call for xi and kept on the config, keyed by xi: the four
+twisted characters (kept per xi by _twists while xi lives), the value lists
+and moduli of chi1, chi2, xi and the twists, the phase multipliers 1j r1,
+-1j r2, 1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime
+table.  xi is checked when its context is built: TypeError if it is not a
+character, ValueError if its modulus is not q.
 
 The prime table holds b_xi and the factorization defect at every prime
-p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, prime to q and the
-level.  One vectorized kernel, _prime_kernel, fills it on the context's
-first call at one of those primes and publishes it by one assignment; each
-call at a prime in it is then one read.  p is read through operator.index,
-so a numpy integer reads the table as the int does.  The table lives on the
-context, so it dies with its config.  Every other p (past the ceiling, not an integer, not
-prime, or dividing q times the level) takes the scalar path, with its
-checks and messages: validate p, take log p once and build both prime
-factors from their two terms, a = 1 and a = p, with the bits of
-generalized_divisor_sum, whose every lambda(n), though read from a
+p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, as two lists in the slot
+order of the prime index, built once per process by the first table: those
+primes, their logs and a dict from each to its slot.  One vectorized kernel,
+_prime_kernel, fills it on the context's first call at one of them and
+publishes it by one assignment, None at the primes dividing q times the
+level; a call at a prime it serves is then two reads.  p is read through
+operator.index, so a numpy integer reads the table as the int does.  The
+table lives on the context, so it dies with its config.  Every other p (past
+the ceiling, not an integer, not prime, or dividing q times the level) takes
+the scalar path, with its checks and messages: validate p, take log p once
+and build both prime factors from their two terms, a = 1 and a = p, with the
+bits of generalized_divisor_sum, whose every lambda(n), though read from a
 per-series table filled by blocks, is its own ordered divisor sum: the
 scalar loop that _prime_lambda writes out at a prime.  The kernel gives the
-scalar path's bits, as eisenstein's lambda kernel does: each complex
-product is written out in float64 with one rounding per operation (_mul),
-the +-0.0 terms of a complex times a float included; the phases are numpy's
-complex exp at (+-0.0, y), equal to cmath.exp there (below); abs is
-np.hypot; character values come through eisenstein._values_at, so twists
-past 2^14 work.  Its primes and log p come from the sieve table of
-eisenstein, grown to 4096 by the first fill.  The one prime test, _is_prime,
-reads that table up to 4096 and characters._factorize past it; p above
-2 _L_MAX, the top of any window, is refused before that trial division.
+scalar path's bits, as eisenstein's lambda kernel does: each complex product
+is written out in float64 with one rounding per operation (_mul), the +-0.0
+terms of a complex times a float included; the phases are numpy's complex
+exp at (+-0.0, y), equal to cmath.exp there (below); abs is np.hypot;
+character values come through eisenstein._values_at, so twists past 2^14
+work.  The one prime test, _is_prime, reads the sieve table up to 4096 and
+characters._factorize past it; p above 2 _L_MAX, the top of any window, is
+refused before that trial division.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -79,6 +80,7 @@ import cmath
 import math
 import numbers
 import operator
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
@@ -103,6 +105,7 @@ __all__ = [
 _SEGMENT = 1 << 20     # entries of an odd-only sieve segment, a multiple of _SPAN
 _SPAN = 1 << 16        # reduction block of amplifier_sum
 _L_MAX = 1e9    # ceiling on the window start L: [L, 2L] holds L integers to sieve
+_last_twists = weakref.WeakKeyDictionary()    # xi -> ((chi1, chi2), twists) of its last _twists
 
 
 # ---------------------------------------------------------------------------
@@ -154,27 +157,32 @@ class AmplifierConfig:
 # divisor factors
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
 def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCharacter):
-    """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and xi conj(chi1 conj(chi2))."""
-    conj1, conj2 = conjugate(chi1), conjugate(chi2)
-    return (multiply(xi, conj1), multiply(xi, conj2),
-            multiply(xi, multiply(chi1, conj2)), multiply(xi, multiply(chi2, conj1)))
+    """xi conj(chi1), xi conj(chi2), xi conj(chi2 conj(chi1)) and xi conj(chi1 conj(chi2)), the
+    last kept while xi lives, unless one is xi itself (chi1 or chi2 mod 1): that entry would never drop."""
+    pair, twists = _last_twists.get(xi, (None, None))
+    if pair != (chi1, chi2):
+        conj1, conj2 = conjugate(chi1), conjugate(chi2)
+        twists = (multiply(xi, conj1), multiply(xi, conj2),
+                  multiply(xi, multiply(chi1, conj2)), multiply(xi, multiply(chi2, conj1)))
+        if xi not in twists:
+            _last_twists[xi] = (chi1, chi2), twists
+    return twists
 
 
 class _PrimeContext:
     """What b_xi and factorization_check read at every prime for one (xi, cfg):
-    the value lists and moduli of chi1, chi2, xi and the four twists, the
-    phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), q
+    the four twists, the value lists and moduli of them, chi1, chi2 and xi,
+    the phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), q
     times the level, and the prime table, None until its first read (see
     _prime_table).  Built once per xi on first use and kept in the
     config's _contexts, so a later prime hashes xi alone."""
 
-    __slots__ = ("v1", "q1", "v2", "q2", "w1", "m1", "w2", "m2", "vx", "qx", "vu", "qu",
+    __slots__ = ("twists", "v1", "q1", "v2", "q2", "w1", "m1", "w2", "m2", "vx", "qx", "vu", "qu",
                  "vd", "qd", "s_left", "s_right", "s_diff", "s_total", "q_level", "table")
 
     def __init__(self, xi: DirichletCharacter, cfg: AmplifierConfig):
-        twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
+        self.twists = twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
         self.v1, self.q1 = cfg.chi1._values, cfg.chi1.modulus
         self.v2, self.q2 = cfg.chi2._values, cfg.chi2.modulus
         self.w1, self.m1 = twist1._values, twist1.modulus
@@ -201,7 +209,8 @@ def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
     return ctx
 
 
-_NO_TABLE = ({}, {})     # what a context reads before its prime table is built
+_NO_TABLE = ((None,), (None,))     # a table's trailing None, slot -1, read at a non-index n
+_index_slot: list = []      # the prime index, [(p, log p, {p: slot})] for the primes p <= _LAMBDA_MAX
 
 
 def _mul(ar, ai, br, bi):
@@ -211,20 +220,20 @@ def _mul(ar, ai, br, bi):
 
 
 def _prime_table(ctx: _PrimeContext, xi: DirichletCharacter,
-                 cfg: AmplifierConfig) -> tuple[dict, dict]:
-    """b_xi and factorization_check at every prime p <= _LAMBDA_MAX prime to
-    q and the level, as two dicts keyed by p, from one _prime_kernel call;
-    published on ctx by one assignment.  Primes and log p come from the
-    sieve table, grown to _LAMBDA_MAX."""
-    _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
-    p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
+                 cfg: AmplifierConfig) -> tuple[list, list]:
+    """b_xi and factorization_check at every prime of the index, as two lists
+    in slot order, from one _prime_kernel call, published on ctx by one
+    assignment; None at the primes dividing q times the level and at slot -1,
+    read at every n the index lacks, sends a call to the scalar path."""
+    p, logp, _ = _index_slot[0]
+    b, defect = (values.tolist() + [None] for values in _prime_kernel(ctx, xi, cfg, p, logp))
     try:
-        p = p[np.remainder(ctx.q_level, p) != 0]
+        ramified = np.flatnonzero(np.remainder(ctx.q_level, p) == 0).tolist()
     except OverflowError:       # q times the level past int64
-        p = p[[ctx.q_level % n != 0 for n in p.tolist()]]
-    b, defect = _prime_kernel(ctx, xi, cfg, p, logs[p])
-    primes = p.tolist()
-    ctx.table = table = dict(zip(primes, b.tolist())), dict(zip(primes, defect.tolist()))
+        ramified = [i for i, n in enumerate(p.tolist()) if ctx.q_level % n == 0]
+    for i in ramified:
+        b[i] = defect[i] = None
+    ctx.table = table = b, defect
     return table
 
 
@@ -235,7 +244,7 @@ def _prime_kernel(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConf
     four terms) in its order, so with its bits (see the module docstring).
     A term with a zero character value is kept as c e = +-0.0, which leaves
     a sum started at +0.0 unchanged, as skipping it does."""
-    twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
+    twist1, twist2, up, down = ctx.twists
     # p^s for s = s_left, s_right, s_diff, s_total in rows: s log p as Python
     # multiplies a complex by a float, its real part +-0.0
     s = np.array([ctx.s_left, ctx.s_right, ctx.s_diff, ctx.s_total])[:, None]
@@ -322,13 +331,14 @@ def _index(p) -> int:
 
 
 def _first_table(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
-                 n: int) -> tuple[dict, dict]:
-    """The prime table of ctx, which has none yet: built if the integer
-    n <= _LAMBDA_MAX is one of its primes, else an empty table, so that a
-    refused p builds none."""
-    if _is_prime(n) and ctx.q_level % n:
-        return _prime_table(ctx, xi, cfg)
-    return _NO_TABLE
+                 n: int) -> tuple:
+    """The prime table of ctx, which has none yet: built if the integer n is a prime of the
+    index (the first call builds it), else _NO_TABLE: a p refused as not prime builds none."""
+    if not _index_slot:
+        _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
+        p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
+        _index_slot.append((p, logs[p], dict(zip(p.tolist(), range(len(p))))))
+    return _prime_table(ctx, xi, cfg) if n in _index_slot[0][2] else _NO_TABLE
 
 
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
@@ -339,7 +349,7 @@ def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
         ctx = _context(xi, cfg)
     n = p if type(p) is int else _index(p)
     if n <= _LAMBDA_MAX:
-        value = (ctx.table or _first_table(ctx, xi, cfg, n))[0].get(n)
+        value = (ctx.table or _first_table(ctx, xi, cfg, n))[0][_index_slot[0][2].get(n, -1)]
         if value is not None:
             return value
     return _b_xi_at(p, n, ctx)[0]
@@ -364,7 +374,7 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
         ctx = _context(xi, cfg)
     n = p if type(p) is int else _index(p)
     if n <= _LAMBDA_MAX:
-        defect = (ctx.table or _first_table(ctx, xi, cfg, n))[1].get(n)
+        defect = (ctx.table or _first_table(ctx, xi, cfg, n))[1][_index_slot[0][2].get(n, -1)]
         if defect is not None:
             return defect
     left, logp = _b_xi_at(p, n, ctx)

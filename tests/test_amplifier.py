@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import cmath
+import gc
 import itertools
 import math
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +42,12 @@ CHI1 = build_character(1, 0)
 CHI3 = build_character(3, 1)
 CHI4 = build_character(4, 1)
 CHI5 = build_character(5, 1)
+
+
+def _served(table) -> list[list[int]]:
+    """The primes at which each list of a prime table holds a value, not None."""
+    slots = amplifier._index_slot[0][2]
+    return [[p for p, i in slots.items() if values[i] is not None] for values in table]
 
 
 def test_config_validation():
@@ -271,8 +282,9 @@ def test_factorization_bits_do_not_depend_on_the_context_cache():
 
 def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkeypatch):
     """The kernel runs once per (xi, config), on the first call at a
-    p <= 4096, and holds the primes up to 4096 prime to q and the level;
-    calls past the ceiling alone, refused ones included, never run it."""
+    p <= 4096, and the table serves exactly the primes up to 4096 prime to
+    q and the level; calls past the ceiling alone, refused ones included,
+    never run it."""
     calls = []
     kernel = amplifier._prime_table
 
@@ -298,14 +310,14 @@ def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkey
     factorization_check(7, other, cfg)
     b_xi(4099, other, cfg)
     assert calls == [xi, other]
-    for values in cfg._contexts[xi].table:
-        assert list(values) == [p for p in primes if p not in (2, 3, 5)]
+    assert _served(cfg._contexts[xi].table) == [[p for p in primes if p not in (2, 3, 5)]] * 2
 
 
 def test_prime_table_with_q_times_the_level_past_int64():
     """chi1 mod 3 * 43 * 127 * 16381 and chi2 mod 16361 * 16369 at q = 131:
-    q times the level, 9.4e18, passes int64, and the table still holds every
-    prime up to 4096 prime to it, with the oracles' bits."""
+    q times the level, 9.4e18, passes int64, and the table still serves
+    exactly the primes up to 4096 prime to it, with the oracles' bits; the
+    primes up to 4096 that divide it are still refused."""
     chi1 = multiply(build_character(16381, 1), build_character(16383, 5))
     chi2 = multiply(build_character(16369, 3), build_character(16361, 2))
     cfg = AmplifierConfig(q=131, L=100.0, r1=2.0, r2=-3.5, chi1=chi1, chi2=chi2)
@@ -317,7 +329,80 @@ def test_prime_table_with_q_times_the_level_past_int64():
         got = [fn(p, xi, cfg) for p in primes]
         want = [oracle(p, xi, cfg) for p in primes]
         assert list(map(repr, got)) == list(map(repr, want))
-    assert list(cfg._contexts[xi].table[1]) == [p for p in primes if p <= 4096]
+    assert _served(cfg._contexts[xi].table) == [[p for p in primes if p <= 4096]] * 2
+    ramified = [p for p in sieve_interval(2, 4096).tolist() if (cfg.q * cfg.level) % p == 0]
+    assert ramified == [3, 43, 127, 131]
+    for fn in (b_xi, factorization_check):
+        for p in ramified:
+            with pytest.raises(ValueError, match=f"^p = {p} must avoid the progression modulus and the level$"):
+                fn(p, xi, cfg)
+
+
+def test_prime_index_is_built_once_per_process(monkeypatch):
+    """Two configs, two xi each, b_xi and factorization_check: the prime
+    index is built by the first table, from one read of the sieve table,
+    and every later table reads it; the kernel runs once per context."""
+    sieve_reads, kernels = [], []
+    sieve_to, kernel = amplifier._sieve_to, amplifier._prime_kernel
+    monkeypatch.setattr(amplifier, "_index_slot", [])
+    monkeypatch.setattr(amplifier, "_sieve_to", lambda top: sieve_reads.append(top) or sieve_to(top))
+    monkeypatch.setattr(amplifier, "_prime_kernel",
+                        lambda ctx, *args: kernels.append(ctx) or kernel(ctx, *args))
+    configs = [AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4),
+               AmplifierConfig(q=3, L=100.0, r1=-1.5, r2=4.0, chi1=CHI1, chi2=CHI5)]
+    for cfg in configs:
+        for xi in list(character_group(cfg.q))[:2]:
+            for fn in (b_xi, factorization_check):
+                for p in (7, 11, 4093):
+                    fn(p, xi, cfg)
+    assert sieve_reads == [4096] and len(amplifier._index_slot) == 1
+    assert kernels == [ctx for cfg in configs for ctx in cfg._contexts.values()] and len(kernels) == 4
+
+
+def test_importing_the_amplifier_builds_no_prime_index():
+    """A fresh import of the amplifier neither builds the prime index nor
+    grows the sieve table past its first entries, n <= 3."""
+    src = Path(amplifier.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from eisenkit import amplifier, eisenstein; "
+            "print(len(amplifier._index_slot), len(eisenstein._sieve_slot[0][0]))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["0", "4"]
+
+
+def test_the_twists_of_one_xi_are_built_once_across_configs(monkeypatch):
+    """The factorization sweep of the benchmark, a fresh config per (q, xi,
+    pair) over four q with three pairs each, builds each xi's twists once:
+    12 builds, not one per config (36)."""
+    builds = []
+    conj = amplifier.conjugate
+    monkeypatch.setattr(amplifier, "_last_twists", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(amplifier, "conjugate", lambda chi: builds.append(chi) or conj(chi))
+    sweep = {3: (CHI5, build_character(5, 3)), 4: (CHI5, build_character(5, 3)),
+             5: (CHI3, CHI4), 8: (CHI3, CHI5)}
+    configs = 0
+    for q, (chi1, chi2) in sweep.items():
+        for xi in character_group(q):
+            for r1, r2 in ((-27.5, 13.25), (8.0, 8.0), (3.0, -0.5)):
+                cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+                factorization_check(7, xi, cfg)
+                configs += 1
+    assert configs == 36 and len(builds) == 2 * 12     # two conjugates per build
+
+
+def test_a_dropped_xi_dies_with_its_config():
+    """xi mod 16381 and its twists, mod up to 16381 * 12, die with their
+    config once both are dropped: the twist memo keeps neither alive, also
+    when a twist is xi itself (chi1 mod 1)."""
+    refs = []
+    for index, (chi1, chi2) in enumerate(((CHI3, CHI4), (CHI1, CHI5)), start=9100):
+        xi = build_character(16381, index)
+        cfg = AmplifierConfig(q=16381, L=100.0, r1=2.0, r2=-3.0, chi1=chi1, chi2=chi2)
+        b_xi(7, xi, cfg)
+        refs += [weakref.ref(chi) for chi in (xi, *amplifier._twists(xi, chi1, chi2))]
+        del xi, cfg
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 10
 
 
 def test_prime_table_leaves_the_errors_unchanged():
