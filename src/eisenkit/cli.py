@@ -419,7 +419,7 @@ def _selftest_checks():
         params = EisensteinParams(build_character(1, 0), build_character(1, 0), 8.0)
         rep1 = scan(params, 8.0, x_steps=8, eps=1e-6, threads=1)
         rep2 = scan(params, 8.0, x_steps=8, eps=1e-6, threads=4)
-        stable = all(a == b for a, b in zip(rep1.grid, rep2.grid))
+        stable = rep1.grid == rep2.grid
         same = load_report(rep1.to_json()) == rep1
         return stable and same, f"thread-stable {stable}, round-trip {same}"
 

@@ -15,15 +15,16 @@ so none depends on the thread count.  A numerics error in a chunk is
 retried row by row, so that the abort names the first failing row.  The
 chunks' |F| fill one float array; a non-finite |F| aborts the scan, and the
 supremum is the array's first maximum (np.argmax), so ties go to the lowest
-y, then the smallest x.
+y, then the smallest x.  The report's grid (_Grid) is a view over that array,
+made read-only, and the x and y columns: a row is built when it is read.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,11 +76,42 @@ class ScanAbortedError(NumericsError):
     """A grid evaluation failed; the message carries partial-progress data."""
 
 
+class _Grid(Sequence):
+    """A scan's rows (x, y, |F|), y-major, built when read; equal to and hashed as their tuple."""
+
+    def __init__(self, xs: list, ys: list, values: np.ndarray):
+        values.flags.writeable = False
+        self._xs, self._ys, self._values = xs, ys, values.ravel()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        k = range(len(self._values))[i]     # negative indices, slices, IndexError
+        if type(k) is range:
+            return tuple(map(self.__getitem__, k))
+        y, x = divmod(k, len(self._xs))
+        return self._xs[x], self._ys[y], self._values.item(k)
+
+    def __iter__(self):     # off the columns, not one indexed row at a time
+        flat = iter(self._values.tolist())
+        return ((x, y, next(flat)) for y in self._ys for x in self._xs)
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _Grid)) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return _Grid, (self._xs, self._ys, self._values)
+
+
 @dataclass(frozen=True)
 class ScanReport:
     params: EisensteinParams
     t0: float
-    grid: tuple          # rows (x, y, |F|), y-major, fixed order
+    grid: Sequence       # rows (x, y, |F|), y-major: a _Grid view from scan, a tuple loaded
     supremum: float
     argmax: tuple        # (x, y) of the first row attaining the supremum
     truncation_eps: float
@@ -102,29 +134,31 @@ class ScanReport:
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["x,y,absF"]
-        for x, y, val in self.grid:
-            lines.append(f"{x!r},{y!r},{val!r}")
-        return "\n".join(lines) + "\n"
+        return "x,y,absF\n" + "".join(f"{x!r},{y!r},{val!r}\n" for x, y, val in self.grid)
 
 
 def load_report(text: str) -> ScanReport:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"a scan report is a JSON object, not a {type(payload).__name__}")
     if payload.get("schema") != _SCHEMA:
         raise ValueError(f"unrecognized report schema {payload.get('schema')!r}")
-    chi1 = build_character(*payload["chi1"])
-    chi2 = build_character(*payload["chi2"])
-    t0 = float(payload["t0"])
-    return ScanReport(
-        params=EisensteinParams(chi1, chi2, t0),
-        t0=t0,
-        grid=tuple((row[0], row[1], row[2]) for row in payload["grid"]),
-        supremum=payload["supremum"],
-        argmax=tuple(payload["argmax"]),
-        truncation_eps=payload["truncation_eps"],
-        wall_time=payload["wall_time"],
-        metadata=payload["metadata"],
-    )
+    try:
+        chi1 = build_character(*payload["chi1"])
+        chi2 = build_character(*payload["chi2"])
+        t0 = float(payload["t0"])
+        return ScanReport(
+            params=EisensteinParams(chi1, chi2, t0),
+            t0=t0,
+            grid=tuple((row[0], row[1], row[2]) for row in payload["grid"]),
+            supremum=payload["supremum"],
+            argmax=tuple(payload["argmax"]),
+            truncation_eps=payload["truncation_eps"],
+            wall_time=payload["wall_time"],
+            metadata=payload["metadata"],
+        )
+    except KeyError as exc:     # the payload's own key lookups above
+        raise ValueError(f"scan report has no {exc.args[0]!r} field") from None
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +174,12 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     the evaluation floor; by default a geometric grid up to 1.2*T/(2pi),
     which covers the transition range where the supremum is attained.
     x_steps runs over [1, 4096] and |t0| up to the K-Bessel order bound 200,
-    both checked first: a grid point takes about 110 bytes, and every row
-    needs K values of order i t0.
+    both checked first: the report keeps 8 bytes of |F| a grid point, and
+    every row needs K values of order i t0.
     """
+    for name, value in (("x_steps", x_steps), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if not 1 <= x_steps <= _X_STEPS_MAX:
         raise ValueError(f"x_steps must be in [1, {_X_STEPS_MAX}], got {x_steps}")
     if threads < 1:
@@ -152,10 +189,12 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     T = spectral_height(t0)
     if y_grid is None:
         y_grid = geometric_grid(_Y_FLOOR, max(T * (1.2 / (2.0 * math.pi)), _Y_FLOOR * 1.3))
-    ys = [float(y) for y in y_grid]
-    if not ys or min(ys) < _Y_FLOOR * (1 - 1e-12):
+    ys = sorted(float(y) for y in y_grid)
+    for y in ys:
+        if not math.isfinite(y):
+            raise ValueError(f"y-grid entry {y!r} is not finite")
+    if not ys or ys[0] < _Y_FLOOR * (1 - 1e-12):
         raise ValueError(f"y-grid must stay at or above the evaluation floor {_Y_FLOOR}")
-    ys.sort()
     xs = [0.5 * i / (x_steps - 1) if x_steps > 1 else 0.0 for i in range(x_steps)]
 
     start = time.perf_counter()
@@ -195,13 +234,8 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         i = int(np.argmin(finite))
         raise ScanAbortedError(
             f"scan aborted at y = {ys[i]:.6g} after {i} of {len(ys)} rows: |F| is not finite")
-    # np.argmax returns the first entry attaining the supremum
-    best = int(np.argmax(values))
-    flat = values.ravel().tolist()
-    del values    # the flat list holds the values now; free the array before the grid
-    x_col = itertools.chain.from_iterable(itertools.repeat(xs, len(ys)))
-    y_col = itertools.chain.from_iterable(itertools.repeat(y, x_steps) for y in ys)
-    grid = tuple(zip(x_col, y_col, flat))
+    grid = _Grid(xs, ys, values)
+    x, y, sup = grid[int(np.argmax(values))]     # np.argmax: the first entry attaining the supremum
     elapsed = time.perf_counter() - start
     metadata = {
         "chart": "cusp-infinity",
@@ -211,9 +245,8 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
         "y_points": len(ys),
         "modes": modes,
     }
-    return ScanReport(params=here, t0=float(t0), grid=grid, supremum=flat[best],
-                      argmax=grid[best][:2], truncation_eps=eps,
-                      wall_time=elapsed, metadata=metadata)
+    return ScanReport(params=here, t0=float(t0), grid=grid, supremum=sup, argmax=(x, y),
+                      truncation_eps=eps, wall_time=elapsed, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +258,8 @@ def exponent_fit(reports) -> float:
     reports = list(reports)
     if len(reports) < 3:
         raise ValueError("exponent fit needs at least 3 reports")
-    pair = (reports[0].params.chi1, reports[0].params.chi2)
-    for rep in reports[1:]:
-        if (rep.params.chi1, rep.params.chi2) != pair:
-            raise ValueError("exponent fit needs a fixed character pair")
+    if len({(rep.params.chi1, rep.params.chi2) for rep in reports}) > 1:
+        raise ValueError("exponent fit needs a fixed character pair")
     logt = [math.log(spectral_height(rep.t0)) for rep in reports]
     logs = [math.log(rep.supremum) for rep in reports]
     import statistics   # here: a scan that fits nothing need not import it

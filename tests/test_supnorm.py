@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import pickle
+import re
 import sys
 import time
 
@@ -99,6 +102,30 @@ def test_scan_rejects_fewer_than_one_thread():
             scan(LEVEL1, 12.0, x_steps=4, y_grid=(0.5,), threads=threads)
 
 
+def test_scan_refuses_non_integer_steps_and_threads(monkeypatch):
+    """A float or a bool for x_steps or threads is refused by name before any
+    work, instead of a bare TypeError from range, or True read as 1."""
+    from eisenkit import supnorm
+
+    def no_work(*args):
+        raise AssertionError("the scan evaluated a row")
+
+    monkeypatch.setattr(supnorm, "_fourier_grid", no_work)
+    for name in ("x_steps", "threads"):
+        for value in (2.5, True, False, "8", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+                scan(LEVEL1, 10.0, y_grid=(0.5,), **{name: value})
+
+
+def test_scan_names_a_non_finite_y_grid_entry():
+    """nan compares false with the floor, so it used to pass the floor check
+    and fail later as a truncation without a tail budget."""
+    for y_grid, entry in (([math.nan, 1.0], "nan"), ([0.5, math.inf], "inf"),
+                          ([-math.inf, 0.5], "-inf")):
+        with pytest.raises(ValueError, match=f"^y-grid entry {entry} is not finite$"):
+            scan(LEVEL1, 12.0, x_steps=4, y_grid=y_grid)
+
+
 def test_scan_aborts_outside_the_bessel_envelope():
     # a height past the order bound is refused before any row, and a
     # non-finite one is no height at all
@@ -152,6 +179,68 @@ def test_scan_argmax_is_the_first_maximum(monkeypatch):
         assert load_report(report.to_json()) == report
 
 
+def test_scan_grid_is_a_read_only_view_of_its_rows(monkeypatch):
+    """The grid serves the rows (x, y, |F|) y-major, each a tuple of Python
+    floats built when read, over 1 and 3 threads: the rows are rebuilt here
+    from the metadata's sizes and a known |F| = |10 y + x - 7|."""
+    from eisenkit import supnorm
+
+    monkeypatch.setattr(supnorm, "_fourier_grid", lambda series, xs, ys, eps: [
+        (np.add.outer(10.0 * np.asarray(ys), np.asarray(xs)) - 7.0 + 0j, [1] * len(ys))
+        for _ in series])
+    y_grid = (0.9, 0.5, 0.7, 1.2)
+    grids = []
+    for threads in (1, 3):
+        report = scan(LEVEL1, 12.0, x_steps=5, y_grid=y_grid, threads=threads)
+        n, m = report.metadata["x_steps"], report.metadata["y_points"]
+        xs = [0.5 * i / (n - 1) for i in range(n)]
+        rows = tuple((x, y, abs(10.0 * y + x - 7.0)) for y in sorted(y_grid) for x in xs)
+        grid = report.grid
+        grids.append(grid)
+        assert len(grid) == len(rows) == n * m == 20
+        assert tuple(grid) == rows and list(grid) == list(rows)
+        assert [grid[i] for i in range(len(grid))] == list(rows)
+        assert grid[-1] == rows[-1] and grid[-len(grid)] == rows[0] and grid[np.int64(7)] == rows[7]
+        assert grid[3:9] == rows[3:9] and grid[::-3] == rows[::-3] and grid[30:] == ()
+        assert type(grid[3:9]) is tuple
+        for i in (len(grid), -len(grid) - 1):
+            with pytest.raises(IndexError):
+                grid[i]
+        assert rows[7] in grid and (0.0, 0.5, 0.0) not in grid
+        assert all(type(row) is tuple and len(row) == 3 and all(type(v) is float for v in row)
+                   for row in (*grid, grid[0], grid[-1], *grid[2:5]))
+        assert (report.supremum, report.argmax) == (rows[-1][2], rows[-1][:2])
+        loaded = load_report(report.to_json())
+        assert type(loaded.grid) is tuple
+        assert grid == rows and rows == grid and grid == loaded.grid and loaded.grid == grid
+        assert not grid != rows and grid != rows[:-1] and rows[:-1] != grid and grid != list(rows)
+        assert hash(grid) == hash(rows) and hash(report) == hash(loaded)
+        assert loaded == report and report == loaded
+        with pytest.raises(ValueError, match="read-only"):
+            grid._values[0] = 0.0
+        copy = pickle.loads(pickle.dumps(report))
+        assert copy == report and copy.grid == rows and not copy.grid._values.flags.writeable
+    assert grids[0] == grids[1] and hash(grids[0]) == hash(grids[1])
+
+
+def test_scan_allocates_no_object_per_grid_point():
+    """With the cyclic collector off, a level-1 scan at t0 = 20, x_steps = 64
+    (3,392 rows) leaves fewer new gc-tracked objects than rows: the grid
+    builds a row when it is read.  (In a fresh process a tuple per row grew
+    the count by 3,397, the view by 6.)"""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        report = scan(LEVEL1, 20.0, x_steps=64)
+        grown = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(report.grid) == 3392
+    assert grown < len(report.grid), grown
+
+
 def test_reference_bound_formula():
     val = theorem_reference(LEVEL1, 160.0)
     assert val == pytest.approx((1.0 * 160.0) ** 0.01 * 160.0 ** 0.375, rel=1e-12)
@@ -174,6 +263,22 @@ def test_json_round_trip(tmp_path):
     assert loaded.truncation_eps == report.truncation_eps
     payload = json.loads(report.to_json())
     assert payload["schema"] == "eisenkit-scan-v1"
+
+
+def test_load_report_names_a_missing_field():
+    """A payload without one of its fields, or one that is not a JSON object,
+    is refused by a ValueError naming it, as a wrong schema is, instead of a
+    bare KeyError or AttributeError."""
+    payload = json.loads(scan(LEVEL1, 9.0, x_steps=4, y_grid=(0.5,)).to_json())
+    for name in payload.keys() - {"schema"}:
+        broken = {k: v for k, v in payload.items() if k != name}
+        with pytest.raises(ValueError, match=f"^scan report has no '{name}' field$"):
+            load_report(json.dumps(broken))
+    for other, kind in (([payload], "list"), ("text", "str"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"^a scan report is a JSON object, not a {kind}$"):
+            load_report(json.dumps(other))
+    with pytest.raises(ValueError, match="unrecognized report schema"):
+        load_report(json.dumps({**payload, "schema": "other"}))
 
 
 def test_csv_has_header_and_rows():
