@@ -11,11 +11,19 @@ definitions, and saves:
     eps = 1e-8, threads = 1) at t0 = 10, 20 and 61, and the t0 = 20 scan
     again with threads = 2: every grid entry (x, y, |F|), the truncation
     length of every row, the supremum and its argmax;
+  * the truncation length of every row of nine level-1 columns, the
+    default y-grid at t0 = 5, 10, 20, 40, 61, 80, 120, 160 and 199 with
+    eps = 1e-8 (scans with x_steps = 1), and of the same columns at
+    sigma = 0.5 up to t0 = 61 (_fourier_grid at x = 0; the line contour
+    makes higher columns cost seconds), so that a change to the tail
+    cutoffs shows apart from the scans' |F|;
   * the benchmark's 160 functional-equation residuals for seeds 7 and 8,
     and seed 7's a second time: in reverse order, on the same params
     objects, after an evaluate at y = 0.3 on each series and its dual has
     grown every coefficient table past every truncation, so that per-series
-    state whose contents depend on call order shows as a mismatch;
+    state whose contents depend on call order shows as a mismatch; and
+    seed 7's truncation lengths, of the series and of its dual at each
+    point;
   * coefficient_prefactor, the Lambda ratio (at s and the quotient character)
     and scattering_constant (c(s), its ramified product and its local
     factors, prime by prime) for the benchmark's FE-matrix parameter sets
@@ -63,6 +71,7 @@ from eisenkit.characters import build_character  # noqa: E402
 from eisenkit.eisenstein import (  # noqa: E402
     _Y_FLOOR,
     EisensteinParams,
+    _fourier_grid,
     coefficient_prefactor,
     evaluate,
     functional_equation_residual,
@@ -76,6 +85,8 @@ from workloads import FEMatrix, ScanLadder  # noqa: E402
 # (t0, threads): the ladder on one thread, then its middle scan on two
 SCANS = tuple((t0, 1) for t0 in ScanLadder.HEIGHTS) + ((20.0, 2),)
 FE_SEEDS = (7, 8)
+COLUMN_HEIGHTS = (5.0, 10.0, 20.0, 40.0, 61.0, 80.0, 120.0, 160.0, 199.0)
+COLUMN_SIGMA, COLUMN_SIGMA_TOP = 0.5, 61.0
 BESSEL_ORDERS = 9
 BESSEL_ARGS = 300
 SADDLE_HEIGHTS = (61.0, 199.0)
@@ -131,6 +142,14 @@ def dump(path: str) -> None:
         arrays[f"{tag}_supremum"] = np.array([rep.supremum])
         arrays[f"{tag}_argmax"] = np.array(rep.argmax)
 
+    for t0 in COLUMN_HEIGHTS:
+        rep = scan(level1, t0, x_steps=1, eps=ScanLadder.EPS)
+        arrays[f"column_{t0:g}_modes"] = np.array(rep.metadata["modes"], dtype=np.int64)
+        if t0 <= COLUMN_SIGMA_TOP:
+            off_axis = EisensteinParams(level1.chi1, level1.chi2, t0, COLUMN_SIGMA)
+            (_, modes), = _fourier_grid((off_axis,), [0.0], [y for _, y, _ in rep.grid], ScanLadder.EPS)
+            arrays[f"column_{t0:g}_sigma{COLUMN_SIGMA:g}_modes"] = np.array(modes, dtype=np.int64)
+
     for seed in FE_SEEDS:
         cases = FEMatrix(seed).cases
         arrays[f"fe_seed{seed}"] = np.array(
@@ -142,6 +161,9 @@ def dump(path: str) -> None:
             reverse = [functional_equation_residual(p, x, y, eps=FEMatrix.EPS)
                        for p, x, y in reversed(cases)]
             arrays[f"fe_seed{seed}_reversed_after_growth"] = np.array(reverse[::-1])
+            arrays[f"fe_series_dual_seed{seed}_modes"] = np.array(
+                [[m for _, (m,) in _fourier_grid((p, p.dual()), [x], [y], FEMatrix.EPS)]
+                 for p, x, y in cases], dtype=np.int64)
 
     series = [EisensteinParams(build_character(*a), build_character(*b), t0)
               for a, b in FEMatrix.PAIRS for t0 in FEMatrix.HEIGHTS]
@@ -166,7 +188,7 @@ def dump(path: str) -> None:
         arrays[f"saddle_{t:g}"] = bessel_k_row(1j * t, row)
 
     np.savez_compressed(path, **arrays)
-    print(f"{path}: {len(SCANS)} scans, "
+    print(f"{path}: {len(SCANS)} scans, {len(COLUMN_HEIGHTS)} mode columns, "
           f"{sum(len(arrays[f'fe_seed{s}']) for s in FE_SEEDS)} FE residuals "
           f"(+{len(arrays[f'fe_seed{FE_SEEDS[0]}_reversed_after_growth'])} in reverse), "
           f"constants of {len(series)} series, "

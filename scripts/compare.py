@@ -36,7 +36,12 @@ max(|K|, e^{-pi t/2})) and its verdict against the array's declared
 tolerance (within_tolerance, and the list outside_tolerance), an array
 that the change's dump lacks counted as one mismatch and outside its
 tolerance, and its new arrays, which count as none (the script's own exit
-status still counts them); and the line counts of src/.  The file
+status still counts them); the line counts of src/; and, for each module
+of the side's own files that a workload pass imports, its token count,
+its compile time and the peak of tracemalloc's traced memory while it
+compiles.  A process that writes no bytecode (PYTHONDONTWRITEBYTECODE)
+compiles every module on every start, so these costs land in each pass's
+setup_s, and the largest compile peak can set its peak_rss_mb.  The file
 is rewritten after every workload, so an interrupted run keeps what it
 measured.  Last, each side runs Tier-1 once (pytest -q on its own src/ and
 tests/), and the record keeps its counts and wall time and the nine
@@ -61,6 +66,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
+import tracemalloc
 import zipfile
 from importlib import metadata
 from pathlib import Path
@@ -250,6 +257,42 @@ def _moved(tier1: dict) -> list[str]:
     return sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
 
 
+# the modules a pass imports: perfbench/worker.py puts src/ and perfbench/
+# first on sys.path and imports workloads, which imports the library
+_IMPORTED = ("import json, sys; sys.path[:0] = ['src', 'perfbench']; import workloads; "
+             "print(json.dumps([getattr(m, '__file__', None) for m in list(sys.modules.values())]))")
+COMPILE_REPEATS = 5
+
+
+def _compile_costs(side: Path) -> dict:
+    """Per module that importing perfbench's workloads loads from the side's
+    own files, by path within the side: its tokenize token count, its best
+    compile time of COMPILE_REPEATS in ms, and the peak traced memory of
+    one compile in KB, all measured in this process."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORTED], cwd=side, env=_env(),
+                          capture_output=True, text=True, check=True)
+    root = side.resolve()
+    names = sorted({Path(f).resolve().relative_to(root).as_posix()
+                    for f in json.loads(proc.stdout) if f and Path(f).resolve().is_relative_to(root)})
+    out = {}
+    for name in names:
+        text = (side / name).read_text()
+        times = []
+        for _ in range(COMPILE_REPEATS):
+            start = time.perf_counter()
+            compile(text, name, "exec")
+            times.append(time.perf_counter() - start)
+        tracemalloc.start()
+        try:
+            compile(text, name, "exec")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[name] = {"tokens": sum(1 for _ in tokenize.generate_tokens(io.StringIO(text).readline)),
+                     "compile_ms": 1e3 * min(times), "compile_peak_kb": peak / 1024}
+    return out
+
+
 def _src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
@@ -298,6 +341,7 @@ def main(argv=None) -> int:
             "change": _export_working_tree(dirs["change"]),
             "seconds": seconds,
             "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
+            "compile": {side: _compile_costs(dirs[side]) for side in SIDES},
             "workloads": {},
         }
         for workload in (w["name"] for w in bench["workloads"]):

@@ -97,9 +97,9 @@ from eisenkit.special_functions import (
     PoleError,
     _IM_MAX,
     _RE_MAX,
+    _tail_cutoffs,
     bessel_k_row,
     log_gamma_r,
-    whittaker_tail_cutoff,
 )
 
 __all__ = [
@@ -559,18 +559,13 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
     return 2.0 / cmath.exp(log_gamma)
 
 
-def _truncation(params: EisensteinParams, y: float, eps: float) -> int:
-    """The number of modes that keeps the dropped tail of F at height y below eps."""
-    # the tail is at most 2 |P(s)| sqrt(y) sum_{n > m} |lambda(n) K_s(2 pi n y)|
-    # and whittaker_tail_cutoff bounds the sum times e^{pi |t| / 2}.  A y or an
-    # eps that is not positive and finite leaves no usable budget, nor does a
-    # subnormal one (its modes lie past the Bessel envelope): one check for all.
+def _truncation(params: EisensteinParams, ys, eps: float) -> list[int]:
+    """The number of modes that keeps the dropped tail of F below eps at each y of
+    ys: that tail is at most 2 |P(s)| sqrt(y) sum_{n > m} |lambda(n) K_s(2 pi n y)|."""
+    if type(eps) is not float and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
+        raise ValueError(f"eps must be a real number, got {eps!r}")
     scale = abs(params._outer_scale) * math.exp(-0.5 * math.pi * abs(params.t_shift))
-    budget = eps / (2.0 * max(scale * (math.sqrt(y) if y > 0 else math.nan), 1e-300))
-    if not sys.float_info.min <= budget < math.inf:
-        raise ValueError(f"y = {y} and eps = {eps} leave this series no tail budget: "
-                         f"eps / (2 |P(s)| e^(-pi |t| / 2) sqrt(y)) is {budget}")
-    return whittaker_tail_cutoff(params.t_shift, y, budget, params.sigma)
+    return _tail_cutoffs(params.t_shift, ys, eps, scale, params.sigma)
 
 
 def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
@@ -590,18 +585,22 @@ def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int
 
     The series may differ only in the sign of s, as a series and its dual
     do: bessel_k_row computes K_s and K_-s as equal floats, so one call gives
-    every row, each as long as the longest truncation at its y.  The cosines
-    2 cos(2 pi n x) come from one table, and each x is reduced along n by
-    numpy's fixed-order pairwise sum (no BLAS, whose blocking may follow the
-    thread count).  Every Bessel value has its own node set, so no value
-    depends on which other x or y share the call.
+    every row, each as long as the longest truncation at its y.  A series'
+    cutoffs come from one column search (_tail_cutoffs), the K arguments from
+    one product (2 pi n)[k] y with each row's bits, and 2 cos(2 pi n x) from
+    one table.  Each x is reduced along n by numpy's fixed-order pairwise sum
+    (no BLAS, whose blocking may follow the thread count).  Every K value has
+    its own node set, so none depends on which other x or y share the call.
     """
-    modes = [[_truncation(p, y, eps) for y in ys] for p in series]
+    modes = [_truncation(p, ys, eps) for p in series]
     widths = [max(row) for row in zip(*modes)]
     tables = [_coefficients(p, max(row)) for p, row in zip(series, modes)]
     n = np.arange(1, max(widths) + 1)
-    bessel = bessel_k_row(series[0].s, np.concatenate([2.0 * math.pi * n[:w] * y
-                                                       for y, w in zip(ys, widths)]))
+    args = 2.0 * math.pi * n
+    if len(ys) > 1:     # row i's (2 pi n) y_i, n <= w_i, by one product
+        ends = np.cumsum(widths)
+        args = args[np.arange(ends[-1]) - np.repeat(ends - widths, widths)] * np.repeat(ys, widths)
+    bessel = bessel_k_row(series[0].s, args if len(ys) > 1 else args * ys[0])
     cosines = 2.0 * np.cos(2.0 * math.pi * np.multiply.outer(np.asarray(xs, dtype=float), n))
     out = []
     for p, row_modes, lam in zip(series, modes, tables):

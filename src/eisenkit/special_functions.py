@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -514,3 +515,43 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if fits(mid) else (mid, hi)
     return hi
+
+
+_WINDOW = np.arange(1.0, 14.0)     # a row's candidates m + 1, from m = max(lo + 1, guess - 6) on
+
+
+def _tail_cutoffs(t: float, ys, eps: float, scale: float, sigma: float = 0.0) -> list[int]:
+    """whittaker_tail_cutoff(t, y, eps / (2 scale sqrt(y)), sigma) at each y of a
+    column, t and sigma as the caller checked them; a y and eps that leave no
+    finite, normal budget are refused (a subnormal one's modes lie past the K
+    envelope).  One row is the scalar search itself.  More take the bound at each
+    row's _WINDOW of candidates in one numpy pass: a row's M is the first that
+    fits after one that fails or is lo, unless either is within 1e-9 of the
+    budget or of rho = 1, or none fits: then the scalar search."""
+    budgets = [eps / (2.0 * max(scale * (math.sqrt(y) if y > 0 else math.nan), 1e-300)) for y in ys]
+    for y, budget in zip(ys, budgets):
+        if not sys.float_info.min <= budget < math.inf:
+            raise ValueError(f"y = {y} and eps = {eps} leave this series no tail budget: "
+                             f"eps / (2 |P(s)| e^(-pi |t| / 2) sqrt(y)) is {budget}")
+    if len(ys) == 1:
+        return [whittaker_tail_cutoff(t, ys[0], budgets[0], sigma)]
+    t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
+    two_pi_y, log_eps = 2.0 * math.pi * np.asarray(ys, dtype=float)[:, None], np.log(budgets)[:, None]
+    x = np.maximum(0.5 * math.pi * t - log_eps, t + 1.0)       # the scalar search's first guess
+    r = np.sqrt((x - t) * (x + t))
+    x += (t * np.arccos(t / x) - r - log_eps) * x / r
+    first = np.maximum(np.floor(t / two_pi_y), 1.0)            # lo + 1
+    n = np.maximum(first, np.ceil(x / two_pi_y) - 7.0) + _WINDOW     # each candidate's first dropped mode
+    x = two_pi_y * n
+    with np.errstate(invalid="ignore", divide="ignore"):       # rho >= 1: a nan or inf gap, no fit
+        r = np.sqrt((x - t) * (x + t))
+        log_rho = power * np.log1p(1.0 / n) - two_pi_y * r / x
+        gap = (power * np.log(n) + t * np.arccos(t / x) - r + half_s2 / r + 0.5 * np.log(1.5 * math.pi / r)
+               - np.log(-np.expm1(log_rho)) - log_eps)
+    fits, near = gap < 0.0, np.fmin(np.abs(gap), np.abs(log_rho)) <= 1e-9   # where math's bits may differ
+    rows, k = np.arange(len(n)), fits.argmax(axis=1)
+    sure = fits[rows, k] & ~near[rows, k] & np.where(k > 0, ~near[rows, k - 1], n[:, 0] == first[:, 0] + 1.0)
+    cutoffs = (n[rows, k] - 1.0).astype(np.int64).tolist()
+    for i in np.flatnonzero(~sure).tolist():
+        cutoffs[i] = whittaker_tail_cutoff(t, ys[i], budgets[i], sigma)
+    return cutoffs

@@ -113,6 +113,9 @@ def test_each_array_is_judged_against_its_declared_tolerance(tmp_path, capsys):
     status, parsed = verdicts(dump("x_moved", None, x_moved=True))
     assert status == 1 and parsed["outside_tolerance"] == ["scan_20_grid"]
     assert parsed["arrays"]["scan_20_grid"]["mismatches"] == 1
+    # every mode count the dump holds is held exactly, the FE modes included
+    for name in ("column_199_modes", "column_61_sigma0.5_modes", "fe_series_dual_seed7_modes"):
+        assert bits._tolerance(name) == ("exact", 0.0)
 
 
 def test_an_array_missing_from_one_dump_counts_as_a_mismatch():
@@ -294,3 +297,21 @@ def test_tier1_runs_each_side_on_its_own_sources(tmp_path):
     got = _load_compare()._tier1(tmp_path)
     assert got["exit"] == 0 and got["counts"] == {"passed": 2} and got["wall_s"] > 0.0
     assert got["acceptance"] == {"fake-check": {"passed": True, "figures": [7.0], "detail": "value 7 (< 8), 0.1 s (< 1 s)"}}
+
+
+def test_compile_costs_cover_the_modules_a_pass_imports(tmp_path):
+    """Each module that importing perfbench's workloads loads from the side's
+    own files gets its token count, compile time and compile peak; a module
+    nothing imports gets none, and a longer module peaks higher."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "small.py").write_text("A = 1\n")
+    (tmp_path / "src" / "large.py").write_text("".join(f"def f{i}(x):\n    return x + {i}\n" for i in range(200)))
+    (tmp_path / "src" / "unused.py").write_text("B = 2\n")
+    (tmp_path / "perfbench" / "workloads.py").write_text("import large\nimport small\n")
+    got = _load_compare()._compile_costs(tmp_path)
+    assert sorted(got) == ["perfbench/workloads.py", "src/large.py", "src/small.py"]
+    assert got["src/small.py"]["tokens"] == 5         # A, =, 1, NEWLINE, ENDMARKER
+    assert got["src/large.py"]["tokens"] == 200 * 14 + 1     # def f ( x ) : NEWLINE INDENT return x + i NEWLINE DEDENT
+    assert all(cost["compile_ms"] > 0.0 for cost in got.values())
+    assert got["src/large.py"]["compile_peak_kb"] > got["src/small.py"]["compile_peak_kb"] > 0.0

@@ -522,6 +522,26 @@ def test_truncation_rejections_quote_the_callers_eps():
             evaluate_truncated(params, 0.1, 0.6, eps=eps)
 
 
+def test_a_non_numeric_or_boolean_eps_is_refused_before_any_l_value(monkeypatch):
+    """eps = True used to run as eps = 1, and "1e-8" or None raised a bare
+    TypeError from the budget's arithmetic after L(2s+1, psi) was computed:
+    scan, evaluate and the residual refuse each by name first."""
+    from eisenkit import eisenstein
+    from eisenkit.supnorm import scan
+
+    def forbidden(*args):
+        raise AssertionError("an L-value was computed")
+
+    monkeypatch.setattr(eisenstein, "dirichlet_l", forbidden)
+    for eps in (True, False, "1e-8", None, 1e-8j):
+        message = f"^eps must be a real number, got {re.escape(repr(eps))}$"
+        for call in (lambda p: scan(p, 10.0, x_steps=2, y_grid=(0.5, 0.9), eps=eps),
+                     lambda p: evaluate(p, 0.1, 0.6, eps=eps),
+                     lambda p: functional_equation_residual(p, 0.1, 0.6, eps=eps)):
+            with pytest.raises(ValueError, match=message):
+                call(EisensteinParams(CHI3, CHI4, 10.0))
+
+
 def test_non_finite_spectral_point_is_rejected():
     for t0, sigma in ((math.nan, 0.0), (math.inf, 0.0), (5.0, math.nan)):
         with pytest.raises(ValueError):

@@ -421,8 +421,8 @@ def test_tail_cutoff_actually_bounds_the_tail():
         for sigma in (0.0, 0.5, 2.0, 9.0):
             for t in (0.5, 5.0, 10.0, 20.0, 61.0):
                 params = EisensteinParams(chi1, chi2, t, sigma)
-                for y in (0.3, 0.8, 1.7, 3.0):
-                    m = _truncation(params, y, eps)
+                ys = (0.3, 0.8, 1.7, 3.0)
+                for y, m in zip(ys, _truncation(params, ys, eps)):
                     last = math.floor(705.0 / (2 * math.pi * y))
                     n = np.arange(m + 1, last + 1)
                     lam = _coefficients(params, max(m, last))[m:]
@@ -478,3 +478,40 @@ def test_tail_cutoff_bounds_its_own_majorant():
                 for eps in (1e-4, 1e-8, 1e-12):
                     m = whittaker_tail_cutoff(t, y, eps, sigma)
                     assert terms[m:].sum() < eps, (sigma, t, y, eps, m, terms[m:].sum())
+
+
+def test_column_cutoffs_equal_the_scalar_search_row_by_row(monkeypatch):
+    """_tail_cutoffs, one numpy window per column with the scalar search for
+    the rows it does not settle, gives whittaker_tail_cutoff's M on every
+    row: three pairs, heights 0.5 to 199, sigma up to 9, three eps, and
+    columns of one row, two rows and 37 rows up to y = 50, each row at the
+    budget _truncation gives it.  Most rows are settled by the window, and
+    some (sigma = 9, where the first guess is far off) by the scalar search,
+    so both paths are held to the reference."""
+    scalar = []
+
+    def counted(*args):
+        scalar.append(args)
+        return whittaker_tail_cutoff(*args)
+
+    monkeypatch.setattr(special_functions, "whittaker_tail_cutoff", counted)
+    columns = ([0.7], [0.5, 3.0], np.geomspace(0.3, 50.0, 37).tolist())
+    rows = searched = 0
+    for a, b in (((1, 0), (1, 0)), ((3, 1), (4, 1)), ((1, 0), (4, 1))):
+        chi1, chi2 = build_character(*a), build_character(*b)
+        for sigma in (0.0, 0.5, 2.0, 9.0):
+            for t in (0.5, 5.0, 20.0, 61.0, 120.0, 199.0):
+                params = EisensteinParams(chi1, chi2, t, sigma)
+                scale = abs(params._outer_scale) * math.exp(-0.5 * math.pi * t)
+                for eps in (1e-4, 1e-8, 1e-12):
+                    for ys in columns:
+                        budgets = [eps / (2.0 * max(scale * math.sqrt(y), 1e-300)) for y in ys]
+                        want = [whittaker_tail_cutoff(t, y, budget, sigma) for y, budget in zip(ys, budgets)]
+                        assert _truncation(params, ys, eps) == want
+                        del scalar[:]
+                        assert special_functions._tail_cutoffs(t, ys, eps, scale, sigma) == want, \
+                            (a, b, sigma, t, eps, ys)
+                        if len(ys) > 1:
+                            rows += len(ys)
+                            searched += len(scalar)
+    assert 0 < searched < rows // 10, (searched, rows)

@@ -126,6 +126,36 @@ def test_scan_names_a_non_finite_y_grid_entry():
             scan(LEVEL1, 12.0, x_steps=4, y_grid=y_grid)
 
 
+def test_scan_refusals_do_no_cutoff_work(monkeypatch):
+    """A non-finite y entry, a y below the floor, |t0| > 200 and a bad
+    x_steps are refused before any tail cutoff is searched."""
+    from eisenkit import eisenstein
+
+    def forbidden(*args):
+        raise AssertionError("a tail cutoff was searched")
+
+    monkeypatch.setattr(eisenstein, "_truncation", forbidden)
+    for kwargs in ({"y_grid": (0.5, math.nan)}, {"y_grid": (0.2, 0.5)}, {"x_steps": 0},
+                   {"x_steps": 4097}, {"x_steps": 2.0}):
+        with pytest.raises(ValueError):
+            scan(LEVEL1, 12.0, **kwargs)
+    with pytest.raises(NumericEnvelopeError):
+        scan(LEVEL1, 200.5, y_grid=(0.5, 0.9))
+
+
+def test_scan_modes_equal_the_scalar_search_for_one_and_three_threads():
+    """One thread takes the four rows' cutoffs as one column, three threads
+    as a one-row, a one-row and a two-row chunk: both report the scalar
+    search's M at every row, the one-row chunks from whittaker_tail_cutoff
+    itself."""
+    from eisenkit.eisenstein import _truncation
+
+    y_grid = (0.3, 0.55, 1.1, 2.4)
+    want = [_truncation(EisensteinParams(CHI1, CHI1, 30.0), [y], 1e-8)[0] for y in y_grid]
+    for threads in (1, 3):
+        assert scan(LEVEL1, 30.0, x_steps=3, y_grid=y_grid, threads=threads).metadata["modes"] == want
+
+
 def test_scan_aborts_outside_the_bessel_envelope():
     # a height past the order bound is refused before any row, and a
     # non-finite one is no height at all
