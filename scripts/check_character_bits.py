@@ -43,13 +43,12 @@ definitions, and saves:
     and the level, both sides of the 4096 prime-table ceiling, for the same
     q, xi and pairs, one config per (q, xi, pair): once with the primes
     asked in descending order, so that each config is asked past the
-    ceiling first, and once in ascending order, so that its prime table is
-    built first;
+    ceiling first, and once in ascending order;
   * b_xi's prime verdict at every n in [-3, 10^4] and at 44651 * 44657 and
     1999999973, at one config: 0 where it refuses n as not prime, else 1;
   * the ramified verdicts of b_xi and factorization_check at every prime
     p <= 4096, for each of the benchmark's four progression moduli q, every
-    character xi mod q and the first fixed pair, each config's prime table
+    character xi mod q and the first fixed pair, each config's context
     built first: 1 where the function refuses p as dividing q and the level,
     else 0, so that a table that serves such a p shows as a mismatch;
   * sieve_interval(10**6, 2 * 10**6).
@@ -231,8 +230,8 @@ def _prime_test() -> np.ndarray:
 
 def _ramified() -> np.ndarray:
     """(b_xi, factorization_check) verdicts, one row per (q, xi, p) for the
-    primes p <= 4096, on a config per (q, xi) whose prime table is built by
-    a call at its least prime prime to q and the level: 1 where the call
+    primes p <= 4096, on a config per (q, xi) whose context is built by a
+    call at its least prime prime to q and the level: 1 where the call
     refuses p as dividing q and the level, else 0."""
     primes = sieve_interval(2, LAMBDA_TOP).tolist()
     r1, r2 = FACT_PAIRS[0]

@@ -36,7 +36,10 @@ max(|K|, e^{-pi t/2})) and its verdict against the array's declared
 tolerance (within_tolerance, and the list outside_tolerance), an array
 that the change's dump lacks counted as one mismatch and outside its
 tolerance, and its new arrays, which count as none (the script's own exit
-status still counts them); the line counts of src/; and, for each module
+status still counts them); the line counts of src/, of all lines and of code
+lines alone, those neither blank, nor only a comment, nor in a module,
+class or function docstring, so that removed prose does not read as
+removed code; and, for each module
 of the side's own files that a workload pass imports, its token count,
 its compile time and the peak of tracemalloc's traced memory while it
 compiles.  A process that writes no bytecode (PYTHONDONTWRITEBYTECODE)
@@ -55,6 +58,7 @@ whatever happens.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -297,6 +301,22 @@ def _src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
+def _code_lines(text: str) -> int:
+    """Lines of the Python source text that are not blank, not only a
+    comment and not in a module, class or function docstring."""
+    prose = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            prose.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), start=1)
+               if i not in prose and line.strip() and not line.lstrip().startswith("#"))
+
+
+def _src_code_lines(root: Path) -> int:
+    return sum(_code_lines(p.read_text()) for p in sorted((root / "src").rglob("*.py")))
+
+
 def _host() -> dict:
     host = {"platform": platform.platform(), "python": platform.python_version(),
             "cpus": os.cpu_count()}
@@ -341,6 +361,7 @@ def main(argv=None) -> int:
             "change": _export_working_tree(dirs["change"]),
             "seconds": seconds,
             "src_lines": {side: _src_lines(dirs[side]) for side in SIDES},
+            "src_code_lines": {side: _src_code_lines(dirs[side]) for side in SIDES},
             "compile": {side: _compile_costs(dirs[side]) for side in SIDES},
             "workloads": {},
         }

@@ -13,40 +13,39 @@ prime coefficients of the quadruple-L numerator that factorization_check
 verifies.  The progression p = 1 mod q realizes the narrow ray class
 restriction over the rationals, with class number phi(q).
 
-Character values come from each character's value table (see characters):
-amplifier_sum indexes the numpy tables with whole blocks of primes and
-weights each block with one array call of the bump weight.  b_xi and
-factorization_check read what (xi, cfg) fixes from one _PrimeContext, built
-on the first call for xi and kept on the config, keyed by xi: the four
-twisted characters (kept per xi by _twists while xi lives), the value lists
-and moduli of chi1, chi2, xi and the twists, the phase multipliers 1j r1,
--1j r2, 1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime
-table.  xi is checked when its context is built: TypeError if it is not a
-character, ValueError if its modulus is not q.
+Character values come from each character's value table (see characters),
+or its phases past 2^14, through eisenstein._values_at: amplifier_sum reads
+whole blocks of primes that way and weights each block with one array call
+of the bump weight.  b_xi and factorization_check read what (xi, cfg) fixes
+from one _PrimeContext, built on the first call for xi and kept on the
+config, keyed by xi: chi1, chi2, xi and the four twisted characters (kept
+per xi by _twists while xi lives), the phase multipliers 1j r1, -1j r2,
+1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime table.  The
+constructor checks xi: TypeError if it is not a character, ValueError if
+its modulus is not q.
 
 The prime table holds b_xi and the factorization defect at every prime
 p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, as two lists in the slot
-order of the prime index, built once per process by the first table: those
-primes, their logs and a dict from each to its slot.  One vectorized kernel,
-_prime_kernel, fills it on the context's first call at one of them and
-publishes it by one assignment, None at the primes dividing q times the
-level; a call at a prime it serves is then two reads.  p is read through
-operator.index, so a numpy integer reads the table as the int does.  The
-table lives on the context, so it dies with its config.  Every other p (past
-the ceiling, not an integer, not prime, or dividing q times the level) takes
-the scalar path, with its checks and messages: validate p, take log p once
-and build both prime factors from their two terms, a = 1 and a = p, with the
-bits of generalized_divisor_sum, whose every lambda(n), though read from a
-per-series table filled by blocks, is its own ordered divisor sum: the
-scalar loop that _prime_lambda writes out at a prime.  The kernel gives the
-scalar path's bits, as eisenstein's lambda kernel does: each complex product
-is written out in float64 with one rounding per operation (_mul), the +-0.0
-terms of a complex times a float included; the phases are numpy's complex
-exp at (+-0.0, y), equal to cmath.exp there (below); abs is np.hypot;
-character values come through eisenstein._values_at, so twists past 2^14
-work.  The one prime test, _is_prime, reads the sieve table up to 4096 and
-characters._factorize past it; p above 2 _L_MAX, the top of any window, is
-refused before that trial division.
+order of the prime index, built once per process by the first context: those
+primes, their logs and a dict from each to its slot.  The constructor fills
+it with one call of the vectorized kernel _prime_kernel, None at the primes
+dividing q times the level; a call at a prime it serves is then two reads.
+p is read through operator.index, so a numpy integer reads the table as the
+int does.  The table lives on the context, so it dies with its config.
+Every other p (past the ceiling, not an integer, not prime, or dividing q
+times the level) takes the scalar path, with its checks and messages:
+refuse p above 2 _L_MAX, the top of any window, before any trial division,
+test it as prime by the trial division characters._factorize, take log p
+once and build both prime factors from their two terms, a = 1 and a = p,
+with the bits of generalized_divisor_sum, whose every lambda(n), though
+read from a per-series table filled by blocks, is its own ordered divisor
+sum: the scalar loop that _prime_lambda writes out at a prime.  The kernel
+gives the scalar path's bits, as eisenstein's lambda kernel does: each
+complex product is written out in float64 with one rounding per operation
+(_mul), the +-0.0 terms of a complex times a float included; the phases are
+numpy's complex exp at (+-0.0, y), equal to cmath.exp there (below); abs is
+np.hypot; character values come through _values_at, so twists past 2^14
+work.
 
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
@@ -87,7 +86,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply, value_table
+from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply
 from eisenkit.eisenstein import _LAMBDA_MAX, _sieve_to, _values_at
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
@@ -172,45 +171,47 @@ def _twists(xi: DirichletCharacter, chi1: DirichletCharacter, chi2: DirichletCha
 
 class _PrimeContext:
     """What b_xi and factorization_check read at every prime for one (xi, cfg):
-    the four twists, the value lists and moduli of them, chi1, chi2 and xi,
-    the phase multipliers 1j r1, -1j r2, 1j (r1 - r2) and 1j (r1 + r2), q
-    times the level, and the prime table, None until its first read (see
-    _prime_table).  Built once per xi on first use and kept in the
-    config's _contexts, so a later prime hashes xi alone."""
+    chi1, chi2, xi and the four twists, the phase multipliers 1j r1, -1j r2,
+    1j (r1 - r2) and 1j (r1 + r2), q times the level, and the prime table,
+    the lists b and defect in the slot order of the prime index, whose dict
+    from each prime to its slot is kept as slot.  Built once per xi on first
+    use and kept in the config's _contexts, so a later prime hashes xi alone.
+    xi must be a character mod cfg.q."""
 
-    __slots__ = ("twists", "v1", "q1", "v2", "q2", "w1", "m1", "w2", "m2", "vx", "qx", "vu", "qu",
-                 "vd", "qd", "s_left", "s_right", "s_diff", "s_total", "q_level", "table")
+    __slots__ = ("chi1", "chi2", "xi", "twists", "s_left", "s_right", "s_diff", "s_total",
+                 "q_level", "slot", "b", "defect")
 
     def __init__(self, xi: DirichletCharacter, cfg: AmplifierConfig):
-        self.twists = twist1, twist2, up, down = _twists(xi, cfg.chi1, cfg.chi2)
-        self.v1, self.q1 = cfg.chi1._values, cfg.chi1.modulus
-        self.v2, self.q2 = cfg.chi2._values, cfg.chi2.modulus
-        self.w1, self.m1 = twist1._values, twist1.modulus
-        self.w2, self.m2 = twist2._values, twist2.modulus
-        self.vx, self.qx = xi._values, xi.modulus
-        self.vu, self.qu = up._values, up.modulus
-        self.vd, self.qd = down._values, down.modulus
+        if not isinstance(xi, DirichletCharacter):
+            raise TypeError(f"xi must be a DirichletCharacter, got {xi!r}")
+        if xi.modulus != cfg.q:
+            raise ValueError(f"xi must be a character mod q = {cfg.q}, got {xi!r}")
+        self.chi1, self.chi2, self.xi = cfg.chi1, cfg.chi2, xi
+        self.twists = _twists(xi, cfg.chi1, cfg.chi2)
         # the expressions the phases were always built from, so s log p keeps its bits
         self.s_left, self.s_right = 1j * cfg.r1, -1j * cfg.r2
         self.s_diff, self.s_total = 1j * (cfg.r1 - cfg.r2), 1j * (cfg.r1 + cfg.r2)
         self.q_level = cfg.q * cfg.level
-        self.table = None
+        # b_xi and the defect at every prime of the index, None at the primes
+        # dividing q times the level and at slot -1, read at every n the index
+        # lacks: such a call takes the scalar path
+        p, logp, self.slot = _prime_index()
+        self.b, self.defect = (values.tolist() + [None] for values in _prime_kernel(self, p, logp))
+        try:
+            ramified = np.flatnonzero(np.remainder(self.q_level, p) == 0).tolist()
+        except OverflowError:       # q times the level past int64
+            ramified = [i for i, n in enumerate(p.tolist()) if self.q_level % n == 0]
+        for i in ramified:
+            self.b[i] = self.defect[i] = None
 
 
-def _context(xi: DirichletCharacter, cfg: AmplifierConfig) -> _PrimeContext:
-    """The _PrimeContext of (xi, cfg), built and stored; b_xi and
-    factorization_check call it when cfg has none for xi.  xi must be a
-    character mod cfg.q."""
-    if not isinstance(xi, DirichletCharacter):
-        raise TypeError(f"xi must be a DirichletCharacter, got {xi!r}")
-    if xi.modulus != cfg.q:
-        raise ValueError(f"xi must be a character mod q = {cfg.q}, got {xi!r}")
-    ctx = cfg._contexts[xi] = _PrimeContext(xi, cfg)
-    return ctx
-
-
-_NO_TABLE = ((None,), (None,))     # a table's trailing None, slot -1, read at a non-index n
-_index_slot: list = []      # the prime index, [(p, log p, {p: slot})] for the primes p <= _LAMBDA_MAX
+@lru_cache(maxsize=1)
+def _prime_index() -> tuple:
+    """The primes p <= _LAMBDA_MAX, their logs and a dict from each to its
+    slot, from one read of the sieve table; built by the first context."""
+    _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
+    p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
+    return p, logs[p], dict(zip(p.tolist(), range(len(p))))
 
 
 def _mul(ar, ai, br, bi):
@@ -219,26 +220,7 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _prime_table(ctx: _PrimeContext, xi: DirichletCharacter,
-                 cfg: AmplifierConfig) -> tuple[list, list]:
-    """b_xi and factorization_check at every prime of the index, as two lists
-    in slot order, from one _prime_kernel call, published on ctx by one
-    assignment; None at the primes dividing q times the level and at slot -1,
-    read at every n the index lacks, sends a call to the scalar path."""
-    p, logp, _ = _index_slot[0]
-    b, defect = (values.tolist() + [None] for values in _prime_kernel(ctx, xi, cfg, p, logp))
-    try:
-        ramified = np.flatnonzero(np.remainder(ctx.q_level, p) == 0).tolist()
-    except OverflowError:       # q times the level past int64
-        ramified = [i for i, n in enumerate(p.tolist()) if ctx.q_level % n == 0]
-    for i in ramified:
-        b[i] = defect[i] = None
-    ctx.table = table = b, defect
-    return table
-
-
-def _prime_kernel(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
-                  p: np.ndarray, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prime_kernel(ctx: _PrimeContext, p: np.ndarray, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """b_xi and the factorization defect at each of the primes p, given log p,
     by the operations of the scalar path (_b_xi_at and factorization_check's
     four terms) in its order, so with its bits (see the module docstring).
@@ -255,10 +237,10 @@ def _prime_kernel(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConf
 
     # the two prime factors in rows, chi1 x chi2 at s_left and twist1 x
     # twist2 at s_right: 0j + c1(1) c2(p) conj(p^s) + c1(p) c2(1) p^s
-    c1_1 = np.array([[ctx.v1[1 % ctx.q1]], [ctx.w1[1 % ctx.m1]]])
-    c2_1 = np.array([[ctx.v2[1 % ctx.q2]], [ctx.w2[1 % ctx.m2]]])
-    c1_p = np.array([_values_at(cfg.chi1, p), _values_at(twist1, p)])
-    c2_p = np.array([_values_at(cfg.chi2, p), _values_at(twist2, p)])
+    c1_1 = np.array([[ctx.chi1.evaluate(1)], [twist1.evaluate(1)]])
+    c2_1 = np.array([[ctx.chi2.evaluate(1)], [twist2.evaluate(1)]])
+    c1_p = np.array([_values_at(ctx.chi1, p), _values_at(twist1, p)])
+    c2_p = np.array([_values_at(ctx.chi2, p), _values_at(twist2, p)])
     ar, ai = _mul(*_mul(c1_1.real, c1_1.imag, c2_p.real, c2_p.imag), er[:2], -ei[:2])
     br, bi = _mul(*_mul(c1_p.real, c1_p.imag, c2_1.real, c2_1.imag), er[:2], ei[:2])
     fr, fi = 0.0 + ar + br, 0.0 + ai + bi
@@ -266,17 +248,17 @@ def _prime_kernel(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConf
     b.real, b.imag = _mul(*_mul(logp, 0.0, fr[0], fi[0]), fr[1], fi[1])
 
     # xi(p) p^{i(r1 - r2)} + xi(p) conj(...) + up(p) p^{i(r1 + r2)} + down(p) conj(...)
-    c = np.array([_values_at(xi, p)] * 2 + [_values_at(up, p), _values_at(down, p)])
+    c = np.array([_values_at(ctx.xi, p)] * 2 + [_values_at(up, p), _values_at(down, p)])
     tr, ti = _mul(c.real, c.imag, er[[2, 2, 3, 3]], ei[[2, 2, 3, 3]] * [[1.0], [-1.0], [1.0], [-1.0]])
     gr, gi = _mul(logp, 0.0, tr[0] + tr[1] + tr[2] + tr[3], ti[0] + ti[1] + ti[2] + ti[3])
     return b, np.hypot(b.real - gr, b.imag - gi)
 
 
-def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> complex:
+def _prime_lambda(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
+                  p: int, logp: float) -> complex:
     """generalized_divisor_sum(chi1, chi2, s, p) at a prime p, bit for bit,
-    from the value lists v1 = chi1._values and v2 = chi2._values and the
-    moduli q1, q2: its two terms a = 1 and a = p, in the divisor order, each
-    skipped when a character value is 0.
+    from the characters' value lists: its two terms a = 1 and a = p, in the
+    divisor order, each skipped when a character value is 0.
 
     When zp = s log p has a real part of +-0.0, as b_xi's s = +-i r always
     gives, p^{-s} is the conjugate of p^s, exact in every bit (see the module
@@ -285,6 +267,7 @@ def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> 
     zp = s * logp
     e = cmath.exp(zp)
     total = 0j
+    v1, q1, v2, q2 = chi1._values, chi1.modulus, chi2._values, chi2.modulus
     c1, c2 = v1[1 % q1], v2[p % q2]
     if c1 and c2:      # a complex value is false exactly when it is 0
         total += c1 * c2 * (e.conjugate() if zp.real == 0.0 else cmath.exp(-zp))
@@ -292,14 +275,6 @@ def _prime_lambda(v1, q1: int, v2, q2: int, s: complex, p: int, logp: float) -> 
     if c1 and c2:
         total += c1 * c2 * e
     return total
-
-
-def _is_prime(n: int) -> bool:
-    """Whether the integer n is prime: the sieve table's byte (the table grown
-    to _LAMBDA_MAX) for 2 <= n <= _LAMBDA_MAX, else the trial division _factorize."""
-    if 2 <= n <= _LAMBDA_MAX:
-        return _sieve_to(_LAMBDA_MAX)[4][n] == 1
-    return _factorize(n) == ((n, 1),)
 
 
 def _b_xi_at(p: int, n: int, ctx: _PrimeContext) -> tuple[complex, float]:
@@ -312,13 +287,13 @@ def _b_xi_at(p: int, n: int, ctx: _PrimeContext) -> tuple[complex, float]:
     # trial division of p costs about 2 ms at the ceiling, minutes near 1e18
     if n > 2 * _L_MAX:
         raise ValueError(f"p = {p} above the amplifier's prime ceiling {2 * _L_MAX:g}")
-    if not _is_prime(n):
+    if _factorize(n) != ((n, 1),):
         raise ValueError(f"p = {p!r} must be a prime")
     if ctx.q_level % n == 0:
         raise ValueError(f"p = {p} must avoid the progression modulus and the level")
     logp = math.log(n)
-    left = _prime_lambda(ctx.v1, ctx.q1, ctx.v2, ctx.q2, ctx.s_left, n, logp)
-    right = _prime_lambda(ctx.w1, ctx.m1, ctx.w2, ctx.m2, ctx.s_right, n, logp)
+    left = _prime_lambda(ctx.chi1, ctx.chi2, ctx.s_left, n, logp)
+    right = _prime_lambda(ctx.twists[0], ctx.twists[1], ctx.s_right, n, logp)
     return logp * left * right, logp
 
 
@@ -330,28 +305,16 @@ def _index(p) -> int:
         return 0
 
 
-def _first_table(ctx: _PrimeContext, xi: DirichletCharacter, cfg: AmplifierConfig,
-                 n: int) -> tuple:
-    """The prime table of ctx, which has none yet: built if the integer n is a prime of the
-    index (the first call builds it), else _NO_TABLE: a p refused as not prime builds none."""
-    if not _index_slot:
-        _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
-        p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
-        _index_slot.append((p, logs[p], dict(zip(p.tolist(), range(len(p))))))
-    return _prime_table(ctx, xi, cfg) if n in _index_slot[0][2] else _NO_TABLE
-
-
 def b_xi(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) -> complex:
     """log(p) times the product of the two twisted divisor factors at the prime p."""
     try:
         ctx = cfg._contexts[xi]
     except (KeyError, TypeError):     # not built yet, or xi is unhashable, so no character
-        ctx = _context(xi, cfg)
+        ctx = cfg._contexts[xi] = _PrimeContext(xi, cfg)
     n = p if type(p) is int else _index(p)
-    if n <= _LAMBDA_MAX:
-        value = (ctx.table or _first_table(ctx, xi, cfg, n))[0][_index_slot[0][2].get(n, -1)]
-        if value is not None:
-            return value
+    value = ctx.b[ctx.slot.get(n, -1)]
+    if value is not None:
+        return value
     return _b_xi_at(p, n, ctx)[0]
 
 
@@ -371,18 +334,18 @@ def factorization_check(p: int, xi: DirichletCharacter, cfg: AmplifierConfig) ->
     try:
         ctx = cfg._contexts[xi]
     except (KeyError, TypeError):
-        ctx = _context(xi, cfg)
+        ctx = cfg._contexts[xi] = _PrimeContext(xi, cfg)
     n = p if type(p) is int else _index(p)
-    if n <= _LAMBDA_MAX:
-        defect = (ctx.table or _first_table(ctx, xi, cfg, n))[1][_index_slot[0][2].get(n, -1)]
-        if defect is not None:
-            return defect
+    defect = ctx.defect[ctx.slot.get(n, -1)]
+    if defect is not None:
+        return defect
     left, logp = _b_xi_at(p, n, ctx)
     e_diff = cmath.exp(ctx.s_diff * logp)
     e_total = cmath.exp(ctx.s_total * logp)
-    xi_p = ctx.vx[n % ctx.qx]
-    four_terms = (xi_p * e_diff + xi_p * e_diff.conjugate()
-                  + ctx.vu[n % ctx.qu] * e_total + ctx.vd[n % ctx.qd] * e_total.conjugate())
+    _, _, up, down = ctx.twists
+    xi_p = xi._values[n % cfg.q]
+    four_terms = (xi_p * e_diff + xi_p * e_diff.conjugate() + up._values[n % up.modulus] * e_total
+                  + down._values[n % down.modulus] * e_total.conjugate())
     return abs(left - logp * four_terms)
 
 
@@ -453,11 +416,6 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
     """
     lo = math.ceil(cfg.L)
     hi = math.floor(2 * cfg.L)
-    t1 = value_table(cfg.chi1)
-    t2 = value_table(cfg.chi2)
-    q1 = cfg.chi1.modulus
-    q2 = cfg.chi2.modulus
-    level = cfg.level
 
     seg_re: list[float] = []
     seg_im: list[float] = []
@@ -466,14 +424,14 @@ def amplifier_sum(cfg: AmplifierConfig) -> complex:
         primes = _window_primes(start, stop)
         cuts = np.searchsorted(primes, np.arange(start + _SPAN, stop + 1, _SPAN))
         for block in np.split(primes, cuts):
-            block = block[(block % cfg.q == 1 % cfg.q) & (level % block != 0)]
+            block = block[(block % cfg.q == 1 % cfg.q) & (cfg.level % block != 0)]
             if block.size == 0:
                 continue
             p = block.astype(np.float64)
             logp = np.log(p)
             w = cfg.weight(p / cfg.L)
-            c1 = t1[block % q1]
-            c2 = t2[block % q2]
+            c1 = _values_at(cfg.chi1, block)
+            c2 = _values_at(cfg.chi2, block)
             e1 = np.exp(1j * cfg.r1 * logp)
             left = c1 * e1 + c2 * np.conj(e1)
             if cfg.r1 == cfg.r2:

@@ -95,7 +95,7 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     The one trial division of the package, memoized: characters factor
     moduli with it, eisenstein's divisor lists past the sieve table expand
-    it, and the amplifier's prime test reads it past that table.
+    it, and it is the amplifier's prime test at every p its prime table lacks.
     """
     out = []
     d = 2

@@ -54,8 +54,8 @@ past 2^12 the scalar loop sums n alone and nothing is kept.  The block
 layouts, shared by every series, come from one sieve table of least primes,
 exponents and cofactors, grown with the lambda tables to the largest block's
 top and never past 2^12, by array passes in _divisors order, with log a read
-from its math.log(a) entries.  The amplifier's prime table grows it to 2^12
-and reads its primes and logs, and its prime test reads it.  Past it,
+from its math.log(a) entries.  The amplifier's prime index grows it to 2^12
+and reads its primes and logs.  Past it,
 _divisors expands the memoized characters._factorize for the scalar loop
 (past 2^12, or a block that overflows).
 
@@ -259,7 +259,7 @@ def _sieve_to(top: int) -> tuple:
     spf(n) is the least prime up to sqrt(b) < a that divides n, or n; and
     m = n / spf(n) < a shares its least prime exactly when spf(n)^2 | n, so
     exp and rest extend the table's entries at m.  _block_layout grows it
-    to a block's top, and the amplifier's prime table to _LAMBDA_MAX, so it
+    to a block's top, and the amplifier's prime index to _LAMBDA_MAX, so it
     never passes _LAMBDA_MAX; one assignment publishes each step."""
     table = _sieve_slot[0]
     while len(table[0]) <= top:
@@ -614,11 +614,18 @@ def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int
     return out
 
 
-def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
-    """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
+def _check_point(params: EisensteinParams, x: float, y: float) -> None:
+    """The checks of evaluate and the FE residual: the height, x and y finite, then the floor."""
     _check_height(params.t_shift)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"x and y must be finite, got {x} and {y}")
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
+
+
+def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
+    """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
+    _check_point(params, x, y)
     (values, _), = _fourier_grid((params,), [x], [y], eps)
     return complex(values[0, 0])
 
@@ -647,9 +654,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     the residual equals the one from two separate evaluate calls bit for bit
     and isolates the arithmetic constants rather than quadrature noise.
     """
-    _check_height(params.t_shift)
-    if y < _Y_FLOOR:
-        raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
+    _check_point(params, x, y)
     dual = params.dual()
     (here, _), (there, _) = _fourier_grid((params, dual), [x], [y], eps)
     e_here = complex(here[0, 0]) + _constant_terms(params, y)

@@ -405,9 +405,11 @@ def log_gamma_r(s: complex) -> complex:
 
     The imaginary part is the continuous one of the principal log-gamma branch
     (mpmath.loggamma's), not reduced mod 2 pi.  The poles s = 0, -2, -4, ...
-    are rejected with a distance-to-pole diagnostic.
+    are rejected with a distance-to-pole diagnostic, after a non-finite s.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     pole = complex(-2 * max(0, round(-s.real / 2.0)), 0.0)
     dist = abs(s - pole)
     if dist < _POLE_TOL:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _prime_powers,
@@ -36,7 +37,7 @@ from eisenkit.amplifier import (
     sieve_interval,
 )
 from eisenkit.eisenstein import generalized_divisor_sum
-from eisenkit.characters import build_character, character_group, conjugate, multiply
+from eisenkit.characters import DirichletCharacter, build_character, character_group, conjugate, multiply
 
 CHI1 = build_character(1, 0)
 CHI3 = build_character(3, 1)
@@ -44,10 +45,9 @@ CHI4 = build_character(4, 1)
 CHI5 = build_character(5, 1)
 
 
-def _served(table) -> list[list[int]]:
-    """The primes at which each list of a prime table holds a value, not None."""
-    slots = amplifier._index_slot[0][2]
-    return [[p for p, i in slots.items() if values[i] is not None] for values in table]
+def _served(ctx) -> list[list[int]]:
+    """The primes at which each list of a context's prime table holds a value, not None."""
+    return [[p for p, i in ctx.slot.items() if values[i] is not None] for values in (ctx.b, ctx.defect)]
 
 
 def test_config_validation():
@@ -140,19 +140,23 @@ def test_b_xi_refuses_primes_past_the_window_ceiling():
 
 
 def test_prime_test_reads_the_sieve_table():
-    """The amplifier's one prime test, the sieve table's byte up to 4096
-    and _factorize past it, agrees with the oracle's trial division,
+    """The amplifier's prime verdicts agree with the oracle's trial division,
     _prime_powers(n) == [(n, 1)], at every n in [-3, 10^4], at 44651 * 44657
-    and at the prime 1999999973; and b_xi refuses as not prime exactly the
-    n that are not.  2^31 - 1, a prime, lies past the prime ceiling 2e9 and
-    is refused before any prime test."""
+    and at the prime 1999999973: the prime index, read from the sieve
+    table's bytes, holds exactly the primes up to 4096, and the scalar
+    path's test, _factorize(n) == ((n, 1),), every n; and b_xi refuses as
+    not prime exactly the n that are not.  2^31 - 1, a prime, lies past the
+    prime ceiling 2e9 and is refused before any prime test."""
     from eisenkit import eisenstein
+    from eisenkit.characters import _factorize
 
     ns = list(range(-3, 10 ** 4 + 1)) + [44651 * 44657, 1999999973]
     primes = [_prime_powers(n) == [(n, 1)] for n in ns]
-    assert [amplifier._is_prime(n) for n in ns] == primes
+    assert [_factorize(n) == ((n, 1),) for n in ns] == primes
     table = eisenstein._sieve_to(4096)[4]
     assert [table[n] == 1 for n in range(4097)] == primes[3:4100]
+    index, _, slot = amplifier._prime_index()
+    assert index.tolist() == list(slot) == [n for n, prime in zip(ns[3:4100], primes[3:4100]) if prime]
 
     cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
     xi = build_character(3, 1)
@@ -192,8 +196,7 @@ def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():
     assert wide.modulus == 49143
     calls += [(chi1, chi2, s, p) for p in (2, 5, 1499) for s in (12.5j, complex(-0.0, -12.5))
               for chi1, chi2 in ((wide, CHI4), (CHI5, wide))]
-    got = [amplifier._prime_lambda(chi1._values, chi1.modulus, chi2._values, chi2.modulus,
-                                   s, p, math.log(p)) for chi1, chi2, s, p in calls]
+    got = [amplifier._prime_lambda(chi1, chi2, s, p, math.log(p)) for chi1, chi2, s, p in calls]
     want = [generalized_divisor_sum(*call) for call in calls]
     assert got == want
     assert list(map(repr, got)) == list(map(repr, want))
@@ -281,28 +284,30 @@ def test_factorization_bits_do_not_depend_on_the_context_cache():
 
 
 def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkeypatch):
-    """The kernel runs once per (xi, config), on the first call at a
-    p <= 4096, and the table serves exactly the primes up to 4096 prime to
-    q and the level; calls past the ceiling alone, refused ones included,
-    never run it."""
+    """The kernel runs once per (xi, config), with its context, whatever p
+    the first call asks for: calls past the ceiling alone, refused ones
+    included, build the whole table, and later calls at any p build no
+    other.  The table serves exactly the primes up to 4096 prime to q and
+    the level, none past the ceiling."""
     calls = []
-    kernel = amplifier._prime_table
+    kernel = amplifier._prime_kernel
 
-    def counted(ctx, xi, cfg):
-        calls.append(xi)
-        return kernel(ctx, xi, cfg)
+    def counted(ctx, p, logp):
+        calls.append(ctx.xi)
+        return kernel(ctx, p, logp)
 
-    monkeypatch.setattr(amplifier, "_prime_table", counted)
+    monkeypatch.setattr(amplifier, "_prime_kernel", counted)
     cfg = AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
     xi, other = list(character_group(5))[1:3]
+    primes = sieve_interval(2, 4096).tolist()
     for fn in (b_xi, factorization_check):
         for p in (4099, 9973, 1999999973, np.int64(4099)):
             fn(p, xi, cfg)
         for p in (4097, 2 ** 61 - 1, 4.0, np.int64(4)):
             with pytest.raises(ValueError):
                 fn(p, xi, cfg)
-    assert calls == [] and cfg._contexts[xi].table is None
-    primes = sieve_interval(2, 4096).tolist()
+    assert calls == [xi]
+    assert _served(cfg._contexts[xi]) == [[p for p in primes if p not in (2, 3, 5)]] * 2
     for p in primes[::-1]:
         if p not in (2, 3, 5):
             b_xi(p, xi, cfg)
@@ -310,7 +315,6 @@ def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkey
     factorization_check(7, other, cfg)
     b_xi(4099, other, cfg)
     assert calls == [xi, other]
-    assert _served(cfg._contexts[xi].table) == [[p for p in primes if p not in (2, 3, 5)]] * 2
 
 
 def test_prime_table_with_q_times_the_level_past_int64():
@@ -329,7 +333,7 @@ def test_prime_table_with_q_times_the_level_past_int64():
         got = [fn(p, xi, cfg) for p in primes]
         want = [oracle(p, xi, cfg) for p in primes]
         assert list(map(repr, got)) == list(map(repr, want))
-    assert _served(cfg._contexts[xi].table) == [[p for p in primes if p <= 4096]] * 2
+    assert _served(cfg._contexts[xi]) == [[p for p in primes if p <= 4096]] * 2
     ramified = [p for p in sieve_interval(2, 4096).tolist() if (cfg.q * cfg.level) % p == 0]
     assert ramified == [3, 43, 127, 131]
     for fn in (b_xi, factorization_check):
@@ -340,11 +344,12 @@ def test_prime_table_with_q_times_the_level_past_int64():
 
 def test_prime_index_is_built_once_per_process(monkeypatch):
     """Two configs, two xi each, b_xi and factorization_check: the prime
-    index is built by the first table, from one read of the sieve table,
-    and every later table reads it; the kernel runs once per context."""
+    index is built by the first context, from one read of the sieve table,
+    and every later context reads it and keeps its dict; the kernel runs
+    once per context."""
     sieve_reads, kernels = [], []
     sieve_to, kernel = amplifier._sieve_to, amplifier._prime_kernel
-    monkeypatch.setattr(amplifier, "_index_slot", [])
+    amplifier._prime_index.cache_clear()
     monkeypatch.setattr(amplifier, "_sieve_to", lambda top: sieve_reads.append(top) or sieve_to(top))
     monkeypatch.setattr(amplifier, "_prime_kernel",
                         lambda ctx, *args: kernels.append(ctx) or kernel(ctx, *args))
@@ -355,8 +360,9 @@ def test_prime_index_is_built_once_per_process(monkeypatch):
             for fn in (b_xi, factorization_check):
                 for p in (7, 11, 4093):
                     fn(p, xi, cfg)
-    assert sieve_reads == [4096] and len(amplifier._index_slot) == 1
+    assert sieve_reads == [4096] and amplifier._prime_index.cache_info().misses == 1
     assert kernels == [ctx for cfg in configs for ctx in cfg._contexts.values()] and len(kernels) == 4
+    assert all(ctx.slot is amplifier._prime_index()[2] for ctx in kernels)
 
 
 def test_importing_the_amplifier_builds_no_prime_index():
@@ -364,7 +370,7 @@ def test_importing_the_amplifier_builds_no_prime_index():
     grows the sieve table past its first entries, n <= 3."""
     src = Path(amplifier.__file__).resolve().parent.parent
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from eisenkit import amplifier, eisenstein; "
-            "print(len(amplifier._index_slot), len(eisenstein._sieve_slot[0][0]))")
+            "print(amplifier._prime_index.cache_info().currsize, len(eisenstein._sieve_slot[0][0]))")
     out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
                          text=True, check=True).stdout.split()
     assert out == ["0", "4"]
@@ -406,8 +412,9 @@ def test_a_dropped_xi_dies_with_its_config():
 
 
 def test_prime_table_leaves_the_errors_unchanged():
-    """Each refusal keeps its message, from a config whose prime table is
-    not built yet and from one whose table is: non-primes (0, 1, 4, 4096,
+    """Each refusal keeps its message, from a fresh config, whose first call
+    builds the context and its prime table, and from one whose context is
+    built: non-primes (0, 1, 4, 4096,
     -7, True, 2.0, 3e9, np.int64(4)), ramified primes, and primes past 2e9; an
     np.int64 prime gives the bits of the int."""
     def config():
@@ -421,7 +428,7 @@ def test_prime_table_leaves_the_errors_unchanged():
                  for p in (2000000011, 2 ** 61 - 1)]
     warm = config()
     b_xi(7, xi, warm)
-    assert warm._contexts[xi].table is not None
+    assert list(warm._contexts) == [xi]
     for fn in (b_xi, factorization_check):
         for p, message in refusals:
             for cfg in (config(), warm):
@@ -434,14 +441,14 @@ def test_prime_table_leaves_the_errors_unchanged():
 def test_numpy_integer_primes_read_the_prime_table(monkeypatch):
     """np.int64 and np.int32 primes p <= 4096, as iterating sieve_interval
     yields them, give the int's value byte for byte from the prime table,
-    never the scalar path: the first call at one builds the table, and no
-    later call, at an int or a numpy integer, builds a second."""
+    never the scalar path: the first call builds the context and its table,
+    and no later call, at an int or a numpy integer, builds a second."""
     calls = []
-    kernel = amplifier._prime_table
+    kernel = amplifier._prime_kernel
 
-    def counted(ctx, xi, cfg):
-        calls.append(cfg)
-        return kernel(ctx, xi, cfg)
+    def counted(ctx, p, logp):
+        calls.append(ctx)
+        return kernel(ctx, p, logp)
 
     def config():
         return AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4)
@@ -451,16 +458,71 @@ def test_numpy_integer_primes_read_the_prime_table(monkeypatch):
     for fn in (b_xi, factorization_check):
         plain = config()
         want = [repr(fn(p, xi, plain)) for p in primes]
-        monkeypatch.setattr(amplifier, "_prime_table", counted)
+        monkeypatch.setattr(amplifier, "_prime_kernel", counted)
         monkeypatch.setattr(amplifier, "_b_xi_at", None)     # the scalar path is not taken
         for dtype in (np.int64, np.int32):
             cfg = config()
             assert [repr(fn(p, xi, cfg)) for p in map(dtype, primes)] == want
-            table = cfg._contexts[xi].table
+            ctx = cfg._contexts[xi]
+            b, defect = ctx.b, ctx.defect
             assert [repr(fn(p, xi, cfg)) for p in primes[::-1]] == want[::-1]
-            assert cfg._contexts[xi].table is table and calls == [cfg]
+            assert cfg._contexts[xi] is ctx and ctx.b is b and ctx.defect is defect and calls == [ctx]
             calls.clear()
         monkeypatch.undo()
+
+
+_NOT_CHARACTERS_MOD_Q = [None, 3, "3:1", [1], CHI1, build_character(7, 1)]
+_FACTORS = {3: (CHI5, CHI4), 4: (CHI3, CHI5), 5: (CHI3, CHI4), 8: (CHI3, CHI5)}
+
+
+def _expected_refusal(p, xi, cfg) -> tuple[type, str] | None:
+    """The error and message b_xi and factorization_check document for
+    (p, xi, cfg), by the oracle's trial division, or None for a value."""
+    if not isinstance(xi, DirichletCharacter):
+        return TypeError, f"xi must be a DirichletCharacter, got {xi!r}"
+    if xi.modulus != cfg.q:
+        return ValueError, f"xi must be a character mod q = {cfg.q}, got {xi!r}"
+    n = 0 if isinstance(p, (bool, float)) else int(p)
+    if n > 2 * 10 ** 9:
+        return ValueError, f"p = {p} above the amplifier's prime ceiling 2e+09"
+    if _prime_powers(n) != [(n, 1)]:
+        return ValueError, f"p = {p!r} must be a prime"
+    if (cfg.q * cfg.level) % n == 0:
+        return ValueError, f"p = {p} must avoid the progression modulus and the level"
+    return None
+
+
+# primes, so that values and ramified refusals are drawn, not only non-primes
+_PRIMES = st.sampled_from(sieve_interval(2, 5000).tolist() + sieve_interval(2 * 10 ** 9 - 200, 2 * 10 ** 9).tolist())
+
+
+@pytest.mark.parametrize("fn", [b_xi, factorization_check])
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(sorted(_FACTORS)).flatmap(lambda q: st.tuples(st.just(q), st.one_of(
+           # a character mod q twice as often as a value that is none
+           st.sampled_from(list(character_group(q))), st.sampled_from(list(character_group(q))),
+           st.sampled_from(_NOT_CHARACTERS_MOD_Q)))),
+       p=st.one_of(_PRIMES, st.integers(-10, 5000), st.integers(2 * 10 ** 9 - 200, 2 * 10 ** 9 + 200),
+                   (_PRIMES | st.integers(-10, 5000)).map(np.int64), _PRIMES.map(np.int32),
+                   st.floats(), _PRIMES.map(float), st.booleans()),
+       r1=st.one_of(st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0])),
+       r2=st.one_of(st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0])))
+def test_prime_coefficients_give_a_finite_value_or_a_documented_refusal(fn, case, p, r1, r2):
+    """b_xi and factorization_check over p from ints in [-10, 5000] and near
+    the ceiling 2e9, numpy integers, floats and bools, xi from each group mod
+    q in {3, 4, 5, 8} and values that are no character mod q, and twists in
+    [-30, 30] with signed zeros: a finite value (a defect below 1e-10) or the
+    documented error, message and all, that the oracle predicts."""
+    q, xi = case
+    cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=_FACTORS[q][0], chi2=_FACTORS[q][1])
+    refusal = _expected_refusal(p, xi, cfg)
+    if refusal is None:
+        value = fn(p, xi, cfg)
+        assert cmath.isfinite(value)
+        assert fn is b_xi or value < 1e-10
+    else:
+        with pytest.raises(refusal[0], match=f"^{re.escape(refusal[1])}$"):
+            fn(p, xi, cfg)
 
 
 def test_b_xi_principal_diagonal_is_a_square():
@@ -567,8 +629,14 @@ def test_sieve_interval_edges():
 
 
 def test_amplifier_sum_against_double_loop():
-    for q, chi1, chi2 in ((1, CHI3, CHI4), (3, CHI1, CHI1), (4, CHI5, CHI5)):
-        cfg = AmplifierConfig(q=q, L=2000.0, r1=3.0, r2=-5.0, chi1=chi1, chi2=chi2)
+    """Three configs at L = 2000, and one at L = 100 whose chi1, mod 49143,
+    lies past the 2^14 ceiling on value tables (b_xi served it, and the sum
+    refused it as a modulus past 16384)."""
+    wide = multiply(build_character(16381, 5), CHI3)
+    assert wide.modulus == 49143
+    for L, q, chi1, chi2 in ((2000.0, 1, CHI3, CHI4), (2000.0, 3, CHI1, CHI1), (2000.0, 4, CHI5, CHI5),
+                             (100.0, 7, wide, CHI4)):
+        cfg = AmplifierConfig(q=q, L=L, r1=3.0, r2=-5.0, chi1=chi1, chi2=chi2)
         fast = amplifier_sum(cfg)
         slow = naive_amplifier_sum(cfg)
         assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))

@@ -315,3 +315,34 @@ def test_compile_costs_cover_the_modules_a_pass_imports(tmp_path):
     assert got["src/large.py"]["tokens"] == 200 * 14 + 1     # def f ( x ) : NEWLINE INDENT return x + i NEWLINE DEDENT
     assert all(cost["compile_ms"] > 0.0 for cost in got.values())
     assert got["src/large.py"]["compile_peak_kb"] > got["src/small.py"]["compile_peak_kb"] > 0.0
+
+
+def test_code_lines_leave_out_blank_lines_comments_and_docstrings(tmp_path):
+    """src_code_lines counts the lines of src/ that hold code: a module,
+    class or function docstring, one line or several, a comment-only line
+    and a blank line do not count; a string that is no docstring, a line
+    with code and a comment, and every line of a bracketed expression do."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(textwrap.dedent('''\
+        """Module
+        docstring."""
+
+        # a comment
+        X = 1  # code with a comment
+        TEXT = """not a
+        docstring"""
+
+
+        class C:
+            """One line."""
+
+            def f(self, y):
+                """Two
+                lines."""
+                return (y +
+                        X)
+        '''))
+    (tmp_path / "src" / "pkg" / "b.py").write_text("async def g():\n    \"\"\"Doc.\"\"\"\n    return 1\n")
+    compare = _load_compare()
+    assert compare._src_lines(tmp_path) == 17 + 3
+    assert compare._src_code_lines(tmp_path) == 7 + 2

@@ -499,6 +499,25 @@ def test_residual_below_the_floor_is_rejected_before_any_truncation(monkeypatch)
             functional_equation_residual(params, 0.1, y)
 
 
+def test_a_non_finite_point_is_refused_by_name_before_any_truncation(monkeypatch):
+    """x = nan used to give E = nan+nanj, and x = inf nan with a RuntimeWarning;
+    y = nan was refused only as having no tail budget.  evaluate and the
+    residual now refuse a non-finite x or y by name, before any work."""
+    from eisenkit import eisenstein
+
+    def forbidden(*args):
+        raise AssertionError("a truncation was computed at a non-finite point")
+
+    monkeypatch.setattr(eisenstein, "_truncation", forbidden)
+    params = EisensteinParams(CHI3, CHI4, 5.0)
+    points = [(x, 0.6) for x in (math.nan, math.inf, -math.inf)]
+    points += [(0.1, y) for y in (math.nan, math.inf, -math.inf)] + [(math.nan, math.inf)]
+    for fn in (evaluate, functional_equation_residual):
+        for x, y in points:
+            with pytest.raises(ValueError, match=f"^x and y must be finite, got {x} and {y}$"):
+                fn(params, x, y, 1e-8)
+
+
 def test_quotient_modulus_past_the_l_window_is_refused_before_any_table(monkeypatch):
     """chi1 mod 993 = 3 * 331 and chi2 mod 1011 = 3 * 337 share their 3-part,
     so psi lives mod 331 * 337 = 111547, past the L-value window 1e4: the

@@ -349,6 +349,14 @@ def test_log_gamma_r_poles():
     assert math.isfinite(abs(log_gamma_r(-3.0)))
 
 
+def test_log_gamma_r_refuses_a_non_finite_s():
+    """s = nan raised "cannot convert float NaN to integer" from the pole
+    test, and s = inf an OverflowError: both are refused by name first."""
+    for s in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.5, math.inf)):
+        with pytest.raises(ValueError, match=f"^s must be finite, got {re.escape(str(complex(s)))}$"):
+            log_gamma_r(s)
+
+
 def test_beta_integral_identity():
     """Gamma_R(2s)/Gamma_R(2s+1) equals the (1+x^2)^(-s-1/2) line integral."""
     s = 1.25
