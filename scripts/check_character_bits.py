@@ -121,12 +121,13 @@ AMP_CASES = ((1e6, 1, 12.5, 12.5), (1e6, 3, 17.25, 17.25), (1e6, 4, 23.0, 23.0),
 # one height per Hecke parameter set, inside the benchmark's draw range [2, 12]
 HECKE_HEIGHTS = (2.5, 4.75, 7.0, 9.25, 11.5)
 LAMBDA_TOP = 4096       # the lambda table ceiling, eisenstein._LAMBDA_MAX
+PRIME_TOP = 4096        # the amplifier's prime-table ceiling, amplifier._PRIME_MAX
 PAST_TOP = 10 ** 4      # the hecke-relations acceptance test's largest n
 PAST_SET = 3            # the Hecke set 5:1 x 5:3
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
-CEILING_PRIMES = (3900, 4400)   # around the amplifier's prime-table ceiling 4096
+CEILING_PRIMES = (3900, 4400)   # around the amplifier's prime-table ceiling PRIME_TOP
 SIEVE_WINDOW = (10**6, 2 * 10**6)
-# the prime test's range: past the 4096 sieve table, and two large n
+# the prime test's range: past the 4096 prime table, and two large n
 PRIME_TEST_NS = tuple(range(-3, 10**4 + 1)) + (44651 * 44657, 1999999973)
 
 
@@ -233,7 +234,7 @@ def _ramified() -> np.ndarray:
     primes p <= 4096, on a config per (q, xi) whose context is built by a
     call at its least prime prime to q and the level: 1 where the call
     refuses p as dividing q and the level, else 0."""
-    primes = sieve_interval(2, LAMBDA_TOP).tolist()
+    primes = sieve_interval(2, PRIME_TOP).tolist()
     r1, r2 = FACT_PAIRS[0]
     verdicts = []
     for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():

@@ -14,7 +14,7 @@ verifies.  The progression p = 1 mod q realizes the narrow ray class
 restriction over the rationals, with class number phi(q).
 
 Character values come from each character's value table (see characters),
-or its phases past 2^14, through eisenstein._values_at: amplifier_sum reads
+or its phases past 2^14, through characters._values_at: amplifier_sum reads
 whole blocks of primes that way and weights each block with one array call
 of the bump weight.  b_xi and factorization_check read what (xi, cfg) fixes
 from one _PrimeContext, built on the first call for xi and kept on the
@@ -25,11 +25,13 @@ constructor checks xi: TypeError if it is not a character, ValueError if
 its modulus is not q.
 
 The prime table holds b_xi and the factorization defect at every prime
-p <= _LAMBDA_MAX = 4096, the sieve table's ceiling, as two lists in the slot
-order of the prime index, built once per process by the first context: those
-primes, their logs and a dict from each to its slot.  The constructor fills
-it with one call of the vectorized kernel _prime_kernel, None at the primes
-dividing q times the level; a call at a prime it serves is then two reads.
+p <= _PRIME_MAX = 4096 as two lists in the slot order of the prime index,
+built once per process by the first context from its own
+sieve_interval(2, 4096): those primes, math.log of each and a dict from
+each to its slot.  The amplifier shares no table with eisenstein.  The
+constructor fills it with one call of the vectorized kernel _prime_kernel,
+None at the primes dividing q times the level; a call at a prime it serves
+is then two reads.
 p is read through operator.index, so a numpy integer reads the table as the
 int does.  The table lives on the context, so it dies with its config.
 Every other p (past the ceiling, not an integer, not prime, or dividing q
@@ -86,8 +88,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, conjugate, multiply
-from eisenkit.eisenstein import _LAMBDA_MAX, _sieve_to, _values_at
+from eisenkit.characters import DirichletCharacter, _checked_int, _factorize, _values_at, conjugate, multiply
 from eisenkit.lfunctions import _IM_WINDOW
 from eisenkit.special_functions import BumpWeight
 
@@ -104,6 +105,7 @@ __all__ = [
 _SEGMENT = 1 << 20     # entries of an odd-only sieve segment, a multiple of _SPAN
 _SPAN = 1 << 16        # reduction block of amplifier_sum
 _L_MAX = 1e9    # ceiling on the window start L: [L, 2L] holds L integers to sieve
+_PRIME_MAX = 1 << 12    # the prime table ceiling
 _last_twists = weakref.WeakKeyDictionary()    # xi -> ((chi1, chi2), twists) of its last _twists
 
 
@@ -207,11 +209,11 @@ class _PrimeContext:
 
 @lru_cache(maxsize=1)
 def _prime_index() -> tuple:
-    """The primes p <= _LAMBDA_MAX, their logs and a dict from each to its
-    slot, from one read of the sieve table; built by the first context."""
-    _, _, _, logs, prime = _sieve_to(_LAMBDA_MAX)
-    p = np.flatnonzero(np.frombuffer(prime, dtype=np.uint8, count=_LAMBDA_MAX + 1))
-    return p, logs[p], dict(zip(p.tolist(), range(len(p))))
+    """The primes p <= _PRIME_MAX, their logs (math.log) and a dict from
+    each to its slot, from one sieve_interval call; built by the first context."""
+    p = sieve_interval(2, _PRIME_MAX)
+    primes = p.tolist()
+    return p, np.fromiter(map(math.log, primes), dtype=float, count=len(p)), dict(zip(primes, range(len(p))))
 
 
 def _mul(ar, ai, br, bi):

@@ -15,7 +15,9 @@ first use: one integer product of its weights with the stacked dlog arrays
 gives every m, and each m indexes the D roots e(m / D), each taken as
 cmath.exp of the correctly rounded m / D, so Gauss sums and epsilon factors
 are reproducible to machine precision.  value_table returns that read-only
-array, the single source of the values.  evaluate(n) reads the entry at
+array, the single source of the values, and _values_at(chi, n) reads it at
+an array of integers n: the one array read of values, which the lambda
+kernel, the amplifier and the L-values share.  evaluate(n) reads the entry at
 n mod q from a list copy of it, built on the first scalar read, so scalar
 callers (the divisor sums among them) pay no numpy scalar access.
 int_phase(n) computes the integer m alone, for the callers that need it:
@@ -45,7 +47,8 @@ transform.
 Moduli run over [1, 2^14] where one comes in and wherever a value table is
 built; products and quotients, which may exceed it, need no table for their
 phases, conductors and parts, nor for scalar values: past the ceiling
-evaluate(n) takes the root of unity at int_phase(n), the bits a table holds.
+evaluate(n) and _values_at take the root of unity at int_phase(n), the
+bits a table holds.
 
 Generator conventions (fixed once, for determinism across runs and platforms):
   * odd p^e: the smallest primitive root g mod p, or g + p when
@@ -112,7 +115,6 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _smallest_primitive_root(p: int) -> int:
     """Smallest primitive root mod an odd prime p."""
     phi = p - 1
@@ -343,6 +345,17 @@ class _PhaseReads:
     def __getitem__(self, n: int) -> complex:
         m = self._chi.int_phase(n)
         return 0j if m is None else _root(m, self._chi.phase_denominator)
+
+
+def _values_at(chi: DirichletCharacter, n: np.ndarray) -> np.ndarray:
+    """chi at each integer of the array n, with the bits of chi._values: the
+    one array read of character values, from value_table up to the modulus
+    ceiling and from _PhaseReads past it."""
+    q = chi.modulus
+    if q > _MODULUS_MAX:        # no value table
+        v = chi._values
+        return np.array([v[a % q] for a in n.tolist()], dtype=complex)
+    return value_table(chi)[n % q]
 
 
 # ---------------------------------------------------------------------------

@@ -52,16 +52,20 @@ lambda(n) is its own sum over _divisors(n), in that order, with the bits of
 the scalar loop, so no value depends on the block or table that holds it;
 past 2^12 the scalar loop sums n alone and nothing is kept.  The block
 layouts, shared by every series, come from one sieve table of least primes,
-exponents and cofactors, grown with the lambda tables to the largest block's
-top and never past 2^12, by array passes in _divisors order, with log a read
-from its math.log(a) entries.  The amplifier's prime index grows it to 2^12
-and reads its primes and logs.  Past it,
-_divisors expands the memoized characters._factorize for the scalar loop
-(past 2^12, or a block that overflows).
+exponents, cofactors and logs, which only the lambda tables grow: to the
+largest block's top and never past 2^12, by array passes in _divisors order,
+with log a read from its math.log(a) entries.  The kernel reads character
+values through characters._values_at.  Past the table, _divisors expands the
+memoized characters._factorize for the scalar loop (past 2^12, or a block
+that overflows).
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
-same _check_height that supnorm.scan calls.
+same _check_height that supnorm.scan calls.  They refuse by name an x or y
+that is a bool or no real number, and sum at x reduced mod 1 by math.fmod,
+which is exact and leaves |x| < 1 as it is: E is 1-periodic in x, and an
+unreduced x carries its rounding into every 2 pi n x, a gap of about 1e-3
+at x near 2^40.
 """
 
 from __future__ import annotations
@@ -77,10 +81,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from eisenkit.characters import (
-    _MODULUS_MAX,
     DirichletCharacter,
     _conductor_exponent as _cond_exp,   # v_p of the conductor of chi
     _factorize,
+    _values_at,
     conductor,
     conjugate,
     gauss_sum,
@@ -89,7 +93,6 @@ from eisenkit.characters import (
     multiply,
     prime_to_p_part,
     primitive_part,
-    value_table,
 )
 from eisenkit.lfunctions import _Q_WINDOW, _lambda_ratio, dirichlet_l, parity_exponent
 from eisenkit.special_functions import (
@@ -246,37 +249,35 @@ def _divisors(n: int) -> list[int]:
     return divs
 
 
-# The sieve table (spf, exp, rest, logs, prime) at index n: n = spf^exp rest
-# with spf the least prime of n and rest prime to it (1, 0, 1 at n = 1);
-# logs holds math.log(n), and prime one byte per n, 1 where n is prime.  It
-# starts at n <= 3.
+# The sieve table (spf, exp, rest, logs) at index n: n = spf^exp rest with
+# spf the least prime of n and rest prime to it (1, 0, 1 at n = 1), and
+# logs holds math.log(n).  It starts at n <= 3.
 _sieve_slot = [(np.array([0, 1, 2, 3]), np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]),
-                np.array([-math.inf, 0.0, math.log(2), math.log(3)]), b"\0\0\1\1")]
+                np.array([-math.inf, 0.0, math.log(2), math.log(3)]))]
 
 
 def _sieve_to(top: int) -> tuple:
     """The sieve table grown to cover n <= top, in steps [a, b] with b < 2a.
-    spf(n) is the least prime up to sqrt(b) < a that divides n, or n; and
-    m = n / spf(n) < a shares its least prime exactly when spf(n)^2 | n, so
-    exp and rest extend the table's entries at m.  _block_layout grows it
-    to a block's top, and the amplifier's prime index to _LAMBDA_MAX, so it
-    never passes _LAMBDA_MAX; one assignment publishes each step."""
+    spf(n) is the least prime q up to sqrt(b) < a, one with spf(q) = q, that
+    divides n, or n; and m = n / spf(n) < a shares its least prime exactly
+    when spf(n)^2 | n, so exp and rest extend the table's entries at m.
+    Only _block_layout grows it, to a block's top, so it never passes
+    _LAMBDA_MAX; one assignment publishes each step."""
     table = _sieve_slot[0]
     while len(table[0]) <= top:
-        spf, exp, rest, logs, prime = table
+        spf, exp, rest, logs = table
         a = len(spf)
         n = np.arange(a, min(2 * a, top + 1))
         p = n.copy()
         for q in range(math.isqrt(n[-1]), 1, -1):     # the least prime is written last
-            if prime[q]:
+            if spf[q] == q:
                 p[-a % q::q] = q
         m = n // p
         same = spf[m] == p
         table = (np.concatenate((spf, p)), np.concatenate((exp, np.where(same, exp[m] + 1, 1))),
                  np.concatenate((rest, np.where(same, rest[m], m))),
                  np.concatenate((logs, np.fromiter(map(math.log, range(a, a + len(n))), count=len(n),
-                                                   dtype=float))),
-                 prime + (p == n).tobytes())
+                                                   dtype=float))))
         _sieve_slot[0] = table
     return table
 
@@ -297,7 +298,7 @@ def _block_layout(lo: int, top: int):
     table give each pj and ej, and one pass over the block's positions per
     distinct prime, greatest first, splits off its digit.
     """
-    spf, exp, rest, logs, _ = _sieve_to(top)
+    spf, exp, rest, logs = _sieve_to(top)
     x = np.arange(lo + 1, top + 1)
     levels, counts = [], np.ones(len(x), dtype=np.intp)
     while x.max() > 1:
@@ -314,15 +315,6 @@ def _block_layout(lo: int, top: int):
         divs *= np.repeat(p, counts) ** k
     mirror = np.repeat(2 * ends - counts - 1, counts) - at
     return divs, logs[divs], mirror, counts
-
-
-def _values_at(chi: DirichletCharacter, divs: np.ndarray) -> np.ndarray:
-    """chi at each of divs, with the bits of chi._values."""
-    q = chi.modulus
-    if q > _MODULUS_MAX:        # no value table
-        v = chi._values
-        return np.array([v[a % q] for a in divs.tolist()], dtype=complex)
-    return value_table(chi)[divs % q]
 
 
 def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
@@ -472,10 +464,7 @@ def _b_local(params: EisensteinParams, p: int) -> complex:
 
 def coefficient_prefactor(params: EisensteinParams) -> complex:
     """Global prefactor of the Whittaker expansion: b_r(s) / L(2s+1, psi)."""
-    b_r = 1.0 + 0j
-    for b in params._b_locals.values():
-        b_r *= b
-    return b_r / params._l_one_line
+    return math.prod(params._b_locals.values(), start=1.0 + 0j) / params._l_one_line
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +503,7 @@ def scattering_constant(params: EisensteinParams) -> ConstantTermData:
         smallest = min(p for p in local_factors if ell % p == 0)
         local_factors[smallest] *= 1j**a
 
-    ramified = 1.0 + 0j
-    for p in sorted(local_factors):
-        ramified *= local_factors[p]
+    ramified = math.prod((local_factors[p] for p in sorted(local_factors)), start=1.0 + 0j)
 
     c_value = ramified * _lambda_ratio(s, psi, params._l_one_line)
     return ConstantTermData(scattering=c_value, local_factors=local_factors,
@@ -543,6 +530,12 @@ def _check_height(t0: float) -> None:
         raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
 
 
+def _check_real(name: str, v) -> None:
+    """Refuse v, named name, unless it is a real number and no bool."""
+    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
 def _archimedean_constant(params: EisensteinParams) -> complex:
     """The real-place Whittaker normalization 2 / Gamma_R(2s + 1 + a).
 
@@ -562,8 +555,7 @@ def _archimedean_constant(params: EisensteinParams) -> complex:
 def _truncation(params: EisensteinParams, ys, eps: float) -> list[int]:
     """The number of modes that keeps the dropped tail of F below eps at each y of
     ys: that tail is at most 2 |P(s)| sqrt(y) sum_{n > m} |lambda(n) K_s(2 pi n y)|."""
-    if type(eps) is not float and (isinstance(eps, bool) or not isinstance(eps, numbers.Real)):
-        raise ValueError(f"eps must be a real number, got {eps!r}")
+    _check_real("eps", eps)
     scale = abs(params._outer_scale) * math.exp(-0.5 * math.pi * abs(params.t_shift))
     return _tail_cutoffs(params.t_shift, ys, eps, scale, params.sigma)
 
@@ -614,18 +606,22 @@ def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int
     return out
 
 
-def _check_point(params: EisensteinParams, x: float, y: float) -> None:
-    """The checks of evaluate and the FE residual: the height, x and y finite, then the floor."""
+def _check_point(params: EisensteinParams, x: float, y: float) -> float:
+    """The checks of evaluate and the FE residual: the height, x and y real
+    numbers and finite, then the floor.  Returns x mod 1, the x they sum at."""
     _check_height(params.t_shift)
+    _check_real("x", x)
+    _check_real("y", y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"x and y must be finite, got {x} and {y}")
     if y < _Y_FLOOR:
         raise ValueError(f"y = {y} below the expansion floor {_Y_FLOOR}")
+    return math.fmod(x, 1.0)
 
 
 def evaluate_truncated(params: EisensteinParams, x: float, y: float, eps: float) -> complex:
     """F(s; x, y): the series with both constant terms removed, for y >= _Y_FLOOR."""
-    _check_point(params, x, y)
+    x = _check_point(params, x, y)
     (values, _), = _fourier_grid((params,), [x], [y], eps)
     return complex(values[0, 0])
 
@@ -654,7 +650,7 @@ def functional_equation_residual(params: EisensteinParams, x: float, y: float,
     the residual equals the one from two separate evaluate calls bit for bit
     and isolates the arithmetic constants rather than quadrature noise.
     """
-    _check_point(params, x, y)
+    x = _check_point(params, x, y)
     dual = params.dual()
     (here, _), (there, _) = _fourier_grid((params, dual), [x], [y], eps)
     e_here = complex(here[0, 0]) + _constant_terms(params, y)

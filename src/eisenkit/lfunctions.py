@@ -45,7 +45,7 @@ import sys
 
 import numpy as np
 
-from eisenkit.characters import DirichletCharacter, conductor, value_table
+from eisenkit.characters import DirichletCharacter, _values_at, conductor
 from eisenkit.special_functions import (
     BERNOULLI_OVER_FACTORIAL,
     NumericEnvelopeError,
@@ -99,7 +99,7 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     q = chi.modulus
     m = math.ceil(abs(s) / math.pi) + 20
     residues = np.arange(1, q + 1)
-    values = value_table(chi)[residues % q]
+    values = _values_at(chi, residues)
     units = values != 0
     a, values = residues[units], values[units]
 

@@ -139,24 +139,25 @@ def test_b_xi_refuses_primes_past_the_window_ceiling():
     assert factorization_check(1999999973, xi, cfg) < 1e-10
 
 
-def test_prime_test_reads_the_sieve_table():
+def test_prime_index_and_prime_test_match_the_oracle():
     """The amplifier's prime verdicts agree with the oracle's trial division,
     _prime_powers(n) == [(n, 1)], at every n in [-3, 10^4], at 44651 * 44657
-    and at the prime 1999999973: the prime index, read from the sieve
-    table's bytes, holds exactly the primes up to 4096, and the scalar
-    path's test, _factorize(n) == ((n, 1),), every n; and b_xi refuses as
-    not prime exactly the n that are not.  2^31 - 1, a prime, lies past the
-    prime ceiling 2e9 and is refused before any prime test."""
-    from eisenkit import eisenstein
+    and at the prime 1999999973: the prime index holds exactly the primes up
+    to 4096, in order, each at its slot, with math.log of each byte for
+    byte, and the scalar path's test, _factorize(n) == ((n, 1),), every n;
+    and b_xi refuses as not prime exactly the n that are not.  2^31 - 1, a
+    prime, lies past the prime ceiling 2e9 and is refused before any prime
+    test."""
     from eisenkit.characters import _factorize
 
     ns = list(range(-3, 10 ** 4 + 1)) + [44651 * 44657, 1999999973]
     primes = [_prime_powers(n) == [(n, 1)] for n in ns]
     assert [_factorize(n) == ((n, 1),) for n in ns] == primes
-    table = eisenstein._sieve_to(4096)[4]
-    assert [table[n] == 1 for n in range(4097)] == primes[3:4100]
-    index, _, slot = amplifier._prime_index()
-    assert index.tolist() == list(slot) == [n for n, prime in zip(ns[3:4100], primes[3:4100]) if prime]
+    want = [n for n, prime in zip(ns[3:4100], primes[3:4100]) if prime]      # n = 0..4096
+    index, logs, slot = amplifier._prime_index()
+    assert index.tolist() == list(slot) == want
+    assert list(slot.values()) == list(range(len(want)))
+    assert logs.tobytes() == np.array([math.log(n) for n in want]).tobytes()
 
     cfg = AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=CHI1, chi2=CHI5)
     xi = build_character(3, 1)
@@ -344,13 +345,13 @@ def test_prime_table_with_q_times_the_level_past_int64():
 
 def test_prime_index_is_built_once_per_process(monkeypatch):
     """Two configs, two xi each, b_xi and factorization_check: the prime
-    index is built by the first context, from one read of the sieve table,
-    and every later context reads it and keeps its dict; the kernel runs
-    once per context."""
-    sieve_reads, kernels = [], []
-    sieve_to, kernel = amplifier._sieve_to, amplifier._prime_kernel
+    index is built by the first context, from one sieve_interval(2, 4096)
+    call (with its base-prime recursion, up to sqrt(4096)), and every later
+    context reads it and keeps its dict; the kernel runs once per context."""
+    sieve_calls, kernels = [], []
+    sieve, kernel = amplifier.sieve_interval, amplifier._prime_kernel
     amplifier._prime_index.cache_clear()
-    monkeypatch.setattr(amplifier, "_sieve_to", lambda top: sieve_reads.append(top) or sieve_to(top))
+    monkeypatch.setattr(amplifier, "sieve_interval", lambda lo, hi: sieve_calls.append((lo, hi)) or sieve(lo, hi))
     monkeypatch.setattr(amplifier, "_prime_kernel",
                         lambda ctx, *args: kernels.append(ctx) or kernel(ctx, *args))
     configs = [AmplifierConfig(q=5, L=100.0, r1=2.0, r2=-3.0, chi1=CHI3, chi2=CHI4),
@@ -360,20 +361,32 @@ def test_prime_index_is_built_once_per_process(monkeypatch):
             for fn in (b_xi, factorization_check):
                 for p in (7, 11, 4093):
                     fn(p, xi, cfg)
-    assert sieve_reads == [4096] and amplifier._prime_index.cache_info().misses == 1
+    assert sieve_calls == [(2, 4096), (3, 64), (3, 8), (3, 2)]
+    assert amplifier._prime_index.cache_info().misses == 1
     assert kernels == [ctx for cfg in configs for ctx in cfg._contexts.values()] and len(kernels) == 4
     assert all(ctx.slot is amplifier._prime_index()[2] for ctx in kernels)
 
 
 def test_importing_the_amplifier_builds_no_prime_index():
     """A fresh import of the amplifier neither builds the prime index nor
-    grows the sieve table past its first entries, n <= 3."""
+    grows eisenstein's sieve table, its four arrays (spf, exp, rest, logs),
+    past their first entries, n <= 3.  The prime index sieves its own
+    primes: in that process one prime context and b_xi(7, ...) leave the
+    table there, and in another, lambda to n = 2000 grows it to the block
+    top 2048, where one prime context after it leaves it, at 2,049 entries."""
     src = Path(amplifier.__file__).resolve().parent.parent
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); from eisenkit import amplifier, eisenstein; "
-            "print(amplifier._prime_index.cache_info().currsize, len(eisenstein._sieve_slot[0][0]))")
-    out = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
-                         text=True, check=True).stdout.split()
-    assert out == ["0", "4"]
+    prelude = ("import sys; sys.path.insert(0, sys.argv[1]); from eisenkit import amplifier, eisenstein; "
+               "from eisenkit.characters import build_character as c; "
+               "cfg = amplifier.AmplifierConfig(q=3, L=100.0, r1=2.0, r2=3.0, chi1=c(1, 0), chi2=c(5, 1)); "
+               "state = lambda: print(amplifier._prime_index.cache_info().currsize, "
+               "*map(len, eisenstein._sieve_slot[0])); ")
+    runs = {"state(); amplifier.b_xi(7, c(3, 1), cfg); state()": ["0"] + ["4"] * 4 + ["1"] + ["4"] * 4,
+            "eisenstein.generalized_divisor_sum(c(3, 1), c(4, 1), 2.5j, 2000); state(); "
+            "amplifier.b_xi(7, c(3, 1), cfg); state()": ["0"] + ["2049"] * 4 + ["1"] + ["2049"] * 4}
+    for code, want in runs.items():
+        out = subprocess.run([sys.executable, "-c", prelude + code, str(src)], capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out == want, code
 
 
 def test_the_twists_of_one_xi_are_built_once_across_configs(monkeypatch):

@@ -97,7 +97,7 @@ def test_divisor_lists_in_the_summation_order():
     assert [_divisors(n) for n in (-7, 0, 1)] == [[1]] * 3
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 @given(m=st.integers(1, 300), n=st.integers(1, 300))
 def test_coefficients_are_multiplicative(m, n):
     if math.gcd(m, n) != 1:
@@ -516,6 +516,48 @@ def test_a_non_finite_point_is_refused_by_name_before_any_truncation(monkeypatch
         for x, y in points:
             with pytest.raises(ValueError, match=f"^x and y must be finite, got {x} and {y}$"):
                 fn(params, x, y, 1e-8)
+
+
+def test_a_bool_str_or_none_point_is_refused_by_name_before_any_truncation(monkeypatch):
+    """x = True used to run as x = 1, and "0.1" or None raised a bare
+    TypeError that named neither x nor y.  evaluate and the residual refuse
+    each by name, in the form eps is refused in, before the finiteness check
+    and any work; ints and numpy floats are still taken, at their values."""
+    from eisenkit import eisenstein
+
+    def forbidden(*args):
+        raise AssertionError("a truncation was computed at a refused point")
+
+    params = EisensteinParams(CHI3, CHI4, 5.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(eisenstein, "_truncation", forbidden)
+        for fn in (evaluate, functional_equation_residual):
+            for bad in (True, "0.1", None):
+                for name, x, y in (("x", bad, 0.6), ("x", bad, math.nan), ("y", 0.1, bad)):
+                    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+                        fn(params, x, y, 1e-8)
+    for fn in (evaluate, functional_equation_residual):
+        assert fn(params, 0, 1, 1e-8) == fn(params, 0.0, 1.0, 1e-8)
+        assert fn(params, np.float64(0.1), np.float32(0.75), 1e-8) == fn(params, 0.1, 0.75, 1e-8)
+
+
+def test_evaluate_and_the_residual_are_periodic_in_x():
+    """E is 1-periodic in x, and both entry points sum at x mod 1 (math.fmod,
+    exact): at x0 + k and x0 - k, exact in binary, each agrees with its value
+    at x0 within eps, for k up to 2^48 at x0 = 0.3125 and up to 2^52 - 1, the
+    largest k with x0 + k exact, at x0 = 0.5.  Unreduced, the rounding of
+    2 pi n x gave gaps of 1.3e-9 at k = 2^20 and 1.0e-3 at k = 2^40 (level 1,
+    t0 = 20, y = 0.6, eps = 1e-12).  x = 1e300, an integer, sums at x = 0."""
+    eps = 1e-12
+    for params in (EisensteinParams(CHI1, CHI1, 20.0), EisensteinParams(CHI3, CHI4, 10.0)):
+        for fn in (evaluate, functional_equation_residual):
+            for x0, ks in ((0.3125, [1, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 48]),
+                           (0.5, [1, 2 ** 10, 2 ** 20, 2 ** 30, 2 ** 40, 2 ** 52 - 1])):
+                here = fn(params, x0, 0.6, eps)
+                for k in ks + [-k for k in ks]:
+                    assert (x0 + k) - k == x0
+                    assert abs(fn(params, x0 + k, 0.6, eps) - here) <= eps, (params, fn, x0, k)
+            assert fn(params, 1e300, 0.6, eps) == fn(params, 0.0, 0.6, eps)
 
 
 def test_quotient_modulus_past_the_l_window_is_refused_before_any_table(monkeypatch):
