@@ -43,29 +43,31 @@ so a second object for an equal series recomputes only the per-series state
 above and the derived characters, microseconds each.
 
 lambda has one table per series value (chi1, chi2, s), kept for the last
-_LAMBDA_SERIES values and read by generalized_divisor_sum and _coefficients:
-equal series share it, and so do s and s with its zero parts' signs flipped,
-which give the same lambda.  Its first block is [1, M], M the least power of
-two, at least 16, that covers the n asked for; later blocks (M, 2M] double
-it, up to n = 2^12, and one vectorized kernel fills each block.  Each
+_LAMBDA_SERIES values: equal series share it, and so do s and s with its
+zero parts' signs flipped, which give the same lambda.  One function,
+_lambda_table, returns and grows it; the Fourier rows call it once per
+series, and generalized_divisor_sum once per n.  Its first block is [1, M], M the least
+power of two, at least 16, that covers the n asked for; later blocks (M, 2M]
+double it, up to n = 2^12, and one vectorized kernel fills each block.  Each
 lambda(n) is its own sum over _divisors(n), in that order, with the bits of
-the scalar loop, so no value depends on the block or table that holds it;
-past 2^12 the scalar loop sums n alone and nothing is kept.  The block
+the scalar loop, so no value depends on the block or table that holds it.
+Past 2^12, and in a block with an exponential that is not finite (only for
+|Re s| above about 85), the scalar loop sums n alone and nothing is kept;
+its _divisors expands the memoized characters._factorize.  The block
 layouts, shared by every series, come from one sieve table of least primes,
 exponents, cofactors and logs, which only the lambda tables grow: to the
 largest block's top and never past 2^12, by array passes in _divisors order,
 with log a read from its math.log(a) entries.  The kernel reads character
-values through characters._values_at.  Past the table, _divisors expands the
-memoized characters._factorize for the scalar loop (past 2^12, or a block
-that overflows).
+values through characters._values_at.
 
 evaluate and the FE residual check the height |t| <= 200, the K-Bessel
 order bound, before any L-value, truncation or Bessel work, through the
-same _check_height that supnorm.scan calls.  They refuse by name an x or y
-that is a bool or no real number, and sum at x reduced mod 1 by math.fmod,
-which is exact and leaves |x| < 1 as it is: E is 1-periodic in x, and an
-unreduced x carries its rounding into every 2 pi n x, a gap of about 1e-3
-at x near 2^40.
+same _check_height that supnorm.scan calls.  They refuse by name an x, y or
+eps that is a bool, no real number or too large for a float, as
+EisensteinParams refuses t_shift and sigma and scan t0 and its y-grid.
+They sum at x reduced mod 1 by math.fmod, which is exact and leaves |x| < 1
+as it is: E is 1-periodic in x, and an unreduced x carries its rounding into
+every 2 pi n x, a gap of about 1e-3 at x near 2^40.
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ class EisensteinParams:
     l_modulus: int = field(init=False, compare=False)
 
     def __post_init__(self):
+        _check_real("t_shift", self.t_shift)
+        _check_real("sigma", self.sigma)
         if not (math.isfinite(self.t_shift) and math.isfinite(self.sigma)):
             raise ValueError(f"s must be finite, got sigma = {self.sigma}, t = {self.t_shift}")
         for chi in (self.chi1, self.chi2):
@@ -194,11 +198,6 @@ class EisensteinParams:
     def _scattering(self) -> complex:
         """c(s)."""
         return scattering_constant(self).scattering
-
-    @cached_property
-    def _lambda(self) -> list[np.ndarray]:
-        """The _lambda_slot of this series value, shared with equal series."""
-        return _lambda_slot(self.chi1, self.chi2, self.s)
 
 
 @dataclass(frozen=True)
@@ -326,10 +325,13 @@ def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: comple
     operation as Python's complex arithmetic does, since numpy's complex
     multiply may fuse or reorder them; s * log(a) is (sigma log a - t 0.0,
     sigma 0.0 + t log a), as Python multiplies a complex by a float.  A
-    skipped term is kept as c1 c2 e = +-0.0, which leaves a sum started at
-    +0.0 unchanged: the sum is never -0.0, and x + -0.0 is x.  An
-    exponential that overflows in a kept term raises OverflowError, as
-    cmath.exp does.
+    term the loop skips (a zero character value) is kept as c1 c2 e =
+    +-0.0, which leaves a sum started at +0.0 unchanged: the sum is never
+    -0.0, and x + -0.0 is x.  That holds while every exponential of the
+    block is finite, so a block whose exponentials do not sum to a finite
+    value raises OverflowError, and its caller sums each n by the loop.
+    Within the series envelope no block does: |Re(s log a - s log(n/a))|
+    <= 10 log 4096, about 83.
     """
     divs, logs, mirror, counts = layout
     sigma, t = s.real, s.imag
@@ -348,11 +350,8 @@ def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: comple
         w.imag += sigma * 0.0
         e = w - w[mirror]
         np.exp(e, out=e)
-        if not cmath.isfinite(e.sum()):       # then some exponential is not finite
-            kept = (cr != 0) | (ci != 0)       # character values are 0 or of modulus 1
-            if (kept & ~np.isfinite(e) & np.isfinite(w - w[mirror])).any():
-                raise OverflowError("math range error")
-            e[~kept] = 0.0
+        if not cmath.isfinite(e.sum()):       # some exponential, or their sum, overflows
+            raise OverflowError("math range error")
         terms = w                              # c1 c2 e, over s log a
         np.multiply(cr, e.real, out=terms.real)
         terms.real -= ci * e.imag
@@ -366,8 +365,9 @@ def _lambda_kernel(chi1: DirichletCharacter, chi2: DirichletCharacter, s: comple
 
 def _lambda_loop(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) -> complex:
     """lambda(n) by the scalar loop over _divisors(n), terms with a zero
-    character value skipped: the one-n path, past the table or where a
-    block overflows, and the bits every table entry has."""
+    character value skipped: the bits every table entry has, and the sum of
+    each n past the table or in a block that overflows.  A term that is
+    kept and overflows raises OverflowError from cmath.exp."""
     v1, q1, v2, q2 = chi1._values, chi1.modulus, chi2._values, chi2.modulus
     total = 0j
     for a in _divisors(n):
@@ -385,12 +385,14 @@ def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex)
     return [np.zeros(0, dtype=complex)]
 
 
-def _lambda_table(slot: list[np.ndarray], chi1: DirichletCharacter, chi2: DirichletCharacter,
-                  s: complex, n: int) -> np.ndarray:
-    """The stored lambda(1..M), M >= n, of the series whose _lambda_slot is
-    slot, grown to the least power of two that covers n, at least
+def _lambda_table(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) -> np.ndarray:
+    """The stored lambda(1..M), M >= n, of the series value (chi1, chi2, s),
+    read-only: the one function that grows a table.  It grows the table in
+    _lambda_slot to the least power of two that covers n, at least
     _LAMBDA_FIRST: an empty table by one block, a stored one by doubling
-    blocks; n <= _LAMBDA_MAX, s a finite complex."""
+    blocks.  n <= _LAMBDA_MAX and s is a finite complex.  A block that
+    overflows raises OverflowError and leaves the table as it was."""
+    slot = _lambda_slot(chi1, chi2, s)
     table = slot[0]
     if len(table) < n:
         blocks, top = [table], len(table)
@@ -412,12 +414,12 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
 
     lambda(n) is its own ordered sum over _divisors(n), the scalar loop
     _lambda_loop, whatever table or block computes it.  For n <= 2^12 it
-    is read from the one table kept per series value (chi1, chi2, s), which
-    equal series share and which grows by whole blocks of n; past 2^12, and
-    for an n whose block overflows, _lambda_loop sums n alone and nothing
-    is kept.  A finite s of any numeric type gives the bits of complex(s);
-    a non-finite s raises ValueError before any table is built, and an
-    exponential that overflows raises OverflowError, as the loop's
+    is read through _lambda_table from the one table kept per series value
+    (chi1, chi2, s), which equal series share.  Past 2^12, and for an n whose
+    block overflows (only |Re s| above about 85), _lambda_loop sums n alone
+    and nothing is kept.  A finite s of any numeric type gives the bits of
+    complex(s); a non-finite s raises ValueError before any table is built,
+    and a kept term that overflows raises OverflowError, as the loop's
     cmath.exp does.
     """
     try:
@@ -433,14 +435,9 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
     if type(s) is not complex:
         s = complex(s)
     if n <= _LAMBDA_MAX:
-        slot = _lambda_slot(chi1, chi2, s)
         try:
-            return slot[0].item(n - 1)      # a table that covers n
-        except IndexError:
-            pass
-        try:
-            return _lambda_table(slot, chi1, chi2, s, n).item(n - 1)
-        except OverflowError:     # a term of the block overflows: sum n alone
+            return _lambda_table(chi1, chi2, s, n).item(n - 1)
+        except OverflowError:     # the block overflows: sum n alone
             pass
     return _lambda_loop(chi1, chi2, s, n)
 
@@ -524,16 +521,25 @@ def _check_height(t0: float) -> None:
     """Refuse a height t0 = Im s that is not finite or lies past the K-Bessel
     order bound: every evaluation of the series needs K values of order s, so
     evaluate, the FE residual and scan check it before any other work."""
+    _check_real("t0", t0)
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0}")
     if abs(t0) > _IM_MAX:
         raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
 
 
-def _check_real(name: str, v) -> None:
-    """Refuse v, named name, unless it is a real number and no bool."""
-    if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+def _check_real(name: str, v) -> float:
+    """float(v), refused by name unless v is a real number, no bool, that a
+    float can hold.  The message names the type of a number too large, not
+    its digits: str() of an int past 4,300 digits raises."""
+    if type(v) is float:
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float ({type(v).__name__})") from None
 
 
 def _archimedean_constant(params: EisensteinParams) -> complex:
@@ -560,17 +566,6 @@ def _truncation(params: EisensteinParams, ys, eps: float) -> list[int]:
     return _tail_cutoffs(params.t_shift, ys, eps, scale, params.sigma)
 
 
-def _coefficients(params: EisensteinParams, m: int) -> np.ndarray:
-    """lambda(1), ..., lambda(m), read-only: a view of the table that
-    generalized_divisor_sum reads for the series value.  m stays far below
-    the table ceiling: K values at y >= _Y_FLOOR reach x <= 705 by mode 374.
-    A table that already covers m is sliced before s is built."""
-    table = params._lambda[0]
-    if len(table) >= m:
-        return table[:m]
-    return _lambda_table(params._lambda, params.chi1, params.chi2, params.s, m)[:m]
-
-
 def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int]]]:
     """Per series, F(s; x, y) truncated below eps, one row per y and one
     column per x, and its mode count at each y.
@@ -583,10 +578,12 @@ def _fourier_grid(series, xs, ys, eps: float) -> list[tuple[np.ndarray, list[int
     one table.  Each x is reduced along n by numpy's fixed-order pairwise sum
     (no BLAS, whose blocking may follow the thread count).  Every K value has
     its own node set, so none depends on which other x or y share the call.
+    A series' lambda values come from one _lambda_table read, far below the
+    table ceiling: K values at y >= _Y_FLOOR reach x <= 705 by mode 374.
     """
     modes = [_truncation(p, ys, eps) for p in series]
     widths = [max(row) for row in zip(*modes)]
-    tables = [_coefficients(p, max(row)) for p, row in zip(series, modes)]
+    tables = [_lambda_table(p.chi1, p.chi2, p.s, max(row)) for p, row in zip(series, modes)]
     n = np.arange(1, max(widths) + 1)
     args = 2.0 * math.pi * n
     if len(ys) > 1:     # row i's (2 pi n) y_i, n <= w_i, by one product

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _check_height, _fourier_grid
+from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _check_height, _check_real, _fourier_grid
 from eisenkit.special_functions import NumericsError
 
 __all__ = [
@@ -189,7 +189,7 @@ def scan(params: EisensteinParams, t0: float, x_steps: int = 64,
     T = spectral_height(t0)
     if y_grid is None:
         y_grid = geometric_grid(_Y_FLOOR, max(T * (1.2 / (2.0 * math.pi)), _Y_FLOOR * 1.3))
-    ys = sorted(float(y) for y in y_grid)
+    ys = sorted(_check_real("y-grid entry", y) for y in y_grid)
     for y in ys:
         if not math.isfinite(y):
             raise ValueError(f"y-grid entry {y!r} is not finite")

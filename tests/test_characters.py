@@ -216,6 +216,11 @@ def test_gauss_sum_against_direct_sum():
                 assert abs(gauss_sum(chi) - brute_gauss_sum(chi)) < 1e-11
 
 
+def test_gauss_sum_of_an_imprimitive_character_is_refused():
+    with pytest.raises(ValueError, match=r"^gauss_sum requires a primitive character \(conductor 3 != modulus 9\)$"):
+        gauss_sum(build_character(9, 3))
+
+
 def test_gauss_sum_batch_agrees_with_scalar():
     for q in (5, 8, 13, 24):
         squares = list(gauss_sum_moduli_squared(q))

@@ -21,17 +21,20 @@ from oracles import (
     divisor_layout,
     divisor_sum_loop,
     divisors_by_product,
+    level_one_lattice_sum,
     local_constant,
+    zeta_direct,
 )
+from eisenkit import supnorm
 from eisenkit.characters import build_character, conjugate, multiply
 from eisenkit.eisenstein import (
     EisensteinParams,
-    _coefficients,
     _constant_terms,
     _divisors,
     _lambda_kernel,
     _lambda_loop,
     _lambda_slot,
+    _lambda_table,
     evaluate,
     evaluate_truncated,
     functional_equation_residual,
@@ -39,7 +42,7 @@ from eisenkit.eisenstein import (
     scattering_constant,
 )
 from eisenkit.lfunctions import dirichlet_l
-from eisenkit.special_functions import NumericEnvelopeError
+from eisenkit.special_functions import NumericEnvelopeError, PoleError
 
 CHI1 = build_character(1, 0)
 CHI3 = build_character(3, 1)
@@ -158,8 +161,8 @@ def test_divisor_sum_is_the_scalar_loop_bit_for_bit():
 def test_lambda_bits_do_not_depend_on_the_table():
     """A table grown n by n, one grown by a single call at n = 4000, the
     kernel on a one-n layout, the scalar loop of the one-n path, and
-    _coefficients, which reads the same table, all give the same bits for
-    every n <= 4096."""
+    _lambda_table at the s of an EisensteinParams, which the Fourier rows
+    read, all give the same bits for every n <= 4096."""
     rng = random.Random(2802)
     for chi1, chi2, sigma, t in ((CHI3, CHI4, 0.0, 5.7), (CHI5, CHI5P, 0.5, -0.0),
                                  (CHI1, CHI4, -1.5, 3.3)):
@@ -174,7 +177,8 @@ def test_lambda_bits_do_not_depend_on_the_table():
         _same_bits([_lambda_kernel(chi1, chi2, s, divisor_layout((n,))).item(0) for n in sample],
                    [one_by_one[n - 1] for n in sample])
         _same_bits([_lambda_loop(chi1, chi2, s, n) for n in sample], [one_by_one[n - 1] for n in sample])
-        table = _coefficients(EisensteinParams(chi1, chi2, t, sigma), 4096)
+        params = EisensteinParams(chi1, chi2, t, sigma)
+        table = _lambda_table(params.chi1, params.chi2, params.s, 4096)
         assert table.tobytes() == np.array(one_by_one).tobytes()
 
 
@@ -199,9 +203,10 @@ def test_lambda_key_ignores_the_signs_of_zero_parts():
     for chi in (CHI1, CHI5, CHI7):
         series = EisensteinParams(chi, chi, 0.0)
         dual = series.dual()
-        assert repr(dual.s) == "(-0-0j)" and dual._lambda is series._lambda
+        assert repr(dual.s) == "(-0-0j)"
+        assert _lambda_slot(dual.chi1, dual.chi2, dual.s) is _lambda_slot(chi, chi, series.s)
         for p in (series, dual):
-            assert _coefficients(p, 512).tobytes() == np.array(
+            assert _lambda_table(p.chi1, p.chi2, p.s, 512)[:512].tobytes() == np.array(
                 [divisor_sum_loop(chi, chi, p.s, n) for n in range(1, 513)]).tobytes()
 
 
@@ -285,9 +290,32 @@ def test_divisor_sum_overflows_where_the_loop_does():
             _same_bits([generalized_divisor_sum(chi1, chi2, 200.0, n)], [want])
 
 
+def test_a_block_that_overflows_only_in_skipped_terms_is_summed_by_the_loop():
+    """chi = 4:1 on both sides at s = 171: in the block (32, 64] only the
+    terms of n = 64 overflow, since 171 log 64 > log(DBL_MAX) > 171 log 63,
+    and the loop skips them (chi(64) = 0).  Every n <= 64 has the loop's
+    bits; the block is not kept, so the table stays at lambda(1..32) and the
+    loop sums each n of (32, 64]."""
+    s = complex(171.0)
+    _lambda_slot.cache_clear()
+    got = [generalized_divisor_sum(CHI4, CHI4, s, n) for n in range(1, 65)]
+    assert np.array(got).tobytes() == np.array([divisor_sum_loop(CHI4, CHI4, s, n) for n in range(1, 65)]).tobytes()
+    assert len(_lambda_slot(CHI4, CHI4, s)[0]) == 32
+
+
 # ------------------------------------------------------------------
 # scattering data
 # ------------------------------------------------------------------
+
+def test_an_imprimitive_character_is_refused():
+    with pytest.raises(ValueError, match=r"^characters must be primitive; chi\(4:0\) has conductor 1$"):
+        EisensteinParams(build_character(4, 0), CHI1, 5.0)
+
+
+def test_the_level_one_scattering_pole_is_refused():
+    with pytest.raises(PoleError, match="^scattering pole: principal quotient character at s = 0$"):
+        scattering_constant(EisensteinParams(CHI1, CHI1, 0.0))
+
 
 def test_scattering_is_unitary_on_the_axis():
     for chi1, chi2 in ((CHI1, CHI1), (CHI1, CHI4), (CHI3, CHI4), (CHI5, CHI5P)):
@@ -454,6 +482,23 @@ def test_level_one_inversion_invariance():
         assert abs(a - b) < 1e-8 * max(1.0, abs(a))
 
 
+def test_level_one_series_off_the_axis_is_the_lattice_sum():
+    """At level 1, with w = 1/2 + s, 2 zeta(2w) E(z, w) is the lattice sum
+    of y^w / |mz + n|^(2w) over (m, n) != (0, 0), which reads nothing of the
+    Fourier expansion, the lambda table or the K values.  At sigma = 5
+    (Re 2w = 11) the box |m|, |n| <= 80 and zeta's Dirichlet series leave
+    tails far below double precision.  The bar is the K-Bessel contract,
+    1e-12 relative.  sigma = 3 is left out: the box's tail, about
+    80^(2 - 2 Re w), limits it to about 2e-11."""
+    for t in (7.0, 20.0):
+        w = 0.5 + complex(5.0, t)
+        params = EisensteinParams(CHI1, CHI1, t, 5.0)
+        for x, y in ((0.1, 0.8), (0.37, 1.3), (-0.2, 2.5), (0.45, 0.9)):
+            want = level_one_lattice_sum(x, y, w)
+            got = 2 * zeta_direct(2 * w) * evaluate(params, x, y, 1e-13)
+            assert abs(got - want) <= 1e-12 * abs(want), (t, x, y, got, want)
+
+
 def test_truncated_series_omits_the_constant_term():
     params = EisensteinParams(CHI1, CHI4, 5.0)
     data = scattering_constant(params)
@@ -603,6 +648,33 @@ def test_a_non_numeric_or_boolean_eps_is_refused_before_any_l_value(monkeypatch)
                 call(EisensteinParams(CHI3, CHI4, 10.0))
 
 
+_HUGE = 10 ** 5000     # past the float range, and past the 4,300 digits str() of an int formats
+
+
+@pytest.mark.parametrize("name, call", [
+    ("x", lambda p: evaluate(p, _HUGE, 0.6, 1e-8)),
+    ("y", lambda p: evaluate(p, 0.1, _HUGE, 1e-8)),
+    ("eps", lambda p: evaluate(p, 0.1, 0.6, _HUGE)),
+    ("x", lambda p: functional_equation_residual(p, _HUGE, 0.6)),
+    ("t_shift", lambda p: EisensteinParams(p.chi1, p.chi2, _HUGE)),
+    ("sigma", lambda p: EisensteinParams(p.chi1, p.chi2, 1.0, _HUGE)),
+    ("t0", lambda p: supnorm.scan(p, _HUGE, x_steps=2, y_grid=(0.5,))),
+    ("y-grid entry", lambda p: supnorm.scan(p, 10.0, x_steps=2, y_grid=(0.5, _HUGE))),
+], ids=["evaluate-x", "evaluate-y", "evaluate-eps", "residual-x", "t_shift", "sigma", "scan-t0", "scan-y-grid"])
+def test_an_int_too_large_for_a_float_is_refused_by_name_before_any_l_value(monkeypatch, name, call):
+    """An int past the float range raised a bare OverflowError that named
+    no argument; each is refused by name before any L-value, with a message
+    that does not format the number."""
+    from eisenkit import eisenstein
+
+    def forbidden(*args):
+        raise AssertionError("an L-value was computed")
+
+    monkeypatch.setattr(eisenstein, "dirichlet_l", forbidden)
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float \\(int\\)$"):
+        call(EisensteinParams(CHI3, CHI4, 10.0))
+
+
 def test_non_finite_spectral_point_is_rejected():
     for t0, sigma in ((math.nan, 0.0), (math.inf, 0.0), (5.0, math.nan)):
         with pytest.raises(ValueError):
@@ -637,10 +709,11 @@ def _values(params, points):
 def test_coefficient_table_matches_the_brute_divisor_sum():
     for chi1, chi2, t0 in ((CHI5, CHI5P, 5.0), (CHI3, CHI4, 10.0), (CHI1, CHI4, 7.5)):
         params = EisensteinParams(chi1, chi2, t0)
+        _lambda_slot.cache_clear()
         for side in (params, params.dual()):
-            _coefficients(side, 12)
-            table = _coefficients(side, 40)          # grown from 12 to 40
-            assert len(table) == 40 and not table.flags.writeable
+            _lambda_table(side.chi1, side.chi2, side.s, 12)
+            table = _lambda_table(side.chi1, side.chi2, side.s, 40)     # grown from 16 to 64
+            assert len(table) == 64 and not table.flags.writeable
             for n, lam in enumerate(table, start=1):
                 assert abs(lam - brute_divisor_sum(side.chi1, side.chi2, side.s, n)) < 1e-12
 

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 import eisenkit.special_functions as special_functions
 from eisenkit.characters import build_character
-from eisenkit.eisenstein import EisensteinParams, _coefficients, _truncation
+from eisenkit.eisenstein import EisensteinParams, _lambda_table, _truncation
 from oracles import (
     bessel_draws,
     bessel_k_mp,
@@ -433,7 +433,7 @@ def test_tail_cutoff_actually_bounds_the_tail():
                 for y, m in zip(ys, _truncation(params, ys, eps)):
                     last = math.floor(705.0 / (2 * math.pi * y))
                     n = np.arange(m + 1, last + 1)
-                    lam = _coefficients(params, max(m, last))[m:]
+                    lam = _lambda_table(params.chi1, params.chi2, params.s, max(m, last))[m:last]
                     k = bessel_k_row(params.s, 2 * math.pi * y * n)
                     tail = 2 * abs(params._outer_scale) * math.sqrt(y) * np.abs(lam * k).sum()
                     assert tail < eps, (a, b, sigma, t, y, m, tail)
