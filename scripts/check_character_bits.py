@@ -39,6 +39,12 @@ definitions, and saves:
     (q, xi, pair); then again with xi in reverse order and a fresh equal
     config per call, so that a result that depends on the prime contexts
     kept on a config shows as a mismatch;
+  * b_xi and factorization_check at every prime p <= 1500 prime to q and the
+    level, for the same q and every xi mod q, at the twist pairs (8.0, 0.0),
+    (8.0, -0.0), (0.0, 3.0) and (-0.0, 3.0), which differ only in the sign of
+    a zero, one config per (q, xi, pair): first with each pair asked before
+    its twin, then with each asked after it, so that a result that depends
+    on which twin built a cached phase row shows as a mismatch;
   * b_xi and factorization_check at every prime p in [3900, 4400] prime to q
     and the level, both sides of the 4096 prime-table ceiling, for the same
     q, xi and pairs, one config per (q, xi, pair): once with the primes
@@ -125,6 +131,9 @@ PRIME_TOP = 4096        # the amplifier's prime-table ceiling, amplifier._PRIME_
 PAST_TOP = 10 ** 4      # the hecke-relations acceptance test's largest n
 PAST_SET = 3            # the Hecke set 5:1 x 5:3
 FACT_PAIRS = ((-27.5, 13.25), (8.0, 8.0))
+# twist pairs apart by the sign of a zero, and the same with each twin asked first
+TWINS = ((8.0, 0.0), (8.0, -0.0), (0.0, 3.0), (-0.0, 3.0))
+TWIN_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
 CEILING_PRIMES = (3900, 4400)   # around the amplifier's prime-table ceiling PRIME_TOP
 SIEVE_WINDOW = (10**6, 2 * 10**6)
 # the prime test's range: past the 4096 prime table, and two large n
@@ -185,6 +194,29 @@ def _factorization(reverse: bool = False) -> tuple[np.ndarray, np.ndarray, np.nd
                         labels.append((q, character_index(xi), k, p))
                         b.append(b_xi(p, xi, config() if reverse else cfg))
                         defects.append(factorization_check(p, xi, config() if reverse else cfg))
+    return (np.array(labels, dtype=np.int64), np.array(b, dtype=np.complex128),
+            np.array(defects, dtype=np.float64))
+
+
+def _twins() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, xi index, order, twin, p) labels with b_xi and factorization_check
+    there, at each twist pair of TWINS in each order of TWIN_ORDERS, one
+    config per (q, xi, pair)."""
+    primes = [p for p in range(2, ArithSweep.FACT_PRIMES + 1)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    labels, b, defects = [], [], []
+    for order, twins in enumerate(TWIN_ORDERS):
+        for q, ((q1, i1), (q2, i2)) in ArithSweep.FACT_MODULI.items():
+            chi1, chi2 = build_character(q1, i1), build_character(q2, i2)
+            for xi in character_group(q):
+                for k in twins:
+                    r1, r2 = TWINS[k]
+                    cfg = AmplifierConfig(q=q, L=100.0, r1=r1, r2=r2, chi1=chi1, chi2=chi2)
+                    for p in primes:
+                        if (q * cfg.level) % p:
+                            labels.append((q, character_index(xi), order, k, p))
+                            b.append(b_xi(p, xi, cfg))
+                            defects.append(factorization_check(p, xi, cfg))
     return (np.array(labels, dtype=np.int64), np.array(b, dtype=np.complex128),
             np.array(defects, dtype=np.float64))
 
@@ -303,6 +335,7 @@ def dump(path: str) -> None:
     past = _hecke_past_ceiling()
     fact_labels, fact_b, fact_defects = _factorization()
     again_labels, again_b, again_defects = _factorization(reverse=True)
+    twin_labels, twin_b, twin_defects = _twins()
     ceiling_labels, ceiling_b, ceiling_defects = _around_ceiling(past_first=True)
     _, ascending_b, ascending_defects = _around_ceiling(past_first=False)
     prime_test = _prime_test()
@@ -338,6 +371,9 @@ def dump(path: str) -> None:
         factorization_labels_again=again_labels,
         b_xi_again=again_b,
         factorization_defects_again=again_defects,
+        factorization_labels_signed_zero_twins=twin_labels,
+        b_xi_signed_zero_twins=twin_b,
+        factorization_defects_signed_zero_twins=twin_defects,
         factorization_labels_ceiling=ceiling_labels,
         b_xi_ceiling_past_first=ceiling_b,
         factorization_defects_ceiling_past_first=ceiling_defects,
@@ -352,7 +388,7 @@ def dump(path: str) -> None:
           f"{len(epsilons)} local epsilons, {len(local_parts)} local parts, "
           f"{len(amp) + len(amp_again)} amplifier sums, "
           f"{hecke.size + ascending.size + at_once.size + past.size} divisor sums, "
-          f"{len(fact_b) + len(again_b) + len(ceiling_b) + len(ascending_b)} factorization checks, "
+          f"{len(fact_b) + len(again_b) + len(twin_b) + len(ceiling_b) + len(ascending_b)} factorization checks, "
           f"{len(prime_test)} prime verdicts ({int(prime_test.sum())} prime), "
           f"{ramified.size} ramified verdicts ({int(ramified.sum())} refused), "
           f"{len(primes)} sieved primes")

@@ -49,6 +49,17 @@ numpy's complex exp at (+-0.0, y), equal to cmath.exp there (below); abs is
 np.hypot; character values come through _values_at, so twists past 2^14
 work.
 
+The kernel's phases p^s at the four multipliers depend on (r1, r2) alone,
+so every context of one twist pair shares them: one read-only array of
+their real and imaginary parts over the prime index, 36 KB at the 4096
+ceiling, from _phase_rows.  They live in _phase_cache, one process-wide LRU
+keyed on the bytes of the four multipliers, so a twist of -0.0 never reads
+the rows of 0.0, and holding no character.  It keeps at most _PHASE_BYTES
+= 1 MiB, 29 twist pairs: the 20 of the acceptance sweep and the 12 of the
+benchmark's each build their rows once.  The kernel also skips the
+products by chi(1) = 1 that the scalar path takes, which leave every bit
+as it was (see _prime_kernel).
+
 Each conjugate pair of phases p^{i r}, p^{-i r} costs one exponential.  For
 z = (+-0.0, y), as every twist i r times log p is, cmath.exp and numpy's
 complex exp both return exp(+-0.0) = 1 times cos y and sin y, and cos is even
@@ -82,6 +93,7 @@ import math
 import numbers
 import operator
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar
@@ -106,6 +118,10 @@ _SEGMENT = 1 << 20     # entries of an odd-only sieve segment, a multiple of _SP
 _SPAN = 1 << 16        # reduction block of amplifier_sum
 _L_MAX = 1e9    # ceiling on the window start L: [L, 2L] holds L integers to sieve
 _PRIME_MAX = 1 << 12    # the prime table ceiling
+_PHASE_BYTES = 1 << 20  # bound on _phase_cache: 29 twist pairs of 36 KB at the 4096 ceiling
+_phase_cache = OrderedDict()    # bytes of the four multipliers -> their read-only phase rows
+# the defect's phase rows p^{i(r1 - r2)}, its conjugate, p^{i(r1 + r2)} and its conjugate
+_DEFECT_ROWS, _DEFECT_SIGNS = np.array([2, 2, 3, 3]), np.array([[1.0], [-1.0], [1.0], [-1.0]])
 _last_twists = weakref.WeakKeyDictionary()    # xi -> ((chi1, chi2), twists) of its last _twists
 
 
@@ -222,36 +238,60 @@ def _mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def _phase_rows(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of p^s at every prime of the index, one
+    row per multiplier of s (s_left, s_right, s_diff, s_total): s log p as
+    Python multiplies a complex by a float, its real part +-0.0, then numpy's
+    complex exp.  Read-only, and kept in _phase_cache under the bytes of s,
+    so that every context of one twist pair reads one set of rows.  Each
+    step is one dict operation: threads that race on the cache rebuild a
+    row or evict one early, and never read a wrong one."""
+    key = s.tobytes()
+    rows = _phase_cache.pop(key, None)
+    if rows is None:
+        logp = _prime_index()[1]
+        e = np.empty((len(s), len(logp)), dtype=complex)
+        e.real, e.imag = _mul(s.real[:, None], s.imag[:, None], logp, 0.0)
+        np.exp(e, out=e)
+        rows = np.array([e.real, e.imag])
+        rows.flags.writeable = False
+    _phase_cache[key] = rows        # the most recently used last
+    while len(_phase_cache) * rows.nbytes > _PHASE_BYTES:
+        _phase_cache.popitem(last=False)
+    return rows[0], rows[1]
+
+
 def _prime_kernel(ctx: _PrimeContext, p: np.ndarray, logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b_xi and the factorization defect at each of the primes p, given log p,
-    by the operations of the scalar path (_b_xi_at and factorization_check's
-    four terms) in its order, so with its bits (see the module docstring).
-    A term with a zero character value is kept as c e = +-0.0, which leaves
-    a sum started at +0.0 unchanged, as skipping it does."""
+    """b_xi and the factorization defect at each of the primes p of the
+    index, given log p, by the operations of the scalar path (_b_xi_at and
+    factorization_check's four terms) in its order, so with its bits (see
+    the module docstring).  A term with a zero character value is kept as
+    c e = +-0.0, which leaves a sum started at +0.0 unchanged, as skipping
+    it does.
+
+    The scalar path multiplies each term of a prime factor by a character
+    value at 1, chi(1) = e(0) = (1.0, 0.0); the kernel skips that product,
+    which returns the other factor c in every bit.  The parts of a unit's
+    value e(m / D) are never +-0.0 but at e(0) = (1.0, 0.0), and a
+    non-unit's value is (0.0, 0.0), so no part of c is -0.0, and where a
+    part is +0.0 the other part is 1.0 or 0.0: then 1.0 c_re - 0.0 c_im and
+    0.0 c_re + 1.0 c_im are c_re and c_im, their zeros +0.0 included."""
     twist1, twist2, up, down = ctx.twists
-    # p^s for s = s_left, s_right, s_diff, s_total in rows: s log p as Python
-    # multiplies a complex by a float, its real part +-0.0
-    s = np.array([ctx.s_left, ctx.s_right, ctx.s_diff, ctx.s_total])[:, None]
-    e = np.empty((4, len(p)), dtype=complex)
-    e.real, e.imag = _mul(s.real, s.imag, logp, 0.0)
-    np.exp(e, out=e)
-    er, ei = e.real, e.imag
+    er, ei = _phase_rows(np.array([ctx.s_left, ctx.s_right, ctx.s_diff, ctx.s_total]))
 
     # the two prime factors in rows, chi1 x chi2 at s_left and twist1 x
-    # twist2 at s_right: 0j + c1(1) c2(p) conj(p^s) + c1(p) c2(1) p^s
-    c1_1 = np.array([[ctx.chi1.evaluate(1)], [twist1.evaluate(1)]])
-    c2_1 = np.array([[ctx.chi2.evaluate(1)], [twist2.evaluate(1)]])
+    # twist2 at s_right: 0j + c2(p) conj(p^s) + c1(p) p^s
     c1_p = np.array([_values_at(ctx.chi1, p), _values_at(twist1, p)])
     c2_p = np.array([_values_at(ctx.chi2, p), _values_at(twist2, p)])
-    ar, ai = _mul(*_mul(c1_1.real, c1_1.imag, c2_p.real, c2_p.imag), er[:2], -ei[:2])
-    br, bi = _mul(*_mul(c1_p.real, c1_p.imag, c2_1.real, c2_1.imag), er[:2], ei[:2])
+    ar, ai = _mul(c2_p.real, c2_p.imag, er[:2], -ei[:2])
+    br, bi = _mul(c1_p.real, c1_p.imag, er[:2], ei[:2])
     fr, fi = 0.0 + ar + br, 0.0 + ai + bi
     b = np.empty(len(p), dtype=complex)
     b.real, b.imag = _mul(*_mul(logp, 0.0, fr[0], fi[0]), fr[1], fi[1])
 
     # xi(p) p^{i(r1 - r2)} + xi(p) conj(...) + up(p) p^{i(r1 + r2)} + down(p) conj(...)
     c = np.array([_values_at(ctx.xi, p)] * 2 + [_values_at(up, p), _values_at(down, p)])
-    tr, ti = _mul(c.real, c.imag, er[[2, 2, 3, 3]], ei[[2, 2, 3, 3]] * [[1.0], [-1.0], [1.0], [-1.0]])
+    tr, ti = _mul(c.real, c.imag, er.take(_DEFECT_ROWS, axis=0), ei.take(_DEFECT_ROWS, axis=0) * _DEFECT_SIGNS)
     gr, gi = _mul(logp, 0.0, tr[0] + tr[1] + tr[2] + tr[3], ti[0] + ti[1] + ti[2] + ti[3])
     return b, np.hypot(b.real - gr, b.imag - gi)
 

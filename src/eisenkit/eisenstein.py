@@ -52,8 +52,10 @@ double it, up to n = 2^12, and one vectorized kernel fills each block.  Each
 lambda(n) is its own sum over _divisors(n), in that order, with the bits of
 the scalar loop, so no value depends on the block or table that holds it.
 Past 2^12, and in a block with an exponential that is not finite (only for
-|Re s| above about 85), the scalar loop sums n alone and nothing is kept;
-its _divisors expands the memoized characters._factorize.  The block
+|Re s| above about 85), the scalar loop sums n alone; its _divisors expands
+the memoized characters._factorize.  Such a block is marked on its series,
+and the table keeps the blocks before it and never grows through it, so
+the kernel does not run it again.  The block
 layouts, shared by every series, come from one sieve table of least primes,
 exponents, cofactors and logs, which only the lambda tables grow: to the
 largest block's top and never past 2^12, by array passes in _divisors order,
@@ -102,6 +104,8 @@ from eisenkit.special_functions import (
     PoleError,
     _IM_MAX,
     _RE_MAX,
+    _check_complex,
+    _check_real,
     _tail_cutoffs,
     bessel_k_row,
     log_gamma_r,
@@ -378,11 +382,12 @@ def _lambda_loop(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex,
 
 
 @lru_cache(maxsize=_LAMBDA_SERIES)
-def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex) -> list[np.ndarray]:
-    """The one-entry list holding the series' table lambda(1..M), M a power
-    of two from _LAMBDA_FIRST to _LAMBDA_MAX.  s and s with its zero parts'
+def _lambda_slot(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex) -> list:
+    """The series' entry [table, overflowed]: the table lambda(1..M), M a
+    power of two from _LAMBDA_FIRST to _LAMBDA_MAX, and the block (lo, top)
+    whose kernel last overflowed, or None.  s and s with its zero parts'
     signs flipped are one key: no lambda depends on those signs."""
-    return [np.zeros(0, dtype=complex)]
+    return [np.zeros(0, dtype=complex), None]
 
 
 def _lambda_table(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex, n: int) -> np.ndarray:
@@ -391,7 +396,10 @@ def _lambda_table(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex
     _lambda_slot to the least power of two that covers n, at least
     _LAMBDA_FIRST: an empty table by one block, a stored one by doubling
     blocks.  n <= _LAMBDA_MAX and s is a finite complex.  A block that
-    overflows raises OverflowError and leaves the table as it was."""
+    overflows raises OverflowError: the blocks before it are kept, and the
+    block is marked on the slot, so that a later call that would build it
+    again raises without running the kernel (a block's values depend on
+    the series and (lo, top) alone)."""
     slot = _lambda_slot(chi1, chi2, s)
     table = slot[0]
     if len(table) < n:
@@ -399,12 +407,21 @@ def _lambda_table(chi1: DirichletCharacter, chi2: DirichletCharacter, s: complex
         while top < n:
             # the first block covers n, later ones double the table
             lo, top = top, 2 * top if top else max(_LAMBDA_FIRST, 1 << (n - 1).bit_length())
-            blocks.append(_lambda_kernel(chi1, chi2, s, _block_layout(lo, top)))
-        table = np.concatenate(blocks)
-        table.flags.writeable = False
-        # one assignment publishes the longer table: a thread sharing the
-        # series sees the old table or the new one, never a half-grown one
-        slot[0] = table
+            if slot[1] == (lo, top):
+                break
+            try:
+                blocks.append(_lambda_kernel(chi1, chi2, s, _block_layout(lo, top)))
+            except OverflowError:
+                slot[1] = (lo, top)
+                break
+        if len(blocks) > 1:
+            table = np.concatenate(blocks)
+            table.flags.writeable = False
+            # one assignment publishes the longer table: a thread sharing the
+            # series sees the old table or the new one, never a half-grown one
+            slot[0] = table
+        if len(table) < n:
+            raise OverflowError("math range error")
     return table
 
 
@@ -417,10 +434,11 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
     is read through _lambda_table from the one table kept per series value
     (chi1, chi2, s), which equal series share.  Past 2^12, and for an n whose
     block overflows (only |Re s| above about 85), _lambda_loop sums n alone
-    and nothing is kept.  A finite s of any numeric type gives the bits of
-    complex(s); a non-finite s raises ValueError before any table is built,
-    and a kept term that overflows raises OverflowError, as the loop's
-    cmath.exp does.
+    and nothing is kept but the mark that the block overflowed, so its
+    kernel runs once per series.  A finite s of any numeric type gives the
+    bits of complex(s); a non-finite s raises ValueError before any table is
+    built, an s too large for a float ValueError naming s, and a kept term
+    that overflows raises OverflowError, as the loop's cmath.exp does.
     """
     try:
         n = operator.index(n)
@@ -430,10 +448,10 @@ def generalized_divisor_sum(chi1: DirichletCharacter, chi2: DirichletCharacter,
         raise ValueError(f"n must be a positive integer, got {n}")
     if type(s) is not complex and not isinstance(s, numbers.Number):
         raise TypeError(f"s must be a number, got {s!r}")
-    if not cmath.isfinite(s):
+    z = s if type(s) is complex else _check_complex("s", s)
+    if not cmath.isfinite(z):
         raise ValueError(f"s must be finite, got {s!r}")
-    if type(s) is not complex:
-        s = complex(s)
+    s = z
     if n <= _LAMBDA_MAX:
         try:
             return _lambda_table(chi1, chi2, s, n).item(n - 1)
@@ -526,20 +544,6 @@ def _check_height(t0: float) -> None:
         raise ValueError(f"t0 must be finite, got {t0}")
     if abs(t0) > _IM_MAX:
         raise NumericEnvelopeError(f"t0 = {t0:g} outside the K-Bessel order bound |t0| <= {_IM_MAX:g}")
-
-
-def _check_real(name: str, v) -> float:
-    """float(v), refused by name unless v is a real number, no bool, that a
-    float can hold.  The message names the type of a number too large, not
-    its digits: str() of an int past 4,300 digits raises."""
-    if type(v) is float:
-        return v
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {v!r}")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float ({type(v).__name__})") from None
 
 
 def _archimedean_constant(params: EisensteinParams) -> complex:

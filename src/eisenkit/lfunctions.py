@@ -51,6 +51,7 @@ from eisenkit.special_functions import (
     NumericEnvelopeError,
     NumericsError,
     PoleError,
+    _check_complex,
     log_gamma_r,
 )
 
@@ -85,7 +86,7 @@ def dirichlet_l(s: complex, chi: DirichletCharacter) -> complex:
     """L(s, chi) by Hurwitz-Euler-Maclaurin in float64, inside the envelope
     (see the module docstring); rejects the pole of the principal-character
     case."""
-    s = complex(s)
+    s = _check_complex("s", s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     if abs(s.imag) > _IM_WINDOW:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,6 +99,29 @@ class PoleError(NumericsError):
 
 class NumericEnvelopeError(NumericsError):
     """Request falls outside the supported parameter envelope."""
+
+
+def _check_real(name: str, v) -> float:
+    """float(v), refused by name unless v is a real number, no bool, that a
+    float can hold.  The message names the type of a number too large, not
+    its digits: str() of an int past 4,300 digits raises."""
+    if type(v) is float:
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float ({type(v).__name__})") from None
+
+
+def _check_complex(name: str, v) -> complex:
+    """complex(v), refused by name, as _check_real refuses, when a part of v
+    is too large for a float."""
+    try:
+        return complex(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float ({type(v).__name__})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +248,11 @@ def bessel_k_row(order: complex, xs) -> np.ndarray:
     made complex once (see the module docstring); the rows at nu and -nu are
     equal byte for byte there.
     """
-    nu = complex(order)
-    xs = np.asarray(xs, dtype=float).ravel()
+    nu = _check_complex("order", order)
+    try:
+        xs = np.asarray(xs, dtype=float).ravel()
+    except OverflowError:
+        raise ValueError("an argument x is too large for a float") from None
     lo, hi = (np.minimum.reduce(xs), np.maximum.reduce(xs)) if xs.size else (_X_MIN, _X_MIN)
     if not (cmath.isfinite(nu) and math.isfinite(lo) and math.isfinite(hi)):   # a nan carries into both
         raise ValueError("order and arguments must be finite")
@@ -407,7 +434,7 @@ def log_gamma_r(s: complex) -> complex:
     (mpmath.loggamma's), not reduced mod 2 pi.  The poles s = 0, -2, -4, ...
     are rejected with a distance-to-pole diagnostic, after a non-finite s.
     """
-    s = complex(s)
+    s = _check_complex("s", s)
     if not cmath.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
     pole = complex(-2 * max(0, round(-s.real / 2.0)), 0.0)
@@ -474,8 +501,10 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
     mode or more, and the tail is at most the first over 1 - rho.  That bound
     falls with m, so the search gallops from a first guess, then bisects.
     |t| > 200 or |sigma| > 10, past the K-Bessel order envelope, is refused
-    before the search (NumericEnvelopeError).
+    before the search (NumericEnvelopeError).  Each argument must be a real
+    number, no bool, that a float can hold, or ValueError names it.
     """
+    t, y, eps, sigma = _check_real("t", t), _check_real("y", y), _check_real("eps", eps), _check_real("sigma", sigma)
     if not (0 < y < math.inf and 0 < eps < math.inf):
         raise ValueError(f"y and eps must be positive and finite, got y = {y}, eps = {eps}")
     if not math.isfinite(t):
@@ -487,7 +516,7 @@ def whittaker_tail_cutoff(t: float, y: float, eps: float, sigma: float = 0.0) ->
     if abs(sigma) > _RE_MAX:
         raise NumericEnvelopeError(f"sigma = {sigma} outside the K-Bessel order envelope "
                                    f"|sigma| <= {_RE_MAX:g}")
-    t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
+    t, power, half_s2 = abs(t), 0.5 + abs(sigma), 0.5 * sigma * sigma
     two_pi_y, log_eps = 2.0 * math.pi * y, math.log(eps)
 
     def fits(m: int) -> bool:
@@ -537,7 +566,7 @@ def _tail_cutoffs(t: float, ys, eps: float, scale: float, sigma: float = 0.0) ->
                              f"eps / (2 |P(s)| e^(-pi |t| / 2) sqrt(y)) is {budget}")
     if len(ys) == 1:
         return [whittaker_tail_cutoff(t, ys[0], budgets[0], sigma)]
-    t, power, half_s2 = abs(float(t)), 0.5 + abs(sigma), 0.5 * sigma * sigma
+    t, power, half_s2 = abs(t), 0.5 + abs(sigma), 0.5 * sigma * sigma
     two_pi_y, log_eps = 2.0 * math.pi * np.asarray(ys, dtype=float)[:, None], np.log(budgets)[:, None]
     x = np.maximum(0.5 * math.pi * t - log_eps, t + 1.0)       # the scalar search's first guess
     r = np.sqrt((x - t) * (x + t))

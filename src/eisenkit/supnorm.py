@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eisenkit.characters import build_character, character_index
-from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _check_height, _check_real, _fourier_grid
-from eisenkit.special_functions import NumericsError
+from eisenkit.eisenstein import _Y_FLOOR, EisensteinParams, _check_height, _fourier_grid
+from eisenkit.special_functions import NumericsError, _check_real
 
 __all__ = [
     "ScanAbortedError",

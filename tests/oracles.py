@@ -111,7 +111,9 @@ def envelope_grid() -> list[tuple[complex, list[float]]]:
     point x = |Im nu|, and a few log-uniform draws.  Orders on the unitary
     axis also get x = 1e-3 |t|, |t| / 2 and |t| (1 - 1e-9), deep inside and
     at the upper end of the saddle contour's range, where a saddle position
-    taken as arccosh(|t| / x) would lose digits.
+    taken as arccosh(|t| / x) would lose digits.  Last come four points each
+    at t = 120, 160 and 200 in the band x / t = 1.29..1.42, appended after
+    the seeded groups so that those keep their draws and places.
     """
     rng = random.Random(20261018)
     grid = []
@@ -124,6 +126,12 @@ def envelope_grid() -> list[tuple[complex, list[float]]]:
             if t > 0 and sigma == 0.0:
                 xs += [1e-3 * t, 0.5 * t, t * (1.0 - 1e-9)]
             grid.append((order, xs))
+    # past the turning point at x / |t| = 1.29..1.42 for |t| >= 120, the line
+    # route's trapezoid step needs the strip's lower edge as well as its upper
+    # one: charged for the upper edge alone, it missed the 1e-12 bar there by
+    # up to 3.8 times
+    for t in (120.0, 160.0, 200.0):
+        grid.append((complex(0.0, t), [ratio * t for ratio in (1.29, 1.335, 1.38, 1.42)]))
     return grid
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import gc
 import itertools
+import json
 import math
 import random
 import re
@@ -203,6 +204,24 @@ def test_prime_lambda_matches_the_divisor_sum_bit_for_bit():
     assert list(map(repr, got)) == list(map(repr, want))
 
 
+def test_a_product_by_chi_of_one_returns_the_other_factor_bit_for_bit():
+    """The prime kernel skips the products by chi(1) that the scalar path
+    takes.  chi(1) is (1.0, 0.0) for every character, past the 2^14 table
+    ceiling too, and multiplying a character value by it, on either side,
+    returns that value byte for byte: every root of unity e(m / D), D <= 512,
+    the values of every character up to this file's moduli, and 0j."""
+    from eisenkit.characters import _roots_of_unity
+
+    wide = multiply(build_character(16381, 5), conjugate(CHI3))
+    chars = [chi for q in (1, 3, 4, 5, 8, 12, 131) for chi in character_group(q)] + [wide]
+    assert {repr(chi.evaluate(1)) for chi in chars} == {"(1+0j)"}
+    values = np.concatenate([_roots_of_unity(D) for D in range(1, 513)]
+                            + [amplifier._values_at(chi, np.arange(200)) for chi in chars])
+    assert (values == 0).any()
+    for got in (amplifier._mul(1.0, 0.0, values.real, values.imag), amplifier._mul(values.real, values.imag, 1.0, 0.0)):
+        assert np.array(got).tobytes() == np.array([values.real, values.imag]).tobytes()
+
+
 def test_one_exponential_per_conjugate_phase_pair():
     """exp(-z) == conj(exp(z)) byte for byte at z = (+-0.0, y), for cmath and
     numpy, |y| up to 2.2e4 (1e3 log 2e9, the largest twist phase) and y = +-0.0;
@@ -282,6 +301,74 @@ def test_factorization_bits_do_not_depend_on_the_context_cache():
                 for got in runs:
                     assert [got[call] for call in got] == [want[call] for call in got]
                     assert [repr(got[call]) for call in got] == [repr(want[call]) for call in got]
+
+
+_TWINS = ((8.0, 0.0), (8.0, -0.0), (0.0, 3.0), (-0.0, 3.0))     # twist pairs apart by a zero's sign
+_TWIN_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from eisenkit import amplifier
+from eisenkit.characters import build_character, character_group
+primes = [p for p in amplifier.sieve_interval(2, 4096).tolist() if 60 % p]
+out = {}
+for r1, r2 in json.loads(sys.argv[2]):
+    cfg = amplifier.AmplifierConfig(q=3, L=100.0, r1=r1, r2=r2, chi1=build_character(5, 1), chi2=build_character(4, 1))
+    values = [repr(fn(p, xi, cfg)) for xi in character_group(3)
+              for fn in (amplifier.b_xi, amplifier.factorization_check) for p in primes]
+    ctx = next(iter(cfg._contexts.values()))
+    rows = amplifier._phase_rows(np.array([ctx.s_left, ctx.s_right, ctx.s_diff, ctx.s_total]))
+    out[repr((r1, r2))] = [np.array(rows).tobytes().hex(), values]
+print(json.dumps([len(amplifier._phase_cache), out]))
+"""
+
+
+def test_twist_pairs_apart_by_a_zero_sign_keep_their_own_phase_rows():
+    """The twist pairs (8.0, 0.0) and (8.0, -0.0), and (0.0, 3.0) and
+    (-0.0, 3.0), are four keys of the phase-row cache, not two: asked in
+    either order within one process, each pair reads rows of its own and
+    gives the b_xi and factorization_check bits (repr) of a fresh process,
+    in which it is asked first.  The rows are cmath.exp(s log p) at each
+    prime up to 4096, byte for byte.  Twins' rows agree in every bit, since
+    s log p has the imaginary part +0.0 at each zero twist, so the entry
+    count is what tells a key of bits from one of float equality."""
+    src = str(Path(amplifier.__file__).resolve().parent.parent)
+    orders = [_TWINS, (_TWINS[1], _TWINS[0], _TWINS[3], _TWINS[2])]
+    procs = [subprocess.Popen([sys.executable, "-c", _TWIN_SCRIPT, src, json.dumps(order)],
+                              stdout=subprocess.PIPE, text=True) for order in orders]
+    runs = [json.loads(proc.communicate(timeout=120)[0]) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert runs[0] == runs[1] and runs[0][0] == 4
+    primes = sieve_interval(2, 4096).tolist()
+    rows = {}
+    for r1, r2 in _TWINS:
+        e = np.array([[cmath.exp(s * math.log(p)) for p in primes]
+                      for s in (1j * r1, -1j * r2, 1j * (r1 - r2), 1j * (r1 + r2))])
+        rows[repr((r1, r2))] = np.array([e.real, e.imag]).tobytes().hex()
+    assert {pair: run[0] for pair, run in runs[0][1].items()} == rows
+
+
+def test_the_phase_rows_stay_within_their_byte_bound_and_keep_no_character():
+    """200 distinct twist pairs over four characters xi mod 16381, each
+    dropped with its configs: the phase-row cache then holds its byte bound
+    of rows, 29 pairs of 36 KB at most 1 MiB, the most recent ones, keyed by
+    bytes alone, and no xi stays alive."""
+    amplifier._phase_cache.clear()
+    refs, pairs = [], []
+    for index in range(9200, 9204):
+        xi = build_character(16381, index)
+        refs.append(weakref.ref(xi))
+        for k in range(50):
+            pairs.append((index - 9200 + k / 64, -k / 8))
+            b_xi(7, xi, AmplifierConfig(q=16381, L=100.0, r1=pairs[-1][0], r2=pairs[-1][1], chi1=CHI1, chi2=CHI1))
+        del xi
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+    cache = amplifier._phase_cache
+    assert sum(rows.nbytes for rows in cache.values()) <= amplifier._PHASE_BYTES == 1 << 20
+    assert len(cache) == 29 and all(type(key) is bytes for key in cache)
+    assert list(cache) == [np.array([1j * r1, -1j * r2, 1j * (r1 - r2), 1j * (r1 + r2)]).tobytes()
+                           for r1, r2 in pairs[-29:]]
 
 
 def test_prime_table_is_built_once_per_context_and_never_past_the_ceiling(monkeypatch):

@@ -303,6 +303,37 @@ def test_a_block_that_overflows_only_in_skipped_terms_is_summed_by_the_loop():
     assert len(_lambda_slot(CHI4, CHI4, s)[0]) == 32
 
 
+def test_an_overflowing_block_runs_its_kernel_once(monkeypatch):
+    """chi = 4:1 on both sides, the table at lambda(1..32): the 32 calls for
+    n in (32, 64] run the kernel once at s = 1, to grow the table, and once
+    at s = 171, on the block (32, 64] that overflows, which each call ran
+    again before.  A first block (0, 128] that overflows is marked the same
+    way, and a smaller first block then still grows the table.  Every value
+    has the loop's bits."""
+    from eisenkit import eisenstein
+
+    runs = []
+    kernel = eisenstein._lambda_kernel
+    monkeypatch.setattr(eisenstein, "_lambda_kernel",
+                        lambda chi1, chi2, s, layout: runs.append(len(layout[3])) or kernel(chi1, chi2, s, layout))
+    for s in (complex(1.0), complex(171.0)):
+        _lambda_slot.cache_clear()
+        generalized_divisor_sum(CHI4, CHI4, s, 32)
+        runs.clear()
+        got = [generalized_divisor_sum(CHI4, CHI4, s, n) for n in range(33, 65)]
+        assert runs == [32], s
+        _same_bits(got, [divisor_sum_loop(CHI4, CHI4, s, n) for n in range(33, 65)])
+
+    s = complex(171.0)
+    _lambda_slot.cache_clear()
+    runs.clear()
+    ns = [100, 100, 66, 20, 45, 63, 100]
+    got = [generalized_divisor_sum(CHI4, CHI4, s, n) for n in ns]
+    assert runs == [128, 32, 32]        # (0, 128] overflows, (0, 32] is kept, (32, 64] overflows
+    assert len(_lambda_slot(CHI4, CHI4, s)[0]) == 32
+    _same_bits(got, [divisor_sum_loop(CHI4, CHI4, s, n) for n in ns])
+
+
 # ------------------------------------------------------------------
 # scattering data
 # ------------------------------------------------------------------

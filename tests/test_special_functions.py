@@ -17,7 +17,8 @@ from scipy.integrate import quad
 
 import eisenkit.special_functions as special_functions
 from eisenkit.characters import build_character
-from eisenkit.eisenstein import EisensteinParams, _lambda_table, _truncation
+from eisenkit.eisenstein import EisensteinParams, _lambda_table, _truncation, generalized_divisor_sum
+from eisenkit.lfunctions import dirichlet_l
 from oracles import (
     bessel_draws,
     bessel_k_mp,
@@ -161,10 +162,12 @@ def test_row_against_mpmath_over_the_envelope():
 def test_frozen_bessel_references_match_live_oracles():
     """A few frozen points, recomputed live, so that drift between an oracle
     and its fixture is caught: on the envelope grid, t = 0, the unitary axis
-    below, at and past the turning point up to |t| = 200, and orders off the
-    axis; two of the quadrature spot checks."""
+    below, at and past the turning point up to |t| = 200, orders off the
+    axis, and two points of the band x / t = 1.29..1.42 past the turning
+    point; two of the quadrature spot checks."""
     envelope = _fixture("bessel_envelope.json", "eisenkit-bessel-envelope-v1")
-    for k in (9, 65, 134, 165, 225, 235, 274, 290):
+    assert [envelope[k][1:3] for k in (303, 308)] == [[120.0, 1.42 * 120.0], [200.0, 1.29 * 200.0]]
+    for k in (9, 65, 134, 165, 225, 235, 274, 290, 303, 308):
         re_nu, im_nu, x, re_k, im_k = envelope[k]
         ref = complex(re_k, im_k)
         scale = max(abs(ref), math.exp(-decay(im_nu, x)))
@@ -453,6 +456,32 @@ def test_tail_cutoff_refuses_a_non_finite_t_or_sigma():
         with pytest.raises(ValueError, match=f"^sigma must be finite, got {bad}$"):
             whittaker_tail_cutoff(8.0, 0.7, 1e-8, bad)
     assert whittaker_tail_cutoff(-8.0, 0.7, 1e-8, -0.5) == whittaker_tail_cutoff(8.0, 0.7, 1e-8, 0.5)
+
+
+_HUGE = 10 ** 400     # past the float range
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generalized_divisor_sum(build_character(3, 1), build_character(4, 1), _HUGE, 5),
+     "s is too large for a float (int)"),
+    (lambda: dirichlet_l(_HUGE, build_character(3, 1)), "s is too large for a float (int)"),
+    (lambda: log_gamma_r(_HUGE), "s is too large for a float (int)"),
+    (lambda: bessel_k_row(_HUGE, [1.0]), "order is too large for a float (int)"),
+    (lambda: bessel_k_row(1j, [1.0, _HUGE]), "an argument x is too large for a float"),
+    (lambda: whittaker_tail_cutoff(_HUGE, 0.7, 1e-8), "t is too large for a float (int)"),
+    (lambda: whittaker_tail_cutoff(8.0, _HUGE, 1e-8), "y is too large for a float (int)"),
+    (lambda: whittaker_tail_cutoff(8.0, 0.7, _HUGE), "eps is too large for a float (int)"),
+    (lambda: whittaker_tail_cutoff(8.0, 0.7, 1e-8, -_HUGE), "sigma is too large for a float (int)"),
+    (lambda: whittaker_tail_cutoff(8.0, 0.7, True), "eps must be a real number, got True"),
+    (lambda: whittaker_tail_cutoff(8.0, False, 1e-8), "y must be a real number, got False"),
+], ids=["divisor-sum-s", "dirichlet-l-s", "log-gamma-r-s", "bessel-order", "bessel-x",
+        "tail-t", "tail-y", "tail-eps", "tail-sigma", "tail-bool-eps", "tail-bool-y"])
+def test_a_number_no_float_can_hold_is_refused_by_name(call, message):
+    """An int past the float range raised a bare OverflowError naming no
+    argument, and eps = True gave a cutoff of 1: each is a ValueError that
+    names the argument, and the number's digits are never formatted."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_tail_cutoff_refuses_orders_past_the_envelope():
